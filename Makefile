@@ -4,7 +4,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build vet test test-race bench bench-vm bench-compare audit serve-smoke check clean
+.PHONY: all build vet test test-race bench bench-vm bench-compare fuzz audit serve-smoke check clean
 
 all: check
 
@@ -42,11 +42,21 @@ bench: $(BIN)/r2cbench $(BIN)/r2cattack
 	$(BIN)/r2cbench -scale 8 -runs 1 -baseline BENCH_figure6.json figure6
 	$(BIN)/r2cattack -trials 4 -baseline BENCH_table3.json table3
 
-# Interpreter-core microbenchmarks: each kernel runs on the fast (predecoded)
-# dispatch engine and the legacy per-instruction loop, so the printed
-# Minstr/s pairs are the speedup the fast path buys on that code shape.
+# Interpreter-core microbenchmarks: one BenchmarkVM* per kernel (tight ALU
+# loop, call-dense code under three configs, load/store churn, and the
+# call-dense kernel with the flight recorder attached), each printing the
+# dispatch engine's Minstr/s on that code shape.
 bench-vm:
 	$(GO) test -bench=BenchmarkVM -benchmem -count=1 -run=^$$ ./internal/vm/
+
+# Differential fuzzing of the interpreter: generated programs, chunk sizes
+# and RSS-sample / i-cache-flush intervals, with the fast path and the
+# test-only reference interpreter stepped in lockstep. Plain `go test`
+# replays the committed seed corpus (internal/vm/testdata/fuzz); a failing
+# input the fuzzer finds lands there too, ready to commit as a regression.
+FUZZTIME ?= 30s
+fuzz:
+	$(GO) test -run=^$$ -fuzz=FuzzFastMatchesReference -fuzztime=$(FUZZTIME) ./internal/vm/
 
 # Regression gate: re-run each committed baseline's experiment at its
 # recorded parameters and fail on any deterministic drift or >2x latency

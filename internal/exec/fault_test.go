@@ -255,6 +255,60 @@ func TestJournalResumeReplaysCompletedCells(t *testing.T) {
 	}
 }
 
+// Appends after a torn final line must not glue onto it: the next -resume
+// would fail to decode the merged line and drop it and everything after.
+func TestJournalAppendAfterTornLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.journal")
+	record := func(j *exec.Journal, seeds ...uint64) {
+		t.Helper()
+		for _, s := range seeds {
+			if err := j.Record(exec.Key{Module: "m", Config: "c", Seed: s}, "p", &vm.Result{Instructions: s}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	j1, err := exec.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record(j1, 1, 2)
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"key":{"module":"torn`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	j2, err := exec.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record(j2, 3, 4)
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j3, err := exec.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j3.Close()
+	if j3.Len() != 4 {
+		t.Fatalf("reopened journal has %d entries, want 4", j3.Len())
+	}
+	for s := uint64(1); s <= 4; s++ {
+		res, ok := j3.Lookup(exec.Key{Module: "m", Config: "c", Seed: s}, "p")
+		if !ok || res.Instructions != s {
+			t.Errorf("entry %d: got %+v, %v", s, res, ok)
+		}
+	}
+}
+
 // The serial (width 1) path must report the same pool gauges the parallel
 // path does.
 func TestSerialPoolSetsGauges(t *testing.T) {

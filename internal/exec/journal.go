@@ -2,8 +2,10 @@ package exec
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 
@@ -35,8 +37,8 @@ type journalEntry struct {
 // the drivers print.
 //
 // The format is append-only JSONL; a run killed mid-write leaves at most one
-// truncated final line, which Open tolerates by discarding undecodable
-// lines. Only successful cells are journaled — failures must re-execute.
+// truncated final line, which Open discards. Only successful cells are
+// journaled — failures must re-execute.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -48,35 +50,44 @@ type Journal struct {
 // OpenJournal opens (creating if absent) the journal at path, loads every
 // intact entry, and positions for appending new ones. The returned journal
 // serves lookups from the loaded set, so a -resume run sees everything the
-// killed run completed.
+// killed run completed. A torn tail (an undecodable or newline-less final
+// line) is truncated away first, so the next append starts a fresh line
+// instead of gluing onto the fragment.
 func OpenJournal(path string) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	j := &Journal{f: f, seen: make(map[journalKey]*vm.Result)}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	r := bufio.NewReader(f)
+	var intact int64 // end of the last intact line
+	for {
+		line, err := r.ReadBytes('\n')
+		if err == io.EOF {
+			break // a non-empty line here lost its newline: torn
 		}
-		var e journalEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			// A kill mid-append leaves one torn trailing line; everything
-			// before it is intact. Stop here and let appends follow it.
-			break
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("journal: read %s: %w", path, err)
 		}
-		if e.Result != nil {
-			j.seen[journalKey{e.Key, e.Prof}] = e.Result
+		if len(bytes.TrimSpace(line)) > 0 {
+			var e journalEntry
+			if err := json.Unmarshal(line, &e); err != nil {
+				// A kill mid-append leaves one torn trailing line;
+				// everything before it is intact.
+				break
+			}
+			if e.Result != nil {
+				j.seen[journalKey{e.Key, e.Prof}] = e.Result
+			}
 		}
+		intact += int64(len(line))
 	}
-	if err := sc.Err(); err != nil {
+	if err := f.Truncate(intact); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("journal: read %s: %w", path, err)
+		return nil, fmt.Errorf("journal: %w", err)
 	}
-	if _, err := f.Seek(0, 2); err != nil {
+	if _, err := f.Seek(intact, io.SeekStart); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("journal: %w", err)
 	}

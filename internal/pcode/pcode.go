@@ -66,7 +66,7 @@ const (
 	XVZeroUpper
 	XSys
 	XHalt
-	XBadVec // vector op with invalid width: reproduces the legacy error
+	XBadVec // vector op with invalid width: reproduces the architectural error
 	XUnimpl
 	XFellOff // sentinel between functions
 
@@ -80,6 +80,21 @@ const (
 	XVLoadStore    // KVLoad(abs) ; KVStore — AVX2 BTRA setup pair
 )
 
+// Unfused returns the exec code of a fused superinstruction's first
+// component — what the interpreter runs when a segment cut separates the
+// pair — or x itself when x is not fused.
+func Unfused(x uint8) uint8 {
+	switch x {
+	case XPushImm2, XPushImmCall:
+		return XPushImm
+	case XAluAddImmCall:
+		return XAluAddRI
+	case XVLoadStore:
+		return XVLoadAbs
+	}
+	return x
+}
+
 // Fetch-elision flags: set when the op's i-cache line / exec page may differ
 // from the previously fetched instruction's, so the interpreter must run the
 // dynamic transition check. Clear means the check provably short-circuits
@@ -90,7 +105,7 @@ const (
 )
 
 // lineShift matches the VM's per-line fetch dedupe granularity (64-byte
-// lines, the same constant the legacy loop hardcodes).
+// lines, the same constant the interpreter's fetch checks hardcode).
 const lineShift = 6
 
 // Op is one predecoded instruction. Fields are laid out for density; the
@@ -228,8 +243,8 @@ func Build(funcs []FuncIn) *Program {
 	// Pass 3: block leaders — function entries, sentinels, lowering-time
 	// block starts, resolved branch targets, and terminator successors.
 	// Completeness here is a performance property, not a correctness one:
-	// control transfers landing mid-block fall back to the per-instruction
-	// interpreter until the next leader.
+	// the interpreter runs a control transfer that lands mid-block as a
+	// partial segment up to the block end.
 	leader := make([]bool, len(p.Ops)+1)
 	for fi := range funcs {
 		f := &funcs[fi]

@@ -11,10 +11,9 @@ import (
 	"r2c/internal/vm"
 )
 
-// Microbenchmarks for the interpreter core, each run on both dispatch
-// engines so `go test -bench BenchmarkVM ./internal/vm/` prints the
-// fast-vs-legacy ratio directly. Every iteration executes a freshly loaded
-// process to completion; programs are sized so load time is noise.
+// Microbenchmarks for the interpreter core, one per code shape, each
+// reporting Minstr/s. Every iteration executes a freshly loaded process to
+// completion; programs are sized so load time is noise.
 
 // aluLoopModule is a tight arithmetic kernel: one hot block, no calls, no
 // memory traffic — the best case for block-batched accounting and the
@@ -135,7 +134,7 @@ func buildBenchImage(b *testing.B, m *tir.Module, cfg defense.Config) *image.Ima
 	return img
 }
 
-func runBenchImage(b *testing.B, img *image.Image, legacy bool) {
+func runBenchImage(b *testing.B, img *image.Image) {
 	b.Helper()
 	var instrs uint64
 	b.ResetTimer()
@@ -145,7 +144,6 @@ func runBenchImage(b *testing.B, img *image.Image, legacy bool) {
 			b.Fatal(err)
 		}
 		mach := vm.New(proc, vm.EPYCRome())
-		mach.Legacy = legacy
 		res, err := mach.Run(sim.DefaultBudget)
 		if err != nil || !res.Halted {
 			b.Fatalf("run: halted=%v err=%v", res.Halted, err)
@@ -156,38 +154,36 @@ func runBenchImage(b *testing.B, img *image.Image, legacy bool) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
-func benchBoth(b *testing.B, m *tir.Module, cfg defense.Config) {
+func benchModule(b *testing.B, m *tir.Module, cfg defense.Config) {
 	b.Helper()
-	img := buildBenchImage(b, m, cfg)
-	b.Run("fast", func(b *testing.B) { runBenchImage(b, img, false) })
-	b.Run("legacy", func(b *testing.B) { runBenchImage(b, img, true) })
+	runBenchImage(b, buildBenchImage(b, m, cfg))
 }
 
 func BenchmarkVMAluLoop(b *testing.B) {
-	benchBoth(b, aluLoopModule(), defense.Off())
+	benchModule(b, aluLoopModule(), defense.Off())
 }
 
 func BenchmarkVMCallDenseOff(b *testing.B) {
-	benchBoth(b, callDenseModule(), defense.Off())
+	benchModule(b, callDenseModule(), defense.Off())
 }
 
 func BenchmarkVMCallDenseR2CFull(b *testing.B) {
-	benchBoth(b, callDenseModule(), defense.R2CFull())
+	benchModule(b, callDenseModule(), defense.R2CFull())
 }
 
 func BenchmarkVMCallDenseR2CPush(b *testing.B) {
-	benchBoth(b, callDenseModule(), defense.R2CPush())
+	benchModule(b, callDenseModule(), defense.R2CPush())
 }
 
 func BenchmarkVMLoadStore(b *testing.B) {
-	benchBoth(b, loadStoreModule(), defense.Off())
+	benchModule(b, loadStoreModule(), defense.Off())
 }
 
 // runBenchImageFlight is runBenchImage with a flight recorder attached —
 // the enabled-but-idle overhead gate for the security observatory: the
 // recorder hooks fire on every call/ret/jump, so this measures their
 // steady-state dispatch cost against the recorder-free numbers above.
-func runBenchImageFlight(b *testing.B, img *image.Image, legacy bool) {
+func runBenchImageFlight(b *testing.B, img *image.Image) {
 	b.Helper()
 	obs := &telemetry.Observer{FlightCap: 64}
 	var instrs uint64
@@ -201,7 +197,6 @@ func runBenchImageFlight(b *testing.B, img *image.Image, legacy bool) {
 			b.Fatal("flight recorder not attached")
 		}
 		mach := vm.New(proc, vm.EPYCRome())
-		mach.Legacy = legacy
 		res, err := mach.Run(sim.DefaultBudget)
 		if err != nil || !res.Halted {
 			b.Fatalf("run: halted=%v err=%v", res.Halted, err)
@@ -213,7 +208,5 @@ func runBenchImageFlight(b *testing.B, img *image.Image, legacy bool) {
 }
 
 func BenchmarkVMCallDenseR2CFullFlight(b *testing.B) {
-	img := buildBenchImage(b, callDenseModule(), defense.R2CFull())
-	b.Run("fast", func(b *testing.B) { runBenchImageFlight(b, img, false) })
-	b.Run("legacy", func(b *testing.B) { runBenchImageFlight(b, img, true) })
+	runBenchImageFlight(b, buildBenchImage(b, callDenseModule(), defense.R2CFull()))
 }

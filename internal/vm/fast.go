@@ -11,20 +11,24 @@ import (
 	"r2c/internal/telemetry"
 )
 
-// runFast executes on the predecoded program (image.Code). It must be
-// observationally identical to runLegacy: same Result fields bit for bit,
-// same fault/trap PCs, same pause/resume points, same error strings.
+// runFast executes on the predecoded program (image.Code). Per retired
+// instruction k it observes the reference order: fetch (exec-permission
+// check on a page transition, i-cache access on a line transition), retire
+// (Instructions = k), the RSS sample when k%SampleEvery == 0, the i-cache
+// flush when k%FlushICacheEvery == 0, then execute.
 //
-// Structure: the outer loop walks basic blocks. A block whose full extent
-// fits inside the remaining budget, is entered at its leader, and crosses no
-// RSS-sampling or i-cache-flush boundary is retired on the fast inner loop —
-// its architectural instruction and class counts are charged up front from
-// the predecoded per-block summary (rolled back exactly if a fault, trap or
-// VM error stops execution mid-block), and each op dispatches through a
-// dense switch with statically elided fetch checks. Everything else (the
-// budget edge, knob boundaries, mid-block entry after a resume) is delegated
-// to runLegacy for exactly the instructions up to the boundary, so boundary
-// semantics are the reference semantics by construction.
+// Structure: the outer loop walks segments — runs of ops inside one basic
+// block, from idx up to the nearest of the block end, the budget, and the
+// next knob boundary. A segment's prologue fetches its first op with the
+// dynamic checks (after a resume or a flush the static fetch-elision flags
+// no longer hold), fires the knobs due at it, and charges the architectural
+// instruction and class counts for the whole segment up front: from the
+// predecoded per-block summary when the segment is a whole block, op by op
+// otherwise. A fault, trap or VM error that stops execution mid-segment
+// rolls back the unretired suffix exactly. Ops then dispatch through a
+// dense switch with statically elided fetch checks. A cut never splits a
+// fused pair: the segment stops before it, and a one-op segment runs only
+// the pair's first component, unfused.
 //
 // Cycle accounting (float64) deliberately stays per-op and in program
 // order: float addition is not associative, so block-summed charging would
@@ -49,93 +53,68 @@ blocks:
 	for {
 		op := &ops[idx]
 		if op.Exec == pcode.XFellOff {
-			// Straight-line execution ran off the function end. The legacy
-			// loop reports this right after retiring the last instruction,
-			// before any budget pause, with the PC still at it.
+			// Straight-line execution ran off the function end: reported
+			// right after retiring the last instruction, before any budget
+			// pause, with the PC still at it.
 			cpu.PC = ops[idx-1].Addr
 			return m.finish(), fmt.Errorf("vm: fell off the end of %s", code.Funcs[op.FuncIx].Name)
 		}
+		rem := limit - m.res.Instructions
+		if rem == 0 {
+			// Pause with the PC at the next instruction so a later Run call
+			// resumes exactly here.
+			cpu.PC = op.Addr
+			return m.finish(), ErrInstructionBudget
+		}
+		if op.Addr>>mem.PageShift != m.lastExecPage {
+			if !m.enterPage(op) {
+				return m.finish(), nil // fetch fault: nothing retired
+			}
+		}
+		if line := op.Addr >> 6; line != m.lastLine {
+			if m.ic.access(op.Addr) {
+				m.res.Cycles += prof.ICacheMissPenalty
+				m.res.ICacheStallCycles += prof.ICacheMissPenalty
+			}
+			m.lastLine = line
+		}
+
 		blk := &code.Blocks[op.Block]
 		end := int(blk.End)
-		n := uint64(end - idx)
-		var rem uint64
-		if m.res.Instructions < limit {
-			rem = limit - m.res.Instructions
+		if uint64(end-idx) > rem {
+			end = idx + int(rem)
 		}
-		// db is the distance (in retired instructions) to the next
-		// sampling/flush boundary; those actions must fire at exact
-		// instruction counts, so a block crossing one is not batchable.
-		db := ^uint64(0)
 		if knobs != 0 {
-			if s := m.SampleEvery; s > 0 {
-				if d := s - m.res.Instructions%s; d < db {
-					db = d
-				}
-			}
-			if f := m.FlushICacheEvery; f > 0 {
-				if d := f - m.res.Instructions%f; d < db {
-					db = d
-				}
+			if n := m.fireKnobs(); uint64(end-idx) > n {
+				end = idx + int(n)
 			}
 		}
-		if idx != int(blk.Start) || n > rem || db <= n {
-			step := n
-			if rem < step {
-				step = rem
+		// Charge the segment's architectural counters up front; any
+		// mid-segment stop rolls back the unretired suffix, so the counters
+		// are exact at every exit.
+		x := op.Exec
+		if idx == int(blk.Start) && end == int(blk.End) {
+			for _, pk := range code.Classes[blk.ClassOff : blk.ClassOff+uint32(blk.ClassN)] {
+				m.res.ClassInstr[pk>>24] += uint64(pk & 0xffffff)
 			}
-			if db < step {
-				step = db
-			}
-			// The fast loop only syncs the architectural PC at stops;
-			// delegation resumes the reference loop from it, so sync now.
-			cpu.PC = op.Addr
-			if step == 0 {
-				// Budget exhausted: pause with the PC at the next
-				// instruction, exactly as the legacy loop does.
-				return m.finish(), ErrInstructionBudget
-			}
-			res, err := m.runLegacy(step)
-			if err != ErrInstructionBudget {
-				return res, err
-			}
-			idx = int(code.IndexOf(cpu.PC))
-			continue
-		}
-
-		// Fast block: charge the architectural counters for the whole
-		// extent up front. Any mid-block stop rolls back the unretired
-		// suffix, so the counters are exact at every exit.
-		m.res.Instructions += n
-		for _, pk := range code.Classes[blk.ClassOff : blk.ClassOff+uint32(blk.ClassN)] {
-			m.res.ClassInstr[pk>>24] += uint64(pk & 0xffffff)
-		}
-
-		for idx < end {
-			op = &ops[idx]
-			if op.Flags&pcode.FNewPage != 0 {
-				if pg := op.Addr >> mem.PageShift; pg != m.lastExecPage {
-					if err := m.Proc.Space.CheckExec(op.Addr); err != nil {
-						var f *mem.Fault
-						errors.As(err, &f)
-						cpu.PC = op.Addr
-						m.stopFault(op.Addr, f)
-						m.rollback(code, idx, end) // fetch fault: op not retired
-						return m.finish(), nil
-					}
-					m.lastExecPage = pg
+		} else {
+			if end < int(blk.End) {
+				// The cut may fall inside a fused pair: run a lone first
+				// component unfused, otherwise stop before the pair.
+				if end-idx == 1 {
+					x = pcode.Unfused(x)
+				} else if pcode.Unfused(ops[end-1].Exec) != ops[end-1].Exec {
+					end--
 				}
 			}
-			if op.Flags&pcode.FNewLine != 0 {
-				if line := op.Addr >> 6; line != m.lastLine {
-					if m.ic.access(op.Addr) {
-						m.res.Cycles += prof.ICacheMissPenalty
-						m.res.ICacheStallCycles += prof.ICacheMissPenalty
-					}
-					m.lastLine = line
-				}
+			for i := idx; i < end; i++ {
+				m.res.ClassInstr[ops[i].Kind]++
 			}
+		}
+		m.res.Instructions += uint64(end - idx)
 
-			switch op.Exec {
+		for {
+			switch x {
 			case pcode.XMovImm:
 				cpu.R[op.Dst] = op.Imm
 				m.charge(isa.KMovImm, prof.Cost[isa.KMovImm])
@@ -146,9 +125,9 @@ blocks:
 				idx++
 			case pcode.XLoadAbs:
 				if m.rec != nil && m.rec.NearGuard(op.Imm) {
-					// The block was charged up front; subtract the not-yet-
-					// retired suffix so the recorded instruction count
-					// matches the legacy loop's at this op.
+					// The segment was charged up front; subtract the not-yet-
+					// retired suffix so the recorded instruction count is
+					// this op's own.
 					m.rec.Record(telemetry.FlightLoad, op.Addr, op.Imm, m.res.Instructions-uint64(end-idx-1))
 				}
 				v, f := m.read64(op.Imm)
@@ -327,7 +306,7 @@ blocks:
 				return m.finish(), nil
 			case pcode.XVLoadAbs, pcode.XVLoadBase:
 				a := op.Imm
-				if op.Exec == pcode.XVLoadBase {
+				if x == pcode.XVLoadBase {
 					a = cpu.R[op.Base] + uint64(op.Disp)
 				}
 				lanes := int(op.Lanes)
@@ -360,7 +339,7 @@ blocks:
 				if op.Base != isa.NoGPR {
 					a = cpu.R[op.Base] + uint64(op.Disp)
 				}
-				if op.Exec == pcode.XVStoreA && a%16 != 0 {
+				if x == pcode.XVStoreA && a%16 != 0 {
 					cpu.PC = op.Addr
 					m.rollback(code, idx+1, end)
 					return m.finish(), fmt.Errorf("vm: at %#x: misaligned vector store to %#x", op.Addr, a)
@@ -537,15 +516,61 @@ blocks:
 				m.rollback(code, idx+1, end)
 				return m.finish(), fmt.Errorf("vm: at %#x: unimplemented %v", op.Addr, op.Kind)
 			}
+			if idx >= end {
+				continue blocks
+			}
+			op = &ops[idx]
+			if op.Flags&pcode.FNewPage != 0 && op.Addr>>mem.PageShift != m.lastExecPage {
+				if !m.enterPage(op) {
+					m.rollback(code, idx, end) // fetch fault: op not retired
+					return m.finish(), nil
+				}
+			}
+			if op.Flags&pcode.FNewLine != 0 {
+				if line := op.Addr >> 6; line != m.lastLine {
+					if m.ic.access(op.Addr) {
+						m.res.Cycles += prof.ICacheMissPenalty
+						m.res.ICacheStallCycles += prof.ICacheMissPenalty
+					}
+					m.lastLine = line
+				}
+			}
+			x = op.Exec
 		}
 	}
 }
 
-// rollback undoes the block-entry charge for the unretired ops [from, end) —
-// called when a fault, trap or VM error stops execution mid-block. Faulting
-// fetches pass the faulting op itself; faulting executions pass the
-// successor (the instruction retired architecturally even though it did not
-// complete, matching the legacy counters).
+// fireKnobs fires the RSS sample and i-cache flush due at the instruction
+// about to retire, in that order, and returns how many ops the segment it
+// opens may run: up to, not including, the next op that fires a knob. A
+// flush also ends its own segment after one op, since the later ops' static
+// line-elision flags assume a warm lastLine.
+func (m *Machine) fireKnobs() uint64 {
+	k := m.res.Instructions + 1
+	n := ^uint64(0)
+	if s := m.SampleEvery; s > 0 {
+		if k%s == 0 {
+			m.res.RSSSamples = append(m.res.RSSSamples, m.Proc.Space.RSSBytes())
+		}
+		n = s - k%s
+	}
+	if f := m.FlushICacheEvery; f > 0 {
+		if k%f == 0 {
+			m.ic.flush()
+			m.lastLine = ^uint64(0)
+			n = 1
+		} else if d := f - k%f; d < n {
+			n = d
+		}
+	}
+	return n
+}
+
+// rollback undoes the segment-entry charge for the unretired ops [from,
+// end) — called when a fault, trap or VM error stops execution
+// mid-segment. Faulting fetches pass the faulting op itself; faulting
+// executions pass the successor (the instruction retired architecturally
+// even though it did not complete).
 func (m *Machine) rollback(code *pcode.Program, from, end int) {
 	for i := from; i < end; i++ {
 		m.res.ClassInstr[code.Ops[i].Kind]--
@@ -553,21 +578,14 @@ func (m *Machine) rollback(code *pcode.Program, from, end int) {
 	m.res.Instructions -= uint64(end - from)
 }
 
-// fetch2 applies the fetch prelude (exec-permission per page transition,
-// i-cache access per line transition) for the second component of a fused
-// pair. Returns false on an exec fault, with the fault recorded and the PC
-// at the unretired component.
+// fetch2 applies the fetch checks to an op that executes straight after its
+// dense predecessor within a segment, skipping the ones its static
+// fetch-elision flags prove redundant. Returns false on an exec fault, with
+// the fault recorded and the PC at the unretired op.
 func (m *Machine) fetch2(op *pcode.Op) bool {
-	if op.Flags&pcode.FNewPage != 0 {
-		if pg := op.Addr >> mem.PageShift; pg != m.lastExecPage {
-			if err := m.Proc.Space.CheckExec(op.Addr); err != nil {
-				var f *mem.Fault
-				errors.As(err, &f)
-				m.CPU.PC = op.Addr
-				m.stopFault(op.Addr, f)
-				return false
-			}
-			m.lastExecPage = pg
+	if op.Flags&pcode.FNewPage != 0 && op.Addr>>mem.PageShift != m.lastExecPage {
+		if !m.enterPage(op) {
+			return false
 		}
 	}
 	if op.Flags&pcode.FNewLine != 0 {
@@ -579,6 +597,21 @@ func (m *Machine) fetch2(op *pcode.Op) bool {
 			m.lastLine = line
 		}
 	}
+	return true
+}
+
+// enterPage runs the exec-permission check for a fetch that crosses into a
+// new page. Returns false on a fault, with the fault recorded and the PC at
+// op.
+func (m *Machine) enterPage(op *pcode.Op) bool {
+	if err := m.Proc.Space.CheckExec(op.Addr); err != nil {
+		var f *mem.Fault
+		errors.As(err, &f)
+		m.CPU.PC = op.Addr
+		m.stopFault(op.Addr, f)
+		return false
+	}
+	m.lastExecPage = op.Addr >> mem.PageShift
 	return true
 }
 
@@ -621,9 +654,9 @@ func (m *Machine) fastCall(code *pcode.Program, idx, end int, indirect bool) (ne
 	}
 	m.charge(kind, cost)
 	if m.rec != nil {
-		// Control transfers are block-final, so the up-front block charge
-		// has exactly retired through this op; recording happens before
-		// target resolution so wild calls are captured too.
+		// Control transfers are block-final, so the up-front segment
+		// charge has exactly retired through this op; recording happens
+		// before target resolution so wild calls are captured too.
 		fk := telemetry.FlightCall
 		if indirect {
 			fk = telemetry.FlightCallInd

@@ -1,0 +1,7 @@
+//go:build race
+
+package vm_test
+
+// raceEnabled reports whether this test binary was built with the race
+// detector; see race_disabled_test.go for the counterpart.
+const raceEnabled = true
