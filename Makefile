@@ -90,14 +90,19 @@ audit: $(BIN)/r2caudit
 serve-smoke: $(BIN)/r2cserve
 	$(GO) run ./tools/servesmoke $(BIN)/r2cserve
 
-# The tier-1 gate: what CI (.github/workflows/ci.yml) runs. The exec engine
-# and the telemetry package (ops HTTP server, span sinks, registry) are cheap
-# enough to always take the race detector. The tight -timeout is load-bearing:
-# the fault-injection tests exercise watchdogs and stalls, and a regression
-# that reintroduces a real hang should fail the gate in minutes, not hours.
+# The tier-1 gate: what CI (.github/workflows/ci.yml) runs. The exec engine,
+# the telemetry package (ops HTTP server, span sinks, registry) and the CLI
+# harness (ops server lifecycle, signal context) are cheap enough to always
+# take the race detector. The tight -timeout is load-bearing: the
+# fault-injection tests exercise watchdogs and stalls, and a regression that
+# reintroduces a real hang should fail the gate in minutes, not hours. The
+# benchmark is its own module, so root `go build ./...` skips it; it is
+# vetted and tested here because it imports internal/telemetry, exec, fleet
+# and perf.
 check: build vet test
-	$(GO) test -race -timeout 300s ./internal/exec/ ./internal/telemetry/ ./internal/vm/ ./internal/pcode/ ./internal/incident/ ./internal/fleet/ ./internal/mvee/
+	$(GO) test -race -timeout 300s ./internal/exec/ ./internal/telemetry/ ./internal/vm/ ./internal/pcode/ ./internal/incident/ ./internal/fleet/ ./internal/mvee/ ./internal/harness/
 	$(GO) test -run=^$$ -bench=BenchmarkVM -benchtime=1x ./internal/vm/
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 clean:
 	$(GO) clean ./...

@@ -3,355 +3,85 @@
 // PIROP and AOCR), the BTRA guessing probabilities of Section 7.2.1, the
 // crash side-channel demonstration of Section 7.3, and the design-decision
 // ablations of Sections 4.1 and 5.2 (dynamic BTRA sets, callee-chosen BTRA
-// sets, the naive in-data BTDP array).
-//
-// Usage:
-//
-//	r2cattack [-trials N] [-metrics-out FILE] [-trace FILE] [-trace-format jsonl|chrome]
-//	          [-listen ADDR] [-forensics] [-flight N] [-incidents-out FILE] [-alert-rules FILE]
-//	          [-sample-every N] [-timeseries-out FILE]
-//	          [-baseline FILE] [-compare FILE] [-compare-warn]
-//	          <table3|prob|sidechannel|ablations|aocr|all>
+// sets, the naive in-data BTDP array). `r2cattack -h` lists the flags and
+// experiments.
 package main
 
 import (
-	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
-	"strconv"
-	"syscall"
-	"time"
 
 	"r2c/internal/attack"
 	"r2c/internal/bench"
 	"r2c/internal/defense"
-	"r2c/internal/exec"
+	"r2c/internal/harness"
 	"r2c/internal/incident"
 	"r2c/internal/mvee"
-	"r2c/internal/perf"
 	"r2c/internal/telemetry"
 	"r2c/internal/vm"
 )
 
-// allExperiments is the order `all` runs them; it doubles as the known-name
-// list for upfront validation.
-var allExperiments = []string{"table3", "prob", "sidechannel", "sidechannel-hardened", "bruteforce", "ablations", "aocr", "mvee"}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
-	trials := flag.Int("trials", 10, "Monte-Carlo trials per defense/attack cell")
-	jobs := flag.Int("jobs", 0, "parallel trials/simulation cells (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
-	overheads := flag.Bool("overheads", false, "also measure Table 3 overhead column (slow)")
-	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot (probe/detection/outcome counters) to FILE on exit")
-	traceOut := flag.String("trace", "", "write structured events (traps, faults, probes, outcomes) and spans to FILE")
-	traceFormat := flag.String("trace-format", telemetry.TraceJSONL, "trace file format: jsonl or chrome (chrome://tracing / Perfetto)")
-	listen := flag.String("listen", "", "serve the live ops endpoint (/metrics, /healthz, /progress, /debug/pprof) on ADDR, e.g. :8642")
-	forensics := flag.Bool("forensics", false, "with table3: print the per-trial trap provenance table (which trap class caught each probe) and the incident correlation summary")
-	flightCap := flag.Int("flight", 0, "per-process flight-recorder depth in events (0 = off; -forensics defaults to 64); recent control flow is attached to every incident record")
-	incidentsOut := flag.String("incidents-out", "", "write the incident timeline (trap/fault/divergence records with flight snapshots) as JSON to FILE on exit")
-	alertRules := flag.String("alert-rules", "", "evaluate the declarative alert rules in FILE against the metrics registry at exit (and live on /alerts); any firing rule fails the run")
-	sampleEvery := flag.Int("sample-every", 0, "time-series sampling stride in completed simulation cells (0 = every 16); only cell-executing paths sample (e.g. -overheads) — Monte-Carlo-only scenarios leave the rings empty")
-	timeseriesOut := flag.String("timeseries-out", "", "write the sampled time-series rings as JSON to FILE on exit")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell wall-clock watchdog deadline (0 = none); hung cells fail instead of hanging the campaign")
-	cellFuel := flag.Uint64("cell-fuel", 0, "per-cell VM instruction allowance (0 = the default budget)")
-	retries := flag.Int("retries", 0, "re-attempts per failed cell, each with a seed derived from the cell's content key")
-	retryBackoff := flag.Duration("retry-backoff", 0, "base delay before the first retry of a cell, doubling per attempt")
-	journalPath := flag.String("journal", "", "persist completed cell results to FILE (JSONL, keyed by build key + machine)")
-	resume := flag.Bool("resume", false, "replay cells already present in the journal instead of re-executing them")
-	faults := flag.String("faults", "", "fault-injection plan CELL[@ATTEMPT]:KIND,... with KIND one of build-fail, exec-fail, panic, stall, slow[=DURATION]; CELL may be * (testing aid)")
-	baselineOut := flag.String("baseline", "", "write the run's performance numbers as a baseline to FILE (BENCH_<experiment>.json)")
-	compare := flag.String("compare", "", "re-run the baseline in FILE (adopting its trials unless overridden) and exit nonzero on regression")
-	compareWarn := flag.Bool("compare-warn", false, "report -compare timing regressions without failing (CI warn-only mode)")
-	perfNoise := flag.Float64("perf-noise", 0, "-compare timing noise threshold in percent (0 = default 100)")
-	perfNoiseDet := flag.Float64("perf-noise-det", 0, "-compare deterministic drift threshold in percent (0 = default 1)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: r2cattack [-trials N] [-metrics-out FILE] [-trace FILE] [-trace-format jsonl|chrome] [-listen ADDR] [-forensics] [-flight N] [-incidents-out FILE] [-alert-rules FILE] [-baseline FILE] [-compare FILE] [-compare-warn] <table3|prob|sidechannel|sidechannel-hardened|ablations|aocr|mvee|all>\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	h := harness.New("r2cattack", "<experiment>", stdout, stderr, harness.Ops|harness.Artifacts|harness.Engine|harness.PerfGate)
+	trials := h.Flags.Int("trials", 10, "Monte-Carlo trials per defense/attack cell")
+	jobs := h.Flags.Int("jobs", 0, "parallel trials/simulation cells (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
+	overheads := h.Flags.Bool("overheads", false, "also measure Table 3 overhead column (slow)")
+	forensics := h.Flags.Bool("forensics", false, "with table3: print the per-trial trap provenance table (which trap class caught each probe) and the incident correlation summary; implies -flight 64 unless set")
+	sampleEvery := h.Flags.Int("sample-every", 0, "time-series sampling stride in completed simulation cells (0 = every 16); only cell-executing paths sample (e.g. -overheads) — Monte-Carlo-only scenarios leave the rings empty")
+	h.Params = []string{"trials"}
 
-	// With -compare the experiment and its trial count default to what the
-	// baseline recorded; explicit flags and a positional argument win.
-	setFlags := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
-	var oldBase *perf.Baseline
-	if *compare != "" {
-		var err error
-		oldBase, err = perf.Load(*compare)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "r2cattack: %v\n", err)
-			os.Exit(1)
-		}
-		if v, ok := oldBase.Params["trials"]; ok && !setFlags["trials"] {
-			if n, err := strconv.Atoi(v); err == nil {
-				*trials = n
-			}
-		}
-	}
-	if flag.NArg() != 1 && !(flag.NArg() == 0 && oldBase != nil) {
-		flag.Usage()
-		os.Exit(2)
-	}
-	want := flag.Arg(0)
-	if want == "" && oldBase != nil {
-		want = oldBase.Label
-	}
-
-	names := []string{want}
-	if want == "all" {
-		names = allExperiments
-	} else if !known(want) {
-		fmt.Fprintf(os.Stderr, "r2cattack: unknown experiment %q\nknown experiments: all", want)
-		for _, n := range allExperiments {
-			fmt.Fprintf(os.Stderr, " %s", n)
-		}
-		fmt.Fprintf(os.Stderr, "\n")
-		os.Exit(2)
-	}
-
-	// -forensics implies a flight recorder: the provenance table is most
-	// useful with the control-flow tail that led to each detonation.
-	if *forensics && !setFlags["flight"] {
-		*flightCap = 64
-	}
-	// Alert rules are parsed before any work runs so a malformed file fails
-	// fast, like an unknown experiment name.
-	var rules []telemetry.AlertRule
-	if *alertRules != "" {
-		var err2 error
-		rules, err2 = telemetry.LoadAlertRules(*alertRules)
-		if err2 != nil {
-			fmt.Fprintf(os.Stderr, "r2cattack: %v\n", err2)
-			os.Exit(2)
-		}
-	}
-
-	start := time.Now()
-	prov := perf.Collect()
-	sinks, err := telemetry.OpenSinksOpts(telemetry.SinkOptions{
-		MetricsOut:     *metricsOut,
-		TraceOut:       *traceOut,
-		TraceFormat:    *traceFormat,
-		FlightCap:      *flightCap,
-		EnsureRegistry: *listen != "" || *baselineOut != "" || *compare != "" || *alertRules != "",
-		Meta:           prov.Meta(),
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "r2cattack: %v\n", err)
-		os.Exit(1)
-	}
-	// One engine for the whole invocation; the attack package additionally
-	// routes every victim/reference build through its cache, which collapses
-	// the Monte-Carlo campaigns' repeated same-seed rebuilds (worker-pool
-	// restarts, persistent retries) to one compile+link each.
-	eng := exec.New(*jobs, sinks.Obs)
-	attack.UseBuildCache(eng.Cache)
-	// Time-series rings are cheap but not free; allocate them only when
-	// something will read them (a file, the ops endpoint, or alert rules).
-	var series *telemetry.SeriesSet
-	if *timeseriesOut != "" || *sampleEvery > 0 || *listen != "" || *alertRules != "" {
-		series = telemetry.NewSeriesSet(0, sinks.Obs)
-		eng.Series = series
-		eng.SampleEvery = *sampleEvery
-	}
-	// One incident log for the whole invocation: exec cells, attack
-	// scenarios and the MVEE demo all append to it, and the ops endpoint
-	// serves it live under /incidents.
-	var ilog *incident.Log
-	if *incidentsOut != "" || *forensics || *listen != "" || *alertRules != "" || *flightCap > 0 {
-		ilog = incident.NewLog()
-	}
-	eng.Incidents = ilog
-	attack.UseIncidentLog(ilog)
-	eng.CellTimeout = *cellTimeout
-	eng.CellFuel = *cellFuel
-	eng.Retries = *retries
-	eng.Backoff = *retryBackoff
-	plan, err := exec.ParseFaultPlan(*faults)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "r2cattack: %v\n", err)
-		os.Exit(2)
-	}
-	eng.Faults = plan
-	if *resume && *journalPath == "" {
-		*journalPath = "r2c-run.journal"
-	}
-	if *journalPath != "" {
-		j, jerr := exec.OpenJournal(*journalPath)
-		if jerr != nil {
-			fmt.Fprintf(os.Stderr, "r2cattack: %v\n", jerr)
-			os.Exit(1)
-		}
-		if *resume && j.Len() > 0 {
-			fmt.Printf("[resuming: %d journaled cells in %s]\n", j.Len(), *journalPath)
-		}
-		eng.Journal = j
-	}
-	// Ctrl-C/SIGTERM cancels the campaign context: queued trials never
-	// start and in-flight ones run their watchdogs down.
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-	opt := bench.Options{Scale: 4, Runs: 1, Out: os.Stdout, Obs: sinks.Obs, Jobs: *jobs, Eng: eng, Ctx: ctx}
-	var ops *telemetry.OpsServer
-	if *listen != "" {
-		ops, err = telemetry.ServeOpsSources(*listen, telemetry.OpsSources{
-			Registry:  sinks.Obs.Reg(),
-			Progress:  func() any { return eng.Progress() },
-			Incidents: func() any { return ilog.Timeline() },
-			Series:    series,
-			Alerts: func() any {
-				return telemetry.EvalAlertsSeries(rules, sinks.Obs.Reg().Snapshot(), series.Snapshot(nil, 0), time.Since(start))
-			},
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "r2cattack: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("[ops endpoint listening on %s]\n", ops.URL())
-	}
-
-	run := func(name string) error {
-		defer sinks.Obs.Timer("attack.experiment", "name", name).Time()()
-		switch name {
-		case "table3":
+	var opt bench.Options
+	h.Experiments = []harness.Experiment{
+		{Name: "table3", Run: func() error {
 			rows, err := bench.Table3(opt, *trials, *overheads)
 			if err == nil && *forensics {
 				bench.PrintForensics(opt, rows)
-				incident.WriteSummary(os.Stdout, incident.Correlate(ilog.Records()))
+				incident.WriteSummary(stdout, incident.Correlate(h.Incidents.Records()))
 			}
 			return err
-		case "prob":
-			_, err := bench.Prob(opt, 6**trials)
+		}},
+		{Name: "prob", Run: func() error { _, err := bench.Prob(opt, 6**trials); return err }},
+		{Name: "sidechannel", Run: func() error { _, err := bench.SideChannel(opt); return err }},
+		{Name: "sidechannel-hardened", Run: func() error { return sideChannelHardened(stdout, h.Obs) }},
+		{Name: "bruteforce", Run: func() error { return bruteforce(stdout) }},
+		{Name: "ablations", Run: func() error { return ablations(stdout) }},
+		{Name: "aocr", Run: func() error { return aocrDemo(stdout, h.Obs) }},
+		{Name: "mvee", Run: func() error { return mveeDemo(stdout, h.Incidents) }},
+	}
+	return h.Main(args, func() error {
+		// -forensics wants the control-flow tail that led to each
+		// detonation, and the incident log it correlates.
+		if *forensics {
+			if !h.Explicit("flight") {
+				h.Flags.Set("flight", "64")
+			}
+			h.Incidents = incident.NewLog()
+		}
+		if err := h.Open(*jobs, telemetry.SinkOptions{}); err != nil {
 			return err
-		case "sidechannel":
-			_, err := bench.SideChannel(opt)
+		}
+		// The attack package routes every victim/reference build through the
+		// engine's cache, collapsing the Monte-Carlo campaigns' repeated
+		// same-seed rebuilds to one compile+link each, and reports scenario
+		// detections into the shared incident log.
+		attack.UseBuildCache(h.Eng.Cache)
+		attack.UseIncidentLog(h.Incidents)
+		h.SampleCells(*sampleEvery)
+		if err := h.Serve(telemetry.OpsSources{}); err != nil {
 			return err
-		case "ablations":
-			return ablations()
-		case "aocr":
-			return aocrDemo(sinks.Obs)
-		case "mvee":
-			return mveeDemo(ilog)
-		case "sidechannel-hardened":
-			return sideChannelHardened(sinks.Obs)
-		case "bruteforce":
-			return bruteforce()
 		}
-		return fmt.Errorf("unknown experiment %q", name)
-	}
-
-	exitCode := 0
-	for _, n := range names {
-		if err := run(n); err != nil {
-			// Partial cell failures degrade to a summary plus a failing
-			// exit code; hard errors and cancellation abort as before.
-			if be, ok := exec.AsBatchError(err); ok && ctx.Err() == nil {
-				fmt.Fprintf(os.Stderr, "r2cattack %s: partial results: %s\n", n, be.Summary())
-				exitCode = 1
-				continue
-			}
-			ops.Close()
-			eng.Journal.Close()
-			sinks.Close()
-			fmt.Fprintf(os.Stderr, "r2cattack %s: %v\n", n, err)
-			os.Exit(1)
-		}
-	}
-	if *baselineOut != "" || oldBase != nil {
-		snap := sinks.Obs.Reg().Snapshot()
-		params := map[string]string{"trials": strconv.Itoa(*trials)}
-		fresh := perf.FromSnapshot(want, snap, prov, params)
-		if *baselineOut != "" {
-			if err := fresh.Save(*baselineOut); err != nil {
-				fmt.Fprintf(os.Stderr, "r2cattack: %v\n", err)
-				exitCode = 1
-			} else {
-				fmt.Printf("[baseline %q written to %s]\n", want, *baselineOut)
-			}
-		}
-		if oldBase != nil {
-			rep := perf.Judge(oldBase, fresh, perf.Thresholds{
-				DeterministicPct: *perfNoiseDet,
-				TimingPct:        *perfNoise,
-				TimingAdvisory:   *compareWarn,
-			})
-			rep.WriteTable(os.Stdout)
-			if rep.Failed() {
-				fmt.Fprintf(os.Stderr, "r2cattack: performance regressed vs %s\n", *compare)
-				exitCode = 1
-			}
-		}
-	}
-	if *incidentsOut != "" {
-		f, ferr := os.Create(*incidentsOut)
-		if ferr == nil {
-			ferr = ilog.WriteJSON(f)
-			if cerr := f.Close(); ferr == nil {
-				ferr = cerr
-			}
-		}
-		if ferr != nil {
-			fmt.Fprintf(os.Stderr, "r2cattack: incidents: %v\n", ferr)
-			exitCode = 1
-		} else {
-			fmt.Printf("[%d incident records written to %s]\n", ilog.Len(), *incidentsOut)
-		}
-	}
-	if *timeseriesOut != "" {
-		f, ferr := os.Create(*timeseriesOut)
-		if ferr == nil {
-			ferr = series.WriteJSON(f)
-			if cerr := f.Close(); ferr == nil {
-				ferr = cerr
-			}
-		}
-		if ferr != nil {
-			fmt.Fprintf(os.Stderr, "r2cattack: timeseries: %v\n", ferr)
-			exitCode = 1
-		} else {
-			fmt.Printf("[time-series rings written to %s]\n", *timeseriesOut)
-		}
-	}
-	if len(rules) > 0 {
-		states := telemetry.EvalAlertsSeries(rules, sinks.Obs.Reg().Snapshot(), series.Snapshot(nil, 0), time.Since(start))
-		telemetry.WriteAlertTable(os.Stdout, states)
-		if n := telemetry.FiringCount(states); n > 0 {
-			fmt.Fprintf(os.Stderr, "r2cattack: %d alert rule(s) firing\n", n)
-			exitCode = 1
-		}
-	}
-	fmt.Println(eng.Footer("r2cattack"))
-	// Shut the ops server down before the sinks so no scrape can race the
-	// final metrics snapshot; Close drains in-flight requests and joins the
-	// serve goroutine.
-	if err := ops.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "r2cattack: ops shutdown: %v\n", err)
-	}
-	if err := eng.Journal.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "r2cattack: %v\n", err)
-		exitCode = 1
-	}
-	if err := sinks.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "r2cattack: %v\n", err)
-		os.Exit(1)
-	}
-	os.Exit(exitCode)
-}
-
-func known(name string) bool {
-	for _, n := range allExperiments {
-		if n == name {
-			return true
-		}
-	}
-	return false
+		opt = bench.Options{Scale: 4, Runs: 1, Out: stdout, Obs: h.Obs, Jobs: *jobs, Eng: h.Eng, Ctx: h.Ctx}
+		return h.RunExperiments()
+	})
 }
 
 // mveeDemo runs the Section 7.3 MVEE extension: two R2C variants in
 // lockstep; a replicated memory corruption diverges and is detected.
-func mveeDemo(ilog *incident.Log) error {
-	fmt.Println("MVEE extension (Section 7.3): two diversified variants in lockstep")
+func mveeDemo(w io.Writer, ilog *incident.Log) error {
+	fmt.Fprintln(w, "MVEE extension (Section 7.3): two diversified variants in lockstep")
 	e, err := mvee.New(attack.Victim(), defense.R2CFull(), 2, 42, vm.EPYCRome())
 	if err != nil {
 		return err
@@ -361,7 +91,7 @@ func mveeDemo(ilog *incident.Log) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  benign run: diverged=%v trapped=%v (variants agree bit-for-bit)\n", v.Diverged, v.Trapped)
+	fmt.Fprintf(w, "  benign run: diverged=%v trapped=%v (variants agree bit-for-bit)\n", v.Diverged, v.Trapped)
 
 	e2, err := mvee.New(attack.Victim(), defense.R2CFull(), 2, 42, vm.EPYCRome())
 	if err != nil {
@@ -375,13 +105,13 @@ func mveeDemo(ilog *incident.Log) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  corrupted run: detected=%v (%s)\n", v2.Detected(), v2.Reason)
+	fmt.Fprintf(w, "  corrupted run: detected=%v (%s)\n", v2.Detected(), v2.Reason)
 	return nil
 }
 
 // sideChannelHardened reruns the Section 7.3 side channel against the
 // proposed BTRA consistency checks.
-func sideChannelHardened(obs *telemetry.Observer) error {
+func sideChannelHardened(w io.Writer, obs *telemetry.Observer) error {
 	cfg := defense.R2CFull()
 	cfg.Name = "r2c-btra-checks"
 	cfg.CheckBTRAsOnReturn = true
@@ -407,37 +137,37 @@ func sideChannelHardened(obs *telemetry.Observer) error {
 			detections++
 		}
 	}
-	fmt.Printf("BTRA consistency checks (Section 7.3 hardening): %d/%d zeroing probes detected (expected ≈ trials/pre)\n",
+	fmt.Fprintf(w, "BTRA consistency checks (Section 7.3 hardening): %d/%d zeroing probes detected (expected ≈ trials/pre)\n",
 		detections, trials)
 	return nil
 }
 
 // bruteforce runs the Section 4.1 Blind ROP and Section 7.2.3 heap feng
 // shui experiments.
-func bruteforce() error {
-	fmt.Println("Blind ROP stop-gadget scan against a restarting worker (Section 4.1):")
+func bruteforce(w io.Writer) error {
+	fmt.Fprintln(w, "Blind ROP stop-gadget scan against a restarting worker (Section 4.1):")
 	for _, cfg := range []defense.Config{defense.Off(), defense.R2CFull()} {
 		r, err := attack.BlindROP(cfg, 31, 12)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  vs %-10s: %d probes, gadget found=%v, booby-trap alarms=%d\n",
+		fmt.Fprintf(w, "  vs %-10s: %d probes, gadget found=%v, booby-trap alarms=%d\n",
 			cfg.Name, r.Probes, r.FoundGadget, r.Detections)
 	}
-	fmt.Println("heap feng shui pairing filter (Section 7.2.3):")
+	fmt.Fprintln(w, "heap feng shui pairing filter (Section 7.2.3):")
 	r, err := attack.FengShui(defense.R2CFull(), 5, 4096)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  vs r2c-full  : kept %d paired pointers, %d safe, %d still BTDPs\n",
+	fmt.Fprintf(w, "  vs r2c-full  : kept %d paired pointers, %d safe, %d still BTDPs\n",
 		r.PairsFound, r.SafePicks, r.BTDPPicks)
 	return nil
 }
 
 // aocrDemo narrates one full AOCR attack against the unprotected baseline
 // and against full R2C.
-func aocrDemo(obs *telemetry.Observer) error {
-	fmt.Println("AOCR whole-function-reuse demo (Section 2.3 attack chain)")
+func aocrDemo(w io.Writer, obs *telemetry.Observer) error {
+	fmt.Fprintln(w, "AOCR whole-function-reuse demo (Section 2.3 attack chain)")
 	for _, cfg := range []defense.Config{defense.Off(), defense.R2CFull()} {
 		tally := attack.Tally{}
 		for seed := uint64(1); seed <= 8; seed++ {
@@ -447,14 +177,14 @@ func aocrDemo(obs *telemetry.Observer) error {
 			}
 			tally.Add(s.AOCR())
 		}
-		fmt.Printf("  vs %-10s: %v\n", cfg.Name, &tally)
+		fmt.Fprintf(w, "  vs %-10s: %v\n", cfg.Name, &tally)
 	}
 	return nil
 }
 
 // ablations demonstrates the design-decision attacks.
-func ablations() error {
-	fmt.Println("Design-decision ablations (Sections 4.1, 5.2)")
+func ablations(w io.Writer) error {
+	fmt.Fprintln(w, "Design-decision ablations (Sections 4.1, 5.2)")
 
 	// Property B: dynamic BTRA sets fall to two observations.
 	bad := defense.R2CFull()
@@ -465,7 +195,7 @@ func ablations() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  property B  vs %-22s: %2d candidates after intersection, RA identified: %v\n",
+		fmt.Fprintf(w, "  property B  vs %-22s: %2d candidates after intersection, RA identified: %v\n",
 			cfg.Name, rem, isRA)
 	}
 
@@ -478,7 +208,7 @@ func ablations() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  property C  vs %-22s: %2d values differ between call sites, all real RAs: %v\n",
+		fmt.Fprintf(w, "  property C  vs %-22s: %2d values differ between call sites, all real RAs: %v\n",
 			cfg.Name, uniq, allRA)
 	}
 
@@ -492,7 +222,7 @@ func ablations() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  figure 5    vs %-22s: attacker keeps %2d heap pointers, %2d of them are still BTDPs\n",
+		fmt.Fprintf(w, "  figure 5    vs %-22s: attacker keeps %2d heap pointers, %2d of them are still BTDPs\n",
 			cfg.Name, kept, keptBTDPs)
 	}
 	return nil

@@ -9,136 +9,65 @@
 //
 // The report is deterministic: identical inputs produce byte-identical
 // output at any -jobs width, so reports can be diffed across toolchain
-// versions and checked into CI as goldens.
-//
-// Usage:
-//
-//	r2caudit [-config NAME] [-variants N] [-seed N] [-scale N] [-gadget-len N]
-//	         [-jobs N] [-json] [-metrics-out FILE] [-trace FILE] [-trace-format jsonl|chrome]
-//	         [-listen ADDR] <workload>
+// versions and checked into CI as goldens. `r2caudit -h` lists the flags.
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
-	"r2c/internal/attack"
 	"r2c/internal/audit"
 	"r2c/internal/defense"
-	"r2c/internal/exec"
-	"r2c/internal/perf"
+	"r2c/internal/harness"
 	"r2c/internal/telemetry"
-	"r2c/internal/tir"
-	"r2c/internal/workload"
 )
 
-func main() {
-	cfgName := flag.String("config", "r2c", "defense configuration (baseline, r2c, push, avx, btdp, prolog, layout, oia, ...)")
-	variants := flag.Int("variants", 16, "number of re-diversified builds to compare (≥ 2)")
-	seed := flag.Uint64("seed", 1, "base seed; variant i builds with seed+i")
-	scale := flag.Int("scale", 8, "workload scale divisor")
-	gadgetLen := flag.Int("gadget-len", audit.DefaultGadgetLen, "instruction-window length of the gadget survivor analysis")
-	jobs := flag.Int("jobs", 0, "parallel builds (0 = GOMAXPROCS, 1 = serial); the report is identical at any width")
-	asJSON := flag.Bool("json", false, "emit the machine-readable JSON report instead of the text report")
-	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot (audit histograms and gauges) to FILE")
-	traceOut := flag.String("trace", "", "write structured events and pipeline spans to FILE")
-	traceFormat := flag.String("trace-format", telemetry.TraceJSONL, "trace file format: jsonl or chrome (chrome://tracing / Perfetto)")
-	listen := flag.String("listen", "", "serve the live ops endpoint (/metrics, /healthz, /progress, /debug/pprof) on ADDR, e.g. :8642")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: r2caudit [flags] <workload|victim|FILE.tir>")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	cfg, ok := defense.ByName(*cfgName)
-	if !ok {
-		fatal(fmt.Errorf("unknown config %q", *cfgName))
-	}
-	mod, err := resolveModule(flag.Arg(0), *scale)
-	if err != nil {
-		fatal(err)
-	}
+func run(args []string, stdout, stderr io.Writer) int {
+	h := harness.New("r2caudit", "<workload|victim|FILE.tir>", stdout, stderr, harness.Ops)
+	cfgName := h.Flags.String("config", "r2c", "defense configuration (baseline, r2c, push, avx, btdp, prolog, layout, oia, ...)")
+	variants := h.Flags.Int("variants", 16, "number of re-diversified builds to compare (≥ 2)")
+	seed := h.Flags.Uint64("seed", 1, "base seed; variant i builds with seed+i")
+	scale := h.Flags.Int("scale", 8, "workload scale divisor")
+	gadgetLen := h.Flags.Int("gadget-len", audit.DefaultGadgetLen, "instruction-window length of the gadget survivor analysis")
+	jobs := h.Flags.Int("jobs", 0, "parallel builds (0 = GOMAXPROCS, 1 = serial); the report is identical at any width")
+	asJSON := h.Flags.Bool("json", false, "emit the machine-readable JSON report instead of the text report")
 
-	// The audit always publishes into a registry (its report aggregates
-	// registry histograms), so force one even with no file sink requested.
-	sinks, err := telemetry.OpenSinksOpts(telemetry.SinkOptions{
-		MetricsOut:     *metricsOut,
-		TraceOut:       *traceOut,
-		TraceFormat:    *traceFormat,
-		EnsureRegistry: true,
-		Meta:           perf.Collect().Meta(),
-	})
-	if err != nil {
-		fatal(err)
-	}
-	eng := exec.New(*jobs, sinks.Obs)
-	var ops *telemetry.OpsServer
-	if *listen != "" {
-		ops, err = telemetry.ServeOpsSources(*listen, telemetry.OpsSources{
-			Registry: sinks.Obs.Reg(),
-			Progress: func() any { return eng.Progress() },
+	return h.Main(args, func() error {
+		cfg, ok := defense.ByName(*cfgName)
+		if !ok {
+			return fmt.Errorf("unknown config %q", *cfgName)
+		}
+		mod, err := harness.Module(h.Flags.Arg(0), *scale)
+		if err != nil {
+			return err
+		}
+		// The report aggregates registry histograms, so the audit always
+		// publishes into a registry.
+		if err := h.Open(*jobs, telemetry.SinkOptions{EnsureRegistry: true}); err != nil {
+			return err
+		}
+		if err := h.Serve(telemetry.OpsSources{}); err != nil {
+			return err
+		}
+		rep, err := audit.Run(audit.Options{
+			Module:    mod,
+			Cfg:       cfg,
+			Variants:  *variants,
+			BaseSeed:  *seed,
+			GadgetLen: *gadgetLen,
+			Eng:       h.Eng,
+			Obs:       h.Obs,
+			Ctx:       h.Ctx,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "[ops endpoint listening on %s]\n", ops.URL())
-	}
-	rep, err := audit.Run(audit.Options{
-		Module:    mod,
-		Cfg:       cfg,
-		Variants:  *variants,
-		BaseSeed:  *seed,
-		GadgetLen: *gadgetLen,
-		Eng:       eng,
-		Obs:       sinks.Obs,
+		if *asJSON {
+			return rep.WriteJSON(stdout)
+		}
+		return rep.WriteText(stdout)
 	})
-	if err != nil {
-		fatal(err)
-	}
-
-	if *asJSON {
-		err = rep.WriteJSON(os.Stdout)
-	} else {
-		err = rep.WriteText(os.Stdout)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	// Ops server first, so no scrape can race the final metrics snapshot.
-	if err := ops.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "r2caudit: ops shutdown: %v\n", err)
-	}
-	if err := sinks.Close(); err != nil {
-		fatal(err)
-	}
-}
-
-// resolveModule mirrors r2cc's workload resolution: a built-in workload
-// name, the attack victim, or a .tir file.
-func resolveModule(name string, scale int) (*tir.Module, error) {
-	if name == "victim" {
-		return attack.Victim(), nil
-	}
-	if b, ok := workload.ByName(name); ok {
-		return b.Build(scale), nil
-	}
-	if strings.HasSuffix(name, ".tir") {
-		src, err := os.ReadFile(name)
-		if err != nil {
-			return nil, err
-		}
-		return tir.Parse(string(src))
-	}
-	return nil, fmt.Errorf("unknown workload %q (SPEC name, nginx, apache, victim, or a .tir file)", name)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "r2caudit:", err)
-	os.Exit(1)
 }

@@ -6,34 +6,21 @@
 // 6.2.1), the AVX-512 variant (Section 7.1), and the scalability check
 // (Section 6.3).
 //
-// Usage:
-//
-//	r2cbench [-scale N] [-runs N] [-metrics-out FILE] [-trace FILE] [-trace-format jsonl|chrome]
-//	         [-listen ADDR] [-profile] [-profile-format table|folded] [-cell-timeout D]
-//	         [-cell-fuel N] [-retries N] [-journal FILE] [-resume] [-faults PLAN]
-//	         [-flight N] [-incidents-out FILE] [-alert-rules FILE]
-//	         [-sample-every N] [-timeseries-out FILE]
-//	         [-baseline FILE] [-compare FILE] [-compare-warn] <experiment>
-//
 // -baseline records the run's performance numbers as a committed baseline
 // (BENCH_<label>.json); -compare re-runs a committed baseline's experiment
 // and exits nonzero if any metric regressed beyond the noise thresholds.
+// `r2cbench -h` lists the flags and experiments.
 package main
 
 import (
-	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
-	"strconv"
-	"syscall"
 	"time"
 
 	"r2c/internal/bench"
 	"r2c/internal/exec"
-	"r2c/internal/incident"
-	"r2c/internal/perf"
+	"r2c/internal/harness"
 	"r2c/internal/telemetry"
 )
 
@@ -55,328 +42,54 @@ var experiments = []struct {
 	{"diversity", func(o bench.Options) error { _, err := bench.Diversity(o); return err }},
 }
 
-func knownExperiments() []string {
-	names := make([]string, 0, len(experiments)+1)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	h := harness.New("r2cbench", "<experiment>", stdout, stderr, harness.Ops|harness.Artifacts|harness.Engine|harness.PerfGate)
+	scale := h.Flags.Int("scale", 1, "workload scale divisor (1 = full calibrated size)")
+	runs := h.Flags.Int("runs", 3, "differently-seeded builds per measurement (median)")
+	jobs := h.Flags.Int("jobs", 0, "parallel simulation cells (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
+	profile := h.Flags.Bool("profile", false, "collect per-function simulated-cycle profiles and print the hot-function table")
+	top := h.Flags.Int("top", 15, "rows in the -profile hot-function table")
+	profileFormat := h.Flags.String("profile-format", "table", "-profile output: table (flat hot functions) or folded (flamegraph.pl/speedscope folded stacks)")
+	sampleEvery := h.Flags.Int("sample-every", 0, "time-series sampling stride in completed cells (0 = every 16); samples feed /timeseries, -timeseries-out and windowed alert rules")
+	h.Params = []string{"scale", "runs"}
+
+	var opt bench.Options
 	for _, e := range experiments {
-		names = append(names, e.name)
-	}
-	return append(names, "all")
-}
-
-// defaultJournal is where -resume looks when -journal is not given.
-const defaultJournal = "r2c-run.journal"
-
-func main() {
-	scale := flag.Int("scale", 1, "workload scale divisor (1 = full calibrated size)")
-	runs := flag.Int("runs", 3, "differently-seeded builds per measurement (median)")
-	jobs := flag.Int("jobs", 0, "parallel simulation cells (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
-	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot to FILE on exit")
-	traceOut := flag.String("trace", "", "write structured events and pipeline spans to FILE")
-	traceFormat := flag.String("trace-format", telemetry.TraceJSONL, "trace file format: jsonl or chrome (chrome://tracing / Perfetto)")
-	listen := flag.String("listen", "", "serve the live ops endpoint (/metrics, /healthz, /progress, /debug/pprof) on ADDR, e.g. :8642")
-	profile := flag.Bool("profile", false, "collect per-function simulated-cycle profiles and print the hot-function table")
-	top := flag.Int("top", 15, "rows in the -profile hot-function table")
-	profileFormat := flag.String("profile-format", "table", "-profile output: table (flat hot functions) or folded (flamegraph.pl/speedscope folded stacks)")
-	baselineOut := flag.String("baseline", "", "write the run's performance numbers as a baseline to FILE (BENCH_<experiment>.json)")
-	compare := flag.String("compare", "", "re-run the baseline in FILE (adopting its scale/runs unless overridden) and exit nonzero on regression")
-	compareWarn := flag.Bool("compare-warn", false, "report -compare timing regressions without failing (CI warn-only mode)")
-	perfNoise := flag.Float64("perf-noise", 0, "-compare timing noise threshold in percent (0 = default 100)")
-	perfNoiseDet := flag.Float64("perf-noise-det", 0, "-compare deterministic drift threshold in percent (0 = default 1)")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell wall-clock watchdog deadline (0 = none); hung cells fail instead of hanging the sweep")
-	cellFuel := flag.Uint64("cell-fuel", 0, "per-cell VM instruction allowance (0 = the default budget); runaway cells fail instead of hanging")
-	retries := flag.Int("retries", 0, "re-attempts per failed cell, each with a seed derived from the cell's content key")
-	retryBackoff := flag.Duration("retry-backoff", 0, "base delay before the first retry of a cell, doubling per attempt")
-	journalPath := flag.String("journal", "", "persist completed cell results to FILE (JSONL, keyed by build key + machine)")
-	resume := flag.Bool("resume", false, "replay cells already present in the journal instead of re-executing them (implies -journal "+defaultJournal+" unless set)")
-	faults := flag.String("faults", "", "fault-injection plan CELL[@ATTEMPT]:KIND,... with KIND one of build-fail, exec-fail, panic, stall, slow[=DURATION]; CELL may be * (testing aid)")
-	flightCap := flag.Int("flight", 0, "per-process flight-recorder depth in events (0 = off); recent control flow is attached to every incident record")
-	incidentsOut := flag.String("incidents-out", "", "write the incident timeline (trap/fault records with flight snapshots) as JSON to FILE on exit")
-	alertRules := flag.String("alert-rules", "", "evaluate the declarative alert rules in FILE against the metrics registry at exit (and live on /alerts); any firing rule fails the run")
-	sampleEvery := flag.Int("sample-every", 0, "time-series sampling stride in completed cells (0 = every 16); samples feed /timeseries, -timeseries-out and windowed alert rules")
-	timeseriesOut := flag.String("timeseries-out", "", "write the deterministic time-series rings as JSON to FILE on exit (byte-identical at any -jobs width)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: r2cbench [-scale N] [-runs N] [-metrics-out FILE] [-trace FILE] [-trace-format jsonl|chrome] [-listen ADDR] [-profile] [-profile-format table|folded] [-cell-timeout D] [-cell-fuel N] [-retries N] [-journal FILE] [-resume] [-faults PLAN] [-flight N] [-incidents-out FILE] [-alert-rules FILE] [-sample-every N] [-timeseries-out FILE] [-baseline FILE] [-compare FILE] [-compare-warn] <experiment>\n")
-		fmt.Fprintf(os.Stderr, "experiments:")
-		for _, n := range knownExperiments() {
-			fmt.Fprintf(os.Stderr, " %s", n)
-		}
-		fmt.Fprintf(os.Stderr, "\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if *profileFormat != "table" && *profileFormat != "folded" {
-		fmt.Fprintf(os.Stderr, "r2cbench: unknown -profile-format %q (want table or folded)\n", *profileFormat)
-		os.Exit(2)
-	}
-
-	// With -compare the experiment and its parameters default to what the
-	// baseline recorded, so `r2cbench -compare BENCH_figure6.json` alone
-	// re-runs the baseline's exact configuration. Explicit flags win.
-	setFlags := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
-	var oldBase *perf.Baseline
-	if *compare != "" {
-		var err error
-		oldBase, err = perf.Load(*compare)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "r2cbench: %v\n", err)
-			os.Exit(1)
-		}
-		adoptInt := func(name string, dst *int) {
-			if setFlags[name] {
-				return
+		h.Experiments = append(h.Experiments, harness.Experiment{Name: e.name, Run: func() error {
+			start := time.Now()
+			err := e.run(opt)
+			if _, partial := exec.AsBatchError(err); err == nil || partial && h.Ctx.Err() == nil {
+				fmt.Fprintf(stdout, "[%s done in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
 			}
-			if v, ok := oldBase.Params[name]; ok {
-				if n, err := strconv.Atoi(v); err == nil {
-					*dst = n
-				}
-			}
+			return err
+		}})
+	}
+	return h.Main(args, func() error {
+		if *profileFormat != "table" && *profileFormat != "folded" {
+			return harness.Usage(fmt.Errorf("unknown -profile-format %q (want table or folded)", *profileFormat))
 		}
-		adoptInt("scale", scale)
-		adoptInt("runs", runs)
-	}
-	if flag.NArg() != 1 && !(flag.NArg() == 0 && oldBase != nil) {
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	// Validate the experiment name before doing any work, so a typo fails
-	// fast instead of after minutes of earlier experiments.
-	want := flag.Arg(0)
-	if want == "" && oldBase != nil {
-		want = oldBase.Label
-	}
-	var selected []struct {
-		name string
-		run  func(bench.Options) error
-	}
-	if want == "all" {
-		selected = experiments
-	} else {
-		for _, e := range experiments {
-			if e.name == want {
-				selected = append(selected, e)
-			}
+		// One engine for the whole invocation: experiments that rebuild the
+		// same (module, config, seed) — Figure 6's four machines, the
+		// ablation sweeps' shared baselines — hit the build cache.
+		if err := h.Open(*jobs, telemetry.SinkOptions{Profile: *profile}); err != nil {
+			return err
 		}
-		if len(selected) == 0 {
-			fmt.Fprintf(os.Stderr, "r2cbench: unknown experiment %q\nknown experiments:", want)
-			for _, n := range knownExperiments() {
-				fmt.Fprintf(os.Stderr, " %s", n)
-			}
-			fmt.Fprintf(os.Stderr, "\n")
-			os.Exit(2)
+		h.SampleCells(*sampleEvery)
+		if err := h.Serve(telemetry.OpsSources{}); err != nil {
+			return err
 		}
-	}
-
-	plan, err := exec.ParseFaultPlan(*faults)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "r2cbench: %v\n", err)
-		os.Exit(2)
-	}
-
-	// Alert rules are parsed before any work runs so a malformed file fails
-	// fast, like an unknown experiment name.
-	var rules []telemetry.AlertRule
-	if *alertRules != "" {
-		var rerr error
-		rules, rerr = telemetry.LoadAlertRules(*alertRules)
-		if rerr != nil {
-			fmt.Fprintf(os.Stderr, "r2cbench: %v\n", rerr)
-			os.Exit(2)
+		opt = bench.Options{Scale: *scale, Runs: *runs, Out: stdout, Obs: h.Obs, Jobs: *jobs, Eng: h.Eng, Ctx: h.Ctx}
+		if err := h.RunExperiments(); err != nil {
+			return err
 		}
-	}
-
-	invocationStart := time.Now()
-	prov := perf.Collect()
-	sinks, err := telemetry.OpenSinksOpts(telemetry.SinkOptions{
-		MetricsOut:  *metricsOut,
-		TraceOut:    *traceOut,
-		TraceFormat: *traceFormat,
-		Profile:     *profile,
-		FlightCap:   *flightCap,
-		// The ops endpoint serves /metrics from the registry, and baseline
-		// recording/comparison harvests one, so force a registry even when
-		// no file sink was requested.
-		EnsureRegistry: *listen != "" || *baselineOut != "" || *compare != "" || *alertRules != "",
-		Meta:           prov.Meta(),
+		switch {
+		case *profile && *profileFormat == "folded":
+			h.Obs.Reg().WriteFolded(stdout)
+		case *profile:
+			h.Obs.Reg().WriteHotFunctions(stdout, *top)
+		}
+		return nil
 	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "r2cbench: %v\n", err)
-		os.Exit(1)
-	}
-	// One engine for the whole invocation: experiments that rebuild the same
-	// (module, config, seed) — Figure 6's four machines, the ablation sweeps'
-	// shared baselines — hit the content-addressed build cache. The engine
-	// also carries the fault-tolerance policy every cell runs under.
-	eng := exec.New(*jobs, sinks.Obs)
-	// Perf runs normally see no incidents — any trap or fault during a
-	// measurement is itself a red flag the timeline should record.
-	var ilog *incident.Log
-	if *incidentsOut != "" || *listen != "" || *alertRules != "" || *flightCap > 0 {
-		ilog = incident.NewLog()
-	}
-	eng.Incidents = ilog
-	eng.CellTimeout = *cellTimeout
-	eng.CellFuel = *cellFuel
-	eng.Retries = *retries
-	eng.Backoff = *retryBackoff
-	eng.Faults = plan
-	// Time-series rings: wired whenever something will read them — the ops
-	// endpoint, the -timeseries-out artifact, or a windowed alert rule.
-	var series *telemetry.SeriesSet
-	if *timeseriesOut != "" || *sampleEvery > 0 || *listen != "" || *alertRules != "" {
-		series = telemetry.NewSeriesSet(0, sinks.Obs)
-		eng.Series = series
-		eng.SampleEvery = *sampleEvery
-	}
-
-	if *resume && *journalPath == "" {
-		*journalPath = defaultJournal
-	}
-	if *journalPath != "" {
-		j, err := exec.OpenJournal(*journalPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "r2cbench: %v\n", err)
-			os.Exit(1)
-		}
-		if *resume && j.Len() > 0 {
-			fmt.Printf("[resuming: %d journaled cells in %s]\n", j.Len(), *journalPath)
-		}
-		eng.Journal = j
-	}
-
-	// Ctrl-C/SIGTERM cancels the sweep context: in-flight cells run their
-	// watchdogs down, queued cells never start, and the journal keeps what
-	// finished — exactly what -resume picks up.
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-
-	var ops *telemetry.OpsServer
-	if *listen != "" {
-		ops, err = telemetry.ServeOpsSources(*listen, telemetry.OpsSources{
-			Registry:  sinks.Obs.Reg(),
-			Progress:  func() any { return eng.Progress() },
-			Incidents: func() any { return ilog.Timeline() },
-			Alerts: func() any {
-				return telemetry.EvalAlertsSeries(rules, sinks.Obs.Reg().Snapshot(), series.Snapshot(nil, 0), time.Since(invocationStart))
-			},
-			Series: series,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "r2cbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("[ops endpoint listening on %s]\n", ops.URL())
-	}
-	opt := bench.Options{Scale: *scale, Runs: *runs, Out: os.Stdout, Obs: sinks.Obs, Jobs: *jobs, Eng: eng, Ctx: ctx}
-
-	exitCode := 0
-	for _, e := range selected {
-		start := time.Now()
-		stop := sinks.Obs.Timer("bench.experiment", "name", e.name).Time()
-		err := e.run(opt)
-		stop()
-		if err != nil {
-			// A partial failure (some cells died, the rest produced a
-			// table) degrades to a summary plus a failing exit code; hard
-			// errors and cancellation still abort the invocation.
-			if be, ok := exec.AsBatchError(err); ok && ctx.Err() == nil {
-				fmt.Fprintf(os.Stderr, "r2cbench %s: partial results: %s\n", e.name, be.Summary())
-				exitCode = 1
-			} else {
-				ops.Close()
-				eng.Journal.Close()
-				sinks.Close()
-				fmt.Fprintf(os.Stderr, "r2cbench %s: %v\n", e.name, err)
-				os.Exit(1)
-			}
-		}
-		fmt.Printf("[%s done in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
-	}
-	if *profile {
-		if *profileFormat == "folded" {
-			sinks.WriteFolded(os.Stdout)
-		} else {
-			sinks.WriteHotFunctions(os.Stdout, *top)
-		}
-	}
-	if *baselineOut != "" || oldBase != nil {
-		snap := sinks.Obs.Reg().Snapshot()
-		params := map[string]string{"scale": strconv.Itoa(*scale), "runs": strconv.Itoa(*runs)}
-		fresh := perf.FromSnapshot(want, snap, prov, params)
-		if *baselineOut != "" {
-			if err := fresh.Save(*baselineOut); err != nil {
-				fmt.Fprintf(os.Stderr, "r2cbench: %v\n", err)
-				exitCode = 1
-			} else {
-				fmt.Printf("[baseline %q written to %s]\n", want, *baselineOut)
-			}
-		}
-		if oldBase != nil {
-			rep := perf.Judge(oldBase, fresh, perf.Thresholds{
-				DeterministicPct: *perfNoiseDet,
-				TimingPct:        *perfNoise,
-				TimingAdvisory:   *compareWarn,
-			})
-			rep.WriteTable(os.Stdout)
-			if rep.Failed() {
-				fmt.Fprintf(os.Stderr, "r2cbench: performance regressed vs %s\n", *compare)
-				exitCode = 1
-			}
-		}
-	}
-	if *incidentsOut != "" {
-		f, ferr := os.Create(*incidentsOut)
-		if ferr == nil {
-			ferr = ilog.WriteJSON(f)
-			if cerr := f.Close(); ferr == nil {
-				ferr = cerr
-			}
-		}
-		if ferr != nil {
-			fmt.Fprintf(os.Stderr, "r2cbench: incidents: %v\n", ferr)
-			exitCode = 1
-		} else {
-			fmt.Printf("[%d incident records written to %s]\n", ilog.Len(), *incidentsOut)
-		}
-	}
-	if *timeseriesOut != "" {
-		f, ferr := os.Create(*timeseriesOut)
-		if ferr == nil {
-			ferr = series.WriteJSON(f)
-			if cerr := f.Close(); ferr == nil {
-				ferr = cerr
-			}
-		}
-		if ferr != nil {
-			fmt.Fprintf(os.Stderr, "r2cbench: timeseries: %v\n", ferr)
-			exitCode = 1
-		} else {
-			fmt.Printf("[time-series rings written to %s]\n", *timeseriesOut)
-		}
-	}
-	if len(rules) > 0 {
-		states := telemetry.EvalAlertsSeries(rules, sinks.Obs.Reg().Snapshot(), series.Snapshot(nil, 0), time.Since(invocationStart))
-		telemetry.WriteAlertTable(os.Stdout, states)
-		if n := telemetry.FiringCount(states); n > 0 {
-			fmt.Fprintf(os.Stderr, "r2cbench: %d alert rule(s) firing\n", n)
-			exitCode = 1
-		}
-	}
-	fmt.Println(eng.Footer("r2cbench"))
-	// Shut the ops server down before the sinks so no scrape can race the
-	// final metrics snapshot; Close drains in-flight requests and joins the
-	// serve goroutine.
-	if err := ops.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "r2cbench: ops shutdown: %v\n", err)
-	}
-	if err := eng.Journal.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "r2cbench: %v\n", err)
-		exitCode = 1
-	}
-	if err := sinks.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "r2cbench: %v\n", err)
-		os.Exit(1)
-	}
-	os.Exit(exitCode)
 }

@@ -1,0 +1,64 @@
+package main
+
+import (
+	"bytes"
+	"io"
+	"strings"
+	"testing"
+)
+
+// The r2cbench flag set: every flag's name, type and default. Changing any of
+// them changes the CLI's contract.
+const wantFlags = `-alert-rules string
+-baseline string
+-cell-fuel uint
+-cell-timeout duration
+-compare string
+-compare-warn
+-faults string
+-flight int
+-incidents-out string
+-jobs int
+-journal string
+-listen string
+-metrics-out string
+-perf-noise float
+-perf-noise-det float
+-profile
+-profile-format string (default "table")
+-resume
+-retries int
+-retry-backoff duration
+-runs int (default 3)
+-sample-every int
+-scale int (default 1)
+-timeseries-out string
+-top int (default 15)
+-trace string
+-trace-format string (default "jsonl")`
+
+// flagSignatures reduces -h output to "-name type (default X)" lines.
+func flagSignatures(help string) string {
+	var sigs []string
+	for _, line := range strings.Split(help, "\n") {
+		switch {
+		case strings.HasPrefix(line, "  -"):
+			sigs = append(sigs, strings.TrimSpace(line))
+		case strings.HasPrefix(line, "    \t") && len(sigs) > 0:
+			if i := strings.LastIndex(line, " (default "); i >= 0 && strings.HasSuffix(line, ")") {
+				sigs[len(sigs)-1] += line[i:]
+			}
+		}
+	}
+	return strings.Join(sigs, "\n")
+}
+
+func TestFlagSet(t *testing.T) {
+	var stderr bytes.Buffer
+	if code := run([]string{"-h"}, io.Discard, &stderr); code != 0 {
+		t.Fatalf("-h exited %d", code)
+	}
+	if got := flagSignatures(stderr.String()); got != wantFlags {
+		t.Errorf("flag set changed:\n--- got ---\n%s\n--- want ---\n%s", got, wantFlags)
+	}
+}

@@ -3,191 +3,156 @@
 // disassembly, the text/data layout, and a paused stack view — the
 // executable version of the paper's Figures 2, 3 and 5.
 //
-// Usage:
-//
-//	r2cc [-config NAME] [-seed N] [-dump FUNC] [-layout] [-stack] [-run] <workload>
-//
 // Workloads: any SPEC benchmark name (perlbench, gcc, ...), nginx, apache,
 // victim, or a path to a .tir source file (see internal/tir's textual
-// format).
+// format). `r2cc -h` lists the flags.
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"r2c/internal/attack"
 	"r2c/internal/defense"
-	"r2c/internal/perf"
+	"r2c/internal/harness"
 	"r2c/internal/sim"
 	"r2c/internal/telemetry"
-	"r2c/internal/tir"
 	"r2c/internal/vm"
-	"r2c/internal/workload"
 )
 
-func main() {
-	cfgName := flag.String("config", "r2c", "defense configuration (baseline, r2c, push, avx, btdp, prolog, layout, oia, readactor, krx, ...)")
-	seed := flag.Uint64("seed", 1, "diversification seed")
-	dump := flag.String("dump", "", "disassemble the named function")
-	layout := flag.Bool("layout", false, "print the text/data layout")
-	stack := flag.Bool("stack", false, "run to a pause point and dump the stack (the Figure 2 view)")
-	runIt := flag.Bool("run", false, "execute the program and report statistics")
-	scale := flag.Int("scale", 8, "workload scale divisor")
-	metricsOut := flag.String("metrics-out", "", "with -run: write a JSON metrics snapshot to FILE")
-	traceOut := flag.String("trace", "", "write structured runtime events (and spans) to FILE")
-	traceFormat := flag.String("trace-format", telemetry.TraceJSONL, "trace file format: jsonl or chrome (chrome://tracing / Perfetto)")
-	profile := flag.Bool("profile", false, "with -run: print the per-function simulated-cycle profile")
-	top := flag.Int("top", 15, "rows in the -profile hot-function table")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: r2cc [flags] <workload|victim>")
-		flag.PrintDefaults()
-		os.Exit(2)
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	cfg, ok := defense.ByName(*cfgName)
-	if !ok {
-		fatal(fmt.Errorf("unknown config %q", *cfgName))
-	}
-	var mod *tir.Module
-	if flag.Arg(0) == "victim" {
-		mod = attack.Victim()
-	} else if b, ok := workload.ByName(flag.Arg(0)); ok {
-		mod = b.Build(*scale)
-	} else if strings.HasSuffix(flag.Arg(0), ".tir") {
-		src, err := os.ReadFile(flag.Arg(0))
+func run(args []string, stdout, stderr io.Writer) int {
+	h := harness.New("r2cc", "<workload|victim|FILE.tir>", stdout, stderr, 0)
+	cfgName := h.Flags.String("config", "r2c", "defense configuration (baseline, r2c, push, avx, btdp, prolog, layout, oia, readactor, krx, ...)")
+	seed := h.Flags.Uint64("seed", 1, "diversification seed")
+	dump := h.Flags.String("dump", "", "disassemble the named function")
+	layout := h.Flags.Bool("layout", false, "print the text/data layout")
+	stack := h.Flags.Bool("stack", false, "run to a pause point and dump the stack (the Figure 2 view)")
+	runIt := h.Flags.Bool("run", false, "execute the program and report statistics; the sink flags apply to this run")
+	scale := h.Flags.Int("scale", 8, "workload scale divisor")
+	profile := h.Flags.Bool("profile", false, "with -run: print the per-function simulated-cycle profile")
+	top := h.Flags.Int("top", 15, "rows in the -profile hot-function table")
+
+	return h.Main(args, func() error {
+		cfg, ok := defense.ByName(*cfgName)
+		if !ok {
+			return fmt.Errorf("unknown config %q", *cfgName)
+		}
+		mod, err := harness.Module(h.Flags.Arg(0), *scale)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		mod, err = tir.Parse(string(src))
+		// BuildImage is the same compile+link pipeline the experiment
+		// harnesses memoize in their build caches; going through it keeps
+		// the seed derivation in one place.
+		img, err := sim.BuildImage(mod, cfg, *seed)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-	} else {
-		fatal(fmt.Errorf("unknown workload %q (SPEC name, nginx, apache, victim, or a .tir file)", flag.Arg(0)))
-	}
+		st := mod.Stats()
+		fmt.Fprintf(stdout, "%s under %s (seed %d): %d funcs, %d TIR instrs, %d call sites, text %d KiB, data %d KiB\n",
+			mod.Name, cfg.Name, *seed, st.Funcs, st.Instrs, st.CallSites,
+			img.TextSize()/1024, img.DataSize()/1024)
 
-	// BuildImage is the same compile+link pipeline the experiment harnesses
-	// memoize in their build caches; going through it keeps the seed
-	// derivation in one place.
-	img, err := sim.BuildImage(mod, cfg, *seed)
-	if err != nil {
-		fatal(err)
-	}
-	prog := img.Prog
-	st := mod.Stats()
-	fmt.Printf("%s under %s (seed %d): %d funcs, %d TIR instrs, %d call sites, text %d KiB, data %d KiB\n",
-		mod.Name, cfg.Name, *seed, st.Funcs, st.Instrs, st.CallSites,
-		img.TextSize()/1024, img.DataSize()/1024)
-
-	if *dump != "" {
-		f := prog.Func(*dump)
-		if f == nil {
-			fatal(fmt.Errorf("no function %q", *dump))
-		}
-		fmt.Print(f.Disasm())
-		if len(f.CallSites) > 0 {
-			fmt.Println("call sites:")
-			for _, cs := range f.CallSites {
-				callee := cs.Callee
-				if callee == "" {
-					callee = "<indirect>"
+		if *dump != "" {
+			f := img.Prog.Func(*dump)
+			if f == nil {
+				return fmt.Errorf("no function %q", *dump)
+			}
+			fmt.Fprint(stdout, f.Disasm())
+			if len(f.CallSites) > 0 {
+				fmt.Fprintln(stdout, "call sites:")
+				for _, cs := range f.CallSites {
+					callee := cs.Callee
+					if callee == "" {
+						callee = "<indirect>"
+					}
+					fmt.Fprintf(stdout, "  #%d -> %s: pre=%d post=%d nops=%d stackargs=%d\n",
+						cs.ID, callee, cs.Pre, cs.Post, cs.NumNOPs, cs.StackArgs)
 				}
-				fmt.Printf("  #%d -> %s: pre=%d post=%d nops=%d stackargs=%d\n",
-					cs.ID, callee, cs.Pre, cs.Post, cs.NumNOPs, cs.StackArgs)
 			}
 		}
-	}
 
-	if *layout {
-		fmt.Println("text layout:")
-		for i, name := range img.FuncOrder {
-			pf := img.Funcs[name]
-			tag := ""
-			if pf.F.BoobyTrap {
-				tag = " [booby trap]"
-			} else if pf.F.Stub {
-				tag = " [stub]"
+		if *layout {
+			fmt.Fprintln(stdout, "text layout:")
+			for i, name := range img.FuncOrder {
+				pf := img.Funcs[name]
+				tag := ""
+				if pf.F.BoobyTrap {
+					tag = " [booby trap]"
+				} else if pf.F.Stub {
+					tag = " [stub]"
+				}
+				fmt.Fprintf(stdout, "  %#x +%-5d %s%s\n", pf.Start, pf.End-pf.Start, name, tag)
+				if i > 60 {
+					fmt.Fprintf(stdout, "  ... (%d more)\n", len(img.FuncOrder)-i)
+					break
+				}
 			}
-			fmt.Printf("  %#x +%-5d %s%s\n", pf.Start, pf.End-pf.Start, name, tag)
-			if i > 60 {
-				fmt.Printf("  ... (%d more)\n", len(img.FuncOrder)-i)
-				break
+			fmt.Fprintln(stdout, "data layout:")
+			for i, name := range img.DataOrder {
+				ds := img.DataSyms[name]
+				fmt.Fprintf(stdout, "  %#x +%-5d %-12s %s\n", ds.Addr, ds.Size, ds.Kind, name)
+				if i > 60 {
+					fmt.Fprintf(stdout, "  ... (%d more)\n", len(img.DataOrder)-i)
+					break
+				}
 			}
 		}
-		fmt.Println("data layout:")
-		for i, name := range img.DataOrder {
-			ds := img.DataSyms[name]
-			fmt.Printf("  %#x +%-5d %-12s %s\n", ds.Addr, ds.Size, ds.Kind, name)
-			if i > 60 {
-				fmt.Printf("  ... (%d more)\n", len(img.DataOrder)-i)
-				break
-			}
-		}
-	}
 
-	if *stack {
-		if flag.Arg(0) != "victim" {
-			fatal(fmt.Errorf("-stack needs the victim workload"))
+		if *stack {
+			if h.Flags.Arg(0) != "victim" {
+				return fmt.Errorf("-stack needs the victim workload")
+			}
+			s, err := attack.NewScenario(cfg, *seed)
+			if err != nil {
+				return err
+			}
+			dumpStack(stdout, s)
 		}
-		s, err := attack.NewScenario(cfg, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		dumpStack(s)
-	}
 
-	if *runIt {
-		sinks, err := telemetry.OpenSinksOpts(telemetry.SinkOptions{
-			MetricsOut:  *metricsOut,
-			TraceOut:    *traceOut,
-			TraceFormat: *traceFormat,
-			Profile:     *profile,
-			Meta:        perf.Collect().Meta(),
-		})
-		if err != nil {
-			fatal(err)
+		if !*runIt {
+			return nil
 		}
-		proc, err := sim.NewProcessFromImage(img, *seed, sinks.Obs)
+		if err := h.Open(0, telemetry.SinkOptions{Profile: *profile}); err != nil {
+			return err
+		}
+		proc, err := sim.NewProcessFromImage(img, *seed, h.Obs)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		mach := vm.New(proc, vm.EPYCRome())
-		if sinks.Obs.Profiling() {
+		if h.Obs.Profiling() {
 			mach.EnableProfiler()
 		}
-		res, err := mach.Run(sim.DefaultBudget)
-		if reg := sinks.Obs.Reg(); reg != nil {
+		res, err := mach.RunCtx(h.Ctx, sim.DefaultBudget, 0)
+		if reg := h.Obs.Reg(); reg != nil {
 			mach.PublishMetrics(reg)
 		}
 		if err != nil {
-			sinks.Close()
-			fatal(err)
+			return err
 		}
-		fmt.Printf("executed %d instructions, %d calls, %.0f cycles (%.3f ms on %s), maxrss %d KiB\n",
+		fmt.Fprintf(stdout, "executed %d instructions, %d calls, %.0f cycles (%.3f ms on %s), maxrss %d KiB\n",
 			res.Instructions, res.Calls, res.Cycles, res.Seconds(vm.EPYCRome())*1e3,
 			vm.EPYCRome().Name, res.MaxRSSBytes/1024)
-		fmt.Printf("output: %#x (halted=%v)\n", res.Output, res.Halted)
+		fmt.Fprintf(stdout, "output: %#x (halted=%v)\n", res.Output, res.Halted)
 		if p := mach.Profiler(); p != nil {
-			p.WriteTable(os.Stdout, *top)
+			p.WriteTable(stdout, *top)
 		}
-		if err := sinks.Close(); err != nil {
-			fatal(err)
-		}
-	}
+		return nil
+	})
 }
 
 // dumpStack prints the paused stack with toolchain annotations — the
 // executable rendition of Figure 2: under the baseline the return address
 // sits alone at a predictable spot; under R2C it hides among BTRAs with
 // BTDPs mixed into the data.
-func dumpStack(s *attack.Scenario) {
+func dumpStack(w io.Writer, s *attack.Scenario) {
 	rsp := s.RSP()
-	fmt.Printf("paused at pc=%#x rsp=%#x; stack view (64 words):\n", s.Mach.CPU.PC, rsp)
+	fmt.Fprintf(w, "paused at pc=%#x rsp=%#x; stack view (64 words):\n", s.Mach.CPU.PC, rsp)
 	type ann struct {
 		addr uint64
 		note string
@@ -216,7 +181,7 @@ func dumpStack(s *attack.Scenario) {
 	}
 	sort.Slice(anns, func(i, j int) bool { return anns[i].addr < anns[j].addr })
 	for _, a := range anns {
-		fmt.Printf("  %#x: %s\n", a.addr, a.note)
+		fmt.Fprintf(w, "  %#x: %s\n", a.addr, a.note)
 	}
 }
 
@@ -236,9 +201,4 @@ func isBTDP(s *attack.Scenario, v uint64) bool {
 		}
 	}
 	return false
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "r2cc:", err)
-	os.Exit(1)
 }

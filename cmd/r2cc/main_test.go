@@ -1,0 +1,49 @@
+package main
+
+import (
+	"bytes"
+	"io"
+	"strings"
+	"testing"
+)
+
+// The r2cc flag set: every flag's name, type and default. Changing any of
+// them changes the CLI's contract.
+const wantFlags = `-config string (default "r2c")
+-dump string
+-layout
+-metrics-out string
+-profile
+-run
+-scale int (default 8)
+-seed uint (default 1)
+-stack
+-top int (default 15)
+-trace string
+-trace-format string (default "jsonl")`
+
+// flagSignatures reduces -h output to "-name type (default X)" lines.
+func flagSignatures(help string) string {
+	var sigs []string
+	for _, line := range strings.Split(help, "\n") {
+		switch {
+		case strings.HasPrefix(line, "  -"):
+			sigs = append(sigs, strings.TrimSpace(line))
+		case strings.HasPrefix(line, "    \t") && len(sigs) > 0:
+			if i := strings.LastIndex(line, " (default "); i >= 0 && strings.HasSuffix(line, ")") {
+				sigs[len(sigs)-1] += line[i:]
+			}
+		}
+	}
+	return strings.Join(sigs, "\n")
+}
+
+func TestFlagSet(t *testing.T) {
+	var stderr bytes.Buffer
+	if code := run([]string{"-h"}, io.Discard, &stderr); code != 0 {
+		t.Fatalf("-h exited %d", code)
+	}
+	if got := flagSignatures(stderr.String()); got != wantFlags {
+		t.Errorf("flag set changed:\n--- got ---\n%s\n--- want ---\n%s", got, wantFlags)
+	}
+}

@@ -2,9 +2,11 @@ package bench
 
 import (
 	"fmt"
+	"time"
 
 	"r2c/internal/audit"
 	"r2c/internal/defense"
+	"r2c/internal/telemetry"
 	"r2c/internal/workload"
 )
 
@@ -26,7 +28,10 @@ const diversityVariants = 8
 // order and are byte-identical at any -jobs width.
 func Diversity(opt Options) ([]*audit.Report, error) {
 	opt = opt.withEngine()
-	defer opt.Obs.Timer("bench.diversity").Time()()
+	start := time.Now()
+	defer func() {
+		opt.Obs.LogHist("bench.diversity.seconds", telemetry.LatencyScheme).Observe(time.Since(start).Seconds())
+	}()
 
 	b, ok := workload.ByName("nginx")
 	if !ok {

@@ -13,6 +13,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"time"
 
 	"r2c/internal/defense"
 	"r2c/internal/exec"
@@ -178,7 +179,10 @@ func (o *Overheads) Max() (string, float64) {
 // ratios are byte-identical at every pool width.
 func MeasureOverheads(cfgs []defense.Config, prof *vm.Profile, opt Options) ([]Overheads, error) {
 	opt = opt.withEngine()
-	defer opt.Obs.Timer("bench.measure", "machine", prof.Name).Time()()
+	start := time.Now()
+	defer func() {
+		opt.Obs.LogHist("bench.measure.seconds", telemetry.LatencyScheme, "machine", prof.Name).Observe(time.Since(start).Seconds())
+	}()
 	specs := workload.SPEC()
 	runs := opt.runs()
 

@@ -89,7 +89,6 @@ func Table3(opt Options, trials int, withOverheads bool) ([]MatrixRow, error) {
 		trials = 10
 	}
 	opt = opt.withEngine()
-	defer opt.Obs.Timer("bench.experiment", "name", "table3").Time()()
 	var rows []MatrixRow
 	for _, cfg := range table3Configs() {
 		row := MatrixRow{Defense: cfg.Name, Cxx: cfg.SupportsCxx, Tallies: map[string]*attack.Tally{}}

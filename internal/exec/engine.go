@@ -222,11 +222,8 @@ func (e *Engine) RunCells(ctx context.Context, cells []Cell) ([]*vm.Result, erro
 	defer batch.End()
 	e.prog.addBatch(len(cells))
 	submitted := time.Now()
-	timer := e.Obs.Timer("exec.cell")
 	latency := e.Obs.LogHist("exec.cell.seconds", telemetry.LatencyScheme)
 	errs := e.Pool.MapErrs(ctx, len(cells), func(i, w int) error {
-		stop := timer.Time()
-		defer stop()
 		cellStart := time.Now()
 		defer func() { latency.Observe(time.Since(cellStart).Seconds()) }()
 		c := &cells[i]

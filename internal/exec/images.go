@@ -2,9 +2,11 @@ package exec
 
 import (
 	"context"
+	"time"
 
 	"r2c/internal/defense"
 	"r2c/internal/image"
+	"r2c/internal/telemetry"
 	"r2c/internal/tir"
 )
 
@@ -43,10 +45,10 @@ func (e *Engine) BuildImages(ctx context.Context, m *tir.Module, cfg defense.Con
 	batch.SetAttr("config", cfg.Name)
 	defer batch.End()
 	e.prog.addBatch(len(seeds))
-	timer := e.Obs.Timer("exec.images.build")
+	latency := e.Obs.LogHist("exec.images.build.seconds", telemetry.LatencyScheme)
 	errs := e.Pool.MapErrs(ctx, len(seeds), func(i, w int) error {
-		stop := timer.Time()
-		defer stop()
+		start := time.Now()
+		defer func() { latency.Observe(time.Since(start).Seconds()) }()
 		handle, track := e.prog.begin(i, w)
 		defer e.prog.end(handle)
 		track("audit-build")

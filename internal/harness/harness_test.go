@@ -1,0 +1,197 @@
+package harness
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"r2c/internal/exec"
+	"r2c/internal/telemetry"
+)
+
+// stub runs a CLI built on the harness over a stub experiment table:
+// "ok" publishes the -value flag as a deterministic bench.* gauge (what a
+// baseline records), "partial" fails one cell of two, "hard" fails
+// outright, and "interrupt" signals the process and waits for the run
+// context to be cancelled.
+func stub(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	h := New("stub", "<experiment>", &out, &errb, Ops|Artifacts|Engine|PerfGate)
+	value := h.Flags.Int("value", 5, "value of the bench.stub gauge")
+	format := h.Flags.String("profile-format", "table", "stand-in for a CLI's own validated flag")
+	h.Params = []string{"value"}
+	h.Experiments = []Experiment{
+		{Name: "ok", Run: func() error { h.Obs.Gauge("bench.stub").Set(float64(*value)); return nil }},
+		{Name: "partial", Run: func() error {
+			return &exec.BatchError{Total: 2, Failures: []*exec.CellError{{Index: 1, Err: errors.New("boom")}}}
+		}},
+		{Name: "hard", Run: func() error { return errors.New("hard failure") }},
+		{Name: "interrupt", Run: func() error {
+			p, err := os.FindProcess(os.Getpid())
+			if err != nil {
+				return err
+			}
+			if err := p.Signal(os.Interrupt); err != nil {
+				return err
+			}
+			select {
+			case <-h.Ctx.Done():
+				return h.Ctx.Err()
+			case <-time.After(10 * time.Second):
+				return errors.New("SIGINT did not cancel the run context")
+			}
+		}},
+	}
+	code = h.Main(args, func() error {
+		if *format != "table" {
+			return Usage(fmt.Errorf("unknown -profile-format %q", *format))
+		}
+		if err := h.Open(1, telemetry.SinkOptions{}); err != nil {
+			return err
+		}
+		h.SampleCells(0)
+		if err := h.Serve(telemetry.OpsSources{}); err != nil {
+			return err
+		}
+		return h.RunExperiments()
+	})
+	return code, out.String(), errb.String()
+}
+
+func tempFile(t *testing.T, dir, name, body string) string {
+	t.Helper()
+	p := filepath.Join(dir, name)
+	if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func TestExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	badRules := tempFile(t, dir, "bad.rules", "not a rule\n")
+	firing := tempFile(t, dir, "firing.rules", "stub-high: value(bench.stub) > 0\n")
+	quiet := tempFile(t, dir, "quiet.rules", "stub-huge: value(bench.stub) > 100\n")
+	base := filepath.Join(dir, "BENCH_ok.json")
+
+	cases := []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"clean", []string{"ok"}, 0},
+		{"help", []string{"-h"}, 0},
+		{"no experiment", nil, 2},
+		{"two experiments", []string{"ok", "ok"}, 2},
+		{"unknown flag", []string{"-bogus", "ok"}, 2},
+		{"unknown experiment", []string{"nope"}, 2},
+		{"bad -faults", []string{"-faults", "zz", "ok"}, 2},
+		{"bad -alert-rules", []string{"-alert-rules", badRules, "ok"}, 2},
+		{"unknown -profile-format", []string{"-profile-format", "x", "ok"}, 2},
+		{"quiet rule", []string{"-alert-rules", quiet, "ok"}, 0},
+		{"firing rule", []string{"-alert-rules", firing, "ok"}, 1},
+		// The stub's experiment takes microseconds, so its timing row is
+		// noise: -compare-warn keeps it advisory.
+		{"record baseline", []string{"-baseline", base, "-value", "2", "ok"}, 0},
+		{"compare adopts label and params", []string{"-compare", base, "-compare-warn"}, 0},
+		{"baseline regression", []string{"-compare", base, "-compare-warn", "-value", "3"}, 1},
+		{"missing baseline", []string{"-compare", filepath.Join(dir, "none.json")}, 1},
+		{"unopenable journal", []string{"-journal", filepath.Join(dir, "missing", "j.jsonl"), "ok"}, 1},
+		{"partial batch", []string{"partial"}, 1},
+		{"hard error", []string{"hard"}, 1},
+		{"all stops at the hard error", []string{"all"}, 1},
+		{"ops endpoint", []string{"-listen", "127.0.0.1:0", "ok"}, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if code, out, errs := stub(t, c.args...); code != c.want {
+				t.Errorf("stub %v exited %d, want %d\nstdout:\n%s\nstderr:\n%s", c.args, code, c.want, out, errs)
+			}
+		})
+	}
+}
+
+func TestUnknownExperimentListsKnown(t *testing.T) {
+	_, _, errs := stub(t, "nope")
+	if !strings.Contains(errs, "known experiments: ok partial hard interrupt all") {
+		t.Errorf("stderr does not list the known experiments:\n%s", errs)
+	}
+}
+
+// Status lines go to stderr, so stdout carries only the run's own output
+// and the judge/alert tables.
+func TestStatusLinesOnStderr(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{
+		"-baseline", filepath.Join(dir, "b.json"),
+		"-incidents-out", filepath.Join(dir, "i.json"),
+		"-timeseries-out", filepath.Join(dir, "ts.json"),
+		"-listen", "127.0.0.1:0",
+		"ok",
+	}
+	code, out, errs := stub(t, args...)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, errs)
+	}
+	for _, want := range []string{"[baseline \"ok\" written to", "[0 incident records written to", "[time-series rings written to", "[ops endpoint listening on"} {
+		if !strings.Contains(errs, want) {
+			t.Errorf("stderr lacks %q:\n%s", want, errs)
+		}
+		if strings.Contains(out, want) {
+			t.Errorf("stdout carries status line %q:\n%s", want, out)
+		}
+	}
+}
+
+// Every exit after the sinks are open flushes them: a hard error, a
+// partial batch and SIGINT all leave decodable -metrics-out and chrome
+// -trace files.
+func TestSinksFlushedOnFailure(t *testing.T) {
+	for _, exp := range []string{"hard", "partial", "interrupt"} {
+		t.Run(exp, func(t *testing.T) {
+			dir := t.TempDir()
+			m, tr := filepath.Join(dir, "m.json"), filepath.Join(dir, "t.json")
+			code, _, errs := stub(t, "-metrics-out", m, "-trace", tr, "-trace-format", "chrome", exp)
+			if code != 1 {
+				t.Fatalf("exit %d, want 1\n%s", code, errs)
+			}
+			for _, p := range []string{m, tr} {
+				b, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var v any
+				if err := json.Unmarshal(b, &v); err != nil {
+					t.Errorf("%s does not decode (%d bytes): %v", filepath.Base(p), len(b), err)
+				}
+			}
+		})
+	}
+}
+
+// The harness's single per-experiment record is a *.seconds LogHist.
+func TestExperimentSecondsRecorded(t *testing.T) {
+	dir := t.TempDir()
+	m := filepath.Join(dir, "m.json")
+	if code, _, errs := stub(t, "-metrics-out", m, "ok"); code != 0 {
+		t.Fatalf("exit %d\n%s", code, errs)
+	}
+	b, err := os.ReadFile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap telemetry.Snapshot
+	if err := json.Unmarshal(b, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if h, ok := snap.Histograms["harness.experiment.seconds{name=ok}"]; !ok || h.Count != 1 {
+		t.Errorf("harness.experiment.seconds{name=ok} missing or miscounted: %+v", h)
+	}
+}

@@ -358,18 +358,12 @@ func evalAlertFn(r AlertRule, snap *Snapshot, elapsed time.Duration) (float64, b
 	}
 	switch r.Fn {
 	case "count", "rate":
-		// Counters first; timers also expose a count.
+		// Counters first; histograms also expose a count.
 		var total uint64
 		found := false
 		for _, k := range metricKeys(snap.Counters, r.Metric) {
 			total += snap.Counters[k]
 			found = true
-		}
-		if !found {
-			for _, k := range metricKeys(snap.Timers, r.Metric) {
-				total += snap.Timers[k].Count
-				found = true
-			}
 		}
 		if !found {
 			for _, k := range metricKeys(snap.Histograms, r.Metric) {
@@ -406,13 +400,6 @@ func evalAlertFn(r AlertRule, snap *Snapshot, elapsed time.Duration) (float64, b
 			sum += snap.Histograms[k].Sum
 			n += snap.Histograms[k].Count
 			found = true
-		}
-		if !found {
-			for _, k := range metricKeys(snap.Timers, r.Metric) {
-				sum += time.Duration(snap.Timers[k].TotalNs).Seconds()
-				n += snap.Timers[k].Count
-				found = true
-			}
 		}
 		if !found {
 			return 0, false

@@ -8,11 +8,10 @@ import (
 	"sort"
 )
 
-// This file holds the flag-level plumbing shared by the cmd/ binaries: every
-// harness exposes the same -metrics-out FILE, -trace FILE, -trace-format,
-// -profile and -listen flags, and Sinks turns those values into an Observer
-// plus the matching teardown (write the JSON snapshot, flush and close the
-// trace file).
+// This file turns the sink flag values (-metrics-out FILE, -trace FILE,
+// -trace-format, -profile, -flight; registered by internal/harness) into an
+// Observer plus the matching teardown (write the JSON snapshot, flush and
+// close the trace file).
 
 // Trace formats accepted by the -trace-format flag.
 const (
@@ -59,13 +58,6 @@ type Sinks struct {
 	meta    map[string]string
 	trace   *os.File
 	chrome  *ChromeTracer
-}
-
-// OpenSinks assembles an Observer from the standard flag values; see
-// OpenSinksOpts for the full set. Kept for callers without a trace-format or
-// listen flag.
-func OpenSinks(metricsOut, traceOut string, profile bool) (*Sinks, error) {
-	return OpenSinksOpts(SinkOptions{MetricsOut: metricsOut, TraceOut: traceOut, Profile: profile})
 }
 
 // OpenSinksOpts assembles an Observer from the standard flag values. Files
@@ -147,11 +139,8 @@ func (s *Sinks) Close() error {
 // registry by the -profile runs: self cycles (with share of the total), the
 // cumulative cycles of the function and its callees, and call counts,
 // aggregated across every profiled run that published into the registry.
-func (s *Sinks) WriteHotFunctions(w io.Writer, n int) {
-	if s.Obs == nil || s.Obs.Registry == nil {
-		return
-	}
-	snap := s.Obs.Registry.Snapshot()
+func (r *Registry) WriteHotFunctions(w io.Writer, n int) {
+	snap := r.Snapshot()
 	top := snap.TopCounters("vm.func.self_cycles", n)
 	if len(top) == 0 {
 		return
@@ -179,11 +168,8 @@ func (s *Sinks) WriteHotFunctions(w io.Writer, n int) {
 // registry by the -profile runs: one "frame;frame;frame cycles" line per
 // distinct call path, aggregated across every profiled run — the input
 // flamegraph.pl and speedscope consume directly.
-func (s *Sinks) WriteFolded(w io.Writer) {
-	if s.Obs == nil || s.Obs.Registry == nil {
-		return
-	}
-	snap := s.Obs.Registry.Snapshot()
+func (r *Registry) WriteFolded(w io.Writer) {
+	snap := r.Snapshot()
 	totals := map[string]uint64{}
 	paths := make([]string, 0, len(snap.Counters))
 	for k, v := range snap.Counters {

@@ -32,7 +32,7 @@ func TestOpsServerEndpoints(t *testing.T) {
 	reg.Counter("rt.traps", "kind", "btra").Add(3)
 	reg.Gauge("exec.pool.workers").Set(8)
 	reg.Histogram("cell.ms", []float64{1, 10}, "phase", "build").Observe(4)
-	reg.Timer("exec.cell").Observe(1500 * time.Millisecond)
+	reg.LogHist("exec.cell.seconds", LatencyScheme).Observe(1.5)
 
 	progress := func() any {
 		return map[string]any{"done": 3, "total": 10}
@@ -61,8 +61,8 @@ func TestOpsServerEndpoints(t *testing.T) {
 		`cell_ms_bucket{phase="build",le="10"} 1`,
 		`cell_ms_bucket{phase="build",le="+Inf"} 1`,
 		`cell_ms_sum{phase="build"} 4`,
-		"exec_cell_seconds_total 1.5",
-		"exec_cell_count 1",
+		"exec_cell_seconds_sum 1.5",
+		"exec_cell_seconds_count 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, body)

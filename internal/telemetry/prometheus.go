@@ -27,7 +27,6 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 	pw.family(countersOf(s.Gauges), "gauge", func(key string, line *strings.Builder) {
 		fmt.Fprintf(line, " %v\n", s.Gauges[key])
 	})
-	pw.timers(s)
 	pw.histograms(s)
 	return pw.err
 }
@@ -73,37 +72,6 @@ func (pw *promWriter) family(fams map[string][]string, typ string, emit func(key
 			line.WriteString(promLabels(labels))
 			emit(k, &line)
 			pw.printf("%s", line.String())
-		}
-	}
-}
-
-// timers render as three series per timer: accumulated seconds, observation
-// count, and maximum observed seconds.
-func (pw *promWriter) timers(s *Snapshot) {
-	type sub struct {
-		suffix, typ string
-		value       func(TimerSnapshot) string
-	}
-	subs := []sub{
-		{"_seconds_total", "counter", func(t TimerSnapshot) string { return fmt.Sprintf("%v", float64(t.TotalNs)/1e9) }},
-		{"_count", "counter", func(t TimerSnapshot) string { return fmt.Sprintf("%d", t.Count) }},
-		{"_max_seconds", "gauge", func(t TimerSnapshot) string { return fmt.Sprintf("%v", float64(t.MaxNs)/1e9) }},
-	}
-	fams := countersOf(s.Timers)
-	names := make([]string, 0, len(fams))
-	for n := range fams {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, fam := range names {
-		keys := fams[fam]
-		sort.Strings(keys)
-		for _, sb := range subs {
-			pw.printf("# TYPE %s%s %s\n", fam, sb.suffix, sb.typ)
-			for _, k := range keys {
-				_, labels := ParseKey(k)
-				pw.printf("%s%s%s %s\n", fam, sb.suffix, promLabels(labels), sb.value(s.Timers[k]))
-			}
 		}
 	}
 }

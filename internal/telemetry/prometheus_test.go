@@ -4,11 +4,10 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 )
 
 // Golden test of the text exposition format: a small registry covering all
-// four metric kinds must render exactly this, byte for byte. Any formatting
+// three metric kinds must render exactly this, byte for byte. Any formatting
 // drift (family ordering, label rendering, cumulative buckets) breaks
 // Prometheus-compatible scrapers silently, so it gets caught here instead.
 func TestWritePrometheusGolden(t *testing.T) {
@@ -17,7 +16,6 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.Counter("vm.traps", "kind", "btra").Add(2)
 	r.Counter("vm.traps", "kind", "btdp").Add(1)
 	r.Gauge("exec.pool.workers").Set(8)
-	r.Timer("build.link").Observe(1500 * time.Millisecond)
 	h := r.Histogram("audit.nop.len", []float64{1, 2, 4}, "config", "r2c-full")
 	for _, v := range []float64{1, 1, 2, 3, 9} {
 		h.Observe(v)
@@ -36,12 +34,6 @@ func TestWritePrometheusGolden(t *testing.T) {
 		`vm_traps{kind="btra"} 2`,
 		`# TYPE exec_pool_workers gauge`,
 		`exec_pool_workers 8`,
-		`# TYPE build_link_seconds_total counter`,
-		`build_link_seconds_total 1.5`,
-		`# TYPE build_link_count counter`,
-		`build_link_count 1`,
-		`# TYPE build_link_max_seconds gauge`,
-		`build_link_max_seconds 1.5`,
 		`# TYPE audit_nop_len histogram`,
 		`audit_nop_len_bucket{config="r2c-full",le="1"} 2`,
 		`audit_nop_len_bucket{config="r2c-full",le="2"} 3`,

@@ -1,6 +1,7 @@
 // Package telemetry is the observability substrate for the simulator: a
 // zero-dependency metrics registry (atomic counters, gauges, fixed-bucket
-// histograms, labeled timers) plus a pluggable event tracer. Every hook in
+// and log-bucketed histograms — wall-clock durations are "*.seconds"
+// LogHists) plus a pluggable event tracer. Every hook in
 // the stack is nil-safe — a nil *Registry, nil metric handle, nil Tracer or
 // nil *Observer turns the corresponding instrumentation into a no-op — so
 // instrumented code never has to branch on "is telemetry on".
@@ -21,7 +22,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Key builds the canonical metric key "name{k=v,...}" from a name and
@@ -194,56 +194,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum.Value()
 }
 
-// Timer accumulates wall-clock durations under a label — experiment phases,
-// whole harness runs. Wall time never feeds back into the simulation, so
-// timers are deterministically safe even though their readings are not.
-type Timer struct {
-	ns    atomic.Int64
-	count atomic.Uint64
-	max   atomic.Int64
-}
-
-// Observe records one duration.
-func (t *Timer) Observe(d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.ns.Add(int64(d))
-	t.count.Add(1)
-	for {
-		old := t.max.Load()
-		if old >= int64(d) || t.max.CompareAndSwap(old, int64(d)) {
-			return
-		}
-	}
-}
-
-// Time starts the timer and returns a stop function that records the
-// elapsed duration when called.
-func (t *Timer) Time() func() {
-	if t == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { t.Observe(time.Since(start)) }
-}
-
-// Total returns the accumulated duration.
-func (t *Timer) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.ns.Load())
-}
-
-// Count returns the number of recorded durations.
-func (t *Timer) Count() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.count.Load()
-}
-
 // Registry holds named metrics. Lookup is lock-protected; updates on the
 // returned handles are lock-free. A nil *Registry hands out nil handles,
 // whose methods are no-ops, so callers never branch on enablement.
@@ -253,7 +203,6 @@ type Registry struct {
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 	logHists   map[string]*LogHist
-	timers     map[string]*Timer
 }
 
 // NewRegistry returns an empty registry.
@@ -263,7 +212,6 @@ func NewRegistry() *Registry {
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 		logHists:   make(map[string]*LogHist),
-		timers:     make(map[string]*Timer),
 	}
 }
 
@@ -336,40 +284,12 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *H
 	return h
 }
 
-// Timer returns (creating if needed) the timer for name+labels.
-func (r *Registry) Timer(name string, labels ...string) *Timer {
-	if r == nil {
-		return nil
-	}
-	k := Key(name, labels...)
-	r.mu.RLock()
-	t := r.timers[k]
-	r.mu.RUnlock()
-	if t != nil {
-		return t
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t = r.timers[k]; t == nil {
-		t = &Timer{}
-		r.timers[k] = t
-	}
-	return t
-}
-
 // HistogramSnapshot is the serialized form of one histogram.
 type HistogramSnapshot struct {
 	Bounds []float64 `json:"bounds"` // ascending inclusive upper bounds
 	Counts []uint64  `json:"counts"` // len(Bounds)+1; last is overflow
 	Count  uint64    `json:"count"`
 	Sum    float64   `json:"sum"`
-}
-
-// TimerSnapshot is the serialized form of one timer.
-type TimerSnapshot struct {
-	TotalNs int64  `json:"total_ns"`
-	Count   uint64 `json:"count"`
-	MaxNs   int64  `json:"max_ns"`
 }
 
 // Snapshot is a point-in-time copy of a registry, serializable to JSON.
@@ -385,7 +305,6 @@ type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Timers     map[string]TimerSnapshot     `json:"timers,omitempty"`
 }
 
 // Snapshot copies the registry's current values. Safe to call while other
@@ -395,7 +314,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		Counters:   map[string]uint64{},
 		Gauges:     map[string]float64{},
 		Histograms: map[string]HistogramSnapshot{},
-		Timers:     map[string]TimerSnapshot{},
 	}
 	if r == nil {
 		return s
@@ -422,9 +340,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	for k, h := range r.logHists {
 		s.Histograms[k] = h.Snapshot()
-	}
-	for k, t := range r.timers {
-		s.Timers[k] = TimerSnapshot{TotalNs: t.ns.Load(), Count: t.count.Load(), MaxNs: t.max.Load()}
 	}
 	return s
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestKeyRoundTrip(t *testing.T) {
@@ -52,7 +51,7 @@ func TestRegistryConcurrency(t *testing.T) {
 				r.Gauge("g").Add(1)
 				r.Gauge("peak").SetMax(float64(i))
 				r.Histogram("h", []float64{10, 100, 1000}).Observe(float64(i % 2000))
-				r.Timer("t").Observe(time.Microsecond)
+				r.LogHist("t.seconds", LatencyScheme).Observe(1e-6)
 				if i%100 == 0 {
 					_ = r.Snapshot() // concurrent snapshots must be safe too
 				}
@@ -73,8 +72,8 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := r.Histogram("h", nil).Count(); got != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
 	}
-	if got := r.Timer("t").Count(); got != workers*perWorker {
-		t.Errorf("timer count = %d, want %d", got, workers*perWorker)
+	if got := r.LogHist("t.seconds", LatencyScheme).Count(); got != workers*perWorker {
+		t.Errorf("loghist count = %d, want %d", got, workers*perWorker)
 	}
 }
 
@@ -121,7 +120,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r.Counter("rt.traps", "kind", "btra").Add(3)
 	r.Gauge("vm.icache.hit_rate").Set(0.97)
 	r.Histogram("attack.leak_words", []float64{64, 512, 4096}).Observe(1024)
-	r.Timer("bench.experiment", "name", "table1").Observe(3 * time.Second)
+	r.LogHist("bench.measure.seconds", LatencyScheme, "machine", "epyc").Observe(3)
 
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -147,9 +146,9 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if h.Count != 1 || len(h.Bounds) != 3 || len(h.Counts) != 4 || h.Counts[3] != 0 || h.Counts[2] != 1 {
 		t.Errorf("histogram mangled in round trip: %+v", h)
 	}
-	tm := back.Timers[Key("bench.experiment", "name", "table1")]
-	if tm.Count != 1 || tm.TotalNs != int64(3*time.Second) {
-		t.Errorf("timer mangled in round trip: %+v", tm)
+	lh := back.Histograms[Key("bench.measure.seconds", "machine", "epyc")]
+	if lh.Count != 1 || lh.Sum != 3 || len(lh.Counts) != LatencyScheme.Buckets+1 {
+		t.Errorf("loghist mangled in round trip: %+v", lh)
 	}
 	// Two snapshots of the same state serialize identically (map keys are
 	// sorted by encoding/json).
@@ -170,12 +169,11 @@ func TestNilSafety(t *testing.T) {
 	r.Gauge("g").Set(1)
 	r.Gauge("g").SetMax(1)
 	r.Histogram("h", []float64{1}).Observe(1)
-	r.Timer("t").Observe(time.Second)
-	r.Timer("t").Time()()
+	r.LogHist("t.seconds", LatencyScheme).Observe(1)
 	o.Counter("c").Inc()
 	o.Gauge("g").Add(1)
 	o.Histogram("h", nil).Observe(0)
-	o.Timer("t").Time()()
+	o.LogHist("t.seconds", LatencyScheme).Observe(1)
 	o.Emit("kind", nil)
 	Emit(nil, "kind", nil)
 	if o.Enabled() || o.Profiling() {

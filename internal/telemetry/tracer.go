@@ -181,11 +181,6 @@ func (o *Observer) LogHist(name string, s LogScheme, labels ...string) *LogHist 
 	return o.Reg().LogHist(name, s, labels...)
 }
 
-// Timer is a nil-safe shortcut for Reg().Timer.
-func (o *Observer) Timer(name string, labels ...string) *Timer {
-	return o.Reg().Timer(name, labels...)
-}
-
 // Emit sends an event to the tracer, if any.
 func (o *Observer) Emit(kind string, attrs map[string]any) {
 	if o == nil {

@@ -109,7 +109,7 @@ func TestProfilerWriteFolded(t *testing.T) {
 }
 
 // TestProfilerPublishStacks checks Publish lands per-path counters in the
-// registry (what Sinks.WriteFolded aggregates across runs).
+// registry (what Registry.WriteFolded aggregates across runs).
 func TestProfilerPublishStacks(t *testing.T) {
 	p := profiledRun(t)
 	reg := telemetry.NewRegistry()
