@@ -26,11 +26,14 @@ vet:
 test:
 	$(GO) test ./...
 
-# Concurrently-updated state lives in the telemetry registry and the exec
-# engine (worker pool + build cache); their tests — and the bench drivers
-# that fan cells through them — run under the race detector.
+# Concurrently-updated state lives in the telemetry registry, the exec
+# engine (worker pool + build cache), the fleet's heal goroutines and the
+# process snapshots every fork shares (mem, heap, rt); their tests — and the
+# bench drivers that fan cells through them — run under the race detector.
+# RACE_PKGS is the list `make check` races too.
+RACE_PKGS = ./internal/exec/ ./internal/telemetry/ ./internal/vm/ ./internal/pcode/ ./internal/incident/ ./internal/fleet/ ./internal/mvee/ ./internal/harness/ ./internal/mem/ ./internal/heap/ ./internal/rt/
 test-race:
-	$(GO) test -race -timeout 300s ./internal/telemetry/ ./internal/sim/ ./internal/exec/ ./internal/bench/ ./internal/incident/ ./internal/fleet/ ./internal/mvee/
+	$(GO) test -race -timeout 300s $(RACE_PKGS) ./internal/sim/ ./internal/bench/
 
 # Go micro-benchmarks plus one real harness run per label, each refreshing
 # the committed BENCH_<label>.json baseline (geomean overheads, cycle totals,
@@ -49,14 +52,18 @@ bench: $(BIN)/r2cbench $(BIN)/r2cattack
 bench-vm:
 	$(GO) test -bench=BenchmarkVM -benchmem -count=1 -run=^$$ ./internal/vm/
 
-# Differential fuzzing of the interpreter: generated programs, chunk sizes
-# and RSS-sample / i-cache-flush intervals, with the fast path and the
-# test-only reference interpreter stepped in lockstep. Plain `go test`
-# replays the committed seed corpus (internal/vm/testdata/fuzz); a failing
-# input the fuzzer finds lands there too, ready to commit as a regression.
+# Differential fuzzing, one target per `go test -fuzz` run. The interpreter:
+# generated programs, chunk sizes and RSS-sample / i-cache-flush intervals,
+# with the fast path and the test-only reference interpreter stepped in
+# lockstep. Process snapshots: after forks mutated by fuzzed stores,
+# allocations and protections, the next fork must run bit-identically to
+# the un-forked loaded process. Plain `go test` replays the committed seed
+# corpora (internal/{vm,rt}/testdata/fuzz); a failing input the fuzzer finds
+# lands there too, ready to commit as a regression.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzFastMatchesReference -fuzztime=$(FUZZTIME) ./internal/vm/
+	$(GO) test -run=^$$ -fuzz=FuzzForkMatchesLoad -fuzztime=$(FUZZTIME) ./internal/rt/
 
 # Regression gate: re-run each committed baseline's experiment at its
 # recorded parameters and fail on any deterministic drift or >2x latency
@@ -100,8 +107,9 @@ serve-smoke: $(BIN)/r2cserve
 # vetted and tested here because it imports internal/telemetry, exec, fleet
 # and perf.
 check: build vet test
-	$(GO) test -race -timeout 300s ./internal/exec/ ./internal/telemetry/ ./internal/vm/ ./internal/pcode/ ./internal/incident/ ./internal/fleet/ ./internal/mvee/ ./internal/harness/
+	$(GO) test -race -timeout 300s $(RACE_PKGS)
 	$(GO) test -run=^$$ -bench=BenchmarkVM -benchtime=1x ./internal/vm/
+	$(GO) test -run=^$$ -bench='BenchmarkLoad|BenchmarkFork' -benchtime=1x ./internal/rt/
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 clean:

@@ -10,6 +10,7 @@
 package exec
 
 import (
+	"encoding/hex"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,31 +47,33 @@ type Key struct {
 	Schema int // KeySchema at build time
 }
 
-// KeyFor computes the build-cache key for a cell. Module content hashes are
-// memoized per *Module (workload builders return a fresh, immutable module
-// per call; hashing a browser-scale module once instead of once per cell
-// keeps the key computation off the profile).
+// KeyFor computes the build-cache key for a cell.
 func KeyFor(m *tir.Module, cfg defense.Config, seed uint64) Key {
 	return Key{Module: moduleHash(m), Config: cfg.Fingerprint(), Seed: seed, Schema: KeySchema}
 }
 
-// moduleHashes memoizes ContentHash by module pointer. Modules handed to the
-// engine must not be mutated afterwards — the same immutability the parallel
-// cells themselves rely on (codegen only reads the module).
-var moduleHashes sync.Map // *tir.Module -> string
-
 func moduleHash(m *tir.Module) string {
-	if h, ok := moduleHashes.Load(m); ok {
-		return h.(string)
-	}
 	sum := m.ContentHash()
-	const hexdigits = "0123456789abcdef"
-	b := make([]byte, 0, 2*len(sum))
-	for _, x := range sum {
-		b = append(b, hexdigits[x>>4], hexdigits[x&0xf])
+	return hex.EncodeToString(sum[:])
+}
+
+// Key is KeyFor with module content hashes memoized per *Module for the
+// cache's lifetime (workload builders return a fresh, immutable module per
+// call; hashing a browser-scale module once instead of once per cell keeps
+// the key computation off the profile). The memo lives in the cache, not
+// in a package global, so a module is collected with the engine that used
+// it. Modules handed to the engine must not be mutated afterwards — the
+// same immutability the parallel cells themselves rely on (codegen only
+// reads the module). A nil cache memoizes nothing.
+func (c *Cache) Key(m *tir.Module, cfg defense.Config, seed uint64) Key {
+	if c == nil {
+		return KeyFor(m, cfg, seed)
 	}
-	h, _ := moduleHashes.LoadOrStore(m, string(b))
-	return h.(string)
+	h, ok := c.hashes.Load(m)
+	if !ok {
+		h, _ = c.hashes.LoadOrStore(m, moduleHash(m))
+	}
+	return Key{Module: h.(string), Config: cfg.Fingerprint(), Seed: seed, Schema: KeySchema}
 }
 
 // Cache memoizes sim.BuildImage results by content-addressed key. The cached
@@ -90,6 +93,7 @@ type Cache struct {
 
 	mu      sync.Mutex
 	entries map[Key]*cacheEntry
+	hashes  sync.Map // *tir.Module -> hex content hash (see Key)
 
 	hits     atomic.Uint64
 	misses   atomic.Uint64
@@ -148,7 +152,7 @@ func (c *Cache) ImageSpan(m *tir.Module, cfg defense.Config, seed uint64, parent
 	}
 	ls := parent.Child("cache-lookup", seed)
 	lookupStart := time.Now()
-	key := KeyFor(m, cfg, seed)
+	key := c.Key(m, cfg, seed)
 
 	c.mu.Lock()
 	e, ok := c.entries[key]

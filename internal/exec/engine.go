@@ -344,7 +344,7 @@ func (e *Engine) MapTracked(ctx context.Context, n int, phase string, fn func(i 
 // key, never of time — and a success on any attempt journals under the
 // cell's original key so a resume finds it.
 func (e *Engine) runCellAttempts(ctx context.Context, i int, c *Cell, sp *telemetry.Span, track func(phase string)) (*vm.Result, error) {
-	key := KeyFor(c.Module, c.Cfg, c.Seed)
+	key := e.Cache.Key(c.Module, c.Cfg, c.Seed)
 	if cacheable(&c.Cfg) {
 		if res, ok := e.Journal.Lookup(key, c.Prof.Name); ok {
 			e.Obs.Counter("exec.journal.hits").Inc()

@@ -196,6 +196,9 @@ type slot struct {
 	seed uint64
 	gen  int
 	img  *image.Image
+	// snap is img loaded under seed: every request forks it, so the serve
+	// loop never runs the loader or the BTDP constructor.
+	snap *rt.Snapshot
 
 	state    string
 	freeAt   float64 // simulated time the variant is next idle
@@ -235,6 +238,7 @@ const (
 
 type healDone struct {
 	img  *image.Image
+	snap *rt.Snapshot
 	seed uint64
 	err  error
 }
@@ -398,12 +402,18 @@ func (f *Fleet) buildInitial(ctx context.Context) error {
 			return fmt.Errorf("fleet: initial build: %w", err)
 		}
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.slots = make([]*slot, o.Variants)
+	slots := make([]*slot, o.Variants)
 	for i, img := range imgs {
-		f.slots[i] = &slot{id: i, seed: o.BaseSeed + uint64(i), img: img, state: stateServing}
+		seed := o.BaseSeed + uint64(i)
+		snap, err := sim.LoadImage(img, seed, o.Obs)
+		if err != nil {
+			return fmt.Errorf("fleet: variant %d: load: %w", i, err)
+		}
+		slots[i] = &slot{id: i, seed: seed, img: img, snap: snap, state: stateServing}
 	}
+	f.mu.Lock()
+	f.slots = slots
+	f.mu.Unlock()
 	return nil
 }
 
@@ -423,11 +433,7 @@ func (f *Fleet) Serve(ctx context.Context) (*Report, error) {
 	// Golden run: the differential property says every benign variant
 	// agrees on output, so one clean run of variant 0 yields both the
 	// ground-truth response and the reference service time.
-	gproc, err := sim.NewProcessFromImage(f.slots[0].img, f.slots[0].seed, o.Obs)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: golden load: %w", err)
-	}
-	gres, err := sim.ExecProcessCtx(ctx, gproc, o.Prof, o.Obs, o.RequestFuel)
+	gres, err := sim.ExecProcessCtx(ctx, f.slots[0].snap.Fork(o.Obs), o.Prof, o.Obs, o.RequestFuel)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: golden run: %w", err)
 	}
@@ -734,12 +740,15 @@ func (f *Fleet) serveRequest(ctx context.Context, i int, chosen []*slot, arrival
 	attacked := o.Attack.active(i)
 	procs := make([]*rt.Process, len(chosen))
 	for j, s := range chosen {
-		p, err := sim.NewProcessFromImage(s.img, s.seed, o.Obs)
-		if err != nil {
-			return fmt.Errorf("fleet: request %d: load variant %d: %w", i, s.id, err)
-		}
-		procs[j] = p
+		procs[j] = s.snap.Fork(o.Obs)
 	}
+	// Every reference to the forks dies with this request: hand their
+	// memory to the next request's forks.
+	defer func() {
+		for _, p := range procs {
+			p.Release()
+		}
+	}()
 
 	var writes []write
 	if attacked {
@@ -976,7 +985,8 @@ func (f *Fleet) recordInjection(landed bool) {
 
 // quarantine pulls a variant out of rotation at simulated time t and starts
 // its replacement build on a separate goroutine — the serve loop never
-// blocks on the compiler; it joins the build when the rejoin time arrives.
+// blocks on the compiler or the loader; it joins the build and the
+// replacement's snapshot when the rejoin time arrives.
 func (f *Fleet) quarantine(s *slot, t, rebuildLat float64) {
 	if s.state != stateServing {
 		return // already quarantined by an earlier signal in the same request
@@ -1000,17 +1010,27 @@ func (f *Fleet) quarantine(s *slot, t, rebuildLat float64) {
 		f.nextSeed++
 		img, oldSeed := s.img, s.seed
 		go func(ch chan healDone) {
-			err := rerollImage(img, seed)
-			ch <- healDone{img: img, seed: oldSeed, err: err}
+			ch <- heal(img, oldSeed, rerollImage(img, seed), o.Obs)
 		}(s.heal)
 	default:
 		seed := f.nextSeed
 		f.nextSeed++
 		go func(ch chan healDone) {
 			img, _, err := o.Eng.Image(o.Module, o.Cfg, seed)
-			ch <- healDone{img: img, seed: seed, err: err}
+			ch <- heal(img, seed, err, o.Obs)
 		}(s.heal)
 	}
+}
+
+// heal finishes a replacement on its heal goroutine: unless producing img
+// failed (err), it loads img's snapshot beside the build, so the rejoining
+// variant serves forks at once.
+func heal(img *image.Image, seed uint64, err error, obs *telemetry.Observer) healDone {
+	if err != nil {
+		return healDone{err: err}
+	}
+	snap, err := sim.LoadImage(img, seed, obs)
+	return healDone{img: img, snap: snap, seed: seed, err: err}
 }
 
 // rejoinDue completes every quarantined variant whose rejoin time has
@@ -1033,7 +1053,7 @@ func (f *Fleet) rejoinDue(t, rebuildLat float64, replaceH *telemetry.LogHist) er
 			f.o.Obs.Emit("fleet-heal-failed", map[string]any{"slot": s.id, "error": hd.err.Error()})
 			continue
 		}
-		s.img, s.seed = hd.img, hd.seed
+		s.img, s.snap, s.seed = hd.img, hd.snap, hd.seed
 		s.gen++
 		s.state = stateServing
 		s.freeAt = s.rejoinAt

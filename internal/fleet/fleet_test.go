@@ -6,13 +6,18 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"r2c/internal/defense"
 	"r2c/internal/exec"
+	"r2c/internal/image"
 	"r2c/internal/incident"
+	"r2c/internal/isa"
+	"r2c/internal/rt"
+	"r2c/internal/sim"
 	"r2c/internal/telemetry"
 	"r2c/internal/tir"
 	"r2c/internal/vm"
@@ -355,4 +360,93 @@ func TestRerollHealKeepsLeakedAddressesValid(t *testing.T) {
 	if rebuild.Sim.SilentCorruptions != 0 || reroll.Sim.SilentCorruptions != 0 {
 		t.Fatal("supervised runs must not pass corrupted output")
 	}
+}
+
+// TestRerollRejoinForksRerolledSnapshot pins that a reroll heal swaps in a
+// snapshot loaded from the rerolled image: rerollImage rewrites the image in
+// place, so forks of the slot's pre-reroll snapshot would still carry the
+// old AVX BTRA data words, while push immediates live in the shared image.
+func TestRerollRejoinForksRerolledSnapshot(t *testing.T) {
+	for _, cfg := range []defense.Config{defense.R2CFull(), defense.R2CPush()} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			o := webOptions(0)
+			o.Cfg, o.Heal, o.Attack = cfg, HealReroll, Schedule{}
+			f, err := New(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.buildInitial(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			f.rep = &Report{}
+			s := f.slots[0]
+			oldWords := btraWords(t, s.snap.Fork(nil))
+			oldImms := pushImms(s.img)
+
+			f.quarantine(s, 0, 1)
+			if err := f.rejoinDue(1, 1, telemetry.NewLogHist(telemetry.LatencyScheme)); err != nil {
+				t.Fatal(err)
+			}
+			if s.state != stateServing || s.gen != 1 {
+				t.Fatalf("slot did not rejoin: state %s gen %d", s.state, s.gen)
+			}
+			p := s.snap.Fork(nil)
+			if p.Img != s.img {
+				t.Fatal("rejoined fork runs another image")
+			}
+			words := btraWords(t, p)
+			for addr, v := range words {
+				if want := s.img.DataInit[addr]; v != want {
+					t.Fatalf("fork holds BTRA word %#x at %#x, the rerolled image %#x", v, addr, want)
+				}
+			}
+			if len(oldWords)+len(oldImms) == 0 {
+				t.Fatal("the config places no BTRA artifacts to reroll")
+			}
+			if len(oldWords) > 0 && reflect.DeepEqual(words, oldWords) {
+				t.Fatal("the rejoined fork holds the pre-reroll AVX BTRA words")
+			}
+			if len(oldImms) > 0 && reflect.DeepEqual(pushImms(s.img), oldImms) {
+				t.Fatal("reroll left every push immediate in place")
+			}
+			res, err := sim.ExecProcess(p, o.Prof, nil)
+			if err != nil || !res.Halted {
+				t.Fatalf("rerolled fork did not run clean: %v", err)
+			}
+		})
+	}
+}
+
+// btraWords reads every AVX-array BTRA word from p's data section.
+func btraWords(t *testing.T, p *rt.Process) map[uint64]uint64 {
+	t.Helper()
+	out := map[uint64]uint64{}
+	for _, b := range p.Img.Prog.Blobs {
+		ds := p.Img.DataSyms[b.Name]
+		for i, w := range b.Words {
+			if !w.BTRA {
+				continue
+			}
+			addr := ds.Addr + uint64(i)*8
+			v, err := p.Space.DebugRead64(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[addr] = v
+		}
+	}
+	return out
+}
+
+// pushImms lists the image's BTRA push immediates in program order.
+func pushImms(img *image.Image) []uint64 {
+	var out []uint64
+	for _, name := range img.FuncOrder {
+		for _, in := range img.Funcs[name].F.Instrs {
+			if in.Kind == isa.KPushImm && in.BTRA {
+				out = append(out, in.Imm)
+			}
+		}
+	}
+	return out
 }

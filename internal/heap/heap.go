@@ -19,7 +19,9 @@ package heap
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"r2c/internal/mem"
 	"r2c/internal/rng"
@@ -37,10 +39,10 @@ type Allocator struct {
 	brk   uint64 // next fresh address
 	rnd   *rng.RNG
 
-	allocs map[uint64]uint64 // addr -> size of live allocations
-	free   []span            // sorted, coalesced free spans below brk
-	pages  map[uint64]int    // page number -> live allocation refcount
+	allocs []span // live allocations, sorted by address
+	free   []span // sorted, coalesced free spans below brk
 
+	livePages  int // pages touched by at least one live allocation
 	liveBytes  uint64
 	totalAlloc uint64
 	numAllocs  uint64
@@ -48,6 +50,9 @@ type Allocator struct {
 }
 
 type span struct{ addr, size uint64 }
+
+// last returns the page number of the span's final byte.
+func (s span) last() uint64 { return (s.addr + s.size - 1) >> mem.PageShift }
 
 // New creates an allocator over [base, limit). base must be page-aligned.
 func New(space *mem.Space, base, limit uint64, r *rng.RNG) (*Allocator, error) {
@@ -58,14 +63,72 @@ func New(space *mem.Space, base, limit uint64, r *rng.RNG) (*Allocator, error) {
 		return nil, fmt.Errorf("heap: empty region [%#x,%#x)", base, limit)
 	}
 	return &Allocator{
-		space:  space,
-		base:   base,
-		limit:  limit,
-		brk:    base,
-		rnd:    r,
-		allocs: make(map[uint64]uint64),
-		pages:  make(map[uint64]int),
+		space: space,
+		base:  base,
+		limit: limit,
+		brk:   base,
+		rnd:   r,
 	}, nil
+}
+
+// Fork returns a copy of a whose pages live in space, a Fork of a's space:
+// the same live allocations, free spans, counters and RNG state, so the
+// copy places every later allocation exactly where a would have. a itself
+// is not modified and may be forked again, from several goroutines.
+func (a *Allocator) Fork(space *mem.Space) *Allocator {
+	f := *a
+	f.space = space
+	f.allocs = append(spans(), a.allocs...)
+	f.free = append(spans(), a.free...)
+	r := *a.rnd
+	f.rnd = &r
+	return &f
+}
+
+// spanPool recycles the span slices of released allocators (see Release).
+var spanPool sync.Pool // *[]span, empty
+
+func spans() []span {
+	if p, ok := spanPool.Get().(*[]span); ok {
+		return *p
+	}
+	return nil
+}
+
+// Release returns a's metadata slices to a pool later Forks draw from. Call
+// it when a will not be used again; its pages are released with its space.
+func (a *Allocator) Release() {
+	putSpans(a.allocs)
+	putSpans(a.free)
+	a.allocs, a.free = nil, nil
+}
+
+func putSpans(s []span) {
+	s = s[:0]
+	spanPool.Put(&s)
+}
+
+// find returns the index of the live allocation at addr, or where one
+// would be inserted.
+func (a *Allocator) find(addr uint64) (int, bool) {
+	i := sort.Search(len(a.allocs), func(i int) bool { return a.allocs[i].addr >= addr })
+	return i, i < len(a.allocs) && a.allocs[i].addr == addr
+}
+
+// exclusive returns the pages [lo, hi) of allocs[i] that no other live
+// allocation touches. Allocations never overlap, so only the first page can
+// be shared (with the previous allocation) and only the last (with the
+// next).
+func (a *Allocator) exclusive(i int) (lo, hi uint64) {
+	s := a.allocs[i]
+	lo, hi = s.addr>>mem.PageShift, s.last()+1
+	if i > 0 && a.allocs[i-1].last() == lo {
+		lo++
+	}
+	if i+1 < len(a.allocs) && a.allocs[i+1].addr>>mem.PageShift == hi-1 {
+		hi--
+	}
+	return lo, hi
 }
 
 // Alloc returns a 16-byte aligned chunk of at least size bytes.
@@ -108,30 +171,39 @@ func (a *Allocator) AllocAligned(size, align uint64) (uint64, error) {
 }
 
 func (a *Allocator) takeFromFreeList(size, align uint64) (uint64, bool) {
-	type fit struct {
-		idx  int
-		addr uint64
-	}
-	var fits []fit
-	for i, s := range a.free {
+	fits := func(s span) (uint64, bool) {
 		start := mem.AlignUp(s.addr, align)
-		if start+size <= s.addr+s.size {
-			fits = append(fits, fit{i, start})
+		return start, start+size <= s.addr+s.size
+	}
+	n := 0
+	for _, s := range a.free {
+		if _, ok := fits(s); ok {
+			n++
 		}
 	}
-	if len(fits) == 0 {
+	if n == 0 {
 		return 0, false
 	}
-	f := fits[a.rnd.Intn(len(fits))]
-	s := a.free[f.idx]
-	a.free = append(a.free[:f.idx], a.free[f.idx+1:]...)
-	if f.addr > s.addr {
-		a.insertFree(span{s.addr, f.addr - s.addr})
+	k := a.rnd.Intn(n)
+	for i, s := range a.free {
+		start, ok := fits(s)
+		if !ok {
+			continue
+		}
+		if k > 0 {
+			k--
+			continue
+		}
+		a.free = slices.Delete(a.free, i, i+1)
+		if start > s.addr {
+			a.insertFree(span{s.addr, start - s.addr})
+		}
+		if rest := (s.addr + s.size) - (start + size); rest > 0 {
+			a.insertFree(span{start + size, rest})
+		}
+		return start, true
 	}
-	if rest := (s.addr + s.size) - (f.addr + size); rest > 0 {
-		a.insertFree(span{f.addr + size, rest})
-	}
-	return f.addr, true
+	panic("heap: free-list fit vanished")
 }
 
 func (a *Allocator) insertFree(s span) {
@@ -155,21 +227,18 @@ func (a *Allocator) insertFree(s span) {
 
 // commit records the allocation and maps any pages it newly touches.
 func (a *Allocator) commit(addr, size uint64) {
-	a.allocs[addr] = size
+	i, _ := a.find(addr)
+	a.allocs = slices.Insert(a.allocs, i, span{addr, size})
 	a.liveBytes += size
 	a.totalAlloc += size
 	a.numAllocs++
-	first := addr >> mem.PageShift
-	last := (addr + size - 1) >> mem.PageShift
-	for p := first; p <= last; p++ {
-		a.pages[p]++
-		if a.pages[p] == 1 {
-			// Fresh page: map it RW. Map cannot fail here because the
-			// refcount says it is unmapped and the region is exclusive.
-			if err := a.space.Map(p<<mem.PageShift, mem.PageSize, mem.PermRW); err != nil {
-				panic(fmt.Sprintf("heap: internal map failure: %v", err))
-			}
+	if lo, hi := a.exclusive(i); lo < hi {
+		// Fresh pages: map them RW. Map cannot fail here because no other
+		// live allocation touches them and the region is exclusive.
+		if err := a.space.Map(lo<<mem.PageShift, (hi-lo)<<mem.PageShift, mem.PermRW); err != nil {
+			panic(fmt.Sprintf("heap: internal map failure: %v", err))
 		}
+		a.livePages += int(hi - lo)
 	}
 }
 
@@ -177,24 +246,20 @@ func (a *Allocator) commit(addr, size uint64) {
 // (the simulated program is supposed to be memory-safe; attacker corruption
 // happens through the attack API, not through Free).
 func (a *Allocator) Free(addr uint64) error {
-	size, ok := a.allocs[addr]
+	i, ok := a.find(addr)
 	if !ok {
 		return fmt.Errorf("heap: free of unknown chunk %#x", addr)
 	}
-	delete(a.allocs, addr)
+	size := a.allocs[i].size
+	if lo, hi := a.exclusive(i); lo < hi {
+		if err := a.space.Unmap(lo<<mem.PageShift, (hi-lo)<<mem.PageShift); err != nil {
+			panic(fmt.Sprintf("heap: internal unmap failure: %v", err))
+		}
+		a.livePages -= int(hi - lo)
+	}
+	a.allocs = slices.Delete(a.allocs, i, i+1)
 	a.liveBytes -= size
 	a.numFrees++
-	first := addr >> mem.PageShift
-	last := (addr + size - 1) >> mem.PageShift
-	for p := first; p <= last; p++ {
-		a.pages[p]--
-		if a.pages[p] == 0 {
-			delete(a.pages, p)
-			if err := a.space.Unmap(p<<mem.PageShift, mem.PageSize); err != nil {
-				panic(fmt.Sprintf("heap: internal unmap failure: %v", err))
-			}
-		}
-	}
 	a.insertFree(span{addr, size})
 	return nil
 }
@@ -203,7 +268,7 @@ func (a *Allocator) Free(addr uint64) error {
 // addr. The BTDP constructor calls this with PermNone on page-aligned,
 // page-sized chunks to create guard pages.
 func (a *Allocator) Protect(addr uint64, perm mem.Perm) error {
-	size, ok := a.allocs[addr]
+	size, ok := a.SizeOf(addr)
 	if !ok {
 		return fmt.Errorf("heap: protect of unknown chunk %#x", addr)
 	}
@@ -217,20 +282,17 @@ func (a *Allocator) Protect(addr uint64, perm mem.Perm) error {
 
 // SizeOf returns the size of the live chunk at addr.
 func (a *Allocator) SizeOf(addr uint64) (uint64, bool) {
-	s, ok := a.allocs[addr]
-	return s, ok
+	i, ok := a.find(addr)
+	if !ok {
+		return 0, false
+	}
+	return a.allocs[i].size, true
 }
 
 // Contains reports whether addr falls inside any live allocation.
 func (a *Allocator) Contains(addr uint64) bool {
-	// Linear probe over allocations is fine at simulation scale; tests and
-	// the attacker use it, the hot path (Alloc/Free) does not.
-	for base, size := range a.allocs {
-		if addr >= base && addr < base+size {
-			return true
-		}
-	}
-	return false
+	i := sort.Search(len(a.allocs), func(i int) bool { return a.allocs[i].addr > addr })
+	return i > 0 && addr < a.allocs[i-1].addr+a.allocs[i-1].size
 }
 
 // Bounds returns the heap region [base, brk) currently in use.
@@ -249,7 +311,7 @@ type Stats struct {
 func (a *Allocator) Stats() Stats {
 	return Stats{
 		LiveBytes:  a.liveBytes,
-		LivePages:  len(a.pages),
+		LivePages:  a.livePages,
 		TotalAlloc: a.totalAlloc,
 		NumAllocs:  a.numAllocs,
 		NumFrees:   a.numFrees,
@@ -265,7 +327,7 @@ func (a *Allocator) PublishMetrics(reg *telemetry.Registry) {
 		return
 	}
 	reg.Gauge("heap.live_bytes").Set(float64(a.liveBytes))
-	reg.Gauge("heap.live_pages").Set(float64(len(a.pages)))
+	reg.Gauge("heap.live_pages").Set(float64(a.livePages))
 	reg.Gauge("heap.total_alloc_bytes").Set(float64(a.totalAlloc))
 	reg.Gauge("heap.allocs").Set(float64(a.numAllocs))
 	reg.Gauge("heap.frees").Set(float64(a.numFrees))

@@ -17,7 +17,8 @@ package mem
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 )
 
 // Page geometry mirrors x86_64 4 KiB pages.
@@ -109,14 +110,56 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("segfault: %s of %#x violates page permission %s", f.Access, f.Addr, f.Perm)
 }
 
+// The page table is a sorted directory of leaves, each holding leafPages
+// consecutive page entries. The two levels exist for Fork: a fork copies
+// only the directory and shares every leaf and every page's bytes with its
+// frozen parent, copying a leaf the first time it maps, unmaps or
+// reprotects a page in it and a page's bytes the first time it writes them.
+const (
+	leafShift = 6
+	leafPages = 1 << leafShift
+)
+
 type page struct {
-	perm Perm
-	data []byte // lazily allocated on first write
+	data   *[PageSize]byte // nil until first written; reads see zeroPage
+	perm   Perm
+	mapped bool
+	owned  bool // data belongs to this Space alone, not to a frozen parent
 }
+
+type leaf [leafPages]page
+
+type dirEntry struct {
+	num   uint64 // page number >> leafShift
+	leaf  *leaf
+	owned bool // leaf belongs to this Space alone, not to a frozen parent
+}
+
+// zeroPage backs every read of a mapped page nobody has written yet. It is
+// shared by all spaces and never written.
+var zeroPage [PageSize]byte
+
+// pagePool and leafPool recycle the page bytes and leaves of released
+// spaces (see Release), so a loop that forks a snapshot per request reuses
+// the previous requests' private pages instead of allocating new ones.
+var (
+	pagePool = sync.Pool{New: func() any { return new([PageSize]byte) }}
+	leafPool = sync.Pool{New: func() any { return new(leaf) }}
+)
 
 // Space is a sparse simulated address space.
 type Space struct {
-	pages map[uint64]*page // keyed by page number (addr >> PageShift)
+	dir []dirEntry // sorted by num
+
+	// frozen marks a Fork parent: every mutation panics, so a fork can
+	// share its leaves and page bytes without copying them.
+	frozen bool
+
+	// gen counts page-byte replacements (a first write materializing a
+	// page, or a fork copying a shared one). A cached Slab of a page whose
+	// bytes were replaced is stale; the VM compares gen to decide when its
+	// software TLB must re-read its slabs.
+	gen uint64
 
 	// RSS accounting (Section 6.2.5 reproduces both the maxrss and the
 	// sampled-RSS methodology). A page counts toward RSS once mapped.
@@ -126,7 +169,141 @@ type Space struct {
 
 // NewSpace returns an empty address space.
 func NewSpace() *Space {
-	return &Space{pages: make(map[uint64]*page)}
+	return &Space{}
+}
+
+// Freeze makes s the read-only parent of later Forks. It drops leaves with
+// no mapped page and marks every leaf and page shared, so the first
+// mutation in a fork copies instead of writing through. Any later mutation
+// of s itself panics.
+func (s *Space) Freeze() {
+	dir := s.dir[:0]
+	for _, e := range s.dir {
+		live := false
+		for i := range e.leaf {
+			e.leaf[i].owned = false
+			live = live || e.leaf[i].mapped
+		}
+		if live {
+			e.owned = false
+			dir = append(dir, e)
+		}
+	}
+	s.dir = dir
+	s.frozen = true
+}
+
+// Fork returns a copy-on-write child of the frozen space s: the same pages,
+// permissions, bytes and RSS counters, sharing s's leaves and page bytes
+// until the child changes them. Forks of one space may run on separate
+// goroutines. Fork panics unless s is frozen.
+func (s *Space) Fork() *Space {
+	if !s.frozen {
+		panic("mem: Fork of a space that is not frozen")
+	}
+	return &Space{
+		dir:         append(make([]dirEntry, 0, len(s.dir)+4), s.dir...),
+		rssPages:    s.rssPages,
+		maxRSSPages: s.maxRSSPages,
+	}
+}
+
+// Release returns the leaves and page bytes only s holds to a pool that
+// later spaces draw from, and leaves s empty. Call it when nothing will use
+// s again: no machine that ran on it and no slab taken from it, since their
+// bytes now belong to some other space. A frozen space is left as is.
+func (s *Space) Release() {
+	if s.frozen {
+		return
+	}
+	for _, e := range s.dir {
+		if !e.owned {
+			continue
+		}
+		for i := range e.leaf {
+			if p := &e.leaf[i]; p.owned && p.data != nil {
+				pagePool.Put(p.data)
+			}
+		}
+		leafPool.Put(e.leaf)
+	}
+	*s = Space{}
+}
+
+// Gen returns the page-byte replacement count (see Space.gen).
+func (s *Space) Gen() uint64 { return s.gen }
+
+// search returns the directory index of leaf number num, or where to
+// insert it.
+func (s *Space) search(num uint64) (int, bool) {
+	lo, hi := 0, len(s.dir)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.dir[m].num < num {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(s.dir) && s.dir[lo].num == num
+}
+
+// lookup returns the entry of mapped page pn for reading, or nil. The entry
+// may live in a shared leaf: callers must not modify it.
+func (s *Space) lookup(pn uint64) *page {
+	i, ok := s.search(pn >> leafShift)
+	if !ok {
+		return nil
+	}
+	p := &s.dir[i].leaf[pn&(leafPages-1)]
+	if !p.mapped {
+		return nil
+	}
+	return p
+}
+
+// entry returns page pn's entry in a leaf this space owns, copying a
+// shared leaf or creating a missing one first. The page may be unmapped.
+func (s *Space) entry(pn uint64) *page {
+	if s.frozen {
+		panic("mem: mutation of a frozen space")
+	}
+	i, ok := s.search(pn >> leafShift)
+	if !ok {
+		l := leafPool.Get().(*leaf)
+		*l = leaf{}
+		s.dir = slices.Insert(s.dir, i, dirEntry{num: pn >> leafShift, leaf: l, owned: true})
+	} else if e := &s.dir[i]; !e.owned {
+		l := leafPool.Get().(*leaf)
+		*l = *e.leaf
+		e.leaf, e.owned = l, true
+	}
+	return &s.dir[i].leaf[pn&(leafPages-1)]
+}
+
+// own returns the bytes of mapped page pn for writing, materializing an
+// unwritten page and copying one shared with a frozen parent.
+func (s *Space) own(pn uint64) []byte {
+	p := s.entry(pn)
+	if !p.owned || p.data == nil {
+		data := pagePool.Get().(*[PageSize]byte)
+		if p.data != nil {
+			*data = *p.data
+		} else {
+			*data = [PageSize]byte{}
+		}
+		p.data, p.owned = data, true
+		s.gen++
+	}
+	return p.data[:]
+}
+
+// bytes returns a mapped page's contents for reading.
+func (p *page) bytes() []byte {
+	if p.data == nil {
+		return zeroPage[:]
+	}
+	return p.data[:]
 }
 
 // Map creates pages covering [addr, addr+size) with the given permissions.
@@ -138,12 +315,12 @@ func (s *Space) Map(addr, size uint64, perm Perm) error {
 	}
 	first, n := addr>>PageShift, size>>PageShift
 	for i := uint64(0); i < n; i++ {
-		if _, dup := s.pages[first+i]; dup {
+		if s.lookup(first+i) != nil {
 			return fmt.Errorf("mem: page %#x already mapped", (first+i)<<PageShift)
 		}
 	}
 	for i := uint64(0); i < n; i++ {
-		s.pages[first+i] = &page{perm: perm}
+		*s.entry(first + i) = page{perm: perm, mapped: true, owned: true}
 	}
 	s.rssPages += int(n)
 	if s.rssPages > s.maxRSSPages {
@@ -159,12 +336,12 @@ func (s *Space) Unmap(addr, size uint64) error {
 	}
 	first, n := addr>>PageShift, size>>PageShift
 	for i := uint64(0); i < n; i++ {
-		if _, ok := s.pages[first+i]; !ok {
+		if s.lookup(first+i) == nil {
 			return fmt.Errorf("mem: unmap of unmapped page %#x", (first+i)<<PageShift)
 		}
 	}
 	for i := uint64(0); i < n; i++ {
-		delete(s.pages, first+i)
+		*s.entry(first + i) = page{}
 	}
 	s.rssPages -= int(n)
 	return nil
@@ -179,34 +356,33 @@ func (s *Space) Protect(addr, size uint64, perm Perm) error {
 	}
 	first, n := addr>>PageShift, size>>PageShift
 	for i := uint64(0); i < n; i++ {
-		if _, ok := s.pages[first+i]; !ok {
+		if s.lookup(first+i) == nil {
 			return fmt.Errorf("mem: protect of unmapped page %#x", (first+i)<<PageShift)
 		}
 	}
 	for i := uint64(0); i < n; i++ {
-		s.pages[first+i].perm = perm
+		s.entry(first + i).perm = perm
 	}
 	return nil
 }
 
 // IsMapped reports whether addr falls on a mapped page.
 func (s *Space) IsMapped(addr uint64) bool {
-	_, ok := s.pages[addr>>PageShift]
-	return ok
+	return s.lookup(addr>>PageShift) != nil
 }
 
 // PermAt returns the permissions of the page containing addr.
 func (s *Space) PermAt(addr uint64) (Perm, bool) {
-	p, ok := s.pages[addr>>PageShift]
-	if !ok {
+	p := s.lookup(addr >> PageShift)
+	if p == nil {
 		return 0, false
 	}
 	return p.perm, true
 }
 
 func (s *Space) check(addr uint64, access AccessKind) (*page, error) {
-	p, ok := s.pages[addr>>PageShift]
-	if !ok {
+	p := s.lookup(addr >> PageShift)
+	if p == nil {
 		return nil, &Fault{Addr: addr, Access: access, Unmapped: true}
 	}
 	var need Perm
@@ -222,13 +398,6 @@ func (s *Space) check(addr uint64, access AccessKind) (*page, error) {
 		return nil, &Fault{Addr: addr, Access: access, Perm: p.perm}
 	}
 	return p, nil
-}
-
-func (p *page) ensure() []byte {
-	if p.data == nil {
-		p.data = make([]byte, PageSize)
-	}
-	return p.data
 }
 
 // Read copies len(buf) bytes starting at addr into buf, honoring page
@@ -253,11 +422,10 @@ func (s *Space) access(addr uint64, buf []byte, kind AccessKind) error {
 		if rem := len(buf) - done; n > rem {
 			n = rem
 		}
-		data := p.ensure()
 		if kind == AccessWrite {
-			copy(data[off:off+n], buf[done:done+n])
+			copy(s.own(addr >> PageShift)[off:off+n], buf[done:done+n])
 		} else {
-			copy(buf[done:done+n], data[off:off+n])
+			copy(buf[done:done+n], p.bytes()[off:off+n])
 		}
 		done += n
 		addr += uint64(n)
@@ -291,8 +459,8 @@ func (s *Space) CheckExec(addr uint64) error {
 // and human-readable dumps only; neither the VM nor the attacker uses it.
 func (s *Space) DebugRead(addr uint64, buf []byte) error {
 	for done := 0; done < len(buf); {
-		p, ok := s.pages[addr>>PageShift]
-		if !ok {
+		p := s.lookup(addr >> PageShift)
+		if p == nil {
 			return &Fault{Addr: addr, Access: AccessRead, Unmapped: true}
 		}
 		off := int(addr & PageMask)
@@ -300,7 +468,7 @@ func (s *Space) DebugRead(addr uint64, buf []byte) error {
 		if rem := len(buf) - done; n > rem {
 			n = rem
 		}
-		copy(buf[done:done+n], p.ensure()[off:off+n])
+		copy(buf[done:done+n], p.bytes()[off:off+n])
 		done += n
 		addr += uint64(n)
 	}
@@ -319,13 +487,23 @@ func (s *Space) DebugRead64(addr uint64) (uint64, error) {
 // Slab exposes the backing bytes and permission of the page containing
 // addr, for fast word access by the VM (which performs its own permission
 // checks and caches the slab in a software TLB). The returned slice aliases
-// page storage: callers must invalidate cached slabs after Unmap/Protect.
-func (s *Space) Slab(addr uint64) ([]byte, Perm, bool) {
-	p, ok := s.pages[addr>>PageShift]
-	if !ok {
-		return nil, 0, false
+// page storage. Unless owned is true it is shared — the zero page or a
+// frozen parent's bytes — and must not be written: OwnSlab returns the
+// writable bytes. Callers must invalidate cached slabs after Unmap/Protect,
+// and re-read them when Gen changes.
+func (s *Space) Slab(addr uint64) (data []byte, perm Perm, owned, ok bool) {
+	p := s.lookup(addr >> PageShift)
+	if p == nil {
+		return nil, 0, false, false
 	}
-	return p.ensure(), p.perm, true
+	return p.bytes(), p.perm, p.owned && p.data != nil, true
+}
+
+// OwnSlab returns the writable bytes of the mapped page containing addr,
+// copying them into s first when they are shared (see Slab). It bumps Gen
+// only when it copies.
+func (s *Space) OwnSlab(addr uint64) []byte {
+	return s.own(addr >> PageShift)
 }
 
 // RSSPages returns the current resident page count.
@@ -351,26 +529,23 @@ type Region struct {
 // Regions returns the mapped regions sorted by address, coalescing adjacent
 // pages with identical permissions — the simulated /proc/self/maps.
 func (s *Space) Regions() []Region {
-	if len(s.pages) == 0 {
-		return nil
-	}
-	nums := make([]uint64, 0, len(s.pages))
-	for n := range s.pages {
-		nums = append(nums, n)
-	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
 	var out []Region
-	for _, n := range nums {
-		p := s.pages[n]
-		addr := n << PageShift
-		if len(out) > 0 {
-			last := &out[len(out)-1]
-			if last.Addr+last.Size == addr && last.Perm == p.perm {
-				last.Size += PageSize
+	for _, e := range s.dir {
+		for i := range e.leaf {
+			p := &e.leaf[i]
+			if !p.mapped {
 				continue
 			}
+			addr := (e.num<<leafShift | uint64(i)) << PageShift
+			if len(out) > 0 {
+				last := &out[len(out)-1]
+				if last.Addr+last.Size == addr && last.Perm == p.perm {
+					last.Size += PageSize
+					continue
+				}
+			}
+			out = append(out, Region{Addr: addr, Size: PageSize, Perm: p.perm})
 		}
-		out = append(out, Region{Addr: addr, Size: PageSize, Perm: p.perm})
 	}
 	return out
 }

@@ -266,3 +266,57 @@ func TestPartialFaultStopsAccess(t *testing.T) {
 		t.Fatal("write spilling into unmapped page succeeded")
 	}
 }
+
+// TestReleasedPagesComeBackClean recycles a fork's dirtied pages through
+// Release and checks that later forks reusing them still read exactly what
+// a fresh space would: zeros on pages nobody wrote, the parent's bytes on
+// pages copied from it, and never the released fork's data.
+func TestReleasedPagesComeBackClean(t *testing.T) {
+	parent := NewSpace()
+	mustMap(t, parent, 0x10000, 4*PageSize, PermRW)
+	if err := parent.Write64(0x10000, 0x1111); err != nil {
+		t.Fatal(err)
+	}
+	parent.Freeze()
+	junk := make([]byte, PageSize)
+	for i := range junk {
+		junk[i] = 0xee
+	}
+	for round := 0; round < 4; round++ {
+		f := parent.Fork()
+		for _, addr := range []uint64{0x10000, 0x11000, 0x12000} {
+			if v, err := f.Read64(addr + 8); err != nil || v != 0 {
+				t.Fatalf("round %d: %#x+8 reads %#x, %v; want 0", round, addr, v, err)
+			}
+		}
+		if v, err := f.Read64(0x10000); err != nil || v != 0x1111 {
+			t.Fatalf("round %d: parent word reads %#x, %v", round, v, err)
+		}
+		if _, _, owned, _ := f.Slab(0x11000); owned {
+			t.Fatalf("round %d: an unwritten page's slab is owned", round)
+		}
+		// A first store materializes the page: the rest of it reads zero.
+		if err := f.Write64(0x13000, 1); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := f.Read64(0x13008); err != nil || v != 0 {
+			t.Fatalf("round %d: a materialized page reads %#x, %v beside the store", round, v, err)
+		}
+		for _, addr := range []uint64{0x10000, 0x11000, 0x12000, 0x13000} {
+			if err := f.Write(addr, junk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustMap(t, f, 0x20000, PageSize, PermRW)
+		if err := f.Write(0x20000, junk); err != nil {
+			t.Fatal(err)
+		}
+		f.Release()
+		if f.IsMapped(0x10000) || f.RSSPages() != 0 {
+			t.Fatal("a released space still maps pages")
+		}
+	}
+	if v, err := parent.Read64(0x10008); err != nil || v != 0 {
+		t.Fatalf("the frozen parent reads %#x, %v after its forks wrote", v, err)
+	}
+}

@@ -8,6 +8,7 @@ package rt
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"r2c/internal/codegen"
 	"r2c/internal/defense"
@@ -132,8 +133,80 @@ func NewProcess(img *image.Image, seed uint64) (*Process, error) {
 
 // NewProcessObserved is NewProcess with a telemetry observer attached from
 // the start, so load-time events (the BTDP constructor) are captured too.
-// obs may be nil.
+// obs may be nil. It is Load followed by one Fork.
 func NewProcessObserved(img *image.Image, seed uint64, obs *telemetry.Observer) (*Process, error) {
+	s, err := Load(img, seed, obs)
+	if err != nil {
+		return nil, err
+	}
+	return s.Fork(obs), nil
+}
+
+// Snapshot is a loaded process frozen right after load-time
+// initialization: segments mapped, data initialized, heap set up and the
+// BTDP constructor run. It is not a Process, so no machine can run it;
+// Fork makes runnable copies. A snapshot is never modified after Load, so
+// forks may be made and run on separate goroutines.
+type Snapshot struct {
+	p *Process
+}
+
+// Load maps the image into a fresh address space, runs load-time
+// initialization under obs (nil disables telemetry) and freezes the result.
+// Everything it does is deterministic in (img, seed), so every Fork of the
+// snapshot is bit-identical to a process loaded afresh from the same
+// arguments.
+func Load(img *image.Image, seed uint64, obs *telemetry.Observer) (*Snapshot, error) {
+	p, err := load(img, seed, obs)
+	if err != nil {
+		return nil, err
+	}
+	p.Space.Freeze()
+	p.Obs = nil
+	p.GuardPages = slices.Clip(p.GuardPages)
+	p.BTDPValues = slices.Clip(p.BTDPValues)
+	p.DecoyVals = slices.Clip(p.DecoyVals)
+	return &Snapshot{p: p}, nil
+}
+
+// Fork returns a runnable process in the snapshot's post-load state, with
+// obs attached for its traps, faults and flight record. Its address space
+// shares the snapshot's pages copy-on-write (see mem.Space.Fork); the heap
+// allocator's metadata and every RNG are copied, so the fork allocates
+// exactly where a freshly loaded process would. The BTDP ground-truth
+// slices are shared read-only.
+func (s *Snapshot) Fork(obs *telemetry.Observer) *Process {
+	sp := s.p.Space.Fork()
+	rnd := *s.p.rnd
+	p := &Process{
+		Img: s.p.Img, Cfg: s.p.Cfg, Space: sp, Heap: s.p.Heap.Fork(sp),
+		GuardPages: s.p.GuardPages, BTDPArray: s.p.BTDPArray,
+		BTDPValues: s.p.BTDPValues, DecoyVals: s.p.DecoyVals,
+		Obs: obs, InitialRSP: s.p.InitialRSP, rnd: &rnd,
+	}
+	// The flight recorder is per fork; arming it with the final guard-page
+	// layout lets its guard-zone filter capture near-guard loads. Capacity
+	// 0 leaves Flight nil and the VM hooks dormant.
+	if cap := obs.FlightRecorderCap(); cap > 0 {
+		p.Flight = telemetry.NewFlightRecorder(cap)
+		p.Flight.ArmGuards(p.GuardPages, mem.PageSize)
+	}
+	obs.Counter("rt.process.forks").Inc()
+	return p
+}
+
+// Release hands the memory only this fork owns — its private pages, page
+// table leaves and heap metadata — to later forks, and empties its address
+// space. Call it when the process is finished: nothing, including a machine
+// that ran it, may use p afterwards. Results already read from it (Output,
+// traps) stay valid.
+func (p *Process) Release() {
+	p.Space.Release()
+	p.Heap.Release()
+}
+
+// load builds the process Load freezes: the whole deterministic loader.
+func load(img *image.Image, seed uint64, obs *telemetry.Observer) (*Process, error) {
 	cfg := &img.Prog.Config
 	sp := mem.NewSpace()
 
@@ -174,14 +247,6 @@ func NewProcessObserved(img *image.Image, seed uint64, obs *telemetry.Observer) 
 		if err := p.runBTDPConstructor(); err != nil {
 			return nil, fmt.Errorf("rt: btdp constructor: %w", err)
 		}
-	}
-
-	// Attach the flight recorder after the constructor, so its guard-zone
-	// filter sees the final guard-page layout. Capacity 0 leaves Flight nil
-	// and the VM hooks dormant.
-	if cap := obs.FlightRecorderCap(); cap > 0 {
-		p.Flight = telemetry.NewFlightRecorder(cap)
-		p.Flight.ArmGuards(p.GuardPages, mem.PageSize)
 	}
 	return p, nil
 }

@@ -69,9 +69,22 @@ func BuildImageSpan(m *tir.Module, cfg defense.Config, seed uint64, sp *telemetr
 // NewProcessFromImage runs the mutable half of Build: load img into a fresh
 // address space and run load-time initialization, deriving the load-time
 // randomness from the same run seed Build uses — so a process created from a
-// cached image is bit-identical to one from a fresh build.
+// cached image is bit-identical to one from a fresh build. It is LoadImage
+// followed by one Fork.
 func NewProcessFromImage(img *image.Image, seed uint64, obs *telemetry.Observer) (*rt.Process, error) {
-	return rt.NewProcessObserved(img, seed*0xbf58476d1ce4e5b9+2, obs)
+	s, err := LoadImage(img, seed, obs)
+	if err != nil {
+		return nil, err
+	}
+	return s.Fork(obs), nil
+}
+
+// LoadImage loads img under the run seed as NewProcessFromImage does, but
+// returns the frozen snapshot: every Fork of it is bit-identical to a
+// NewProcessFromImage(img, seed, ...) process, without paying the loader
+// and BTDP constructor again.
+func LoadImage(img *image.Image, seed uint64, obs *telemetry.Observer) (*rt.Snapshot, error) {
+	return rt.Load(img, seed*0xbf58476d1ce4e5b9+2, obs)
 }
 
 // Run builds and executes a module to completion on the given profile.

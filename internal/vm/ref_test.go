@@ -17,6 +17,7 @@ import (
 // hold the production engine to it Result for Result; it is compiled into
 // test binaries only.
 func (m *Machine) runLegacy(maxInstr uint64) (*Result, error) {
+	m.syncTLB()
 	img, prof, cpu := m.Img, m.Prof, &m.CPU
 	limit := m.res.Instructions + maxInstr
 	knobs := m.SampleEvery | m.FlushICacheEvery

@@ -72,11 +72,15 @@ type Result struct {
 // Seconds converts modeled cycles to wall-clock time on profile p.
 func (r *Result) Seconds(p *Profile) float64 { return r.Cycles / (p.GHz * 1e9) }
 
+// tlbEntry caches one page's slab. owned says whether data is the page's
+// writable storage; a shared slab (the zero page, or bytes a fork still
+// shares with its snapshot) is replaced by OwnSlab before the first store.
 type tlbEntry struct {
 	page  uint64
 	data  []byte
 	perm  mem.Perm
 	valid bool
+	owned bool
 }
 
 // Machine executes a loaded process under a machine profile.
@@ -99,6 +103,10 @@ type Machine struct {
 	lastLine     uint64
 	lastExecPage uint64
 	tlb          [8]tlbEntry
+	// tlbGen is the Space.Gen the cached slabs are current with: a page
+	// copied or materialized behind the TLB's back (an attacker's write
+	// between Run calls, a page-crossing store) bumps the space's count.
+	tlbGen uint64
 
 	// shadow is the backward-edge CFI shadow stack (Section 8.2), active
 	// when the defense configuration enables it. It lives outside the
@@ -193,6 +201,27 @@ func (m *Machine) flushTLB() {
 	for i := range m.tlb {
 		m.tlb[i].valid = false
 	}
+	m.tlbGen = m.Proc.Space.Gen()
+}
+
+// syncTLB re-reads the slabs of cached pages whose bytes the space replaced
+// since they were cached. It counts neither hits nor misses: the cached
+// translations are still valid, only their backing bytes moved.
+func (m *Machine) syncTLB() {
+	sp := m.Proc.Space
+	if m.tlbGen == sp.Gen() {
+		return
+	}
+	for i := range m.tlb {
+		e := &m.tlb[i]
+		if !e.valid {
+			continue
+		}
+		if data, _, owned, ok := sp.Slab(e.page << mem.PageShift); ok {
+			e.data, e.owned = data, owned
+		}
+	}
+	m.tlbGen = sp.Gen()
 }
 
 func (m *Machine) slab(addr uint64) *tlbEntry {
@@ -203,11 +232,11 @@ func (m *Machine) slab(addr uint64) *tlbEntry {
 		return e
 	}
 	m.res.TLBMisses++
-	data, perm, ok := m.Proc.Space.Slab(addr)
+	data, perm, owned, ok := m.Proc.Space.Slab(addr)
 	if !ok {
 		return nil
 	}
-	e.page, e.data, e.perm, e.valid = page, data, perm, true
+	e.page, e.data, e.perm, e.valid, e.owned = page, data, perm, true, owned
 	return e
 }
 
@@ -240,6 +269,11 @@ func (m *Machine) write64(addr, v uint64) *mem.Fault {
 			if e.perm&mem.PermWrite == 0 {
 				return &mem.Fault{Addr: addr, Access: mem.AccessWrite, Perm: e.perm}
 			}
+			if !e.owned {
+				// Only this page's bytes move, and e is its only TLB entry.
+				e.data, e.owned = m.Proc.Space.OwnSlab(addr), true
+				m.tlbGen = m.Proc.Space.Gen()
+			}
 			b := e.data[off : off+8]
 			b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 			b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
@@ -247,7 +281,9 @@ func (m *Machine) write64(addr, v uint64) *mem.Fault {
 		}
 		return &mem.Fault{Addr: addr, Access: mem.AccessWrite, Unmapped: true}
 	}
-	if err := m.Proc.Space.Write64(addr, v); err != nil {
+	err := m.Proc.Space.Write64(addr, v)
+	m.syncTLB()
+	if err != nil {
 		var f *mem.Fault
 		errors.As(err, &f)
 		return f
@@ -275,8 +311,10 @@ func (m *Machine) stopFault(pc uint64, f *mem.Fault) {
 // by zero, heap exhaustion).
 //
 // Execution runs on the predecoded program the linker attaches to every
-// image (runFast, fast.go).
+// image (runFast, fast.go). Writes made through the process's Space while
+// the machine was paused are visible to the resumed run.
 func (m *Machine) Run(maxInstr uint64) (*Result, error) {
+	m.syncTLB()
 	return m.runFast(m.Img.Code, maxInstr)
 }
 

@@ -308,3 +308,52 @@ func TestUnwinderWalksBTRAFrames(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreWhilePausedIsSeenOnResume pins the attacker's write path against
+// the software TLB: a machine paused inside a loop that polls a global has
+// the data page cached as a slab still shared with the process snapshot (no
+// runtime call in the loop flushes it); a Space.Write64 then copies the
+// page into the fork, and the resumed run must read the new word, not the
+// stale shared bytes.
+func TestStoreWhilePausedIsSeenOnResume(t *testing.T) {
+	const polls = 100_000
+	mb := tir.NewModule("pausewrite")
+	mb.AddGlobal("g", 8, 5)
+	main := mb.NewFunc("main", 0)
+	i := main.Const(0)
+	head, next, done := main.NewBlock(), main.NewBlock(), main.NewBlock()
+	main.SetBlock(0)
+	main.Br(head)
+	main.SetBlock(head)
+	v := main.Load(main.AddrGlobal("g"), 0)
+	main.CondBr(main.Bin(tir.OpEq, v, main.Const(77)), done, next)
+	main.SetBlock(next)
+	main.BinTo(i, tir.OpAdd, i, main.Const(1))
+	main.CondBr(main.Bin(tir.OpLt, i, main.Const(polls)), head, done)
+	main.SetBlock(done)
+	main.Output(i)
+	main.RetVoid()
+	mb.SetEntry("main")
+	img, err := sim.BuildImage(mb.MustBuild(), defense.Off(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc, err := sim.NewProcessFromImage(img, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := vm.New(proc, vm.EPYCRome())
+	if _, err := m.Run(500); !errors.Is(err, vm.ErrInstructionBudget) {
+		t.Fatalf("run did not pause: %v", err)
+	}
+	if err := proc.Space.Write64(img.DataSyms["g"].Addr, 77); err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(sim.DefaultBudget)
+	if err != nil || !res.Halted {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if got := res.Output; len(got) != 1 || got[0] == 0 || got[0] >= polls {
+		t.Fatalf("loop exited after %v polls: the store made while paused was not seen", got)
+	}
+}
