@@ -14,7 +14,6 @@ const wantFlags = `-alert-rules string
 -cell-fuel uint
 -cell-timeout duration
 -compare string
--compare-warn
 -faults string
 -flight int
 -forensics
@@ -24,8 +23,6 @@ const wantFlags = `-alert-rules string
 -listen string
 -metrics-out string
 -overheads
--perf-noise float
--perf-noise-det float
 -resume
 -retries int
 -retry-backoff duration

@@ -6,9 +6,9 @@
 // 6.2.1), the AVX-512 variant (Section 7.1), and the scalability check
 // (Section 6.3).
 //
-// -baseline records the run's performance numbers as a committed baseline
+// -baseline records the run's modeled numbers as a committed baseline
 // (BENCH_<label>.json); -compare re-runs a committed baseline's experiment
-// and exits nonzero if any metric regressed beyond the noise thresholds.
+// and exits nonzero if any metric drifted from it.
 // `r2cbench -h` lists the flags and experiments.
 package main
 

@@ -14,7 +14,6 @@ const wantFlags = `-alert-rules string
 -cell-fuel uint
 -cell-timeout duration
 -compare string
--compare-warn
 -faults string
 -flight int
 -incidents-out string
@@ -22,8 +21,6 @@ const wantFlags = `-alert-rules string
 -journal string
 -listen string
 -metrics-out string
--perf-noise float
--perf-noise-det float
 -profile
 -profile-format string (default "table")
 -resume

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"io"
+	"strings"
 	"testing"
 
 	"r2c/internal/perf"
@@ -46,9 +47,8 @@ func TestBaselineDeterministicAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestBaselineHarvestsEngineHistograms checks the engine's latency and cycle
-// histograms land in the right baseline halves: wall-clock phases as timing
-// summaries, modeled cycles as deterministic metrics.
+// TestBaselineHarvestsEngineHistograms checks the engine's modeled-cycle
+// histogram lands in the baseline and its wall-clock histograms do not.
 func TestBaselineHarvestsEngineHistograms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("perf harness")
@@ -66,19 +66,13 @@ func TestBaselineHarvestsEngineHistograms(t *testing.T) {
 			t.Errorf("baseline lacks %s", key)
 			continue
 		}
-		if m.Class != perf.ClassDeterministic {
-			t.Errorf("%s classified %q, want deterministic", key, m.Class)
-		}
 		if m.Value <= 0 {
 			t.Errorf("%s = %v, want > 0", key, m.Value)
 		}
 	}
-	for _, key := range []string{"exec.cell.seconds", "exec.cache.lookup.seconds"} {
-		if _, ok := b.Phases[key]; !ok {
-			t.Errorf("baseline lacks phase %s; has %v", key, b.PhaseKeys())
+	for _, key := range b.MetricKeys() {
+		if strings.Contains(key, ".seconds") {
+			t.Errorf("baseline harvested wall-clock metric %s", key)
 		}
-	}
-	if _, ok := b.Phases["exec.phase.seconds{phase=exec}"]; !ok {
-		t.Errorf("baseline lacks the exec phase split; has %v", b.PhaseKeys())
 	}
 }

@@ -429,22 +429,6 @@ func (e *Engine) runCellAttempt(ctx context.Context, i, attempt int, c *Cell, ke
 			return nil, &CellTimeoutError{Index: i, Timeout: e.CellTimeout, Err: actx.Err()}
 		}
 		return nil, ctx.Err()
-	case FaultSlow:
-		// A slowdown, not a failure: sleep, then run the cell normally.
-		// The sleep lands inside the cell's wall-clock window, so the
-		// latency histograms (and any -compare against a clean baseline)
-		// see it, while every modeled number stays untouched.
-		track("slowed")
-		t := time.NewTimer(e.Faults.Delay(i, attempt))
-		select {
-		case <-actx.Done():
-			t.Stop()
-			if actx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
-				return nil, &CellTimeoutError{Index: i, Timeout: e.CellTimeout, Err: actx.Err()}
-			}
-			return nil, ctx.Err()
-		case <-t.C:
-		}
 	}
 	res, err := e.runCell(actx, i, c, seed, sp, track)
 	if err != nil {
@@ -476,7 +460,7 @@ func (e *Engine) runCell(ctx context.Context, i int, c *Cell, seed uint64, sp *t
 	// Phase latency histograms: a miss pays the build, a hit pays only the
 	// (possibly blocking, under single-flight) cache load — the
 	// build-vs-cached-load split that makes the cache's latency economy
-	// visible in /metrics and the perf baselines.
+	// visible in /metrics and -metrics-out.
 	if hit {
 		sp.SetAttr("cache", "hit")
 		e.Obs.LogHist("exec.phase.seconds", telemetry.LatencyScheme, "phase", "cached-load").Observe(time.Since(imgStart).Seconds())

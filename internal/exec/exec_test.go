@@ -11,6 +11,7 @@ import (
 	"r2c/internal/defense"
 	"r2c/internal/exec"
 	"r2c/internal/sim"
+	"r2c/internal/telemetry"
 	"r2c/internal/tir"
 	"r2c/internal/vm"
 	"r2c/internal/workload"
@@ -239,5 +240,45 @@ func TestRunCellsCellError(t *testing.T) {
 	}
 	if i, cause := exec.SplitError(err); i != 1 || cause == nil {
 		t.Errorf("SplitError = (%d, %v), want index 1", i, cause)
+	}
+}
+
+// TestCleanRunRecordsLatencyHistograms pins the engine's wall-clock
+// telemetry on a clean run: one exec.cell.seconds, cache-lookup, load and
+// exec observation per cell, and one build or cached-load each. Observing
+// leaves every result as an unobserved run produces it.
+func TestCleanRunRecordsLatencyHistograms(t *testing.T) {
+	m := testModule(t)
+	cells := cellsN(m, 3)
+	cells = append(cells, cells[0]) // the repeat is a cache hit
+
+	want, err := exec.New(1, nil).RunCells(context.Background(), cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := &telemetry.Observer{Registry: telemetry.NewRegistry()}
+	got, err := exec.New(1, obs).RunCells(context.Background(), cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i].Cycles != want[i].Cycles || got[i].Instructions != want[i].Instructions {
+			t.Errorf("cell %d: observed result differs from unobserved run", i)
+		}
+	}
+
+	hists := obs.Registry.Snapshot().Histograms
+	n := uint64(len(cells))
+	for key, count := range map[string]uint64{
+		"exec.cell.seconds":                     n,
+		"exec.cache.lookup.seconds":             n,
+		"exec.phase.seconds{phase=load}":        n,
+		"exec.phase.seconds{phase=exec}":        n,
+		"exec.phase.seconds{phase=build}":       n - 1,
+		"exec.phase.seconds{phase=cached-load}": 1,
+	} {
+		if h, ok := hists[key]; !ok || h.Count != count {
+			t.Errorf("%s: %+v, want %d observations", key, h, count)
+		}
 	}
 }

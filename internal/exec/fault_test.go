@@ -344,7 +344,7 @@ func TestPoolHonorsCancelledContext(t *testing.T) {
 }
 
 func TestParseFaultPlan(t *testing.T) {
-	p, err := exec.ParseFaultPlan("3:panic, 7@0:exec-fail,1@2:stall")
+	p, err := exec.ParseFaultPlan("3:panic, 7@0:exec-fail,1@2:stall,*@4:build-fail")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,13 +359,27 @@ func TestParseFaultPlan(t *testing.T) {
 		{1, 2, exec.FaultStall},
 		{1, 0, exec.FaultNone},
 		{0, 0, exec.FaultNone},
+		{9, 4, exec.FaultBuildFail}, // * covers every cell
+		{3, 4, exec.FaultPanic},     // (cell, any) beats (any, attempt)
+		{9, 3, exec.FaultNone},
 	} {
 		if got := p.At(tc.cell, tc.attempt); got != tc.want {
 			t.Errorf("At(%d, %d) = %v, want %v", tc.cell, tc.attempt, got, tc.want)
 		}
 	}
-	if p.Len() != 3 {
-		t.Errorf("Len = %d, want 3", p.Len())
+	if p.Len() != 4 {
+		t.Errorf("Len = %d, want 4", p.Len())
+	}
+	// (any, any) is the last resort behind an exact entry.
+	wild, err := exec.ParseFaultPlan("*:exec-fail, 2@1:stall")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := wild.At(2, 1); got != exec.FaultStall {
+		t.Errorf("wildcard plan At(2, 1) = %v, want stall", got)
+	}
+	if got := wild.At(5, 0); got != exec.FaultExecFail {
+		t.Errorf("wildcard plan At(5, 0) = %v, want exec-fail", got)
 	}
 
 	var nilPlan *exec.FaultPlan
@@ -375,7 +389,8 @@ func TestParseFaultPlan(t *testing.T) {
 	if p, err := exec.ParseFaultPlan(""); p != nil || err != nil {
 		t.Errorf("empty spec = (%v, %v), want (nil, nil)", p, err)
 	}
-	for _, bad := range []string{"x:panic", "3:bogus", "3", "-1:panic", "3@x:panic", "3@-2:panic"} {
+	// There is no slow kind: the engine injects failures, not slowdowns.
+	for _, bad := range []string{"x:panic", "3:bogus", "3", "-1:panic", "3@x:panic", "3@-2:panic", "*:", "*@x:panic", "3:slow", "*:slow=50ms", "3:build-fail=50ms"} {
 		if _, err := exec.ParseFaultPlan(bad); err == nil {
 			t.Errorf("spec %q parsed successfully", bad)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // FaultKind enumerates the failures the injection hook can force on a cell.
@@ -23,12 +22,6 @@ const (
 	// FaultStall blocks the cell until its watchdog context fires,
 	// exercising the wall-clock deadline.
 	FaultStall
-	// FaultSlow sleeps for the entry's delay before running the cell
-	// normally — an artificial slowdown, not a failure. It exists so the
-	// regression gate (-compare) can be exercised end to end: the sleep
-	// inflates the wall-clock latency histograms without perturbing any
-	// modeled number.
-	FaultSlow
 )
 
 func (k FaultKind) String() string {
@@ -43,8 +36,6 @@ func (k FaultKind) String() string {
 		return "panic"
 	case FaultStall:
 		return "stall"
-	case FaultSlow:
-		return "slow"
 	}
 	return fmt.Sprintf("FaultKind(%d)", int(k))
 }
@@ -52,7 +43,7 @@ func (k FaultKind) String() string {
 // anyAttempt is the wildcard attempt number in a FaultPlan entry: the fault
 // fires on every attempt, so even retries keep failing. anyCell is the
 // wildcard cell index ("*" in the CLI syntax): the fault fires on every
-// cell, which is how a whole sweep is slowed down for regression-gate tests.
+// cell.
 const (
 	anyAttempt = -1
 	anyCell    = -1
@@ -63,33 +54,27 @@ type faultAt struct {
 	attempt int
 }
 
-type faultSpec struct {
-	kind  FaultKind
-	delay time.Duration // FaultSlow only
-}
-
-// DefaultSlowDelay is the sleep a slow fault injects when the plan entry
-// does not carry an explicit duration.
-const DefaultSlowDelay = 25 * time.Millisecond
-
 // FaultPlan is the deterministic fault-injection hook: a map from (cell
 // index, attempt number) to the failure to force there. It exists so tests
-// and the -faults flag can script hangs, panics, slowdowns and build/exec
-// failures at exact points of a sweep and assert the engine degrades the
-// way the fault-tolerance machinery promises. A nil plan injects nothing,
+// and the -faults flag can script hangs, panics and build/exec failures at
+// exact points of a sweep and assert the engine degrades the way the
+// fault-tolerance machinery promises. A nil plan injects nothing,
 // and an engine with a nil plan takes no branch the clean path doesn't.
 //
 // Plans are written before the engine runs and only read afterwards; they
 // must not be mutated mid-sweep.
 type FaultPlan struct {
-	m map[faultAt]faultSpec
+	m map[faultAt]FaultKind
 }
 
 // Set schedules kind at (cell, attempt). attempt counts from 0 (the first
-// try); AnyAttempt entries are set via SetAll. FaultSlow entries set this
-// way sleep DefaultSlowDelay; use SetSlow for an explicit delay.
+// try); AnyAttempt entries are set via SetAll.
 func (p *FaultPlan) Set(cell, attempt int, kind FaultKind) *FaultPlan {
-	return p.set(cell, attempt, faultSpec{kind: kind, delay: DefaultSlowDelay})
+	if p.m == nil {
+		p.m = make(map[faultAt]FaultKind)
+	}
+	p.m[faultAt{cell, attempt}] = kind
+	return p
 }
 
 // SetAll schedules kind at cell on every attempt, so the fault survives
@@ -98,56 +83,21 @@ func (p *FaultPlan) SetAll(cell int, kind FaultKind) *FaultPlan {
 	return p.Set(cell, anyAttempt, kind)
 }
 
-// SetSlow schedules an artificial delay of d at (cell, attempt). Pass
-// AnyCell/AnyAttempt semantics via SetSlowAll.
-func (p *FaultPlan) SetSlow(cell, attempt int, d time.Duration) *FaultPlan {
-	return p.set(cell, attempt, faultSpec{kind: FaultSlow, delay: d})
-}
-
-// SetSlowAll schedules an artificial delay of d on every cell and attempt —
-// the whole-sweep slowdown the regression-gate tests inject.
-func (p *FaultPlan) SetSlowAll(d time.Duration) *FaultPlan {
-	return p.set(anyCell, anyAttempt, faultSpec{kind: FaultSlow, delay: d})
-}
-
-func (p *FaultPlan) set(cell, attempt int, s faultSpec) *FaultPlan {
-	if p.m == nil {
-		p.m = make(map[faultAt]faultSpec)
-	}
-	p.m[faultAt{cell, attempt}] = s
-	return p
-}
-
-// at resolves the spec scheduled for (cell, attempt), most specific entry
-// first: exact (cell, attempt), then (cell, any), (any, attempt), (any, any).
-func (p *FaultPlan) at(cell, attempt int) faultSpec {
-	if p == nil || p.m == nil {
-		return faultSpec{}
+// At returns the fault scheduled for (cell, attempt), most specific entry
+// first: exact (cell, attempt), then (cell, any), (any, attempt), (any,
+// any). A nil plan returns FaultNone.
+func (p *FaultPlan) At(cell, attempt int) FaultKind {
+	if p == nil {
+		return FaultNone
 	}
 	for _, q := range [...]faultAt{
 		{cell, attempt}, {cell, anyAttempt}, {anyCell, attempt}, {anyCell, anyAttempt},
 	} {
-		if s, ok := p.m[q]; ok {
-			return s
+		if k, ok := p.m[q]; ok {
+			return k
 		}
 	}
-	return faultSpec{}
-}
-
-// At returns the fault scheduled for (cell, attempt); a nil plan returns
-// FaultNone.
-func (p *FaultPlan) At(cell, attempt int) FaultKind {
-	return p.at(cell, attempt).kind
-}
-
-// Delay returns the artificial delay scheduled for (cell, attempt), or 0
-// when the entry there is not a slow fault.
-func (p *FaultPlan) Delay(cell, attempt int) time.Duration {
-	s := p.at(cell, attempt)
-	if s.kind != FaultSlow {
-		return 0
-	}
-	return s.delay
+	return FaultNone
 }
 
 // Len returns the number of scheduled faults.
@@ -160,12 +110,10 @@ func (p *FaultPlan) Len() int {
 
 // ParseFaultPlan parses the -faults CLI syntax: a comma-separated list of
 // CELL:KIND or CELL@ATTEMPT:KIND entries, where KIND is one of build-fail,
-// exec-fail, panic, stall, or slow[=DURATION]. CELL may be "*" to hit every
-// cell. Without @ATTEMPT the fault fires on every attempt. Examples:
+// exec-fail, panic or stall. CELL may be "*" to hit every cell. Without
+// @ATTEMPT the fault fires on every attempt. Example:
 // "3:panic,7@0:exec-fail" panics cell 3 always and fails cell 7's first
-// execution (so a retry succeeds); "*:slow=50ms" sleeps 50ms in every cell,
-// the injected slowdown the -compare regression gate is tested with. An
-// empty string is a nil plan.
+// execution (so a retry succeeds). An empty string is a nil plan.
 func ParseFaultPlan(s string) (*FaultPlan, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -178,31 +126,18 @@ func ParseFaultPlan(s string) (*FaultPlan, error) {
 		if !ok {
 			return nil, fmt.Errorf("fault plan: entry %q: want CELL[@ATTEMPT]:KIND", ent)
 		}
-		spec := faultSpec{delay: DefaultSlowDelay}
-		kindName, delayStr, hasDelay := strings.Cut(kindName, "=")
+		var kind FaultKind
 		switch kindName {
 		case "build-fail":
-			spec.kind = FaultBuildFail
+			kind = FaultBuildFail
 		case "exec-fail":
-			spec.kind = FaultExecFail
+			kind = FaultExecFail
 		case "panic":
-			spec.kind = FaultPanic
+			kind = FaultPanic
 		case "stall":
-			spec.kind = FaultStall
-		case "slow":
-			spec.kind = FaultSlow
+			kind = FaultStall
 		default:
-			return nil, fmt.Errorf("fault plan: entry %q: unknown kind %q (want build-fail, exec-fail, panic, stall or slow[=DURATION])", ent, kindName)
-		}
-		if hasDelay {
-			if spec.kind != FaultSlow {
-				return nil, fmt.Errorf("fault plan: entry %q: only slow takes a =DURATION", ent)
-			}
-			d, err := time.ParseDuration(delayStr)
-			if err != nil || d <= 0 {
-				return nil, fmt.Errorf("fault plan: entry %q: bad duration %q", ent, delayStr)
-			}
-			spec.delay = d
+			return nil, fmt.Errorf("fault plan: entry %q: unknown kind %q (want build-fail, exec-fail, panic or stall)", ent, kindName)
 		}
 		cellStr, attemptStr, hasAttempt := strings.Cut(loc, "@")
 		cell := anyCell
@@ -221,7 +156,7 @@ func ParseFaultPlan(s string) (*FaultPlan, error) {
 				return nil, fmt.Errorf("fault plan: entry %q: bad attempt %q", ent, attemptStr)
 			}
 		}
-		p.set(cell, attempt, spec)
+		p.Set(cell, attempt, kind)
 	}
 	return p, nil
 }

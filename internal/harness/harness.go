@@ -7,8 +7,8 @@
 // the exit code:
 //
 //	0  clean run
-//	1  failed run: hard error, partial batch, firing alert rule, baseline
-//	   regression, or an artifact that could not be written
+//	1  failed run: hard error, partial batch, firing alert rule, drift from
+//	   the -compare baseline, or an artifact that could not be written
 //	2  usage error: bad flags or arguments, unknown experiment, malformed
 //	   -faults plan or -alert-rules file
 //
@@ -56,8 +56,7 @@ const (
 	// Engine adds the exec engine's robustness knobs: -cell-timeout,
 	// -cell-fuel, -retries, -retry-backoff, -journal, -resume and -faults.
 	Engine
-	// PerfGate adds -baseline, -compare, -compare-warn, -perf-noise and
-	// -perf-noise-det.
+	// PerfGate adds -baseline and -compare.
 	PerfGate
 )
 
@@ -120,8 +119,6 @@ type flagValues struct {
 	journal, faults                         string
 	resume                                  bool
 	baseline, compare                       string
-	compareWarn                             bool
-	perfNoise, perfNoiseDet                 float64
 }
 
 // New returns a harness for the CLI name whose positional argument is
@@ -152,14 +149,11 @@ func New(name, args string, stdout, stderr io.Writer, groups Group) *Harness {
 		fs.DurationVar(&f.retryBackoff, "retry-backoff", 0, "base delay before the first retry of a cell, doubling per attempt")
 		fs.StringVar(&f.journal, "journal", "", "persist completed cell results to FILE (JSONL, keyed by build key + machine)")
 		fs.BoolVar(&f.resume, "resume", false, "replay cells already present in the journal instead of re-executing them (implies -journal "+DefaultJournal+" unless set)")
-		fs.StringVar(&f.faults, "faults", "", "fault-injection plan CELL[@ATTEMPT]:KIND,... with KIND one of build-fail, exec-fail, panic, stall, slow[=DURATION]; CELL may be * (testing aid)")
+		fs.StringVar(&f.faults, "faults", "", "fault-injection plan CELL[@ATTEMPT]:KIND,... with KIND one of build-fail, exec-fail, panic, stall; CELL may be * (testing aid)")
 	}
 	if groups&PerfGate != 0 {
 		fs.StringVar(&f.baseline, "baseline", "", "write the run's performance numbers as a baseline to FILE (BENCH_<experiment>.json)")
-		fs.StringVar(&f.compare, "compare", "", "re-run the baseline in FILE (adopting its experiment and parameters unless given) and exit nonzero on regression")
-		fs.BoolVar(&f.compareWarn, "compare-warn", false, "report -compare timing regressions without failing (CI warn-only mode)")
-		fs.Float64Var(&f.perfNoise, "perf-noise", 0, "-compare timing noise threshold in percent (0 = default 100)")
-		fs.Float64Var(&f.perfNoiseDet, "perf-noise-det", 0, "-compare deterministic drift threshold in percent (0 = default 1)")
+		fs.StringVar(&f.compare, "compare", "", "re-run the baseline in FILE (adopting its experiment and parameters unless given) and exit nonzero if any modeled metric drifts")
 	}
 	return h
 }
@@ -383,10 +377,10 @@ func (h *Harness) report() {
 			h.artifact(fmt.Sprintf("baseline %q", h.label), f.baseline, fresh.Save)
 		}
 		if h.old != nil {
-			rep := perf.Judge(h.old, fresh, perf.Thresholds{DeterministicPct: f.perfNoiseDet, TimingPct: f.perfNoise, TimingAdvisory: f.compareWarn})
+			rep := perf.Judge(h.old, fresh)
 			rep.WriteTable(h.Stdout)
 			if rep.Failed() {
-				h.Fail(fmt.Errorf("performance regressed vs %s", f.compare))
+				h.Fail(fmt.Errorf("modeled metrics drifted from %s (refresh it with make bench if the change is intended)", f.compare))
 			}
 		}
 	}

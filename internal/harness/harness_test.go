@@ -93,15 +93,16 @@ func TestExitCodes(t *testing.T) {
 		{"unknown flag", []string{"-bogus", "ok"}, 2},
 		{"unknown experiment", []string{"nope"}, 2},
 		{"bad -faults", []string{"-faults", "zz", "ok"}, 2},
+		{"removed slow fault kind", []string{"-faults", "3:slow", "ok"}, 2},
 		{"bad -alert-rules", []string{"-alert-rules", badRules, "ok"}, 2},
 		{"unknown -profile-format", []string{"-profile-format", "x", "ok"}, 2},
 		{"quiet rule", []string{"-alert-rules", quiet, "ok"}, 0},
 		{"firing rule", []string{"-alert-rules", firing, "ok"}, 1},
-		// The stub's experiment takes microseconds, so its timing row is
-		// noise: -compare-warn keeps it advisory.
+		// bench.stub is lower-is-better: drift either way fails -compare.
 		{"record baseline", []string{"-baseline", base, "-value", "2", "ok"}, 0},
-		{"compare adopts label and params", []string{"-compare", base, "-compare-warn"}, 0},
-		{"baseline regression", []string{"-compare", base, "-compare-warn", "-value", "3"}, 1},
+		{"compare adopts label and params", []string{"-compare", base}, 0},
+		{"baseline regression", []string{"-compare", base, "-value", "3"}, 1},
+		{"baseline improvement", []string{"-compare", base, "-value", "1"}, 1},
 		{"missing baseline", []string{"-compare", filepath.Join(dir, "none.json")}, 1},
 		{"unopenable journal", []string{"-journal", filepath.Join(dir, "missing", "j.jsonl"), "ok"}, 1},
 		{"partial batch", []string{"partial"}, 1},

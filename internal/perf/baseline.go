@@ -1,17 +1,15 @@
-// Package perf is the committed-performance layer: a versioned baseline
+// Package perf is the committed modeled-numbers layer: a versioned baseline
 // schema (BENCH_<label>.json), harvesting from a telemetry snapshot, and a
-// Judge that diffs a fresh run against a committed baseline under
-// configurable noise thresholds — the mechanism that turns "this PR made
-// figure6 3% slower" from a claim into a CI-checkable fact.
+// Judge that diffs a fresh run against a committed baseline — the mechanism
+// that turns "this change moved figure6's overhead geomean" from a claim
+// into a CI-checkable fact.
 //
-// A baseline separates two metric classes. Deterministic metrics (modeled
-// cycle counts, overhead geomeans, call counts) are pure functions of the
-// tree and the run parameters: they are byte-stable across -jobs widths and
-// machines, so any drift beyond a tiny epsilon is a real behavior change.
-// Timing metrics (wall-clock latency quantiles per pipeline phase) are
-// machine- and load-dependent: they gate only under generous thresholds,
-// and drop to advisory when the baseline was recorded on a different
-// environment.
+// Every baseline metric is deterministic: modeled cycle counts, overhead
+// geomeans, detection rates and call counts are pure functions of the tree
+// and the run parameters, byte-stable across -jobs widths and machines, so
+// any drift beyond a last-ulp epsilon is a real behavior change. Wall-clock
+// numbers are not recorded here; the benchmark module (benchmark/, r2cperf)
+// is the one judge of how fast the simulator runs.
 package perf
 
 import (
@@ -26,49 +24,30 @@ import (
 )
 
 // SchemaVersion is the current baseline schema. Load refuses files with a
-// different version rather than guessing at field semantics.
-const SchemaVersion = 1
-
-// Metric classes.
-const (
-	// ClassDeterministic marks metrics that are pure functions of the tree
-	// and run parameters (modeled cycles, geomean overheads, counts).
-	ClassDeterministic = "deterministic"
-	// ClassTiming marks wall-clock metrics (latency quantiles).
-	ClassTiming = "timing"
-)
+// different version rather than guessing at field semantics; version-1
+// files carry wall-clock "phases" and per-metric "class" fields this
+// version has no use for.
+const SchemaVersion = 2
 
 // Directions for Metric.Better.
 const (
-	// BetterLower means a smaller value is an improvement (cycles, latency,
-	// overhead percent).
+	// BetterLower means a smaller value is an improvement (cycles, overhead
+	// percent).
 	BetterLower = "lower"
 	// BetterHigher means a larger value is an improvement (detection rate).
 	BetterHigher = "higher"
 	// BetterExact means the value is a characteristic, not a score: any
-	// drift beyond threshold is a mismatch (call counts, cell counts).
+	// drift beyond the allowance is a mismatch (call counts, cell counts).
 	BetterExact = "exact"
 )
 
 // Metric is one recorded scalar.
 type Metric struct {
 	Value float64 `json:"value"`
-	// Class is ClassDeterministic or ClassTiming.
-	Class string `json:"class"`
 	// Better is the improvement direction: BetterLower, BetterHigher or
 	// BetterExact.
 	Better string `json:"better"`
 	Unit   string `json:"unit,omitempty"`
-}
-
-// Phase is the latency distribution summary of one pipeline phase,
-// harvested from its log-bucketed histogram. Quantiles are in seconds.
-type Phase struct {
-	Count uint64  `json:"count"`
-	P50   float64 `json:"p50_s"`
-	P90   float64 `json:"p90_s"`
-	P99   float64 `json:"p99_s"`
-	Mean  float64 `json:"mean_s"`
 }
 
 // Baseline is one committed performance snapshot: the BENCH_<label>.json
@@ -83,8 +62,6 @@ type Baseline struct {
 	Params map[string]string `json:"params,omitempty"`
 	// Metrics maps canonical telemetry keys to recorded values.
 	Metrics map[string]Metric `json:"metrics"`
-	// Phases maps latency-histogram keys to their quantile summaries.
-	Phases map[string]Phase `json:"phases,omitempty"`
 }
 
 // cycleHist is the deterministic per-run cycle-count histogram the engine
@@ -99,8 +76,9 @@ var detCounters = []string{"vm.instructions", "vm.calls"}
 //   - every "bench.*" gauge — the experiment drivers' deterministic
 //     headline numbers (geomean overheads, detection rates, call medians);
 //   - the exec.run.cycles histogram as deterministic count/sum/quantiles;
-//   - the vm.instructions and vm.calls totals;
-//   - every "*.seconds" histogram as a timing Phase summary.
+//   - the vm.instructions and vm.calls totals.
+//
+// Wall-clock histograms (*.seconds) are not harvested.
 func FromSnapshot(label string, snap *telemetry.Snapshot, prov Provenance, params map[string]string) *Baseline {
 	b := &Baseline{
 		Schema:     SchemaVersion,
@@ -108,7 +86,6 @@ func FromSnapshot(label string, snap *telemetry.Snapshot, prov Provenance, param
 		Provenance: prov,
 		Params:     params,
 		Metrics:    map[string]Metric{},
-		Phases:     map[string]Phase{},
 	}
 	if snap == nil {
 		return b
@@ -130,30 +107,20 @@ func FromSnapshot(label string, snap *telemetry.Snapshot, prov Provenance, param
 			better = BetterExact
 			unit = "count"
 		}
-		b.Metrics[k] = Metric{Value: v, Class: ClassDeterministic, Better: better, Unit: unit}
+		b.Metrics[k] = Metric{Value: v, Better: better, Unit: unit}
 	}
 	for _, name := range detCounters {
 		if v, ok := snap.Counters[name]; ok {
-			b.Metrics[name] = Metric{Value: float64(v), Class: ClassDeterministic, Better: BetterLower, Unit: "count"}
+			b.Metrics[name] = Metric{Value: float64(v), Better: BetterLower, Unit: "count"}
 		}
 	}
 	for k, h := range snap.Histograms {
 		base, _ := telemetry.ParseKey(k)
 		if base == cycleHist {
-			b.Metrics[k+".count"] = Metric{Value: float64(h.Count), Class: ClassDeterministic, Better: BetterExact, Unit: "count"}
-			b.Metrics[k+".sum"] = Metric{Value: h.Sum, Class: ClassDeterministic, Better: BetterLower, Unit: "cycles"}
-			b.Metrics[k+".p50"] = Metric{Value: h.Quantile(0.50), Class: ClassDeterministic, Better: BetterLower, Unit: "cycles"}
-			b.Metrics[k+".p99"] = Metric{Value: h.Quantile(0.99), Class: ClassDeterministic, Better: BetterLower, Unit: "cycles"}
-			continue
-		}
-		if strings.HasSuffix(base, ".seconds") && h.Count > 0 {
-			b.Phases[k] = Phase{
-				Count: h.Count,
-				P50:   h.Quantile(0.50),
-				P90:   h.Quantile(0.90),
-				P99:   h.Quantile(0.99),
-				Mean:  h.Sum / float64(h.Count),
-			}
+			b.Metrics[k+".count"] = Metric{Value: float64(h.Count), Better: BetterExact, Unit: "count"}
+			b.Metrics[k+".sum"] = Metric{Value: h.Sum, Better: BetterLower, Unit: "cycles"}
+			b.Metrics[k+".p50"] = Metric{Value: h.Quantile(0.50), Better: BetterLower, Unit: "cycles"}
+			b.Metrics[k+".p99"] = Metric{Value: h.Quantile(0.99), Better: BetterLower, Unit: "cycles"}
 		}
 	}
 	return b
@@ -193,11 +160,11 @@ func Load(path string) (*Baseline, error) {
 }
 
 // DeterministicJSON serializes the reproducible core of the baseline —
-// schema, label, params, and the deterministic metrics only — with sorted
-// keys. Two runs of the same tree at any -jobs width must produce
-// byte-identical DeterministicJSON; the determinism gate pins exactly that.
-// Timing phases and provenance (which may carry a -dirty git state) are
-// excluded, as they legitimately differ between runs.
+// schema, label, params, and the non-NaN metrics — with sorted keys. Two
+// runs of the same tree at any -jobs width must produce byte-identical
+// DeterministicJSON; the determinism gate pins exactly that. Provenance
+// (host, Go version, a possibly -dirty git state) is excluded, as it
+// legitimately differs between runs.
 func (b *Baseline) DeterministicJSON() ([]byte, error) {
 	det := struct {
 		Schema  int               `json:"schema"`
@@ -206,7 +173,7 @@ func (b *Baseline) DeterministicJSON() ([]byte, error) {
 		Metrics map[string]Metric `json:"metrics"`
 	}{Schema: b.Schema, Label: b.Label, Params: b.Params, Metrics: map[string]Metric{}}
 	for k, m := range b.Metrics {
-		if m.Class == ClassDeterministic && !math.IsNaN(m.Value) {
+		if !math.IsNaN(m.Value) {
 			det.Metrics[k] = m
 		}
 	}
@@ -217,16 +184,6 @@ func (b *Baseline) DeterministicJSON() ([]byte, error) {
 func (b *Baseline) MetricKeys() []string {
 	keys := make([]string, 0, len(b.Metrics))
 	for k := range b.Metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// PhaseKeys returns the baseline's phase keys in sorted order.
-func (b *Baseline) PhaseKeys() []string {
-	keys := make([]string, 0, len(b.Phases))
-	for k := range b.Phases {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)

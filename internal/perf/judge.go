@@ -6,45 +6,26 @@ import (
 	"math"
 )
 
-// Thresholds are the noise allowances the Judge applies, as percentages of
-// the baseline value.
-type Thresholds struct {
-	// DeterministicPct is the allowed drift for deterministic metrics.
-	// Modeled numbers should be bit-equal on an unchanged tree; the small
-	// default absorbs last-ulp float differences across Go versions and
-	// architectures, nothing more.
-	DeterministicPct float64
-	// TimingPct is the allowed slowdown for wall-clock quantiles. Wall
-	// time is noisy (scheduler, thermal state, co-tenants), so the default
-	// is generous: a genuine regression the gate should catch — a new
-	// O(n²) pass, an accidental sleep, lost cache hits — moves latency by
-	// integer factors, not tens of percent.
-	TimingPct float64
-	// TimingAdvisory reports timing regressions without failing the
-	// comparison — the CI warn-only mode, and the automatic mode when the
-	// baseline was recorded on a different environment.
-	TimingAdvisory bool
-}
-
-// DefaultThresholds returns the standard noise allowances: 1% deterministic,
-// 100% (2x) timing.
-func DefaultThresholds() Thresholds {
-	return Thresholds{DeterministicPct: 1.0, TimingPct: 100.0}
-}
+// driftPct is the drift, in percent of the baseline value, a metric may
+// show before the Judge flags it. Modeled numbers are bit-equal on an
+// unchanged tree; the allowance absorbs last-ulp float differences across
+// Go versions and architectures, nothing more.
+const driftPct = 1.0
 
 // Verdict is the per-metric outcome of a comparison.
 type Verdict string
 
 const (
-	// VerdictOK: within threshold.
+	// VerdictOK: within the drift allowance.
 	VerdictOK Verdict = "ok"
-	// VerdictRegressed: worse than the baseline beyond threshold.
+	// VerdictRegressed: moved the worse way beyond the allowance.
 	VerdictRegressed Verdict = "regressed"
-	// VerdictImproved: better than the baseline beyond threshold — not a
-	// failure, but a cue to refresh the committed baseline.
+	// VerdictImproved: moved the better way beyond the allowance. It fails
+	// the comparison like a regression: a modeled change must come with a
+	// refreshed baseline (make bench).
 	VerdictImproved Verdict = "improved"
-	// VerdictMismatch: an exact-class metric drifted; the runs are not
-	// comparing the same work.
+	// VerdictMismatch: an exact metric drifted; the runs are not comparing
+	// the same work.
 	VerdictMismatch Verdict = "mismatch"
 	// VerdictMissing: present in the baseline, absent from the fresh run.
 	VerdictMissing Verdict = "missing"
@@ -55,84 +36,37 @@ const (
 // Delta is one metric's comparison row.
 type Delta struct {
 	Name    string
-	Class   string
 	Unit    string
 	Old     float64
 	New     float64
 	Pct     float64 // (new-old)/|old| * 100; NaN when old == 0
 	Verdict Verdict
-	// Advisory marks a verdict that is reported but does not gate
-	// (timing rows under TimingAdvisory, added rows).
-	Advisory bool
 }
 
 // Report is the full outcome of judging a fresh run against a baseline.
 type Report struct {
 	Label  string
 	Deltas []Delta
-	// EnvMismatch lists provenance differences between baseline and fresh
-	// run; non-empty forces timing rows to advisory.
-	EnvMismatch []string
-	// TimingAdvisory records whether timing rows gated.
-	TimingAdvisory bool
 }
 
 // Judge compares a fresh baseline against a committed one and produces the
-// per-metric verdicts. old is the committed reference, fresh the new run.
-func Judge(old, fresh *Baseline, thr Thresholds) *Report {
-	if thr.DeterministicPct <= 0 {
-		thr.DeterministicPct = DefaultThresholds().DeterministicPct
-	}
-	if thr.TimingPct <= 0 {
-		thr.TimingPct = DefaultThresholds().TimingPct
-	}
+// per-metric verdicts, in metric-key order. old is the committed
+// reference, fresh the new run.
+func Judge(old, fresh *Baseline) *Report {
 	r := &Report{Label: old.Label}
-	r.EnvMismatch = old.Provenance.EnvDiff(fresh.Provenance)
-	timingAdvisory := thr.TimingAdvisory || len(r.EnvMismatch) > 0
-	r.TimingAdvisory = timingAdvisory
-
 	for _, k := range old.MetricKeys() {
 		om := old.Metrics[k]
-		nm, ok := fresh.Metrics[k]
-		if !ok {
-			r.Deltas = append(r.Deltas, Delta{Name: k, Class: om.Class, Unit: om.Unit, Old: om.Value, New: math.NaN(), Verdict: VerdictMissing})
-			continue
+		d := Delta{Name: k, Unit: om.Unit, Old: om.Value, New: math.NaN(), Pct: math.NaN(), Verdict: VerdictMissing}
+		if nm, ok := fresh.Metrics[k]; ok {
+			d.New, d.Pct = nm.Value, pctDelta(om.Value, nm.Value)
+			d.Verdict = verdictFor(om.Better, om.Value, nm.Value, d.Pct)
 		}
-		d := Delta{Name: k, Class: om.Class, Unit: om.Unit, Old: om.Value, New: nm.Value}
-		d.Pct = pctDelta(om.Value, nm.Value)
-		limit := thr.DeterministicPct
-		if om.Class == ClassTiming {
-			limit = thr.TimingPct
-			d.Advisory = timingAdvisory
-		}
-		d.Verdict = verdictFor(om, nm.Value, d.Pct, limit)
 		r.Deltas = append(r.Deltas, d)
 	}
 	for _, k := range fresh.MetricKeys() {
 		if _, ok := old.Metrics[k]; !ok {
 			nm := fresh.Metrics[k]
-			r.Deltas = append(r.Deltas, Delta{Name: k, Class: nm.Class, Unit: nm.Unit, Old: math.NaN(), New: nm.Value, Verdict: VerdictAdded, Advisory: true})
-		}
-	}
-
-	// Phases compare quantile-by-quantile as timing metrics. Counts are
-	// informational: cell totals are already gated by the deterministic
-	// exec.run.cycles.count.
-	for _, k := range old.PhaseKeys() {
-		op := old.Phases[k]
-		np, ok := fresh.Phases[k]
-		if !ok {
-			r.Deltas = append(r.Deltas, Delta{Name: k + ".p50", Class: ClassTiming, Unit: "s", Old: op.P50, New: math.NaN(), Verdict: VerdictMissing, Advisory: timingAdvisory})
-			continue
-		}
-		for _, q := range [...]struct {
-			suffix   string
-			old, new float64
-		}{{".p50", op.P50, np.P50}, {".p90", op.P90, np.P90}, {".p99", op.P99, np.P99}} {
-			d := Delta{Name: k + q.suffix, Class: ClassTiming, Unit: "s", Old: q.old, New: q.new, Advisory: timingAdvisory}
-			d.Pct = pctDelta(q.old, q.new)
-			d.Verdict = verdictFor(Metric{Better: BetterLower}, q.new, d.Pct, thr.TimingPct)
-			r.Deltas = append(r.Deltas, d)
+			r.Deltas = append(r.Deltas, Delta{Name: k, Unit: nm.Unit, Old: math.NaN(), New: nm.Value, Pct: math.NaN(), Verdict: VerdictAdded})
 		}
 	}
 	return r
@@ -151,50 +85,35 @@ func pctDelta(old, new float64) float64 {
 }
 
 // verdictFor classifies one value change under the metric's improvement
-// direction and the threshold (in percent).
-func verdictFor(m Metric, newV, pct, limit float64) Verdict {
-	if math.IsNaN(pct) {
-		// old == 0, new != 0: treat as drift.
-		if m.Better == BetterExact {
-			return VerdictMismatch
-		}
-		return VerdictRegressed
-	}
-	if math.Abs(pct) <= limit {
+// direction. Beyond the allowance — including any move off a zero baseline,
+// where pct is NaN — the sign of new−old picks improved or regressed.
+func verdictFor(better string, old, new, pct float64) Verdict {
+	switch {
+	case math.Abs(pct) <= driftPct:
 		return VerdictOK
-	}
-	switch m.Better {
-	case BetterExact:
+	case better == BetterExact:
 		return VerdictMismatch
-	case BetterHigher:
-		if pct > 0 {
-			return VerdictImproved
-		}
-		return VerdictRegressed
-	default: // BetterLower and unspecified
-		if pct < 0 {
-			return VerdictImproved
-		}
+	case better == BetterHigher && new > old, better != BetterHigher && new < old:
+		return VerdictImproved
+	default:
 		return VerdictRegressed
 	}
 }
 
-// Failed reports whether the comparison should gate: any non-advisory
-// regressed, mismatched or missing row.
+// Failed reports whether the comparison should gate: any row that moved
+// beyond the allowance, in either direction, or went missing. Added rows
+// do not gate; a new metric is not a moved one.
 func (r *Report) Failed() bool {
 	for _, d := range r.Deltas {
-		if d.Advisory {
-			continue
-		}
 		switch d.Verdict {
-		case VerdictRegressed, VerdictMismatch, VerdictMissing:
+		case VerdictRegressed, VerdictImproved, VerdictMismatch, VerdictMissing:
 			return true
 		}
 	}
 	return false
 }
 
-// Counts tallies the verdicts (advisory rows included).
+// Counts tallies the verdicts.
 func (r *Report) Counts() map[Verdict]int {
 	c := map[Verdict]int{}
 	for _, d := range r.Deltas {
@@ -203,28 +122,14 @@ func (r *Report) Counts() map[Verdict]int {
 	return c
 }
 
-// WriteTable renders the regression table: one row per metric, worst news
-// first within each class, deterministic rows before timing rows.
+// WriteTable renders the comparison table: one row per metric, then the
+// verdict tally.
 func (r *Report) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "perf compare vs baseline %q\n", r.Label)
-	for _, m := range r.EnvMismatch {
-		fmt.Fprintf(w, "note: environment differs from baseline (%s); timing verdicts are advisory\n", m)
-	}
 	fmt.Fprintf(w, "%-58s %14s %14s %9s  %s\n", "metric", "baseline", "current", "delta", "verdict")
-	order := func(class string) {
-		for _, d := range r.Deltas {
-			if d.Class != class {
-				continue
-			}
-			verdict := string(d.Verdict)
-			if d.Advisory && (d.Verdict == VerdictRegressed || d.Verdict == VerdictMissing) {
-				verdict += " (advisory)"
-			}
-			fmt.Fprintf(w, "%-58s %14s %14s %9s  %s\n", d.Name, fmtVal(d.Old), fmtVal(d.New), fmtPct(d.Pct), verdict)
-		}
+	for _, d := range r.Deltas {
+		fmt.Fprintf(w, "%-58s %14s %14s %9s  %s\n", d.Name, fmtVal(d.Old), fmtVal(d.New), fmtPct(d.Pct), d.Verdict)
 	}
-	order(ClassDeterministic)
-	order(ClassTiming)
 	c := r.Counts()
 	fmt.Fprintf(w, "[%d ok, %d regressed, %d improved, %d mismatch, %d missing, %d added]\n",
 		c[VerdictOK], c[VerdictRegressed], c[VerdictImproved], c[VerdictMismatch], c[VerdictMissing], c[VerdictAdded])

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -31,14 +32,14 @@ func sampleSnapshot() *telemetry.Snapshot {
 func TestFromSnapshotHarvest(t *testing.T) {
 	b := FromSnapshot("figure6", sampleSnapshot(), Collect(), map[string]string{"scale": "8"})
 	cases := []struct {
-		key, class, better string
+		key, better string
 	}{
-		{"bench.figure6.geomean_pct{machine=epyc}", ClassDeterministic, BetterLower},
-		{"bench.table3.detection_rate{defense=r2c-full}", ClassDeterministic, BetterHigher},
-		{"bench.table2.calls{benchmark=gcc}", ClassDeterministic, BetterExact},
-		{"vm.instructions", ClassDeterministic, BetterLower},
-		{"exec.run.cycles.count", ClassDeterministic, BetterExact},
-		{"exec.run.cycles.sum", ClassDeterministic, BetterLower},
+		{"bench.figure6.geomean_pct{machine=epyc}", BetterLower},
+		{"bench.table3.detection_rate{defense=r2c-full}", BetterHigher},
+		{"bench.table2.calls{benchmark=gcc}", BetterExact},
+		{"vm.instructions", BetterLower},
+		{"exec.run.cycles.count", BetterExact},
+		{"exec.run.cycles.sum", BetterLower},
 	}
 	for _, tc := range cases {
 		m, ok := b.Metrics[tc.key]
@@ -46,21 +47,14 @@ func TestFromSnapshotHarvest(t *testing.T) {
 			t.Errorf("metric %q not harvested; have %v", tc.key, b.MetricKeys())
 			continue
 		}
-		if m.Class != tc.class || m.Better != tc.better {
-			t.Errorf("metric %q = %s/%s, want %s/%s", tc.key, m.Class, m.Better, tc.class, tc.better)
+		if m.Better != tc.better {
+			t.Errorf("metric %q better = %s, want %s", tc.key, m.Better, tc.better)
 		}
 	}
-	ph, ok := b.Phases["exec.cell.seconds"]
-	if !ok {
-		t.Fatalf("phase exec.cell.seconds not harvested; have %v", b.PhaseKeys())
-	}
-	if ph.Count != 3 || ph.P50 <= 0 || ph.P99 < ph.P50 {
-		t.Errorf("phase summary implausible: %+v", ph)
-	}
-	// The latency histogram must NOT appear among deterministic metrics.
-	for k, m := range b.Metrics {
-		if strings.Contains(k, "exec.cell.seconds") && m.Class == ClassDeterministic {
-			t.Errorf("wall-clock metric %q classified deterministic", k)
+	// Wall-clock histograms are not baseline material.
+	for k := range b.Metrics {
+		if strings.Contains(k, ".seconds") {
+			t.Errorf("wall-clock metric %q harvested", k)
 		}
 	}
 }
@@ -79,9 +73,8 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	if got.Label != "figure6" || got.Schema != SchemaVersion || got.Params["scale"] != "8" {
 		t.Errorf("roundtrip lost fields: %+v", got)
 	}
-	if len(got.Metrics) != len(b.Metrics) || len(got.Phases) != len(b.Phases) {
-		t.Errorf("roundtrip lost entries: %d/%d metrics, %d/%d phases",
-			len(got.Metrics), len(b.Metrics), len(got.Phases), len(b.Phases))
+	if len(got.Metrics) != len(b.Metrics) {
+		t.Errorf("roundtrip lost entries: %d/%d metrics", len(got.Metrics), len(b.Metrics))
 	}
 
 	// Saving the identical baseline again must be byte-identical (no git
@@ -109,7 +102,13 @@ func TestLoadRejectsBadFiles(t *testing.T) {
 	if _, err := Load(write("wrong-schema.json", `{"schema": 99, "label": "x", "metrics": {}}`)); err == nil {
 		t.Errorf("Load accepted wrong schema version")
 	}
-	if _, err := Load(write("no-label.json", `{"schema": 1, "metrics": {}}`)); err == nil {
+	// A schema-1 file carries wall-clock phases and per-metric classes.
+	v1 := `{"schema": 1, "label": "x", "metrics": {"m": {"value": 1, "class": "deterministic", "better": "lower"}},
+		"phases": {"exec.cell.seconds": {"count": 1, "p50_s": 0.1}}}`
+	if _, err := Load(write("schema-1.json", v1)); err == nil {
+		t.Errorf("Load accepted a schema-1 baseline")
+	}
+	if _, err := Load(write("no-label.json", fmt.Sprintf(`{"schema": %d, "metrics": {}}`, SchemaVersion))); err == nil {
 		t.Errorf("Load accepted unlabeled baseline")
 	}
 	if _, err := Load(write("garbage.json", `{{{`)); err == nil {
@@ -120,119 +119,81 @@ func TestLoadRejectsBadFiles(t *testing.T) {
 	}
 }
 
-func baselineWith(metrics map[string]Metric, phases map[string]Phase) *Baseline {
-	return &Baseline{Schema: SchemaVersion, Label: "t", Provenance: Collect(), Metrics: metrics, Phases: phases}
+func baselineWith(metrics map[string]Metric) *Baseline {
+	return &Baseline{Schema: SchemaVersion, Label: "t", Provenance: Collect(), Metrics: metrics}
 }
 
+// TestJudgeVerdicts pins each row's label and that any drift beyond the
+// allowance — improved as much as regressed — fails the comparison.
 func TestJudgeVerdicts(t *testing.T) {
-	old := baselineWith(map[string]Metric{
-		"det.stable":    {Value: 100, Class: ClassDeterministic, Better: BetterLower},
-		"det.regressed": {Value: 100, Class: ClassDeterministic, Better: BetterLower},
-		"det.improved":  {Value: 100, Class: ClassDeterministic, Better: BetterLower},
-		"det.higher":    {Value: 0.5, Class: ClassDeterministic, Better: BetterHigher},
-		"det.exact":     {Value: 42, Class: ClassDeterministic, Better: BetterExact},
-		"det.gone":      {Value: 7, Class: ClassDeterministic, Better: BetterLower},
-	}, map[string]Phase{
-		"exec.cell.seconds": {Count: 10, P50: 0.010, P90: 0.020, P99: 0.050},
-	})
-	fresh := baselineWith(map[string]Metric{
-		"det.stable":    {Value: 100.5, Class: ClassDeterministic, Better: BetterLower},
-		"det.regressed": {Value: 150, Class: ClassDeterministic, Better: BetterLower},
-		"det.improved":  {Value: 50, Class: ClassDeterministic, Better: BetterLower},
-		"det.higher":    {Value: 0.1, Class: ClassDeterministic, Better: BetterHigher},
-		"det.exact":     {Value: 43, Class: ClassDeterministic, Better: BetterExact},
-		"det.new":       {Value: 1, Class: ClassDeterministic, Better: BetterLower},
-	}, map[string]Phase{
-		// p50 regressed 5x (beyond the 2x default), p90/p99 stable.
-		"exec.cell.seconds": {Count: 10, P50: 0.050, P90: 0.021, P99: 0.049},
-	})
-
-	rep := Judge(old, fresh, DefaultThresholds())
-	want := map[string]Verdict{
-		"det.stable":            VerdictOK, // 0.5% < the 1% epsilon
-		"det.regressed":         VerdictRegressed,
-		"det.improved":          VerdictImproved,
-		"det.higher":            VerdictRegressed, // higher-is-better dropped
-		"det.exact":             VerdictMismatch,
-		"det.gone":              VerdictMissing,
-		"det.new":               VerdictAdded,
-		"exec.cell.seconds.p50": VerdictRegressed,
-		"exec.cell.seconds.p90": VerdictOK,
-		"exec.cell.seconds.p99": VerdictOK,
-	}
-	got := map[string]Verdict{}
-	for _, d := range rep.Deltas {
-		got[d.Name] = d.Verdict
-	}
-	for name, v := range want {
-		if got[name] != v {
-			t.Errorf("%s: verdict %q, want %q", name, got[name], v)
+	for _, tc := range []struct {
+		name     string
+		better   string
+		old, new float64
+		want     Verdict
+	}{
+		{"stable", BetterLower, 100, 100.5, VerdictOK}, // 0.5% is within the 1% allowance
+		{"lower regressed", BetterLower, 100, 150, VerdictRegressed},
+		{"lower improved", BetterLower, 100, 50, VerdictImproved},
+		{"higher regressed", BetterHigher, 0.5, 0.1, VerdictRegressed},
+		{"higher improved", BetterHigher, 0.5, 0.9, VerdictImproved},
+		{"exact drifted", BetterExact, 42, 43, VerdictMismatch},
+		{"zero stays zero", BetterHigher, 0, 0, VerdictOK},
+		{"lower from zero", BetterLower, 0, 0.25, VerdictRegressed},
+		{"higher from zero", BetterHigher, 0, 0.25, VerdictImproved},
+		{"exact from zero", BetterExact, 0, 1, VerdictMismatch},
+	} {
+		rep := Judge(baselineWith(map[string]Metric{"m": {Value: tc.old, Better: tc.better}}),
+			baselineWith(map[string]Metric{"m": {Value: tc.new, Better: tc.better}}))
+		if len(rep.Deltas) != 1 || rep.Deltas[0].Verdict != tc.want {
+			t.Errorf("%s: deltas %+v, want one %q row", tc.name, rep.Deltas, tc.want)
+			continue
+		}
+		if failed := rep.Failed(); failed != (tc.want != VerdictOK) {
+			t.Errorf("%s: Failed() = %v with verdict %q", tc.name, failed, tc.want)
 		}
 	}
-	if !rep.Failed() {
-		t.Errorf("report with regressions did not fail")
+
+	// A metric the fresh run lost fails; one it gained is reported only.
+	gone := Judge(baselineWith(map[string]Metric{"m": {Value: 7, Better: BetterLower}}), baselineWith(map[string]Metric{}))
+	if len(gone.Deltas) != 1 || gone.Deltas[0].Verdict != VerdictMissing || !gone.Failed() {
+		t.Errorf("missing metric: %+v, failed %v", gone.Deltas, gone.Failed())
+	}
+	added := Judge(baselineWith(map[string]Metric{}), baselineWith(map[string]Metric{"m": {Value: 7, Better: BetterLower}}))
+	if len(added.Deltas) != 1 || added.Deltas[0].Verdict != VerdictAdded || added.Failed() {
+		t.Errorf("added metric: %+v, failed %v", added.Deltas, added.Failed())
 	}
 
-	// Warn-only mode: timing rows stop gating, deterministic rows still do.
-	warn := Judge(old, fresh, Thresholds{TimingAdvisory: true})
-	if !warn.Failed() {
-		t.Errorf("warn-only report must still fail on deterministic regressions")
-	}
-	detOnly := baselineWith(map[string]Metric{}, old.Phases)
-	freshDetOnly := baselineWith(map[string]Metric{}, fresh.Phases)
-	if Judge(detOnly, freshDetOnly, Thresholds{TimingAdvisory: true}).Failed() {
-		t.Errorf("warn-only report failed on timing-only regressions")
-	}
-
-	// Identical baselines: everything ok, nothing fails.
-	clean := Judge(old, old, DefaultThresholds())
-	if clean.Failed() {
-		t.Errorf("self-comparison failed: %+v", clean.Deltas)
-	}
-	for _, d := range clean.Deltas {
-		if d.Verdict != VerdictOK {
-			t.Errorf("self-comparison %s = %q", d.Name, d.Verdict)
-		}
-	}
-}
-
-func TestJudgeEnvMismatchForcesAdvisory(t *testing.T) {
-	old := baselineWith(map[string]Metric{}, map[string]Phase{
-		"exec.cell.seconds": {Count: 10, P50: 0.010, P90: 0.020, P99: 0.050},
-	})
-	fresh := baselineWith(map[string]Metric{}, map[string]Phase{
-		"exec.cell.seconds": {Count: 10, P50: 0.500, P90: 0.800, P99: 0.900},
-	})
-	fresh.Provenance.NumCPU = old.Provenance.NumCPU + 64
-	rep := Judge(old, fresh, DefaultThresholds())
-	if len(rep.EnvMismatch) == 0 || !rep.TimingAdvisory {
-		t.Fatalf("env mismatch not detected: %+v", rep)
-	}
-	if rep.Failed() {
-		t.Errorf("cross-environment timing regression gated; must be advisory")
+	// A baseline judged against itself is all ok, whatever the hosts.
+	b := FromSnapshot("figure6", sampleSnapshot(), Collect(), nil)
+	other := *b
+	other.Provenance.NumCPU += 64
+	clean := Judge(b, &other)
+	if clean.Failed() || clean.Counts()[VerdictOK] != len(b.Metrics) {
+		t.Errorf("self-comparison: %+v", clean.Deltas)
 	}
 	var buf bytes.Buffer
-	rep.WriteTable(&buf)
-	if !strings.Contains(buf.String(), "advisory") {
-		t.Errorf("table does not mark advisory rows:\n%s", buf.String())
+	clean.WriteTable(&buf)
+	if want := fmt.Sprintf("[%d ok, 0 regressed, 0 improved, 0 mismatch, 0 missing, 0 added]", len(b.Metrics)); !strings.Contains(buf.String(), want) {
+		t.Errorf("table lacks %q:\n%s", want, buf.String())
 	}
 }
 
+// TestDeterministicJSONExcludesTimingAndNaN: the deterministic core holds
+// neither the snapshot's wall-clock histograms, NaN values nor the host
+// provenance.
 func TestDeterministicJSONExcludesTimingAndNaN(t *testing.T) {
-	b := baselineWith(map[string]Metric{
-		"det.a":    {Value: 1, Class: ClassDeterministic, Better: BetterLower},
-		"det.nan":  {Value: math.NaN(), Class: ClassDeterministic, Better: BetterLower},
-		"timing.b": {Value: 2, Class: ClassTiming, Better: BetterLower},
-	}, map[string]Phase{"exec.cell.seconds": {Count: 1, P50: 0.5}})
+	b := FromSnapshot("figure6", sampleSnapshot(), Collect(), nil)
+	b.Metrics["det.nan"] = Metric{Value: math.NaN(), Better: BetterLower}
 	data, err := b.DeterministicJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := string(data)
-	if !strings.Contains(s, "det.a") {
+	if !strings.Contains(s, "bench.figure6.geomean_pct") {
 		t.Errorf("deterministic metric missing:\n%s", s)
 	}
-	for _, banned := range []string{"timing.b", "det.nan", "exec.cell.seconds", "provenance", "go_version"} {
+	for _, banned := range []string{"det.nan", "exec.cell.seconds", "provenance", "go_version"} {
 		if strings.Contains(s, banned) {
 			t.Errorf("DeterministicJSON leaked %q:\n%s", banned, s)
 		}

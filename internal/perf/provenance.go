@@ -11,7 +11,7 @@ import (
 // produced in. Modeled numbers (cycles, overhead geomeans) are pure
 // functions of the tree and therefore comparable across machines; wall-clock
 // latencies are not — the provenance stamp is what lets a reader (and the
-// Judge) tell which comparison they are looking at.
+// benchmark's results file) tell which comparison they are looking at.
 type Provenance struct {
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
