@@ -57,13 +57,17 @@ bench-vm:
 # with the fast path and the test-only reference interpreter stepped in
 # lockstep. Process snapshots: after forks mutated by fuzzed stores,
 # allocations and protections, the next fork must run bit-identically to
-# the un-forked loaded process. Plain `go test` replays the committed seed
-# corpora (internal/{vm,rt}/testdata/fuzz); a failing input the fuzzer finds
-# lands there too, ready to commit as a regression.
+# the un-forked loaded process. Machine reuse: after warm-up requests (other
+# images, faults, traps, budget pauses, dirtied knobs) on one machine, a
+# Reset onto the next fork must run bit-identically to a fresh vm.New. Plain
+# `go test` replays the committed seed corpora (internal/{vm,rt}/testdata/fuzz);
+# a failing input the fuzzer finds lands there too, ready to commit as a
+# regression.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzFastMatchesReference -fuzztime=$(FUZZTIME) ./internal/vm/
 	$(GO) test -run=^$$ -fuzz=FuzzForkMatchesLoad -fuzztime=$(FUZZTIME) ./internal/rt/
+	$(GO) test -run=^$$ -fuzz=FuzzResetMatchesNew -fuzztime=$(FUZZTIME) ./internal/rt/
 
 # Modeled-numbers gate: re-run each committed baseline's experiment at its
 # recorded parameters and fail if any metric drifts beyond a last-ulp
@@ -113,7 +117,7 @@ serve-smoke: $(BIN)/r2cserve
 check: build vet test
 	$(GO) test -race -timeout 300s $(RACE_PKGS)
 	$(GO) test -run=^$$ -bench=BenchmarkVM -benchtime=1x ./internal/vm/
-	$(GO) test -run=^$$ -bench='BenchmarkLoad|BenchmarkFork' -benchtime=1x ./internal/rt/
+	$(GO) test -run=^$$ -bench='BenchmarkLoad|BenchmarkFork|BenchmarkServeRequest' -benchtime=1x ./internal/rt/
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 clean:

@@ -20,11 +20,12 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -199,6 +200,10 @@ type slot struct {
 	// snap is img loaded under seed: every request forks it, so the serve
 	// loop never runs the loader or the BTDP constructor.
 	snap *rt.Snapshot
+	// mach runs every request the slot serves, re-armed per fork by
+	// vm.Machine.Reset. A heal keeps it: Reset takes the image from the
+	// process.
+	mach *vm.Machine
 
 	state    string
 	freeAt   float64 // simulated time the variant is next idle
@@ -211,6 +216,8 @@ type slot struct {
 	// a fresh image has a fresh timing baseline.
 	lastSvc float64
 	drift   driftState
+	// sojournKey names the slot's fleet.variant.sojourn time series.
+	sojournKey string
 
 	heal     chan healDone
 	wallQuar time.Time
@@ -245,6 +252,37 @@ type healDone struct {
 
 type write struct{ addr, value uint64 }
 
+// machine returns the slot's machine armed on p, building it on first use.
+func (s *slot) machine(p *rt.Process, prof *vm.Profile) *vm.Machine {
+	if s.mach == nil {
+		s.mach = vm.New(p, prof)
+	} else {
+		s.mach.Reset(p)
+	}
+	return s.mach
+}
+
+// counter is one of the fleet's per-request metric series. Its registry
+// handle is resolved on the first increment and kept, so the serve loop
+// looks nothing up by name per request, while the registry still holds
+// only the series a run actually increments.
+type counter struct {
+	obs    *telemetry.Observer
+	name   string
+	labels []string
+	c      *telemetry.Counter
+}
+
+func (c *counter) Inc() {
+	if c.c == nil {
+		c.c = c.obs.Counter(c.name, c.labels...)
+	}
+	c.c.Inc()
+}
+
+// detectionKinds are the detection signals a request can raise.
+var detectionKinds = []string{"trap", "fault", "divergence", "hang", "error"}
+
 // Fleet is a serving fleet mid-run. Create with New, drive with Serve;
 // Live may be polled from other goroutines (the ops endpoint) at any time.
 type Fleet struct {
@@ -275,6 +313,17 @@ type Fleet struct {
 	// -timeseries-out, windowed alerts). It has its own lock, so the ops
 	// endpoint snapshots it without touching the fleet mutex.
 	series *telemetry.SeriesSet
+
+	// Per-request metric series, set up once in New.
+	cRequests, cAttacks, cStalls, cSilent, cWins counter
+	cAccepted, cRejected                         counter
+	cDetections                                  map[string]*counter
+
+	// Serve-loop scratch, reused by every request: the serving candidates
+	// dispatch sorts, and serveRequest's forks and per-member seconds.
+	serving []*slot
+	procs   []*rt.Process
+	perVar  []float64
 }
 
 // New validates the options and prepares a fleet (no builds yet — Serve
@@ -344,6 +393,15 @@ func New(o Options) (*Fleet, error) {
 		f.campaign = "fleet/" + o.Module.Name
 	}
 	f.series = telemetry.NewSeriesSet(o.SeriesCap, o.Obs)
+	c := func(name string, labels ...string) counter { return counter{obs: o.Obs, name: name, labels: labels} }
+	f.cRequests, f.cAttacks, f.cStalls = c("fleet.requests"), c("fleet.attacks"), c("fleet.stalls")
+	f.cSilent, f.cWins = c("fleet.silent_corruptions"), c("fleet.attacker_wins")
+	f.cAccepted, f.cRejected = c("fleet.injections", "result", "accepted"), c("fleet.injections", "result", "rejected")
+	f.cDetections = make(map[string]*counter, len(detectionKinds))
+	for _, k := range detectionKinds {
+		d := c("fleet.detections", "kind", k)
+		f.cDetections[k] = &d
+	}
 	return f, nil
 }
 
@@ -409,7 +467,8 @@ func (f *Fleet) buildInitial(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("fleet: variant %d: load: %w", i, err)
 		}
-		slots[i] = &slot{id: i, seed: seed, img: img, snap: snap, state: stateServing}
+		slots[i] = &slot{id: i, seed: seed, img: img, snap: snap, state: stateServing,
+			sojournKey: telemetry.Key("fleet.variant.sojourn", "slot", strconv.Itoa(i))}
 	}
 	f.mu.Lock()
 	f.slots = slots
@@ -514,7 +573,7 @@ func (f *Fleet) Serve(ctx context.Context) (*Report, error) {
 		}
 		if stalled {
 			rep.Sim.Stalls++
-			f.o.Obs.Counter("fleet.stalls").Inc()
+			f.cStalls.Inc()
 		}
 		start := startFloor
 		for _, s := range chosen {
@@ -605,7 +664,7 @@ func (f *Fleet) sampleTick(t float64, sojournH *telemetry.LogHist) {
 	f.series.Sample(t, "fleet.slots.quarantined", float64(quar))
 	for _, s := range f.slots {
 		if s.lastSvc > 0 {
-			f.series.Sample(t, telemetry.Key("fleet.variant.sojourn", "slot", strconv.Itoa(s.id)), s.lastSvc)
+			f.series.Sample(t, s.sojournKey, s.lastSvc)
 		}
 	}
 }
@@ -676,11 +735,8 @@ func (f *Fleet) dispatch(arrival, rebuildLat float64, replaceH *telemetry.LogHis
 		if len(quar) == 0 {
 			return nil, 0, false, fmt.Errorf("fleet: exhausted — %d/%d variants failed permanently", len(f.slots)-len(serving), len(f.slots))
 		}
-		sort.Slice(quar, func(i, j int) bool {
-			if quar[i].rejoinAt != quar[j].rejoinAt {
-				return quar[i].rejoinAt < quar[j].rejoinAt
-			}
-			return quar[i].id < quar[j].id
+		slices.SortFunc(quar, func(a, b *slot) int {
+			return cmp.Or(cmp.Compare(a.rejoinAt, b.rejoinAt), cmp.Compare(a.id, b.id))
 		})
 		need := f.width - len(serving)
 		if need > len(quar) {
@@ -696,11 +752,8 @@ func (f *Fleet) dispatch(arrival, rebuildLat float64, replaceH *telemetry.LogHis
 		}
 		serving = f.servingSlots()
 	}
-	sort.Slice(serving, func(i, j int) bool {
-		if serving[i].freeAt != serving[j].freeAt {
-			return serving[i].freeAt < serving[j].freeAt
-		}
-		return serving[i].id < serving[j].id
+	slices.SortFunc(serving, func(a, b *slot) int {
+		return cmp.Or(cmp.Compare(a.freeAt, b.freeAt), cmp.Compare(a.id, b.id))
 	})
 	chosen := serving[:f.width]
 	// A pinned attacker directs its malicious requests at the variant it
@@ -715,21 +768,24 @@ func (f *Fleet) dispatch(arrival, rebuildLat float64, replaceH *telemetry.LogHis
 				}
 			}
 			if !inGroup {
-				chosen = append([]*slot{v}, chosen[:f.width-1]...)
+				copy(chosen[1:], chosen[:f.width-1])
+				chosen[0] = v
 			}
 		}
 	}
 	return chosen, floor, stalled, nil
 }
 
+// servingSlots lists the serving slots in f.serving, which it reuses; the
+// result is valid until the next call.
 func (f *Fleet) servingSlots() []*slot {
-	var out []*slot
+	f.serving = f.serving[:0]
 	for _, s := range f.slots {
 		if s.state == stateServing {
-			out = append(out, s)
+			f.serving = append(f.serving, s)
 		}
 	}
-	return out
+	return f.serving
 }
 
 // serveRequest executes request i on the chosen slots, applies scheduled
@@ -738,10 +794,11 @@ func (f *Fleet) servingSlots() []*slot {
 func (f *Fleet) serveRequest(ctx context.Context, i int, chosen []*slot, arrival, start, rebuildLat float64, sojournH, serviceH *telemetry.LogHist) error {
 	o := f.o
 	attacked := o.Attack.active(i)
-	procs := make([]*rt.Process, len(chosen))
-	for j, s := range chosen {
-		procs[j] = s.snap.Fork(o.Obs)
+	procs := f.procs[:0]
+	for _, s := range chosen {
+		procs = append(procs, s.snap.Fork(o.Obs))
 	}
+	f.procs = procs
 	// Every reference to the forks dies with this request: hand their
 	// memory to the next request's forks.
 	defer func() {
@@ -758,7 +815,7 @@ func (f *Fleet) serveRequest(ctx context.Context, i int, chosen []*slot, arrival
 			return err
 		}
 		f.rep.Sim.AttackRequests++
-		o.Obs.Counter("fleet.attacks").Inc()
+		f.cAttacks.Inc()
 	}
 
 	var (
@@ -768,11 +825,12 @@ func (f *Fleet) serveRequest(ctx context.Context, i int, chosen []*slot, arrival
 		kinds    []string
 		output   []uint64
 	)
-	perVar = make([]float64, len(chosen))
+	perVar = append(f.perVar[:0], make([]float64, len(chosen))...)
+	f.perVar = perVar
 	if f.width >= 2 {
 		me := &mvee.Engine{Incidents: o.Incidents, Campaign: f.campaign, Trial: i}
 		for j, s := range chosen {
-			me.Variants = append(me.Variants, &mvee.Variant{Seed: s.seed, Proc: procs[j], Mach: vm.New(procs[j], o.Prof)})
+			me.Variants = append(me.Variants, &mvee.Variant{Seed: s.seed, Proc: procs[j], Mach: s.machine(procs[j], o.Prof)})
 		}
 		for _, w := range writes {
 			// CorruptAll replicates the malicious input's absolute write to
@@ -827,11 +885,11 @@ func (f *Fleet) serveRequest(ctx context.Context, i int, chosen []*slot, arrival
 	if len(detected) == 0 && output != nil {
 		if !equalOutput(output, f.golden) {
 			f.rep.Sim.SilentCorruptions++
-			o.Obs.Counter("fleet.silent_corruptions").Inc()
+			f.cSilent.Inc()
 		}
 		if o.Attack.Mode == ModeHijack && attack.HasWin(output) {
 			f.rep.Sim.AttackerWins++
-			o.Obs.Counter("fleet.attacker_wins").Inc()
+			f.cWins.Inc()
 		}
 	}
 
@@ -845,18 +903,14 @@ func (f *Fleet) serveRequest(ctx context.Context, i int, chosen []*slot, arrival
 		s.served++
 	}
 	f.mu.Unlock()
-	o.Obs.Counter("fleet.requests").Inc()
+	f.cRequests.Inc()
 
 	// Drift early warning: feed each clean member's modeled seconds into its
 	// slot's EWMA baseline. Detected members are skipped — they are about to
 	// quarantine anyway, and a corrupted run's timing must not poison the
 	// baseline the *next* requests are judged against.
-	detSet := map[int]bool{}
-	for _, j := range detected {
-		detSet[j] = true
-	}
 	for j, s := range chosen {
-		if detSet[j] || perVar[j] <= 0 {
+		if slices.Contains(detected, j) || perVar[j] <= 0 {
 			continue
 		}
 		s.lastSvc = perVar[j]
@@ -865,7 +919,7 @@ func (f *Fleet) serveRequest(ctx context.Context, i int, chosen []*slot, arrival
 
 	for k, j := range detected {
 		f.rep.Sim.Detections[kinds[k]]++
-		o.Obs.Counter("fleet.detections", "kind", kinds[k]).Inc()
+		f.cDetections[kinds[k]].Inc()
 		f.quarantine(chosen[j], done, rebuildLat)
 	}
 	return nil
@@ -926,7 +980,7 @@ func (f *Fleet) judgeVerdict(v *mvee.Verdict) (service float64, detected []int, 
 // reasoning as the supervisor's slice budget — and quarantines the variant.
 func (f *Fleet) runSingle(ctx context.Context, i int, s *slot, p *rt.Process) (service float64, kind string, output []uint64) {
 	o := f.o
-	res, err := sim.ExecProcessCtx(ctx, p, o.Prof, o.Obs, o.RequestFuel)
+	res, err := sim.ExecMachine(ctx, s.machine(p, o.Prof), o.Obs, nil, o.RequestFuel)
 	if res != nil {
 		service = res.Seconds(o.Prof)
 		output = res.Output
@@ -976,10 +1030,10 @@ func (f *Fleet) runSingle(ctx context.Context, i int, s *slot, p *rt.Process) (s
 func (f *Fleet) recordInjection(landed bool) {
 	if landed {
 		f.rep.Sim.InjectionsAccepted++
-		f.o.Obs.Counter("fleet.injections", "result", "accepted").Inc()
+		f.cAccepted.Inc()
 	} else {
 		f.rep.Sim.InjectionsRejected++
-		f.o.Obs.Counter("fleet.injections", "result", "rejected").Inc()
+		f.cRejected.Inc()
 	}
 }
 

@@ -41,6 +41,9 @@ type Allocator struct {
 
 	allocs []span // live allocations, sorted by address
 	free   []span // sorted, coalesced free spans below brk
+	// bufs is the pooled box allocs and free return to on Release (nil
+	// unless a came from Fork).
+	bufs *spanBufs
 
 	livePages  int // pages touched by at least one live allocation
 	liveBytes  uint64
@@ -78,34 +81,31 @@ func New(space *mem.Space, base, limit uint64, r *rng.RNG) (*Allocator, error) {
 func (a *Allocator) Fork(space *mem.Space) *Allocator {
 	f := *a
 	f.space = space
-	f.allocs = append(spans(), a.allocs...)
-	f.free = append(spans(), a.free...)
+	f.bufs = spanPool.Get().(*spanBufs)
+	f.allocs = append(f.bufs.allocs[:0], a.allocs...)
+	f.free = append(f.bufs.free[:0], a.free...)
 	r := *a.rnd
 	f.rnd = &r
 	return &f
 }
 
-// spanPool recycles the span slices of released allocators (see Release).
-var spanPool sync.Pool // *[]span, empty
+// spanBufs holds a released allocator's span slices. The box itself is
+// recycled with them, so a warm Fork/Release cycle allocates no metadata.
+type spanBufs struct{ allocs, free []span }
 
-func spans() []span {
-	if p, ok := spanPool.Get().(*[]span); ok {
-		return *p
-	}
-	return nil
-}
+// spanPool recycles the span slices of released allocators (see Release).
+var spanPool = sync.Pool{New: func() any { return new(spanBufs) }}
 
 // Release returns a's metadata slices to a pool later Forks draw from. Call
 // it when a will not be used again; its pages are released with its space.
 func (a *Allocator) Release() {
-	putSpans(a.allocs)
-	putSpans(a.free)
-	a.allocs, a.free = nil, nil
-}
-
-func putSpans(s []span) {
-	s = s[:0]
-	spanPool.Put(&s)
+	b := a.bufs
+	if b == nil {
+		b = new(spanBufs)
+	}
+	b.allocs, b.free = a.allocs[:0], a.free[:0]
+	spanPool.Put(b)
+	a.allocs, a.free, a.bufs = nil, nil, nil
 }
 
 // find returns the index of the live allocation at addr, or where one
@@ -318,18 +318,34 @@ func (a *Allocator) Stats() Stats {
 	}
 }
 
+// Gauges are the registry handles PublishMetrics sets, resolved once per
+// registry by NewGauges and shared by every allocator published into it.
+type Gauges struct {
+	liveBytes, livePages, totalAlloc, allocs, frees, brk *telemetry.Gauge
+}
+
+// NewGauges resolves the allocator gauges in reg. A nil registry yields
+// handles whose updates are no-ops.
+func NewGauges(reg *telemetry.Registry) *Gauges {
+	return &Gauges{
+		liveBytes:  reg.Gauge("heap.live_bytes"),
+		livePages:  reg.Gauge("heap.live_pages"),
+		totalAlloc: reg.Gauge("heap.total_alloc_bytes"),
+		allocs:     reg.Gauge("heap.allocs"),
+		frees:      reg.Gauge("heap.frees"),
+		brk:        reg.Gauge("heap.brk_bytes"),
+	}
+}
+
 // PublishMetrics exports the allocator counters as gauges (absolute values,
 // so repeated publishes are idempotent). The live-page gauge is the
 // RSS-attribution companion to the VM's sampled-RSS metrics: guard pages
 // created by the BTDP constructor stay live forever by design.
-func (a *Allocator) PublishMetrics(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.Gauge("heap.live_bytes").Set(float64(a.liveBytes))
-	reg.Gauge("heap.live_pages").Set(float64(a.livePages))
-	reg.Gauge("heap.total_alloc_bytes").Set(float64(a.totalAlloc))
-	reg.Gauge("heap.allocs").Set(float64(a.numAllocs))
-	reg.Gauge("heap.frees").Set(float64(a.numFrees))
-	reg.Gauge("heap.brk_bytes").Set(float64(a.brk - a.base))
+func (a *Allocator) PublishMetrics(g *Gauges) {
+	g.liveBytes.Set(float64(a.liveBytes))
+	g.livePages.Set(float64(a.livePages))
+	g.totalAlloc.Set(float64(a.totalAlloc))
+	g.allocs.Set(float64(a.numAllocs))
+	g.frees.Set(float64(a.numFrees))
+	g.brk.Set(float64(a.brk - a.base))
 }

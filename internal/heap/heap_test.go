@@ -281,3 +281,40 @@ func TestAllocFreeQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAllocFreeLoopReturnsFrames is the steady state of a request that
+// mallocs, writes and frees page-sized buffers: once warm, each cycle
+// takes its frames from the pool its previous Free returned them to.
+func TestAllocFreeLoopReturnsFrames(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	// A request's heap: an allocator over a fork of a frozen space.
+	parent, pa := newHeap(t, 11)
+	if _, err := pa.Alloc(64); err != nil { // a live page the fork shares
+		t.Fatal(err)
+	}
+	parent.Freeze()
+	s := parent.Fork()
+	a := pa.Fork(s)
+	cycle := func() {
+		addr, err := a.AllocAligned(3*mem.PageSize, mem.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := uint64(0); off < 3*mem.PageSize; off += mem.PageSize {
+			if err := s.Write64(addr+off, off+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.Free(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ { // settle the free list's shape
+		cycle()
+	}
+	if n := testing.AllocsPerRun(100, cycle); n >= 1 {
+		t.Fatalf("an alloc/write/free cycle allocates %.1f times: freed frames are not recycled", n)
+	}
+}

@@ -329,7 +329,17 @@ func (s *Space) Map(addr, size uint64, perm Perm) error {
 	return nil
 }
 
-// Unmap removes the pages covering [addr, addr+size).
+// Unmap removes the pages covering [addr, addr+size). Bytes only s owns go
+// back to the page pool, as Release hands them on, so a program that frees
+// heap pages request after request reuses them instead of leaving them to
+// the garbage collector.
+//
+// Recycling is safe because no slab of an unmapped page outlives the call.
+// Unmap's only callers are the heap allocator's Free, reached from the
+// loader before Freeze (no machine exists yet) and from the VM's SysFree;
+// the VM flushes its software TLB after every syscall, before it touches
+// memory again. A new caller that can hold a Slab across Unmap must drop it
+// the same way.
 func (s *Space) Unmap(addr, size uint64) error {
 	if addr&PageMask != 0 || size&PageMask != 0 {
 		return fmt.Errorf("mem: unaligned unmap addr=%#x size=%#x", addr, size)
@@ -341,7 +351,11 @@ func (s *Space) Unmap(addr, size uint64) error {
 		}
 	}
 	for i := uint64(0); i < n; i++ {
-		*s.entry(first + i) = page{}
+		p := s.entry(first + i)
+		if p.owned && p.data != nil {
+			pagePool.Put(p.data)
+		}
+		*p = page{}
 	}
 	s.rssPages -= int(n)
 	return nil

@@ -320,3 +320,73 @@ func TestReleasedPagesComeBackClean(t *testing.T) {
 		t.Fatalf("the frozen parent reads %#x, %v after its forks wrote", v, err)
 	}
 }
+
+// TestUnmappedPagesComeBackClean unmaps written pages, whose frames Unmap
+// recycles, and requires every page materialized afterwards — in the same
+// space or in a sibling fork — to read all zero, and bytes shared with the
+// frozen parent to survive a fork's Unmap.
+func TestUnmappedPagesComeBackClean(t *testing.T) {
+	junk := make([]byte, PageSize)
+	for i := range junk {
+		junk[i] = 0xee
+	}
+	zero := make([]byte, PageSize)
+	readsZero := func(s *Space, addr uint64) bool {
+		buf := make([]byte, PageSize)
+		if err := s.Read(addr, buf); err != nil {
+			t.Fatal(err)
+		}
+		return string(buf) == string(zero)
+	}
+
+	s := NewSpace()
+	mustMap(t, s, 0x30000, 2*PageSize, PermRW)
+	if err := s.Write(0x30000, junk); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Unmap(0x30000, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	mustMap(t, s, 0x30000, PageSize, PermRW)
+	if !readsZero(s, 0x30000) {
+		t.Fatal("a remapped page reads its unmapped predecessor's bytes")
+	}
+	for _, addr := range []uint64{0x30000, 0x31000} {
+		if err := s.Write64(addr+8, 1); err != nil { // materialize
+			t.Fatal(err)
+		}
+		if v, _ := s.Read64(addr + 16); v != 0 {
+			t.Fatalf("a page materialized at %#x after an Unmap reads %#x beside the store", addr, v)
+		}
+	}
+
+	parent := NewSpace()
+	mustMap(t, parent, 0x10000, PageSize, PermRW)
+	if err := parent.Write64(0x10000, 0x1111); err != nil {
+		t.Fatal(err)
+	}
+	parent.Freeze()
+	for round := 0; round < 4; round++ {
+		f := parent.Fork()
+		mustMap(t, f, 0x20000, 2*PageSize, PermRW)
+		if !readsZero(f, 0x20000) || !readsZero(f, 0x21000) {
+			t.Fatalf("round %d: a fresh mapping reads an earlier fork's bytes", round)
+		}
+		if err := f.Write(0x20000, junk); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Write(0x21000, junk[:8]); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Unmap(0x20000, 2*PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Unmap(0x10000, PageSize); err != nil { // shared with the parent
+			t.Fatal(err)
+		}
+		f.Release()
+	}
+	if v, err := parent.Read64(0x10000); err != nil || v != 0x1111 {
+		t.Fatalf("the frozen parent reads %#x, %v after a fork unmapped its page", v, err)
+	}
+}

@@ -116,6 +116,37 @@ func errText(err error) string {
 	return err.Error()
 }
 
+// pagesOf lists every mapped page of snap's processes, the pages fuzz
+// records address.
+func pagesOf(snap *rt.Snapshot) []uint64 {
+	var pages []uint64
+	for _, r := range snap.Fork(nil).Space.Regions() {
+		for a := r.Addr; a < r.Addr+r.Size; a += mem.PageSize {
+			pages = append(pages, a)
+		}
+	}
+	return pages
+}
+
+// compareRun is the run the fuzz targets compare, on a machine just armed
+// on p: RSS samples every 97 instructions and, when pause is nonzero, a
+// pause after pause instructions in which every fuzzed store goes through
+// p's Space (the attacker's write path) before the run resumes.
+func compareRun(m *vm.Machine, p *rt.Process, pages []uint64, pause uint16, writes []byte) (*vm.Result, string) {
+	m.SampleEvery = 97
+	if pause > 0 {
+		if res, err := m.Run(uint64(pause)); err != vm.ErrInstructionBudget {
+			return res, errText(err)
+		}
+		for recs := writes; len(recs) >= 12; recs = recs[12:] {
+			addr, val := record(pages, recs)
+			_ = p.Space.Write64(addr, val)
+		}
+	}
+	res, err := m.Run(compareFuel)
+	return res, errText(err)
+}
+
 // FuzzForkMatchesLoad serves several forks of one snapshot of a generated
 // program, each mutated by fuzzed writes, allocations and protections, run
 // and released, and requires the next fork to run bit-identically — cycles,
@@ -138,12 +169,7 @@ func FuzzForkMatchesLoad(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var pages []uint64
-		for _, r := range snap.Fork(nil).Space.Regions() {
-			for a := r.Addr; a < r.Addr+r.Size; a += mem.PageSize {
-				pages = append(pages, a)
-			}
-		}
+		pages := pagesOf(snap)
 
 		n := int(forks)%4 + 1
 		per := (len(writes)/n/12 + 1) * 12
@@ -157,19 +183,7 @@ func FuzzForkMatchesLoad(f *testing.F) {
 		}
 
 		run := func(p *rt.Process) (*vm.Result, string) {
-			m := vm.New(p, vm.EPYCRome())
-			m.SampleEvery = 97
-			if pause > 0 {
-				if res, err := m.Run(uint64(pause)); err != vm.ErrInstructionBudget {
-					return res, errText(err)
-				}
-				for recs := writes; len(recs) >= 12; recs = recs[12:] {
-					addr, val := record(pages, recs)
-					_ = p.Space.Write64(addr, val)
-				}
-			}
-			res, err := m.Run(compareFuel)
-			return res, errText(err)
+			return compareRun(vm.New(p, vm.EPYCRome()), p, pages, pause, writes)
 		}
 		ref, err := rt.LoadProcess(img, seed, nil)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"r2c/internal/codegen"
 	"r2c/internal/defense"
@@ -149,6 +150,15 @@ func NewProcessObserved(img *image.Image, seed uint64, obs *telemetry.Observer) 
 // forks may be made and run on separate goroutines.
 type Snapshot struct {
 	p *Process
+
+	// forks caches the rt.process.forks handle of the registry the last
+	// Fork counted into, so a fork per request looks nothing up by name.
+	forks atomic.Pointer[forkCounter]
+}
+
+type forkCounter struct {
+	reg *telemetry.Registry
+	c   *telemetry.Counter
 }
 
 // Load maps the image into a fresh address space, runs load-time
@@ -191,7 +201,14 @@ func (s *Snapshot) Fork(obs *telemetry.Observer) *Process {
 		p.Flight = telemetry.NewFlightRecorder(cap)
 		p.Flight.ArmGuards(p.GuardPages, mem.PageSize)
 	}
-	obs.Counter("rt.process.forks").Inc()
+	if reg := obs.Reg(); reg != nil {
+		fc := s.forks.Load()
+		if fc == nil || fc.reg != reg {
+			fc = &forkCounter{reg: reg, c: reg.Counter("rt.process.forks")}
+			s.forks.Store(fc)
+		}
+		fc.c.Inc()
+	}
 	return p
 }
 

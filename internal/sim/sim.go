@@ -139,18 +139,26 @@ func ExecProcessCtx(ctx context.Context, proc *rt.Process, prof *vm.Profile, obs
 // the identical instruction stream as the plain one (vm.RunCtx resumes
 // bit-exactly), so ctx and maxInstr never perturb a run they don't stop.
 func ExecProcessSpanCtx(ctx context.Context, proc *rt.Process, prof *vm.Profile, obs *telemetry.Observer, sp *telemetry.Span, maxInstr uint64) (*vm.Result, error) {
+	return ExecMachine(ctx, vm.New(proc, prof), obs, sp, maxInstr)
+}
+
+// ExecMachine is ExecProcessSpanCtx on a machine the caller armed — fresh
+// from vm.New, or re-armed by Machine.Reset, which is how the serving fleet
+// runs request after request on one machine per slot. mach must not have
+// run since it was armed. The returned Result points into mach and is
+// valid until its next Reset.
+func ExecMachine(ctx context.Context, mach *vm.Machine, obs *telemetry.Observer, sp *telemetry.Span, maxInstr uint64) (*vm.Result, error) {
 	fuel := maxInstr
 	if fuel == 0 {
 		fuel = DefaultBudget
 	}
 	es := sp.Child("sim.exec", 0)
 	defer es.End()
-	mach := vm.New(proc, prof)
 	if obs.Profiling() {
 		mach.EnableProfiler()
 	}
 	res, err := mach.RunCtx(ctx, fuel, 0)
-	if res != nil {
+	if res != nil && es != nil { // boxing the attributes allocates even for a nil span
 		es.SetAttr("instructions", res.Instructions)
 		es.SetAttr("cycles", res.Cycles)
 		switch {

@@ -160,9 +160,12 @@ func AllMachines() []*Profile {
 	return []*Profile{I99900K(), EPYCRome(), TR3970X(), Xeon8358()}
 }
 
-// icache is a set-associative LRU instruction cache model.
+// icache is a set-associative LRU instruction cache model. The tags live in
+// one flat array: set s owns tags[s*ways : s*ways+fill[s]], most recent
+// first, so emptying the cache is clearing fill.
 type icache struct {
-	sets     [][]uint64 // per-set tag stacks, most recent first
+	tags     []uint64
+	fill     []int32
 	ways     int
 	lineBits uint
 	setMask  uint64
@@ -179,46 +182,49 @@ func newICache(p *Profile) *icache {
 	if nSets < 1 {
 		nSets = 1
 	}
-	c := &icache{
+	return &icache{
+		tags:     make([]uint64, nSets*p.ICacheWays),
+		fill:     make([]int32, nSets),
 		ways:     p.ICacheWays,
 		lineBits: lineBits,
 		setMask:  uint64(nSets - 1),
-		sets:     make([][]uint64, nSets),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]uint64, 0, p.ICacheWays)
-	}
-	return c
 }
 
 // flush empties the cache (used to model a context switch polluting the
 // instruction cache when server and load generator share cores).
-func (c *icache) flush() {
-	for i := range c.sets {
-		c.sets[i] = c.sets[i][:0]
-	}
+func (c *icache) flush() { clear(c.fill) }
+
+// reset empties the cache and zeroes its counters: the state newICache
+// returns.
+func (c *icache) reset() {
+	c.flush()
+	c.misses, c.accesses = 0, 0
 }
 
 // access touches the line containing addr and reports whether it missed.
 func (c *icache) access(addr uint64) bool {
 	line := addr >> c.lineBits
-	set := c.sets[line&c.setMask]
+	s := line & c.setMask
+	base := int(s) * c.ways
+	n := int(c.fill[s])
+	set := c.tags[base : base+n]
+	c.accesses++
 	for i, tag := range set {
 		if tag == line {
 			// Move to front (LRU).
 			copy(set[1:i+1], set[:i])
 			set[0] = line
-			c.accesses++
 			return false
 		}
 	}
-	c.accesses++
 	c.misses++
-	if len(set) < c.ways {
-		set = append(set, 0)
+	if n < c.ways {
+		n++
+		c.fill[s] = int32(n)
+		set = c.tags[base : base+n]
 	}
 	copy(set[1:], set)
 	set[0] = line
-	c.sets[line&c.setMask] = set
 	return true
 }

@@ -136,6 +136,8 @@ type Machine struct {
 
 	res Result
 	pub published
+	// met caches the registry handles of the last PublishMetrics target.
+	met *metricHandles
 }
 
 // retPred is one return-predictor entry (see Machine.rstack).
@@ -162,15 +164,35 @@ type published struct {
 
 // New prepares a machine at the image entry point.
 func New(proc *rt.Process, prof *Profile) *Machine {
-	m := &Machine{
+	m := &Machine{Prof: prof, ic: newICache(prof)}
+	m.Reset(proc)
+	return m
+}
+
+// Reset re-arms m on proc exactly as New(proc, m.Prof) would, so one machine
+// can serve request after request without rebuilding its buffers: the
+// i-cache, shadow stack and return-predictor storage are kept, emptied.
+// Everything else returns to zero — the Result, the PublishMetrics deltas,
+// the TLB, the profiler, SampleEvery and FlushICacheEvery — so a reset
+// machine starts as cold as a fresh one and runs bit-identically to it.
+// Registry handles PublishMetrics resolved stay cached.
+//
+// Run returns a pointer into the machine, so Reset invalidates every Result
+// an earlier run returned; copy what must outlive it first. Output is the
+// process's own slice and is not touched.
+func (m *Machine) Reset(proc *rt.Process) {
+	prof, ic, shadow, rstack, met := m.Prof, m.ic, m.shadow[:0], m.rstack[:0], m.met
+	ic.reset()
+	*m = Machine{
 		Proc: proc, Img: proc.Img, Prof: prof,
-		ic:       newICache(prof),
+		ic:       ic,
 		lastLine: ^uint64(0), lastExecPage: ^uint64(0),
+		shadow: shadow, rstack: rstack,
 		rec: proc.Flight,
+		met: met,
 	}
 	m.CPU.PC = proc.Img.Entry
 	m.CPU.R[isa.RSP] = proc.InitialRSP
-	return m
 }
 
 // EnableProfiler turns on per-function cycle attribution and returns the
