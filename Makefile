@@ -117,7 +117,7 @@ serve-smoke: $(BIN)/r2cserve
 check: build vet test
 	$(GO) test -race -timeout 300s $(RACE_PKGS)
 	$(GO) test -run=^$$ -bench=BenchmarkVM -benchtime=1x ./internal/vm/
-	$(GO) test -run=^$$ -bench='BenchmarkLoad|BenchmarkFork|BenchmarkServeRequest' -benchtime=1x ./internal/rt/
+	$(GO) test -run=^$$ -bench='BenchmarkBuildImage|BenchmarkLoad|BenchmarkFork|BenchmarkServeRequest' -benchtime=1x ./internal/rt/
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 clean:

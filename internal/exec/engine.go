@@ -160,9 +160,9 @@ func (e *Engine) BuildProcess(m *tir.Module, cfg defense.Config, seed uint64) (*
 }
 
 // Run executes one cell on the calling goroutine: cached build, fresh
-// process, full run. It mirrors sim.RunObserved exactly, modulo the build
-// memoization. It bypasses the watchdog/retry/journal machinery — callers
-// that want fault tolerance go through RunCells.
+// process, full run under the engine's observer — sim.Run with telemetry,
+// modulo the build memoization. It bypasses the watchdog/retry/journal
+// machinery — callers that want fault tolerance go through RunCells.
 func (e *Engine) Run(m *tir.Module, cfg defense.Config, seed uint64, prof *vm.Profile) (*vm.Result, *rt.Process, error) {
 	proc, err := e.BuildProcess(m, cfg, seed)
 	if err != nil {

@@ -1174,10 +1174,11 @@ func resolveWrites(s Schedule, img *image.Image) ([]write, error) {
 // decoy words live in the data section and are copied back into the image's
 // initializer from the scratch process RerollBTRAs rewrote.
 func rerollImage(img *image.Image, seed uint64) error {
-	proc, err := rt.NewProcess(img, seed)
+	snap, err := rt.Load(img, seed, nil)
 	if err != nil {
 		return err
 	}
+	proc := snap.Fork(nil)
 	if err := proc.RerollBTRAs(seed); err != nil {
 		return err
 	}

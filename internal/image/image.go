@@ -81,11 +81,13 @@ type DataSym struct {
 	Tir  *tir.Global // non-nil for DataGlobal
 }
 
-// PlacedFunc records a function's final placement.
+// PlacedFunc records a function's final placement. InstrAddrs is the
+// image's only per-instruction address index; InstrIndexAt binary-searches
+// it.
 type PlacedFunc struct {
 	F          *codegen.Func
 	Start, End uint64
-	// InstrAddrs[i] is the address of F.Instrs[i].
+	// InstrAddrs[i] is the address of F.Instrs[i], ascending.
 	InstrAddrs []uint64
 }
 
@@ -100,7 +102,12 @@ type UnwindEntry struct {
 	NumSaves   int // callee-saved pushes (incl. rbp when used)
 }
 
-// Image is a linked, ASLR-slid program image.
+// Image is a linked, ASLR-slid program image. Its one representation of
+// where code lives is the text-ordered placement (Funcs in FuncOrder, each
+// with its InstrAddrs); every address-to-code lookup — FuncAt, InstrIndexAt,
+// Code.IndexOf — is a binary search over it. Fetch permission is checked
+// against the paged memory, so execute-only text fetches work while reads
+// fault.
 type Image struct {
 	Prog *codegen.Program
 
@@ -109,11 +116,6 @@ type Image struct {
 	HeapBase, HeapEnd uint64
 	StackLow, StackHi uint64
 	Entry             uint64
-
-	// Instrs maps each instruction's address to the instruction. This is
-	// the "decoder": fetch permission is still checked against the paged
-	// memory, so execute-only text fetches work while reads fault.
-	Instrs map[uint64]*isa.Instr
 
 	Funcs     map[string]*PlacedFunc
 	FuncOrder []string // final text-section order
@@ -138,9 +140,9 @@ type Image struct {
 	// (rt.RerollBTRAs, which only runs on uncached images).
 	Code *pcode.Program
 
-	// sortedFuncs is the placement sorted by start address, for fast
-	// address-to-function lookup in the VM's hot path.
-	sortedFuncs []*PlacedFunc
+	// placed is the placement in text order (ascending Start), the
+	// array FuncAt searches.
+	placed []*PlacedFunc
 
 	// provOnce guards btraOrigins, the lazily built detonation-address →
 	// planting-call-site index behind BTRAOrigins (see provenance.go).
@@ -155,7 +157,6 @@ func Link(prog *codegen.Program, aslrSeed uint64) (*Image, error) {
 	r := rng.New(aslrSeed)
 	img := &Image{
 		Prog:       prog,
-		Instrs:     make(map[uint64]*isa.Instr),
 		Funcs:      make(map[string]*PlacedFunc),
 		DataSyms:   make(map[string]*DataSym),
 		DataInit:   make(map[uint64]uint64),
@@ -185,13 +186,6 @@ func Link(prog *codegen.Program, aslrSeed uint64) (*Image, error) {
 	if err := img.resolve(); err != nil {
 		return nil, err
 	}
-	img.sortedFuncs = make([]*PlacedFunc, 0, len(img.Funcs))
-	for _, pf := range img.Funcs {
-		img.sortedFuncs = append(img.sortedFuncs, pf)
-	}
-	sort.Slice(img.sortedFuncs, func(i, j int) bool {
-		return img.sortedFuncs[i].Start < img.sortedFuncs[j].Start
-	})
 	img.RebuildCode()
 	return img, nil
 }
@@ -240,6 +234,9 @@ func (img *Image) placeText(r *rng.RNG) error {
 	}
 	funcs = append([]*codegen.Func{start}, funcs...)
 
+	// Addresses only grow along funcs, so placed and Unwind come out
+	// sorted by Start without a sort.
+	img.placed = make([]*PlacedFunc, 0, len(funcs))
 	cur := img.TextBase
 	for _, f := range funcs {
 		cur = mem.AlignUp(cur, 16)
@@ -247,7 +244,6 @@ func (img *Image) placeText(r *rng.RNG) error {
 		for i := range f.Instrs {
 			in := &f.Instrs[i]
 			pf.InstrAddrs[i] = cur
-			img.Instrs[cur] = in
 			cur += uint64(in.EncodedSize())
 		}
 		pf.End = cur
@@ -256,6 +252,7 @@ func (img *Image) placeText(r *rng.RNG) error {
 		}
 		img.Funcs[f.Name] = pf
 		img.FuncOrder = append(img.FuncOrder, f.Name)
+		img.placed = append(img.placed, pf)
 
 		if !f.BoobyTrap && !f.Stub && f.Name != EntrySym {
 			img.Unwind = append(img.Unwind, UnwindEntry{
@@ -267,7 +264,6 @@ func (img *Image) placeText(r *rng.RNG) error {
 		}
 	}
 	img.TextEnd = mem.AlignUp(cur, mem.PageSize)
-	sort.Slice(img.Unwind, func(i, j int) bool { return img.Unwind[i].Start < img.Unwind[j].Start })
 
 	// Record return-address ground truth now that addresses are fixed.
 	for _, name := range img.FuncOrder {
@@ -459,15 +455,7 @@ func (img *Image) resolve() error {
 
 // FuncAt returns the placed function containing addr, or nil.
 func (img *Image) FuncAt(addr uint64) *PlacedFunc {
-	fs := img.sortedFuncs
-	if fs == nil {
-		for _, pf := range img.Funcs {
-			if addr >= pf.Start && addr < pf.End {
-				return pf
-			}
-		}
-		return nil
-	}
+	fs := img.placed
 	i := sort.Search(len(fs), func(i int) bool { return fs[i].End > addr })
 	if i < len(fs) && addr >= fs[i].Start {
 		return fs[i]

@@ -74,10 +74,10 @@ func TestInstructionAddressing(t *testing.T) {
 			if i > 0 && addr <= prev {
 				t.Fatalf("%s instr %d not monotonically placed", name, i)
 			}
-			prev = addr
-			if img.Instrs[addr] != &pf.F.Instrs[i] {
-				t.Fatalf("%s instr table mismatch at %#x", name, addr)
+			if i > 0 && addr != prev+uint64(pf.F.Instrs[i-1].EncodedSize()) {
+				t.Fatalf("%s instr %d at %#x does not follow instr %d", name, i, addr, i-1)
 			}
+			prev = addr
 			if got := pf.InstrIndexAt(addr); got != i {
 				t.Fatalf("InstrIndexAt(%#x) = %d, want %d", addr, got, i)
 			}

@@ -1,13 +1,13 @@
 // Package pcode predecodes a linked image into the dense, execution-oriented
 // form the VM's fast-path interpreter dispatches over. The architectural
-// representation (isa.Instr slices per function, address-keyed decode map,
-// binary-searched control transfers) stays the source of truth; pcode is a
-// derived, immutable view built once at link time and shared by every
-// process instantiated from the image — so it rides the content-addressed
-// build cache for free.
+// representation (isa.Instr slices per function, placed in text order) stays
+// the source of truth; pcode is a derived, immutable view built once at link
+// time and shared by every process instantiated from the image — so it rides
+// the content-addressed build cache for free.
 //
 // The predecoded form flattens all functions into one image-wide op array in
-// text order, with:
+// text order — so ascending by address, which IndexOf binary-searches —
+// with:
 //
 //   - a one-byte exec opcode per op (operand addressing modes and ALU
 //     suboperations folded in) driving a dense dispatch switch,
@@ -28,6 +28,8 @@
 package pcode
 
 import (
+	"sort"
+
 	"r2c/internal/isa"
 	"r2c/internal/mem"
 )
@@ -167,15 +169,21 @@ type Program struct {
 	// Classes holds packed per-block class counts: kind<<24 | count.
 	Classes []uint32
 	Funcs   []FuncMeta
-
-	byAddr map[uint64]int32
 }
 
 // IndexOf returns the dense index of the instruction at addr, or -1 when
-// addr is not an instruction boundary (sentinels are not addressable).
+// addr is not an instruction boundary: a binary search over the text-ordered
+// Ops. Sentinels are not addressable; one at f.End shares its address with
+// the next function's entry when no padding separates them, and the entry,
+// one slot later, wins.
 func (p *Program) IndexOf(addr uint64) int32 {
-	if i, ok := p.byAddr[addr]; ok {
-		return i
+	ops := p.Ops
+	i := sort.Search(len(ops), func(i int) bool { return ops[i].Addr >= addr })
+	for i < len(ops) && ops[i].Exec == XFellOff {
+		i++
+	}
+	if i < len(ops) && ops[i].Addr == addr {
+		return int32(i)
 	}
 	return -1
 }
@@ -184,7 +192,8 @@ func (p *Program) IndexOf(addr uint64) int32 {
 // consumers sizing per-op side tables).
 func (p *Program) NumOps() int { return len(p.Ops) }
 
-// Build predecodes the given functions (in text order). The input slices
+// Build predecodes the given functions in text order — ascending
+// addresses, which IndexOf's binary search relies on. The input slices
 // are only read; the resulting Program holds no references into them except
 // Func names.
 func Build(funcs []FuncIn) *Program {
@@ -193,15 +202,14 @@ func Build(funcs []FuncIn) *Program {
 		nops += len(f.Instrs)
 	}
 	p := &Program{
-		Ops:    make([]Op, 0, nops),
-		Funcs:  make([]FuncMeta, 0, len(funcs)),
-		byAddr: make(map[uint64]int32, nops),
+		Ops:   make([]Op, 0, nops),
+		Funcs: make([]FuncMeta, 0, len(funcs)),
 	}
 
 	// Pass 1: decode each instruction into its dense slot, with a sentinel
 	// after each function so straight-line execution off the end is caught
-	// by dispatch rather than a bounds check. Sentinel addresses are not
-	// entered in the address map — they are not architectural instructions.
+	// by dispatch rather than a bounds check. Sentinels are not
+	// architectural instructions; IndexOf skips them.
 	base := make([]int32, len(funcs))
 	for fi := range funcs {
 		f := &funcs[fi]
@@ -209,7 +217,6 @@ func Build(funcs []FuncIn) *Program {
 		for i := range f.Instrs {
 			op := decode(&f.Instrs[i], f.Addrs[i])
 			op.FuncIx = int32(fi)
-			p.byAddr[f.Addrs[i]] = int32(len(p.Ops))
 			p.Ops = append(p.Ops, op)
 		}
 		p.Ops = append(p.Ops, Op{
@@ -222,21 +229,17 @@ func Build(funcs []FuncIn) *Program {
 	// Pass 2: resolve static control-transfer targets to dense indices, and
 	// calls' return-address sites (the fast interpreter's return predictor
 	// pairs the pushed RA value with this index, so a matching return skips
-	// the address-map lookup).
+	// the address lookup).
 	for i := range p.Ops {
 		op := &p.Ops[i]
 		op.RAIdx = -1
 		switch op.Exec {
 		case XCall, XJmp, XJz, XJnz:
-			if t, ok := p.byAddr[op.Target]; ok {
-				op.TIdx = t
-			}
+			op.TIdx = p.IndexOf(op.Target)
 		}
 		switch op.Exec {
 		case XCall, XCallInd:
-			if r, ok := p.byAddr[op.Imm]; ok {
-				op.RAIdx = r
-			}
+			op.RAIdx = p.IndexOf(op.Imm)
 		}
 	}
 

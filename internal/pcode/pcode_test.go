@@ -24,17 +24,23 @@ func fn(name string, start uint64, blockStarts []int, instrs ...isa.Instr) FuncI
 	return FuncIn{Name: name, Instrs: instrs, Addrs: addrs, Start: start, End: end, BlockStarts: blockStarts}
 }
 
-// buildFixture is the shared multi-function program the tests pick apart:
+// buildFixture is the shared multi-function program the tests pick apart,
+// in text (ascending address) order as Build requires:
 //
+//	h:  nops straddling an i-cache line boundary
 //	f:  push-imm run ending in a call (fusion), a jz back to the entry, halt
 //	g:  abs load, bad-width vector op, wild call, ret; BlockStarts leader at 1
-//	h:  nops straddling an i-cache line boundary
 //	q:  nops straddling a page boundary
 //	nf: push-imm pair whose second op is a jump target (fusion must not fire)
 func buildFixture() (*Program, map[string]FuncIn) {
 	lineBoundary := uint64(2) << lineShift
 	pageBoundary := uint64(16) << mem.PageShift // clear of the other functions
 	funcs := []FuncIn{
+		fn("h", lineBoundary-2, nil,
+			isa.Instr{Kind: isa.KNop},
+			isa.Instr{Kind: isa.KNop},
+			isa.Instr{Kind: isa.KNop},
+		),
 		fn("f", 0x1000, nil,
 			isa.Instr{Kind: isa.KPushImm, Imm: 7},
 			isa.Instr{Kind: isa.KPushImm, Imm: 8},
@@ -49,11 +55,6 @@ func buildFixture() (*Program, map[string]FuncIn) {
 			isa.Instr{Kind: isa.KVLoad, Base: isa.NoGPR, Target: 0x8000, Imm: 5},
 			isa.Instr{Kind: isa.KCall, Target: 0x9999},
 			isa.Instr{Kind: isa.KRet},
-		),
-		fn("h", lineBoundary-2, nil,
-			isa.Instr{Kind: isa.KNop},
-			isa.Instr{Kind: isa.KNop},
-			isa.Instr{Kind: isa.KNop},
 		),
 		fn("q", pageBoundary-2, nil,
 			isa.Instr{Kind: isa.KNop},
@@ -112,6 +113,43 @@ func TestIndexOfAndSentinels(t *testing.T) {
 	}
 	if p.IndexOf(0xdeadbeef) != -1 {
 		t.Fatal("IndexOf of an unmapped address must be -1")
+	}
+	if f := fns["f"]; p.IndexOf(f.Addrs[0]+1) != -1 {
+		t.Fatal("IndexOf of an address inside an instruction must be -1")
+	}
+}
+
+// TestIndexOfSentinelTie places g directly after f, with no alignment
+// padding, so f's sentinel and g's entry share an address: the entry must
+// win, both for IndexOf and for the indices Build resolves through it.
+func TestIndexOfSentinelTie(t *testing.T) {
+	f := fn("f", 0x1000, nil,
+		isa.Instr{Kind: isa.KNop},
+		isa.Instr{Kind: isa.KCall},
+	)
+	g := fn("g", f.End, nil,
+		isa.Instr{Kind: isa.KJmp, Target: f.End},
+		isa.Instr{Kind: isa.KRet},
+	)
+	f.Instrs[1].Target = g.Start
+	p := Build([]FuncIn{f, g})
+
+	entry := int32(len(f.Instrs) + 1) // f's ops, f's sentinel, then g
+	if s := p.Ops[entry-1]; s.Exec != XFellOff || s.Addr != g.Start {
+		t.Fatalf("op %d: exec=%d addr=%#x, want f's sentinel at %#x", entry-1, s.Exec, s.Addr, g.Start)
+	}
+	if got := p.IndexOf(g.Start); got != entry {
+		t.Fatalf("IndexOf(g.Start) = %d, want g's entry %d, not the sentinel", got, entry)
+	}
+	call := p.Ops[p.IndexOf(f.Addrs[1])]
+	if call.TIdx != entry || call.RAIdx != entry {
+		t.Errorf("call TIdx=%d RAIdx=%d, want both %d (g's entry)", call.TIdx, call.RAIdx, entry)
+	}
+	if jmp := p.Ops[entry]; jmp.TIdx != entry {
+		t.Errorf("jmp TIdx = %d, want %d", jmp.TIdx, entry)
+	}
+	if got := p.IndexOf(g.End); got != -1 {
+		t.Errorf("IndexOf(g.End) = %d, want -1 (sentinel only)", got)
 	}
 }
 

@@ -199,9 +199,26 @@ func FuzzForkMatchesLoad(f *testing.F) {
 
 // Benchmark sinks keep the measured calls' results alive.
 var (
+	imgSink  *image.Image
 	snapSink *rt.Snapshot
 	procSink *rt.Process
 )
+
+// BenchmarkBuildImage prices what every heal, audit variant and
+// rediversify unit pays before a load: compile and link one SPEC module
+// under full R2C with a fresh seed. Its allocations per op are the build
+// path's regression signal, as BenchmarkServeRequest's are the serve path's.
+func BenchmarkBuildImage(b *testing.B) {
+	m := workload.Perlbench(8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if imgSink, err = sim.BuildImage(m, defense.R2CFull(), uint64(i)+1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkLoad times the whole loader: segment mapping, heap set-up and
 // the BTDP constructor's allocate-free-protect dance, then the freeze.

@@ -127,22 +127,6 @@ type Process struct {
 // newest TrapRingCap detonations are kept.
 const TrapRingCap = 256
 
-// NewProcess maps the image and runs load-time initialization.
-func NewProcess(img *image.Image, seed uint64) (*Process, error) {
-	return NewProcessObserved(img, seed, nil)
-}
-
-// NewProcessObserved is NewProcess with a telemetry observer attached from
-// the start, so load-time events (the BTDP constructor) are captured too.
-// obs may be nil. It is Load followed by one Fork.
-func NewProcessObserved(img *image.Image, seed uint64, obs *telemetry.Observer) (*Process, error) {
-	s, err := Load(img, seed, obs)
-	if err != nil {
-		return nil, err
-	}
-	return s.Fork(obs), nil
-}
-
 // Snapshot is a loaded process frozen right after load-time
 // initialization: segments mapped, data initialized, heap set up and the
 // BTDP constructor run. It is not a Process, so no machine can run it;
@@ -413,10 +397,10 @@ func (p *Process) ClassifyFault(pc uint64, f *mem.Fault) TrapKind {
 		return TrapBTRA
 	}
 	if pf := p.Img.FuncAt(pc); pf != nil && !pf.F.BoobyTrap {
-		if in, ok := p.Img.Instrs[pc]; ok && in.Kind == isa.KTrap {
+		if i := pf.InstrIndexAt(pc); i >= 0 && pf.F.Instrs[i].Kind == isa.KTrap {
 			// A BTRA-tagged trap is a failed consistency check (Section
 			// 7.3); otherwise it is a prolog trap.
-			if in.BTRA {
+			if pf.F.Instrs[i].BTRA {
 				return TrapBTRACheck
 			}
 			return TrapProlog
@@ -537,19 +521,6 @@ type Frame struct {
 // from innermost to outermost, stopping at _start or after maxFrames.
 func (p *Process) Unwind(pc, rsp uint64, maxFrames int) ([]Frame, error) {
 	var frames []Frame
-	raBySite := p.Img.CallSiteRA
-	// Reverse map RA value -> call site (RA values are unique per site).
-	siteByRA := make(map[uint64]*codegen.CallSite)
-	for _, name := range p.Img.FuncOrder {
-		f := p.Img.Funcs[name].F
-		for i := range f.CallSites {
-			cs := &f.CallSites[i]
-			if ra, ok := raBySite[cs.ID]; ok {
-				siteByRA[ra] = cs
-			}
-		}
-	}
-
 	for len(frames) < maxFrames {
 		pf := p.Img.FuncAt(pc)
 		if pf == nil {
@@ -572,8 +543,8 @@ func (p *Process) Unwind(pc, rsp uint64, maxFrames int) ([]Frame, error) {
 
 		// Per-call-site CFI data: the caller's stack adjustments around
 		// this call (pre-offset, stack arguments, rbp save, padding).
-		site, ok := siteByRA[ra]
-		if !ok {
+		site := p.callSiteAt(ra)
+		if site == nil {
 			if p.Img.FuncAt(ra) != nil && p.Img.Funcs[image.EntrySym].Start <= ra && ra < p.Img.Funcs[image.EntrySym].End {
 				frames = append(frames, Frame{PC: ra, FuncName: image.EntrySym})
 				return frames, nil
@@ -595,6 +566,35 @@ func (p *Process) Unwind(pc, rsp uint64, maxFrames int) ([]Frame, error) {
 		pc, rsp = ra, callerRsp
 	}
 	return frames, nil
+}
+
+// callSiteAt returns the call site whose return address is ra: the one
+// whose call instruction ends exactly at ra. It returns nil when no call
+// does, or when that call belongs to no call site (the synthesized entry).
+func (p *Process) callSiteAt(ra uint64) *codegen.CallSite {
+	pf := p.Img.FuncAt(ra - 1)
+	if pf == nil {
+		return nil
+	}
+	// The call is the instruction before the one at ra, or the last one
+	// when ra is pf.End.
+	i := len(pf.InstrAddrs)
+	if ra < pf.End {
+		i = pf.InstrIndexAt(ra) // -1: ra splits an instruction
+	}
+	if i <= 0 {
+		return nil
+	}
+	in := &pf.F.Instrs[i-1]
+	if in.Kind != isa.KCall && in.Kind != isa.KCallInd {
+		return nil
+	}
+	for j := range pf.F.CallSites {
+		if cs := &pf.F.CallSites[j]; cs.ID == in.CallSiteID {
+			return cs
+		}
+	}
+	return nil
 }
 
 // RerollBTRAs re-randomizes every call site's BTRA set in place — the

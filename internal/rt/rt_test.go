@@ -6,9 +6,11 @@ import (
 	"r2c/internal/codegen"
 	"r2c/internal/defense"
 	"r2c/internal/image"
+	"r2c/internal/isa"
 	"r2c/internal/mem"
 	"r2c/internal/telemetry"
 	"r2c/internal/tir"
+	"r2c/internal/workload"
 )
 
 func buildProcess(t *testing.T, cfg defense.Config, seed uint64) *Process {
@@ -36,11 +38,11 @@ func buildProcess(t *testing.T, cfg defense.Config, seed uint64) *Process {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewProcess(img, seed+9)
+	s, err := Load(img, seed+9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return s.Fork(nil)
 }
 
 func TestMemoryMapPermissions(t *testing.T) {
@@ -179,6 +181,65 @@ func TestClassifyFault(t *testing.T) {
 	if k := p.ClassifyFault(p.Img.Entry, f2); k != TrapNone {
 		t.Fatalf("plain fault classified as %v", k)
 	}
+
+	// Traps outside booby-trap functions, under the return-time BTRA
+	// check: BTRA-tagged traps are failed checks, the rest prolog traps.
+	// Non-trap instructions and addresses inside an instruction are none.
+	cfg := defense.R2CFull()
+	cfg.CheckBTRAsOnReturn = true
+	img := linkModule(t, workload.Perlbench(8), cfg, 5)
+	snap, err := Load(img, 14, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc := snap.Fork(nil)
+	var checks, prologs, others, mids int
+	for _, name := range img.FuncOrder {
+		pf := img.Funcs[name]
+		if pf.F.BoobyTrap {
+			continue
+		}
+		for i := range pf.F.Instrs {
+			in, pc := &pf.F.Instrs[i], pf.InstrAddrs[i]
+			want := TrapNone
+			switch {
+			case in.Kind == isa.KTrap && in.BTRA:
+				want = TrapBTRACheck
+				checks++
+			case in.Kind == isa.KTrap:
+				want = TrapProlog
+				prologs++
+			default:
+				others++
+			}
+			if k := proc.ClassifyFault(pc, nil); k != want {
+				t.Fatalf("%s[%d] (%v) classified as %v, want %v", name, i, in.Kind, k, want)
+			}
+			if in.EncodedSize() > 1 {
+				mids++
+				if k := proc.ClassifyFault(pc+1, nil); k != TrapNone {
+					t.Fatalf("%s[%d]: mid-instruction pc %#x classified as %v", name, i, pc+1, k)
+				}
+			}
+		}
+	}
+	if checks == 0 || prologs == 0 || others == 0 || mids == 0 {
+		t.Fatalf("coverage: %d check traps, %d prolog traps, %d other instrs, %d mid-instruction pcs", checks, prologs, others, mids)
+	}
+}
+
+// linkModule compiles and links m under cfg without loading it.
+func linkModule(t *testing.T, m *tir.Module, cfg defense.Config, seed uint64) *image.Image {
+	t.Helper()
+	prog, err := codegen.Compile(m, cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := image.Link(prog, seed+5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
 }
 
 func TestRerollBTRAsPreservesRAs(t *testing.T) {
@@ -305,10 +366,11 @@ func TestFlightRecorderAttachesAndArms(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := &telemetry.Observer{Registry: telemetry.NewRegistry(), FlightCap: 32}
-	p, err := NewProcessObserved(img, 21, obs)
+	s, err := Load(img, 21, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := s.Fork(obs)
 	if p.Flight == nil || p.Flight.Cap() != 32 {
 		t.Fatalf("flight recorder not attached: %+v", p.Flight)
 	}
@@ -330,10 +392,12 @@ func TestFlightRecorderAttachesAndArms(t *testing.T) {
 	}
 
 	// Without FlightCap no recorder attaches and every hook is a no-op.
-	p0, err := NewProcessObserved(img, 21, &telemetry.Observer{})
+	obs0 := &telemetry.Observer{}
+	s0, err := Load(img, 21, obs0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p0 := s0.Fork(obs0)
 	if p0.Flight != nil {
 		t.Fatal("recorder attached without FlightCap")
 	}

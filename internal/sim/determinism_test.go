@@ -34,8 +34,8 @@ func TestTelemetryDoesNotPerturbRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s plain: %v", cfg.Name, err)
 		}
-		// The observed run threads a live span tree through the same pipeline
-		// RunObserved uses, so the gate covers the span hooks too.
+		// The observed run threads a live span tree through the same build,
+		// load and exec stages Run uses, so the gate covers the span hooks too.
 		root := obs.StartSpan("determinism", 1)
 		img, err := sim.BuildImageSpan(m, cfg, 7, root)
 		if err != nil {

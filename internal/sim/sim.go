@@ -89,30 +89,23 @@ func LoadImage(img *image.Image, seed uint64, obs *telemetry.Observer) (*rt.Snap
 
 // Run builds and executes a module to completion on the given profile.
 func Run(m *tir.Module, cfg defense.Config, seed uint64, prof *vm.Profile) (*vm.Result, *rt.Process, error) {
-	return RunObserved(m, cfg, seed, prof, nil)
-}
-
-// RunObserved is Run with telemetry: the loaded process streams trap/fault
-// events to obs, the machine publishes its counters (instruction classes,
-// i-cache, TLB, RSS, heap) into obs's registry when the run ends, and — when
-// obs requests function profiling — per-function cycle attribution is
-// collected and published too. A nil obs makes this identical to Run; the
-// determinism test asserts the instrumented and plain paths produce the
-// same Result and RNG-derived state.
-func RunObserved(m *tir.Module, cfg defense.Config, seed uint64, prof *vm.Profile, obs *telemetry.Observer) (*vm.Result, *rt.Process, error) {
-	proc, err := BuildObserved(m, cfg, seed, obs)
+	proc, err := Build(m, cfg, seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := ExecProcess(proc, prof, obs)
+	res, err := ExecProcess(proc, prof, nil)
 	return res, proc, err
 }
 
 // ExecProcess runs an already-loaded process to completion on the given
-// profile, with RunObserved's telemetry and error semantics. It is the
-// shared back half of RunObserved and the exec engine's per-cell runner, so
-// a cell executed through the worker pool reports results and errors
-// identically to a serial sim.RunObserved call.
+// profile. Under a non-nil obs the process streams trap/fault events to it,
+// the machine publishes its counters (instruction classes, i-cache, TLB,
+// RSS, heap) into obs's registry when the run ends, and — when obs requests
+// function profiling — per-function cycle attribution is collected and
+// published too; a nil obs changes no result (the determinism test asserts
+// it). It is the shared back half of Run and the exec engine's per-cell
+// runner, so a cell executed through the worker pool reports results and
+// errors identically to a serial sim.Run call.
 func ExecProcess(proc *rt.Process, prof *vm.Profile, obs *telemetry.Observer) (*vm.Result, error) {
 	return ExecProcessSpan(proc, prof, obs, nil)
 }

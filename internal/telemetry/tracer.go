@@ -131,7 +131,7 @@ type Observer struct {
 	// execute). Nil disables span tracing.
 	Spans SpanSink
 	// ProfileFuncs enables the per-function simulated-cycle profiler in
-	// runs driven through sim.RunObserved.
+	// runs driven through sim.ExecProcess and the exec engine.
 	ProfileFuncs bool
 	// FlightCap sizes the per-process control-flow flight recorder (rounded
 	// up to a power of two). Zero disables recording — the default, so

@@ -11,7 +11,7 @@ import (
 )
 
 // runLegacy is the reference per-instruction interpreter: it walks the
-// architectural instruction table (isa.Instr slices, address-keyed decode,
+// architectural instruction table (isa.Instr slices in placement order,
 // binary-searched control transfers) one instruction at a time, sharing no
 // dispatch code with runFast. The differential tests and the fuzz target
 // hold the production engine to it Result for Result; it is compiled into
