@@ -4,7 +4,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build vet test test-race bench bench-vm bench-compare fuzz audit serve-smoke check clean
+.PHONY: all build vet test test-race bench bench-vm bench-compare fuzz audit serve-smoke inline check clean
 
 all: check
 
@@ -45,10 +45,11 @@ bench: $(BIN)/r2cbench $(BIN)/r2cattack
 	$(BIN)/r2cbench -scale 8 -runs 1 -baseline BENCH_figure6.json figure6
 	$(BIN)/r2cattack -trials 4 -baseline BENCH_table3.json table3
 
-# Interpreter-core microbenchmarks: one BenchmarkVM* per kernel (tight ALU
+# Interpreter-core benchmarks: one BenchmarkVM* per kernel (tight ALU
 # loop, call-dense code under three configs, load/store churn, and the
 # call-dense kernel with the flight recorder attached), each printing the
-# dispatch engine's Minstr/s on that code shape.
+# dispatch engine's Minstr/s on that code shape, plus nab under full R2C,
+# the module that retires most of Figure 6's instructions.
 bench-vm:
 	$(GO) test -bench=BenchmarkVM -benchmem -count=1 -run=^$$ ./internal/vm/
 
@@ -105,6 +106,21 @@ audit: $(BIN)/r2caudit
 serve-smoke: $(BIN)/r2cserve
 	$(GO) run ./tools/servesmoke $(BIN)/r2cserve
 
+# Inlining gate: the data-TLB hit helpers must inline at every call site
+# in the VM's dispatch loop, or every load and store pays a call again with
+# no test failing. Each costs 49 of the compiler's inlining budget of 80,
+# and a caller the compiler deems big caps callees at 20, so the gate
+# counts the compiler's "inlining call to" reports in fast.go against the
+# helper's call sites there.
+inline:
+	@out=$$($(GO) build -gcflags=-m ./internal/vm/ 2>&1); \
+	for f in loadHit storeHit; do \
+		sites=$$(grep -o "m\.$$f(" internal/vm/fast.go | wc -l); \
+		inl=$$(echo "$$out" | grep -c "fast\.go:.*inlining call to (\*Machine)\.$$f$$"); \
+		[ "$$sites" -gt 0 ] && [ "$$inl" -eq "$$sites" ] || { \
+			echo "inline: (*Machine).$$f inlines at $$inl of $$sites call sites in fast.go; see go build -gcflags=-m=2 ./internal/vm/"; exit 1; }; \
+	done
+
 # The tier-1 gate: what CI (.github/workflows/ci.yml) runs. The exec engine,
 # the telemetry package (ops HTTP server, span sinks, registry) and the CLI
 # harness (ops server lifecycle, signal context) are cheap enough to always
@@ -114,7 +130,7 @@ serve-smoke: $(BIN)/r2cserve
 # benchmark is its own module, so root `go build ./...` skips it; it is
 # vetted and tested here because it imports internal/telemetry, exec, fleet
 # and perf.
-check: build vet test
+check: build vet inline test
 	$(GO) test -race -timeout 300s $(RACE_PKGS)
 	$(GO) test -run=^$$ -bench=BenchmarkVM -benchtime=1x ./internal/vm/
 	$(GO) test -run=^$$ -bench='BenchmarkBuildImage|BenchmarkLoad|BenchmarkFork|BenchmarkServeRequest' -benchtime=1x ./internal/rt/

@@ -156,8 +156,8 @@ type Space struct {
 	frozen bool
 
 	// gen counts page-byte replacements (a first write materializing a
-	// page, or a fork copying a shared one). A cached Slab of a page whose
-	// bytes were replaced is stale; the VM compares gen to decide when its
+	// page, a fork copying a shared one, or Unmap recycling a page's
+	// bytes). A cached Slab of a page whose bytes were replaced is stale; the VM compares gen to decide when its
 	// software TLB must re-read its slabs.
 	gen uint64
 
@@ -283,7 +283,7 @@ func (s *Space) entry(pn uint64) *page {
 
 // own returns the bytes of mapped page pn for writing, materializing an
 // unwritten page and copying one shared with a frozen parent.
-func (s *Space) own(pn uint64) []byte {
+func (s *Space) own(pn uint64) *[PageSize]byte {
 	p := s.entry(pn)
 	if !p.owned || p.data == nil {
 		data := pagePool.Get().(*[PageSize]byte)
@@ -295,15 +295,15 @@ func (s *Space) own(pn uint64) []byte {
 		p.data, p.owned = data, true
 		s.gen++
 	}
-	return p.data[:]
+	return p.data
 }
 
 // bytes returns a mapped page's contents for reading.
-func (p *page) bytes() []byte {
+func (p *page) bytes() *[PageSize]byte {
 	if p.data == nil {
-		return zeroPage[:]
+		return &zeroPage
 	}
-	return p.data[:]
+	return p.data
 }
 
 // Map creates pages covering [addr, addr+size) with the given permissions.
@@ -338,8 +338,8 @@ func (s *Space) Map(addr, size uint64, perm Perm) error {
 // Unmap's only callers are the heap allocator's Free, reached from the
 // loader before Freeze (no machine exists yet) and from the VM's SysFree;
 // the VM flushes its software TLB after every syscall, before it touches
-// memory again. A new caller that can hold a Slab across Unmap must drop it
-// the same way.
+// memory again. Unmap also bumps Gen, so a holder that re-reads its slabs
+// when Gen moves (as the VM does before each run) drops them too.
 func (s *Space) Unmap(addr, size uint64) error {
 	if addr&PageMask != 0 || size&PageMask != 0 {
 		return fmt.Errorf("mem: unaligned unmap addr=%#x size=%#x", addr, size)
@@ -358,6 +358,7 @@ func (s *Space) Unmap(addr, size uint64) error {
 		*p = page{}
 	}
 	s.rssPages -= int(n)
+	s.gen++
 	return nil
 }
 
@@ -500,12 +501,12 @@ func (s *Space) DebugRead64(addr uint64) (uint64, error) {
 
 // Slab exposes the backing bytes and permission of the page containing
 // addr, for fast word access by the VM (which performs its own permission
-// checks and caches the slab in a software TLB). The returned slice aliases
+// checks and caches the slab in a software TLB). The returned array aliases
 // page storage. Unless owned is true it is shared — the zero page or a
 // frozen parent's bytes — and must not be written: OwnSlab returns the
 // writable bytes. Callers must invalidate cached slabs after Unmap/Protect,
 // and re-read them when Gen changes.
-func (s *Space) Slab(addr uint64) (data []byte, perm Perm, owned, ok bool) {
+func (s *Space) Slab(addr uint64) (data *[PageSize]byte, perm Perm, owned, ok bool) {
 	p := s.lookup(addr >> PageShift)
 	if p == nil {
 		return nil, 0, false, false
@@ -516,7 +517,7 @@ func (s *Space) Slab(addr uint64) (data []byte, perm Perm, owned, ok bool) {
 // OwnSlab returns the writable bytes of the mapped page containing addr,
 // copying them into s first when they are shared (see Slab). It bumps Gen
 // only when it copies.
-func (s *Space) OwnSlab(addr uint64) []byte {
+func (s *Space) OwnSlab(addr uint64) *[PageSize]byte {
 	return s.own(addr >> PageShift)
 }
 

@@ -9,6 +9,7 @@ import (
 	"r2c/internal/telemetry"
 	"r2c/internal/tir"
 	"r2c/internal/vm"
+	"r2c/internal/workload"
 )
 
 // Microbenchmarks for the interpreter core, one per code shape, each
@@ -177,6 +178,17 @@ func BenchmarkVMCallDenseR2CPush(b *testing.B) {
 
 func BenchmarkVMLoadStore(b *testing.B) {
 	benchModule(b, loadStoreModule(), defense.Off())
+}
+
+// BenchmarkVMNabR2CFull runs a real workload rather than a kernel: nab,
+// which retires most of Figure 6's r2c-full instructions and touches the
+// data TLB about once every two instructions.
+func BenchmarkVMNabR2CFull(b *testing.B) {
+	nab, ok := workload.ByName("nab")
+	if !ok {
+		b.Fatal("workload nab missing")
+	}
+	benchModule(b, nab.Build(64), defense.R2CFull())
 }
 
 // runBenchImageFlight is runBenchImage with a flight recorder attached —

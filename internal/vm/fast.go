@@ -130,12 +130,15 @@ blocks:
 					// this op's own.
 					m.rec.Record(telemetry.FlightLoad, op.Addr, op.Imm, m.res.Instructions-uint64(end-idx-1))
 				}
-				v, f := m.read64(op.Imm)
-				if f != nil {
-					cpu.PC = op.Addr
-					m.stopFault(op.Addr, f)
-					m.rollback(code, idx+1, end)
-					return m.finish(), nil
+				v, ok := m.loadHit(op.Imm)
+				if !ok {
+					var f *mem.Fault
+					if v, f = m.read64(op.Imm); f != nil {
+						cpu.PC = op.Addr
+						m.stopFault(op.Addr, f)
+						m.rollback(code, idx+1, end)
+						return m.finish(), nil
+					}
 				}
 				cpu.R[op.Dst] = v
 				m.charge(isa.KLoad, prof.Cost[isa.KLoad])
@@ -145,22 +148,28 @@ blocks:
 				if m.rec != nil && m.rec.NearGuard(a) {
 					m.rec.Record(telemetry.FlightLoad, op.Addr, a, m.res.Instructions-uint64(end-idx-1))
 				}
-				v, f := m.read64(a)
-				if f != nil {
-					cpu.PC = op.Addr
-					m.stopFault(op.Addr, f)
-					m.rollback(code, idx+1, end)
-					return m.finish(), nil
+				v, ok := m.loadHit(a)
+				if !ok {
+					var f *mem.Fault
+					if v, f = m.read64(a); f != nil {
+						cpu.PC = op.Addr
+						m.stopFault(op.Addr, f)
+						m.rollback(code, idx+1, end)
+						return m.finish(), nil
+					}
 				}
 				cpu.R[op.Dst] = v
 				m.charge(isa.KLoad, prof.Cost[isa.KLoad])
 				idx++
 			case pcode.XStore:
-				if f := m.write64(cpu.R[op.Base]+uint64(op.Disp), cpu.R[op.Src]); f != nil {
-					cpu.PC = op.Addr
-					m.stopFault(op.Addr, f)
-					m.rollback(code, idx+1, end)
-					return m.finish(), nil
+				a := cpu.R[op.Base] + uint64(op.Disp)
+				if !m.storeHit(a, cpu.R[op.Src]) {
+					if f := m.write64(a, cpu.R[op.Src]); f != nil {
+						cpu.PC = op.Addr
+						m.stopFault(op.Addr, f)
+						m.rollback(code, idx+1, end)
+						return m.finish(), nil
+					}
 				}
 				m.charge(isa.KStore, prof.Cost[isa.KStore])
 				idx++
@@ -210,31 +219,38 @@ blocks:
 				idx++
 			case pcode.XPush:
 				cpu.R[isa.RSP] -= 8
-				if f := m.write64(cpu.R[isa.RSP], cpu.R[op.Src]); f != nil {
-					cpu.PC = op.Addr
-					m.stopFault(op.Addr, f)
-					m.rollback(code, idx+1, end)
-					return m.finish(), nil
+				if !m.storeHit(cpu.R[isa.RSP], cpu.R[op.Src]) {
+					if f := m.write64(cpu.R[isa.RSP], cpu.R[op.Src]); f != nil {
+						cpu.PC = op.Addr
+						m.stopFault(op.Addr, f)
+						m.rollback(code, idx+1, end)
+						return m.finish(), nil
+					}
 				}
 				m.charge(isa.KPush, prof.Cost[isa.KPush])
 				idx++
 			case pcode.XPushImm:
 				cpu.R[isa.RSP] -= 8
-				if f := m.write64(cpu.R[isa.RSP], op.Imm); f != nil {
-					cpu.PC = op.Addr
-					m.stopFault(op.Addr, f)
-					m.rollback(code, idx+1, end)
-					return m.finish(), nil
+				if !m.storeHit(cpu.R[isa.RSP], op.Imm) {
+					if f := m.write64(cpu.R[isa.RSP], op.Imm); f != nil {
+						cpu.PC = op.Addr
+						m.stopFault(op.Addr, f)
+						m.rollback(code, idx+1, end)
+						return m.finish(), nil
+					}
 				}
 				m.charge(isa.KPushImm, prof.Cost[isa.KPushImm])
 				idx++
 			case pcode.XPop:
-				v, f := m.read64(cpu.R[isa.RSP])
-				if f != nil {
-					cpu.PC = op.Addr
-					m.stopFault(op.Addr, f)
-					m.rollback(code, idx+1, end)
-					return m.finish(), nil
+				v, ok := m.loadHit(cpu.R[isa.RSP])
+				if !ok {
+					var f *mem.Fault
+					if v, f = m.read64(cpu.R[isa.RSP]); f != nil {
+						cpu.PC = op.Addr
+						m.stopFault(op.Addr, f)
+						m.rollback(code, idx+1, end)
+						return m.finish(), nil
+					}
 				}
 				cpu.R[op.Dst] = v
 				cpu.R[isa.RSP] += 8
@@ -312,13 +328,17 @@ blocks:
 				lanes := int(op.Lanes)
 				faulted := false
 				for l := 0; l < lanes; l++ {
-					v, f := m.read64(a + uint64(l)*8)
-					if f != nil {
-						cpu.PC = op.Addr
-						m.stopFault(op.Addr, f)
-						m.rollback(code, idx+1, end)
-						faulted = true
-						break
+					la := a + uint64(l)*8
+					v, ok := m.loadHit(la)
+					if !ok {
+						var f *mem.Fault
+						if v, f = m.read64(la); f != nil {
+							cpu.PC = op.Addr
+							m.stopFault(op.Addr, f)
+							m.rollback(code, idx+1, end)
+							faulted = true
+							break
+						}
 					}
 					cpu.V[op.VDst][l] = v
 				}
@@ -347,12 +367,15 @@ blocks:
 				lanes := int(op.Lanes)
 				faulted := false
 				for l := 0; l < lanes; l++ {
-					if f := m.write64(a+uint64(l)*8, cpu.V[op.VSrc][l]); f != nil {
-						cpu.PC = op.Addr
-						m.stopFault(op.Addr, f)
-						m.rollback(code, idx+1, end)
-						faulted = true
-						break
+					la := a + uint64(l)*8
+					if !m.storeHit(la, cpu.V[op.VSrc][l]) {
+						if f := m.write64(la, cpu.V[op.VSrc][l]); f != nil {
+							cpu.PC = op.Addr
+							m.stopFault(op.Addr, f)
+							m.rollback(code, idx+1, end)
+							faulted = true
+							break
+						}
 					}
 				}
 				if faulted {
@@ -401,11 +424,13 @@ blocks:
 
 			case pcode.XPushImm2:
 				cpu.R[isa.RSP] -= 8
-				if f := m.write64(cpu.R[isa.RSP], op.Imm); f != nil {
-					cpu.PC = op.Addr
-					m.stopFault(op.Addr, f)
-					m.rollback(code, idx+1, end)
-					return m.finish(), nil
+				if !m.storeHit(cpu.R[isa.RSP], op.Imm) {
+					if f := m.write64(cpu.R[isa.RSP], op.Imm); f != nil {
+						cpu.PC = op.Addr
+						m.stopFault(op.Addr, f)
+						m.rollback(code, idx+1, end)
+						return m.finish(), nil
+					}
 				}
 				m.charge(isa.KPushImm, prof.Cost[isa.KPushImm])
 				o2 := &ops[idx+1]
@@ -414,21 +439,25 @@ blocks:
 					return m.finish(), nil
 				}
 				cpu.R[isa.RSP] -= 8
-				if f := m.write64(cpu.R[isa.RSP], o2.Imm); f != nil {
-					cpu.PC = o2.Addr
-					m.stopFault(o2.Addr, f)
-					m.rollback(code, idx+2, end)
-					return m.finish(), nil
+				if !m.storeHit(cpu.R[isa.RSP], o2.Imm) {
+					if f := m.write64(cpu.R[isa.RSP], o2.Imm); f != nil {
+						cpu.PC = o2.Addr
+						m.stopFault(o2.Addr, f)
+						m.rollback(code, idx+2, end)
+						return m.finish(), nil
+					}
 				}
 				m.charge(isa.KPushImm, prof.Cost[isa.KPushImm])
 				idx += 2
 			case pcode.XPushImmCall:
 				cpu.R[isa.RSP] -= 8
-				if f := m.write64(cpu.R[isa.RSP], op.Imm); f != nil {
-					cpu.PC = op.Addr
-					m.stopFault(op.Addr, f)
-					m.rollback(code, idx+1, end)
-					return m.finish(), nil
+				if !m.storeHit(cpu.R[isa.RSP], op.Imm) {
+					if f := m.write64(cpu.R[isa.RSP], op.Imm); f != nil {
+						cpu.PC = op.Addr
+						m.stopFault(op.Addr, f)
+						m.rollback(code, idx+1, end)
+						return m.finish(), nil
+					}
 				}
 				m.charge(isa.KPushImm, prof.Cost[isa.KPushImm])
 				if !m.fetch2(&ops[idx+1]) {
@@ -458,13 +487,17 @@ blocks:
 				lanes := int(op.Lanes)
 				faulted := false
 				for l := 0; l < lanes; l++ {
-					v, f := m.read64(op.Imm + uint64(l)*8)
-					if f != nil {
-						cpu.PC = op.Addr
-						m.stopFault(op.Addr, f)
-						m.rollback(code, idx+1, end)
-						faulted = true
-						break
+					la := op.Imm + uint64(l)*8
+					v, ok := m.loadHit(la)
+					if !ok {
+						var f *mem.Fault
+						if v, f = m.read64(la); f != nil {
+							cpu.PC = op.Addr
+							m.stopFault(op.Addr, f)
+							m.rollback(code, idx+1, end)
+							faulted = true
+							break
+						}
 					}
 					cpu.V[op.VDst][l] = v
 				}
@@ -490,12 +523,15 @@ blocks:
 				}
 				lanes2 := int(o2.Lanes)
 				for l := 0; l < lanes2; l++ {
-					if f := m.write64(a2+uint64(l)*8, cpu.V[o2.VSrc][l]); f != nil {
-						cpu.PC = o2.Addr
-						m.stopFault(o2.Addr, f)
-						m.rollback(code, idx+2, end)
-						faulted = true
-						break
+					la := a2 + uint64(l)*8
+					if !m.storeHit(la, cpu.V[o2.VSrc][l]) {
+						if f := m.write64(la, cpu.V[o2.VSrc][l]); f != nil {
+							cpu.PC = o2.Addr
+							m.stopFault(o2.Addr, f)
+							m.rollback(code, idx+2, end)
+							faulted = true
+							break
+						}
 					}
 				}
 				if faulted {
@@ -632,11 +668,13 @@ func (m *Machine) fastCall(code *pcode.Program, idx, end int, indirect bool) (ne
 		tIdx = code.IndexOf(target)
 	}
 	cpu.R[isa.RSP] -= 8
-	if f := m.write64(cpu.R[isa.RSP], op.Imm); f != nil {
-		cpu.PC = op.Addr
-		m.stopFault(op.Addr, f)
-		m.rollback(code, idx+1, end)
-		return 0, true
+	if !m.storeHit(cpu.R[isa.RSP], op.Imm) {
+		if f := m.write64(cpu.R[isa.RSP], op.Imm); f != nil {
+			cpu.PC = op.Addr
+			m.stopFault(op.Addr, f)
+			m.rollback(code, idx+1, end)
+			return 0, true
+		}
 	}
 	if m.Proc.Cfg.ShadowStack {
 		m.shadow = append(m.shadow, op.Imm)
@@ -679,12 +717,15 @@ func (m *Machine) fastCall(code *pcode.Program, idx, end int, indirect bool) (ne
 func (m *Machine) fastRet(code *pcode.Program, idx, end int) (next int, stop bool) {
 	op := &code.Ops[idx]
 	cpu := &m.CPU
-	ra, f := m.read64(cpu.R[isa.RSP])
-	if f != nil {
-		cpu.PC = op.Addr
-		m.stopFault(op.Addr, f)
-		m.rollback(code, idx+1, end)
-		return 0, true
+	ra, ok := m.loadHit(cpu.R[isa.RSP])
+	if !ok {
+		var f *mem.Fault
+		if ra, f = m.read64(cpu.R[isa.RSP]); f != nil {
+			cpu.PC = op.Addr
+			m.stopFault(op.Addr, f)
+			m.rollback(code, idx+1, end)
+			return 0, true
+		}
 	}
 	cpu.R[isa.RSP] += 8
 	if m.Proc.Cfg.ShadowStack {

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -75,12 +76,33 @@ func (r *Result) Seconds(p *Profile) float64 { return r.Cycles / (p.GHz * 1e9) }
 // tlbEntry caches one page's slab. owned says whether data is the page's
 // writable storage; a shared slab (the zero page, or bytes a fork still
 // shares with its snapshot) is replaced by OwnSlab before the first store.
+//
+// rtag and wtag are the hit path's whole check (loadHit, storeHit): each is
+// page+1 when a load (rtag) or a store (wtag) of the cached page may skip
+// read64/write64, and 0 otherwise — so a zeroed entry matches no page.
+// rtag needs a valid, readable entry; wtag a valid, writable, owned one.
+// retag derives both from the other fields and runs wherever they change.
 type tlbEntry struct {
-	page  uint64
-	data  []byte
-	perm  mem.Perm
-	valid bool
-	owned bool
+	rtag, wtag uint64
+	data       *[mem.PageSize]byte
+	page       uint64
+	perm       mem.Perm
+	valid      bool
+	owned      bool
+}
+
+// retag recomputes e's hit tags from valid, page, perm and owned.
+func (e *tlbEntry) retag() {
+	e.rtag, e.wtag = 0, 0
+	if !e.valid {
+		return
+	}
+	if e.perm&mem.PermRead != 0 {
+		e.rtag = e.page + 1
+	}
+	if e.perm&mem.PermWrite != 0 && e.owned {
+		e.wtag = e.page + 1
+	}
 }
 
 // Machine executes a loaded process under a machine profile.
@@ -115,11 +137,11 @@ type Machine struct {
 
 	// rstack is the fast path's return predictor: each executed call pushes
 	// (RA value, RA dense index); a return whose popped RA matches the
-	// predicted value reuses the index without an address-map lookup. Purely
-	// an optimization — a mismatched or stale entry just falls back to the
-	// map, and a matched entry is always correct because the index was
-	// derived from the same address at predecode time. Not architectural
-	// state.
+	// predicted value reuses the index without searching the program for
+	// the address. Purely an optimization — a mismatched or stale entry
+	// just falls back to that search (pcode.Program.IndexOf), and a matched
+	// entry is always correct because the index was derived from the same
+	// address at predecode time. Not architectural state.
 	rstack []retPred
 
 	// profiler, when enabled, attributes cycles to functions. It observes
@@ -220,15 +242,15 @@ func (m *Machine) charge(k isa.Kind, cost float64) {
 }
 
 func (m *Machine) flushTLB() {
-	for i := range m.tlb {
-		m.tlb[i].valid = false
-	}
+	m.tlb = [8]tlbEntry{}
 	m.tlbGen = m.Proc.Space.Gen()
 }
 
 // syncTLB re-reads the slabs of cached pages whose bytes the space replaced
 // since they were cached. It counts neither hits nor misses: the cached
-// translations are still valid, only their backing bytes moved.
+// translations are still valid, only their backing bytes moved. An entry
+// whose page is no longer mapped is dropped: Unmap moves Gen too, and it
+// recycles the page's bytes.
 func (m *Machine) syncTLB() {
 	sp := m.Proc.Space
 	if m.tlbGen == sp.Gen() {
@@ -241,7 +263,10 @@ func (m *Machine) syncTLB() {
 		}
 		if data, _, owned, ok := sp.Slab(e.page << mem.PageShift); ok {
 			e.data, e.owned = data, owned
+		} else {
+			e.valid = false
 		}
+		e.retag()
 	}
 	m.tlbGen = sp.Gen()
 }
@@ -259,7 +284,36 @@ func (m *Machine) slab(addr uint64) *tlbEntry {
 		return nil
 	}
 	e.page, e.data, e.perm, e.valid, e.owned = page, data, perm, true, owned
+	e.retag()
 	return e
+}
+
+// loadHit is the data-TLB hit path of an 8-byte load: when addr's page is
+// cached readable and the word does not cross the page end, it counts the
+// hit and returns the word. Otherwise it returns ok=false and counts
+// nothing; the caller then takes read64, which decides hit, miss or fault.
+// Kept call-free so it inlines into the dispatch loop (make check verifies).
+func (m *Machine) loadHit(addr uint64) (v uint64, ok bool) {
+	off := addr & mem.PageMask
+	e := &m.tlb[(addr>>mem.PageShift)&7]
+	if e.rtag != addr>>mem.PageShift+1 || off > mem.PageSize-8 {
+		return 0, false
+	}
+	m.res.TLBHits++
+	return binary.LittleEndian.Uint64(e.data[off:]), true
+}
+
+// storeHit is loadHit's store twin: it needs the page cached writable and
+// owned, so the first store to shared or zero-page bytes takes write64.
+func (m *Machine) storeHit(addr, v uint64) bool {
+	off := addr & mem.PageMask
+	e := &m.tlb[(addr>>mem.PageShift)&7]
+	if e.wtag != addr>>mem.PageShift+1 || off > mem.PageSize-8 {
+		return false
+	}
+	m.res.TLBHits++
+	binary.LittleEndian.PutUint64(e.data[off:], v)
+	return true
 }
 
 func (m *Machine) read64(addr uint64) (uint64, *mem.Fault) {
@@ -294,6 +348,7 @@ func (m *Machine) write64(addr, v uint64) *mem.Fault {
 			if !e.owned {
 				// Only this page's bytes move, and e is its only TLB entry.
 				e.data, e.owned = m.Proc.Space.OwnSlab(addr), true
+				e.retag()
 				m.tlbGen = m.Proc.Space.Gen()
 			}
 			b := e.data[off : off+8]
