@@ -131,6 +131,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		res, err := mach.RunCtx(h.Ctx, sim.DefaultBudget, 0)
 		if reg := h.Obs.Reg(); reg != nil {
 			mach.PublishMetrics(reg)
+			if p := mach.Profiler(); p != nil {
+				p.Publish(reg)
+			}
 		}
 		if err != nil {
 			return err
@@ -139,8 +142,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			res.Instructions, res.Calls, res.Cycles, res.Seconds(vm.EPYCRome())*1e3,
 			vm.EPYCRome().Name, res.MaxRSSBytes/1024)
 		fmt.Fprintf(stdout, "output: %#x (halted=%v)\n", res.Output, res.Halted)
-		if p := mach.Profiler(); p != nil {
-			p.WriteTable(stdout, *top)
+		if *profile {
+			h.Obs.Reg().WriteHotFunctions(stdout, *top)
 		}
 		return nil
 	})

@@ -30,7 +30,7 @@ func Diversity(opt Options) ([]*audit.Report, error) {
 	opt = opt.withEngine()
 	start := time.Now()
 	defer func() {
-		opt.Obs.LogHist("bench.diversity.seconds", telemetry.LatencyScheme).Observe(time.Since(start).Seconds())
+		opt.Obs.Histogram("bench.diversity.seconds", telemetry.LatencyBounds).Observe(time.Since(start).Seconds())
 	}()
 
 	b, ok := workload.ByName("nginx")

@@ -181,7 +181,7 @@ func MeasureOverheads(cfgs []defense.Config, prof *vm.Profile, opt Options) ([]O
 	opt = opt.withEngine()
 	start := time.Now()
 	defer func() {
-		opt.Obs.LogHist("bench.measure.seconds", telemetry.LatencyScheme, "machine", prof.Name).Observe(time.Since(start).Seconds())
+		opt.Obs.Histogram("bench.measure.seconds", telemetry.LatencyBounds, "machine", prof.Name).Observe(time.Since(start).Seconds())
 	}()
 	specs := workload.SPEC()
 	runs := opt.runs()

@@ -165,7 +165,7 @@ func (c *Cache) ImageSpan(m *tir.Module, cfg defense.Config, seed uint64, parent
 	// Lookup latency covers key computation (the module content hash on
 	// first sight) plus the map critical section — the part every cell
 	// pays whether it hits or misses.
-	c.Obs.LogHist("exec.cache.lookup.seconds", telemetry.LatencyScheme).Observe(time.Since(lookupStart).Seconds())
+	c.Obs.Histogram("exec.cache.lookup.seconds", telemetry.LatencyBounds).Observe(time.Since(lookupStart).Seconds())
 	ls.SetAttr("hit", ok)
 	ls.End()
 

@@ -222,7 +222,7 @@ func (e *Engine) RunCells(ctx context.Context, cells []Cell) ([]*vm.Result, erro
 	defer batch.End()
 	e.prog.addBatch(len(cells))
 	submitted := time.Now()
-	latency := e.Obs.LogHist("exec.cell.seconds", telemetry.LatencyScheme)
+	latency := e.Obs.Histogram("exec.cell.seconds", telemetry.LatencyBounds)
 	errs := e.Pool.MapErrs(ctx, len(cells), func(i, w int) error {
 		cellStart := time.Now()
 		defer func() { latency.Observe(time.Since(cellStart).Seconds()) }()
@@ -272,11 +272,11 @@ func (e *Engine) RunCells(ctx context.Context, cells []Cell) ([]*vm.Result, erro
 	// either way, but the float sum accumulates in fold order, and folding
 	// in submission order is what keeps the histogram — and every baseline
 	// derived from it — byte-identical between -jobs 1 and -jobs 8.
-	cyc := e.Obs.LogHist("exec.run.cycles", telemetry.CycleScheme)
+	cyc := e.Obs.Histogram("exec.run.cycles", telemetry.CycleBounds)
 	if cyc == nil && e.Series != nil {
 		// No observer, but a series sampler: the sampled quantiles still need
 		// a histogram to fold into, so own a private one for this batch.
-		cyc = telemetry.NewLogHist(telemetry.CycleScheme)
+		cyc = telemetry.NewHistogram(telemetry.CycleBounds)
 	}
 	e.seriesMu.Lock()
 	every := e.SampleEvery
@@ -463,16 +463,16 @@ func (e *Engine) runCell(ctx context.Context, i int, c *Cell, seed uint64, sp *t
 	// visible in /metrics and -metrics-out.
 	if hit {
 		sp.SetAttr("cache", "hit")
-		e.Obs.LogHist("exec.phase.seconds", telemetry.LatencyScheme, "phase", "cached-load").Observe(time.Since(imgStart).Seconds())
+		e.Obs.Histogram("exec.phase.seconds", telemetry.LatencyBounds, "phase", "cached-load").Observe(time.Since(imgStart).Seconds())
 	} else {
 		sp.SetAttr("cache", "miss")
-		e.Obs.LogHist("exec.phase.seconds", telemetry.LatencyScheme, "phase", "build").Observe(time.Since(imgStart).Seconds())
+		e.Obs.Histogram("exec.phase.seconds", telemetry.LatencyBounds, "phase", "build").Observe(time.Since(imgStart).Seconds())
 	}
 	track("load")
 	ls := sp.Child("load", 0)
 	loadStart := time.Now()
 	proc, err := sim.NewProcessFromImage(img, seed, e.Obs)
-	e.Obs.LogHist("exec.phase.seconds", telemetry.LatencyScheme, "phase", "load").Observe(time.Since(loadStart).Seconds())
+	e.Obs.Histogram("exec.phase.seconds", telemetry.LatencyBounds, "phase", "load").Observe(time.Since(loadStart).Seconds())
 	ls.End()
 	if err != nil {
 		return nil, err
@@ -480,7 +480,7 @@ func (e *Engine) runCell(ctx context.Context, i int, c *Cell, seed uint64, sp *t
 	track("execute")
 	execStart := time.Now()
 	res, err := sim.ExecProcessSpanCtx(ctx, proc, c.Prof, e.Obs, sp, e.CellFuel)
-	e.Obs.LogHist("exec.phase.seconds", telemetry.LatencyScheme, "phase", "exec").Observe(time.Since(execStart).Seconds())
+	e.Obs.Histogram("exec.phase.seconds", telemetry.LatencyBounds, "phase", "exec").Observe(time.Since(execStart).Seconds())
 	// Incident capture happens here, not in the caller: ExecProcessSpanCtx
 	// returns a non-nil result alongside its error on faults and traps, and
 	// this is the last point where result and process are both in scope

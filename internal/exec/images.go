@@ -45,7 +45,7 @@ func (e *Engine) BuildImages(ctx context.Context, m *tir.Module, cfg defense.Con
 	batch.SetAttr("config", cfg.Name)
 	defer batch.End()
 	e.prog.addBatch(len(seeds))
-	latency := e.Obs.LogHist("exec.images.build.seconds", telemetry.LatencyScheme)
+	latency := e.Obs.Histogram("exec.images.build.seconds", telemetry.LatencyBounds)
 	errs := e.Pool.MapErrs(ctx, len(seeds), func(i, w int) error {
 		start := time.Now()
 		defer func() { latency.Observe(time.Since(start).Seconds()) }()

@@ -533,11 +533,11 @@ func (f *Fleet) Serve(ctx context.Context) (*Report, error) {
 	// With an observer the histograms live in its registry (exported via
 	// /metrics and -metrics-out); without one the fleet still needs them
 	// for the report's quantiles, so it owns private instances.
-	hist := func(name string) *telemetry.LogHist {
-		if h := o.Obs.LogHist(name, telemetry.LatencyScheme); h != nil {
+	hist := func(name string) *telemetry.Histogram {
+		if h := o.Obs.Histogram(name, telemetry.LatencyBounds); h != nil {
 			return h
 		}
-		return telemetry.NewLogHist(telemetry.LatencyScheme)
+		return telemetry.NewHistogram(telemetry.LatencyBounds)
 	}
 	sojournH := hist("fleet.request.seconds")
 	serviceH := hist("fleet.service.seconds")
@@ -643,7 +643,7 @@ func (f *Fleet) Serve(ctx context.Context) (*Report, error) {
 // are byte-identical at any -jobs width. Wall-clock values (replace
 // latency, cache economy) are deliberately absent: they belong to the live
 // /metrics view, not to a deterministic artifact.
-func (f *Fleet) sampleTick(t float64, sojournH *telemetry.LogHist) {
+func (f *Fleet) sampleTick(t float64, sojournH *telemetry.Histogram) {
 	f.series.Sample(t, "fleet.served", float64(f.served))
 	if t > 0 {
 		f.series.Sample(t, "fleet.throughput.rps", float64(f.served)/t)
@@ -721,7 +721,7 @@ func expInterarrival(r *rng.RNG, rate float64) float64 {
 // serving variants (ties by id). When fewer than width variants are
 // serving, the earliest quarantined rejoins are pulled forward and the
 // request stalls until they land.
-func (f *Fleet) dispatch(arrival, rebuildLat float64, replaceH *telemetry.LogHist) ([]*slot, float64, bool, error) {
+func (f *Fleet) dispatch(arrival, rebuildLat float64, replaceH *telemetry.Histogram) ([]*slot, float64, bool, error) {
 	serving := f.servingSlots()
 	stalled := false
 	floor := arrival
@@ -791,7 +791,7 @@ func (f *Fleet) servingSlots() []*slot {
 // serveRequest executes request i on the chosen slots, applies scheduled
 // corruption, classifies detection signals, and quarantines compromised
 // variants.
-func (f *Fleet) serveRequest(ctx context.Context, i int, chosen []*slot, arrival, start, rebuildLat float64, sojournH, serviceH *telemetry.LogHist) error {
+func (f *Fleet) serveRequest(ctx context.Context, i int, chosen []*slot, arrival, start, rebuildLat float64, sojournH, serviceH *telemetry.Histogram) error {
 	o := f.o
 	attacked := o.Attack.active(i)
 	procs := f.procs[:0]
@@ -1091,7 +1091,7 @@ func heal(img *image.Image, seed uint64, err error, obs *telemetry.Observer) hea
 // arrived: join the replacement build (waiting out any wall-clock remainder
 // — simulated time is unaffected) and put the fresh variant back in
 // rotation.
-func (f *Fleet) rejoinDue(t, rebuildLat float64, replaceH *telemetry.LogHist) error {
+func (f *Fleet) rejoinDue(t, rebuildLat float64, replaceH *telemetry.Histogram) error {
 	for _, s := range f.slots {
 		if s.state != stateQuarantined || s.rejoinAt > t {
 			continue

@@ -327,7 +327,7 @@ func TestHealthThroughQuarantine(t *testing.T) {
 	}
 
 	// Rejoin at a time past the window; health recovers.
-	replaceH := telemetry.NewLogHist(telemetry.LatencyScheme)
+	replaceH := telemetry.NewHistogram(telemetry.LatencyBounds)
 	if err := fl.rejoinDue(2.0, 0.5, replaceH); err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestRerollRejoinForksRerolledSnapshot(t *testing.T) {
 			oldImms := pushImms(s.img)
 
 			f.quarantine(s, 0, 1)
-			if err := f.rejoinDue(1, 1, telemetry.NewLogHist(telemetry.LatencyScheme)); err != nil {
+			if err := f.rejoinDue(1, 1, telemetry.NewHistogram(telemetry.LatencyBounds)); err != nil {
 				t.Fatal(err)
 			}
 			if s.state != stateServing || s.gen != 1 {

@@ -347,7 +347,7 @@ func (h *Harness) RunExperiments() error {
 	for _, e := range h.selected {
 		start := time.Now()
 		err := e.Run()
-		h.Obs.LogHist("harness.experiment.seconds", telemetry.LatencyScheme, "name", e.Name).Observe(time.Since(start).Seconds())
+		h.Obs.Histogram("harness.experiment.seconds", telemetry.LatencyBounds, "name", e.Name).Observe(time.Since(start).Seconds())
 		if err == nil {
 			continue
 		}

@@ -177,7 +177,7 @@ func TestSinksFlushedOnFailure(t *testing.T) {
 	}
 }
 
-// The harness's single per-experiment record is a *.seconds LogHist.
+// The harness's single per-experiment record is a *.seconds histogram.
 func TestExperimentSecondsRecorded(t *testing.T) {
 	dir := t.TempDir()
 	m := filepath.Join(dir, "m.json")

@@ -18,10 +18,10 @@ func sampleSnapshot() *telemetry.Snapshot {
 	reg.Gauge("bench.table3.detection_rate", "defense", "r2c-full").Set(0.69)
 	reg.Gauge("bench.table2.calls", "benchmark", "gcc").Set(41234)
 	reg.Counter("vm.instructions").Add(123456)
-	cyc := reg.LogHist("exec.run.cycles", telemetry.CycleScheme)
+	cyc := reg.Histogram("exec.run.cycles", telemetry.CycleBounds)
 	cyc.Observe(2e6)
 	cyc.Observe(3e6)
-	lat := reg.LogHist("exec.cell.seconds", telemetry.LatencyScheme)
+	lat := reg.Histogram("exec.cell.seconds", telemetry.LatencyBounds)
 	lat.Observe(0.01)
 	lat.Observe(0.03)
 	lat.Observe(0.5)

@@ -67,7 +67,7 @@ func TestEvalAlerts(t *testing.T) {
 	reg.Counter("rt.traps", "kind", "btra").Add(30)
 	reg.Counter("rt.traps", "kind", "btdp").Add(12)
 	reg.Gauge("rt.btdp.guard_pages").Set(2)
-	h := reg.LogHist("exec.cell.seconds", LogScheme{Min: 0.001, Growth: 10, Buckets: 6})
+	h := reg.Histogram("exec.cell.seconds", LogBounds(0.001, 10, 6))
 	for i := 0; i < 95; i++ {
 		h.Observe(0.005)
 	}

@@ -32,7 +32,7 @@ func TestOpsServerEndpoints(t *testing.T) {
 	reg.Counter("rt.traps", "kind", "btra").Add(3)
 	reg.Gauge("exec.pool.workers").Set(8)
 	reg.Histogram("cell.ms", []float64{1, 10}, "phase", "build").Observe(4)
-	reg.LogHist("exec.cell.seconds", LatencyScheme).Observe(1.5)
+	reg.Histogram("exec.cell.seconds", LatencyBounds).Observe(1.5)
 
 	progress := func() any {
 		return map[string]any{"done": 3, "total": 10}

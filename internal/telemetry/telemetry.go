@@ -1,7 +1,7 @@
 // Package telemetry is the observability substrate for the simulator: a
-// zero-dependency metrics registry (atomic counters, gauges, fixed-bucket
-// and log-bucketed histograms — wall-clock durations are "*.seconds"
-// LogHists) plus a pluggable event tracer. Every hook in
+// zero-dependency metrics registry (atomic counters, gauges and fixed-bound
+// histograms — wall-clock durations are "*.seconds" histograms over the
+// log-spaced LatencyBounds) plus a pluggable event tracer. Every hook in
 // the stack is nil-safe — a nil *Registry, nil metric handle, nil Tracer or
 // nil *Observer turns the corresponding instrumentation into a no-op — so
 // instrumented code never has to branch on "is telemetry on".
@@ -152,48 +152,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram is a fixed-bucket histogram: observation x lands in the first
-// bucket whose upper bound satisfies x <= bound; values above every bound
-// land in the implicit overflow bucket. All methods are nil-safe.
-type Histogram struct {
-	bounds []float64 // ascending upper bounds (inclusive)
-	counts []atomic.Uint64
-	count  atomic.Uint64
-	sum    Gauge
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(x float64) {
-	if h == nil {
-		return
-	}
-	// Linear scan: bucket counts are small and fixed; this beats binary
-	// search for the typical <16-bucket histogram.
-	i := 0
-	for i < len(h.bounds) && x > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(x)
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Value()
-}
-
 // Registry holds named metrics. Lookup is lock-protected; updates on the
 // returned handles are lock-free. A nil *Registry hands out nil handles,
 // whose methods are no-ops, so callers never branch on enablement.
@@ -202,7 +160,6 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	logHists   map[string]*LogHist
 }
 
 // NewRegistry returns an empty registry.
@@ -211,8 +168,25 @@ func NewRegistry() *Registry {
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
-		logHists:   make(map[string]*LogHist),
 	}
+}
+
+// getOrCreate returns m[key], creating it with mk on first use. Lookups
+// of an existing metric take only the read lock.
+func getOrCreate[T any](r *Registry, m map[string]*T, key string, mk func() *T) *T {
+	r.mu.RLock()
+	v := m[key]
+	r.mu.RUnlock()
+	if v != nil {
+		return v
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if v = m[key]; v == nil {
+		v = mk()
+		m[key] = v
+	}
+	return v
 }
 
 // Counter returns (creating if needed) the counter for name+labels.
@@ -220,20 +194,7 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	k := Key(name, labels...)
-	r.mu.RLock()
-	c := r.counters[k]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[k]; c == nil {
-		c = &Counter{}
-		r.counters[k] = c
-	}
-	return c
+	return getOrCreate(r, r.counters, Key(name, labels...), func() *Counter { return &Counter{} })
 }
 
 // Gauge returns (creating if needed) the gauge for name+labels.
@@ -241,47 +202,19 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	k := Key(name, labels...)
-	r.mu.RLock()
-	g := r.gauges[k]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[k]; g == nil {
-		g = &Gauge{}
-		r.gauges[k] = g
-	}
-	return g
+	return getOrCreate(r, r.gauges, Key(name, labels...), func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns (creating if needed) the histogram for name+labels.
-// bounds are the ascending inclusive upper bounds; they are fixed at first
+// bounds are the inclusive upper bounds (sorted on creation; see
+// LatencyBounds and CycleBounds for the defaults); they are fixed at first
 // creation and later calls with different bounds return the existing
 // histogram unchanged.
 func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	k := Key(name, labels...)
-	r.mu.RLock()
-	h := r.histograms[k]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.histograms[k]; h == nil {
-		b := make([]float64, len(bounds))
-		copy(b, bounds)
-		sort.Float64s(b)
-		h = &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
-		r.histograms[k] = h
-	}
-	return h
+	return getOrCreate(r, r.histograms, Key(name, labels...), func() *Histogram { return NewHistogram(bounds) })
 }
 
 // HistogramSnapshot is the serialized form of one histogram.
@@ -293,9 +226,7 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot is a point-in-time copy of a registry, serializable to JSON.
-// Map keys are the canonical metric keys from Key. Log-bucketed histograms
-// appear in Histograms alongside the fixed-bucket ones — the serialized
-// shape (bounds, per-bucket counts, count, sum) is shared.
+// Map keys are the canonical metric keys from Key.
 type Snapshot struct {
 	// Meta is the optional provenance header (-metrics-out stamps go
 	// version, GOOS/GOARCH, CPU count, git describe here) so snapshots
@@ -327,18 +258,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		s.Gauges[k] = g.Value()
 	}
 	for k, h := range r.histograms {
-		hs := HistogramSnapshot{
-			Bounds: append([]float64(nil), h.bounds...),
-			Counts: make([]uint64, len(h.counts)),
-			Count:  h.count.Load(),
-			Sum:    h.sum.Value(),
-		}
-		for i := range h.counts {
-			hs.Counts[i] = h.counts[i].Load()
-		}
-		s.Histograms[k] = hs
-	}
-	for k, h := range r.logHists {
 		s.Histograms[k] = h.Snapshot()
 	}
 	return s

@@ -51,7 +51,7 @@ func TestRegistryConcurrency(t *testing.T) {
 				r.Gauge("g").Add(1)
 				r.Gauge("peak").SetMax(float64(i))
 				r.Histogram("h", []float64{10, 100, 1000}).Observe(float64(i % 2000))
-				r.LogHist("t.seconds", LatencyScheme).Observe(1e-6)
+				r.Histogram("t.seconds", LatencyBounds).Observe(1e-6)
 				if i%100 == 0 {
 					_ = r.Snapshot() // concurrent snapshots must be safe too
 				}
@@ -72,8 +72,8 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := r.Histogram("h", nil).Count(); got != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
 	}
-	if got := r.LogHist("t.seconds", LatencyScheme).Count(); got != workers*perWorker {
-		t.Errorf("loghist count = %d, want %d", got, workers*perWorker)
+	if got := r.Histogram("t.seconds", LatencyBounds).Count(); got != workers*perWorker {
+		t.Errorf("latency histogram count = %d, want %d", got, workers*perWorker)
 	}
 }
 
@@ -120,7 +120,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r.Counter("rt.traps", "kind", "btra").Add(3)
 	r.Gauge("vm.icache.hit_rate").Set(0.97)
 	r.Histogram("attack.leak_words", []float64{64, 512, 4096}).Observe(1024)
-	r.LogHist("bench.measure.seconds", LatencyScheme, "machine", "epyc").Observe(3)
+	r.Histogram("bench.measure.seconds", LatencyBounds, "machine", "epyc").Observe(3)
 
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -147,8 +147,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 		t.Errorf("histogram mangled in round trip: %+v", h)
 	}
 	lh := back.Histograms[Key("bench.measure.seconds", "machine", "epyc")]
-	if lh.Count != 1 || lh.Sum != 3 || len(lh.Counts) != LatencyScheme.Buckets+1 {
-		t.Errorf("loghist mangled in round trip: %+v", lh)
+	if lh.Count != 1 || lh.Sum != 3 || len(lh.Counts) != len(LatencyBounds)+1 {
+		t.Errorf("latency histogram mangled in round trip: %+v", lh)
 	}
 	// Two snapshots of the same state serialize identically (map keys are
 	// sorted by encoding/json).
@@ -169,11 +169,11 @@ func TestNilSafety(t *testing.T) {
 	r.Gauge("g").Set(1)
 	r.Gauge("g").SetMax(1)
 	r.Histogram("h", []float64{1}).Observe(1)
-	r.LogHist("t.seconds", LatencyScheme).Observe(1)
+	r.Histogram("t.seconds", LatencyBounds).Observe(1)
 	o.Counter("c").Inc()
 	o.Gauge("g").Add(1)
 	o.Histogram("h", nil).Observe(0)
-	o.LogHist("t.seconds", LatencyScheme).Observe(1)
+	o.Histogram("t.seconds", LatencyBounds).Observe(1)
 	o.Emit("kind", nil)
 	Emit(nil, "kind", nil)
 	if o.Enabled() || o.Profiling() {

@@ -176,11 +176,6 @@ func (o *Observer) Histogram(name string, bounds []float64, labels ...string) *H
 	return o.Reg().Histogram(name, bounds, labels...)
 }
 
-// LogHist is a nil-safe shortcut for Reg().LogHist.
-func (o *Observer) LogHist(name string, s LogScheme, labels ...string) *LogHist {
-	return o.Reg().LogHist(name, s, labels...)
-}
-
 // Emit sends an event to the tracer, if any.
 func (o *Observer) Emit(kind string, attrs map[string]any) {
 	if o == nil {

@@ -1,8 +1,6 @@
 package vm
 
 import (
-	"fmt"
-	"io"
 	"sort"
 
 	"r2c/internal/telemetry"
@@ -169,30 +167,6 @@ func (p *FuncProfiler) Snapshot() []FuncStat {
 	return out
 }
 
-// WriteTable renders the top-n hot functions as a flat-profile table.
-func (p *FuncProfiler) WriteTable(w io.Writer, n int) {
-	stats := p.Snapshot()
-	var total float64
-	for _, st := range stats {
-		total += st.SelfCycles
-	}
-	if n <= 0 || n > len(stats) {
-		n = len(stats)
-	}
-	fmt.Fprintf(w, "%-4s %-24s %14s %7s %14s %10s\n", "#", "function", "self-cycles", "self%", "cum-cycles", "calls")
-	for i, st := range stats[:n] {
-		pct := 0.0
-		if total > 0 {
-			pct = st.SelfCycles / total * 100
-		}
-		fmt.Fprintf(w, "%-4d %-24s %14.0f %6.1f%% %14.0f %10d\n",
-			i+1, st.Name, st.SelfCycles, pct, st.CumCycles, st.Calls)
-	}
-	if n < len(stats) {
-		fmt.Fprintf(w, "     ... (%d more functions)\n", len(stats)-n)
-	}
-}
-
 // FoldedStacks returns the per-call-path self-cycle attribution sorted by
 // path — one entry per distinct folded stack ("caller;...;callee").
 func (p *FuncProfiler) FoldedStacks() []FoldedStack {
@@ -208,15 +182,6 @@ func (p *FuncProfiler) FoldedStacks() []FoldedStack {
 type FoldedStack struct {
 	Path   string
 	Cycles float64
-}
-
-// WriteFolded renders the profile in folded-stack format — one
-// "frame;frame;frame count" line per distinct call path, the input
-// flamegraph.pl and speedscope consume directly.
-func (p *FuncProfiler) WriteFolded(w io.Writer) {
-	for _, fs := range p.FoldedStacks() {
-		fmt.Fprintf(w, "%s %.0f\n", fs.Path, fs.Cycles)
-	}
 }
 
 // Publish adds the profile's totals to the registry as counters keyed by

@@ -2,8 +2,8 @@ package vm_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -80,31 +80,23 @@ func keys(m map[string]float64) []string {
 	return out
 }
 
-// TestProfilerWriteFolded pins the on-disk format: "path cycles" lines,
-// sorted by path, integer-rendered cycles — what flamegraph.pl and
+// TestProfilerWriteFolded pins the folded format Registry.WriteFolded
+// renders from a published profile (what r2cbench -profile-format folded
+// prints): one "path cycles" line per call path, sorted by path, cycles
+// truncated to integers as Publish counts them — what flamegraph.pl and
 // speedscope parse.
 func TestProfilerWriteFolded(t *testing.T) {
 	p := profiledRun(t)
-	var buf bytes.Buffer
-	p.WriteFolded(&buf)
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != len(p.FoldedStacks()) {
-		t.Fatalf("%d lines for %d stacks", len(lines), len(p.FoldedStacks()))
+	reg := telemetry.NewRegistry()
+	p.Publish(reg)
+	var got bytes.Buffer
+	reg.WriteFolded(&got)
+	var want strings.Builder
+	for _, fs := range p.FoldedStacks() {
+		fmt.Fprintf(&want, "%s %d\n", fs.Path, uint64(fs.Cycles))
 	}
-	prev := ""
-	for _, line := range lines {
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			t.Fatalf("malformed folded line %q", line)
-		}
-		path, count := line[:i], line[i+1:]
-		if path <= prev {
-			t.Errorf("paths not strictly sorted: %q after %q", path, prev)
-		}
-		prev = path
-		if _, err := strconv.ParseUint(count, 10, 64); err != nil {
-			t.Errorf("count %q on line %q is not an integer: %v", count, line, err)
-		}
+	if got.String() != want.String() {
+		t.Errorf("WriteFolded:\n%s\nwant:\n%s", got.String(), want.String())
 	}
 }
 
