@@ -2,7 +2,12 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -55,5 +60,32 @@ func TestFlagSet(t *testing.T) {
 	}
 	if got := flagSignatures(stderr.String()); got != wantFlags {
 		t.Errorf("flag set changed:\n--- got ---\n%s\n--- want ---\n%s", got, wantFlags)
+	}
+}
+
+// incidentsGolden is the sha256 of -incidents-out for `-trials 2 -flight 16
+// sidechannel-hardened`: six sealed trap incidents, each carrying its
+// process's traps_total/traps_dropped and a content-derived ID. Any change to
+// how a detonation is counted, recorded or sealed moves it.
+const incidentsGolden = "88167f37a348ccdb36002c4b15488865058ccd330727ddbfeb8b712d87fc82a4"
+
+func TestIncidentsGolden(t *testing.T) {
+	for _, jobs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("jobs%d", jobs), func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "inc.json")
+			args := []string{"-jobs", fmt.Sprint(jobs), "-trials", "2", "-flight", "16",
+				"-incidents-out", out, "sidechannel-hardened"}
+			if code := run(args, io.Discard, io.Discard); code != 0 {
+				t.Fatalf("exit %d", code)
+			}
+			b, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(b)
+			if got := hex.EncodeToString(sum[:]); got != incidentsGolden {
+				t.Errorf("incidents sha256 = %s, want %s", got, incidentsGolden)
+			}
+		})
 	}
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"os"
@@ -107,5 +109,27 @@ func TestJSONStdoutIsOneDocument(t *testing.T) {
 	var v any
 	if err := json.Unmarshal(stdout.Bytes(), &v); err != nil {
 		t.Errorf("stdout is not one JSON document: %v\n%s", err, stdout.String())
+	}
+}
+
+// incidentsGolden is the sha256 of -incidents-out for `-requests 600 -mvee 2
+// -attack overwrite -flight 16 nginx`: the MVEE divergence incident with its
+// flight record and content-derived ID.
+const incidentsGolden = "8bca30cdba23207bc3b3c1965ae801af47eccf14acfed89d98d2b1dd6954fe5a"
+
+func TestIncidentsGolden(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "inc.json")
+	args := []string{"-requests", "600", "-mvee", "2", "-attack", "overwrite", "-flight", "16",
+		"-incidents-out", out, "nginx"}
+	if code := run(args, io.Discard, io.Discard); code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	if got := hex.EncodeToString(sum[:]); got != incidentsGolden {
+		t.Errorf("incidents sha256 = %s, want %s", got, incidentsGolden)
 	}
 }
