@@ -200,7 +200,7 @@ func BenchmarkCompile(b *testing.B) {
 	cfg := defense.R2CFull()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Build(m, cfg, uint64(i+1)); err != nil {
+		if _, err := sim.Build(m, cfg, uint64(i+1), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -124,18 +124,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return err
 		}
-		mach := vm.New(proc, vm.EPYCRome())
-		if h.Obs.Profiling() {
-			mach.EnableProfiler()
-		}
-		res, err := mach.RunCtx(h.Ctx, sim.DefaultBudget, 0)
-		if reg := h.Obs.Reg(); reg != nil {
-			mach.PublishMetrics(reg)
-			if p := mach.Profiler(); p != nil {
-				p.Publish(reg)
-			}
-		}
-		if err != nil {
+		// A trap or fault is the program's outcome, printed like a halt; only
+		// fuel, cancellation and VM errors end the command.
+		res, err := sim.ExecMachine(h.Ctx, vm.New(proc, vm.EPYCRome()), h.Obs, nil, 0)
+		if err != nil && res.Trap == nil && res.Fault == nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "executed %d instructions, %d calls, %.0f cycles (%.3f ms on %s), maxrss %d KiB\n",

@@ -152,7 +152,7 @@ func buildVictim(m *tir.Module, cfg defense.Config, seed uint64, willMutate bool
 	if c := buildCache.Load(); c != nil && !willMutate {
 		return c.Process(m, cfg, seed, obs)
 	}
-	return sim.BuildObserved(m, cfg, seed, obs)
+	return sim.Build(m, cfg, seed, obs)
 }
 
 func buildRef(m *tir.Module, cfg defense.Config, seed uint64) (*image.Image, error) {
@@ -160,11 +160,7 @@ func buildRef(m *tir.Module, cfg defense.Config, seed uint64) (*image.Image, err
 		img, _, err := c.Image(m, cfg, seed)
 		return img, err
 	}
-	p, err := sim.Build(m, cfg, seed)
-	if err != nil {
-		return nil, err
-	}
-	return p.Img, nil
+	return sim.BuildImage(m, cfg, seed)
 }
 
 // ForensicHit is one detected probe with its resolved defense provenance.

@@ -321,19 +321,13 @@ func (s *Scenario) PIROPAdjust(k int) Outcome {
 	return s.judgeTransfer(newVal, kind)
 }
 
-// PIROPPersistent retries PIROP across worker restarts, as the real attack
-// does (iterative probing and memory massaging, Section 7.2.5). The worker
-// restarts with the same image; each attempt is a fresh process instance.
-// It returns the first non-Failed outcome, or Failed after maxRestarts.
-func PIROPPersistent(cfg defense.Config, seed uint64, maxRestarts int) Outcome {
-	o, _ := PIROPPersistentForensic(cfg, seed, maxRestarts)
-	return o
-}
-
-// PIROPPersistentForensic is PIROPPersistent returning, alongside the
-// outcome, the forensic hits accumulated across every restart of the
-// campaign — each detection attributed to the trap class and planted
-// artifact that caught it.
+// PIROPPersistentForensic retries PIROP across worker restarts, as the real
+// attack does (iterative probing and memory massaging, Section 7.2.5). The
+// worker restarts with the same image; each attempt is a fresh process
+// instance. It returns the first non-Failed outcome (or the worst one after
+// maxRestarts) and the forensic hits accumulated across every restart —
+// each detection attributed to the trap class and planted artifact that
+// caught it.
 func PIROPPersistentForensic(cfg defense.Config, seed uint64, maxRestarts int) (Outcome, []ForensicHit) {
 	worst := Failed
 	var hits []ForensicHit

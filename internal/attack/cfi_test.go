@@ -63,9 +63,8 @@ func TestShadowStackStopsRAOverwrite(t *testing.T) {
 	if o != Detected {
 		t.Fatalf("RA overwrite under shadow stack = %v, want detected", o)
 	}
-	last := s.Proc.LastTrap()
-	if last == nil || last.Kind != rt.TrapShadowStack {
-		t.Fatalf("trap = %v, want shadow-stack", last)
+	if n := len(s.Forensics); n == 0 || s.Forensics[n-1].Prov.Kind != rt.TrapShadowStack {
+		t.Fatalf("forensics = %v, want a shadow-stack trap last", s.Forensics)
 	}
 }
 

@@ -56,9 +56,8 @@ func TestBTRAChecksCatchCorruptionSpree(t *testing.T) {
 	if o != Detected {
 		t.Fatalf("BTRA corruption spree outcome = %v, want detected", o)
 	}
-	last := s.Proc.LastTrap()
-	if last == nil || last.Kind != rt.TrapBTRACheck {
-		t.Fatalf("trap = %v, want btra-check", last)
+	if n := len(s.Forensics); n == 0 || s.Forensics[n-1].Prov.Kind != rt.TrapBTRACheck {
+		t.Fatalf("forensics = %v, want a btra-check trap last", s.Forensics)
 	}
 }
 
@@ -121,8 +120,8 @@ func TestWithoutChecksSpreeIsSilent(t *testing.T) {
 		}
 	}
 	s.ResumeOutcomeOnly()
-	for _, tr := range s.Proc.Traps() {
-		if tr.Kind == rt.TrapBTRACheck {
+	for _, h := range s.Forensics {
+		if h.Prov.Kind == rt.TrapBTRACheck {
 			t.Fatal("default config fired a consistency check")
 		}
 	}

@@ -193,7 +193,7 @@ func (c *Cache) ImageSpan(m *tir.Module, cfg defense.Config, seed uint64, parent
 }
 
 // Process builds (or fetches) the image for (m, cfg, seed) and loads it into
-// a fresh process, exactly as sim.BuildObserved would: same seed derivation,
+// a fresh process, exactly as sim.Build would: same seed derivation,
 // same load-time randomness, same telemetry hooks.
 func (c *Cache) Process(m *tir.Module, cfg defense.Config, seed uint64, obs *telemetry.Observer) (*rt.Process, error) {
 	img, _, err := c.Image(m, cfg, seed)

@@ -154,7 +154,7 @@ func (e *Engine) Footer(tool string) string {
 }
 
 // BuildProcess returns a fresh process for (m, cfg, seed), reusing a cached
-// image when one exists. Behaviour is bit-identical to sim.BuildObserved.
+// image when one exists. Behaviour is bit-identical to sim.Build.
 func (e *Engine) BuildProcess(m *tir.Module, cfg defense.Config, seed uint64) (*rt.Process, error) {
 	return e.Cache.Process(m, cfg, seed, e.Obs)
 }
@@ -168,7 +168,7 @@ func (e *Engine) Run(m *tir.Module, cfg defense.Config, seed uint64, prof *vm.Pr
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := sim.ExecProcess(proc, prof, e.Obs)
+	res, err := sim.ExecMachine(context.Background(), vm.New(proc, prof), e.Obs, nil, 0)
 	return res, proc, err
 }
 
@@ -479,9 +479,9 @@ func (e *Engine) runCell(ctx context.Context, i int, c *Cell, seed uint64, sp *t
 	}
 	track("execute")
 	execStart := time.Now()
-	res, err := sim.ExecProcessSpanCtx(ctx, proc, c.Prof, e.Obs, sp, e.CellFuel)
+	res, err := sim.ExecMachine(ctx, vm.New(proc, c.Prof), e.Obs, sp, e.CellFuel)
 	e.Obs.Histogram("exec.phase.seconds", telemetry.LatencyBounds, "phase", "exec").Observe(time.Since(execStart).Seconds())
-	// Incident capture happens here, not in the caller: ExecProcessSpanCtx
+	// Incident capture happens here, not in the caller: ExecMachine
 	// returns a non-nil result alongside its error on faults and traps, and
 	// this is the last point where result and process are both in scope
 	// (runCellAttempts drops the result on error).

@@ -10,17 +10,6 @@ import (
 	"r2c/internal/tir"
 )
 
-// Image returns the linked image for (m, cfg, seed) through the engine's
-// content-addressed build cache, without the batch span/progress scaffolding
-// BuildImages wraps around a fan-out. It is the single-build path the
-// serving fleet's live re-diversification uses: a quarantined variant's
-// replacement is one fresh-seed build, and the fresh seed makes it a cache
-// miss by construction, so the returned hit flag reports whether this exact
-// re-diversification had already been built elsewhere.
-func (e *Engine) Image(m *tir.Module, cfg defense.Config, seed uint64) (*image.Image, bool, error) {
-	return e.Cache.Image(m, cfg, seed)
-}
-
 // BuildImages fans len(seeds) image builds of (m, cfg, seeds[i]) across the
 // pool and returns the linked images in seed order. It is the build-only
 // sibling of RunCells for callers that never execute the variants — the

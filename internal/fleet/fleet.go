@@ -492,7 +492,7 @@ func (f *Fleet) Serve(ctx context.Context) (*Report, error) {
 	// Golden run: the differential property says every benign variant
 	// agrees on output, so one clean run of variant 0 yields both the
 	// ground-truth response and the reference service time.
-	gres, err := sim.ExecProcessCtx(ctx, f.slots[0].snap.Fork(o.Obs), o.Prof, o.Obs, o.RequestFuel)
+	gres, err := sim.ExecMachine(ctx, vm.New(f.slots[0].snap.Fork(o.Obs), o.Prof), o.Obs, nil, o.RequestFuel)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: golden run: %w", err)
 	}
@@ -1070,7 +1070,7 @@ func (f *Fleet) quarantine(s *slot, t, rebuildLat float64) {
 		seed := f.nextSeed
 		f.nextSeed++
 		go func(ch chan healDone) {
-			img, _, err := o.Eng.Image(o.Module, o.Cfg, seed)
+			img, _, err := o.Eng.Cache.Image(o.Module, o.Cfg, seed)
 			ch <- heal(img, seed, err, o.Obs)
 		}(s.heal)
 	}

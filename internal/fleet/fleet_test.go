@@ -409,7 +409,7 @@ func TestRerollRejoinForksRerolledSnapshot(t *testing.T) {
 			if len(oldImms) > 0 && reflect.DeepEqual(pushImms(s.img), oldImms) {
 				t.Fatal("reroll left every push immediate in place")
 			}
-			res, err := sim.ExecProcess(p, o.Prof, nil)
+			res, err := sim.ExecMachine(context.Background(), vm.New(p, o.Prof), nil, nil, 0)
 			if err != nil || !res.Halted {
 				t.Fatalf("rerolled fork did not run clean: %v", err)
 			}

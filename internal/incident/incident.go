@@ -62,7 +62,7 @@ type Record struct {
 	Func   string `json:"func,omitempty"`
 	Origin string `json:"origin,omitempty"`
 	Source string `json:"source,omitempty"`
-	// Trap-ring accounting at snapshot time.
+	// Detonation accounting at snapshot time (rt.Process.TrapCount/DroppedTraps).
 	TrapsTotal   uint64 `json:"traps_total,omitempty"`
 	TrapsDropped uint64 `json:"traps_dropped,omitempty"`
 	// Flight is the control-flow flight-recorder snapshot, oldest first.

@@ -61,7 +61,7 @@ func New(m *tir.Module, cfg defense.Config, n int, baseSeed uint64, prof *vm.Pro
 	}
 	e := &Engine{prof: prof}
 	for i := 0; i < n; i++ {
-		proc, err := sim.Build(m, cfg, baseSeed+uint64(i))
+		proc, err := sim.Build(m, cfg, baseSeed+uint64(i), nil)
 		if err != nil {
 			return nil, fmt.Errorf("mvee: variant %d: %w", i, err)
 		}

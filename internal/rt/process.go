@@ -106,13 +106,9 @@ type Process struct {
 	// InitialRSP is the stack pointer at entry.
 	InitialRSP uint64
 
-	// trapRing retains the most recent trap events (capped so long attack
-	// campaigns cannot balloon memory); trapTotal counts every detonation
-	// and trapDropped how many events the cap overwrote.
-	trapRing    []TrapEvent
-	trapHead    int
-	trapTotal   uint64
-	trapDropped uint64
+	// trapTotal counts every detonation. The events themselves live on the
+	// flight record, the trap event stream and the incident record.
+	trapTotal uint64
 
 	// lastFaultPC remembers the PC of the most recent NoteFault, so
 	// incident records can attribute a fault to its faulting instruction
@@ -122,10 +118,10 @@ type Process struct {
 	rnd *rng.RNG
 }
 
-// TrapRingCap is how many recent trap events a process retains. The total
-// detonation count is unbounded (TrapCount); only the event details of the
-// newest TrapRingCap detonations are kept.
-const TrapRingCap = 256
+// trapEvidenceCap is how many detonations a process's evidence covers: each one
+// past it counts in DroppedTraps and rt.traps.dropped. Incident records seal
+// that count, so changing the cap moves every sealed ID.
+const trapEvidenceCap = 256
 
 // Snapshot is a loaded process frozen right after load-time
 // initialization: segments mapped, data initialized, heap set up and the
@@ -410,21 +406,12 @@ func (p *Process) ClassifyFault(pc uint64, f *mem.Fault) TrapKind {
 }
 
 // RecordTrap records a booby-trap detonation: it bumps the total count,
-// stores the event in the bounded ring of recent detonations, and streams
-// it to the telemetry observer. The ring cap keeps long attack campaigns
-// (thousands of detonations across restarted workers) from ballooning the
-// process's memory.
+// puts the event on the flight record and streams it to the telemetry
+// observer. A detonation past trapEvidenceCap also counts as dropped evidence.
 func (p *Process) RecordTrap(ev TrapEvent) {
 	p.trapTotal++
-	if len(p.trapRing) < TrapRingCap {
-		p.trapRing = append(p.trapRing, ev)
-	} else {
-		// The cap overwrites the oldest retained event; account for the
-		// loss so long campaigns can't silently eat forensic evidence.
-		p.trapDropped++
+	if p.trapTotal > trapEvidenceCap {
 		p.Obs.Counter("rt.traps.dropped").Inc()
-		p.trapRing[p.trapHead] = ev
-		p.trapHead = (p.trapHead + 1) % TrapRingCap
 	}
 	// The detonation itself goes on the flight record. Instr stays 0: the
 	// fast path calls stopFault before its block rollback, so a live
@@ -454,39 +441,12 @@ func (p *Process) RecordTrap(ev TrapEvent) {
 	}
 }
 
-// Traps returns the retained trap events, oldest first. When more than
-// TrapRingCap detonations occurred, only the newest TrapRingCap are
-// returned; TrapCount still reports the true total.
-func (p *Process) Traps() []TrapEvent {
-	if p.trapHead == 0 {
-		return append([]TrapEvent(nil), p.trapRing...)
-	}
-	out := make([]TrapEvent, 0, len(p.trapRing))
-	out = append(out, p.trapRing[p.trapHead:]...)
-	out = append(out, p.trapRing[:p.trapHead]...)
-	return out
-}
-
-// LastTrap returns the most recent trap event, or nil when none fired.
-func (p *Process) LastTrap() *TrapEvent {
-	if len(p.trapRing) == 0 {
-		return nil
-	}
-	i := p.trapHead - 1
-	if i < 0 {
-		i = len(p.trapRing) - 1
-	}
-	ev := p.trapRing[i]
-	return &ev
-}
-
 // TrapCount returns the total number of detonations ever recorded.
 func (p *Process) TrapCount() uint64 { return p.trapTotal }
 
-// DroppedTraps returns how many trap events the ring cap overwrote — the
-// evidence TrapRingCap discarded (also exported as the rt.traps.dropped
-// counter).
-func (p *Process) DroppedTraps() uint64 { return p.trapDropped }
+// DroppedTraps returns how many detonations fell past trapEvidenceCap (also
+// exported as the rt.traps.dropped counter).
+func (p *Process) DroppedTraps() uint64 { return p.trapTotal - min(p.trapTotal, trapEvidenceCap) }
 
 // LastFaultPC returns the PC of the most recent fault NoteFault saw, or 0
 // when no fault occurred.

@@ -285,34 +285,29 @@ func TestRerollBTRAsPreservesRAs(t *testing.T) {
 	}
 }
 
-// TestTrapRingBoundsGrowth drives RecordTrap far past the ring capacity and
-// checks the invariants the observability layer depends on: memory stays
-// bounded at TrapRingCap, TrapCount keeps the exact total, Traps returns the
-// newest events oldest-first, LastTrap is the final event, and the telemetry
-// counter matches the total per trap kind.
+// TestTrapRingBoundsGrowth drives RecordTrap far past the evidence cap and
+// checks the invariants the observability layer depends on: TrapCount keeps
+// the exact total, the bounded flight record ends in the final detonation,
+// and the telemetry counter matches the total per trap kind.
 func TestTrapRingBoundsGrowth(t *testing.T) {
 	p := buildProcess(t, defense.R2CFull(), 3)
 	reg := telemetry.NewRegistry()
 	p.Obs = &telemetry.Observer{Registry: reg}
+	p.Flight = telemetry.NewFlightRecorder(16)
 
-	const n = 3*TrapRingCap + 17
+	const n = 3*trapEvidenceCap + 17
 	for i := 0; i < n; i++ {
 		p.RecordTrap(TrapEvent{Kind: TrapBTRA, PC: uint64(i)})
 	}
 	if got := p.TrapCount(); got != n {
 		t.Fatalf("TrapCount = %d, want %d", got, n)
 	}
-	traps := p.Traps()
-	if len(traps) != TrapRingCap {
-		t.Fatalf("retained %d traps, want ring cap %d", len(traps), TrapRingCap)
+	evs := p.Flight.Events()
+	if len(evs) != 16 || p.Flight.Total() != n {
+		t.Fatalf("flight record holds %d of %d events, want 16 of %d", len(evs), p.Flight.Total(), n)
 	}
-	for i, ev := range traps {
-		if want := uint64(n - TrapRingCap + i); ev.PC != want {
-			t.Fatalf("traps[%d].PC = %d, want %d (oldest-first rotation)", i, ev.PC, want)
-		}
-	}
-	if last := p.LastTrap(); last == nil || last.PC != n-1 {
-		t.Fatalf("LastTrap = %v, want PC %d", last, n-1)
+	if last := evs[len(evs)-1]; last.Kind != telemetry.FlightTrap || last.PC != n-1 {
+		t.Fatalf("last flight event = %+v, want the trap at PC %d", last, n-1)
 	}
 	key := telemetry.Key("rt.traps", "kind", TrapBTRA.String())
 	if got := reg.Snapshot().Counters[key]; got != n {
@@ -320,16 +315,16 @@ func TestTrapRingBoundsGrowth(t *testing.T) {
 	}
 }
 
-// Once the ring overwrites, every overwrite must be accounted: the dropped
+// Past the evidence cap, every detonation must be accounted: the dropped
 // counter (and its registry mirror) is the signal that forensic evidence was
-// lost to ring pressure.
+// lost.
 func TestDroppedTrapsAccounting(t *testing.T) {
 	p := buildProcess(t, defense.R2CFull(), 5)
 	reg := telemetry.NewRegistry()
 	p.Obs = &telemetry.Observer{Registry: reg}
 
 	const extra = 9
-	for i := 0; i < TrapRingCap+extra; i++ {
+	for i := 0; i < trapEvidenceCap+extra; i++ {
 		p.RecordTrap(TrapEvent{Kind: TrapBTRA, PC: uint64(i)})
 	}
 	if got := p.DroppedTraps(); got != extra {

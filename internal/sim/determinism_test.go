@@ -2,6 +2,8 @@ package sim_test
 
 import (
 	"bytes"
+	"context"
+	"io"
 	"reflect"
 	"testing"
 
@@ -26,7 +28,7 @@ func TestTelemetryDoesNotPerturbRuns(t *testing.T) {
 		spans := &telemetry.SpanCollector{}
 		obs := &telemetry.Observer{
 			Registry:     telemetry.NewRegistry(),
-			Tracer:       &telemetry.Collector{},
+			Tracer:       telemetry.NewJSONLTracer(io.Discard),
 			Spans:        spans,
 			ProfileFuncs: true,
 		}
@@ -45,7 +47,7 @@ func TestTelemetryDoesNotPerturbRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s observed load: %v", cfg.Name, err)
 		}
-		obsRes, err := sim.ExecProcessSpan(obsProc, vm.EPYCRome(), obs, root)
+		obsRes, err := sim.ExecMachine(context.Background(), vm.New(obsProc, vm.EPYCRome()), obs, root, 0)
 		root.End()
 		if err != nil {
 			t.Fatalf("%s observed: %v", cfg.Name, err)

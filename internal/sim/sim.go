@@ -27,15 +27,10 @@ const DefaultBudget = 600_000_000
 // time diversification, link-time layout (ASLR, shuffling) and load-time
 // randomness (BTDP placement); different seeds produce fully re-diversified
 // processes, like the paper's per-run recompilation with fresh seeds
-// (Section 6.2).
-func Build(m *tir.Module, cfg defense.Config, seed uint64) (*rt.Process, error) {
-	return BuildObserved(m, cfg, seed, nil)
-}
-
-// BuildObserved is Build with a telemetry observer attached to the loaded
-// process, so load-time events (the BTDP constructor) and later traps and
-// faults reach the observer's sinks. obs may be nil.
-func BuildObserved(m *tir.Module, cfg defense.Config, seed uint64, obs *telemetry.Observer) (*rt.Process, error) {
+// (Section 6.2). A non-nil obs is attached to the loaded process, so
+// load-time events (the BTDP constructor) and later traps and faults reach
+// its sinks; obs may be nil.
+func Build(m *tir.Module, cfg defense.Config, seed uint64, obs *telemetry.Observer) (*rt.Process, error) {
 	img, err := BuildImage(m, cfg, seed)
 	if err != nil {
 		return nil, err
@@ -89,57 +84,31 @@ func LoadImage(img *image.Image, seed uint64, obs *telemetry.Observer) (*rt.Snap
 
 // Run builds and executes a module to completion on the given profile.
 func Run(m *tir.Module, cfg defense.Config, seed uint64, prof *vm.Profile) (*vm.Result, *rt.Process, error) {
-	proc, err := Build(m, cfg, seed)
+	proc, err := Build(m, cfg, seed, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := ExecProcess(proc, prof, nil)
+	res, err := ExecMachine(context.Background(), vm.New(proc, prof), nil, nil, 0)
 	return res, proc, err
 }
 
-// ExecProcess runs an already-loaded process to completion on the given
-// profile. Under a non-nil obs the process streams trap/fault events to it,
-// the machine publishes its counters (instruction classes, i-cache, TLB,
-// RSS, heap) into obs's registry when the run ends, and — when obs requests
-// function profiling — per-function cycle attribution is collected and
-// published too; a nil obs changes no result (the determinism test asserts
-// it). It is the shared back half of Run and the exec engine's per-cell
-// runner, so a cell executed through the worker pool reports results and
-// errors identically to a serial sim.Run call.
-func ExecProcess(proc *rt.Process, prof *vm.Profile, obs *telemetry.Observer) (*vm.Result, error) {
-	return ExecProcessSpan(proc, prof, obs, nil)
-}
-
-// ExecProcessSpan is ExecProcess with the run recorded under sp ("sim.exec"
-// child span carrying the retired-instruction and modeled-cycle counts, plus
-// how the run ended). sp may be nil.
-func ExecProcessSpan(proc *rt.Process, prof *vm.Profile, obs *telemetry.Observer, sp *telemetry.Span) (*vm.Result, error) {
-	return ExecProcessSpanCtx(context.Background(), proc, prof, obs, sp, 0)
-}
-
-// ExecProcessCtx is ExecProcess with a cancellation context and an explicit
-// fuel budget — the seam the exec engine's per-cell watchdog uses. maxInstr
-// is the total instruction allowance (0 means DefaultBudget); exhausting it
-// returns an error wrapping vm.ErrFuelExhausted, and a cancelled ctx returns
-// ctx.Err() unwrapped so callers can distinguish deadline from fuel. A
-// background ctx with maxInstr 0 is identical to ExecProcess.
-func ExecProcessCtx(ctx context.Context, proc *rt.Process, prof *vm.Profile, obs *telemetry.Observer, maxInstr uint64) (*vm.Result, error) {
-	return ExecProcessSpanCtx(ctx, proc, prof, obs, nil, maxInstr)
-}
-
-// ExecProcessSpanCtx combines ExecProcessSpan and ExecProcessCtx: traced,
-// cancellable, fuel-bounded execution. The chunked cancellable run retires
-// the identical instruction stream as the plain one (vm.RunCtx resumes
-// bit-exactly), so ctx and maxInstr never perturb a run they don't stop.
-func ExecProcessSpanCtx(ctx context.Context, proc *rt.Process, prof *vm.Profile, obs *telemetry.Observer, sp *telemetry.Span, maxInstr uint64) (*vm.Result, error) {
-	return ExecMachine(ctx, vm.New(proc, prof), obs, sp, maxInstr)
-}
-
-// ExecMachine is ExecProcessSpanCtx on a machine the caller armed — fresh
-// from vm.New, or re-armed by Machine.Reset, which is how the serving fleet
-// runs request after request on one machine per slot. mach must not have
-// run since it was armed. The returned Result points into mach and is
-// valid until its next Reset.
+// ExecMachine runs a loaded process to completion on a machine the caller
+// armed — fresh from vm.New, or re-armed by Machine.Reset, as the serving
+// fleet does per request. mach must not have run since it was armed; the
+// returned Result points into mach and is valid until its next Reset. It is
+// the one run call, so every caller reports results and errors identically.
+//
+// Under a non-nil obs the machine publishes its counters (and, when obs
+// requests profiling, per-function cycle attribution) into obs's registry
+// when the run ends; a nil obs changes no result (the determinism test
+// asserts it). A non-nil sp gets a "sim.exec" child carrying the retired
+// instructions, modeled cycles and how the run ended.
+//
+// maxInstr is the instruction allowance (0 means DefaultBudget); exhausting
+// it returns an error wrapping vm.ErrFuelExhausted, and a cancelled ctx
+// returns ctx.Err() unwrapped. RunCtx resumes bit-exactly, so ctx and
+// maxInstr never perturb a run they don't stop. A fault or trap returns its
+// result alongside an error.
 func ExecMachine(ctx context.Context, mach *vm.Machine, obs *telemetry.Observer, sp *telemetry.Span, maxInstr uint64) (*vm.Result, error) {
 	fuel := maxInstr
 	if fuel == 0 {
@@ -163,10 +132,11 @@ func ExecMachine(ctx context.Context, mach *vm.Machine, obs *telemetry.Observer,
 			es.SetAttr("end", "halt")
 		case err == vm.ErrFuelExhausted:
 			es.SetAttr("end", "fuel")
-		case err != nil && ctx.Err() != nil:
+		case err == ctx.Err():
 			es.SetAttr("end", "cancelled")
-		default:
-			es.SetAttr("end", "budget")
+		default: // RunCtx's error-free endings are halt, fault and trap
+			es.SetAttr("end", "error")
+			es.SetAttr("error", err.Error())
 		}
 	}
 	if reg := obs.Reg(); reg != nil {

@@ -1,10 +1,16 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"r2c/internal/defense"
+	"r2c/internal/mem"
+	"r2c/internal/rt"
+	"r2c/internal/telemetry"
 	"r2c/internal/tir"
 	"r2c/internal/vm"
 )
@@ -228,11 +234,11 @@ func TestExpectedOutputValues(t *testing.T) {
 // different layouts under full R2C (and identical ones in the baseline).
 func TestDiversificationActuallyDiversifies(t *testing.T) {
 	m := torture()
-	p1, err := Build(m, defense.R2CFull(), 1)
+	p1, err := Build(m, defense.R2CFull(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Build(m, defense.R2CFull(), 2)
+	p2, err := Build(m, defense.R2CFull(), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +246,7 @@ func TestDiversificationActuallyDiversifies(t *testing.T) {
 		t.Error("function order identical across seeds")
 	}
 	// Same seed must reproduce the layout exactly.
-	p1b, err := Build(m, defense.R2CFull(), 1)
+	p1b, err := Build(m, defense.R2CFull(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,5 +278,87 @@ func TestInstructionCountsAreReasonable(t *testing.T) {
 	}
 	if base.Calls == 0 {
 		t.Error("no calls executed")
+	}
+}
+
+// TestExecMachineEndings runs one program per way a run can end and checks
+// both what ExecMachine returns and how its "sim.exec" span labels the end.
+func TestExecMachineEndings(t *testing.T) {
+	divZero := func() *tir.Module {
+		mb := tir.NewModule("divzero")
+		main := mb.NewFunc("main", 0)
+		main.Output(main.Bin(tir.OpDiv, main.Const(1), main.Const(0)))
+		main.RetVoid()
+		mb.SetEntry("main")
+		return mb.MustBuild()
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		end      string
+		m        *tir.Module
+		cfg      defense.Config
+		ctx      context.Context
+		maxInstr uint64
+		arm      func(*rt.Process, *vm.Machine)
+		check    func(*vm.Result, error) bool
+	}{
+		{end: "halt", m: torture(), cfg: defense.Off(),
+			check: func(r *vm.Result, err error) bool { return err == nil && r.Halted }},
+		{end: "trap", m: torture(), cfg: defense.R2CFull(),
+			arm: func(p *rt.Process, m *vm.Machine) {
+				for _, name := range p.Img.FuncOrder {
+					if pf := p.Img.Funcs[name]; pf.F.BoobyTrap {
+						m.CPU.PC = pf.Start
+						return
+					}
+				}
+			},
+			check: func(r *vm.Result, err error) bool { return err != nil && r.Trap != nil }},
+		{end: "fault", m: torture(), cfg: defense.Off(),
+			arm: func(p *rt.Process, _ *vm.Machine) {
+				_ = p.Space.Protect(mem.AlignDown(p.InitialRSP-8, mem.PageSize), mem.PageSize, mem.PermNone)
+			},
+			check: func(r *vm.Result, err error) bool { return err != nil && r.Fault != nil }},
+		{end: "fuel", m: torture(), cfg: defense.Off(), maxInstr: 100,
+			check: func(_ *vm.Result, err error) bool { return errors.Is(err, vm.ErrFuelExhausted) }},
+		{end: "cancelled", m: torture(), cfg: defense.Off(), ctx: cancelled,
+			check: func(_ *vm.Result, err error) bool { return err == context.Canceled }},
+		{end: "error", m: divZero(), cfg: defense.Off(),
+			check: func(r *vm.Result, err error) bool {
+				return err != nil && strings.Contains(err.Error(), "division by zero") && r.Trap == nil && r.Fault == nil
+			}},
+	} {
+		t.Run(tc.end, func(t *testing.T) {
+			p, err := Build(tc.m, tc.cfg, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mach := vm.New(p, vm.EPYCRome())
+			if tc.arm != nil {
+				tc.arm(p, mach)
+			}
+			ctx := tc.ctx
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			spans := &telemetry.SpanCollector{}
+			root := telemetry.StartSpan(spans, "test", 1)
+			res, err := ExecMachine(ctx, mach, nil, root, tc.maxInstr)
+			root.End()
+			if !tc.check(res, err) {
+				t.Fatalf("unexpected return: err=%v result=%+v", err, res)
+			}
+			sp := spans.ByName("sim.exec")
+			if len(sp) != 1 {
+				t.Fatalf("%d sim.exec spans, want 1", len(sp))
+			}
+			if got := sp[0].Attrs["end"]; got != tc.end {
+				t.Errorf("span end = %v, want %s", got, tc.end)
+			}
+			if tc.end == "error" && sp[0].Attrs["error"] != err.Error() {
+				t.Errorf("span error = %v, want %q", sp[0].Attrs["error"], err.Error())
+			}
+		})
 	}
 }

@@ -79,47 +79,6 @@ func (t *JSONLTracer) RecordSpan(d SpanData) {
 	t.w.Write(b)
 }
 
-// Collector buffers events in memory, for tests and programmatic readers.
-type Collector struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// Emit appends the event.
-func (c *Collector) Emit(kind string, attrs map[string]any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.events = append(c.events, Event{Seq: uint64(len(c.events) + 1), Kind: kind, Attrs: attrs})
-}
-
-// Events returns a copy of everything collected so far.
-func (c *Collector) Events() []Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Event(nil), c.events...)
-}
-
-// Kinds returns the count of collected events per kind.
-func (c *Collector) Kinds() map[string]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := map[string]int{}
-	for _, e := range c.events {
-		m[e.Kind]++
-	}
-	return m
-}
-
-// MultiTracer fans one event out to several tracers.
-type MultiTracer []Tracer
-
-// Emit forwards to every non-nil tracer.
-func (m MultiTracer) Emit(kind string, attrs map[string]any) {
-	for _, t := range m {
-		Emit(t, kind, attrs)
-	}
-}
-
 // Observer bundles the two sinks a component may report into — a metrics
 // registry and an event tracer — plus the knobs that enable optional,
 // costlier collection. A nil *Observer (or nil fields) disables everything;
@@ -131,7 +90,7 @@ type Observer struct {
 	// execute). Nil disables span tracing.
 	Spans SpanSink
 	// ProfileFuncs enables the per-function simulated-cycle profiler in
-	// runs driven through sim.ExecProcess and the exec engine.
+	// runs driven through sim.ExecMachine.
 	ProfileFuncs bool
 	// FlightCap sizes the per-process control-flow flight recorder (rounded
 	// up to a power of two). Zero disables recording — the default, so

@@ -160,9 +160,6 @@ type Function struct {
 	NoReturn bool
 }
 
-// EntryBlock returns the function's entry block index (always 0).
-func (f *Function) EntryBlock() int { return 0 }
-
 // GlobalKind classifies globals for layout and for the attacker model.
 type GlobalKind int
 

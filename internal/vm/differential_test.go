@@ -76,7 +76,7 @@ func buildImage(t testing.TB, m *tir.Module, cfg defense.Config, seed uint64) *i
 }
 
 // newMachine loads a fresh process from img — bit-identical to a
-// sim.BuildObserved of the same (module, config, seed) — on prof.
+// sim.Build of the same (module, config, seed) — on prof.
 func newMachine(t testing.TB, img *image.Image, seed uint64, prof *vm.Profile, obs *telemetry.Observer) *vm.Machine {
 	t.Helper()
 	proc, err := sim.NewProcessFromImage(img, seed, obs)
@@ -199,17 +199,21 @@ func scenarioResume(t *testing.T, run func(*vm.Machine) leg, obs *telemetry.Obse
 }
 
 // TestFastPathTrapParity detonates the same booby trap under both engines.
-// The stop state and the recorded trap events — kind, PC, leaked address —
-// must match exactly.
+// The stop state and the flight record — ending in the detonation's trap
+// frame, with its kind, PC and leaked address — must match exactly.
 func TestFastPathTrapParity(t *testing.T) {
-	fast, fs := scenarioResume(t, runFast, nil)
-	ref, rs := scenarioResume(t, runRef, nil)
+	fast, fs := scenarioResume(t, runFast, &telemetry.Observer{FlightCap: 64})
+	ref, rs := scenarioResume(t, runRef, &telemetry.Observer{FlightCap: 64})
 	if fast.res.Trap == nil {
 		t.Fatalf("corrupted return did not trap: %+v", fast.res)
 	}
 	requireSame(t, "trap resume", fast, ref)
-	if !reflect.DeepEqual(fs.Proc.Traps(), rs.Proc.Traps()) {
-		t.Fatalf("trap events diverge\nfast:      %+v\nreference: %+v", fs.Proc.Traps(), rs.Proc.Traps())
+	fe, re := fs.Proc.Flight.Events(), rs.Proc.Flight.Events()
+	if len(fe) == 0 || fe[len(fe)-1].Kind != telemetry.FlightTrap {
+		t.Fatalf("flight record does not end in the trap: %+v", fe)
+	}
+	if !reflect.DeepEqual(fe, re) {
+		t.Fatalf("flight records diverge\nfast:      %+v\nreference: %+v", fe, re)
 	}
 }
 

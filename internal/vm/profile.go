@@ -146,14 +146,6 @@ func Xeon8358() *Profile {
 	return p
 }
 
-// Xeon8358AVX512 is the Xeon profile used for the AVX-512 experiment of
-// Section 7.1 (same machine; the codegen config selects 512-bit moves).
-func Xeon8358AVX512() *Profile {
-	p := Xeon8358()
-	p.Name = "Xeon (AVX-512)"
-	return p
-}
-
 // AllMachines returns the four evaluation machines in Figure 6's legend
 // order.
 func AllMachines() []*Profile {

@@ -79,7 +79,7 @@ func TestPauseResumeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same build, run in many small slices: identical totals.
-	proc, err := sim.Build(m, defense.R2CFull(), 3)
+	proc, err := sim.Build(m, defense.R2CFull(), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestDivisionByZeroIsAnError(t *testing.T) {
 }
 
 func TestExitStatus(t *testing.T) {
-	proc, err := sim.Build(smallModule(), defense.Off(), 1)
+	proc, err := sim.Build(smallModule(), defense.Off(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestExitStatus(t *testing.T) {
 }
 
 func TestRSSSampling(t *testing.T) {
-	proc, err := sim.Build(smallModule(), defense.R2CFull(), 2)
+	proc, err := sim.Build(smallModule(), defense.R2CFull(), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestRSSSampling(t *testing.T) {
 func TestICacheFlushCostsCycles(t *testing.T) {
 	m := smallModule()
 	build := func(flush uint64) *vm.Result {
-		proc, err := sim.Build(m, defense.Off(), 4)
+		proc, err := sim.Build(m, defense.Off(), 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func TestUnwinderWalksBTRAFrames(t *testing.T) {
 	m := mb.MustBuild()
 
 	for _, cfg := range []defense.Config{defense.Off(), defense.R2CFull(), defense.R2CPush()} {
-		proc, err := sim.Build(m, cfg, 7)
+		proc, err := sim.Build(m, cfg, 7, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
