@@ -27,11 +27,12 @@ test:
 	$(GO) test ./...
 
 # Concurrently-updated state lives in the telemetry registry, the exec
-# engine (worker pool + build cache), the fleet's heal goroutines and the
-# process snapshots every fork shares (mem, heap, rt); their tests — and the
-# bench drivers that fan cells through them — run under the race detector.
+# engine (worker pool + build cache + incident log, which attack scenarios
+# share across pool workers), the fleet's heal goroutines and the process
+# snapshots every fork shares (mem, heap, rt); their tests — and the bench
+# drivers that fan cells through them — run under the race detector.
 # RACE_PKGS is the list `make check` races too.
-RACE_PKGS = ./internal/exec/ ./internal/telemetry/ ./internal/vm/ ./internal/pcode/ ./internal/incident/ ./internal/fleet/ ./internal/mvee/ ./internal/harness/ ./internal/mem/ ./internal/heap/ ./internal/rt/
+RACE_PKGS = ./internal/exec/ ./internal/attack/ ./internal/telemetry/ ./internal/vm/ ./internal/pcode/ ./internal/incident/ ./internal/fleet/ ./internal/mvee/ ./internal/harness/ ./internal/mem/ ./internal/heap/ ./internal/rt/
 test-race:
 	$(GO) test -race -timeout 300s $(RACE_PKGS) ./internal/sim/ ./internal/bench/
 

@@ -211,7 +211,7 @@ func BenchmarkCompile(b *testing.B) {
 func BenchmarkAOCRAttack(b *testing.B) {
 	tally := attack.Tally{}
 	for i := 0; i < b.N; i++ {
-		s, err := attack.NewScenario(defense.R2CFull(), uint64(i+1))
+		s, err := attack.NewScenario(nil, defense.R2CFull(), uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}

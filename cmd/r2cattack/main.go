@@ -15,6 +15,7 @@ import (
 	"r2c/internal/attack"
 	"r2c/internal/bench"
 	"r2c/internal/defense"
+	"r2c/internal/exec"
 	"r2c/internal/harness"
 	"r2c/internal/incident"
 	"r2c/internal/mvee"
@@ -45,10 +46,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}},
 		{Name: "prob", Run: func() error { _, err := bench.Prob(opt, 6**trials); return err }},
 		{Name: "sidechannel", Run: func() error { _, err := bench.SideChannel(opt); return err }},
-		{Name: "sidechannel-hardened", Run: func() error { return sideChannelHardened(stdout, h.Obs) }},
-		{Name: "bruteforce", Run: func() error { return bruteforce(stdout) }},
-		{Name: "ablations", Run: func() error { return ablations(stdout) }},
-		{Name: "aocr", Run: func() error { return aocrDemo(stdout, h.Obs) }},
+		{Name: "sidechannel-hardened", Run: func() error { return sideChannelHardened(stdout, h.Eng) }},
+		{Name: "bruteforce", Run: func() error { return bruteforce(stdout, h.Eng) }},
+		{Name: "ablations", Run: func() error { return ablations(stdout, h.Eng) }},
+		{Name: "aocr", Run: func() error { return aocrDemo(stdout, h.Eng) }},
 		{Name: "mvee", Run: func() error { return mveeDemo(stdout, h.Incidents) }},
 	}
 	return h.Main(args, func() error {
@@ -63,17 +64,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := h.Open(*jobs, telemetry.SinkOptions{}); err != nil {
 			return err
 		}
-		// The attack package routes every victim/reference build through the
-		// engine's cache, collapsing the Monte-Carlo campaigns' repeated
-		// same-seed rebuilds to one compile+link each, and reports scenario
-		// detections into the shared incident log.
-		attack.UseBuildCache(h.Eng.Cache)
-		attack.UseIncidentLog(h.Incidents)
 		h.SampleCells(*sampleEvery)
 		if err := h.Serve(telemetry.OpsSources{}); err != nil {
 			return err
 		}
-		opt = bench.Options{Scale: 4, Runs: 1, Out: stdout, Obs: h.Obs, Jobs: *jobs, Eng: h.Eng, Ctx: h.Ctx}
+		// Every scenario builds its victim and reference through the
+		// engine's cache, collapsing the Monte-Carlo campaigns' repeated
+		// same-seed rebuilds to one compile+link each, and reports its
+		// detections into the engine's incident log.
+		opt = bench.Options{Scale: 4, Runs: 1, Out: stdout, Eng: h.Eng, Ctx: h.Ctx}
 		return h.RunExperiments()
 	})
 }
@@ -111,14 +110,14 @@ func mveeDemo(w io.Writer, ilog *incident.Log) error {
 
 // sideChannelHardened reruns the Section 7.3 side channel against the
 // proposed BTRA consistency checks.
-func sideChannelHardened(w io.Writer, obs *telemetry.Observer) error {
+func sideChannelHardened(w io.Writer, eng *exec.Engine) error {
 	cfg := defense.R2CFull()
 	cfg.Name = "r2c-btra-checks"
 	cfg.CheckBTRAsOnReturn = true
 	detections := 0
 	trials := 30
 	for seed := uint64(1); seed <= uint64(trials); seed++ {
-		s, err := attack.NewScenarioObserved(cfg, seed, obs)
+		s, err := attack.NewScenario(eng, cfg, seed)
 		if err != nil {
 			return err
 		}
@@ -144,10 +143,10 @@ func sideChannelHardened(w io.Writer, obs *telemetry.Observer) error {
 
 // bruteforce runs the Section 4.1 Blind ROP and Section 7.2.3 heap feng
 // shui experiments.
-func bruteforce(w io.Writer) error {
+func bruteforce(w io.Writer, eng *exec.Engine) error {
 	fmt.Fprintln(w, "Blind ROP stop-gadget scan against a restarting worker (Section 4.1):")
 	for _, cfg := range []defense.Config{defense.Off(), defense.R2CFull()} {
-		r, err := attack.BlindROP(cfg, 31, 12)
+		r, err := attack.BlindROP(eng, cfg, 31, 12)
 		if err != nil {
 			return err
 		}
@@ -155,7 +154,7 @@ func bruteforce(w io.Writer) error {
 			cfg.Name, r.Probes, r.FoundGadget, r.Detections)
 	}
 	fmt.Fprintln(w, "heap feng shui pairing filter (Section 7.2.3):")
-	r, err := attack.FengShui(defense.R2CFull(), 5, 4096)
+	r, err := attack.FengShui(eng, defense.R2CFull(), 5, 4096)
 	if err != nil {
 		return err
 	}
@@ -166,12 +165,12 @@ func bruteforce(w io.Writer) error {
 
 // aocrDemo narrates one full AOCR attack against the unprotected baseline
 // and against full R2C.
-func aocrDemo(w io.Writer, obs *telemetry.Observer) error {
+func aocrDemo(w io.Writer, eng *exec.Engine) error {
 	fmt.Fprintln(w, "AOCR whole-function-reuse demo (Section 2.3 attack chain)")
 	for _, cfg := range []defense.Config{defense.Off(), defense.R2CFull()} {
 		tally := attack.Tally{}
 		for seed := uint64(1); seed <= 8; seed++ {
-			s, err := attack.NewScenarioObserved(cfg, seed, obs)
+			s, err := attack.NewScenario(eng, cfg, seed)
 			if err != nil {
 				return err
 			}
@@ -183,7 +182,7 @@ func aocrDemo(w io.Writer, obs *telemetry.Observer) error {
 }
 
 // ablations demonstrates the design-decision attacks.
-func ablations(w io.Writer) error {
+func ablations(w io.Writer, eng *exec.Engine) error {
 	fmt.Fprintln(w, "Design-decision ablations (Sections 4.1, 5.2)")
 
 	// Property B: dynamic BTRA sets fall to two observations.
@@ -191,7 +190,7 @@ func ablations(w io.Writer) error {
 	bad.Name = "r2c-dynamic-btras"
 	bad.InsecureDynamicBTRAs = true
 	for _, cfg := range []defense.Config{defense.R2CFull(), bad} {
-		rem, isRA, err := attack.DynamicBTRAAttack(cfg, 11)
+		rem, isRA, err := attack.DynamicBTRAAttack(eng, cfg, 11)
 		if err != nil {
 			return err
 		}
@@ -204,7 +203,7 @@ func ablations(w io.Writer) error {
 	bad2.Name = "r2c-callee-btras"
 	bad2.InsecureCalleeBTRAs = true
 	for _, cfg := range []defense.Config{defense.R2CFull(), bad2} {
-		uniq, allRA, err := attack.CalleeBTRAAttack(cfg, 13)
+		uniq, allRA, err := attack.CalleeBTRAAttack(eng, cfg, 13)
 		if err != nil {
 			return err
 		}
@@ -218,7 +217,7 @@ func ablations(w io.Writer) error {
 	naive.Name = "r2c-naive-btdp-array"
 	naive.BTDPNaiveDataArray = true
 	for _, cfg := range []defense.Config{defense.R2CFull(), naive} {
-		kept, keptBTDPs, err := attack.NaiveBTDPArrayAttack(cfg, 17)
+		kept, keptBTDPs, err := attack.NaiveBTDPArrayAttack(eng, cfg, 17)
 		if err != nil {
 			return err
 		}

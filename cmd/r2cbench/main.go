@@ -80,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := h.Serve(telemetry.OpsSources{}); err != nil {
 			return err
 		}
-		opt = bench.Options{Scale: *scale, Runs: *runs, Out: stdout, Obs: h.Obs, Jobs: *jobs, Eng: h.Eng, Ctx: h.Ctx}
+		opt = bench.Options{Scale: *scale, Runs: *runs, Out: stdout, Eng: h.Eng, Ctx: h.Ctx}
 		if err := h.RunExperiments(); err != nil {
 			return err
 		}

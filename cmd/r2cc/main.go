@@ -107,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if h.Flags.Arg(0) != "victim" {
 				return fmt.Errorf("-stack needs the victim workload")
 			}
-			s, err := attack.NewScenario(cfg, *seed)
+			s, err := attack.NewScenario(nil, cfg, *seed)
 			if err != nil {
 				return err
 			}

@@ -28,7 +28,7 @@ func main() {
 	for _, cfg := range []defense.Config{defense.Off(), defense.Readactor(), defense.R2CFull()} {
 		tally := attack.Tally{}
 		for seed := uint64(1); seed <= 12; seed++ {
-			s, err := attack.NewScenario(cfg, seed)
+			s, err := attack.NewScenario(nil, cfg, seed)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -39,7 +39,7 @@ func main() {
 }
 
 func narrate(cfg defense.Config) {
-	s, err := attack.NewScenario(cfg, 6)
+	s, err := attack.NewScenario(nil, cfg, 6)
 	if err != nil {
 		log.Fatal(err)
 	}

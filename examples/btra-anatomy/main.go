@@ -18,7 +18,7 @@ import (
 
 func main() {
 	cfg := defense.R2CPush() // push setup reads best in disassembly
-	s, err := attack.NewScenario(cfg, 4)
+	s, err := attack.NewScenario(nil, cfg, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"r2c/internal/defense"
+	"r2c/internal/exec"
 	"r2c/internal/isa"
 	"r2c/internal/rng"
 	"r2c/internal/telemetry"
@@ -16,18 +17,36 @@ import (
 // violated. Each ablation attack runs against both the weakened and the
 // real configuration; the experiments assert the weakened one falls.
 
-// newScenarioOpts builds a paused scenario with extra controls: an optional
-// BTRA re-roll before execution (the dynamic-BTRA ablation) and an optional
-// required caller of the paused helper frame (for the per-callee ablation,
-// which must observe two distinct call sites).
-func newScenarioOpts(cfg defense.Config, seed uint64, reroll bool, rerollSeed uint64, wantCaller string, obs *telemetry.Observer) (*Scenario, error) {
+// pause holds newScenario's extra controls: an optional BTRA re-roll before
+// execution (the dynamic-BTRA ablation) and an optional required caller of
+// the paused helper frame (for the per-callee ablation, which must observe
+// two distinct call sites).
+type pause struct {
+	reroll     bool
+	rerollSeed uint64
+	caller     string
+}
+
+// newScenario builds and pauses a victim through eng (nil: uncached,
+// unrecorded). observe attaches eng.Obs to the process and the scenario.
+// A re-rolled victim patches its image after loading; its configuration
+// (InsecureDynamicBTRAs) is one the build cache never shares, so the
+// mutation cannot reach another scenario.
+func newScenario(eng *exec.Engine, cfg defense.Config, seed uint64, observe bool, p pause) (*Scenario, error) {
+	if eng == nil {
+		eng = &exec.Engine{}
+	}
+	var obs *telemetry.Observer
+	if observe {
+		obs = eng.Obs
+	}
 	m := victimModule()
-	proc, err := buildVictim(m, cfg, seed, reroll, obs)
+	proc, err := eng.Cache.Process(m, cfg, seed, obs)
 	if err != nil {
 		return nil, err
 	}
-	if reroll {
-		if err := proc.RerollBTRAs(rerollSeed); err != nil {
+	if p.reroll {
+		if err := proc.RerollBTRAs(p.rerollSeed); err != nil {
 			return nil, err
 		}
 	}
@@ -46,9 +65,9 @@ func newScenarioOpts(cfg defense.Config, seed uint64, reroll bool, rerollSeed ui
 		if pc < helperPF.Start || pc >= helperPF.End {
 			continue
 		}
-		if wantCaller != "" {
+		if p.caller != "" {
 			frames, err := proc.Unwind(pc, mach.CPU.R[isa.RSP], 3)
-			if err != nil || len(frames) < 2 || frames[1].FuncName != wantCaller {
+			if err != nil || len(frames) < 2 || frames[1].FuncName != p.caller {
 				continue
 			}
 		}
@@ -56,9 +75,9 @@ func newScenarioOpts(cfg defense.Config, seed uint64, reroll bool, rerollSeed ui
 		break
 	}
 	if !paused {
-		return nil, fmt.Errorf("attack: could not pause victim inside %s (caller %q)", SymHelper, wantCaller)
+		return nil, fmt.Errorf("attack: could not pause victim inside %s (caller %q)", SymHelper, p.caller)
 	}
-	refImg, err := buildRef(m, cfg, seed+0x5eed)
+	refImg, _, err := eng.Cache.Image(m, cfg, seed+0x5eed)
 	if err != nil {
 		return nil, err
 	}
@@ -70,6 +89,7 @@ func newScenarioOpts(cfg defense.Config, seed uint64, reroll bool, rerollSeed ui
 		Rnd:      rng.New(seed ^ 0xa77ac4e2),
 		Obs:      obs,
 		baseSeed: seed,
+		eng:      eng,
 	}, nil
 }
 
@@ -112,8 +132,8 @@ func (s *Scenario) CandidateRuns() ([][]Leaked, error) {
 //
 // It returns the number of candidates surviving the intersection and
 // whether a unique survivor is the real return address.
-func DynamicBTRAAttack(cfg defense.Config, seed uint64) (remaining int, isRA bool, err error) {
-	s1, err := NewScenario(cfg, seed)
+func DynamicBTRAAttack(eng *exec.Engine, cfg defense.Config, seed uint64) (remaining int, isRA bool, err error) {
+	s1, err := unobserved(eng, cfg, seed)
 	if err != nil {
 		return 0, false, err
 	}
@@ -125,7 +145,7 @@ func DynamicBTRAAttack(cfg defense.Config, seed uint64) (remaining int, isRA boo
 	// Second observation of the same worker: with dynamic BTRAs the decoy
 	// sets re-randomize between invocations (the runtime re-roll), while
 	// the return address necessarily stays.
-	s2, err := newScenarioOpts(cfg, seed, cfg.InsecureDynamicBTRAs, seed^0xd15ea5e, "", nil)
+	s2, err := newScenario(eng, cfg, seed, false, pause{reroll: cfg.InsecureDynamicBTRAs, rerollSeed: seed ^ 0xd15ea5e})
 	if err != nil {
 		return 0, false, err
 	}
@@ -159,12 +179,12 @@ func DynamicBTRAAttack(cfg defense.Config, seed uint64) (remaining int, isRA boo
 //
 // It returns the size of the symmetric difference of the two innermost
 // candidate runs and whether every differing value is a real RA.
-func CalleeBTRAAttack(cfg defense.Config, seed uint64) (uniques int, allRAs bool, err error) {
-	s1, err := newScenarioOpts(cfg, seed, false, 0, SymValidate, nil)
+func CalleeBTRAAttack(eng *exec.Engine, cfg defense.Config, seed uint64) (uniques int, allRAs bool, err error) {
+	s1, err := newScenario(eng, cfg, seed, false, pause{caller: SymValidate})
 	if err != nil {
 		return 0, false, err
 	}
-	s2, err := newScenarioOpts(cfg, seed, false, 0, SymProcess2, nil)
+	s2, err := newScenario(eng, cfg, seed, false, pause{caller: SymProcess2})
 	if err != nil {
 		return 0, false, err
 	}
@@ -215,8 +235,8 @@ func CalleeBTRAAttack(cfg defense.Config, seed uint64) (uniques int, allRAs bool
 // truth): with the naive layout no BTDP survives, so the attacker
 // dereferences safely; with the hardened layout the filter removes nothing
 // and the traps stay live.
-func NaiveBTDPArrayAttack(cfg defense.Config, seed uint64) (kept, keptBTDPs int, err error) {
-	s, err := NewScenario(cfg, seed)
+func NaiveBTDPArrayAttack(eng *exec.Engine, cfg defense.Config, seed uint64) (kept, keptBTDPs int, err error) {
+	s, err := unobserved(eng, cfg, seed)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -38,7 +38,7 @@ func TestVictimRunsCleanly(t *testing.T) {
 
 func TestScenarioPausesInHelper(t *testing.T) {
 	for _, cfg := range []defense.Config{defense.Off(), defense.R2CFull()} {
-		s, err := NewScenario(cfg, 5)
+		s, err := NewScenario(testEng, cfg, 5)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
@@ -50,7 +50,7 @@ func TestScenarioPausesInHelper(t *testing.T) {
 }
 
 func TestRACandidatesBaselineIsExact(t *testing.T) {
-	s, err := NewScenario(defense.Off(), 7)
+	s, err := NewScenario(testEng, defense.Off(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestRACandidatesBaselineIsExact(t *testing.T) {
 
 func TestRACandidatesUnderR2C(t *testing.T) {
 	cfg := defense.R2CFull()
-	s, err := NewScenario(cfg, 9)
+	s, err := NewScenario(testEng, cfg, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestRACandidatesUnderR2C(t *testing.T) {
 }
 
 func TestClassifyFindsRegions(t *testing.T) {
-	s, err := NewScenario(defense.R2CFull(), 11)
+	s, err := NewScenario(testEng, defense.R2CFull(), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestClassifyFindsRegions(t *testing.T) {
 func TestAOCRSucceedsAgainstBaseline(t *testing.T) {
 	wins := 0
 	for seed := uint64(1); seed <= 5; seed++ {
-		s, err := NewScenario(defense.Off(), seed)
+		s, err := NewScenario(testEng, defense.Off(), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestAOCRSucceedsAgainstBaseline(t *testing.T) {
 func TestAOCRAgainstR2C(t *testing.T) {
 	tally := Tally{}
 	for seed := uint64(1); seed <= 10; seed++ {
-		s, err := NewScenario(defense.R2CFull(), seed)
+		s, err := NewScenario(testEng, defense.R2CFull(), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestAOCRAgainstR2C(t *testing.T) {
 
 func TestROPMatrixEndpoints(t *testing.T) {
 	// Classic ROP: wins against the baseline, loses against R2C.
-	s, err := NewScenario(defense.Off(), 3)
+	s, err := NewScenario(testEng, defense.Off(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestROPMatrixEndpoints(t *testing.T) {
 	}
 	fails := 0
 	for seed := uint64(1); seed <= 5; seed++ {
-		s, err := NewScenario(defense.R2CFull(), seed)
+		s, err := NewScenario(testEng, defense.R2CFull(), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,14 +192,14 @@ func TestROPMatrixEndpoints(t *testing.T) {
 }
 
 func TestJITROPStoppedByXOnly(t *testing.T) {
-	s, err := NewScenario(defense.Off(), 3)
+	s, err := NewScenario(testEng, defense.Off(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o := s.JITROP(); o != Success {
 		t.Fatalf("JIT-ROP vs baseline = %v, want success", o)
 	}
-	s2, err := NewScenario(defense.R2CFull(), 3)
+	s2, err := NewScenario(testEng, defense.R2CFull(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

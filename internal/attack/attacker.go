@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"r2c/internal/defense"
 	"r2c/internal/exec"
@@ -16,7 +15,6 @@ import (
 	"r2c/internal/sim"
 	"r2c/internal/stats"
 	"r2c/internal/telemetry"
-	"r2c/internal/tir"
 	"r2c/internal/vm"
 )
 
@@ -73,44 +71,32 @@ type Scenario struct {
 	// baseSeed is the victim build seed (restart scenarios reuse it when
 	// the server restarts without re-randomizing, Section 4).
 	baseSeed uint64
+	// eng is the run context restarts build through and detections are
+	// recorded in; never nil (see newScenario).
+	eng *exec.Engine
 }
 
 // NewScenario builds and pauses a victim under cfg, MTB-style: the victim
 // thread blocks inside the request handler (helper). victimSeed diversifies
 // the victim build; the attacker's reference copy uses an unrelated seed,
 // which only matters when the configuration actually randomizes layout.
-func NewScenario(cfg defense.Config, victimSeed uint64) (*Scenario, error) {
-	return newScenarioOpts(cfg, victimSeed, false, 0, "", nil)
+//
+// eng is the run context: the victim and reference build through eng.Cache
+// (Monte-Carlo campaigns rebuild the same victim under the same config and
+// seed many times, and those builds are bit-identical), every detection is
+// recorded in eng.Incidents with the victim's flight-recorder snapshot, and
+// the victim process and the scenario's "attack.*" counters report to
+// eng.Obs. A nil eng builds uncached and records nothing.
+func NewScenario(eng *exec.Engine, cfg defense.Config, victimSeed uint64) (*Scenario, error) {
+	return newScenario(eng, cfg, victimSeed, true, pause{})
 }
 
-// NewScenarioObserved is NewScenario with a telemetry observer: the victim
-// process streams trap/fault events to it, and the scenario records
-// probe/leak/outcome counters under the "attack.*" namespace.
-func NewScenarioObserved(cfg defense.Config, victimSeed uint64, obs *telemetry.Observer) (*Scenario, error) {
-	return newScenarioOpts(cfg, victimSeed, false, 0, "", obs)
+// unobserved builds a victim for campaign restarts and ablations:
+// cached and incident-recorded like NewScenario, but neither the process nor
+// the scenario reports to eng.Obs.
+func unobserved(eng *exec.Engine, cfg defense.Config, seed uint64) (*Scenario, error) {
+	return newScenario(eng, cfg, seed, false, pause{})
 }
-
-// buildCache, when installed, memoizes victim and reference compile+link
-// across scenarios. Monte-Carlo campaigns rebuild the same victim under the
-// same (config, seed) many times — every worker-pool restart, every
-// persistent-attack retry — and those builds are bit-identical, so the
-// harnesses (cmd/r2cattack) share one content-addressed cache here.
-var buildCache atomic.Pointer[exec.Cache]
-
-// UseBuildCache routes all victim and reference builds through c. Pass the
-// engine's cache once at harness startup; a nil c restores direct builds.
-func UseBuildCache(c *exec.Cache) { buildCache.Store(c) }
-
-// incidentLog, when installed, receives an incident record for every
-// detection an attack scenario observes — probe-time BTDP detonations and
-// resume-time traps — with the victim's flight-recorder snapshot attached.
-// Same installable-global pattern as the build cache: the harness wires the
-// shared log once at startup, and scenarios constructed anywhere (bench
-// drivers, persistent-attack restarts) report into it.
-var incidentLog atomic.Pointer[incident.Log]
-
-// UseIncidentLog routes scenario detections into l; nil disables capture.
-func UseIncidentLog(l *incident.Log) { incidentLog.Store(l) }
 
 // campaign returns the scenario's incident-campaign label.
 func (s *Scenario) campaign() string {
@@ -120,48 +106,16 @@ func (s *Scenario) campaign() string {
 	return "attack/" + s.Cfg.Name
 }
 
-// noteIncident folds one detection into the installed incident log.
+// noteIncident folds one detection into the engine's incident log.
 func (s *Scenario) noteIncident(via string, ev rt.TrapEvent, instr uint64) {
-	if l := incidentLog.Load(); l != nil {
+	if l := s.eng.Incidents; l != nil {
 		l.Add(incident.FromTrap(s.campaign(), s.Cfg.Name, s.baseSeed, s.Trial, via, s.Proc, ev, instr))
 	}
 }
 
-// victimModule returns the module scenarios are built from. With a build
-// cache installed the (immutable) victim module is shared across scenarios,
-// so its content hash is computed once; otherwise each scenario gets its own
-// copy, exactly as before.
-var (
-	victimOnce   sync.Once
-	victimShared *tir.Module
-)
-
-func victimModule() *tir.Module {
-	if buildCache.Load() == nil {
-		return Victim()
-	}
-	victimOnce.Do(func() { victimShared = Victim() })
-	return victimShared
-}
-
-// buildVictim loads a fresh victim process, through the build cache when one
-// is installed. willMutate marks scenarios that patch the image after
-// loading (the dynamic-BTRA reroll ablation); those always build privately
-// so a mutation can never reach a shared cached image.
-func buildVictim(m *tir.Module, cfg defense.Config, seed uint64, willMutate bool, obs *telemetry.Observer) (*rt.Process, error) {
-	if c := buildCache.Load(); c != nil && !willMutate {
-		return c.Process(m, cfg, seed, obs)
-	}
-	return sim.Build(m, cfg, seed, obs)
-}
-
-func buildRef(m *tir.Module, cfg defense.Config, seed uint64) (*image.Image, error) {
-	if c := buildCache.Load(); c != nil {
-		img, _, err := c.Image(m, cfg, seed)
-		return img, err
-	}
-	return sim.BuildImage(m, cfg, seed)
-}
+// victimModule is the one victim module every scenario builds from. It is
+// immutable, so sharing it lets the build cache hash its content once.
+var victimModule = sync.OnceValue(Victim)
 
 // ForensicHit is one detected probe with its resolved defense provenance.
 type ForensicHit struct {
@@ -259,30 +213,13 @@ func (s *Scenario) LeakStack(nBytes uint64) ([]Leaked, error) {
 }
 
 // Resume lets the victim run to completion and classifies what happened.
-func (s *Scenario) Resume() Outcome {
-	res, err := s.Mach.Run(sim.DefaultBudget)
-	if res.Trap != nil {
-		s.noteForensic("resume", *res.Trap)
-		s.noteIncident("resume", *res.Trap, res.Instructions)
-	}
-	var o Outcome
-	switch {
-	case s.Detections > 0 || res.Trap != nil:
-		o = Detected
-	case err != nil || res.Fault != nil || !res.Halted:
-		o = Crashed
-	case HasWin(res.Output):
-		o = Success
-	default:
-		o = Failed
-	}
-	s.noteOutcome(o)
-	return o
-}
+func (s *Scenario) Resume() Outcome { return s.resume(true) }
 
 // ResumeOutcomeOnly is Resume without counting earlier probe detections
 // (for experiments that score only the final control-flow transfer).
-func (s *Scenario) ResumeOutcomeOnly() Outcome {
+func (s *Scenario) ResumeOutcomeOnly() Outcome { return s.resume(false) }
+
+func (s *Scenario) resume(countProbes bool) Outcome {
 	res, err := s.Mach.Run(sim.DefaultBudget)
 	if res.Trap != nil {
 		s.noteForensic("resume", *res.Trap)
@@ -290,7 +227,7 @@ func (s *Scenario) ResumeOutcomeOnly() Outcome {
 	}
 	var o Outcome
 	switch {
-	case res.Trap != nil:
+	case res.Trap != nil || countProbes && s.Detections > 0:
 		o = Detected
 	case err != nil || res.Fault != nil || !res.Halted:
 		o = Crashed

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"r2c/internal/defense"
+	"r2c/internal/exec"
 	"r2c/internal/isa"
 	"r2c/internal/rng"
 	"r2c/internal/rt"
@@ -328,11 +329,11 @@ func (s *Scenario) PIROPAdjust(k int) Outcome {
 // maxRestarts) and the forensic hits accumulated across every restart —
 // each detection attributed to the trap class and planted artifact that
 // caught it.
-func PIROPPersistentForensic(cfg defense.Config, seed uint64, maxRestarts int) (Outcome, []ForensicHit) {
+func PIROPPersistentForensic(eng *exec.Engine, cfg defense.Config, seed uint64, maxRestarts int) (Outcome, []ForensicHit) {
 	worst := Failed
 	var hits []ForensicHit
 	for i := 0; i < maxRestarts; i++ {
-		s, err := NewScenario(cfg, seed)
+		s, err := unobserved(eng, cfg, seed)
 		if err != nil {
 			return worst, hits
 		}
@@ -378,7 +379,7 @@ func (s *Scenario) CrashSideChannel(maxRestarts int, freshSeedPerRestart bool) (
 		// (the nginx/Apache worker-restart behaviour, Section 4); fresh
 		// seed models load-time re-randomization.
 		seed := s.restartSeed(attempts, freshSeedPerRestart)
-		w, err := NewScenario(s.Cfg, seed)
+		w, err := unobserved(s.eng, s.Cfg, seed)
 		if err != nil {
 			return attempts, false, Failed
 		}
@@ -398,7 +399,7 @@ func (s *Scenario) CrashSideChannel(maxRestarts int, freshSeedPerRestart bool) (
 			// load-time re-randomization the position does not reproduce.
 			identified := true
 			for k := 1; k <= 3; k++ {
-				v, err := NewScenario(s.Cfg, s.restartSeed(attempts+k, freshSeedPerRestart))
+				v, err := unobserved(s.eng, s.Cfg, s.restartSeed(attempts+k, freshSeedPerRestart))
 				if err != nil {
 					return attempts, false, Failed
 				}

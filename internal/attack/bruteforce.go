@@ -2,6 +2,7 @@ package attack
 
 import (
 	"r2c/internal/defense"
+	"r2c/internal/exec"
 )
 
 // This file implements the brute-force attacks discussed in Sections 4.1
@@ -28,13 +29,13 @@ type BlindROPResult struct {
 // direct reads; the probe needs only crash observations. Against R2C the
 // guesses land in interspersed booby-trap functions and prolog traps, so
 // the campaign raises alarms long before it finds a gadget.
-func BlindROP(cfg defense.Config, seed uint64, maxProbes int) (*BlindROPResult, error) {
+func BlindROP(eng *exec.Engine, cfg defense.Config, seed uint64, maxProbes int) (*BlindROPResult, error) {
 	res := &BlindROPResult{}
 	// One scouting pause to learn a code-cluster anchor value (Blind ROP
 	// derives its probe range from an unrandomized or leaked base; the
 	// value range of the text cluster is obtainable from any leaked code
 	// pointer without knowing what it points to).
-	scout, err := NewScenario(cfg, seed)
+	scout, err := unobserved(eng, cfg, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +47,7 @@ func BlindROP(cfg defense.Config, seed uint64, maxProbes int) (*BlindROPResult, 
 
 	for probe := 0; probe < maxProbes; probe++ {
 		res.Probes++
-		w, err := NewScenario(cfg, seed) // same image: worker restart
+		w, err := unobserved(eng, cfg, seed) // same image: worker restart
 		if err != nil {
 			return nil, err
 		}
@@ -96,8 +97,8 @@ type FengShuiResult struct {
 // predicted delta, which is why the paper calls this attack's
 // prerequisites "specific" — the experiment measures exactly how much
 // filtering power survives.
-func FengShui(cfg defense.Config, seed uint64, maxDelta uint64) (*FengShuiResult, error) {
-	s, err := NewScenario(cfg, seed)
+func FengShui(eng *exec.Engine, cfg defense.Config, seed uint64, maxDelta uint64) (*FengShuiResult, error) {
+	s, err := unobserved(eng, cfg, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestBlindROPAgainstR2CRaisesAlarms(t *testing.T) {
-	res, err := BlindROP(defense.R2CFull(), 31, 12)
+	res, err := BlindROP(testEng, defense.R2CFull(), 31, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestBlindROPAgainstUndefendedWorker(t *testing.T) {
 	// Against a worker with no traps at all, blind probing is silent: no
 	// detections, and some probe eventually lands on a survivable
 	// instruction (the Blind ROP premise).
-	res, err := BlindROP(defense.Off(), 7, 20)
+	res, err := BlindROP(testEng, defense.Off(), 7, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestFengShuiFiltersLessUnderR2C(t *testing.T) {
 	const maxDelta = 4096 // the victim's two objects are allocated together
 	// Without BTDPs every kept pointer is trivially safe; the question is
 	// how much the pairing filter helps against R2C's poisoned cluster.
-	r2c, err := FengShui(defense.R2CFull(), 5, maxDelta)
+	r2c, err := FengShui(testEng, defense.R2CFull(), 5, maxDelta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestFengShuiFiltersLessUnderR2C(t *testing.T) {
 	// into the kept set (guard pages also cluster). Either way the
 	// attacker keeps fewer certainly-safe pointers than the plain cluster
 	// contains.
-	s, err := NewScenario(defense.R2CFull(), 5)
+	s, err := NewScenario(testEng, defense.R2CFull(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

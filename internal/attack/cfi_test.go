@@ -42,7 +42,7 @@ func TestShadowStackPreservesBehaviour(t *testing.T) {
 }
 
 func TestShadowStackStopsRAOverwrite(t *testing.T) {
-	s, err := NewScenario(defense.CFIShadowStack(), 3)
+	s, err := NewScenario(testEng, defense.CFIShadowStack(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestAOCRBeatsShadowStackAlone(t *testing.T) {
 	// fires (Section 8.2's CFG-validity caveat).
 	wins := 0
 	for seed := uint64(1); seed <= 5; seed++ {
-		s, err := NewScenario(defense.CFIShadowStack(), seed)
+		s, err := NewScenario(testEng, defense.CFIShadowStack(), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestShadowStackPlusR2C(t *testing.T) {
 	combo.ShadowStack = true
 	tally := Tally{}
 	for seed := uint64(1); seed <= 5; seed++ {
-		s, err := NewScenario(combo, seed)
+		s, err := NewScenario(testEng, combo, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

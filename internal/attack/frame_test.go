@@ -12,7 +12,7 @@ import (
 // (Figure 2a's "predictable location"); under R2C the same prediction lands
 // inside the BTRA band instead.
 func TestMonocultureFramePrediction(t *testing.T) {
-	s, err := NewScenario(defense.Off(), 21)
+	s, err := NewScenario(testEng, defense.Off(), 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestMonocultureFramePrediction(t *testing.T) {
 	// and frame layout differ from the attacker's copy).
 	hits := 0
 	for seed := uint64(1); seed <= 8; seed++ {
-		s2, err := NewScenario(defense.R2CFull(), seed)
+		s2, err := NewScenario(testEng, defense.R2CFull(), seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,7 +37,7 @@ func TestBTRAChecksPreserveBehaviour(t *testing.T) {
 // candidate (the brute version of the Section 7.3 side channel) must
 // detonate a consistency check when the victim resumes.
 func TestBTRAChecksCatchCorruptionSpree(t *testing.T) {
-	s, err := NewScenario(checkedConfig(), 5)
+	s, err := NewScenario(testEng, checkedConfig(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestBTRAChecksCatchCorruptionSpree(t *testing.T) {
 func TestBTRAChecksDeterSideChannel(t *testing.T) {
 	detections := 0
 	for seed := uint64(1); seed <= 12; seed++ {
-		s, err := NewScenario(checkedConfig(), seed)
+		s, err := NewScenario(testEng, checkedConfig(), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestBTRAChecksDeterSideChannel(t *testing.T) {
 // same corruption spree crashes (or passes silently) but is never detected
 // as BTRA corruption — the remaining attack surface the paper acknowledges.
 func TestWithoutChecksSpreeIsSilent(t *testing.T) {
-	s, err := NewScenario(defense.R2CFull(), 5)
+	s, err := NewScenario(testEng, defense.R2CFull(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

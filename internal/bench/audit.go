@@ -30,7 +30,7 @@ func Diversity(opt Options) ([]*audit.Report, error) {
 	opt = opt.withEngine()
 	start := time.Now()
 	defer func() {
-		opt.Obs.Histogram("bench.diversity.seconds", telemetry.LatencyBounds).Observe(time.Since(start).Seconds())
+		opt.Eng.Obs.Histogram("bench.diversity.seconds", telemetry.LatencyBounds).Observe(time.Since(start).Seconds())
 	}()
 
 	b, ok := workload.ByName("nginx")
@@ -56,7 +56,7 @@ func Diversity(opt Options) ([]*audit.Report, error) {
 			Variants: diversityVariants,
 			BaseSeed: 71, // fixed schedule, like the perf sweeps' seed bases
 			Eng:      opt.Eng,
-			Obs:      opt.Obs,
+			Obs:      opt.Eng.Obs,
 			Ctx:      opt.ctx(),
 		})
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"r2c/internal/exec"
 	"r2c/internal/perf"
 	"r2c/internal/telemetry"
 )
@@ -15,7 +16,7 @@ import (
 func harvestFigure6(t *testing.T, jobs int) []byte {
 	t.Helper()
 	obs := &telemetry.Observer{Registry: telemetry.NewRegistry()}
-	opt := Options{Scale: 16, Runs: 1, Jobs: jobs, Obs: obs, Out: io.Discard}
+	opt := Options{Scale: 16, Runs: 1, Eng: exec.New(jobs, obs), Out: io.Discard}
 	if _, err := Figure6(opt); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestBaselineHarvestsEngineHistograms(t *testing.T) {
 		t.Skip("perf harness")
 	}
 	obs := &telemetry.Observer{Registry: telemetry.NewRegistry()}
-	opt := Options{Scale: 16, Runs: 1, Jobs: 2, Obs: obs, Out: io.Discard}
+	opt := Options{Scale: 16, Runs: 1, Eng: exec.New(2, obs), Out: io.Discard}
 	if _, err := Figure6(opt); err != nil {
 		t.Fatal(err)
 	}

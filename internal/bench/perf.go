@@ -33,19 +33,16 @@ type Options struct {
 	Runs int
 	// Out receives the printed table (may be nil).
 	Out io.Writer
-	// Obs receives telemetry from every build and run the experiment
-	// performs (counters, trap/fault events, optional function profiles).
-	// Nil disables collection; the measured cycle counts are identical
-	// either way.
-	Obs *telemetry.Observer
-	// Jobs is the worker-pool width used when Eng is nil (0 = GOMAXPROCS,
-	// 1 = serial). Reported numbers are byte-identical at any width.
-	Jobs int
-	// Eng is the execution engine (bounded worker pool + content-addressed
-	// build cache) the experiments fan their simulation cells through. Nil
-	// makes each experiment construct its own from Jobs/Obs; the cmd
-	// harnesses share one engine across experiments so identical
-	// (module, config, seed) builds memoize across tables and figures.
+	// Eng is the run context: the worker pool the experiments fan their
+	// simulation cells and Monte-Carlo trials through, the
+	// content-addressed build cache, the incident log, and the observer
+	// that receives telemetry from every build and run (Eng.Obs; nil
+	// disables collection, and the measured numbers are identical either
+	// way). Nil makes each experiment construct a default engine
+	// (GOMAXPROCS workers, no telemetry); the cmd harnesses share one
+	// engine across experiments so identical (module, config, seed) builds
+	// memoize across tables and figures. Reported numbers are
+	// byte-identical at any pool width.
 	Eng *exec.Engine
 	// Ctx cancels the whole sweep (the cmd harnesses wire Ctrl-C/SIGTERM
 	// here); nil means context.Background(). Per-cell deadlines are the
@@ -62,10 +59,10 @@ func (o Options) ctx() context.Context {
 }
 
 // withEngine returns opt with Eng populated, constructing a default engine
-// from Jobs/Obs when the caller did not supply a shared one.
+// when the caller did not supply a shared one.
 func (o Options) withEngine() Options {
 	if o.Eng == nil {
-		o.Eng = exec.New(o.Jobs, o.Obs)
+		o.Eng = exec.New(0, nil)
 	}
 	return o
 }
@@ -181,7 +178,7 @@ func MeasureOverheads(cfgs []defense.Config, prof *vm.Profile, opt Options) ([]O
 	opt = opt.withEngine()
 	start := time.Now()
 	defer func() {
-		opt.Obs.Histogram("bench.measure.seconds", telemetry.LatencyBounds, "machine", prof.Name).Observe(time.Since(start).Seconds())
+		opt.Eng.Obs.Histogram("bench.measure.seconds", telemetry.LatencyBounds, "machine", prof.Name).Observe(time.Since(start).Seconds())
 	}()
 	specs := workload.SPEC()
 	runs := opt.runs()
@@ -291,6 +288,7 @@ type Table1Row struct {
 // R2C's components (Push, AVX, BTDP, Prolog, Layout), measured on the EPYC
 // Rome profile like the paper's component analysis (Section 6.2).
 func Table1(opt Options) ([]Table1Row, error) {
+	opt = opt.withEngine()
 	cfgs := defense.Components()
 	ovs, err := MeasureOverheads(cfgs, vm.EPYCRome(), opt)
 	if ovs == nil {
@@ -307,8 +305,8 @@ func Table1(opt Options) ([]Table1Row, error) {
 		_, max := ov.Max()
 		r := Table1Row{Name: label[ov.Config], Max: max, Geomean: ov.Geomean()}
 		rows = append(rows, r)
-		publishHeadline(opt.Obs, "bench.table1.geomean_pct", stats.Pct(r.Geomean), "component", r.Name)
-		publishHeadline(opt.Obs, "bench.table1.max_pct", stats.Pct(r.Max), "component", r.Name)
+		publishHeadline(opt.Eng.Obs, "bench.table1.geomean_pct", stats.Pct(r.Geomean), "component", r.Name)
+		publishHeadline(opt.Eng.Obs, "bench.table1.max_pct", stats.Pct(r.Max), "component", r.Name)
 		opt.printf("%-8s %6s %9s\n", r.Name, fmtRatio("%.2f", r.Max), fmtRatio("%.2f", r.Geomean))
 	}
 	return rows, err
@@ -390,7 +388,7 @@ func Table2(opt Options) ([]Table2Row, error) {
 			Paper:     b.PaperCalls,
 		}
 		rows = append(rows, row)
-		publishHeadline(opt.Obs, "bench.table2.calls", float64(row.Measured), "benchmark", row.Benchmark)
+		publishHeadline(opt.Eng.Obs, "bench.table2.calls", float64(row.Measured), "benchmark", row.Benchmark)
 		opt.printf("%-10s %15d %18d %18d\n", row.Benchmark, row.Measured, row.Scaled, row.Paper)
 	}
 	return rows, err
@@ -431,9 +429,9 @@ func Figure6(opt Options) ([]Figure6Series, error) {
 			s.ByBench[n] = stats.Pct(ovs[0].ByBench[n])
 		}
 		s.Geomean = stats.Pct(ovs[0].Geomean())
-		publishHeadline(opt.Obs, "bench.figure6.geomean_pct", s.Geomean, "machine", s.Machine)
+		publishHeadline(opt.Eng.Obs, "bench.figure6.geomean_pct", s.Geomean, "machine", s.Machine)
 		for n, pct := range s.ByBench {
-			publishHeadline(opt.Obs, "bench.figure6.overhead_pct", pct, "machine", s.Machine, "benchmark", n)
+			publishHeadline(opt.Eng.Obs, "bench.figure6.overhead_pct", pct, "machine", s.Machine, "benchmark", n)
 		}
 		out = append(out, s)
 	}
@@ -468,6 +466,7 @@ type OIAResult struct {
 // off, so the cost is rbp bookkeeping at stack-argument call sites plus the
 // lost frame-pointer omission.
 func OIA(opt Options) (*OIAResult, error) {
+	opt = opt.withEngine()
 	ovs, err := MeasureOverheads([]defense.Config{defense.OIAOnly()}, vm.EPYCRome(), opt)
 	if err != nil {
 		return nil, err
@@ -478,8 +477,8 @@ func OIA(opt Options) (*OIAResult, error) {
 		MaxPct:     stats.Pct(max),
 		MaxBench:   name,
 	}
-	publishHeadline(opt.Obs, "bench.oia.geomean_pct", r.GeomeanPct)
-	publishHeadline(opt.Obs, "bench.oia.max_pct", r.MaxPct)
+	publishHeadline(opt.Eng.Obs, "bench.oia.geomean_pct", r.GeomeanPct)
+	publishHeadline(opt.Eng.Obs, "bench.oia.max_pct", r.MaxPct)
 	opt.printf("Offset-invariant addressing alone: geomean %.2f%%, max %.2f%% (%s)\n",
 		r.GeomeanPct, r.MaxPct, r.MaxBench)
 	return r, nil
@@ -496,6 +495,7 @@ type AVX512Result struct {
 // moves, AVX-512 performance is roughly identical to AVX2, and one can use
 // twice as many BTRAs for a similar cost.
 func AVX512(opt Options) (*AVX512Result, error) {
+	opt = opt.withEngine()
 	avx2 := defense.BTRAAVXOnly()
 	avx512 := defense.BTRAAVX512()
 	avx512x2 := defense.BTRAAVX512()
@@ -510,9 +510,9 @@ func AVX512(opt Options) (*AVX512Result, error) {
 		AVX512GeomeanPct:    stats.Pct(ovs[1].Geomean()),
 		AVX512x20GeomeanPct: stats.Pct(ovs[2].Geomean()),
 	}
-	publishHeadline(opt.Obs, "bench.avx512.geomean_pct", r.AVX2GeomeanPct, "setup", "avx2-10")
-	publishHeadline(opt.Obs, "bench.avx512.geomean_pct", r.AVX512GeomeanPct, "setup", "avx512-10")
-	publishHeadline(opt.Obs, "bench.avx512.geomean_pct", r.AVX512x20GeomeanPct, "setup", "avx512-20")
+	publishHeadline(opt.Eng.Obs, "bench.avx512.geomean_pct", r.AVX2GeomeanPct, "setup", "avx2-10")
+	publishHeadline(opt.Eng.Obs, "bench.avx512.geomean_pct", r.AVX512GeomeanPct, "setup", "avx512-10")
+	publishHeadline(opt.Eng.Obs, "bench.avx512.geomean_pct", r.AVX512x20GeomeanPct, "setup", "avx512-20")
 	opt.printf("AVX2 10 BTRAs: %.2f%%  AVX-512 10 BTRAs: %.2f%%  AVX-512 20 BTRAs: %.2f%%\n",
 		r.AVX2GeomeanPct, r.AVX512GeomeanPct, r.AVX512x20GeomeanPct)
 	return r, nil

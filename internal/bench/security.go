@@ -119,10 +119,10 @@ func Table3(opt Options, trials int, withOverheads bool) ([]MatrixRow, error) {
 			err := opt.Eng.MapTracked(opt.ctx(), trials, cfg.Name+"/"+a.name, func(i int) error {
 				seed := uint64(1000*i+7) + uint64(len(rows))*31
 				if a.run == nil { // PIROP: persistent across worker restarts
-					outcomes[i], evidence[i] = attack.PIROPPersistentForensic(cfg, seed, 12)
+					outcomes[i], evidence[i] = attack.PIROPPersistentForensic(opt.Eng, cfg, seed, 12)
 					return nil
 				}
-				s, err := attack.NewScenarioObserved(cfg, seed, opt.Obs)
+				s, err := attack.NewScenario(opt.Eng, cfg, seed)
 				if err != nil {
 					return fmt.Errorf("%s/%s: %w", cfg.Name, a.name, err)
 				}
@@ -153,7 +153,7 @@ func Table3(opt Options, trials int, withOverheads bool) ([]MatrixRow, error) {
 		row.PIROP = verdictOf(row.Tallies["pirop"])
 		row.AOCR = verdictOf(row.Tallies["aocr"])
 		row.DetectionRate = float64(detections) / float64(total)
-		publishHeadline(opt.Obs, "bench.table3.detection_rate", row.DetectionRate, "defense", row.Defense)
+		publishHeadline(opt.Eng.Obs, "bench.table3.detection_rate", row.DetectionRate, "defense", row.Defense)
 		rows = append(rows, row)
 	}
 
@@ -247,7 +247,7 @@ func Prob(opt Options, trials int) ([]ProbPoint, error) {
 		type trialCount struct{ hits, picks int }
 		counts := make([]trialCount, trials)
 		err := opt.Eng.MapTracked(opt.ctx(), trials, cfg.Name, func(i int) error {
-			s, err := attack.NewScenarioObserved(cfg, uint64(i)*97+3, opt.Obs)
+			s, err := attack.NewScenario(opt.Eng, cfg, uint64(i)*97+3)
 			if err != nil {
 				return err
 			}
@@ -308,14 +308,15 @@ type SideChannelResult struct {
 // most R+1 restarts; load-time re-randomization (fresh seed per restart)
 // defeats the accumulation.
 func SideChannel(opt Options) (*SideChannelResult, error) {
+	opt = opt.withEngine()
 	cfg := defense.R2CFull()
-	s, err := attack.NewScenarioObserved(cfg, 42, opt.Obs)
+	s, err := attack.NewScenario(opt.Eng, cfg, 42)
 	if err != nil {
 		return nil, err
 	}
 	attempts, identified, _ := s.CrashSideChannel(16, false)
 
-	s2, err := attack.NewScenarioObserved(cfg, 43, opt.Obs)
+	s2, err := attack.NewScenario(opt.Eng, cfg, 43)
 	if err != nil {
 		return nil, err
 	}

@@ -4,10 +4,9 @@ import (
 	"fmt"
 
 	"r2c/internal/defense"
-	"r2c/internal/exec"
+	"r2c/internal/rt"
 	"r2c/internal/sim"
 	"r2c/internal/stats"
-	"r2c/internal/telemetry"
 	"r2c/internal/tir"
 	"r2c/internal/vm"
 	"r2c/internal/workload"
@@ -28,8 +27,8 @@ type WebResult struct {
 // requests over modeled time. On machines where the paper shares cores
 // between wrk and the server (the 8-core i9-9900K), context-switch
 // pollution is modeled by flushing the i-cache once per request.
-func webRun(eng *exec.Engine, m *tir.Module, cfg defense.Config, prof *vm.Profile, seed uint64, requests float64, obs *telemetry.Observer) (float64, error) {
-	proc, err := eng.BuildProcess(m, cfg, seed)
+func webRun(opt Options, m *tir.Module, cfg defense.Config, prof *vm.Profile, seed uint64, requests float64) (float64, error) {
+	proc, err := opt.Eng.Cache.Process(m, cfg, seed, opt.Eng.Obs)
 	if err != nil {
 		return 0, err
 	}
@@ -37,15 +36,9 @@ func webRun(eng *exec.Engine, m *tir.Module, cfg defense.Config, prof *vm.Profil
 	if prof.Cores <= 8 {
 		mach.FlushICacheEvery = 5400 // ≈ every few requests
 	}
-	res, err := mach.Run(sim.DefaultBudget)
-	if reg := obs.Reg(); reg != nil {
-		mach.PublishMetrics(reg)
-	}
+	res, err := sim.ExecMachine(opt.ctx(), mach, opt.Eng.Obs, nil, 0)
 	if err != nil {
 		return 0, err
-	}
-	if !res.Halted || res.Fault != nil {
-		return 0, fmt.Errorf("web run did not complete: fault=%v", res.Fault)
 	}
 	return requests / res.Seconds(prof), nil
 }
@@ -90,7 +83,7 @@ func Webserver(opt Options) ([]WebResult, error) {
 	rps := make([]float64, len(tasks))
 	err := opt.Eng.Pool.Map(opt.ctx(), len(tasks), func(i int) error {
 		t := &tasks[i]
-		r, err := webRun(opt.Eng, t.m, t.cfg, t.prof, t.seed, requests, opt.Obs)
+		r, err := webRun(opt, t.m, t.cfg, t.prof, t.seed, requests)
 		if err != nil {
 			kind := "r2c"
 			if t.baseline {
@@ -171,8 +164,8 @@ func Memory(opt Options) (*MemResult, error) {
 		}
 		// Sampled-RSS methodology cross-check (the builds are cache hits —
 		// same module content, config and seed as the maxrss runs above).
-		bs, err2 := sampledMedianRSS(opt.Eng, m, defense.Off(), 3, opt.Obs)
-		fs, err3 := sampledMedianRSS(opt.Eng, m, defense.R2CFull(), 5, opt.Obs)
+		bs, _, err2 := sampledMedianRSS(opt, m, defense.Off(), 3)
+		fs, _, err3 := sampledMedianRSS(opt, m, defense.R2CFull(), 5)
 		if err2 != nil || err3 != nil {
 			return fmt.Errorf("%s sampling: %v %v", b.Name, err2, err3)
 		}
@@ -202,31 +195,14 @@ func Memory(opt Options) (*MemResult, error) {
 	// Webservers: sampled median RSS plus guard-page attribution.
 	bng, _ := workload.ByName("nginx")
 	m := bng.Build(opt.scale())
-	base, err := sampledMedianRSS(opt.Eng, m, defense.Off(), 9, opt.Obs)
+	base, _, err := sampledMedianRSS(opt, m, defense.Off(), 9)
 	if err != nil {
 		return nil, err
 	}
-	protProc, err := opt.Eng.BuildProcess(m, defense.R2CFull(), 11)
+	prot, protProc, err := sampledMedianRSS(opt, m, defense.R2CFull(), 11)
 	if err != nil {
 		return nil, err
 	}
-	mach := vm.New(protProc, vm.I99900K())
-	mach.SampleEvery = 50_000
-	r, err := mach.Run(sim.DefaultBudget)
-	if err != nil {
-		return nil, err
-	}
-	if reg := opt.Obs.Reg(); reg != nil {
-		mach.PublishMetrics(reg)
-	}
-	if len(r.RSSSamples) == 0 {
-		return nil, fmt.Errorf("no RSS samples collected")
-	}
-	var xs []float64
-	for _, s := range r.RSSSamples {
-		xs = append(xs, float64(s))
-	}
-	prot := stats.Median(xs)
 	res.WebOverheadPct = (prot/base - 1) * 100
 	guardBytes := float64(len(protProc.GuardPages)) * 4096
 	res.WebBTDPSharePct = guardBytes / (prot - base) * 100
@@ -238,28 +214,28 @@ func Memory(opt Options) (*MemResult, error) {
 	return res, nil
 }
 
-func sampledMedianRSS(eng *exec.Engine, m *tir.Module, cfg defense.Config, seed uint64, obs *telemetry.Observer) (float64, error) {
-	proc, err := eng.BuildProcess(m, cfg, seed)
+// sampledMedianRSS runs one build on the i9 profile with the RSS monitor
+// sampling every 50k instructions and returns the median sample (maxrss when
+// the run ended before the first sample) and the process it ran.
+func sampledMedianRSS(opt Options, m *tir.Module, cfg defense.Config, seed uint64) (float64, *rt.Process, error) {
+	proc, err := opt.Eng.Cache.Process(m, cfg, seed, opt.Eng.Obs)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	mach := vm.New(proc, vm.I99900K())
 	mach.SampleEvery = 50_000
-	r, err := mach.Run(sim.DefaultBudget)
+	r, err := sim.ExecMachine(opt.ctx(), mach, opt.Eng.Obs, nil, 0)
 	if err != nil {
-		return 0, err
-	}
-	if reg := obs.Reg(); reg != nil {
-		mach.PublishMetrics(reg)
+		return 0, nil, err
 	}
 	if len(r.RSSSamples) == 0 {
-		return float64(r.MaxRSSBytes), nil
+		return float64(r.MaxRSSBytes), proc, nil
 	}
 	var xs []float64
 	for _, s := range r.RSSSamples {
 		xs = append(xs, float64(s))
 	}
-	return stats.Median(xs), nil
+	return stats.Median(xs), proc, nil
 }
 
 // ScaleResult summarizes the Section 6.3 scalability experiment.

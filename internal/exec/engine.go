@@ -55,8 +55,9 @@ func SplitError(err error) (int, error) {
 	return 0, err
 }
 
-// Engine bundles the worker pool and the build cache behind one handle — the
-// thing experiment drivers carry around. A nil Engine is not usable; bench
+// Engine bundles the worker pool, the build cache, the observer and the
+// incident log behind one handle — the run context experiment drivers and
+// attack scenarios carry around. A nil Engine is not usable; bench
 // constructs a default one when none is supplied.
 type Engine struct {
 	Pool  *Pool
@@ -153,18 +154,12 @@ func (e *Engine) Footer(tool string) string {
 	return s + "]"
 }
 
-// BuildProcess returns a fresh process for (m, cfg, seed), reusing a cached
-// image when one exists. Behaviour is bit-identical to sim.Build.
-func (e *Engine) BuildProcess(m *tir.Module, cfg defense.Config, seed uint64) (*rt.Process, error) {
-	return e.Cache.Process(m, cfg, seed, e.Obs)
-}
-
 // Run executes one cell on the calling goroutine: cached build, fresh
 // process, full run under the engine's observer — sim.Run with telemetry,
 // modulo the build memoization. It bypasses the watchdog/retry/journal
 // machinery — callers that want fault tolerance go through RunCells.
 func (e *Engine) Run(m *tir.Module, cfg defense.Config, seed uint64, prof *vm.Profile) (*vm.Result, *rt.Process, error) {
-	proc, err := e.BuildProcess(m, cfg, seed)
+	proc, err := e.Cache.Process(m, cfg, seed, e.Obs)
 	if err != nil {
 		return nil, nil, err
 	}

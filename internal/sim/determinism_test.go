@@ -9,6 +9,7 @@ import (
 
 	"r2c/internal/bench"
 	"r2c/internal/defense"
+	"r2c/internal/exec"
 	"r2c/internal/sim"
 	"r2c/internal/telemetry"
 	"r2c/internal/vm"
@@ -105,7 +106,7 @@ func TestParallelEqualsSerial(t *testing.T) {
 	}
 	run := func(jobs int) (string, []bench.Table1Row, []bench.Figure6Series) {
 		var buf bytes.Buffer
-		opt := bench.Options{Scale: 16, Runs: 1, Out: &buf, Jobs: jobs}
+		opt := bench.Options{Scale: 16, Runs: 1, Out: &buf, Eng: exec.New(jobs, nil)}
 		t1, err := bench.Table1(opt)
 		if err != nil {
 			t.Fatalf("jobs=%d table1: %v", jobs, err)

@@ -9,6 +9,7 @@ import (
 
 	"r2c/internal/attack"
 	"r2c/internal/defense"
+	"r2c/internal/exec"
 	"r2c/internal/image"
 	"r2c/internal/sim"
 	"r2c/internal/telemetry"
@@ -183,7 +184,7 @@ func TestFastPathResumeAndKnobParity(t *testing.T) {
 // the helper's return address, and resumes it on the given engine.
 func scenarioResume(t *testing.T, run func(*vm.Machine) leg, obs *telemetry.Observer) (leg, *attack.Scenario) {
 	t.Helper()
-	s, err := attack.NewScenarioObserved(defense.CFIShadowStack(), 3, obs)
+	s, err := attack.NewScenario(&exec.Engine{Obs: obs}, defense.CFIShadowStack(), 3)
 	if err != nil {
 		t.Fatalf("scenario: %v", err)
 	}
