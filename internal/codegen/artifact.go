@@ -150,19 +150,26 @@ func BlockBoundaries(instrs []isa.Instr) []int {
 	}
 	leader := make([]bool, len(instrs))
 	leader[0] = true
+	n := 1
+	mark := func(i int) {
+		if !leader[i] {
+			leader[i] = true
+			n++
+		}
+	}
 	for i := range instrs {
 		in := &instrs[i]
 		if in.EndsBlock() && i+1 < len(instrs) {
-			leader[i+1] = true
+			mark(i + 1)
 		}
 		switch in.Kind {
 		case isa.KJmp, isa.KJz, isa.KJnz:
 			if in.LocalTarget >= 0 && in.LocalTarget < len(instrs) {
-				leader[in.LocalTarget] = true
+				mark(in.LocalTarget)
 			}
 		}
 	}
-	var out []int
+	out := make([]int, 0, n)
 	for i, l := range leader {
 		if l {
 			out = append(out, i)

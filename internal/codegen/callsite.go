@@ -175,7 +175,7 @@ func (lw *lowerer) emitCall(dst tir.Reg, calleeSym string, calleeReg tir.Reg, ar
 	}
 
 	// The call itself.
-	site.CallInstrIndex = len(lw.out.Instrs)
+	site.CallInstrIndex = len(lw.code)
 	if calleeSym != "" {
 		lw.emit(isa.Instr{Kind: isa.KCall, Sym: calleeSym, CallSiteID: site.ID, LocalTarget: -1})
 	} else {
@@ -198,7 +198,7 @@ func (lw *lowerer) emitCall(dst tir.Reg, calleeSym string, calleeReg tir.Reg, ar
 		// Skip the detonation when the value matches. The jump target is a
 		// final instruction index (not a TIR block), so it bypasses the
 		// block fixup.
-		lw.emit(isa.Instr{Kind: isa.KJnz, Src: isa.R10, LocalTarget: len(lw.out.Instrs) + 2})
+		lw.emit(isa.Instr{Kind: isa.KJnz, Src: isa.R10, LocalTarget: len(lw.code) + 2})
 		lw.emit(isa.Instr{Kind: isa.KTrap, BTRA: true, LocalTarget: -1})
 	}
 

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 
 	"r2c/internal/isa"
 	"r2c/internal/tir"
@@ -130,6 +131,7 @@ func buildStackArgTrampoline(callee *Func, nParams int) *Func {
 	}
 	emit(isa.Instr{Kind: isa.KPop, Dst: isa.RBP})
 	emit(isa.Instr{Kind: isa.KRet})
+	tr.Instrs = slices.Clip(tr.Instrs)
 	return tr
 }
 

@@ -34,6 +34,7 @@ func Compile(mod *tir.Module, cfg defense.Config, seed uint64) (*Program, error)
 	}
 
 	p := &Program{Module: mod, Config: cfg, Seed: seed}
+	p.Funcs = make([]*Func, 0, len(mod.Funcs)+4+max(cfg.BTRAPoolSize, 0)) // + 4 stubs, booby traps
 	rootRnd := rng.New(seed)
 
 	// Pre-compute every protected function's post-offset so direct call
@@ -103,14 +104,18 @@ func Compile(mod *tir.Module, cfg defense.Config, seed uint64) (*Program, error)
 		})
 	}
 
-	// Booby-trap functions for BTRAs to point into.
+	// Booby-trap functions for BTRAs to point into. Their instructions and
+	// Func structs each come from one backing array.
 	if cfg.BTRAEnabled() {
-		for i := 0; i < cfg.BTRAPoolSize; i++ {
-			bt := &Func{Name: BoobyTrapSym(i), BoobyTrap: true}
-			for j := 0; j < TrapFuncLen; j++ {
-				bt.Instrs = append(bt.Instrs, isa.Instr{Kind: isa.KTrap, LocalTarget: -1})
-			}
-			p.Funcs = append(p.Funcs, bt)
+		traps := make([]isa.Instr, cfg.BTRAPoolSize*TrapFuncLen)
+		for i := range traps {
+			traps[i] = isa.Instr{Kind: isa.KTrap, LocalTarget: -1}
+		}
+		bts := make([]Func, cfg.BTRAPoolSize)
+		for i := range bts {
+			end := (i + 1) * TrapFuncLen
+			bts[i] = Func{Name: BoobyTrapSym(i), BoobyTrap: true, Instrs: traps[end-TrapFuncLen : end : end]}
+			p.Funcs = append(p.Funcs, &bts[i])
 		}
 	}
 
@@ -167,13 +172,6 @@ func directlyCalledFromUnprotected(mod *tir.Module, name string) bool {
 	return false
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // lowerer carries per-module and per-function lowering state.
 type lowerer struct {
 	prog *Program
@@ -195,9 +193,12 @@ type lowerer struct {
 	calleeSets map[string][]AddrWord
 
 	// Per-function state.
-	f            *tir.Function
-	tailEmitted  bool // the last lowered op was a tail call; skip its OpRet
-	out          *Func
+	f           *tir.Function
+	tailEmitted bool // the last lowered op was a tail call; skip its OpRet
+	out         *Func
+	// code is the instruction buffer every function is lowered into,
+	// reused across functions; lowerFunc copies it out at exact length.
+	code         []isa.Instr
 	alloc        allocation
 	localOff     []int64 // TIR local index -> frame offset
 	spillOff     []int64 // spill slot -> frame offset
@@ -211,7 +212,7 @@ func (lw *lowerer) emit(in isa.Instr) int {
 	if in.LocalTarget == 0 && in.Kind != isa.KJmp && in.Kind != isa.KJz && in.Kind != isa.KJnz {
 		in.LocalTarget = -1
 	}
-	lw.out.Instrs = append(lw.out.Instrs, in)
+	lw.code = append(lw.code, in)
 	// Track the stack pointer for rsp-relative slot addressing inside call
 	// sequences.
 	switch in.Kind {
@@ -229,7 +230,7 @@ func (lw *lowerer) emit(in isa.Instr) int {
 			}
 		}
 	}
-	return len(lw.out.Instrs) - 1
+	return len(lw.code) - 1
 }
 
 // slotDisp returns the current rsp-relative displacement of a frame offset.
@@ -264,7 +265,8 @@ func (lw *lowerer) lowerFunc(f *tir.Function) (*Func, error) {
 	lw.out = &Func{Name: f.Name, Protected: f.Protected}
 	lw.spOffset = 0
 	lw.tailEmitted = false
-	lw.pendingJumps = nil
+	lw.code = lw.code[:0]
+	lw.pendingJumps = lw.pendingJumps[:0]
 	lw.blockLabel = make([]int, len(f.Blocks))
 
 	lw.alloc = allocate(f, cfg.RandomizeRegAlloc, lw.rnd.Split())
@@ -297,7 +299,7 @@ func (lw *lowerer) lowerFunc(f *tir.Function) (*Func, error) {
 	lw.emitPrologue()
 
 	for bi, b := range f.Blocks {
-		lw.blockLabel[bi] = len(out.Instrs)
+		lw.blockLabel[bi] = len(lw.code)
 		for _, in := range b.Instrs {
 			if err := lw.lowerInstr(in); err != nil {
 				return nil, err
@@ -311,8 +313,10 @@ func (lw *lowerer) lowerFunc(f *tir.Function) (*Func, error) {
 	// Resolve intra-function jumps from TIR block ids to instruction
 	// indices.
 	for _, idx := range lw.pendingJumps {
-		out.Instrs[idx].LocalTarget = lw.blockLabel[out.Instrs[idx].LocalTarget]
+		lw.code[idx].LocalTarget = lw.blockLabel[lw.code[idx].LocalTarget]
 	}
+	out.Instrs = make([]isa.Instr, len(lw.code))
+	copy(out.Instrs, lw.code)
 	return out, nil
 }
 
@@ -457,7 +461,9 @@ func (lw *lowerer) emitPrologue() {
 	}
 }
 
-func (lw *lowerer) emitEpilogue() {
+// emitEpilogue tears the frame down in Figure 3 order and leaves the
+// function through exit (a ret, or a tail call's jump).
+func (lw *lowerer) emitEpilogue(exit isa.Instr) {
 	out := lw.out
 	if out.FrameSize > 0 {
 		lw.emit(isa.Instr{Kind: isa.KAluImm, Alu: isa.AluAdd, Dst: isa.RSP, Imm: uint64(out.FrameSize)})
@@ -469,7 +475,7 @@ func (lw *lowerer) emitEpilogue() {
 	if out.PostOffset > 0 {
 		lw.emit(isa.Instr{Kind: isa.KAluImm, Alu: isa.AluAdd, Dst: isa.RSP, Imm: uint64(out.PostOffset * 8)})
 	}
-	lw.emit(isa.Instr{Kind: isa.KRet})
+	lw.emit(exit)
 	lw.spOffset = 0
 }
 
@@ -540,7 +546,7 @@ func (lw *lowerer) lowerInstr(in tir.Instr) error {
 			if len(in.Args) > len(isa.ArgRegs) {
 				return fmt.Errorf("tail call with stack arguments unsupported")
 			}
-			lw.emitTailCall(in.Sym, in.A, in.Args)
+			lw.emitTailCall(in.Sym, in.Args)
 			return nil
 		}
 		lw.emitCall(in.Dst, in.Sym, in.A, in.Args, false)
@@ -565,7 +571,7 @@ func (lw *lowerer) lowerInstr(in tir.Instr) error {
 				lw.emit(isa.Instr{Kind: isa.KMovReg, Dst: isa.RAX, Src: r})
 			}
 		}
-		lw.emitEpilogue()
+		lw.emitEpilogue(isa.Instr{Kind: isa.KRet})
 	default:
 		return fmt.Errorf("unhandled op %v", in.Op)
 	}
@@ -575,7 +581,7 @@ func (lw *lowerer) lowerInstr(in tir.Instr) error {
 // emitTailCall lowers a tail call: tear down the frame, then jump. No
 // return address is pushed, so no BTRAs are inserted (Section 7.1's call
 // counting ignores tail calls for the same reason).
-func (lw *lowerer) emitTailCall(callee string, calleeReg tir.Reg, args []tir.Reg) {
+func (lw *lowerer) emitTailCall(callee string, args []tir.Reg) {
 	for i, a := range args {
 		src := lw.regOf(a, isa.R10)
 		lw.emit(isa.Instr{Kind: isa.KMovReg, Dst: isa.ArgRegs[i], Src: src})
@@ -585,18 +591,6 @@ func (lw *lowerer) emitTailCall(callee string, calleeReg tir.Reg, args []tir.Reg
 		// means a hand-built module used an unsupported combination.
 		panic("codegen: indirect tail calls are not supported")
 	}
-	_ = calleeReg
-	out := lw.out
-	if out.FrameSize > 0 {
-		lw.emit(isa.Instr{Kind: isa.KAluImm, Alu: isa.AluAdd, Dst: isa.RSP, Imm: uint64(out.FrameSize)})
-	}
-	for i := len(out.CalleeSaved) - 1; i >= 0; i-- {
-		lw.emit(isa.Instr{Kind: isa.KPop, Dst: out.CalleeSaved[i]})
-	}
-	if out.PostOffset > 0 {
-		lw.emit(isa.Instr{Kind: isa.KAluImm, Alu: isa.AluAdd, Dst: isa.RSP, Imm: uint64(out.PostOffset * 8)})
-	}
-	lw.emit(isa.Instr{Kind: isa.KJmp, Sym: callee, LocalTarget: -1})
-	lw.spOffset = 0
+	lw.emitEpilogue(isa.Instr{Kind: isa.KJmp, Sym: callee, LocalTarget: -1})
 	lw.tailEmitted = true
 }

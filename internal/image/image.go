@@ -157,10 +157,10 @@ func Link(prog *codegen.Program, aslrSeed uint64) (*Image, error) {
 	r := rng.New(aslrSeed)
 	img := &Image{
 		Prog:       prog,
-		Funcs:      make(map[string]*PlacedFunc),
+		Funcs:      make(map[string]*PlacedFunc, len(prog.Funcs)+1),
 		DataSyms:   make(map[string]*DataSym),
 		DataInit:   make(map[uint64]uint64),
-		CallSiteRA: make(map[int]uint64),
+		CallSiteRA: make(map[int]uint64, prog.NumCallSites),
 	}
 
 	slide := func() uint64 { return mem.AlignUp(r.Uint64n(aslrEntropy), mem.PageSize) }
@@ -235,16 +235,30 @@ func (img *Image) placeText(r *rng.RNG) error {
 	funcs = append([]*codegen.Func{start}, funcs...)
 
 	// Addresses only grow along funcs, so placed and Unwind come out
-	// sorted by Start without a sort.
-	img.placed = make([]*PlacedFunc, 0, len(funcs))
-	cur := img.TextBase
+	// sorted by Start without a sort. Every function's InstrAddrs is a
+	// window of one array.
+	n := 0
 	for _, f := range funcs {
+		n += len(f.Instrs)
+	}
+	addrs := make([]uint64, n)
+	pfs := make([]PlacedFunc, len(funcs))
+	img.placed = make([]*PlacedFunc, 0, len(funcs))
+	img.FuncOrder = make([]string, 0, len(funcs))
+	cur := img.TextBase
+	for fi, f := range funcs {
 		cur = mem.AlignUp(cur, 16)
-		pf := &PlacedFunc{F: f, Start: cur, InstrAddrs: make([]uint64, len(f.Instrs))}
+		pf := &pfs[fi]
+		*pf = PlacedFunc{F: f, Start: cur, InstrAddrs: addrs[:len(f.Instrs):len(f.Instrs)]}
+		addrs = addrs[len(f.Instrs):]
 		for i := range f.Instrs {
 			in := &f.Instrs[i]
 			pf.InstrAddrs[i] = cur
 			cur += uint64(in.EncodedSize())
+			// Return-address ground truth: the address after the call.
+			if (in.Kind == isa.KCall || in.Kind == isa.KCallInd) && in.CallSiteID >= 0 {
+				img.CallSiteRA[in.CallSiteID] = cur
+			}
 		}
 		pf.End = cur
 		if _, dup := img.Funcs[f.Name]; dup {
@@ -264,17 +278,6 @@ func (img *Image) placeText(r *rng.RNG) error {
 		}
 	}
 	img.TextEnd = mem.AlignUp(cur, mem.PageSize)
-
-	// Record return-address ground truth now that addresses are fixed.
-	for _, name := range img.FuncOrder {
-		pf := img.Funcs[name]
-		for i := range pf.F.Instrs {
-			in := &pf.F.Instrs[i]
-			if (in.Kind == isa.KCall || in.Kind == isa.KCallInd) && in.CallSiteID >= 0 {
-				img.CallSiteRA[in.CallSiteID] = pf.InstrAddrs[i] + uint64(in.EncodedSize())
-			}
-		}
-	}
 	return nil
 }
 

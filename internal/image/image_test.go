@@ -231,9 +231,13 @@ func TestBaselineIsStableModuloASLR(t *testing.T) {
 		t.Error("baseline function order changed across seeds (monoculture broken)")
 	}
 	// Relative offsets identical.
+	bOff := map[string]uint64{}
+	for _, fs := range b.Funcs {
+		bOff[fs.Name] = fs.Off
+	}
 	for _, fs := range a.Funcs {
-		if other := b.FuncSpanByName(fs.Name); other == nil || other.Off != fs.Off {
-			t.Errorf("%s: baseline offset differs (%#x vs %+v)", fs.Name, fs.Off, other)
+		if off, ok := bOff[fs.Name]; !ok || off != fs.Off {
+			t.Errorf("%s: baseline offset differs (%#x vs %#x, present %v)", fs.Name, fs.Off, off, ok)
 		}
 	}
 	if a.TextBase == b.TextBase {

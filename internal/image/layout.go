@@ -119,25 +119,3 @@ func (ls *LayoutSummary) DataKindCount(kind DataKind) int {
 	}
 	return n
 }
-
-// PadSizes returns the sizes of the inter-global padding symbols in data
-// order (empty when GlobalPadding is off).
-func (ls *LayoutSummary) PadSizes() []uint64 {
-	var out []uint64
-	for _, d := range ls.Data {
-		if d.Kind == DataPad {
-			out = append(out, d.Size)
-		}
-	}
-	return out
-}
-
-// FuncSpanByName returns the span of the named function, or nil.
-func (ls *LayoutSummary) FuncSpanByName(name string) *FuncSpan {
-	for i := range ls.Funcs {
-		if ls.Funcs[i].Name == name {
-			return &ls.Funcs[i]
-		}
-	}
-	return nil
-}

@@ -87,20 +87,22 @@ func TestLayoutSummaryDataQueries(t *testing.T) {
 	if got := ls.DataKindCount(DataBTDPDecoy); got != img.Prog.Config.BTDPDataDecoys {
 		t.Errorf("decoy count = %d, want %d", got, img.Prog.Config.BTDPDataDecoys)
 	}
-	pads := ls.PadSizes()
-	if len(pads) != ls.DataKindCount(DataPad) {
-		t.Error("PadSizes disagrees with DataKindCount")
-	}
-	for _, sz := range pads {
-		if sz == 0 || sz%8 != 0 {
-			t.Errorf("pad size %d not a positive multiple of 8", sz)
+	for _, d := range ls.Data {
+		if d.Kind == DataPad && (d.Size == 0 || d.Size%8 != 0) {
+			t.Errorf("pad %s: size %d not a positive multiple of 8", d.Name, d.Size)
 		}
 	}
-	if fs := ls.FuncSpanByName("leaf"); fs == nil || fs.Start != img.Funcs["leaf"].Start {
-		t.Error("FuncSpanByName(leaf) wrong")
+	leaf := 0
+	for _, fs := range ls.Funcs {
+		if fs.Name == "leaf" {
+			leaf++
+			if fs.Start != img.Funcs["leaf"].Start {
+				t.Errorf("leaf span starts at %#x, image at %#x", fs.Start, img.Funcs["leaf"].Start)
+			}
+		}
 	}
-	if ls.FuncSpanByName("no-such-func") != nil {
-		t.Error("FuncSpanByName resolved a missing name")
+	if leaf != 1 {
+		t.Errorf("summary has %d leaf spans, want 1", leaf)
 	}
 }
 

@@ -242,7 +242,8 @@ func (s Sys) String() string {
 
 // Instr is one machine instruction. Before linking, control-transfer and
 // address-bearing instructions carry symbolic targets (Sym / LocalTarget);
-// the linker resolves them into Target/Imm absolute addresses.
+// the linker resolves them into Target/Imm absolute addresses. The byte-sized
+// fields (including the two flags) lead, so the struct packs into 80 bytes.
 type Instr struct {
 	Kind Kind
 	Alu  AluOp
@@ -256,6 +257,15 @@ type Instr struct {
 
 	VDst VReg
 	VSrc VReg
+
+	// RetAddr marks an immediate that must resolve to "address of the
+	// instruction after call site CallSiteID" (the pre-pushed return
+	// address of the BTRA setup, and the RA entry of the AVX2 array).
+	RetAddr bool
+	// BTRA marks a pushed/stored immediate as a booby-trapped return
+	// address. The flag is toolchain metadata only — it is never visible in
+	// memory, where BTRAs are indistinguishable from real return addresses.
+	BTRA bool
 
 	Imm  uint64
 	Disp int64
@@ -271,18 +281,8 @@ type Instr struct {
 	// LocalTarget is a pre-link intra-function instruction index for jumps
 	// (-1 when absent).
 	LocalTarget int
-
-	// RetAddr marks an immediate that must resolve to "address of the
-	// instruction after call site CallSiteID" (the pre-pushed return
-	// address of the BTRA setup, and the RA entry of the AVX2 array).
-	RetAddr bool
 	// CallSiteID links RetAddr immediates and the KCall they belong to.
 	CallSiteID int
-
-	// BTRA marks a pushed/stored immediate as a booby-trapped return
-	// address. The flag is toolchain metadata only — it is never visible in
-	// memory, where BTRAs are indistinguishable from real return addresses.
-	BTRA bool
 }
 
 // EncodedSize returns the instruction's size in bytes in the simulated

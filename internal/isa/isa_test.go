@@ -3,6 +3,7 @@ package isa
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestEncodedSizesPositive(t *testing.T) {
@@ -100,5 +101,14 @@ func TestEnumStringsDistinct(t *testing.T) {
 			t.Errorf("duplicate kind name %q", s)
 		}
 		seen[s] = true
+	}
+}
+
+// TestInstrSize pins the packed layout: an r2c-full SPEC image at scale 8
+// holds ≈2.4k–13k instructions, so every padding byte is paid thousands of
+// times per build.
+func TestInstrSize(t *testing.T) {
+	if got := unsafe.Sizeof(Instr{}); got != 80 {
+		t.Errorf("unsafe.Sizeof(Instr{}) = %d, want 80", got)
 	}
 }

@@ -28,6 +28,7 @@
 package pcode
 
 import (
+	"math/bits"
 	"sort"
 
 	"r2c/internal/isa"
@@ -315,7 +316,21 @@ func Build(funcs []FuncIn) *Program {
 	}
 
 	// Pass 6: block extents and packed class counts (sentinels excluded —
-	// they retire nothing).
+	// they retire nothing). A first sweep sizes Blocks and Classes exactly:
+	// a block's class count is the number of distinct kinds in it.
+	nblocks, nclass, kinds := 0, 0, uint64(0)
+	for i := range p.Ops {
+		if leader[i] {
+			nblocks++
+			nclass += bits.OnesCount64(kinds)
+			kinds = 0
+		}
+		if p.Ops[i].Exec != XFellOff {
+			kinds |= 1 << p.Ops[i].Kind
+		}
+	}
+	p.Blocks = make([]Block, 0, nblocks)
+	p.Classes = make([]uint32, 0, nclass+bits.OnesCount64(kinds))
 	for s := 0; s < len(p.Ops); {
 		e := s + 1
 		for e < len(p.Ops) && !leader[e] {

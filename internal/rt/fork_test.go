@@ -207,7 +207,8 @@ var (
 // BenchmarkBuildImage prices what every heal, audit variant and
 // rediversify unit pays before a load: compile and link one SPEC module
 // under full R2C with a fresh seed. Its allocations per op are the build
-// path's regression signal, as BenchmarkServeRequest's are the serve path's.
+// path's regression signal, as BenchmarkServeRequest's are the serve path's;
+// TestBuildImageAllocs holds their ceiling.
 func BenchmarkBuildImage(b *testing.B) {
 	m := workload.Perlbench(8)
 	b.ReportAllocs()

@@ -2,11 +2,14 @@ package rt_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
+	"r2c/internal/defense"
 	"r2c/internal/rt"
 	"r2c/internal/sim"
 	"r2c/internal/vm"
+	"r2c/internal/workload"
 )
 
 // serveFuel is the serving fleet's default per-request instruction fuel.
@@ -56,5 +59,36 @@ func TestServeRequestAllocs(t *testing.T) {
 	const ceiling = 12
 	if n := testing.AllocsPerRun(200, func() { serveOne(t, snap, m) }); n > ceiling {
 		t.Errorf("a served request allocates %.1f times, ceiling %d", n, ceiling)
+	}
+}
+
+// TestBuildImageAllocs is the build path's ceiling, on BenchmarkBuildImage's
+// build (r2c-full perlbench, fresh seed each time): lowering, linking and
+// predecoding allocate each slice once at its final size, so append growth
+// creeping back shows here as allocations and bytes per build.
+func TestBuildImageAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	m := workload.Perlbench(8)
+	seed := uint64(0)
+	build := func() {
+		seed++
+		if _, err := sim.BuildImage(m, defense.R2CFull(), seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs, maxAllocs, maxBytes = 10, 5000, 2_500_000
+	if n := testing.AllocsPerRun(runs, build); n > maxAllocs {
+		t.Errorf("a build allocates %.0f times, ceiling %d", n, maxAllocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > maxBytes {
+		t.Errorf("a build allocates %d bytes, ceiling %d", b, maxBytes)
 	}
 }
