@@ -48,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// BuildImage is the same compile+link pipeline the experiment
 		// harnesses memoize in their build caches; going through it keeps
 		// the seed derivation in one place.
-		img, err := sim.BuildImage(mod, cfg, *seed)
+		img, err := sim.BuildImage(mod, cfg, *seed, nil)
 		if err != nil {
 			return err
 		}

@@ -58,7 +58,7 @@ func newScenario(eng *exec.Engine, cfg defense.Config, seed uint64, observe bool
 		// period (a fixed stride could stroboscopically skip helper).
 		budget := uint64(4001 + (steps*613)%1777)
 		_, err = mach.Run(budget)
-		if !errors.Is(err, vm.ErrInstructionBudget) {
+		if !errors.Is(err, vm.ErrFuelExhausted) {
 			return nil, fmt.Errorf("attack: victim finished before pausing: %v", err)
 		}
 		pc := mach.CPU.PC
@@ -77,7 +77,7 @@ func newScenario(eng *exec.Engine, cfg defense.Config, seed uint64, observe bool
 	if !paused {
 		return nil, fmt.Errorf("attack: could not pause victim inside %s (caller %q)", SymHelper, p.caller)
 	}
-	refImg, _, err := eng.Cache.Image(m, cfg, seed+0x5eed)
+	refImg, _, err := eng.Cache.Image(m, cfg, seed+0x5eed, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -270,21 +270,16 @@ func (s *Scenario) IndirectJITROP() Outcome {
 	return worst
 }
 
-// PIROP mounts position-independent code reuse (Section 7.2.5): corrupt
-// only the low 16 bits of the frame's return address, so no absolute
-// address knowledge is needed. The attacker aims the partial pointer at a
-// reference-copy gadget in the same 64 KiB region; page-aligned ASLR
-// preserves the low 12 bits, leaving 4 bits of slide luck. Against R2C the
-// attacker additionally cannot tell which candidate word is the return
-// address, and NOP insertion shifts the gadget's low bits.
-func (s *Scenario) PIROP() Outcome {
-	return s.PIROPAdjust(s.Rnd.Intn(16))
-}
-
-// PIROPAdjust is PIROP with an explicit guess k for the four ASLR bits
-// between page (2^12) and 64 KiB (2^16) granularity: the attacker adds
-// k·4096 to the reference gadget's low bits. The persistent attack probes
-// all sixteen values across worker restarts.
+// PIROPAdjust mounts position-independent code reuse (Section 7.2.5):
+// corrupt only the low 16 bits of the frame's return address, so no
+// absolute address knowledge is needed. The attacker aims the partial
+// pointer at a reference-copy gadget in the same 64 KiB region; page-aligned
+// ASLR preserves the low 12 bits, leaving 4 bits of slide luck, and k is the
+// guess for those four bits between page (2^12) and 64 KiB (2^16)
+// granularity: the attacker adds k·4096 to the reference gadget's low bits.
+// The persistent attack probes all sixteen values across worker restarts.
+// Against R2C the attacker additionally cannot tell which candidate word is
+// the return address, and NOP insertion shifts the gadget's low bits.
 func (s *Scenario) PIROPAdjust(k int) Outcome {
 	cands, err := s.RACandidates()
 	if err != nil {

@@ -28,7 +28,7 @@ func TestScenariosShareOneEngine(t *testing.T) {
 	const seeds, repeats = 3, 2
 	n := len(cfgs) * seeds * repeats
 	detections := make([]int, n)
-	err := eng.Pool.Map(context.Background(), n, func(i int) error {
+	err := eng.MapTracked(context.Background(), n, "scenario", func(i int) error {
 		cfg := cfgs[i%len(cfgs)]
 		seed := uint64(i/len(cfgs)%seeds + 1)
 		s, err := NewScenario(eng, cfg, seed)

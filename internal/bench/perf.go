@@ -215,19 +215,10 @@ func MeasureOverheads(cfgs []defense.Config, prof *vm.Profile, opt Options) ([]O
 		if cerr := opt.ctx().Err(); cerr != nil {
 			return nil, cerr // the whole run was cancelled; no partial tables
 		}
-		be, ok := exec.AsBatchError(err)
-		if !ok {
-			i, cause := exec.SplitError(err)
-			mt := metas[i]
-			inner := fmt.Errorf("%s: %w", mt.cfg, cause)
-			if mt.baseline {
-				return nil, fmt.Errorf("%s baseline: %w", mt.bench, inner)
-			}
-			return nil, fmt.Errorf("%s %s: %w", mt.bench, mt.cfg, inner)
-		}
 		// Partial failure: report every dead cell, then compute whatever
 		// the survivors support. The caller still sees the *BatchError so
 		// harnesses can reflect the failure in their exit code.
+		be, _ := exec.AsBatchError(err)
 		for _, f := range be.Failures {
 			mt := metas[f.Index]
 			if mt.baseline {
@@ -357,11 +348,7 @@ func Table2(opt Options) ([]Table2Row, error) {
 		if cerr := opt.ctx().Err(); cerr != nil {
 			return nil, cerr
 		}
-		be, ok := exec.AsBatchError(err)
-		if !ok {
-			i, cause := exec.SplitError(err)
-			return nil, fmt.Errorf("%s: %w", specs[i/runs].Name, cause)
-		}
+		be, _ := exec.AsBatchError(err)
 		for _, f := range be.Failures {
 			opt.printf("warning: %s run failed: %v\n", specs[f.Index/runs].Name, f.Err)
 		}

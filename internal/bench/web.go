@@ -81,7 +81,7 @@ func Webserver(opt Options) ([]WebResult, error) {
 		}
 	}
 	rps := make([]float64, len(tasks))
-	err := opt.Eng.Pool.Map(opt.ctx(), len(tasks), func(i int) error {
+	err := opt.Eng.MapTracked(opt.ctx(), len(tasks), "webserver", func(i int) error {
 		t := &tasks[i]
 		r, err := webRun(opt, t.m, t.cfg, t.prof, t.seed, requests)
 		if err != nil {
@@ -151,7 +151,7 @@ func Memory(opt Options) (*MemResult, error) {
 		maxrssPct, sampledPct float64
 	}
 	memRows := make([]memRow, len(specs))
-	err := opt.Eng.Pool.Map(opt.ctx(), len(specs), func(i int) error {
+	err := opt.Eng.MapTracked(opt.ctx(), len(specs), "memory", func(i int) error {
 		b := specs[i]
 		m := b.Build(opt.scale())
 		base, _, err := opt.Eng.Run(m, defense.Off(), 3, vm.EPYCRome())

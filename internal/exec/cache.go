@@ -117,22 +117,19 @@ func cacheable(cfg *defense.Config) bool { return !cfg.InsecureDynamicBTRAs }
 // Image returns the linked image for (m, cfg, seed), building it on first
 // use and serving the identical *image.Image on every later request with the
 // same key. hit reports whether the image came from the cache.
-func (c *Cache) Image(m *tir.Module, cfg defense.Config, seed uint64) (img *image.Image, hit bool, err error) {
-	return c.ImageSpan(m, cfg, seed, nil, nil)
-}
-
-// ImageSpan is Image with pipeline tracing: a "cache-lookup" child span under
-// parent for the key resolution, and — when this requester is the one that
-// runs the build — a "build" child wrapping compile+link. track, when
-// non-nil, is called with the coarse phase name ("cache-lookup", "build")
-// as the cell moves through the pipeline, feeding the engine's /progress
-// snapshot. Both hooks are observational; the image built is identical to
-// Image's.
+//
+// Under a non-nil parent span the lookup traces as a "cache-lookup" child
+// for the key resolution and — when this requester is the one that runs the
+// build — a "build" child wrapping compile+link. track, when non-nil, is
+// called with the coarse phase name ("cache-lookup", "build") as the cell
+// moves through the pipeline, feeding the engine's /progress snapshot. Both
+// hooks are observational: a nil parent and track give the untraced call
+// and the identical image.
 //
 // Under cache sharing, which requester runs the single-flight build closure
 // is a scheduling accident, so the build span's parent (and thus its span id)
 // is only deterministic across -jobs widths when cells carry distinct keys.
-func (c *Cache) ImageSpan(m *tir.Module, cfg defense.Config, seed uint64, parent *telemetry.Span, track func(phase string)) (img *image.Image, hit bool, err error) {
+func (c *Cache) Image(m *tir.Module, cfg defense.Config, seed uint64, parent *telemetry.Span, track func(phase string)) (img *image.Image, hit bool, err error) {
 	if track != nil {
 		track("cache-lookup")
 	}
@@ -146,7 +143,7 @@ func (c *Cache) ImageSpan(m *tir.Module, cfg defense.Config, seed uint64, parent
 		}
 		bs := parent.Child("build", seed)
 		bs.SetAttr("cache", "bypass")
-		img, err = sim.BuildImageSpan(m, cfg, seed, bs)
+		img, err = sim.BuildImage(m, cfg, seed, bs)
 		bs.End()
 		return img, false, err
 	}
@@ -179,7 +176,7 @@ func (c *Cache) ImageSpan(m *tir.Module, cfg defense.Config, seed uint64, parent
 		}
 		bs := parent.Child("build", seed)
 		bs.SetAttr("cache", "miss")
-		e.img, e.err = sim.BuildImageSpan(m, cfg, seed, bs)
+		e.img, e.err = sim.BuildImage(m, cfg, seed, bs)
 		bs.End()
 	})
 	if ok {
@@ -196,7 +193,7 @@ func (c *Cache) ImageSpan(m *tir.Module, cfg defense.Config, seed uint64, parent
 // a fresh process, exactly as sim.Build would: same seed derivation,
 // same load-time randomness, same telemetry hooks.
 func (c *Cache) Process(m *tir.Module, cfg defense.Config, seed uint64, obs *telemetry.Observer) (*rt.Process, error) {
-	img, _, err := c.Image(m, cfg, seed)
+	img, _, err := c.Image(m, cfg, seed, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -209,16 +206,6 @@ func (c *Cache) Stats() (hits, misses, bypasses uint64) {
 		return 0, 0, 0
 	}
 	return c.hits.Load(), c.misses.Load(), c.bypasses.Load()
-}
-
-// HitRate returns hits/(hits+misses), or 0 before any lookup. Bypassed
-// (uncacheable) builds are excluded.
-func (c *Cache) HitRate() float64 {
-	h, m, _ := c.Stats()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
 }
 
 // Len returns the number of cached images.

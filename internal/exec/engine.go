@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,27 +44,15 @@ func (e *CellError) Error() string { return fmt.Sprintf("cell %d: %v", e.Index, 
 // Unwrap exposes the underlying cell error to errors.Is/As.
 func (e *CellError) Unwrap() error { return e.Err }
 
-// SplitError extracts the failing cell index and the underlying cause from
-// a RunCells error, so callers can re-wrap the cause with the cell's
-// experiment-level context. Non-CellError errors return index 0 and the
-// error unchanged.
-func SplitError(err error) (int, error) {
-	var ce *CellError
-	if errors.As(err, &ce) {
-		return ce.Index, ce.Err
-	}
-	return 0, err
-}
-
-// Engine bundles the worker pool, the build cache, the observer and the
+// Engine bundles the fan-out, the build cache, the observer and the
 // incident log behind one handle — the run context experiment drivers and
 // attack scenarios carry around. A nil Engine is not usable; bench
-// constructs a default one when none is supplied.
+// constructs a default one when none is supplied. A zero Engine fans out
+// on GOMAXPROCS workers and builds uncached.
 type Engine struct {
-	Pool  *Pool
 	Cache *Cache
 	// Obs is attached to every process the engine loads and receives the
-	// engine's own metrics (per-cell timers, pool gauges, cache counters,
+	// engine's own metrics (per-cell timers, fan-out gauges, cache counters,
 	// retry/timeout/panic counters) and the pipeline spans (batch → cell →
 	// cache-lookup/build/load/exec).
 	Obs *telemetry.Observer
@@ -109,8 +98,12 @@ type Engine struct {
 	Series      *telemetry.SeriesSet
 	SampleEvery int
 
-	// prog backs Progress; batchSeq keys one "exec.batch" root span per
-	// RunCells call. Both are observational only.
+	// jobs is the worker count: 0 means GOMAXPROCS, 1 runs serially on the
+	// caller's goroutine.
+	jobs int
+
+	// prog backs Progress; batchSeq keys one root span per RunCells or
+	// BuildImages call. Both are observational only.
 	prog     progressState
 	batchSeq atomic.Uint64
 
@@ -120,14 +113,19 @@ type Engine struct {
 	cellsDone int
 }
 
-// New returns an engine with a fresh cache and a pool of the given width
-// (0 = GOMAXPROCS, 1 = serial). obs may be nil.
+// New returns an engine with a fresh cache that fans out on the given
+// number of workers (0 = GOMAXPROCS, 1 = serial). obs may be nil.
 func New(jobs int, obs *telemetry.Observer) *Engine {
-	return &Engine{Pool: NewPool(jobs, obs), Cache: NewCache(obs), Obs: obs}
+	return &Engine{jobs: jobs, Cache: NewCache(obs), Obs: obs}
 }
 
 // Jobs returns the engine's effective parallelism.
-func (e *Engine) Jobs() int { return e.Pool.Width() }
+func (e *Engine) Jobs() int {
+	if e.jobs <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return e.jobs
+}
 
 // HitRateString formats a build-cache hit rate as a percentage, or "n/a"
 // when no cacheable lookup has happened — a zero-build run has no meaningful
@@ -186,13 +184,13 @@ func RetrySeed(key Key, attempt int) uint64 {
 	return h.Sum64()
 }
 
-// RunCells fans the cells across the pool and returns their results in
-// submission order. Every cell runs to completion even if another fails —
-// failed cells leave a nil slot, and the returned error is a *BatchError
-// listing every failed cell in index order (its Unwrap exposes the
-// lowest-index *CellError), so both partial results and error reporting are
-// independent of scheduling. Identical (module, cfg, seed) cells share one
-// build through the cache but never a process.
+// RunCells fans the cells out across the engine's workers and returns their
+// results in submission order. Every cell runs to completion even if another
+// fails — failed cells leave a nil slot, and the returned error is nil or a
+// *BatchError listing every failed cell in index order (its Unwrap exposes
+// the lowest-index *CellError), so both partial results and error reporting
+// are independent of scheduling. Identical (module, cfg, seed) cells share
+// one build through the cache but never a process.
 //
 // Per cell, the engine applies the configured fault tolerance: journal
 // replay (skip already-completed cells on -resume), the wall-clock/fuel
@@ -204,64 +202,24 @@ func RetrySeed(key Key, attempt int) uint64 {
 // When the engine's observer carries a span sink, the batch traces as one
 // "exec.batch" root with a "cell" child per index (cache-lookup → build →
 // load → sim.exec children; retries nest under a "retry" child) and a final
-// "merge" child. Span ids derive from (parent, name, cell index), not from
-// scheduling, so the same submission produces the same span tree at any
-// -jobs width.
+// "merge" child, with the same span tree at any -jobs width.
 func (e *Engine) RunCells(ctx context.Context, cells []Cell) ([]*vm.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	results := make([]*vm.Result, len(cells))
-	batch := e.Obs.StartSpan("exec.batch", e.batchSeq.Add(1))
-	batch.SetAttr("cells", len(cells))
-	defer batch.End()
-	e.prog.addBatch(len(cells))
 	submitted := time.Now()
-	latency := e.Obs.Histogram("exec.cell.seconds", telemetry.LatencyBounds)
-	errs := e.Pool.MapErrs(ctx, len(cells), func(i, w int) error {
-		cellStart := time.Now()
-		defer func() { latency.Observe(time.Since(cellStart).Seconds()) }()
+	batch, be := e.runBatch(ctx, cellBatch, len(cells), func(i, w int, sp *telemetry.Span, track func(phase string)) error {
 		c := &cells[i]
-		handle, track := e.prog.begin(i, w)
-		defer e.prog.end(handle)
-		sp := batch.Child("cell", uint64(i))
-		defer sp.End()
-		sp.SetTID(w + 1)
-		sp.SetAttr("index", i)
 		sp.SetAttr("worker", w)
 		sp.SetAttr("seed", c.Seed)
 		sp.SetAttr("config", c.Cfg.Name)
 		sp.SetAttr("queued_ns", time.Since(submitted).Nanoseconds())
-		res, err := e.runCellAttempts(ctx, i, c, sp, track)
-		if err != nil {
-			sp.SetAttr("status", "failed")
-			sp.SetAttr("error", err.Error())
-			return err
-		}
-		sp.SetAttr("status", "ok")
-		results[i] = res
-		return nil
+		var err error
+		results[i], err = e.runCellAttempts(ctx, i, c, sp, track)
+		return err
 	})
-	var failures []*CellError
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		ce, ok := err.(*CellError)
-		if !ok {
-			ce = &CellError{Index: i, Err: err}
-		}
-		failures = append(failures, ce)
-		e.Obs.Counter("exec.cell.failures").Inc()
-		var pe *PanicError
-		var te *CellTimeoutError
-		switch {
-		case errors.As(err, &pe):
-			e.Obs.Counter("exec.cell.panics").Inc()
-		case errors.As(err, &te):
-			e.Obs.Counter("exec.cell.timeouts").Inc()
-		}
-	}
+	defer batch.End()
 	// The modeled-cycle distribution is observed here, in the ordered merge
 	// loop, not on the workers: bucket counts would be order-independent
 	// either way, but the float sum accumulates in fold order, and folding
@@ -307,9 +265,18 @@ func (e *Engine) RunCells(ctx context.Context, cells []Cell) ([]*vm.Result, erro
 	merge := batch.Child("merge", 0)
 	merge.SetAttr("cells", len(cells))
 	var err error
-	if len(failures) > 0 {
-		be := &BatchError{Total: len(cells), Failures: failures}
-		merge.SetAttr("failed", len(failures))
+	if be != nil {
+		for _, f := range be.Failures {
+			var pe *PanicError
+			var te *CellTimeoutError
+			switch {
+			case errors.As(f, &pe):
+				e.Obs.Counter("exec.cell.panics").Inc()
+			case errors.As(f, &te):
+				e.Obs.Counter("exec.cell.timeouts").Inc()
+			}
+		}
+		merge.SetAttr("failed", len(be.Failures))
 		merge.SetAttr("error", be.Error())
 		err = be
 	}
@@ -317,19 +284,23 @@ func (e *Engine) RunCells(ctx context.Context, cells []Cell) ([]*vm.Result, erro
 	return results, err
 }
 
-// MapTracked runs fn(0..n-1) across the pool with Pool.Map's semantics —
-// including panic isolation — while reporting each item to the engine's live
-// Progress as an in-flight cell in the given phase, so campaigns that do not
-// go through RunCells (the attack harness's Monte-Carlo trials) stay visible
-// on /progress.
+// MapTracked runs fn(0..n-1) across the engine's workers — the one fan-out
+// for work that is not a cell (the attack harness's Monte-Carlo trials, the
+// web and memory experiments) — and returns the failing item with the
+// lowest index, so error reporting is deterministic. Panics in fn are
+// isolated per item, and each item shows on the engine's live Progress as
+// an in-flight cell in the given phase.
 func (e *Engine) MapTracked(ctx context.Context, n int, phase string, fn func(i int) error) error {
-	e.prog.addBatch(n)
-	return e.Pool.MapW(ctx, n, func(i, w int) error {
-		handle, track := e.prog.begin(i, w)
-		defer e.prog.end(handle)
+	errs := e.fanOut(ctx, n, func(i, _ int, track func(phase string)) error {
 		track(phase)
 		return fn(i)
 	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // runCellAttempts is the per-cell fault-tolerance wrapper around runCell:
@@ -442,13 +413,13 @@ func (e *Engine) runCellAttempt(ctx context.Context, i, attempt int, c *Cell, ke
 }
 
 // runCell is the traced per-cell pipeline: cached image (cache-lookup and,
-// on a miss, build spans inside ImageSpan), process load, execution under
+// on a miss, build spans inside Cache.Image), process load, execution under
 // the attempt's context and the engine's fuel allowance. It is behaviorally
 // identical to Run when neither watchdog fires — the span and track
 // arguments only observe.
 func (e *Engine) runCell(ctx context.Context, i int, c *Cell, seed uint64, sp *telemetry.Span, track func(phase string)) (*vm.Result, error) {
 	imgStart := time.Now()
-	img, hit, err := e.Cache.ImageSpan(c.Module, c.Cfg, seed, sp, track)
+	img, hit, err := e.Cache.Image(c.Module, c.Cfg, seed, sp, track)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// PanicError is a worker panic converted to an ordinary error by the pool's
+// PanicError is a worker panic converted to an ordinary error by the fan-out's
 // recover barrier. The message is deterministic (the panic value only), so a
 // panicking cell reports identically at any -jobs width; the goroutine stack
 // — which legitimately varies with scheduling — rides along out-of-band for
@@ -53,8 +53,8 @@ func (e *CellTimeoutError) Unwrap() error { return e.Err }
 // *BatchError, so one bad cell degrades to a reported failure instead of
 // discarding its siblings' work. Failures are ordered by cell index, and
 // Unwrap exposes the lowest-index *CellError — preserving the pre-existing
-// contract that errors.As/SplitError on a RunCells error find the first
-// failing cell.
+// contract that errors.As on a RunCells error finds the first failing
+// cell.
 type BatchError struct {
 	// Total is the batch size; Failures lists the cells that failed, in
 	// index order, each a *CellError wrapping the final per-cell cause.

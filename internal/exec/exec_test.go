@@ -33,14 +33,14 @@ func TestCacheHitReturnsIdenticalImage(t *testing.T) {
 	m := testModule(t)
 	cfg := defense.R2CFull()
 
-	img1, hit1, err := c.Image(m, cfg, 9)
+	img1, hit1, err := c.Image(m, cfg, 9, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit1 {
 		t.Error("first lookup reported a hit")
 	}
-	img2, hit2, err := c.Image(m, cfg, 9)
+	img2, hit2, err := c.Image(m, cfg, 9, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestCacheHitReturnsIdenticalImage(t *testing.T) {
 
 	// Content addressing: a different *tir.Module with identical content maps
 	// to the same entry.
-	if _, hit, err := c.Image(testModule(t), cfg, 9); err != nil || !hit {
+	if _, hit, err := c.Image(testModule(t), cfg, 9, nil, nil); err != nil || !hit {
 		t.Errorf("content-identical module missed (hit=%v err=%v)", hit, err)
 	}
 }
@@ -71,7 +71,7 @@ func TestCacheKeysDoNotCollide(t *testing.T) {
 	seen := map[any]bool{}
 	for _, cfg := range []defense.Config{defense.Off(), defense.R2CFull()} {
 		for seed := uint64(1); seed <= 2; seed++ {
-			img, hit, err := c.Image(m, cfg, seed)
+			img, hit, err := c.Image(m, cfg, seed, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,11 +154,11 @@ func TestCacheBypassesImageMutatingConfigs(t *testing.T) {
 	cfg.Name = "r2c-dynamic-btras"
 	cfg.InsecureDynamicBTRAs = true
 
-	img1, hit1, err := c.Image(m, cfg, 3)
+	img1, hit1, err := c.Image(m, cfg, 3, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	img2, hit2, err := c.Image(m, cfg, 3)
+	img2, hit2, err := c.Image(m, cfg, 3, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,15 +176,15 @@ func TestCacheBypassesImageMutatingConfigs(t *testing.T) {
 	}
 }
 
-// Map must run every index exactly once, merge by index, and report the
-// lowest-index failure — at any width.
+// MapTracked must run every index exactly once, merge by index, and report
+// the lowest-index failure — at any width.
 func TestPoolMapDeterministic(t *testing.T) {
 	const n = 300
 	for _, jobs := range []int{1, 8} {
-		p := exec.NewPool(jobs, nil)
+		eng := exec.New(jobs, nil)
 		out := make([]int, n)
 		var calls atomic.Int64
-		err := p.Map(context.Background(), n, func(i int) error {
+		err := eng.MapTracked(context.Background(), n, "test", func(i int) error {
 			calls.Add(1)
 			out[i] = i * i
 			return nil
@@ -204,7 +204,7 @@ func TestPoolMapDeterministic(t *testing.T) {
 		// Failures: every index still runs, and the lowest failing index wins
 		// regardless of scheduling.
 		calls.Store(0)
-		err = p.Map(context.Background(), n, func(i int) error {
+		err = eng.MapTracked(context.Background(), n, "test", func(i int) error {
 			calls.Add(1)
 			if i%7 == 3 {
 				return fmt.Errorf("fail %d", i)
@@ -238,8 +238,8 @@ func TestRunCellsCellError(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("error %v is not a CellError", err)
 	}
-	if i, cause := exec.SplitError(err); i != 1 || cause == nil {
-		t.Errorf("SplitError = (%d, %v), want index 1", i, cause)
+	if ce.Index != 1 || ce.Err == nil {
+		t.Errorf("CellError = (%d, %v), want index 1", ce.Index, ce.Err)
 	}
 }
 

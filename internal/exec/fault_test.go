@@ -309,12 +309,12 @@ func TestJournalAppendAfterTornLine(t *testing.T) {
 	}
 }
 
-// The serial (width 1) path must report the same pool gauges the parallel
-// path does.
+// The serial (width 1) path must report the same fan-out gauges the
+// parallel path does.
 func TestSerialPoolSetsGauges(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	p := exec.NewPool(1, &telemetry.Observer{Registry: reg})
-	if err := p.Map(context.Background(), 3, func(i int) error { return nil }); err != nil {
+	eng := exec.New(1, &telemetry.Observer{Registry: reg})
+	if err := eng.MapTracked(context.Background(), 3, "test", func(i int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if v := reg.Gauge("exec.pool.workers").Value(); v != 1 {
@@ -331,9 +331,9 @@ func TestPoolHonorsCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, jobs := range []int{1, 4} {
-		p := exec.NewPool(jobs, nil)
+		eng := exec.New(jobs, nil)
 		ran := false
-		err := p.Map(ctx, 5, func(i int) error { ran = true; return nil })
+		err := eng.MapTracked(ctx, 5, "test", func(i int) error { ran = true; return nil })
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("jobs=%d: err = %v, want context.Canceled", jobs, err)
 		}
@@ -410,9 +410,6 @@ func TestBatchErrorAggregatesFailures(t *testing.T) {
 	}
 	if got := be.FailedIndices(); !reflect.DeepEqual(got, []int{1, 3}) {
 		t.Fatalf("failed indices %v, want [1 3]", got)
-	}
-	if i, _ := exec.SplitError(err); i != 1 {
-		t.Errorf("SplitError index = %d, want the lowest failing index 1", i)
 	}
 	var ce *exec.CellError
 	if !errors.As(err, &ce) || ce.Index != 1 {

@@ -107,7 +107,7 @@ func TestAlertRuleFiresOnFaultedRun(t *testing.T) {
 		if !inject && err != nil {
 			t.Fatal(err)
 		}
-		return telemetry.EvalAlerts(rules, reg.Snapshot(), time.Second)
+		return telemetry.EvalAlertsSeries(rules, reg.Snapshot(), nil, time.Second)
 	}
 	if n := telemetry.FiringCount(run(true)); n != 1 {
 		t.Errorf("faulted run: %d rules firing, want 1", n)
@@ -175,7 +175,7 @@ func TestOpsServerConcurrentScrapes(t *testing.T) {
 		Series:    eng.Series,
 		Health:    func() string { return "" },
 		Alerts: func() any {
-			return telemetry.EvalAlerts(nil, reg.Snapshot(), time.Second)
+			return telemetry.EvalAlertsSeries(nil, reg.Snapshot(), nil, time.Second)
 		},
 	})
 	if err != nil {

@@ -443,7 +443,7 @@ func (f *Fleet) buildInitial(ctx context.Context) error {
 	imgs := make([]*image.Image, o.Variants)
 	if o.Heal == HealReroll {
 		for i := range imgs {
-			img, err := sim.BuildImage(o.Module, o.Cfg, o.BaseSeed+uint64(i))
+			img, err := sim.BuildImage(o.Module, o.Cfg, o.BaseSeed+uint64(i), nil)
 			if err != nil {
 				return fmt.Errorf("fleet: variant %d: %w", i, err)
 			}
@@ -1070,7 +1070,7 @@ func (f *Fleet) quarantine(s *slot, t, rebuildLat float64) {
 		seed := f.nextSeed
 		f.nextSeed++
 		go func(ch chan healDone) {
-			img, _, err := o.Eng.Cache.Image(o.Module, o.Cfg, seed)
+			img, _, err := o.Eng.Cache.Image(o.Module, o.Cfg, seed, nil, nil)
 			ch <- heal(img, seed, err, o.Obs)
 		}(s.heal)
 	}

@@ -69,18 +69,6 @@ func (v VReg) String() string { return fmt.Sprintf("ymm%d", int8(v)) }
 // address — the case offset-invariant addressing exists for (Section 5.1.1).
 var ArgRegs = []Reg{RDI, RSI, RDX, RCX, R8, R9}
 
-// RetReg is the integer return value register.
-const RetReg = RAX
-
-// CalleeSaved are the registers a callee must preserve. The register
-// allocator (and its randomization) draws from both this set and the
-// caller-saved scratch set.
-var CalleeSaved = []Reg{RBX, R12, R13, R14, R15}
-
-// Scratch are caller-saved registers available as allocation targets in
-// addition to argument registers.
-var Scratch = []Reg{R10, R11}
-
 // AluOp is an arithmetic/logic suboperation.
 type AluOp int8
 

@@ -28,9 +28,6 @@ const (
 	PageMask  = PageSize - 1
 )
 
-// WordSize is the machine word size in bytes (x86_64).
-const WordSize = 8
-
 // Perm is a page permission bit set.
 type Perm uint8
 

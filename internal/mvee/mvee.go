@@ -131,7 +131,7 @@ func (e *Engine) Run(sliceInstrs, maxSlices int) (*Verdict, error) {
 				continue
 			}
 			res, err := va.Mach.Run(uint64(sliceInstrs))
-			if err == vm.ErrInstructionBudget {
+			if err == vm.ErrFuelExhausted {
 				partial[i] = res
 				allDone = false
 				continue

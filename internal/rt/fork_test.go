@@ -19,7 +19,7 @@ import (
 // every request of the serving fleet forks.
 func nginxImage(tb testing.TB) *image.Image {
 	tb.Helper()
-	img, err := sim.BuildImage(workload.NginxRequest(), defense.R2CFull(), 1)
+	img, err := sim.BuildImage(workload.NginxRequest(), defense.R2CFull(), 1, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func pagesOf(snap *rt.Snapshot) []uint64 {
 func compareRun(m *vm.Machine, p *rt.Process, pages []uint64, pause uint16, writes []byte) (*vm.Result, string) {
 	m.SampleEvery = 97
 	if pause > 0 {
-		if res, err := m.Run(uint64(pause)); err != vm.ErrInstructionBudget {
+		if res, err := m.Run(uint64(pause)); err != vm.ErrFuelExhausted {
 			return res, errText(err)
 		}
 		for recs := writes; len(recs) >= 12; recs = recs[12:] {
@@ -161,7 +161,7 @@ func compareRun(m *vm.Machine, p *rt.Process, pages []uint64, pause uint16, writ
 func FuzzForkMatchesLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, cfgIx, forks uint8, pause uint16, writes []byte) {
 		cfg := forkFuzzConfigs[int(cfgIx)%len(forkFuzzConfigs)]
-		img, err := sim.BuildImage(workload.Random(seed), cfg, seed)
+		img, err := sim.BuildImage(workload.Random(seed), cfg, seed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func BenchmarkBuildImage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		if imgSink, err = sim.BuildImage(m, defense.R2CFull(), uint64(i)+1); err != nil {
+		if imgSink, err = sim.BuildImage(m, defense.R2CFull(), uint64(i)+1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -52,7 +52,7 @@ func warmUp(m *vm.Machine, p *rt.Process, end int, pause uint16, reg *telemetry.
 		_ = p.Space.Protect(mem.AlignDown(p.InitialRSP-8, mem.PageSize), mem.PageSize, mem.PermNone)
 		res, err = m.Run(corruptFuel)
 	case endTrap:
-		if res, err = m.Run(1); err == vm.ErrInstructionBudget {
+		if res, err = m.Run(1); err == vm.ErrFuelExhausted {
 			if pc := boobyTrapStart(p.Img); pc != 0 {
 				m.CPU.PC = pc
 			}
@@ -73,7 +73,7 @@ func warmUp(m *vm.Machine, p *rt.Process, end int, pause uint16, reg *telemetry.
 		return "trap"
 	case res.Fault != nil:
 		return "fault"
-	case err == vm.ErrInstructionBudget:
+	case err == vm.ErrFuelExhausted:
 		return "pause"
 	case err != nil:
 		return "error"
@@ -91,7 +91,7 @@ func warmUp(m *vm.Machine, p *rt.Process, end int, pause uint16, reg *telemetry.
 func checkResetMatchesNew(t *testing.T, seed uint64, cfgIx, forks, ends uint8, pause uint16, writes []byte) []string {
 	cfg := forkFuzzConfigs[int(cfgIx)%len(forkFuzzConfigs)]
 	load := func(cfg defense.Config, seed uint64) (*image.Image, *rt.Snapshot) {
-		img, err := sim.BuildImage(workload.Random(seed), cfg, seed)
+		img, err := sim.BuildImage(workload.Random(seed), cfg, seed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

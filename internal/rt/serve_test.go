@@ -74,7 +74,7 @@ func TestBuildImageAllocs(t *testing.T) {
 	seed := uint64(0)
 	build := func() {
 		seed++
-		if _, err := sim.BuildImage(m, defense.R2CFull(), seed); err != nil {
+		if _, err := sim.BuildImage(m, defense.R2CFull(), seed, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -40,7 +40,7 @@ func TestTelemetryDoesNotPerturbRuns(t *testing.T) {
 		// The observed run threads a live span tree through the same build,
 		// load and exec stages Run uses, so the gate covers the span hooks too.
 		root := obs.StartSpan("determinism", 1)
-		img, err := sim.BuildImageSpan(m, cfg, 7, root)
+		img, err := sim.BuildImage(m, cfg, 7, root)
 		if err != nil {
 			t.Fatalf("%s observed build: %v", cfg.Name, err)
 		}

@@ -56,7 +56,7 @@ func digestImages(t *testing.T, visit func(wl, cfg string, img *image.Image)) {
 	for i, m := range mods {
 		for _, cfg := range digestConfigs() {
 			for _, seed := range digestSeeds {
-				img, err := sim.BuildImage(m, cfg, seed)
+				img, err := sim.BuildImage(m, cfg, seed, nil)
 				if err != nil {
 					t.Fatalf("%s/%s seed %d: %v", names[i], cfg.Name, seed, err)
 				}

@@ -31,7 +31,7 @@ const DefaultBudget = 600_000_000
 // load-time events (the BTDP constructor) and later traps and faults reach
 // its sinks; obs may be nil.
 func Build(m *tir.Module, cfg defense.Config, seed uint64, obs *telemetry.Observer) (*rt.Process, error) {
-	img, err := BuildImage(m, cfg, seed)
+	img, err := BuildImage(m, cfg, seed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -40,15 +40,10 @@ func Build(m *tir.Module, cfg defense.Config, seed uint64, obs *telemetry.Observ
 
 // BuildImage runs the immutable half of Build: compile and link, but do not
 // load. The result depends only on (module content, cfg, seed), carries no
-// mutable process state, and is what the exec build cache memoizes.
-func BuildImage(m *tir.Module, cfg defense.Config, seed uint64) (*image.Image, error) {
-	return BuildImageSpan(m, cfg, seed, nil)
-}
-
-// BuildImageSpan is BuildImage with "sim.compile" and "sim.link" child spans
-// recorded under sp. The span is observational only — a nil sp (the
-// uninstrumented path) builds the identical image.
-func BuildImageSpan(m *tir.Module, cfg defense.Config, seed uint64, sp *telemetry.Span) (*image.Image, error) {
+// mutable process state, and is what the exec build cache memoizes. A
+// non-nil sp gets "sim.compile" and "sim.link" children; the span is
+// observational only, and a nil sp builds the identical image.
+func BuildImage(m *tir.Module, cfg defense.Config, seed uint64, sp *telemetry.Span) (*image.Image, error) {
 	cs := sp.Child("sim.compile", seed)
 	prog, err := codegen.Compile(m, cfg, seed)
 	cs.End()
@@ -119,7 +114,7 @@ func ExecMachine(ctx context.Context, mach *vm.Machine, obs *telemetry.Observer,
 	if obs.Profiling() {
 		mach.EnableProfiler()
 	}
-	res, err := mach.RunCtx(ctx, fuel, 0)
+	res, err := mach.RunCtx(ctx, fuel)
 	if res != nil && es != nil { // boxing the attributes allocates even for a nil span
 		es.SetAttr("instructions", res.Instructions)
 		es.SetAttr("cycles", res.Cycles)

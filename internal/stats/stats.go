@@ -48,20 +48,9 @@ func MedianU64(xs []uint64) uint64 {
 	return s[len(s)/2]
 }
 
-// GeoMean returns the geometric mean of xs (all values must be positive).
-// It panics on empty or non-positive input; sweep code that can see
-// zero-cycle baselines or empty ratio sets should use GeoMeanErr.
-func GeoMean(xs []float64) float64 {
-	g, err := GeoMeanErr(xs)
-	if err != nil {
-		panic(err.Error())
-	}
-	return g
-}
-
-// GeoMeanErr is GeoMean returning an error instead of panicking — the
-// "stats: geomean of non-positive value" crash a zero-cycle baseline used
-// to inflict on a whole sweep.
+// GeoMeanErr returns the geometric mean of xs, or an error on empty or
+// non-positive input (a zero-cycle baseline or an empty ratio set) instead
+// of crashing a whole sweep.
 func GeoMeanErr(xs []float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, errors.New("stats: geomean of empty slice")
@@ -76,33 +65,9 @@ func GeoMeanErr(xs []float64) (float64, error) {
 	return math.Exp(sum / float64(len(xs))), nil
 }
 
-// Max returns the maximum of xs.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Overhead returns the relative overhead of measured vs baseline as a
-// ratio (1.06 = +6%). It panics on a non-positive baseline; sweep code
-// should use OverheadErr.
-func Overhead(measured, baseline float64) float64 {
-	r, err := OverheadErr(measured, baseline)
-	if err != nil {
-		panic(err.Error())
-	}
-	return r
-}
-
-// OverheadErr is Overhead returning an error instead of panicking on a
-// non-positive baseline (a zero-cycle or failed baseline run).
+// OverheadErr returns the relative overhead of measured vs baseline as a
+// ratio (1.06 = +6%), or an error on a non-positive baseline (a zero-cycle
+// or failed baseline run).
 func OverheadErr(measured, baseline float64) (float64, error) {
 	if baseline <= 0 {
 		return 0, errors.New("stats: non-positive baseline")
@@ -122,9 +87,6 @@ type Cluster struct {
 	Count  int
 	Values []uint64
 }
-
-// Span returns the cluster's value range width.
-func (c *Cluster) Span() uint64 { return c.Hi - c.Lo }
 
 // Contains reports whether v falls inside the cluster's range.
 func (c *Cluster) Contains(v uint64) bool { return v >= c.Lo && v <= c.Hi }
@@ -166,18 +128,4 @@ func ClusterValues(values []uint64, maxGap uint64, minValue uint64) []*Cluster {
 // return addresses with R BTRAs per call site: (1/(R+1))^n (Section 7.2.1).
 func BTRAGuessProbability(R, n int) float64 {
 	return math.Pow(1/float64(R+1), float64(n))
-}
-
-// Wilson returns the Wilson 95% confidence interval for k successes in n
-// trials, for reporting Monte-Carlo attack success rates.
-func Wilson(k, n int) (lo, hi float64) {
-	if n == 0 {
-		return 0, 1
-	}
-	const z = 1.96
-	p := float64(k) / float64(n)
-	den := 1 + z*z/float64(n)
-	center := (p + z*z/(2*float64(n))) / den
-	half := z * math.Sqrt(p*(1-p)/float64(n)+z*z/(4*float64(n)*float64(n))) / den
-	return center - half, center + half
 }

@@ -35,27 +35,21 @@ func TestMedianU64(t *testing.T) {
 }
 
 func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{2, 8}); !almost(g, 4) {
-		t.Errorf("geomean = %v", g)
+	if g, err := GeoMeanErr([]float64{2, 8}); err != nil || !almost(g, 4) {
+		t.Errorf("geomean = %v, %v", g, err)
 	}
-	if g := GeoMean([]float64{1, 1, 1}); !almost(g, 1) {
-		t.Errorf("geomean ones = %v", g)
+	if g, err := GeoMeanErr([]float64{1, 1, 1}); err != nil || !almost(g, 1) {
+		t.Errorf("geomean ones = %v, %v", g, err)
 	}
-}
-
-func TestGeoMeanPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	GeoMean([]float64{1, 0})
+	if _, err := GeoMeanErr([]float64{1, 0}); err == nil {
+		t.Error("geomean of a non-positive value returned no error")
+	}
 }
 
 func TestOverheadAndPct(t *testing.T) {
-	r := Overhead(106, 100)
-	if !almost(r, 1.06) {
-		t.Errorf("overhead = %v", r)
+	r, err := OverheadErr(106, 100)
+	if err != nil || !almost(r, 1.06) {
+		t.Errorf("overhead = %v, %v", r, err)
 	}
 	if p := Pct(r); !almost(p, 6) {
 		t.Errorf("pct = %v", p)
@@ -143,20 +137,5 @@ func TestClusterInvariants(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWilson(t *testing.T) {
-	lo, hi := Wilson(50, 100)
-	if lo >= 0.5 || hi <= 0.5 {
-		t.Errorf("wilson(50,100) = [%v,%v]", lo, hi)
-	}
-	lo, hi = Wilson(0, 0)
-	if lo != 0 || hi != 1 {
-		t.Errorf("wilson empty = [%v,%v]", lo, hi)
-	}
-	lo, _ = Wilson(0, 1000)
-	if lo != math.Max(lo, 0) || lo > 0.01 {
-		t.Errorf("wilson zero successes lo = %v", lo)
 	}
 }

@@ -227,21 +227,14 @@ func parseAlertRule(line string, ln int) (AlertRule, error) {
 	return rule, nil
 }
 
-// EvalAlerts evaluates every rule against one registry snapshot. elapsed is
-// the observation window rate() divides by (clamped to at least 1ns);
-// results come back in rule-file order. A metric with no data marks the
-// rule Missing rather than firing, so an alert on rt.traps does not trip on
-// a run that never armed a trap. Windowed rules are Missing here — they
-// need a series snapshot; use EvalAlertsSeries.
-func EvalAlerts(rules []AlertRule, snap *Snapshot, elapsed time.Duration) []AlertState {
-	return EvalAlertsSeries(rules, snap, nil, elapsed)
-}
-
-// EvalAlertsSeries evaluates rules against a registry snapshot plus a
+// EvalAlertsSeries evaluates every rule against a registry snapshot plus a
 // time-series snapshot: point-in-time functions read snap, windowed
-// functions read series. A nil series snapshot marks every windowed rule
-// Missing, so rules files mixing both kinds stay loadable by harnesses that
-// never sample.
+// functions read series. elapsed is the observation window rate() divides
+// by (clamped to at least 1ns); results come back in rule-file order. A
+// metric with no data marks the rule Missing rather than firing, so an
+// alert on rt.traps does not trip on a run that never armed a trap. A nil
+// series snapshot marks every windowed rule Missing, so rules files mixing
+// both kinds stay loadable by harnesses that never sample.
 func EvalAlertsSeries(rules []AlertRule, snap *Snapshot, series *SeriesSnapshot, elapsed time.Duration) []AlertState {
 	if elapsed <= 0 {
 		elapsed = time.Nanosecond

@@ -87,7 +87,7 @@ no-data:    count(never.recorded) > 0
 empty-hist: p99(never.observed) > 1
 mean-ok:    mean(exec.cell.seconds) < 1
 `)
-	states := EvalAlerts(rules, snap, 2*time.Second)
+	states := EvalAlertsSeries(rules, snap, nil, 2*time.Second)
 	byName := map[string]AlertState{}
 	for _, s := range states {
 		byName[s.Rule] = s
@@ -144,11 +144,11 @@ func TestEvalAlertsElapsedClamp(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("x").Add(5)
 	rules := mustParseRules(t, "r: rate(x) > 0")
-	states := EvalAlerts(rules, reg.Snapshot(), 0)
+	states := EvalAlertsSeries(rules, reg.Snapshot(), nil, 0)
 	if len(states) != 1 || !states[0].Firing {
 		t.Fatalf("zero-elapsed eval = %+v, want firing (clamped window)", states)
 	}
-	if s := EvalAlerts(rules, nil, time.Second); !s[0].Missing {
+	if s := EvalAlertsSeries(rules, nil, nil, time.Second); !s[0].Missing {
 		t.Fatalf("nil snapshot eval = %+v, want missing", s[0])
 	}
 }
@@ -286,7 +286,7 @@ func TestExampleRulesFileParses(t *testing.T) {
 		t.Fatalf("example file has only %d rules", len(rules))
 	}
 	// Against an empty snapshot every rule is missing, none firing.
-	states := EvalAlerts(rules, &Snapshot{}, time.Second)
+	states := EvalAlertsSeries(rules, &Snapshot{}, nil, time.Second)
 	for _, s := range states {
 		if s.Firing || !s.Missing {
 			t.Errorf("rule %s on empty snapshot: %+v", s.Rule, s)

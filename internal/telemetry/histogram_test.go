@@ -184,9 +184,9 @@ func TestHistogramPrometheusExposition(t *testing.T) {
 		h.Observe(v)
 	}
 
-	s, err := ServeOps("127.0.0.1:0", reg, nil)
+	s, err := ServeOpsSources("127.0.0.1:0", OpsSources{Registry: reg})
 	if err != nil {
-		t.Fatalf("ServeOps: %v", err)
+		t.Fatalf("ServeOpsSources: %v", err)
 	}
 	defer s.Close()
 	client := &http.Client{Timeout: 5 * time.Second}

@@ -49,14 +49,6 @@ type OpsSources struct {
 	Health func() string
 }
 
-// ServeOps starts the ops endpoint on addr (e.g. ":8642" or "127.0.0.1:0").
-// reg backs /metrics (nil serves an empty exposition); progress backs
-// /progress (nil serves "{}"; the returned value is marshaled as JSON).
-// It is ServeOpsSources with only the pre-PR-8 sources wired.
-func ServeOps(addr string, reg *Registry, progress func() any) (*OpsServer, error) {
-	return ServeOpsSources(addr, OpsSources{Registry: reg, Progress: progress})
-}
-
 // jsonSource returns a handler serving src's value as indented JSON.
 // Marshal happens before writing headers: a snapshot carrying a non-finite
 // float (+Inf ETA, NaN quantile and friends) is not valid JSON, and

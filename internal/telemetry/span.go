@@ -120,14 +120,6 @@ func (sp *Span) Child(name string, key uint64) *Span {
 	}
 }
 
-// ID returns the span's deterministic ID (0 for a nil span).
-func (sp *Span) ID() uint64 {
-	if sp == nil {
-		return 0
-	}
-	return sp.id
-}
-
 // SetAttr attaches one attribute. Values should be JSON-friendly scalars.
 func (sp *Span) SetAttr(k string, v any) {
 	if sp == nil {

@@ -15,7 +15,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -306,12 +305,4 @@ func (s *Snapshot) TopCounters(name string, n int) []KV {
 		out = out[:n]
 	}
 	return out
-}
-
-// Fprintf is a tiny formatting helper used by reports; it ignores a nil
-// writer so report rendering is as nil-safe as the metric hooks.
-func Fprintf(w io.Writer, format string, args ...any) {
-	if w != nil {
-		fmt.Fprintf(w, format, args...)
-	}
 }

@@ -53,17 +53,11 @@ func (s *TimeSeries) push(t, v float64) bool {
 	return true
 }
 
-// Len returns the number of live samples.
-func (s *TimeSeries) Len() int { return s.n }
-
 // At returns the i-th oldest live sample.
 func (s *TimeSeries) At(i int) (t, v float64) {
 	j := (s.head + i) % len(s.t)
 	return s.t[j], s.v[j]
 }
-
-// Dropped returns how many samples ring overwrite has discarded.
-func (s *TimeSeries) Dropped() uint64 { return s.dropped }
 
 // SeriesSet is a concurrency-safe collection of TimeSeries rings. The
 // sampler side calls Sample from the loop that owns the clock; the consumer

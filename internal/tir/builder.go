@@ -86,9 +86,6 @@ type FuncBuilder struct {
 	cur int
 }
 
-// Func returns the function under construction.
-func (fb *FuncBuilder) Func() *Function { return fb.f }
-
 // Unprotected marks the function as not compiled by R2C (Section 7.4.1).
 func (fb *FuncBuilder) Unprotected() *FuncBuilder {
 	fb.f.Protected = false

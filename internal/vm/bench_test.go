@@ -128,7 +128,7 @@ func loadStoreModule() *tir.Module {
 
 func buildBenchImage(b *testing.B, m *tir.Module, cfg defense.Config) *image.Image {
 	b.Helper()
-	img, err := sim.BuildImage(m, cfg, 1)
+	img, err := sim.BuildImage(m, cfg, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func errString(err error) string {
 // runFast runs m the way production cells do: vm.RunCtx in its default
 // chunks, so every chunk edge is a budget cut inside some block.
 func runFast(m *vm.Machine) leg {
-	res, err := m.RunCtx(context.Background(), sim.DefaultBudget, 0)
+	res, err := m.RunCtx(context.Background(), sim.DefaultBudget)
 	return leg{res, errString(err), m.CPU.PC}
 }
 
@@ -69,7 +69,7 @@ func requireSame(t *testing.T, what string, fast, ref leg) {
 
 func buildImage(t testing.TB, m *tir.Module, cfg defense.Config, seed uint64) *image.Image {
 	t.Helper()
-	img, err := sim.BuildImage(m, cfg, seed)
+	img, err := sim.BuildImage(m, cfg, seed, nil)
 	if err != nil {
 		t.Fatalf("%s seed %d: build: %v", cfg.Name, seed, err)
 	}
@@ -165,7 +165,7 @@ func TestFastPathResumeAndKnobParity(t *testing.T) {
 				rr, re := vm.RunReference(rm, k.chunk)
 				what := fmt.Sprintf("%s %+v step %d", cfg.Name, k, step)
 				requireSame(t, what, leg{fr, errString(fe), fm.CPU.PC}, leg{rr, errString(re), rm.CPU.PC})
-				if re != vm.ErrInstructionBudget {
+				if re != vm.ErrFuelExhausted {
 					if !rr.Halted {
 						t.Fatalf("%s %+v: run ended without halting: %v", cfg.Name, k, re)
 					}

@@ -64,7 +64,7 @@ blocks:
 			// Pause with the PC at the next instruction so a later Run call
 			// resumes exactly here.
 			cpu.PC = op.Addr
-			return m.finish(), ErrInstructionBudget
+			return m.finish(), ErrFuelExhausted
 		}
 		if op.Addr>>mem.PageShift != m.lastExecPage {
 			if !m.enterPage(op) {

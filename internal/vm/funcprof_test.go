@@ -15,7 +15,7 @@ import (
 
 func profiledRun(t *testing.T) *vm.FuncProfiler {
 	t.Helper()
-	img, err := sim.BuildImage(smallModule(), defense.Off(), 1)
+	img, err := sim.BuildImage(smallModule(), defense.Off(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func FuzzFastMatchesReference(f *testing.F) {
 				t.Fatalf("flight events diverge at %d instructions\nfast:      %+v\nreference: %+v",
 					rr.Instructions, fm.Proc.Flight.Events(), rm.Proc.Flight.Events())
 			}
-			if re != vm.ErrInstructionBudget || rr.Instructions >= fuzzFuel {
+			if re != vm.ErrFuelExhausted || rr.Instructions >= fuzzFuel {
 				break
 			}
 		}

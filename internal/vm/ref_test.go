@@ -56,7 +56,7 @@ func (m *Machine) runLegacy(maxInstr uint64) (*Result, error) {
 			// Pause with PC at the *next* instruction so a later Run call
 			// resumes exactly where this one stopped.
 			cpu.PC = curF.InstrAddrs[curIdx]
-			return finish(), ErrInstructionBudget
+			return finish(), ErrFuelExhausted
 		}
 		in := &curF.F.Instrs[curIdx]
 		addr := curF.InstrAddrs[curIdx]

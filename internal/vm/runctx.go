@@ -2,12 +2,11 @@ package vm
 
 import "context"
 
-// DefaultCheckEvery is the chunk size RunCtx uses between cancellation
-// checks when the caller passes 0. It is small enough that a watchdog
-// deadline is honored within a few million modeled instructions, and large
-// enough that the per-chunk bookkeeping is invisible next to the dispatch
-// loop itself.
-const DefaultCheckEvery = 2_000_000
+// checkEvery is the chunk size RunCtx runs between cancellation checks. It
+// is small enough that a watchdog deadline is honored within a few million
+// modeled instructions, and large enough that the per-chunk bookkeeping is
+// invisible next to the dispatch loop itself.
+const checkEvery uint64 = 2_000_000
 
 // RunCtx executes like Run(fuel) but in chunks of checkEvery instructions,
 // polling ctx between chunks — the seam the execution engine's per-cell
@@ -21,12 +20,9 @@ const DefaultCheckEvery = 2_000_000
 // (halt/fault/trap, err == nil apart from internal VM errors), ctx.Err()
 // when the context is cancelled between chunks, or ErrFuelExhausted when
 // fuel instructions have retired without the program ending. fuel <= 0
-// returns immediately with ErrFuelExhausted; checkEvery <= 0 uses
-// DefaultCheckEvery. In every case the partial Result so far is returned.
-func (m *Machine) RunCtx(ctx context.Context, fuel, checkEvery uint64) (*Result, error) {
-	if checkEvery == 0 {
-		checkEvery = DefaultCheckEvery
-	}
+// returns immediately with ErrFuelExhausted. In every case the partial
+// Result so far is returned.
+func (m *Machine) RunCtx(ctx context.Context, fuel uint64) (*Result, error) {
 	var res *Result
 	for {
 		if ctx != nil {
@@ -51,7 +47,7 @@ func (m *Machine) RunCtx(ctx context.Context, fuel, checkEvery uint64) (*Result,
 		}
 		var err error
 		res, err = m.Run(chunk)
-		if err != ErrInstructionBudget {
+		if err != ErrFuelExhausted {
 			return res, err
 		}
 		fuel -= chunk

@@ -249,7 +249,7 @@ func testTLBAttackerWrites(t *testing.T) {
 		fr, fe := fm.Run(2_000)
 		rr, re := vm.RunReference(rm, 2_000)
 		requireSame(t, "pause", leg{fr, errString(fe), fm.CPU.PC}, leg{rr, errString(re), rm.CPU.PC})
-		if re != vm.ErrInstructionBudget {
+		if re != vm.ErrFuelExhausted {
 			if out := fr.Output; len(out) != 2 || out[0] >= 50_000 {
 				t.Fatalf("output %v: the loop missed the write of 77", out)
 			}

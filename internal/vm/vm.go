@@ -12,13 +12,11 @@ import (
 	"r2c/internal/telemetry"
 )
 
-// ErrInstructionBudget is returned when execution exceeds the step budget.
-var ErrInstructionBudget = errors.New("vm: instruction budget exhausted")
-
-// ErrFuelExhausted is returned by RunCtx when the caller's total fuel
-// allowance runs out — the typed signal a runaway program (an infinite loop
-// in lowered code) hands to the execution engine's watchdog, distinct from
-// the incremental pause ErrInstructionBudget models.
+// ErrFuelExhausted means the instruction allowance retired without the
+// program ending: Run(n) pauses with it after n instructions (a later Run
+// resumes exactly there), and RunCtx returns it when the caller's total
+// fuel runs out — the typed signal a runaway program (an infinite loop in
+// lowered code) hands to the execution engine's watchdog.
 var ErrFuelExhausted = errors.New("vm: fuel limit exhausted")
 
 // CPU is the architectural register state.
@@ -384,8 +382,8 @@ func (m *Machine) stopFault(pc uint64, f *mem.Fault) {
 // machine can be resumed with another Run call — how the attack framework
 // models Malicious Thread Blocking). The returned Result is valid in all
 // cases and accumulates across calls; err is non-nil only for
-// simulator-level problems (budget exhaustion, malformed images, division
-// by zero, heap exhaustion).
+// simulator-level problems (ErrFuelExhausted on a pause, malformed images,
+// division by zero, heap exhaustion).
 //
 // Execution runs on the predecoded program the linker attaches to every
 // image (runFast, fast.go). Writes made through the process's Space while

@@ -87,7 +87,7 @@ func TestPauseResumeEquivalence(t *testing.T) {
 	var res *vm.Result
 	for {
 		res, err = mach.Run(137)
-		if errors.Is(err, vm.ErrInstructionBudget) {
+		if errors.Is(err, vm.ErrFuelExhausted) {
 			continue
 		}
 		if err != nil {
@@ -282,7 +282,7 @@ func TestUnwinderWalksBTRAFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		mach := vm.New(proc, vm.EPYCRome())
-		if _, err := mach.Run(50_000); !errors.Is(err, vm.ErrInstructionBudget) {
+		if _, err := mach.Run(50_000); !errors.Is(err, vm.ErrFuelExhausted) {
 			t.Fatalf("%s: did not pause: %v", cfg.Name, err)
 		}
 		pc := mach.CPU.PC
@@ -334,7 +334,7 @@ func TestStoreWhilePausedIsSeenOnResume(t *testing.T) {
 	main.Output(i)
 	main.RetVoid()
 	mb.SetEntry("main")
-	img, err := sim.BuildImage(mb.MustBuild(), defense.Off(), 1)
+	img, err := sim.BuildImage(mb.MustBuild(), defense.Off(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestStoreWhilePausedIsSeenOnResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := vm.New(proc, vm.EPYCRome())
-	if _, err := m.Run(500); !errors.Is(err, vm.ErrInstructionBudget) {
+	if _, err := m.Run(500); !errors.Is(err, vm.ErrFuelExhausted) {
 		t.Fatalf("run did not pause: %v", err)
 	}
 	if err := proc.Space.Write64(img.DataSyms["g"].Addr, 77); err != nil {
