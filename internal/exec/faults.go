@@ -16,7 +16,7 @@ const (
 	FaultBuildFail
 	// FaultExecFail fails the cell after load, as a sim fault would.
 	FaultExecFail
-	// FaultPanic panics on the worker goroutine, exercising the pool's
+	// FaultPanic panics on the worker goroutine, exercising the fan-out's
 	// recover barrier.
 	FaultPanic
 	// FaultStall blocks the cell until its watchdog context fires,
