@@ -125,3 +125,29 @@ func TestForensicsGolden(t *testing.T) {
 		})
 	}
 }
+
+// ablationsGolden is the sha256 of `ablations` stdout with the run-summary
+// footer removed: the property B, property C and Figure 5 rows, including
+// the dynamic-BTRA victim whose second observation runs a rerolled image.
+const ablationsGolden = "8a57d73dbfff021a3006bf725a122d3ec8f9abc9d456c514f8c149ddd9447d02"
+
+func TestAblationsGolden(t *testing.T) {
+	for _, jobs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("jobs%d", jobs), func(t *testing.T) {
+			var stdout bytes.Buffer
+			if code := run([]string{"-jobs", fmt.Sprint(jobs), "ablations"}, &stdout, io.Discard); code != 0 {
+				t.Fatalf("exit %d", code)
+			}
+			var kept strings.Builder
+			for _, line := range strings.SplitAfter(stdout.String(), "\n") {
+				if !strings.HasPrefix(line, "[r2cattack: ") {
+					kept.WriteString(line)
+				}
+			}
+			sum := sha256.Sum256([]byte(kept.String()))
+			if got := hex.EncodeToString(sum[:]); got != ablationsGolden {
+				t.Errorf("stdout sha256 = %s, want %s\n%s", got, ablationsGolden, kept.String())
+			}
+		})
+	}
+}

@@ -133,3 +133,47 @@ func TestIncidentsGolden(t *testing.T) {
 		t.Errorf("incidents sha256 = %s, want %s", got, incidentsGolden)
 	}
 }
+
+// rerollGolden pins a reroll-healed fleet under `-heal reroll -mvee 2
+// -adaptive -attack overwrite -requests 800 nginx`: per -config, the sha256
+// of -incidents-out and of the -json report's "sim" object. Every heal
+// replaces a slot's image with a BTRA-rerolled copy of it, and the result
+// must not depend on the -jobs width.
+var rerollGolden = []struct{ config, incidents, sim string }{
+	{"push", "0b8c298167725cb7bb846bfb5bf1c1978d2dcef58f739beae991ae5451232ab4", "9289f80a42abb072d88cdd149daa2fea5f430ad3e8b5a3bac7f21c6b54afc838"},
+	{"r2c", "6292748fa5f3dbedb9040922066e30dc5713522bca743bd218ddf264d398ecb8", "84bf861f5215c9d59c27150d919dcd2d112017acb716943535f751880451f850"},
+}
+
+func TestRerollHealGolden(t *testing.T) {
+	for _, jobs := range []string{"1", "4"} {
+		for _, g := range rerollGolden {
+			t.Run(g.config+"/jobs"+jobs, func(t *testing.T) {
+				out := filepath.Join(t.TempDir(), "inc.json")
+				var stdout bytes.Buffer
+				args := []string{"-heal", "reroll", "-mvee", "2", "-adaptive", "-attack", "overwrite",
+					"-requests", "800", "-config", g.config, "-jobs", jobs, "-json", "-incidents-out", out, "nginx"}
+				if code := run(args, &stdout, io.Discard); code != 0 {
+					t.Fatalf("exit %d", code)
+				}
+				b, err := os.ReadFile(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(b)
+				if got := hex.EncodeToString(sum[:]); got != g.incidents {
+					t.Errorf("incidents sha256 = %s, want %s", got, g.incidents)
+				}
+				var rep struct {
+					Sim json.RawMessage `json:"sim"`
+				}
+				if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
+					t.Fatal(err)
+				}
+				sum = sha256.Sum256(rep.Sim)
+				if got := hex.EncodeToString(sum[:]); got != g.sim {
+					t.Errorf("sim sha256 = %s, want %s\n%s", got, g.sim, rep.Sim)
+				}
+			})
+		}
+	}
+}
