@@ -8,6 +8,7 @@ import (
 	"r2c/internal/exec"
 	"r2c/internal/isa"
 	"r2c/internal/rng"
+	"r2c/internal/sim"
 	"r2c/internal/telemetry"
 	"r2c/internal/vm"
 )
@@ -29,9 +30,8 @@ type pause struct {
 
 // newScenario builds and pauses a victim through eng (nil: uncached,
 // unrecorded). observe attaches eng.Obs to the process and the scenario.
-// A re-rolled victim patches its image after loading; its configuration
-// (InsecureDynamicBTRAs) is one the build cache never shares, so the
-// mutation cannot reach another scenario.
+// A re-rolled victim loads a Reroll copy of the cached image, which leaves
+// the cached image as it was.
 func newScenario(eng *exec.Engine, cfg defense.Config, seed uint64, observe bool, p pause) (*Scenario, error) {
 	if eng == nil {
 		eng = &exec.Engine{}
@@ -41,14 +41,18 @@ func newScenario(eng *exec.Engine, cfg defense.Config, seed uint64, observe bool
 		obs = eng.Obs
 	}
 	m := victimModule()
-	proc, err := eng.Cache.Process(m, cfg, seed, obs)
+	img, _, err := eng.Cache.Image(m, cfg, seed, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	if p.reroll {
-		if err := proc.RerollBTRAs(p.rerollSeed); err != nil {
+		if img, err = img.Reroll(p.rerollSeed); err != nil {
 			return nil, err
 		}
+	}
+	proc, err := sim.NewProcessFromImage(img, seed, obs)
+	if err != nil {
+		return nil, err
 	}
 	mach := vm.New(proc, vm.EPYCRome())
 	helperPF := proc.Img.Funcs[SymHelper]

@@ -15,9 +15,9 @@ import (
 // TestInstrSlicesAreDisjoint pins the exact-size build path's aliasing
 // contract. Lowering reuses one scratch buffer, and the booby-trap pool and
 // the linker's address index are windows of shared arrays; image.resolve
-// and the InsecureDynamicBTRAs reroll write instructions in place, so a
-// slice with spare capacity or an overlapping neighbour would let one
-// function's writes (or appends) corrupt another's.
+// writes instructions in place, so a slice with spare capacity or an
+// overlapping neighbour would let one function's writes (or appends)
+// corrupt another's.
 func TestInstrSlicesAreDisjoint(t *testing.T) {
 	m := workload.Perlbench(2)
 	for _, cfg := range []defense.Config{defense.R2CFull(), defense.Off()} {

@@ -81,11 +81,6 @@ func (c *Cache) Key(m *tir.Module, cfg defense.Config, seed uint64) Key {
 // rt.Process from it, so mutable process state (memory, heap, BTDP placement
 // RNG) never leaks between cells. Concurrent requests for the same key build
 // once (single-flight) and share the result.
-//
-// The one image mutator in the tree, rt.RerollBTRAs, only runs for configs
-// with InsecureDynamicBTRAs set (the Section 4.1 property-B ablation); the
-// cache refuses to memoize those configs so a reroll can never poison a
-// shared image.
 type Cache struct {
 	// Obs receives hit/miss counters and an entry-count gauge under the
 	// "exec.cache.*" namespace. Nil disables telemetry.
@@ -95,9 +90,8 @@ type Cache struct {
 	entries map[Key]*cacheEntry
 	hashes  sync.Map // *tir.Module -> hex content hash (see Key)
 
-	hits     atomic.Uint64
-	misses   atomic.Uint64
-	bypasses atomic.Uint64
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
 type cacheEntry struct {
@@ -110,9 +104,6 @@ type cacheEntry struct {
 func NewCache(obs *telemetry.Observer) *Cache {
 	return &Cache{Obs: obs, entries: make(map[Key]*cacheEntry)}
 }
-
-// cacheable reports whether builds under cfg may be shared between runs.
-func cacheable(cfg *defense.Config) bool { return !cfg.InsecureDynamicBTRAs }
 
 // Image returns the linked image for (m, cfg, seed), building it on first
 // use and serving the identical *image.Image on every later request with the
@@ -133,16 +124,11 @@ func (c *Cache) Image(m *tir.Module, cfg defense.Config, seed uint64, parent *te
 	if track != nil {
 		track("cache-lookup")
 	}
-	if c == nil || !cacheable(&cfg) {
-		if c != nil {
-			c.bypasses.Add(1)
-			c.Obs.Counter("exec.cache.bypasses").Inc()
-		}
+	if c == nil {
 		if track != nil {
 			track("build")
 		}
 		bs := parent.Child("build", seed)
-		bs.SetAttr("cache", "bypass")
 		img, err = sim.BuildImage(m, cfg, seed, bs)
 		bs.End()
 		return img, false, err
@@ -200,12 +186,13 @@ func (c *Cache) Process(m *tir.Module, cfg defense.Config, seed uint64, obs *tel
 	return sim.NewProcessFromImage(img, seed, obs)
 }
 
-// Stats returns the cumulative hit/miss/bypass counts.
-func (c *Cache) Stats() (hits, misses, bypasses uint64) {
+// Stats returns the cumulative hit and miss counts. The third result is
+// always 0: every build is cacheable.
+func (c *Cache) Stats() (hits, misses, _ uint64) {
 	if c == nil {
 		return 0, 0, 0
 	}
-	return c.hits.Load(), c.misses.Load(), c.bypasses.Load()
+	return c.hits.Load(), c.misses.Load(), 0
 }
 
 // Len returns the number of cached images.

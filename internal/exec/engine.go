@@ -128,7 +128,7 @@ func (e *Engine) Jobs() int {
 }
 
 // HitRateString formats a build-cache hit rate as a percentage, or "n/a"
-// when no cacheable lookup has happened — a zero-build run has no meaningful
+// when no lookup has happened — a zero-build run has no meaningful
 // rate, and 0/0 would otherwise render as NaN.
 func HitRateString(hits, misses uint64) string {
 	if hits+misses == 0 {
@@ -140,12 +140,9 @@ func HitRateString(hits, misses uint64) string {
 // Footer returns the one-line run summary the cmd harnesses print on exit:
 // effective parallelism and build-cache economy for the whole invocation.
 func (e *Engine) Footer(tool string) string {
-	hits, misses, bypasses := e.Cache.Stats()
+	hits, misses, _ := e.Cache.Stats()
 	s := fmt.Sprintf("[%s: %d jobs; build cache: %d hits / %d misses (%s hit rate)",
 		tool, e.Jobs(), hits, misses, HitRateString(hits, misses))
-	if bypasses > 0 {
-		s += fmt.Sprintf(", %d uncacheable", bypasses)
-	}
 	if jh := e.Journal.Hits(); jh > 0 {
 		s += fmt.Sprintf("; journal: %d cells replayed", jh)
 	}
@@ -311,13 +308,11 @@ func (e *Engine) MapTracked(ctx context.Context, n int, phase string, fn func(i 
 // cell's original key so a resume finds it.
 func (e *Engine) runCellAttempts(ctx context.Context, i int, c *Cell, sp *telemetry.Span, track func(phase string)) (*vm.Result, error) {
 	key := e.Cache.Key(c.Module, c.Cfg, c.Seed)
-	if cacheable(&c.Cfg) {
-		if res, ok := e.Journal.Lookup(key, c.Prof.Name); ok {
-			e.Obs.Counter("exec.journal.hits").Inc()
-			sp.SetAttr("journal", "hit")
-			track("journal")
-			return res, nil
-		}
+	if res, ok := e.Journal.Lookup(key, c.Prof.Name); ok {
+		e.Obs.Counter("exec.journal.hits").Inc()
+		sp.SetAttr("journal", "hit")
+		track("journal")
+		return res, nil
 	}
 	var lastErr error
 	for attempt := 0; attempt <= e.Retries; attempt++ {
@@ -338,13 +333,11 @@ func (e *Engine) runCellAttempts(ctx context.Context, i int, c *Cell, sp *teleme
 		res, err := e.runCellAttempt(ctx, i, attempt, c, key, sp, track)
 		if err == nil {
 			sp.SetAttr("attempts", attempt+1)
-			if cacheable(&c.Cfg) {
-				if jerr := e.Journal.Record(key, c.Prof.Name, res); jerr != nil {
-					// A journaling failure must not fail a successful
-					// cell; surface it observationally and move on.
-					sp.SetAttr("journal_error", jerr.Error())
-					e.Obs.Counter("exec.journal.errors").Inc()
-				}
+			if jerr := e.Journal.Record(key, c.Prof.Name, res); jerr != nil {
+				// A journaling failure must not fail a successful
+				// cell; surface it observationally and move on.
+				sp.SetAttr("journal_error", jerr.Error())
+				e.Obs.Counter("exec.journal.errors").Inc()
 			}
 			return res, nil
 		}

@@ -80,7 +80,7 @@ type Progress struct {
 	InFlight []CellStatus `json:"in_flight"`
 	// CacheHits/CacheMisses mirror the engine cache; CacheHitRate is
 	// hits/(hits+misses) as a percentage string, or "n/a" before any
-	// cacheable lookup.
+	// lookup.
 	CacheHits    uint64 `json:"cache_hits"`
 	CacheMisses  uint64 `json:"cache_misses"`
 	CacheHitRate string `json:"cache_hit_rate"`

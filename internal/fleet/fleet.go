@@ -64,11 +64,10 @@ const (
 	// seed — full re-diversification, obsoleting every address the
 	// attacker leaked (the "instant re-randomization" response).
 	HealRebuild = "rebuild"
-	// HealReroll re-randomizes only the BTRA artifacts of the existing
-	// image in place (rt.RerollBTRAs persisted into the image). Cheap, but
-	// the layout survives, so leaked code/data addresses stay valid — the
-	// paper's "more dynamism is less effective" ablation as a fleet
-	// response policy.
+	// HealReroll replaces the image with a copy whose BTRA artifacts are
+	// re-randomized (image.Reroll). Cheap, but the layout survives, so
+	// leaked code/data addresses stay valid — the paper's "more dynamism
+	// is less effective" ablation as a fleet response policy.
 	HealReroll = "reroll"
 )
 
@@ -434,31 +433,17 @@ func (f *Fleet) Health() string {
 	return ""
 }
 
-// buildInitial links the fleet's starting images. Rebuild-healed fleets
-// share the engine's content-addressed cache; reroll-healed fleets build
-// private images, because rerolling mutates the image in place and a cached
-// image is shared with every other caller of the same (module, cfg, seed).
+// buildInitial links the fleet's starting images through the engine's
+// content-addressed cache.
 func (f *Fleet) buildInitial(ctx context.Context) error {
 	o := f.o
-	imgs := make([]*image.Image, o.Variants)
-	if o.Heal == HealReroll {
-		for i := range imgs {
-			img, err := sim.BuildImage(o.Module, o.Cfg, o.BaseSeed+uint64(i), nil)
-			if err != nil {
-				return fmt.Errorf("fleet: variant %d: %w", i, err)
-			}
-			imgs[i] = img
-		}
-	} else {
-		seeds := make([]uint64, o.Variants)
-		for i := range seeds {
-			seeds[i] = o.BaseSeed + uint64(i)
-		}
-		var err error
-		imgs, err = o.Eng.BuildImages(ctx, o.Module, o.Cfg, seeds)
-		if err != nil {
-			return fmt.Errorf("fleet: initial build: %w", err)
-		}
+	seeds := make([]uint64, o.Variants)
+	for i := range seeds {
+		seeds[i] = o.BaseSeed + uint64(i)
+	}
+	imgs, err := o.Eng.BuildImages(ctx, o.Module, o.Cfg, seeds)
+	if err != nil {
+		return fmt.Errorf("fleet: initial build: %w", err)
 	}
 	slots := make([]*slot, o.Variants)
 	for i, img := range imgs {
@@ -883,7 +868,7 @@ func (f *Fleet) serveRequest(ctx context.Context, i int, chosen []*slot, arrival
 	// the wrong output is a silent corruption (and, in hijack mode, the
 	// attacker's win sentinel is an outright compromise).
 	if len(detected) == 0 && output != nil {
-		if !equalOutput(output, f.golden) {
+		if !slices.Equal(output, f.golden) {
 			f.rep.Sim.SilentCorruptions++
 			f.cSilent.Inc()
 		}
@@ -1058,33 +1043,27 @@ func (f *Fleet) quarantine(s *slot, t, rebuildLat float64) {
 	o.Obs.Gauge("fleet.slots.quarantined").Add(1)
 	o.Obs.Emit("fleet-quarantine", map[string]any{"slot": s.id, "gen": s.gen, "sim_time": t})
 
-	switch o.Heal {
-	case HealReroll:
-		seed := f.nextSeed
-		f.nextSeed++
-		img, oldSeed := s.img, s.seed
-		go func(ch chan healDone) {
-			ch <- heal(img, oldSeed, rerollImage(img, seed), o.Obs)
-		}(s.heal)
-	default:
-		seed := f.nextSeed
-		f.nextSeed++
-		go func(ch chan healDone) {
-			img, _, err := o.Eng.Cache.Image(o.Module, o.Cfg, seed, nil, nil)
-			ch <- heal(img, seed, err, o.Obs)
-		}(s.heal)
-	}
-}
-
-// heal finishes a replacement on its heal goroutine: unless producing img
-// failed (err), it loads img's snapshot beside the build, so the rejoining
-// variant serves forks at once.
-func heal(img *image.Image, seed uint64, err error, obs *telemetry.Observer) healDone {
-	if err != nil {
-		return healDone{err: err}
-	}
-	snap, err := sim.LoadImage(img, seed, obs)
-	return healDone{img: img, snap: snap, seed: seed, err: err}
+	seed := f.nextSeed
+	f.nextSeed++
+	old, oldSeed := s.img, s.seed
+	go func(ch chan healDone) {
+		// A reroll draws the copy's BTRAs from the fresh seed and keeps the
+		// slot's load seed; a rebuild re-diversifies under the fresh seed.
+		// Either way the replacement's snapshot loads beside the build, so
+		// the rejoining variant serves forks at once.
+		var hd healDone
+		if o.Heal == HealReroll {
+			hd.img, hd.err = old.Reroll(seed)
+			hd.seed = oldSeed
+		} else {
+			hd.img, _, hd.err = o.Eng.Cache.Image(o.Module, o.Cfg, seed, nil, nil)
+			hd.seed = seed
+		}
+		if hd.err == nil {
+			hd.snap, hd.err = sim.LoadImage(hd.img, hd.seed, o.Obs)
+		}
+		ch <- hd
+	}(s.heal)
 }
 
 // rejoinDue completes every quarantined variant whose rejoin time has
@@ -1167,40 +1146,6 @@ func resolveWrites(s Schedule, img *image.Image) ([]write, error) {
 	}
 }
 
-// rerollImage re-randomizes the image's BTRA artifacts in place and
-// persists them, so every process loaded from the image afterwards executes
-// the rerolled values: push-mode immediates live in the (predecoded)
-// instruction stream, which RerollBTRAs rewrites directly, while AVX-array
-// decoy words live in the data section and are copied back into the image's
-// initializer from the scratch process RerollBTRAs rewrote.
-func rerollImage(img *image.Image, seed uint64) error {
-	snap, err := rt.Load(img, seed, nil)
-	if err != nil {
-		return err
-	}
-	proc := snap.Fork(nil)
-	if err := proc.RerollBTRAs(seed); err != nil {
-		return err
-	}
-	for _, b := range img.Prog.Blobs {
-		ds := img.DataSyms[b.Name]
-		if ds == nil {
-			continue
-		}
-		for i, w := range b.Words {
-			if !w.BTRA {
-				continue
-			}
-			v, err := proc.Space.Read64(ds.Addr + uint64(i)*8)
-			if err != nil {
-				return err
-			}
-			img.DataInit[ds.Addr+uint64(i)*8] = v
-		}
-	}
-	return nil
-}
-
 // SlotView is one variant's row in the live view.
 type SlotView struct {
 	ID     int    `json:"id"`
@@ -1236,16 +1181,4 @@ func (f *Fleet) Live() LiveView {
 		lv.Slots = append(lv.Slots, SlotView{ID: s.id, State: s.state, Gen: s.gen, Seed: s.seed, Served: s.served})
 	}
 	return lv
-}
-
-func equalOutput(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

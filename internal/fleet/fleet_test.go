@@ -362,10 +362,11 @@ func TestRerollHealKeepsLeakedAddressesValid(t *testing.T) {
 	}
 }
 
-// TestRerollRejoinForksRerolledSnapshot pins that a reroll heal swaps in a
-// snapshot loaded from the rerolled image: rerollImage rewrites the image in
-// place, so forks of the slot's pre-reroll snapshot would still carry the
-// old AVX BTRA data words, while push immediates live in the shared image.
+// TestRerollRejoinForksRerolledSnapshot pins that a reroll heal swaps in
+// both a rerolled copy of the slot's image and a snapshot loaded from it:
+// forks of the pre-reroll snapshot would carry the old AVX BTRA data words
+// and run the old push immediates. The pre-reroll image, shared through
+// the build cache, keeps its immediates.
 func TestRerollRejoinForksRerolledSnapshot(t *testing.T) {
 	for _, cfg := range []defense.Config{defense.R2CFull(), defense.R2CPush()} {
 		t.Run(cfg.Name, func(t *testing.T) {
@@ -380,8 +381,9 @@ func TestRerollRejoinForksRerolledSnapshot(t *testing.T) {
 			}
 			f.rep = &Report{}
 			s := f.slots[0]
+			oldImg := s.img
 			oldWords := btraWords(t, s.snap.Fork(nil))
-			oldImms := pushImms(s.img)
+			oldImms := pushImms(oldImg)
 
 			f.quarantine(s, 0, 1)
 			if err := f.rejoinDue(1, 1, telemetry.NewHistogram(telemetry.LatencyBounds)); err != nil {
@@ -408,6 +410,9 @@ func TestRerollRejoinForksRerolledSnapshot(t *testing.T) {
 			}
 			if len(oldImms) > 0 && reflect.DeepEqual(pushImms(s.img), oldImms) {
 				t.Fatal("reroll left every push immediate in place")
+			}
+			if s.img == oldImg || !reflect.DeepEqual(pushImms(oldImg), oldImms) {
+				t.Fatal("reroll wrote the pre-reroll image")
 			}
 			res, err := sim.ExecMachine(context.Background(), vm.New(p, o.Prof), nil, nil, 0)
 			if err != nil || !res.Halted {

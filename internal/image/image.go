@@ -134,10 +134,8 @@ type Image struct {
 	Unwind []UnwindEntry
 
 	// Code is the predecoded program (package pcode): the dense form the
-	// VM's fast-path interpreter executes. Built once at link time and
+	// VM's fast-path interpreter executes. Built once per image and
 	// immutable thereafter, so cached images share it across processes.
-	// RebuildCode refreshes it after the one sanctioned text mutation
-	// (rt.RerollBTRAs, which only runs on uncached images).
 	Code *pcode.Program
 
 	// placed is the placement in text order (ascending Start), the
@@ -190,10 +188,8 @@ func Link(prog *codegen.Program, aslrSeed uint64) (*Image, error) {
 	return img, nil
 }
 
-// RebuildCode (re)derives the predecoded fast-path program from the current
-// instruction table. Link calls it once; the only other caller is the
-// InsecureDynamicBTRAs reroll path, which rewrites push immediates in text
-// and must refresh the derived form before the process resumes.
+// RebuildCode derives the predecoded fast-path program from the instruction
+// table. Link and Reroll call it once on the image they return.
 func (img *Image) RebuildCode() {
 	ins := make([]pcode.FuncIn, 0, len(img.FuncOrder))
 	for _, name := range img.FuncOrder {

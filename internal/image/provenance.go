@@ -73,10 +73,9 @@ func (img *Image) buildBTRAOrigins() {
 // built once per image on first use; images are shared between cells, so
 // the build is once-guarded and lookups are safe for concurrent use.
 //
-// The index reflects the link-time BTRA sets. Under the
-// InsecureDynamicBTRAs ablation rt.RerollBTRAs replaces the live values
-// without updating the call-site metadata, so rerolled detonation addresses
-// may resolve to no origin — forensics then reports the trap function only.
+// The index reflects the link-time BTRA sets. A Reroll copy keeps the
+// call-site metadata but not the values, so its detonation addresses may
+// resolve to no origin — forensics then reports the trap function only.
 func (img *Image) BTRAOrigins(addr uint64) []BTRAOrigin {
 	img.provOnce.Do(img.buildBTRAOrigins)
 	return img.btraOrigins[addr]

@@ -411,15 +411,6 @@ func (in *Instr) String() string {
 	return in.Kind.String()
 }
 
-// IsControlTransfer reports whether the instruction can redirect the PC.
-func (in *Instr) IsControlTransfer() bool {
-	switch in.Kind {
-	case KCall, KCallInd, KRet, KJmp, KJz, KJnz:
-		return true
-	}
-	return false
-}
-
 // EndsBlock reports whether the instruction terminates a basic block: every
 // control transfer, plus the kinds that can stop or redirect the machine
 // without being a branch (traps detonate, sys can halt or fail). The

@@ -77,19 +77,6 @@ func TestDisassembly(t *testing.T) {
 	}
 }
 
-func TestIsControlTransfer(t *testing.T) {
-	for _, k := range []Kind{KCall, KCallInd, KRet, KJmp, KJz, KJnz} {
-		if !(&Instr{Kind: k}).IsControlTransfer() {
-			t.Errorf("%v should be a control transfer", k)
-		}
-	}
-	for _, k := range []Kind{KMovImm, KPush, KNop, KTrap, KSys} {
-		if (&Instr{Kind: k}).IsControlTransfer() {
-			t.Errorf("%v should not be a control transfer", k)
-		}
-	}
-}
-
 func TestEnumStringsDistinct(t *testing.T) {
 	seen := map[string]bool{}
 	for k := KMovImm; k <= KHalt; k++ {

@@ -556,49 +556,3 @@ func (p *Process) callSiteAt(ra uint64) *codegen.CallSite {
 	}
 	return nil
 }
-
-// RerollBTRAs re-randomizes every call site's BTRA set in place — the
-// runtime support for the InsecureDynamicBTRAs ablation (Section 4.1
-// property B: "more dynamism is less effective"). Real return addresses
-// are left untouched; only decoy words in AVX arrays and push immediates
-// change.
-func (p *Process) RerollBTRAs(seed uint64) error {
-	r := rng.New(seed)
-	pool := p.Cfg.BTRAPoolSize
-	if pool <= 0 {
-		return errors.New("rt: no booby-trap pool")
-	}
-	freshAddr := func() uint64 {
-		name := codegen.BoobyTrapSym(r.Intn(pool))
-		pf := p.Img.Funcs[name]
-		return pf.Start + 4*uint64(r.Intn(codegen.TrapFuncLen))
-	}
-	// Push-mode immediates live in (execute-only) text: rewrite the
-	// instruction table.
-	for _, name := range p.Img.FuncOrder {
-		f := p.Img.Funcs[name].F
-		for i := range f.Instrs {
-			in := &f.Instrs[i]
-			if in.Kind == isa.KPushImm && in.BTRA {
-				v := freshAddr()
-				in.Imm = v
-				in.Target = v
-			}
-		}
-	}
-	// The predecoded fast-path program caches push immediates; refresh it
-	// so the VM executes the rerolled values.
-	p.Img.RebuildCode()
-	// AVX-mode arrays live in the data section.
-	for _, b := range p.Img.Prog.Blobs {
-		ds := p.Img.DataSyms[b.Name]
-		for i, w := range b.Words {
-			if w.BTRA {
-				if err := p.Space.Write64(ds.Addr+uint64(i)*8, freshAddr()); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}

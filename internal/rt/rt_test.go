@@ -242,49 +242,6 @@ func linkModule(t *testing.T, m *tir.Module, cfg defense.Config, seed uint64) *i
 	return img
 }
 
-func TestRerollBTRAsPreservesRAs(t *testing.T) {
-	p := buildProcess(t, defense.R2CPush(), 6)
-	type snap struct{ ras, btras []uint64 }
-	take := func() snap {
-		var s snap
-		for _, name := range p.Img.FuncOrder {
-			f := p.Img.Funcs[name].F
-			for i := range f.Instrs {
-				in := &f.Instrs[i]
-				if in.Kind != 0 && in.RetAddr {
-					s.ras = append(s.ras, in.Imm)
-				}
-				if in.BTRA {
-					s.btras = append(s.btras, in.Imm)
-				}
-			}
-		}
-		return s
-	}
-	before := take()
-	if err := p.RerollBTRAs(777); err != nil {
-		t.Fatal(err)
-	}
-	after := take()
-	for i := range before.ras {
-		if before.ras[i] != after.ras[i] {
-			t.Fatal("reroll changed a real return address")
-		}
-	}
-	changed := 0
-	for i := range before.btras {
-		if before.btras[i] != after.btras[i] {
-			changed++
-		}
-		if !p.Img.IsBoobyTrapAddr(after.btras[i]) {
-			t.Fatal("rerolled BTRA does not point into a booby trap")
-		}
-	}
-	if changed == 0 {
-		t.Fatal("reroll changed nothing")
-	}
-}
-
 // TestTrapRingBoundsGrowth drives RecordTrap far past the evidence cap and
 // checks the invariants the observability layer depends on: TrapCount keeps
 // the exact total, the bounded flight record ends in the final detonation,

@@ -110,15 +110,43 @@ func sortedKeys[K int | uint64, V any](m map[K]V) []K {
 	return ks
 }
 
-const digestGolden = "testdata/image_digests.golden"
+const (
+	digestGolden = "testdata/image_digests.golden"
+	rerollGolden = "testdata/reroll_digests.golden"
+)
 
 // TestImageDigestGolden pins the linker and predecoder output bit for bit:
 // one sha256 per (workload, config) over seeds 1-4, compared against
 // digests committed before the address-index refactor. A change that is
 // meant to leave every image identical must leave this file unchanged.
 func TestImageDigestGolden(t *testing.T) {
+	checkDigests(t, digestGolden, func(img *image.Image) *image.Image { return img })
+}
+
+// TestRerollDigestGolden pins image.Reroll bit for bit: the same digests
+// over Reroll(0xd15ea5e) copies of every golden image with BTRAs. The
+// digests were checked against the process-level reroll they replace.
+func TestRerollDigestGolden(t *testing.T) {
+	checkDigests(t, rerollGolden, func(img *image.Image) *image.Image {
+		if !img.Prog.Config.BTRAEnabled() {
+			return nil
+		}
+		cp, err := img.Reroll(0xd15ea5e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp
+	})
+}
+
+// checkDigests folds pick(img) for every golden image into one sha256 per
+// (workload, config), skipping images pick maps to nil, and compares them
+// against the golden file at path, printing the replacement table on a
+// mismatch.
+func checkDigests(t *testing.T, path string, pick func(img *image.Image) *image.Image) {
+	t.Helper()
 	want := map[string]string{}
-	f, err := os.Open(digestGolden)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +161,9 @@ func TestImageDigestGolden(t *testing.T) {
 	var keys []string
 	hashes := map[string]hash.Hash{}
 	digestImages(t, func(wl, cfg string, img *image.Image) {
+		if img = pick(img); img == nil {
+			return
+		}
 		k := wl + "/" + cfg
 		h, ok := hashes[k]
 		if !ok {
@@ -159,7 +190,7 @@ func TestImageDigestGolden(t *testing.T) {
 		t.Errorf("golden has %d entries, built %d", len(want), len(keys))
 	}
 	if bad > 0 || len(want) != len(keys) {
-		t.Logf("digests at this tree (%s format):\n%s", digestGolden, table.String())
+		t.Logf("digests at this tree (%s format):\n%s", path, table.String())
 	}
 }
 
