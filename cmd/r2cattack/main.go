@@ -61,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			h.Incidents = incident.NewLog()
 		}
-		if err := h.Open(*jobs, telemetry.SinkOptions{}); err != nil {
+		if err := h.Open(*jobs, false); err != nil {
 			return err
 		}
 		h.SampleCells(*sampleEvery)

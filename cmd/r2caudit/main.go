@@ -44,9 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return err
 		}
-		// The report aggregates registry histograms, so the audit always
-		// publishes into a registry.
-		if err := h.Open(*jobs, telemetry.SinkOptions{EnsureRegistry: true}); err != nil {
+		if err := h.Open(*jobs, false); err != nil {
 			return err
 		}
 		if err := h.Serve(telemetry.OpsSources{}); err != nil {
@@ -59,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			BaseSeed:  *seed,
 			GadgetLen: *gadgetLen,
 			Eng:       h.Eng,
-			Obs:       h.Obs,
 			Ctx:       h.Ctx,
 		})
 		if err != nil {

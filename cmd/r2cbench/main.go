@@ -73,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// One engine for the whole invocation: experiments that rebuild the
 		// same (module, config, seed) — Figure 6's four machines, the
 		// ablation sweeps' shared baselines — hit the build cache.
-		if err := h.Open(*jobs, telemetry.SinkOptions{Profile: *profile}); err != nil {
+		if err := h.Open(*jobs, *profile); err != nil {
 			return err
 		}
 		h.SampleCells(*sampleEvery)

@@ -18,7 +18,6 @@ import (
 	"r2c/internal/defense"
 	"r2c/internal/harness"
 	"r2c/internal/sim"
-	"r2c/internal/telemetry"
 	"r2c/internal/vm"
 )
 
@@ -117,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !*runIt {
 			return nil
 		}
-		if err := h.Open(0, telemetry.SinkOptions{Profile: *profile}); err != nil {
+		if err := h.Open(0, *profile); err != nil {
 			return err
 		}
 		proc, err := sim.NewProcessFromImage(img, *seed, h.Obs)

@@ -71,11 +71,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *atkMode == fleet.ModeHijack && fs.Arg(0) != "victim" {
 			return fmt.Errorf("the hijack attack needs the victim workload (it targets the victim's admin_ptr/secret_key assets)")
 		}
-		// The report publishes headline gauges into the registry and the
-		// fleet always records its incidents, so both exist whatever the
-		// flags.
+		// The fleet always records its incidents, so the log exists
+		// whatever the flags.
 		h.Incidents = incident.NewLog()
-		if err := h.Open(*jobs, telemetry.SinkOptions{EnsureRegistry: true}); err != nil {
+		if err := h.Open(*jobs, false); err != nil {
 			return err
 		}
 		fl, err := fleet.New(fleet.Options{

@@ -18,6 +18,7 @@ package audit
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -26,7 +27,6 @@ import (
 	"r2c/internal/defense"
 	"r2c/internal/exec"
 	"r2c/internal/image"
-	"r2c/internal/telemetry"
 	"r2c/internal/tir"
 )
 
@@ -46,14 +46,10 @@ type Options struct {
 	BaseSeed uint64
 	// GadgetLen overrides DefaultGadgetLen (0 = default).
 	GadgetLen int
-	// Eng is the execution engine builds fan through; nil constructs a
-	// fresh one from Jobs/Obs.
+	// Eng is the execution engine builds fan through. Required. Its Obs
+	// receives the build spans and the audit histograms and gauges (see
+	// Report.Publish); a nil Obs disables telemetry.
 	Eng *exec.Engine
-	// Jobs is the pool width when Eng is nil (0 = GOMAXPROCS).
-	Jobs int
-	// Obs receives the audit histograms and gauges (see Report.Publish)
-	// and the build spans. Nil disables telemetry.
-	Obs *telemetry.Observer
 	// Ctx cancels the build fan-out; nil means context.Background().
 	Ctx context.Context
 }
@@ -80,8 +76,8 @@ type variantSummary struct {
 // diversity Report. Failed builds fail the audit (a diversity estimate over
 // a partial variant set would silently understate the attack surface).
 func Run(opt Options) (*Report, error) {
-	if opt.Module == nil {
-		return nil, fmt.Errorf("audit: nil module")
+	if opt.Module == nil || opt.Eng == nil {
+		return nil, errors.New("audit: Module and Eng are required")
 	}
 	if opt.Variants < 2 {
 		return nil, fmt.Errorf("audit: need at least 2 variants, got %d", opt.Variants)
@@ -89,10 +85,6 @@ func Run(opt Options) (*Report, error) {
 	gadgetLen := opt.GadgetLen
 	if gadgetLen <= 0 {
 		gadgetLen = DefaultGadgetLen
-	}
-	eng := opt.Eng
-	if eng == nil {
-		eng = exec.New(opt.Jobs, opt.Obs)
 	}
 	ctx := opt.Ctx
 	if ctx == nil {
@@ -103,7 +95,7 @@ func Run(opt Options) (*Report, error) {
 	for i := range seeds {
 		seeds[i] = opt.BaseSeed + uint64(i)
 	}
-	images, err := eng.BuildImages(ctx, opt.Module, opt.Cfg, seeds)
+	images, err := opt.Eng.BuildImages(ctx, opt.Module, opt.Cfg, seeds)
 	if err != nil {
 		return nil, fmt.Errorf("audit: %w", err)
 	}
@@ -117,7 +109,7 @@ func Run(opt Options) (*Report, error) {
 		images[i] = nil // release the image; summaries are self-contained
 	}
 	rep := fold(opt, gadgetLen, vars)
-	rep.Publish(opt.Obs)
+	rep.Publish(opt.Eng.Obs)
 	return rep, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"r2c/internal/defense"
+	"r2c/internal/exec"
 	"r2c/internal/telemetry"
 	"r2c/internal/tir"
 	"r2c/internal/workload"
@@ -27,8 +28,7 @@ func runAudit(t *testing.T, jobs int, cfg defense.Config, obs *telemetry.Observe
 		Cfg:      cfg,
 		Variants: 6,
 		BaseSeed: 42,
-		Jobs:     jobs,
-		Obs:      obs,
+		Eng:      exec.New(jobs, obs),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,10 +96,14 @@ func TestBaselineIsFullySurviving(t *testing.T) {
 }
 
 func TestRunValidatesOptions(t *testing.T) {
-	if _, err := Run(Options{Variants: 4}); err == nil {
+	eng := exec.New(1, nil)
+	if _, err := Run(Options{Variants: 4, Eng: eng}); err == nil {
 		t.Error("nil module accepted")
 	}
-	if _, err := Run(Options{Module: testModule(t), Variants: 1}); err == nil {
+	if _, err := Run(Options{Module: testModule(t), Variants: 4}); err == nil {
+		t.Error("nil engine accepted")
+	}
+	if _, err := Run(Options{Module: testModule(t), Variants: 1, Eng: eng}); err == nil {
 		t.Error("single variant accepted")
 	}
 }

@@ -56,7 +56,6 @@ func Diversity(opt Options) ([]*audit.Report, error) {
 			Variants: diversityVariants,
 			BaseSeed: 71, // fixed schedule, like the perf sweeps' seed bases
 			Eng:      opt.Eng,
-			Obs:      opt.Eng.Obs,
 			Ctx:      opt.ctx(),
 		})
 		if err != nil {

@@ -166,10 +166,8 @@ type Options struct {
 	// SampleEvery is the simulated seconds between time-series ticks. 0
 	// auto-derives ~240 ticks across the expected schedule; < 0 disables
 	// sampling. Ticks live on the simulated clock, so the sampled series
-	// are byte-identical at any -jobs width. SeriesCap bounds each ring
-	// (0 = telemetry.DefaultSeriesCap).
+	// are byte-identical at any -jobs width.
 	SampleEvery float64
-	SeriesCap   int
 
 	// Eng runs replacement builds (and the initial fan-out) through the
 	// worker pool and build cache. Required.
@@ -178,8 +176,6 @@ type Options struct {
 	// be nil.
 	Obs       *telemetry.Observer
 	Incidents *incident.Log
-	// Campaign labels incident records ("" = "fleet/<module>").
-	Campaign string
 }
 
 // Slot states.
@@ -379,7 +375,7 @@ func New(o Options) (*Fleet, error) {
 	}
 	f := &Fleet{
 		o:        o,
-		campaign: o.Campaign,
+		campaign: "fleet/" + o.Module.Name,
 		width:    1,
 		atkSlot:  -1,
 		atkGen:   -1,
@@ -388,10 +384,7 @@ func New(o Options) (*Fleet, error) {
 	if o.MVEE >= 2 {
 		f.width = o.MVEE
 	}
-	if f.campaign == "" {
-		f.campaign = "fleet/" + o.Module.Name
-	}
-	f.series = telemetry.NewSeriesSet(o.SeriesCap, o.Obs)
+	f.series = telemetry.NewSeriesSet(0, o.Obs)
 	c := func(name string, labels ...string) counter { return counter{obs: o.Obs, name: name, labels: labels} }
 	f.cRequests, f.cAttacks, f.cStalls = c("fleet.requests"), c("fleet.attacks"), c("fleet.stalls")
 	f.cSilent, f.cWins = c("fleet.silent_corruptions"), c("fleet.attacker_wins")

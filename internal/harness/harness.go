@@ -10,16 +10,17 @@
 //	1  failed run: hard error, partial batch, firing alert rule, drift from
 //	   the -compare baseline, or an artifact that could not be written
 //	2  usage error: bad flags or arguments, unknown experiment, malformed
-//	   -faults plan or -alert-rules file
+//	   -trace-format, -faults plan or -alert-rules file
 //
-// Inside Main the CLI calls Open (sinks, exec engine, incident log, journal,
-// SIGINT/SIGTERM context), Serve (the -listen ops endpoint) and, for CLIs
-// with an experiment table, RunExperiments. After a successful body Main
-// writes the run artifacts, judges -baseline/-compare and evaluates the
-// alert rules; on every path it then closes the ops server, the journal and
-// the sinks, in that order. Status lines ("[… written to …]", "[resuming:
-// …]", "[ops endpoint listening on …]") go to Stderr, so a CLI's stdout can
-// carry exactly one machine-readable document.
+// Inside Main the CLI calls Open (telemetry sinks and observer, exec
+// engine, incident log, journal, SIGINT/SIGTERM context), Serve (the
+// -listen ops endpoint) and, for CLIs with an experiment table,
+// RunExperiments. After a successful body Main writes the run artifacts,
+// judges -baseline/-compare and evaluates the alert rules; on every path it
+// then closes the ops server, the journal and the sinks, in that order.
+// Status lines ("[… written to …]", "[resuming: …]", "[ops endpoint
+// listening on …]") go to Stderr, so a CLI's stdout can carry exactly one
+// machine-readable document.
 package harness
 
 import (
@@ -63,6 +64,13 @@ const (
 // DefaultJournal is where -resume looks when -journal is not given.
 const DefaultJournal = "r2c-run.journal"
 
+// The -trace-format values: the line-delimited event/span stream (the
+// default) and the Chrome trace_event document (chrome://tracing, Perfetto).
+const (
+	traceJSONL  = "jsonl"
+	traceChrome = "chrome"
+)
+
 // Experiment is one entry of a CLI's experiment table.
 type Experiment struct {
 	Name string
@@ -102,7 +110,9 @@ type Harness struct {
 	rules    []telemetry.AlertRule
 	prov     perf.Provenance
 	start    time.Time
-	sinks    *telemetry.Sinks
+	metrics  *os.File
+	trace    *os.File
+	chrome   *telemetry.ChromeTracer
 	ops      *telemetry.OpsServer
 	cancel   context.CancelFunc
 	failed   bool
@@ -132,7 +142,7 @@ func New(name, args string, stdout, stderr io.Writer, groups Group) *Harness {
 	fs.Usage = h.usage
 	fs.StringVar(&f.metricsOut, "metrics-out", "", "write a JSON metrics snapshot to FILE on exit")
 	fs.StringVar(&f.trace, "trace", "", "write structured events and pipeline spans to FILE")
-	fs.StringVar(&f.traceFormat, "trace-format", telemetry.TraceJSONL, "trace file format: jsonl or chrome (chrome://tracing / Perfetto)")
+	fs.StringVar(&f.traceFormat, "trace-format", traceJSONL, "trace file format: jsonl or chrome (chrome://tracing / Perfetto)")
 	if groups&Ops != 0 {
 		fs.StringVar(&f.listen, "listen", "", "serve the live ops endpoint (/metrics, /healthz, /progress, /incidents, /alerts, /timeseries, /dashboard, /debug/pprof) on ADDR, e.g. :8642")
 	}
@@ -207,17 +217,22 @@ func (h *Harness) Main(args []string, body func() error) int {
 	if err == nil {
 		err = body()
 	}
-	if err == nil && h.sinks != nil {
+	if err == nil && h.Eng != nil {
 		h.report()
 	}
 	return h.close(err)
 }
 
-// prepare adopts the -compare baseline's parameters and selects the
-// experiments before any work runs, so a typo fails fast.
+// prepare checks -trace-format, adopts the -compare baseline's parameters
+// and selects the experiments before any work runs, so a typo fails fast.
 func (h *Harness) prepare() error {
 	h.set = map[string]bool{}
 	h.Flags.Visit(func(f *flag.Flag) { h.set[f.Name] = true })
+	switch h.f.traceFormat {
+	case "", traceJSONL, traceChrome:
+	default:
+		return Usage(fmt.Errorf("unknown -trace-format %q (want %s or %s)", h.f.traceFormat, traceJSONL, traceChrome))
+	}
 	if h.f.compare != "" {
 		old, err := perf.Load(h.f.compare)
 		if err != nil {
@@ -257,9 +272,9 @@ func (h *Harness) prepare() error {
 // Open validates the -faults plan and -alert-rules file, then opens what
 // the run writes to: the telemetry sinks, a jobs-wide exec engine under the
 // robustness flags, the incident log when something reads it, the journal,
-// and the SIGINT/SIGTERM context. o carries the CLI's own sink needs
-// (Profile, EnsureRegistry); the flag-derived fields are filled in here.
-func (h *Harness) Open(jobs int, o telemetry.SinkOptions) error {
+// and the SIGINT/SIGTERM context. profile is the CLI's -profile value: it
+// turns on the per-function cycle profiler.
+func (h *Harness) Open(jobs int, profile bool) error {
 	f := &h.f
 	plan, err := exec.ParseFaultPlan(f.faults)
 	if err != nil {
@@ -271,15 +286,9 @@ func (h *Harness) Open(jobs int, o telemetry.SinkOptions) error {
 		}
 	}
 	h.start, h.prov = time.Now(), perf.Collect()
-	o.MetricsOut, o.TraceOut, o.TraceFormat, o.FlightCap, o.Meta = f.metricsOut, f.trace, f.traceFormat, f.flight, h.prov.Meta()
-	// The ops endpoint serves /metrics from the registry, and the perf gate
-	// and the alert rules read one, so each forces a registry even when no
-	// file sink was requested.
-	o.EnsureRegistry = o.EnsureRegistry || f.listen != "" || f.baseline != "" || f.compare != "" || f.alertRules != ""
-	if h.sinks, err = telemetry.OpenSinksOpts(o); err != nil {
+	if err := h.openSinks(profile); err != nil {
 		return err
 	}
-	h.Obs = h.sinks.Obs
 	h.Eng = exec.New(jobs, h.Obs)
 	if h.Incidents == nil && (f.incidentsOut != "" || f.listen != "" || f.alertRules != "" || f.flight > 0) {
 		h.Incidents = incident.NewLog()
@@ -303,6 +312,41 @@ func (h *Harness) Open(jobs int, o telemetry.SinkOptions) error {
 	// in-flight ones run their watchdogs down, the journal keeps what
 	// finished (what -resume picks up), and Main still flushes the sinks.
 	h.Ctx, h.cancel = signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	return nil
+}
+
+// openSinks builds the observer when anything reads it, and opens the
+// -metrics-out and -trace files eagerly, so a bad path fails before any work
+// runs. Without an observer the run takes the uninstrumented path.
+func (h *Harness) openSinks(profile bool) error {
+	f := &h.f
+	// Besides the two sink files and the profiler: the ops endpoint serves
+	// /metrics from the registry, the perf gate and the alert rules read
+	// one, and a nonzero -flight gives every process a recorder.
+	if f.metricsOut == "" && f.trace == "" && f.listen == "" && f.baseline == "" && f.compare == "" &&
+		f.alertRules == "" && f.flight <= 0 && !profile {
+		return nil
+	}
+	obs := &telemetry.Observer{Registry: telemetry.NewRegistry(), ProfileFuncs: profile, FlightCap: f.flight}
+	var err error
+	if f.metricsOut != "" {
+		if h.metrics, err = os.Create(f.metricsOut); err != nil {
+			return fmt.Errorf("telemetry: open metrics sink: %w", err)
+		}
+	}
+	if f.trace != "" {
+		if h.trace, err = os.Create(f.trace); err != nil {
+			return fmt.Errorf("telemetry: open trace sink: %w", err)
+		}
+		if f.traceFormat == traceChrome {
+			h.chrome = telemetry.NewChromeTracer(h.trace)
+			obs.Tracer, obs.Spans = h.chrome, h.chrome
+		} else {
+			jl := telemetry.NewJSONLTracer(h.trace)
+			obs.Tracer, obs.Spans = jl, jl
+		}
+	}
+	h.Obs = obs
 	return nil
 }
 
@@ -450,16 +494,38 @@ func (h *Harness) close(err error) int {
 			code = max(code, 1)
 		}
 	}
-	if h.sinks != nil {
-		if err := h.sinks.Close(); err != nil {
-			fmt.Fprintf(h.Stderr, "%s: %v\n", h.Name, err)
-			code = max(code, 1)
-		}
+	if err := h.closeSinks(); err != nil {
+		fmt.Fprintf(h.Stderr, "%s: %v\n", h.Name, err)
+		code = max(code, 1)
 	}
 	if h.cancel != nil {
 		h.cancel()
 	}
 	return code
+}
+
+// closeSinks writes the metrics snapshot with the run's provenance, flushes
+// the Chrome document and closes both files. It reports every failure, so a
+// failed snapshot write never masks a failed trace flush or the reverse.
+func (h *Harness) closeSinks() error {
+	var errs []error
+	if h.metrics != nil {
+		if h.Obs != nil {
+			if err := h.Obs.Registry.WriteJSONMeta(h.metrics, h.prov.Meta()); err != nil {
+				errs = append(errs, fmt.Errorf("telemetry: write metrics snapshot: %w", err))
+			}
+		}
+		errs = append(errs, h.metrics.Close())
+	}
+	if h.chrome != nil {
+		if err := h.chrome.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("telemetry: flush chrome trace: %w", err))
+		}
+	}
+	if h.trace != nil {
+		errs = append(errs, h.trace.Close())
+	}
+	return errors.Join(errs...)
 }
 
 // Module resolves a workload argument: a built-in workload name at the given

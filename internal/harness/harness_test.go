@@ -53,7 +53,7 @@ func stub(t *testing.T, args ...string) (code int, stdout, stderr string) {
 		if *format != "table" {
 			return Usage(fmt.Errorf("unknown -profile-format %q", *format))
 		}
-		if err := h.Open(1, telemetry.SinkOptions{}); err != nil {
+		if err := h.Open(1, false); err != nil {
 			return err
 		}
 		h.SampleCells(0)
@@ -80,6 +80,7 @@ func TestExitCodes(t *testing.T) {
 	firing := tempFile(t, dir, "firing.rules", "stub-high: value(bench.stub) > 0\n")
 	quiet := tempFile(t, dir, "quiet.rules", "stub-huge: value(bench.stub) > 100\n")
 	base := filepath.Join(dir, "BENCH_ok.json")
+	trace := filepath.Join(dir, "t.json")
 
 	cases := []struct {
 		name string
@@ -96,6 +97,8 @@ func TestExitCodes(t *testing.T) {
 		{"removed slow fault kind", []string{"-faults", "3:slow", "ok"}, 2},
 		{"bad -alert-rules", []string{"-alert-rules", badRules, "ok"}, 2},
 		{"unknown -profile-format", []string{"-profile-format", "x", "ok"}, 2},
+		{"bad -trace-format without -trace", []string{"-trace-format", "bogus", "ok"}, 2},
+		{"bad -trace-format with -trace", []string{"-trace-format", "bogus", "-trace", trace, "ok"}, 2},
 		{"quiet rule", []string{"-alert-rules", quiet, "ok"}, 0},
 		{"firing rule", []string{"-alert-rules", firing, "ok"}, 1},
 		// bench.stub is lower-is-better: drift either way fails -compare.
@@ -116,6 +119,10 @@ func TestExitCodes(t *testing.T) {
 				t.Errorf("stub %v exited %d, want %d\nstdout:\n%s\nstderr:\n%s", c.args, code, c.want, out, errs)
 			}
 		})
+	}
+	// A malformed -trace-format fails before the sinks open.
+	if _, err := os.Stat(trace); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("bad -trace-format left %s behind (stat: %v)", trace, err)
 	}
 }
 
@@ -174,6 +181,54 @@ func TestSinksFlushedOnFailure(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// The happy path writes both sinks: a metrics snapshot and a chrome trace
+// document, neither empty.
+func TestSinksWritten(t *testing.T) {
+	dir := t.TempDir()
+	m, tr := filepath.Join(dir, "m.json"), filepath.Join(dir, "t.chrome.json")
+	if code, _, errs := stub(t, "-metrics-out", m, "-trace", tr, "-trace-format", "chrome", "ok"); code != 0 {
+		t.Fatalf("exit %d\n%s", code, errs)
+	}
+	for _, p := range []string{m, tr} {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) == 0 {
+			t.Errorf("%s is empty after the run", filepath.Base(p))
+		}
+	}
+}
+
+// Closing the sinks reports every failure, not just the first: with both
+// files closed under the harness, the metrics-snapshot write and the chrome
+// flush both fail, the run exits 1 and stderr names each.
+func TestSinkCloseReportsEveryFailure(t *testing.T) {
+	dir := t.TempDir()
+	var out, errb bytes.Buffer
+	h := New("stub", "<arg>", &out, &errb, 0)
+	args := []string{"-metrics-out", filepath.Join(dir, "m.json"), "-trace", filepath.Join(dir, "t.json"), "-trace-format", "chrome", "x"}
+	code := h.Main(args, func() error {
+		if err := h.Open(1, false); err != nil {
+			return err
+		}
+		h.Obs.Counter("x").Inc()
+		h.Obs.StartSpan("root", 1).End()
+		if err := h.metrics.Close(); err != nil {
+			return err
+		}
+		return h.trace.Close()
+	})
+	if code != 1 {
+		t.Fatalf("exit %d with both sink files closed, want 1\n%s", code, errb.String())
+	}
+	for _, want := range []string{"metrics snapshot", "chrome trace"} {
+		if !strings.Contains(errb.String(), want) {
+			t.Errorf("stderr does not mention %q:\n%s", want, errb.String())
+		}
 	}
 }
 
