@@ -30,7 +30,6 @@ const wantFlags = `-alert-rules string
 -overheads
 -resume
 -retries int
--retry-backoff duration
 -sample-every int
 -timeseries-out string
 -trace string

@@ -25,7 +25,6 @@ const wantFlags = `-alert-rules string
 -profile-format string (default "table")
 -resume
 -retries int
--retry-backoff duration
 -runs int (default 3)
 -sample-every int
 -scale int (default 1)

@@ -25,16 +25,17 @@ import (
 
 // KeySchema versions the derived artifacts attached to a cached image beyond
 // the architectural bytes themselves. Bump it whenever the predecoded form
-// changes shape or meaning (pcode opcodes, superinstruction set, block/class
-// packing), so persisted journals and cross-process comparisons never treat
-// images predecoded under different layouts as interchangeable.
+// changes shape or meaning (pcode opcodes, block/class packing), so
+// persisted journals and cross-process comparisons never treat images
+// predecoded under different layouts as interchangeable.
 //
 // Schema history:
 //
 //	1: architectural image only (pre-predecode)
 //	2: pcode v1 — dense ops, XPushImm2/XPushImmCall/XAluAddImmCall/XVLoadStore
 //	   superinstructions, packed per-block class counts, return-site indices
-const KeySchema = 2
+//	3: pcode v2 — one op per instruction; the four superinstructions removed
+const KeySchema = 3
 
 // Key identifies one build: module content, configuration fingerprint, and
 // diversification seed, plus the derived-artifact schema version. Builds with

@@ -67,11 +67,8 @@ type Engine struct {
 	// Retries is how many times a failed cell is re-attempted (-retries);
 	// retry attempts run with a seed deterministically derived from the
 	// cell's content key, so results never depend on wall clock or
-	// scheduling. Backoff is the base delay before the first retry,
-	// doubling per attempt; it shapes only when retries run, never what
-	// they compute.
+	// scheduling.
 	Retries int
-	Backoff time.Duration
 
 	// Faults is the fault-injection hook: tests and the -faults flag
 	// script build/exec failures, panics, and stalls at exact (cell,
@@ -301,11 +298,11 @@ func (e *Engine) MapTracked(ctx context.Context, n int, phase string, fn func(i 
 }
 
 // runCellAttempts is the per-cell fault-tolerance wrapper around runCell:
-// journal replay, then up to 1+Retries watchdogged attempts with
-// exponential backoff between them. Retry attempts re-diversify with a
-// RetrySeed-derived seed — a deterministic function of the cell's content
-// key, never of time — and a success on any attempt journals under the
-// cell's original key so a resume finds it.
+// journal replay, then up to 1+Retries watchdogged attempts, back to back.
+// Retry attempts re-diversify with a RetrySeed-derived seed — a
+// deterministic function of the cell's content key, never of time — and a
+// success on any attempt journals under the cell's original key so a
+// resume finds it.
 func (e *Engine) runCellAttempts(ctx context.Context, i int, c *Cell, sp *telemetry.Span, track func(phase string)) (*vm.Result, error) {
 	key := e.Cache.Key(c.Module, c.Cfg, c.Seed)
 	if res, ok := e.Journal.Lookup(key, c.Prof.Name); ok {
@@ -318,17 +315,6 @@ func (e *Engine) runCellAttempts(ctx context.Context, i int, c *Cell, sp *teleme
 	for attempt := 0; attempt <= e.Retries; attempt++ {
 		if attempt > 0 {
 			e.Obs.Counter("exec.cell.retries").Inc()
-			track("backoff")
-			if e.Backoff > 0 {
-				delay := e.Backoff << uint(attempt-1)
-				t := time.NewTimer(delay)
-				select {
-				case <-ctx.Done():
-					t.Stop()
-					return nil, ctx.Err()
-				case <-t.C:
-				}
-			}
 		}
 		res, err := e.runCellAttempt(ctx, i, attempt, c, key, sp, track)
 		if err == nil {

@@ -255,6 +255,56 @@ func TestJournalResumeReplaysCompletedCells(t *testing.T) {
 	}
 }
 
+// A journal written under an older KeySchema must not be replayed: its
+// results came from images predecoded under another layout, so the cell's
+// current-schema key misses and the cell re-executes.
+func TestJournalSkipsOlderSchema(t *testing.T) {
+	m := testModule(t)
+	cells := cellsN(m, 1)
+	c := cells[0]
+	path := filepath.Join(t.TempDir(), "run.journal")
+
+	stale := exec.KeyFor(c.Module, c.Cfg, c.Seed)
+	stale.Schema = exec.KeySchema - 1
+	j1, err := exec.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j1.Record(stale, c.Prof.Name, &vm.Result{Instructions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, err := exec.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if j2.Len() != 1 {
+		t.Fatalf("reloaded journal has %d entries, want the 1 stale one", j2.Len())
+	}
+	eng := exec.New(1, nil)
+	eng.Journal = j2
+	got, err := eng.RunCells(context.Background(), cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j2.Hits() != 0 {
+		t.Errorf("older-schema entry replayed: %d journal hits", j2.Hits())
+	}
+	if _, misses, _ := eng.Cache.Stats(); misses != 1 {
+		t.Errorf("cell not re-executed: %d build-cache misses, want 1", misses)
+	}
+	if got[0].Instructions == 1 {
+		t.Error("result is the stale journal entry's")
+	}
+	if j2.Len() != 2 {
+		t.Errorf("journal has %d entries, want the stale one plus the current-schema one", j2.Len())
+	}
+}
+
 // Appends after a torn final line must not glue onto it: the next -resume
 // would fail to decode the merged line and drop it and everything after.
 func TestJournalAppendAfterTornLine(t *testing.T) {

@@ -13,11 +13,12 @@ import (
 // the engine's workers and returns the linked images in seed order. It is
 // the build-only sibling of RunCells for callers that never execute the
 // variants — the diversity auditor links N re-diversified images and
-// analyzes their layouts. Builds share the content-addressed cache (re-auditing a config
-// the sweep already built costs nothing), appear on /progress as in-flight
-// cells in the "audit-build" phase, and trace as an "exec.images" root span
-// with one "variant" child per index, ids derived from the index so the
-// span tree is identical at any -jobs width.
+// analyzes their layouts. Builds share the content-addressed cache
+// (re-auditing a config the sweep already built costs nothing), appear on
+// /progress as in-flight cells in Cache.Image's "cache-lookup" and "build"
+// phases, and trace as an "exec.images" root span with one "variant" child
+// per index, ids derived from the index so the span tree is identical at
+// any -jobs width.
 //
 // Every seed builds even when another fails; failed slots stay nil and the
 // returned error is a *BatchError listing every failure in index order
@@ -26,7 +27,6 @@ import (
 func (e *Engine) BuildImages(ctx context.Context, m *tir.Module, cfg defense.Config, seeds []uint64) ([]*image.Image, error) {
 	images := make([]*image.Image, len(seeds))
 	batch, be := e.runBatch(ctx, imageBatch, len(seeds), func(i, _ int, sp *telemetry.Span, track func(phase string)) error {
-		track("audit-build")
 		sp.SetAttr("seed", seeds[i])
 		img, hit, err := e.Cache.Image(m, cfg, seeds[i], sp, track)
 		if err != nil {

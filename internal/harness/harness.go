@@ -55,7 +55,7 @@ const (
 	// -timeseries-out.
 	Artifacts
 	// Engine adds the exec engine's robustness knobs: -cell-timeout,
-	// -cell-fuel, -retries, -retry-backoff, -journal, -resume and -faults.
+	// -cell-fuel, -retries, -journal, -resume and -faults.
 	Engine
 	// PerfGate adds -baseline and -compare.
 	PerfGate
@@ -123,7 +123,7 @@ type flagValues struct {
 	listen                                  string
 	flight                                  int
 	alertRules, incidentsOut, timeseriesOut string
-	cellTimeout, retryBackoff               time.Duration
+	cellTimeout                             time.Duration
 	cellFuel                                uint64
 	retries                                 int
 	journal, faults                         string
@@ -156,7 +156,6 @@ func New(name, args string, stdout, stderr io.Writer, groups Group) *Harness {
 		fs.DurationVar(&f.cellTimeout, "cell-timeout", 0, "per-cell wall-clock watchdog deadline (0 = none); hung cells fail instead of hanging the run")
 		fs.Uint64Var(&f.cellFuel, "cell-fuel", 0, "per-cell VM instruction allowance (0 = the default budget); runaway cells fail instead of hanging")
 		fs.IntVar(&f.retries, "retries", 0, "re-attempts per failed cell, each with a seed derived from the cell's content key")
-		fs.DurationVar(&f.retryBackoff, "retry-backoff", 0, "base delay before the first retry of a cell, doubling per attempt")
 		fs.StringVar(&f.journal, "journal", "", "persist completed cell results to FILE (JSONL, keyed by build key + machine)")
 		fs.BoolVar(&f.resume, "resume", false, "replay cells already present in the journal instead of re-executing them (implies -journal "+DefaultJournal+" unless set)")
 		fs.StringVar(&f.faults, "faults", "", "fault-injection plan CELL[@ATTEMPT]:KIND,... with KIND one of build-fail, exec-fail, panic, stall; CELL may be * (testing aid)")
@@ -294,7 +293,7 @@ func (h *Harness) Open(jobs int, profile bool) error {
 		h.Incidents = incident.NewLog()
 	}
 	h.Eng.Incidents = h.Incidents
-	h.Eng.CellTimeout, h.Eng.CellFuel, h.Eng.Retries, h.Eng.Backoff, h.Eng.Faults = f.cellTimeout, f.cellFuel, f.retries, f.retryBackoff, plan
+	h.Eng.CellTimeout, h.Eng.CellFuel, h.Eng.Retries, h.Eng.Faults = f.cellTimeout, f.cellFuel, f.retries, plan
 	if f.resume && f.journal == "" {
 		f.journal = DefaultJournal
 	}
@@ -327,7 +326,10 @@ func (h *Harness) openSinks(profile bool) error {
 		f.alertRules == "" && f.flight <= 0 && !profile {
 		return nil
 	}
+	// The observer is set before either file opens, so a failed trace open
+	// still leaves closeSinks a registry to snapshot into -metrics-out.
 	obs := &telemetry.Observer{Registry: telemetry.NewRegistry(), ProfileFuncs: profile, FlightCap: f.flight}
+	h.Obs = obs
 	var err error
 	if f.metricsOut != "" {
 		if h.metrics, err = os.Create(f.metricsOut); err != nil {
@@ -346,7 +348,6 @@ func (h *Harness) openSinks(profile bool) error {
 			obs.Tracer, obs.Spans = jl, jl
 		}
 	}
-	h.Obs = obs
 	return nil
 }
 
@@ -510,10 +511,8 @@ func (h *Harness) close(err error) int {
 func (h *Harness) closeSinks() error {
 	var errs []error
 	if h.metrics != nil {
-		if h.Obs != nil {
-			if err := h.Obs.Registry.WriteJSONMeta(h.metrics, h.prov.Meta()); err != nil {
-				errs = append(errs, fmt.Errorf("telemetry: write metrics snapshot: %w", err))
-			}
+		if err := h.Obs.Registry.WriteJSONMeta(h.metrics, h.prov.Meta()); err != nil {
+			errs = append(errs, fmt.Errorf("telemetry: write metrics snapshot: %w", err))
 		}
 		errs = append(errs, h.metrics.Close())
 	}

@@ -158,19 +158,24 @@ func TestStatusLinesOnStderr(t *testing.T) {
 	}
 }
 
-// Every exit after the sinks are open flushes them: a hard error, a
-// partial batch and SIGINT all leave decodable -metrics-out and chrome
-// -trace files.
+// Every exit after a sink is open flushes it: a hard error, a partial batch
+// and SIGINT all leave decodable -metrics-out and chrome -trace files, and a
+// -trace that fails to open still leaves a decodable -metrics-out.
 func TestSinksFlushedOnFailure(t *testing.T) {
-	for _, exp := range []string{"hard", "partial", "interrupt"} {
+	for _, exp := range []string{"hard", "partial", "interrupt", "trace-open"} {
 		t.Run(exp, func(t *testing.T) {
 			dir := t.TempDir()
 			m, tr := filepath.Join(dir, "m.json"), filepath.Join(dir, "t.json")
-			code, _, errs := stub(t, "-metrics-out", m, "-trace", tr, "-trace-format", "chrome", exp)
+			files, arg := []string{m, tr}, exp
+			if exp == "trace-open" {
+				tr = filepath.Join(dir, "missing", "t.json")
+				files, arg = []string{m}, "ok"
+			}
+			code, _, errs := stub(t, "-metrics-out", m, "-trace", tr, "-trace-format", "chrome", arg)
 			if code != 1 {
 				t.Fatalf("exit %d, want 1\n%s", code, errs)
 			}
-			for _, p := range []string{m, tr} {
+			for _, p := range files {
 				b, err := os.ReadFile(p)
 				if err != nil {
 					t.Fatal(err)

@@ -17,10 +17,10 @@
 //     so the interpreter can charge a whole block's worth of architectural
 //     counters on entry,
 //   - static fetch-elision flags marking ops whose i-cache line / exec page
-//     provably equals their predecessor's,
-//   - fused superinstructions for the adjacent pairs that dominate defended
-//     code (BTRA push runs, push-imm/call, the pre-call RSP adjust, and the
-//     AVX2 vload/vstore setup pair).
+//     provably equals their predecessor's.
+//
+// Each op is one instruction and one dispatch: no adjacent pairs are fused
+// (DESIGN.md §7 gives the measured pair shares that made fusion not pay).
 //
 // A synthetic sentinel op (XFellOff) sits between functions so the
 // interpreter detects straight-line execution running off a function end
@@ -72,31 +72,7 @@ const (
 	XBadVec // vector op with invalid width: reproduces the architectural error
 	XUnimpl
 	XFellOff // sentinel between functions
-
-	// Superinstructions: the op at index i carries the fused code, the
-	// second component at i+1 keeps its unfused entry (so it stays a valid
-	// resume/branch-target point; fusion only happens when i+1 is not a
-	// block leader, i.e. nothing can enter between the two).
-	XPushImm2      // KPushImm ; KPushImm — BTRA push runs
-	XPushImmCall   // KPushImm ; KCall — RA push + call
-	XAluAddImmCall // KAluImm(add) ; KCall — pre-call RSP adjust
-	XVLoadStore    // KVLoad(abs) ; KVStore — AVX2 BTRA setup pair
 )
-
-// Unfused returns the exec code of a fused superinstruction's first
-// component — what the interpreter runs when a segment cut separates the
-// pair — or x itself when x is not fused.
-func Unfused(x uint8) uint8 {
-	switch x {
-	case XPushImm2, XPushImmCall:
-		return XPushImm
-	case XAluAddImmCall:
-		return XAluAddRI
-	case XVLoadStore:
-		return XVLoadAbs
-	}
-	return x
-}
 
 // Fetch-elision flags: set when the op's i-cache line / exec page may differ
 // from the previously fetched instruction's, so the interpreter must run the
@@ -291,31 +267,7 @@ func Build(funcs []FuncIn) *Program {
 		}
 	}
 
-	// Pass 5: fuse adjacent pairs inside a block. The second component must
-	// not be a leader (no edge may enter between the components).
-	for i := 0; i+1 < len(p.Ops); {
-		if leader[i+1] {
-			i++
-			continue
-		}
-		a, b := &p.Ops[i], &p.Ops[i+1]
-		switch {
-		case a.Exec == XPushImm && b.Exec == XPushImm:
-			a.Exec = XPushImm2
-		case a.Exec == XPushImm && b.Exec == XCall:
-			a.Exec = XPushImmCall
-		case a.Exec == XAluAddRI && b.Exec == XCall:
-			a.Exec = XAluAddImmCall
-		case a.Exec == XVLoadAbs && b.Exec == XVStore:
-			a.Exec = XVLoadStore
-		default:
-			i++
-			continue
-		}
-		i += 2
-	}
-
-	// Pass 6: block extents and packed class counts (sentinels excluded —
+	// Pass 5: block extents and packed class counts (sentinels excluded —
 	// they retire nothing). A first sweep sizes Blocks and Classes exactly:
 	// a block's class count is the number of distinct kinds in it.
 	nblocks, nclass, kinds := 0, 0, uint64(0)

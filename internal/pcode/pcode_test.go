@@ -28,10 +28,10 @@ func fn(name string, start uint64, blockStarts []int, instrs ...isa.Instr) FuncI
 // in text (ascending address) order as Build requires:
 //
 //	h:  nops straddling an i-cache line boundary
-//	f:  push-imm run ending in a call (fusion), a jz back to the entry, halt
+//	f:  push-imm run ending in a call, a jz back to the entry, halt
 //	g:  abs load, bad-width vector op, wild call, ret; BlockStarts leader at 1
 //	q:  nops straddling a page boundary
-//	nf: push-imm pair whose second op is a jump target (fusion must not fire)
+//	nf: push-imm pair whose second op is a jump target (a mid-function leader)
 func buildFixture() (*Program, map[string]FuncIn) {
 	lineBoundary := uint64(2) << lineShift
 	pageBoundary := uint64(16) << mem.PageShift // clear of the other functions
@@ -98,6 +98,10 @@ func TestIndexOfAndSentinels(t *testing.T) {
 			}
 			if p.Ops[ix].Addr != a || p.Ops[ix].Kind != f.Instrs[i].Kind {
 				t.Fatalf("%s instr %d: index %d resolves to wrong op", name, i, ix)
+			}
+			// One op per instruction: Build rewrites no exec code.
+			if got, want := p.Ops[ix].Exec, decode(&f.Instrs[i], a).Exec; got != want {
+				t.Fatalf("%s instr %d: exec %d, want its own decode %d", name, i, got, want)
 			}
 		}
 		// The sentinel sits right after the last instruction, carries the
@@ -200,33 +204,6 @@ func TestDecodeSpecialCases(t *testing.T) {
 	}
 }
 
-func TestFusion(t *testing.T) {
-	p, fns := buildFixture()
-	f, nf := fns["f"], fns["nf"]
-
-	i0 := p.IndexOf(f.Addrs[0])
-	if got := p.Ops[i0].Exec; got != XPushImm2 {
-		t.Errorf("f[0] exec = %d, want XPushImm2", got)
-	}
-	// The consumed second component keeps its unfused entry so it remains a
-	// valid resume point.
-	if got := p.Ops[i0+1].Exec; got != XPushImm {
-		t.Errorf("f[1] exec = %d, want XPushImm (unfused second component)", got)
-	}
-	if got := p.Ops[i0+2].Exec; got != XPushImmCall {
-		t.Errorf("f[2] exec = %d, want XPushImmCall", got)
-	}
-	if got := p.Ops[i0+3].Exec; got != XCall {
-		t.Errorf("f[3] exec = %d, want XCall (component of the fused pair)", got)
-	}
-
-	// nf's second push is a jump target: a block leader, so no fusion.
-	n0 := p.IndexOf(nf.Addrs[0])
-	if got := p.Ops[n0].Exec; got != XPushImm {
-		t.Errorf("nf[0] exec = %d, want XPushImm (fusion across a block edge)", got)
-	}
-}
-
 func TestFetchElisionFlags(t *testing.T) {
 	p, fns := buildFixture()
 	h, q := fns["h"], fns["q"]
@@ -251,7 +228,7 @@ func TestFetchElisionFlags(t *testing.T) {
 
 func TestBlocksAndClassCounts(t *testing.T) {
 	p, fns := buildFixture()
-	f, g := fns["f"], fns["g"]
+	f, g, nf := fns["f"], fns["g"], fns["nf"]
 
 	// Every op belongs to the block that claims it, and blocks tile the
 	// whole op array.
@@ -310,5 +287,10 @@ func TestBlocksAndClassCounts(t *testing.T) {
 	gi := p.IndexOf(g.Addrs[1])
 	if b := p.Blocks[p.Ops[gi].Block]; b.Start != gi {
 		t.Errorf("g BlockStarts leader: block starts at %d, want %d", b.Start, gi)
+	}
+	// nf's jump target splits its push pair into two blocks.
+	ni := p.IndexOf(nf.Addrs[1])
+	if b := p.Blocks[p.Ops[ni].Block]; b.Start != ni {
+		t.Errorf("nf jump-target leader: block starts at %d, want %d", b.Start, ni)
 	}
 }

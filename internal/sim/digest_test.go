@@ -116,9 +116,9 @@ const (
 )
 
 // TestImageDigestGolden pins the linker and predecoder output bit for bit:
-// one sha256 per (workload, config) over seeds 1-4, compared against
-// digests committed before the address-index refactor. A change that is
-// meant to leave every image identical must leave this file unchanged.
+// one sha256 per (workload, config) over seeds 1-4, compared against the
+// committed digests. A change that is meant to leave every image identical
+// must leave this file unchanged.
 func TestImageDigestGolden(t *testing.T) {
 	checkDigests(t, digestGolden, func(img *image.Image) *image.Image { return img })
 }

@@ -52,8 +52,8 @@ func aluLoopModule() *tir.Module {
 }
 
 // callDenseModule hammers the call/return machinery: a short leaf called
-// from a hot loop. Under R2C configs each call site carries BTRA pushes —
-// the code shape the push superinstructions target.
+// from a hot loop. Under R2C configs each call site carries its BTRA
+// setup (push runs or the vector load/store pair), the cost R2C adds.
 func callDenseModule() *tir.Module {
 	mb := tir.NewModule("bench-call-dense")
 	leaf := mb.NewFunc("leaf", 1)

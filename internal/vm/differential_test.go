@@ -19,7 +19,7 @@ import (
 )
 
 // These tests are the interpreter's equivalence gate: the predecoded,
-// superinstruction-fusing, segment-batched dispatch loop behind Machine.Run
+// segment-batched dispatch loop behind Machine.Run
 // must be observationally indistinguishable from the reference
 // per-instruction interpreter (vm.RunReference) — identical Results
 // (counters, cycles, faults, traps, output), identical error values,
@@ -148,7 +148,7 @@ func TestFastPathResumeAndKnobParity(t *testing.T) {
 	m := b.Build(scale)
 	knobs := []struct{ sample, flush, chunk uint64 }{
 		{5000, 9001, 7777}, // deliberately misaligned with blocks and each other
-		{3, 7, 509},        // cuts inside nearly every block and fused pair
+		{3, 7, 509},        // cuts inside nearly every block
 	}
 	for _, cfg := range []defense.Config{defense.Off(), defense.R2CFull()} {
 		img := buildImage(t, m, cfg, 5)

@@ -25,10 +25,9 @@ import (
 // instruction and class counts for the whole segment up front: from the
 // predecoded per-block summary when the segment is a whole block, op by op
 // otherwise. A fault, trap or VM error that stops execution mid-segment
-// rolls back the unretired suffix exactly. Ops then dispatch through a
-// dense switch with statically elided fetch checks. A cut never splits a
-// fused pair: the segment stops before it, and a one-op segment runs only
-// the pair's first component, unfused.
+// rolls back the unretired suffix exactly. Ops then dispatch, one
+// instruction each, through a dense switch with statically elided fetch
+// checks.
 //
 // Cycle accounting (float64) deliberately stays per-op and in program
 // order: float addition is not associative, so block-summed charging would
@@ -92,21 +91,11 @@ blocks:
 		// Charge the segment's architectural counters up front; any
 		// mid-segment stop rolls back the unretired suffix, so the counters
 		// are exact at every exit.
-		x := op.Exec
 		if idx == int(blk.Start) && end == int(blk.End) {
 			for _, pk := range code.Classes[blk.ClassOff : blk.ClassOff+uint32(blk.ClassN)] {
 				m.res.ClassInstr[pk>>24] += uint64(pk & 0xffffff)
 			}
 		} else {
-			if end < int(blk.End) {
-				// The cut may fall inside a fused pair: run a lone first
-				// component unfused, otherwise stop before the pair.
-				if end-idx == 1 {
-					x = pcode.Unfused(x)
-				} else if pcode.Unfused(ops[end-1].Exec) != ops[end-1].Exec {
-					end--
-				}
-			}
 			for i := idx; i < end; i++ {
 				m.res.ClassInstr[ops[i].Kind]++
 			}
@@ -114,7 +103,7 @@ blocks:
 		m.res.Instructions += uint64(end - idx)
 
 		for {
-			switch x {
+			switch op.Exec {
 			case pcode.XMovImm:
 				cpu.R[op.Dst] = op.Imm
 				m.charge(isa.KMovImm, prof.Cost[isa.KMovImm])
@@ -322,7 +311,7 @@ blocks:
 				return m.finish(), nil
 			case pcode.XVLoadAbs, pcode.XVLoadBase:
 				a := op.Imm
-				if x == pcode.XVLoadBase {
+				if op.Exec == pcode.XVLoadBase {
 					a = cpu.R[op.Base] + uint64(op.Disp)
 				}
 				lanes := int(op.Lanes)
@@ -359,7 +348,7 @@ blocks:
 				if op.Base != isa.NoGPR {
 					a = cpu.R[op.Base] + uint64(op.Disp)
 				}
-				if x == pcode.XVStoreA && a%16 != 0 {
+				if op.Exec == pcode.XVStoreA && a%16 != 0 {
 					cpu.PC = op.Addr
 					m.rollback(code, idx+1, end)
 					return m.finish(), fmt.Errorf("vm: at %#x: misaligned vector store to %#x", op.Addr, a)
@@ -421,132 +410,6 @@ blocks:
 				cpu.PC = op.Addr
 				m.rollback(code, idx+1, end)
 				return m.finish(), fmt.Errorf("vm: at %#x: bad vector width %d", op.Addr, op.Imm)
-
-			case pcode.XPushImm2:
-				cpu.R[isa.RSP] -= 8
-				if !m.storeHit(cpu.R[isa.RSP], op.Imm) {
-					if f := m.write64(cpu.R[isa.RSP], op.Imm); f != nil {
-						cpu.PC = op.Addr
-						m.stopFault(op.Addr, f)
-						m.rollback(code, idx+1, end)
-						return m.finish(), nil
-					}
-				}
-				m.charge(isa.KPushImm, prof.Cost[isa.KPushImm])
-				o2 := &ops[idx+1]
-				if !m.fetch2(o2) {
-					m.rollback(code, idx+1, end)
-					return m.finish(), nil
-				}
-				cpu.R[isa.RSP] -= 8
-				if !m.storeHit(cpu.R[isa.RSP], o2.Imm) {
-					if f := m.write64(cpu.R[isa.RSP], o2.Imm); f != nil {
-						cpu.PC = o2.Addr
-						m.stopFault(o2.Addr, f)
-						m.rollback(code, idx+2, end)
-						return m.finish(), nil
-					}
-				}
-				m.charge(isa.KPushImm, prof.Cost[isa.KPushImm])
-				idx += 2
-			case pcode.XPushImmCall:
-				cpu.R[isa.RSP] -= 8
-				if !m.storeHit(cpu.R[isa.RSP], op.Imm) {
-					if f := m.write64(cpu.R[isa.RSP], op.Imm); f != nil {
-						cpu.PC = op.Addr
-						m.stopFault(op.Addr, f)
-						m.rollback(code, idx+1, end)
-						return m.finish(), nil
-					}
-				}
-				m.charge(isa.KPushImm, prof.Cost[isa.KPushImm])
-				if !m.fetch2(&ops[idx+1]) {
-					m.rollback(code, idx+1, end)
-					return m.finish(), nil
-				}
-				t, stop := m.fastCall(code, idx+1, end, false)
-				if stop {
-					return m.finish(), nil
-				}
-				idx = t
-				continue blocks
-			case pcode.XAluAddImmCall:
-				cpu.R[op.Dst] += op.Imm
-				m.charge(isa.KAluImm, prof.Cost[isa.KAluImm])
-				if !m.fetch2(&ops[idx+1]) {
-					m.rollback(code, idx+1, end)
-					return m.finish(), nil
-				}
-				t, stop := m.fastCall(code, idx+1, end, false)
-				if stop {
-					return m.finish(), nil
-				}
-				idx = t
-				continue blocks
-			case pcode.XVLoadStore:
-				lanes := int(op.Lanes)
-				faulted := false
-				for l := 0; l < lanes; l++ {
-					la := op.Imm + uint64(l)*8
-					v, ok := m.loadHit(la)
-					if !ok {
-						var f *mem.Fault
-						if v, f = m.read64(la); f != nil {
-							cpu.PC = op.Addr
-							m.stopFault(op.Addr, f)
-							m.rollback(code, idx+1, end)
-							faulted = true
-							break
-						}
-					}
-					cpu.V[op.VDst][l] = v
-				}
-				if faulted {
-					return m.finish(), nil
-				}
-				cost := prof.Cost[isa.KVLoad]
-				if lanes*8 > 16 {
-					cpu.DirtyUpper = true
-				}
-				if lanes > 4 {
-					cost *= 1.3
-				}
-				m.charge(isa.KVLoad, cost)
-				o2 := &ops[idx+1]
-				if !m.fetch2(o2) {
-					m.rollback(code, idx+1, end)
-					return m.finish(), nil
-				}
-				a2 := o2.Target + uint64(o2.Disp)
-				if o2.Base != isa.NoGPR {
-					a2 = cpu.R[o2.Base] + uint64(o2.Disp)
-				}
-				lanes2 := int(o2.Lanes)
-				for l := 0; l < lanes2; l++ {
-					la := a2 + uint64(l)*8
-					if !m.storeHit(la, cpu.V[o2.VSrc][l]) {
-						if f := m.write64(la, cpu.V[o2.VSrc][l]); f != nil {
-							cpu.PC = o2.Addr
-							m.stopFault(o2.Addr, f)
-							m.rollback(code, idx+2, end)
-							faulted = true
-							break
-						}
-					}
-				}
-				if faulted {
-					return m.finish(), nil
-				}
-				cost = prof.Cost[isa.KVStore]
-				if lanes2*8 > 16 {
-					cpu.DirtyUpper = true
-				}
-				if lanes2 > 4 {
-					cost *= 1.3
-				}
-				m.charge(isa.KVStore, cost)
-				idx += 2
-
 			default: // XUnimpl (XFellOff cannot appear inside a block)
 				cpu.PC = op.Addr
 				m.rollback(code, idx+1, end)
@@ -571,7 +434,6 @@ blocks:
 					m.lastLine = line
 				}
 			}
-			x = op.Exec
 		}
 	}
 }
@@ -614,28 +476,6 @@ func (m *Machine) rollback(code *pcode.Program, from, end int) {
 	m.res.Instructions -= uint64(end - from)
 }
 
-// fetch2 applies the fetch checks to an op that executes straight after its
-// dense predecessor within a segment, skipping the ones its static
-// fetch-elision flags prove redundant. Returns false on an exec fault, with
-// the fault recorded and the PC at the unretired op.
-func (m *Machine) fetch2(op *pcode.Op) bool {
-	if op.Flags&pcode.FNewPage != 0 && op.Addr>>mem.PageShift != m.lastExecPage {
-		if !m.enterPage(op) {
-			return false
-		}
-	}
-	if op.Flags&pcode.FNewLine != 0 {
-		if line := op.Addr >> 6; line != m.lastLine {
-			if m.ic.access(op.Addr) {
-				m.res.Cycles += m.Prof.ICacheMissPenalty
-				m.res.ICacheStallCycles += m.Prof.ICacheMissPenalty
-			}
-			m.lastLine = line
-		}
-	}
-	return true
-}
-
 // enterPage runs the exec-permission check for a fetch that crosses into a
 // new page. Returns false on a fault, with the fault recorded and the PC at
 // op.
@@ -651,7 +491,7 @@ func (m *Machine) enterPage(op *pcode.Op) bool {
 	return true
 }
 
-// fastCall executes the tail of a call op at idx: push the return address,
+// fastCall executes a call op at idx: push the return address,
 // maintain the shadow stack and call counter, charge the (possibly
 // AVX-transition-penalized) cost, and transfer. Returns the callee's dense
 // index, or stop=true when the run ended (push fault, shadow-stack trap or

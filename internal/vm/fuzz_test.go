@@ -12,7 +12,7 @@ import (
 
 // fuzzConfigs are the defense configurations the generated-program
 // differentials draw from: the baseline, both R2C variants (AVX and push
-// BTRA setups, so every superinstruction shape occurs), and the
+// BTRA setups, so both call-site setup shapes occur), and the
 // shadow-stack CFI whose violations stop runs mid-block.
 var fuzzConfigs = []defense.Config{defense.Off(), defense.R2CFull(), defense.R2CPush(), defense.CFIShadowStack()}
 
@@ -23,7 +23,7 @@ const fuzzFuel = 2_000_000
 // FuzzFastMatchesReference steps the fast path and the reference
 // interpreter in lockstep over a generated program, with a fuzzed chunk
 // size and fuzzed RSS-sampling and i-cache-flush intervals — small values
-// force a segment cut at nearly every op, inside blocks and fused pairs.
+// force a segment cut at nearly every op, inside blocks and BTRA setup runs.
 // At every pause both machines must agree on the Result, the PC, the error
 // text and the flight-recorder stream.
 //
