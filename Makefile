@@ -126,8 +126,9 @@ inline:
 # the telemetry package (ops HTTP server, span sinks, registry) and the CLI
 # harness (ops server lifecycle, signal context) are cheap enough to always
 # take the race detector. The tight -timeout is load-bearing: the
-# fault-injection tests exercise watchdogs and stalls, and a regression that
-# reintroduces a real hang should fail the gate in minutes, not hours. The
+# fault-injection tests exercise the fuel watchdog, panics and injected
+# failures, and a regression that reintroduces a real hang should fail the
+# gate in minutes, not hours. The
 # benchmark is its own module, so root `go build ./...` skips it; it is
 # vetted and tested here because it imports internal/telemetry, exec, fleet
 # and perf.

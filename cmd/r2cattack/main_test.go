@@ -17,7 +17,6 @@ import (
 const wantFlags = `-alert-rules string
 -baseline string
 -cell-fuel uint
--cell-timeout duration
 -compare string
 -faults string
 -flight int
@@ -28,7 +27,6 @@ const wantFlags = `-alert-rules string
 -listen string
 -metrics-out string
 -overheads
--resume
 -retries int
 -sample-every int
 -timeseries-out string

@@ -31,7 +31,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	variants := h.Flags.Int("variants", 16, "number of re-diversified builds to compare (≥ 2)")
 	seed := h.Flags.Uint64("seed", 1, "base seed; variant i builds with seed+i")
 	scale := h.Flags.Int("scale", 8, "workload scale divisor")
-	gadgetLen := h.Flags.Int("gadget-len", audit.DefaultGadgetLen, "instruction-window length of the gadget survivor analysis")
 	jobs := h.Flags.Int("jobs", 0, "parallel builds (0 = GOMAXPROCS, 1 = serial); the report is identical at any width")
 	asJSON := h.Flags.Bool("json", false, "emit the machine-readable JSON report instead of the text report")
 
@@ -51,13 +50,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return err
 		}
 		rep, err := audit.Run(audit.Options{
-			Module:    mod,
-			Cfg:       cfg,
-			Variants:  *variants,
-			BaseSeed:  *seed,
-			GadgetLen: *gadgetLen,
-			Eng:       h.Eng,
-			Ctx:       h.Ctx,
+			Module:   mod,
+			Cfg:      cfg,
+			Variants: *variants,
+			BaseSeed: *seed,
+			Eng:      h.Eng,
+			Ctx:      h.Ctx,
 		})
 		if err != nil {
 			return err

@@ -10,7 +10,6 @@ import (
 // The r2caudit flag set: every flag's name, type and default. Changing any of
 // them changes the CLI's contract.
 const wantFlags = `-config string (default "r2c")
--gadget-len int (default 5)
 -jobs int
 -json
 -listen string

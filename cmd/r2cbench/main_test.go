@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -12,7 +13,6 @@ import (
 const wantFlags = `-alert-rules string
 -baseline string
 -cell-fuel uint
--cell-timeout duration
 -compare string
 -faults string
 -flight int
@@ -23,7 +23,6 @@ const wantFlags = `-alert-rules string
 -metrics-out string
 -profile
 -profile-format string (default "table")
--resume
 -retries int
 -runs int (default 3)
 -sample-every int
@@ -57,4 +56,51 @@ func TestFlagSet(t *testing.T) {
 	if got := flagSignatures(stderr.String()); got != wantFlags {
 		t.Errorf("flag set changed:\n--- got ---\n%s\n--- want ---\n%s", got, wantFlags)
 	}
+}
+
+// A second run on the same -journal file replays every cell the first one
+// journaled: it announces the resume on stderr, counts the replays in the
+// footer, and prints the same table.
+func TestJournalReplay(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "run.jsonl")
+	args := []string{"-scale", "8", "-runs", "1", "-journal", journal, "table2"}
+	var out1, out2, err1, err2 bytes.Buffer
+	if code := run(args, &out1, &err1); code != 0 {
+		t.Fatalf("first run exited %d: %s", code, err1.String())
+	}
+	if strings.Contains(err1.String(), "[resuming:") {
+		t.Errorf("first run on an empty journal announced a resume: %s", err1.String())
+	}
+	if code := run(args, &out2, &err2); code != 0 {
+		t.Fatalf("second run exited %d: %s", code, err2.String())
+	}
+	if want := "[resuming: 12 journaled cells in " + journal + "]"; !strings.Contains(err2.String(), want) {
+		t.Errorf("second run's stderr lacks %q:\n%s", want, err2.String())
+	}
+	table1, footer1 := splitRun(out1.String())
+	table2, footer2 := splitRun(out2.String())
+	if strings.Contains(footer1, "journal:") {
+		t.Errorf("first run's footer counts replays: %s", footer1)
+	}
+	if !strings.Contains(footer2, "journal: 12 cells replayed") {
+		t.Errorf("second run's footer lacks the replay count: %s", footer2)
+	}
+	if table1 != table2 {
+		t.Errorf("replayed table differs:\n--- first ---\n%s\n--- second ---\n%s", table1, table2)
+	}
+}
+
+// splitRun separates r2cbench's stdout into the experiment output, with
+// the wall-clock "[table2 done in …]" line dropped, and the footer line.
+func splitRun(out string) (table, footer string) {
+	var keep []string
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(line, "[r2cbench: "):
+			footer = line
+		case !strings.HasPrefix(line, "[table2 done in "):
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n"), footer
 }

@@ -48,9 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	atkTarget := fs.String("attack-target", "page64", "data symbol the overwrite attack corrupts")
 	atkValue := fs.Uint64("attack-value", 0xbadc0ffee, "value the overwrite attack writes")
 	adaptive := fs.Bool("adaptive", false, "attacker re-leaks the victim's layout after each heal (repeated-disclosure adversary)")
-	sliceInstrs := fs.Int("slice", 0, "MVEE lockstep slice size in instructions (0 = default)")
-	maxSlices := fs.Int("max-slices", 0, "MVEE slice budget per request — expiry is a liveness divergence (0 = default)")
-	fuel := fs.Uint64("fuel", 0, "single-variant per-request instruction allowance — exhaustion quarantines as a hang (0 = default)")
+	fuel := fs.Uint64("fuel", 0, "per-request instruction allowance (0 = 5,000,000); exhaustion quarantines as a hang, or under -mvee as a liveness divergence (budget rounded up to whole 100,000-instruction lockstep slices)")
 	jobs := fs.Int("jobs", 0, "build parallelism (0 = GOMAXPROCS); simulated-domain output is identical at any width")
 	asJSON := fs.Bool("json", false, "emit the machine-readable JSON report instead of the text report")
 	requireRecover := fs.Bool("require-recover", false, "exit nonzero unless the run both quarantined and recovered at least one variant (smoke-test gate)")
@@ -86,8 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Requests:       *requests,
 			RateRPS:        *rate,
 			MVEE:           *mveeN,
-			SliceInstrs:    *sliceInstrs,
-			MaxSlices:      *maxSlices,
 			RequestFuel:    *fuel,
 			Heal:           *heal,
 			RebuildLatency: *rebuildLat,
@@ -101,7 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			},
 			Eng:         h.Eng,
 			Obs:         h.Obs,
-			Incidents:   h.Incidents,
 			SampleEvery: *sampleEvery,
 			Degrade: fleet.Degrade{
 				Slot:   *degradeSlot,

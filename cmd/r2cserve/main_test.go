@@ -32,7 +32,6 @@ const wantFlags = `-adaptive
 -jobs int
 -json
 -listen string
--max-slices int
 -metrics-out string
 -mvee int
 -rate float
@@ -41,7 +40,6 @@ const wantFlags = `-adaptive
 -require-recover
 -sample-every float
 -seed uint (default 1)
--slice int
 -timeseries-out string
 -trace string
 -trace-format string (default "jsonl")

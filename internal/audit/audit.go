@@ -30,10 +30,10 @@ import (
 	"r2c/internal/tir"
 )
 
-// DefaultGadgetLen is the instruction-window length of the gadget survivor
+// gadgetLen is the instruction-window length of the gadget survivor
 // analysis: long enough that a surviving window is a usable reuse target,
 // short enough that survivors still occur in weak configs.
-const DefaultGadgetLen = 5
+const gadgetLen = 5
 
 // Options configures one audit run.
 type Options struct {
@@ -44,8 +44,6 @@ type Options struct {
 	Variants int
 	// BaseSeed seeds variant i with BaseSeed+i.
 	BaseSeed uint64
-	// GadgetLen overrides DefaultGadgetLen (0 = default).
-	GadgetLen int
 	// Eng is the execution engine builds fan through. Required. Its Obs
 	// receives the build spans and the audit histograms and gauges (see
 	// Report.Publish); a nil Obs disables telemetry.
@@ -82,10 +80,6 @@ func Run(opt Options) (*Report, error) {
 	if opt.Variants < 2 {
 		return nil, fmt.Errorf("audit: need at least 2 variants, got %d", opt.Variants)
 	}
-	gadgetLen := opt.GadgetLen
-	if gadgetLen <= 0 {
-		gadgetLen = DefaultGadgetLen
-	}
 	ctx := opt.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -105,16 +99,16 @@ func Run(opt Options) (*Report, error) {
 	// summaries.
 	vars := make([]*variantSummary, len(images))
 	for i, img := range images {
-		vars[i] = summarize(img, gadgetLen)
+		vars[i] = summarize(img)
 		images[i] = nil // release the image; summaries are self-contained
 	}
-	rep := fold(opt, gadgetLen, vars)
+	rep := fold(opt, vars)
 	rep.Publish(opt.Eng.Obs)
 	return rep, nil
 }
 
 // summarize extracts one variant's diversity-relevant features.
-func summarize(img *image.Image, gadgetLen int) *variantSummary {
+func summarize(img *image.Image) *variantSummary {
 	ls := img.LayoutSummary()
 	v := &variantSummary{
 		funcOrder:   ls.FuncNames(false),

@@ -110,7 +110,7 @@ type Report struct {
 
 // fold builds the report from the index-ordered variant summaries. It runs
 // strictly serially; all parallelism ended with the builds.
-func fold(opt Options, gadgetLen int, vars []*variantSummary) *Report {
+func fold(opt Options, vars []*variantSummary) *Report {
 	hash := opt.Module.ContentHash()
 	rep := &Report{
 		Module:            opt.Module.Name,

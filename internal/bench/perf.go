@@ -45,8 +45,8 @@ type Options struct {
 	// byte-identical at any pool width.
 	Eng *exec.Engine
 	// Ctx cancels the whole sweep (the cmd harnesses wire Ctrl-C/SIGTERM
-	// here); nil means context.Background(). Per-cell deadlines are the
-	// engine's CellTimeout, not this.
+	// here); nil means context.Background(). A cell is bounded by the
+	// engine's CellFuel, not by this.
 	Ctx context.Context
 }
 

@@ -57,12 +57,11 @@ type Engine struct {
 	// cache-lookup/build/load/exec).
 	Obs *telemetry.Observer
 
-	// CellTimeout is the per-cell wall-clock deadline (-cell-timeout);
-	// 0 disables it. CellFuel is the per-cell VM instruction allowance
-	// (-cell-fuel); 0 means sim.DefaultBudget. Either watchdog kills a hung
-	// cell with a *CellTimeoutError instead of hanging the sweep.
-	CellTimeout time.Duration
-	CellFuel    uint64
+	// CellFuel is the per-cell VM instruction allowance (-cell-fuel); 0
+	// means sim.DefaultBudget. It is the one bound on a cell: a cell that
+	// exhausts it fails with a *CellTimeoutError instead of hanging the
+	// sweep, at the same instruction on every host.
+	CellFuel uint64
 
 	// Retries is how many times a failed cell is re-attempted (-retries);
 	// retry attempts run with a seed deterministically derived from the
@@ -71,13 +70,13 @@ type Engine struct {
 	Retries int
 
 	// Faults is the fault-injection hook: tests and the -faults flag
-	// script build/exec failures, panics, and stalls at exact (cell,
-	// attempt) points. Nil injects nothing.
+	// script build/exec failures and panics at exact (cell, attempt)
+	// points. Nil injects nothing.
 	Faults *FaultPlan
 
 	// Journal, when set, persists completed cell results keyed by the
 	// content-addressed build key + machine profile; cells already
-	// journaled replay without executing (-resume).
+	// journaled replay without executing (-journal on a non-empty file).
 	Journal *Journal
 
 	// Incidents, when set, collects an incident record (trap provenance +
@@ -187,7 +186,7 @@ func RetrySeed(key Key, attempt int) uint64 {
 // one build through the cache but never a process.
 //
 // Per cell, the engine applies the configured fault tolerance: journal
-// replay (skip already-completed cells on -resume), the wall-clock/fuel
+// replay (skip cells an earlier run already journaled), the fuel
 // watchdog, panic isolation (a panicking cell becomes a *PanicError in its
 // slot while its siblings finish), and bounded retry with content-derived
 // seeds. Successful cells are byte-identical to a clean serial run at any
@@ -298,7 +297,7 @@ func (e *Engine) MapTracked(ctx context.Context, n int, phase string, fn func(i 
 }
 
 // runCellAttempts is the per-cell fault-tolerance wrapper around runCell:
-// journal replay, then up to 1+Retries watchdogged attempts, back to back.
+// journal replay, then up to 1+Retries fuel-bounded attempts, back to back.
 // Retry attempts re-diversify with a RetrySeed-derived seed — a
 // deterministic function of the cell's content key, never of time — and a
 // success on any attempt journals under the cell's original key so a
@@ -335,12 +334,11 @@ func (e *Engine) runCellAttempts(ctx context.Context, i int, c *Cell, sp *teleme
 	return nil, lastErr
 }
 
-// runCellAttempt runs one watchdogged attempt: fault injection first (so
+// runCellAttempt runs one fuel-bounded attempt: fault injection first (so
 // tests can force the failure modes), then the traced build/load/exec
-// pipeline under the attempt's deadline. Attempt 0 traces directly under the
-// cell span — the clean-run span tree is unchanged — while retries nest
-// under a "retry" child keyed by attempt number, keeping span ids unique
-// and deterministic.
+// pipeline. Attempt 0 traces directly under the cell span — the clean-run
+// span tree is unchanged — while retries nest under a "retry" child keyed
+// by attempt number, keeping span ids unique and deterministic.
 func (e *Engine) runCellAttempt(ctx context.Context, i, attempt int, c *Cell, key Key, parent *telemetry.Span, track func(phase string)) (*vm.Result, error) {
 	sp := parent
 	seed := c.Seed
@@ -351,12 +349,6 @@ func (e *Engine) runCellAttempt(ctx context.Context, i, attempt int, c *Cell, ke
 		sp.SetAttr("attempt", attempt)
 		sp.SetAttr("seed", seed)
 	}
-	actx := ctx
-	if e.CellTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, e.CellTimeout)
-		defer cancel()
-	}
 	switch e.Faults.At(i, attempt) {
 	case FaultBuildFail:
 		return nil, fmt.Errorf("fault injection: forced build failure (cell %d, attempt %d)", i, attempt)
@@ -364,37 +356,22 @@ func (e *Engine) runCellAttempt(ctx context.Context, i, attempt int, c *Cell, ke
 		return nil, fmt.Errorf("fault injection: forced exec failure (cell %d, attempt %d)", i, attempt)
 	case FaultPanic:
 		panic(fmt.Sprintf("fault injection: forced panic (cell %d, attempt %d)", i, attempt))
-	case FaultStall:
-		// A stall models a genuine hang: it holds the worker until the
-		// watchdog (or the whole-run cancel) fires. Without either, it
-		// hangs — exactly what the watchdog exists to prevent.
-		track("stalled")
-		<-actx.Done()
-		if actx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
-			return nil, &CellTimeoutError{Index: i, Timeout: e.CellTimeout, Err: actx.Err()}
-		}
-		return nil, ctx.Err()
 	}
-	res, err := e.runCell(actx, i, c, seed, sp, track)
-	if err != nil {
-		switch {
-		case errors.Is(err, vm.ErrFuelExhausted):
-			fuel := e.CellFuel
-			if fuel == 0 {
-				fuel = sim.DefaultBudget
-			}
-			return res, &CellTimeoutError{Index: i, Fuel: fuel, Err: err}
-		case errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
-			return res, &CellTimeoutError{Index: i, Timeout: e.CellTimeout, Err: err}
+	res, err := e.runCell(ctx, i, c, seed, sp, track)
+	if errors.Is(err, vm.ErrFuelExhausted) {
+		fuel := e.CellFuel
+		if fuel == 0 {
+			fuel = sim.DefaultBudget
 		}
+		return res, &CellTimeoutError{Index: i, Fuel: fuel, Err: err}
 	}
 	return res, err
 }
 
 // runCell is the traced per-cell pipeline: cached image (cache-lookup and,
 // on a miss, build spans inside Cache.Image), process load, execution under
-// the attempt's context and the engine's fuel allowance. It is behaviorally
-// identical to Run when neither watchdog fires — the span and track
+// the run's context and the engine's fuel allowance. It is behaviorally
+// identical to Run when the fuel watchdog does not fire — the span and track
 // arguments only observe.
 func (e *Engine) runCell(ctx context.Context, i int, c *Cell, seed uint64, sp *telemetry.Span, track func(phase string)) (*vm.Result, error) {
 	imgStart := time.Now()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 )
 
 // PanicError is a worker panic converted to an ordinary error by the fan-out's
@@ -22,26 +21,19 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return fmt.Sprintf("worker panic: %v", e.Value) }
 
-// CellTimeoutError is a cell killed by the per-cell watchdog: either its
-// wall-clock deadline (-cell-timeout) expired or its VM fuel allowance
-// (-cell-fuel) ran out before the simulated program ended. Both mean the
-// same thing operationally — a hung cell was put down instead of hanging
-// the sweep.
+// CellTimeoutError is a cell killed by the per-cell fuel watchdog: its VM
+// instruction allowance (-cell-fuel, or sim.DefaultBudget) ran out before
+// the simulated program ended, so a hung cell was put down instead of
+// hanging the sweep.
 type CellTimeoutError struct {
 	Index int
-	// Timeout is the wall-clock deadline that expired; zero for fuel kills.
-	Timeout time.Duration
-	// Fuel is the instruction allowance that ran out; zero for deadline kills.
+	// Fuel is the instruction allowance that ran out.
 	Fuel uint64
-	// Err is the underlying cause (context.DeadlineExceeded or an error
-	// wrapping vm.ErrFuelExhausted).
+	// Err is the underlying cause (an error wrapping vm.ErrFuelExhausted).
 	Err error
 }
 
 func (e *CellTimeoutError) Error() string {
-	if e.Timeout > 0 {
-		return fmt.Sprintf("watchdog: exceeded %v wall-clock deadline", e.Timeout)
-	}
 	return fmt.Sprintf("watchdog: exceeded %d-instruction fuel limit", e.Fuel)
 }
 

@@ -47,12 +47,11 @@ func cellsN(m *tir.Module, n int) []exec.Cell {
 }
 
 // An infinite loop must trip the fuel limit and die with a typed
-// CellTimeoutError well inside the wall-clock deadline, instead of hanging
-// the sweep until the instruction budget (minutes) runs out.
+// CellTimeoutError, instead of hanging the sweep until the default
+// instruction budget (minutes) runs out.
 func TestWatchdogFuelLimitKillsInfiniteLoop(t *testing.T) {
 	eng := exec.New(1, nil)
 	eng.CellFuel = 500_000
-	eng.CellTimeout = 2 * time.Minute // backstop; fuel must fire first
 	start := time.Now()
 	results, err := eng.RunCells(context.Background(), cellsN(spinModule(t), 1))
 	elapsed := time.Since(start)
@@ -63,8 +62,8 @@ func TestWatchdogFuelLimitKillsInfiniteLoop(t *testing.T) {
 	if !errors.As(err, &te) {
 		t.Fatalf("error %v is not a CellTimeoutError", err)
 	}
-	if te.Fuel != 500_000 || te.Timeout != 0 {
-		t.Errorf("timeout error = fuel %d / deadline %v, want the fuel kill", te.Fuel, te.Timeout)
+	if te.Fuel != 500_000 {
+		t.Errorf("timeout error = fuel %d, want 500000", te.Fuel)
 	}
 	if !errors.Is(err, vm.ErrFuelExhausted) {
 		t.Errorf("error %v does not wrap vm.ErrFuelExhausted", err)
@@ -74,29 +73,6 @@ func TestWatchdogFuelLimitKillsInfiniteLoop(t *testing.T) {
 	}
 	if elapsed > time.Minute {
 		t.Errorf("fuel kill took %v — the watchdog did not bound the run", elapsed)
-	}
-}
-
-// A stalled cell (a genuine hang, not a busy loop) must die on the
-// wall-clock deadline.
-func TestWatchdogWallClockKillsStall(t *testing.T) {
-	eng := exec.New(1, nil)
-	eng.CellTimeout = 50 * time.Millisecond
-	eng.Faults = (&exec.FaultPlan{}).SetAll(0, exec.FaultStall)
-	start := time.Now()
-	_, err := eng.RunCells(context.Background(), cellsN(testModule(t), 1))
-	if err == nil {
-		t.Fatal("stalled cell completed successfully")
-	}
-	var te *exec.CellTimeoutError
-	if !errors.As(err, &te) {
-		t.Fatalf("error %v is not a CellTimeoutError", err)
-	}
-	if te.Timeout != 50*time.Millisecond {
-		t.Errorf("deadline = %v, want 50ms", te.Timeout)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("stall kill took %v", elapsed)
 	}
 }
 
@@ -305,7 +281,7 @@ func TestJournalSkipsOlderSchema(t *testing.T) {
 	}
 }
 
-// Appends after a torn final line must not glue onto it: the next -resume
+// Appends after a torn final line must not glue onto it: the next re-run
 // would fail to decode the merged line and drop it and everything after.
 func TestJournalAppendAfterTornLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.journal")
@@ -394,7 +370,7 @@ func TestPoolHonorsCancelledContext(t *testing.T) {
 }
 
 func TestParseFaultPlan(t *testing.T) {
-	p, err := exec.ParseFaultPlan("3:panic, 7@0:exec-fail,1@2:stall,*@4:build-fail")
+	p, err := exec.ParseFaultPlan("3:panic, 7@0:exec-fail,1@2:panic,*@4:build-fail")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +382,7 @@ func TestParseFaultPlan(t *testing.T) {
 		{3, 5, exec.FaultPanic}, // no @ATTEMPT → every attempt
 		{7, 0, exec.FaultExecFail},
 		{7, 1, exec.FaultNone},
-		{1, 2, exec.FaultStall},
+		{1, 2, exec.FaultPanic},
 		{1, 0, exec.FaultNone},
 		{0, 0, exec.FaultNone},
 		{9, 4, exec.FaultBuildFail}, // * covers every cell
@@ -421,12 +397,12 @@ func TestParseFaultPlan(t *testing.T) {
 		t.Errorf("Len = %d, want 4", p.Len())
 	}
 	// (any, any) is the last resort behind an exact entry.
-	wild, err := exec.ParseFaultPlan("*:exec-fail, 2@1:stall")
+	wild, err := exec.ParseFaultPlan("*:exec-fail, 2@1:panic")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := wild.At(2, 1); got != exec.FaultStall {
-		t.Errorf("wildcard plan At(2, 1) = %v, want stall", got)
+	if got := wild.At(2, 1); got != exec.FaultPanic {
+		t.Errorf("wildcard plan At(2, 1) = %v, want panic", got)
 	}
 	if got := wild.At(5, 0); got != exec.FaultExecFail {
 		t.Errorf("wildcard plan At(5, 0) = %v, want exec-fail", got)

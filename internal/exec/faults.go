@@ -19,9 +19,6 @@ const (
 	// FaultPanic panics on the worker goroutine, exercising the fan-out's
 	// recover barrier.
 	FaultPanic
-	// FaultStall blocks the cell until its watchdog context fires,
-	// exercising the wall-clock deadline.
-	FaultStall
 )
 
 func (k FaultKind) String() string {
@@ -34,8 +31,6 @@ func (k FaultKind) String() string {
 		return "exec-fail"
 	case FaultPanic:
 		return "panic"
-	case FaultStall:
-		return "stall"
 	}
 	return fmt.Sprintf("FaultKind(%d)", int(k))
 }
@@ -56,7 +51,7 @@ type faultAt struct {
 
 // FaultPlan is the deterministic fault-injection hook: a map from (cell
 // index, attempt number) to the failure to force there. It exists so tests
-// and the -faults flag can script hangs, panics and build/exec failures at
+// and the -faults flag can script panics and build/exec failures at
 // exact points of a sweep and assert the engine degrades the way the
 // fault-tolerance machinery promises. A nil plan injects nothing,
 // and an engine with a nil plan takes no branch the clean path doesn't.
@@ -110,7 +105,7 @@ func (p *FaultPlan) Len() int {
 
 // ParseFaultPlan parses the -faults CLI syntax: a comma-separated list of
 // CELL:KIND or CELL@ATTEMPT:KIND entries, where KIND is one of build-fail,
-// exec-fail, panic or stall. CELL may be "*" to hit every cell. Without
+// exec-fail or panic. CELL may be "*" to hit every cell. Without
 // @ATTEMPT the fault fires on every attempt. Example:
 // "3:panic,7@0:exec-fail" panics cell 3 always and fails cell 7's first
 // execution (so a retry succeeds). An empty string is a nil plan.
@@ -134,10 +129,8 @@ func ParseFaultPlan(s string) (*FaultPlan, error) {
 			kind = FaultExecFail
 		case "panic":
 			kind = FaultPanic
-		case "stall":
-			kind = FaultStall
 		default:
-			return nil, fmt.Errorf("fault plan: entry %q: unknown kind %q (want build-fail, exec-fail, panic or stall)", ent, kindName)
+			return nil, fmt.Errorf("fault plan: entry %q: unknown kind %q (want build-fail, exec-fail or panic)", ent, kindName)
 		}
 		cellStr, attemptStr, hasAttempt := strings.Cut(loc, "@")
 		cell := anyCell

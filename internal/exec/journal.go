@@ -29,8 +29,9 @@ type journalEntry struct {
 }
 
 // Journal persists completed cell results so an interrupted sweep can be
-// resumed with -resume: cells whose (build key, machine profile) already
-// appear in the journal replay their recorded Result without re-executing.
+// resumed by re-running it with the same -journal file: cells whose (build
+// key, machine profile) already appear in the journal replay their recorded
+// Result without re-executing.
 // Results are pure functions of the key (the same purity the build cache
 // exploits), and JSON round-trips Go's float64 and integer fields exactly,
 // so a replayed cell is byte-identical to a re-executed one in every table
@@ -49,7 +50,7 @@ type Journal struct {
 
 // OpenJournal opens (creating if absent) the journal at path, loads every
 // intact entry, and positions for appending new ones. The returned journal
-// serves lookups from the loaded set, so a -resume run sees everything the
+// serves lookups from the loaded set, so a re-run sees everything the
 // killed run completed. A torn tail (an undecodable or newline-less final
 // line) is truncated away first, so the next append starts a fresh line
 // instead of gluing onto the fragment.

@@ -24,8 +24,8 @@ import (
 // never depend on w) and the entry's phase hook. Panics in fn are isolated
 // per item. A cancelled ctx stops dispatch: items not yet started fail with
 // ctx.Err() without running, while items already in flight finish on their
-// own (the per-cell watchdog, not the fan-out, interrupts them). ctx may be
-// nil. The worker count and the queue depth are reported as the
+// own (a cell's run polls ctx between fuel chunks; the fan-out does not
+// stop it). ctx may be nil. The worker count and the queue depth are reported as the
 // "exec.pool.workers" and "exec.pool.queue_depth" gauges.
 func (e *Engine) fanOut(ctx context.Context, n int, fn func(i, w int, track func(phase string)) error) []error {
 	e.prog.addBatch(n)

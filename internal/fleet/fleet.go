@@ -143,11 +143,10 @@ type Options struct {
 	// adds divergence detection; otherwise each request runs on a single
 	// variant with trap/fault/hang detection only.
 	MVEE int
-	// SliceInstrs/MaxSlices bound the supervisor's lockstep slices (MVEE
-	// mode); RequestFuel bounds a single-variant request's instructions.
-	// Zeros pick defaults sized for single-request handlers.
-	SliceInstrs int
-	MaxSlices   int
+	// RequestFuel bounds a request's instructions in both modes (0 = a
+	// default sized for single-request handlers). A supervised request
+	// runs in mveeSlice-instruction lockstep slices, so its budget is
+	// RequestFuel rounded up to whole slices.
 	RequestFuel uint64
 
 	// Heal selects the quarantine response (HealRebuild default).
@@ -170,13 +169,15 @@ type Options struct {
 	SampleEvery float64
 
 	// Eng runs replacement builds (and the initial fan-out) through the
-	// worker pool and build cache. Required.
+	// worker pool and build cache, and its Incidents log (when set)
+	// receives the detection records. Required.
 	Eng *exec.Engine
-	// Obs receives fleet metrics; Incidents detection records. Either may
-	// be nil.
-	Obs       *telemetry.Observer
-	Incidents *incident.Log
+	// Obs receives fleet metrics; it may be nil.
+	Obs *telemetry.Observer
 }
+
+// mveeSlice is the supervisor's lockstep slice in instructions.
+const mveeSlice = 100_000
 
 // Slot states.
 const (
@@ -364,12 +365,6 @@ func New(o Options) (*Fleet, error) {
 	if o.Degrade.Growth > 1 && (o.Degrade.Slot < 0 || o.Degrade.Slot >= o.Variants) {
 		return nil, fmt.Errorf("fleet: degrade slot %d out of range [0,%d)", o.Degrade.Slot, o.Variants)
 	}
-	if o.SliceInstrs <= 0 {
-		o.SliceInstrs = 100_000
-	}
-	if o.MaxSlices <= 0 {
-		o.MaxSlices = 50
-	}
 	if o.RequestFuel == 0 {
 		o.RequestFuel = 5_000_000
 	}
@@ -469,8 +464,11 @@ func (f *Fleet) Serve(ctx context.Context) (*Report, error) {
 
 	// Golden run: the differential property says every benign variant
 	// agrees on output, so one clean run of variant 0 yields both the
-	// ground-truth response and the reference service time.
-	gres, err := sim.ExecMachine(ctx, vm.New(f.slots[0].snap.Fork(o.Obs), o.Prof), o.Obs, nil, o.RequestFuel)
+	// ground-truth response and the reference service time. It is the
+	// fleet's reference, not a request, so the default budget bounds it:
+	// a RequestFuel below a clean request's length quarantines requests
+	// instead of failing the run.
+	gres, err := sim.ExecMachine(ctx, vm.New(f.slots[0].snap.Fork(o.Obs), o.Prof), o.Obs, nil, 0)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: golden run: %w", err)
 	}
@@ -672,7 +670,7 @@ func (f *Fleet) observeDrift(s *slot, trial int, v float64) {
 		f.rep.Sim.DriftWarnings++
 		f.o.Obs.Counter("fleet.drift.warnings").Inc()
 		f.o.Obs.Emit("fleet-drift", map[string]any{"slot": s.id, "gen": s.gen, "z": z, "trial": trial})
-		if f.o.Incidents != nil {
+		if l := f.o.Eng.Incidents; l != nil {
 			rec := incident.Record{
 				Campaign: f.campaign, Config: f.o.Cfg.Name, Seed: s.seed, Trial: trial,
 				Kind: "drift", Via: "fleet-ewma",
@@ -680,7 +678,7 @@ func (f *Fleet) observeDrift(s *slot, trial int, v float64) {
 					s.id, s.gen, v, d.mean, z),
 			}
 			rec.Seal()
-			f.o.Incidents.Add(rec)
+			l.Add(rec)
 		}
 	}
 	delta := v - d.mean
@@ -806,7 +804,7 @@ func (f *Fleet) serveRequest(ctx context.Context, i int, chosen []*slot, arrival
 	perVar = append(f.perVar[:0], make([]float64, len(chosen))...)
 	f.perVar = perVar
 	if f.width >= 2 {
-		me := &mvee.Engine{Incidents: o.Incidents, Campaign: f.campaign, Trial: i}
+		me := &mvee.Engine{Incidents: o.Eng.Incidents, Campaign: f.campaign, Trial: i}
 		for j, s := range chosen {
 			me.Variants = append(me.Variants, &mvee.Variant{Seed: s.seed, Proc: procs[j], Mach: s.machine(procs[j], o.Prof)})
 		}
@@ -818,7 +816,7 @@ func (f *Fleet) serveRequest(ctx context.Context, i int, chosen []*slot, arrival
 				f.recordInjection(landed)
 			}
 		}
-		verdict, err := me.Run(o.SliceInstrs, o.MaxSlices)
+		verdict, err := me.Run(mveeSlice, f.maxSlices())
 		if err != nil {
 			return fmt.Errorf("fleet: request %d: supervisor: %w", i, err)
 		}
@@ -903,6 +901,12 @@ func (f *Fleet) serveRequest(ctx context.Context, i int, chosen []*slot, arrival
 	return nil
 }
 
+// maxSlices is a supervised request's slice budget: RequestFuel rounded up
+// to whole lockstep slices.
+func (f *Fleet) maxSlices() int {
+	return int((f.o.RequestFuel + mveeSlice - 1) / mveeSlice)
+}
+
 // judgeVerdict turns a supervisor verdict into the request's service time,
 // the group members to quarantine, and the detection kinds per member.
 func (f *Fleet) judgeVerdict(v *mvee.Verdict) (service float64, detected []int, kinds []string, output []uint64) {
@@ -917,7 +921,7 @@ func (f *Fleet) judgeVerdict(v *mvee.Verdict) (service float64, detected []int, 
 	if len(v.Hung) > 0 {
 		// A hung variant burned its whole slice budget; lockstep pins the
 		// group's service time to that (modeled at ~1 instruction/cycle).
-		if s := float64(f.o.SliceInstrs) * float64(f.o.MaxSlices) / (f.o.Prof.GHz * 1e9); s > service {
+		if s := float64(mveeSlice*f.maxSlices()) / (f.o.Prof.GHz * 1e9); s > service {
 			service = s
 		}
 	}
@@ -957,7 +961,7 @@ func (f *Fleet) judgeVerdict(v *mvee.Verdict) (service float64, detected []int, 
 // signal ("" = clean). A fuel exhaustion is a liveness signal — the same
 // reasoning as the supervisor's slice budget — and quarantines the variant.
 func (f *Fleet) runSingle(ctx context.Context, i int, s *slot, p *rt.Process) (service float64, kind string, output []uint64) {
-	o := f.o
+	o, l := f.o, f.o.Eng.Incidents
 	res, err := sim.ExecMachine(ctx, s.machine(p, o.Prof), o.Obs, nil, o.RequestFuel)
 	if res != nil {
 		service = res.Seconds(o.Prof)
@@ -966,18 +970,18 @@ func (f *Fleet) runSingle(ctx context.Context, i int, s *slot, p *rt.Process) (s
 	switch {
 	case res != nil && res.Trap != nil:
 		kind = "trap"
-		if o.Incidents != nil {
-			o.Incidents.Add(incident.FromTrap(f.campaign, o.Cfg.Name, s.seed, i, "fleet", p, *res.Trap, res.Instructions))
+		if l != nil {
+			l.Add(incident.FromTrap(f.campaign, o.Cfg.Name, s.seed, i, "fleet", p, *res.Trap, res.Instructions))
 		}
 	case res != nil && res.Fault != nil:
 		kind = "fault"
-		if o.Incidents != nil {
-			o.Incidents.Add(incident.FromFault(f.campaign, o.Cfg.Name, s.seed, i, "fleet", p, res.Fault.Addr, res.Instructions))
+		if l != nil {
+			l.Add(incident.FromFault(f.campaign, o.Cfg.Name, s.seed, i, "fleet", p, res.Fault.Addr, res.Instructions))
 		}
 	case errors.Is(err, vm.ErrFuelExhausted):
 		kind = "hang"
 		output = nil // an unfinished run has no comparable response
-		if o.Incidents != nil {
+		if l != nil {
 			rec := incident.Record{
 				Campaign: f.campaign, Config: o.Cfg.Name, Seed: s.seed, Trial: i,
 				Kind: "hang", Via: "fleet",
@@ -985,12 +989,12 @@ func (f *Fleet) runSingle(ctx context.Context, i int, s *slot, p *rt.Process) (s
 				Instr:  res.Instructions,
 			}
 			rec.Seal()
-			o.Incidents.Add(rec)
+			l.Add(rec)
 		}
 	case err != nil:
 		kind = "error"
 		output = nil
-		if o.Incidents != nil {
+		if l != nil {
 			rec := incident.Record{
 				Campaign: f.campaign, Config: o.Cfg.Name, Seed: s.seed, Trial: i,
 				Kind: "error", Via: "fleet", Origin: err.Error(),
@@ -999,7 +1003,7 @@ func (f *Fleet) runSingle(ctx context.Context, i int, s *slot, p *rt.Process) (s
 				rec.Instr = res.Instructions
 			}
 			rec.Seal()
-			o.Incidents.Add(rec)
+			l.Add(rec)
 		}
 	}
 	return service, kind, output

@@ -30,7 +30,7 @@ import (
 func runFleet(t *testing.T, o Options) (*Report, string, string, string) {
 	t.Helper()
 	ilog := incident.NewLog()
-	o.Incidents = ilog
+	o.Eng.Incidents = ilog
 	fl, err := New(o)
 	if err != nil {
 		t.Fatal(err)
@@ -160,11 +160,11 @@ func TestSingleVariantAttackIsSilent(t *testing.T) {
 	}
 }
 
-// boundedLoopModule reads its loop bound from a global, so an overwrite
-// attack can hang the handler.
-func boundedLoopModule() *tir.Module {
+// boundedLoopModule runs bound loop iterations, read from a global, so an
+// overwrite attack can hang the handler.
+func boundedLoopModule(bound uint64) *tir.Module {
 	mb := tir.NewModule("bounded")
-	mb.AddGlobal("bound", 8, 4)
+	mb.AddGlobal("bound", 8, bound)
 	main := mb.NewFunc("main", 0)
 	bp := main.AddrGlobal("bound")
 	n := main.Load(bp, 0)
@@ -184,7 +184,7 @@ func boundedLoopModule() *tir.Module {
 // incident log records it.
 func TestHangDetectionQuarantines(t *testing.T) {
 	o := Options{
-		Module:   boundedLoopModule(),
+		Module:   boundedLoopModule(4),
 		Cfg:      defense.R2CFull(),
 		Prof:     vm.EPYCRome(),
 		Variants: 3,
@@ -212,6 +212,62 @@ func TestHangDetectionQuarantines(t *testing.T) {
 	}
 	if !bytes.Contains([]byte(inc), []byte(`"kind": "hang"`)) {
 		t.Fatal("incident timeline carries no hang records")
+	}
+}
+
+// TestRequestFuelBoundsSupervisedRequests: RequestFuel bounds a request
+// under MVEE supervision too. With the budget below a clean request's
+// length, every supervised request exhausts its slices, and each member of
+// every group is quarantined as a liveness divergence.
+func TestRequestFuelBoundsSupervisedRequests(t *testing.T) {
+	const requests = 12
+	o := Options{
+		Module:         boundedLoopModule(100_000),
+		Cfg:            defense.R2CFull(),
+		Prof:           vm.EPYCRome(),
+		Variants:       4,
+		BaseSeed:       3,
+		Requests:       requests,
+		MVEE:           2,
+		RateRPS:        1e3,
+		RebuildLatency: 1e-4,
+		RequestFuel:    150_000, // two 100,000-instruction slices
+		Eng:            exec.New(1, nil),
+	}
+	proc, err := sim.Build(o.Module, o.Cfg, o.BaseSeed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.ExecMachine(context.Background(), vm.New(proc, o.Prof), nil, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Instructions <= 200_000 {
+		t.Fatalf("a clean request retires %d instructions; the test needs more than the 200,000-instruction budget", res.Instructions)
+	}
+	rep, _, inc, _ := runFleet(t, o)
+	s := rep.Sim
+	if len(s.Detections) != 1 || s.Detections["divergence"] != 2*requests {
+		t.Fatalf("detections = %v, want %d divergences and nothing else", s.Detections, 2*requests)
+	}
+	if s.Quarantines != 2*requests {
+		t.Fatalf("quarantines = %d, want %d", s.Quarantines, 2*requests)
+	}
+	var tl incident.Timeline
+	if err := json.Unmarshal([]byte(inc), &tl); err != nil {
+		t.Fatalf("incidents JSON: %v", err)
+	}
+	hung := map[int]int{}
+	for _, r := range tl.Incidents {
+		if r.Kind != "divergence" || !strings.Contains(r.Origin, "exceeded the slice budget") {
+			t.Fatalf("incident %s %q, want a slice-budget divergence", r.Kind, r.Origin)
+		}
+		hung[r.Trial]++
+	}
+	for i := 0; i < requests; i++ {
+		if hung[i] != 2 {
+			t.Errorf("request %d: %d slice-budget incidents, want 2", i, hung[i])
+		}
 	}
 }
 
@@ -288,7 +344,7 @@ func TestDegradeRunStaysCorrect(t *testing.T) {
 func TestHealthThroughQuarantine(t *testing.T) {
 	o := webOptions(0)
 	ilog := incident.NewLog()
-	o.Incidents = ilog
+	o.Eng.Incidents = ilog
 	fl, err := New(o)
 	if err != nil {
 		t.Fatal(err)

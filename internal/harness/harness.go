@@ -54,15 +54,12 @@ const (
 	// Artifacts adds -flight, -alert-rules, -incidents-out and
 	// -timeseries-out.
 	Artifacts
-	// Engine adds the exec engine's robustness knobs: -cell-timeout,
-	// -cell-fuel, -retries, -journal, -resume and -faults.
+	// Engine adds the exec engine's robustness knobs: -cell-fuel,
+	// -retries, -journal and -faults.
 	Engine
 	// PerfGate adds -baseline and -compare.
 	PerfGate
 )
-
-// DefaultJournal is where -resume looks when -journal is not given.
-const DefaultJournal = "r2c-run.journal"
 
 // The -trace-format values: the line-delimited event/span stream (the
 // default) and the Chrome trace_event document (chrome://tracing, Perfetto).
@@ -123,11 +120,9 @@ type flagValues struct {
 	listen                                  string
 	flight                                  int
 	alertRules, incidentsOut, timeseriesOut string
-	cellTimeout                             time.Duration
 	cellFuel                                uint64
 	retries                                 int
 	journal, faults                         string
-	resume                                  bool
 	baseline, compare                       string
 }
 
@@ -153,12 +148,10 @@ func New(name, args string, stdout, stderr io.Writer, groups Group) *Harness {
 		fs.StringVar(&f.timeseriesOut, "timeseries-out", "", "write the sampled time-series rings as JSON to FILE on exit (byte-identical at any -jobs width)")
 	}
 	if groups&Engine != 0 {
-		fs.DurationVar(&f.cellTimeout, "cell-timeout", 0, "per-cell wall-clock watchdog deadline (0 = none); hung cells fail instead of hanging the run")
 		fs.Uint64Var(&f.cellFuel, "cell-fuel", 0, "per-cell VM instruction allowance (0 = the default budget); runaway cells fail instead of hanging")
 		fs.IntVar(&f.retries, "retries", 0, "re-attempts per failed cell, each with a seed derived from the cell's content key")
-		fs.StringVar(&f.journal, "journal", "", "persist completed cell results to FILE (JSONL, keyed by build key + machine)")
-		fs.BoolVar(&f.resume, "resume", false, "replay cells already present in the journal instead of re-executing them (implies -journal "+DefaultJournal+" unless set)")
-		fs.StringVar(&f.faults, "faults", "", "fault-injection plan CELL[@ATTEMPT]:KIND,... with KIND one of build-fail, exec-fail, panic, stall; CELL may be * (testing aid)")
+		fs.StringVar(&f.journal, "journal", "", "persist completed cell results to FILE (JSONL, keyed by build key + machine); cells FILE already holds replay instead of re-executing")
+		fs.StringVar(&f.faults, "faults", "", "fault-injection plan CELL[@ATTEMPT]:KIND,... with KIND one of build-fail, exec-fail, panic; CELL may be * (testing aid)")
 	}
 	if groups&PerfGate != 0 {
 		fs.StringVar(&f.baseline, "baseline", "", "write the run's performance numbers as a baseline to FILE (BENCH_<experiment>.json)")
@@ -293,23 +286,21 @@ func (h *Harness) Open(jobs int, profile bool) error {
 		h.Incidents = incident.NewLog()
 	}
 	h.Eng.Incidents = h.Incidents
-	h.Eng.CellTimeout, h.Eng.CellFuel, h.Eng.Retries, h.Eng.Faults = f.cellTimeout, f.cellFuel, f.retries, plan
-	if f.resume && f.journal == "" {
-		f.journal = DefaultJournal
-	}
+	h.Eng.CellFuel, h.Eng.Retries, h.Eng.Faults = f.cellFuel, f.retries, plan
 	if f.journal != "" {
 		j, err := exec.OpenJournal(f.journal)
 		if err != nil {
 			return err
 		}
 		h.Eng.Journal = j
-		if f.resume && j.Len() > 0 {
+		if j.Len() > 0 {
 			fmt.Fprintf(h.Stderr, "[resuming: %d journaled cells in %s]\n", j.Len(), f.journal)
 		}
 	}
 	// Ctrl-C/SIGTERM cancels the run context: queued cells never start,
-	// in-flight ones run their watchdogs down, the journal keeps what
-	// finished (what -resume picks up), and Main still flushes the sinks.
+	// in-flight ones stop at their next fuel-chunk poll, the journal keeps
+	// what finished (what a re-run with the same -journal replays), and
+	// Main still flushes the sinks.
 	h.Ctx, h.cancel = signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	return nil
 }

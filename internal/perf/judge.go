@@ -7,10 +7,11 @@ import (
 )
 
 // driftPct is the drift, in percent of the baseline value, a metric may
-// show before the Judge flags it. Modeled numbers are bit-equal on an
-// unchanged tree; the allowance absorbs last-ulp float differences across
-// Go versions and architectures, nothing more.
-const driftPct = 1.0
+// show before the Judge flags it: 1e-9 relative. Modeled numbers are
+// bit-equal on an unchanged tree; the allowance absorbs last-ulp float
+// differences across Go versions and architectures, nothing more, so any
+// real drift fails.
+const driftPct = 100 * 1e-9
 
 // Verdict is the per-metric outcome of a comparison.
 type Verdict string

@@ -132,7 +132,8 @@ func TestJudgeVerdicts(t *testing.T) {
 		old, new float64
 		want     Verdict
 	}{
-		{"stable", BetterLower, 100, 100.5, VerdictOK}, // 0.5% is within the 1% allowance
+		{"stable", BetterLower, 100, 100 * (1 + 1e-12), VerdictOK},  // a last-ulp move is within the 1e-9 allowance
+		{"half percent", BetterLower, 100, 100.5, VerdictRegressed}, // any real drift fails
 		{"lower regressed", BetterLower, 100, 150, VerdictRegressed},
 		{"lower improved", BetterLower, 100, 50, VerdictImproved},
 		{"higher regressed", BetterHigher, 0.5, 0.1, VerdictRegressed},

@@ -3,14 +3,14 @@ package vm
 import "context"
 
 // checkEvery is the chunk size RunCtx runs between cancellation checks. It
-// is small enough that a watchdog deadline is honored within a few million
-// modeled instructions, and large enough that the per-chunk bookkeeping is
+// is small enough that Ctrl-C stops a run within a few million modeled
+// instructions, and large enough that the per-chunk bookkeeping is
 // invisible next to the dispatch loop itself.
 const checkEvery uint64 = 2_000_000
 
 // RunCtx executes like Run(fuel) but in chunks of checkEvery instructions,
-// polling ctx between chunks — the seam the execution engine's per-cell
-// watchdog hangs off. Because Run is resumable (the machine pauses with its
+// polling ctx between chunks — the seam a whole-run cancel (Ctrl-C,
+// SIGTERM) stops a long run at. Because Run is resumable (the machine pauses with its
 // PC on the next instruction and all counters, i-cache/TLB state, and
 // profiler attribution intact), a chunked run retires the exact same
 // instruction stream and produces a bit-identical Result to a single
