@@ -154,8 +154,9 @@ type Space struct {
 
 	// gen counts page-byte replacements (a first write materializing a
 	// page, a fork copying a shared one, or Unmap recycling a page's
-	// bytes). A cached Slab of a page whose bytes were replaced is stale; the VM compares gen to decide when its
-	// software TLB must re-read its slabs.
+	// bytes) and permission changes (Protect). A cached Slab of a page
+	// whose bytes or permission changed is stale; the VM compares gen to
+	// decide when its software TLB must re-read its slabs.
 	gen uint64
 
 	// RSS accounting (Section 6.2.5 reproduces both the maxrss and the
@@ -227,7 +228,8 @@ func (s *Space) Release() {
 	*s = Space{}
 }
 
-// Gen returns the page-byte replacement count (see Space.gen).
+// Gen returns the count of page-byte replacements and permission changes
+// (see Space.gen).
 func (s *Space) Gen() uint64 { return s.gen }
 
 // search returns the directory index of leaf number num, or where to
@@ -375,6 +377,7 @@ func (s *Space) Protect(addr, size uint64, perm Perm) error {
 	for i := uint64(0); i < n; i++ {
 		s.entry(first + i).perm = perm
 	}
+	s.gen++
 	return nil
 }
 

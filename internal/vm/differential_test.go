@@ -5,12 +5,15 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"r2c/internal/attack"
+	"r2c/internal/codegen"
 	"r2c/internal/defense"
 	"r2c/internal/exec"
 	"r2c/internal/image"
+	"r2c/internal/isa"
 	"r2c/internal/sim"
 	"r2c/internal/telemetry"
 	"r2c/internal/tir"
@@ -135,6 +138,111 @@ func TestFastPathMatchesReferenceOnRandomPrograms(t *testing.T) {
 	}
 }
 
+// aluKernel links a program that computes a <op> b once and outputs it.
+// Lowering emits the immediate form only for stack adjustments, so the
+// kernel's one register-register ALU instruction is rewritten to op, or to
+// the immediate form with b as its immediate, before the link.
+func aluKernel(t *testing.T, op isa.AluOp, imm bool, a, b uint64) *image.Image {
+	t.Helper()
+	mb := tir.NewModule("alu")
+	main := mb.NewFunc("main", 0)
+	main.Output(main.Bin(tir.OpAdd, main.Const(a), main.Const(b)))
+	main.RetVoid()
+	mb.SetEntry("main")
+	prog, err := codegen.Compile(mb.MustBuild(), defense.Off(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, fn := 0, prog.Func("main")
+	for i := range fn.Instrs {
+		if in := &fn.Instrs[i]; in.Kind == isa.KAlu {
+			in.Alu = op
+			if imm {
+				in.Kind, in.Imm = isa.KAluImm, b
+			}
+			n++
+		}
+	}
+	if n != 1 {
+		t.Fatalf("kernel lowered to %d ALU instructions, want 1", n)
+	}
+	img, err := image.Link(prog, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestFastPathALUParity runs every ALU suboperation, and one past the last,
+// in both the register-register and the register-immediate form under both
+// engines, on operands that divide and take the remainder by zero, shift by
+// 64 and more, and overflow a multiplication. workload.Random emits no div
+// or rem, so the generated-program differentials never reach them. The
+// engines must agree on the Result, the PC and the error, and the output
+// must be the wrapped 64-bit value with shift counts taken mod 64.
+func TestFastPathALUParity(t *testing.T) {
+	pairs := [][2]uint64{
+		{1000, 7},
+		{5, 0}, // division and remainder by zero
+		{^uint64(0), ^uint64(0)},
+		{1<<63 | 3, 6}, // mul overflows
+		{0xdead_beef_0bad_f00d, 63},
+		{0xdead_beef_0bad_f00d, 64}, // shift counts of 64 and above
+		{0xdead_beef_0bad_f00d, 65},
+		{0xdead_beef_0bad_f00d, 1 << 40},
+	}
+	want := func(op isa.AluOp, a, b uint64) (uint64, string) {
+		switch op {
+		case isa.AluAdd:
+			return a + b, ""
+		case isa.AluSub:
+			return a - b, ""
+		case isa.AluMul:
+			return a * b, ""
+		case isa.AluDiv, isa.AluRem:
+			if b == 0 {
+				return 0, "division by zero"
+			}
+			if op == isa.AluDiv {
+				return a / b, ""
+			}
+			return a % b, ""
+		case isa.AluAnd:
+			return a & b, ""
+		case isa.AluOr:
+			return a | b, ""
+		case isa.AluXor:
+			return a ^ b, ""
+		case isa.AluShl:
+			return a << (b % 64), ""
+		case isa.AluShr:
+			return a >> (b % 64), ""
+		}
+		return 0, "unknown alu op"
+	}
+	for op := isa.AluAdd; op <= isa.AluShr+1; op++ {
+		for _, imm := range []bool{false, true} {
+			for _, p := range pairs {
+				what := fmt.Sprintf("%v imm=%v %#x, %#x", op, imm, p[0], p[1])
+				img := aluKernel(t, op, imm, p[0], p[1])
+				fast := runFast(newMachine(t, img, 1, vm.EPYCRome(), nil))
+				ref := runRef(newMachine(t, img, 1, vm.EPYCRome(), nil))
+				requireSame(t, what, fast, ref)
+				v, errText := want(op, p[0], p[1])
+				if errText != "" {
+					if !strings.Contains(fast.err, errText) {
+						t.Fatalf("%s: error %q, want %q", what, fast.err, errText)
+					}
+					continue
+				}
+				if fast.err != "" || !fast.res.Halted || len(fast.res.Output) != 1 || fast.res.Output[0] != v {
+					t.Fatalf("%s: output %v (err %q), want %#x", what, fast.res.Output, fast.err, v)
+				}
+			}
+		}
+	}
+}
+
 // TestFastPathResumeAndKnobParity drives two identically-built machines in
 // small chunks with the RSS-sampling and i-cache-flush knobs enabled. Every
 // pause must land on the same PC with the same Result: the fast path cuts
@@ -220,28 +328,63 @@ func TestFastPathTrapParity(t *testing.T) {
 
 // TestFastPathMetricsJSONParity compares the -metrics-out artifact byte for
 // byte: a fully instrumented run (registry + function profiler) must export
-// the identical JSON under either engine.
+// the identical JSON under either engine. The profiler reads the cycle total
+// at every call, return and cross-function jump, so the legs cover a
+// call-dense module (xz), Figure 6's heaviest (nab), a webserver (nginx) and
+// a profiled run resumed across hundreds of small Run calls.
 func TestFastPathMetricsJSONParity(t *testing.T) {
-	b, _ := workload.ByName("xz")
-	img := buildImage(t, b.Build(16), defense.R2CFull(), 11)
-	run := func(engine func(*vm.Machine) leg) (leg, []byte) {
-		obs := &telemetry.Observer{Registry: telemetry.NewRegistry(), ProfileFuncs: true}
-		mach := newMachine(t, img, 11, vm.EPYCRome(), obs)
-		mach.EnableProfiler()
-		l := engine(mach)
-		mach.PublishMetrics(obs.Registry)
-		mach.Profiler().Publish(obs.Registry)
-		var buf bytes.Buffer
-		if err := obs.Registry.WriteJSON(&buf); err != nil {
-			t.Fatalf("metrics JSON: %v", err)
+	for _, c := range []struct {
+		name  string
+		scale int
+		chunk uint64 // instructions per Run call; 0 runs like production cells
+	}{
+		{"xz", 16, 0},
+		{"nab", 64, 0},
+		{"nginx", 16, 0},
+		{"xz", 64, 4093},
+	} {
+		b, _ := workload.ByName(c.name)
+		img := buildImage(t, b.Build(c.scale), defense.R2CFull(), 11)
+		run := func(engine func(*vm.Machine) leg) (leg, []byte) {
+			obs := &telemetry.Observer{Registry: telemetry.NewRegistry(), ProfileFuncs: true}
+			mach := newMachine(t, img, 11, vm.EPYCRome(), obs)
+			mach.EnableProfiler()
+			l := engine(mach)
+			mach.PublishMetrics(obs.Registry)
+			mach.Profiler().Publish(obs.Registry)
+			var buf bytes.Buffer
+			if err := obs.Registry.WriteJSON(&buf); err != nil {
+				t.Fatalf("metrics JSON: %v", err)
+			}
+			return l, buf.Bytes()
 		}
-		return l, buf.Bytes()
+		fastRun, refRun := runFast, runRef
+		if c.chunk > 0 {
+			fastRun, refRun = inChunks((*vm.Machine).Run, c.chunk), inChunks(vm.RunReference, c.chunk)
+		}
+		what := fmt.Sprintf("instrumented %s scale %d chunk %d", c.name, c.scale, c.chunk)
+		fast, fj := run(fastRun)
+		ref, rj := run(refRun)
+		requireSame(t, what, fast, ref)
+		if !fast.res.Halted {
+			t.Fatalf("%s: run did not halt: %s", what, fast.err)
+		}
+		if !bytes.Equal(fj, rj) {
+			t.Fatalf("%s: metrics JSON diverges\nfast:      %s\nreference: %s", what, fj, rj)
+		}
 	}
-	fast, fj := run(runFast)
-	ref, rj := run(runRef)
-	requireSame(t, "instrumented xz", fast, ref)
-	if !bytes.Equal(fj, rj) {
-		t.Fatalf("metrics JSON diverges\nfast:      %s\nreference: %s", fj, rj)
+}
+
+// inChunks runs a machine to its end on one engine, chunk instructions per
+// call, so every chunk edge is a pause and a resume.
+func inChunks(run func(*vm.Machine, uint64) (*vm.Result, error), chunk uint64) func(*vm.Machine) leg {
+	return func(m *vm.Machine) leg {
+		for {
+			res, err := run(m, chunk)
+			if err != vm.ErrFuelExhausted || res.Instructions >= sim.DefaultBudget {
+				return leg{res, errString(err), m.CPU.PC}
+			}
+		}
 	}
 }
 

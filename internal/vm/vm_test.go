@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"r2c/internal/defense"
+	"r2c/internal/image"
 	"r2c/internal/isa"
+	"r2c/internal/mem"
 	"r2c/internal/sim"
 	"r2c/internal/tir"
 	"r2c/internal/vm"
@@ -309,14 +311,12 @@ func TestUnwinderWalksBTRAFrames(t *testing.T) {
 	}
 }
 
-// TestStoreWhilePausedIsSeenOnResume pins the attacker's write path against
-// the software TLB: a machine paused inside a loop that polls a global has
-// the data page cached as a slab still shared with the process snapshot (no
-// runtime call in the loop flushes it); a Space.Write64 then copies the
-// page into the fork, and the resumed run must read the new word, not the
-// stale shared bytes.
-func TestStoreWhilePausedIsSeenOnResume(t *testing.T) {
-	const polls = 100_000
+// pausedPoller builds a loop that polls the global g up to pollCount times and
+// outputs how many polls it made, loads it, and pauses it after pauseAfter
+// instructions on the given engine. No runtime call in the loop flushes the
+// data TLB, so g's page stays cached across the pause.
+func pausedPoller(t *testing.T, run func(*vm.Machine, uint64) (*vm.Result, error)) (*vm.Machine, *image.Image) {
+	t.Helper()
 	mb := tir.NewModule("pausewrite")
 	mb.AddGlobal("g", 8, 5)
 	main := mb.NewFunc("main", 0)
@@ -329,7 +329,7 @@ func TestStoreWhilePausedIsSeenOnResume(t *testing.T) {
 	main.CondBr(main.Bin(tir.OpEq, v, main.Const(77)), done, next)
 	main.SetBlock(next)
 	main.BinTo(i, tir.OpAdd, i, main.Const(1))
-	main.CondBr(main.Bin(tir.OpLt, i, main.Const(polls)), head, done)
+	main.CondBr(main.Bin(tir.OpLt, i, main.Const(pollCount)), head, done)
 	main.SetBlock(done)
 	main.Output(i)
 	main.RetVoid()
@@ -343,17 +343,84 @@ func TestStoreWhilePausedIsSeenOnResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := vm.New(proc, vm.EPYCRome())
-	if _, err := m.Run(500); !errors.Is(err, vm.ErrFuelExhausted) {
+	if _, err := run(m, pauseAfter); !errors.Is(err, vm.ErrFuelExhausted) {
 		t.Fatalf("run did not pause: %v", err)
 	}
-	if err := proc.Space.Write64(img.DataSyms["g"].Addr, 77); err != nil {
-		t.Fatal(err)
+	return m, img
+}
+
+// pollCount is how many times pausedPoller's loop polls g, and pauseAfter
+// how many instructions it retires before the pause.
+const pollCount, pauseAfter = 100_000, 500
+
+// engines are the two interpreters behind Run, by name.
+var engines = []struct {
+	name string
+	run  func(*vm.Machine, uint64) (*vm.Result, error)
+}{
+	{"fast", (*vm.Machine).Run},
+	{"reference", vm.RunReference},
+}
+
+// TestStoreWhilePausedIsSeenOnResume pins the attacker's write path against
+// the software TLB: a machine paused inside a loop that polls a global has
+// the data page cached as a slab still shared with the process snapshot; a
+// Space.Write64 then copies the page into the fork, and the resumed run
+// must read the new word, not the stale shared bytes.
+func TestStoreWhilePausedIsSeenOnResume(t *testing.T) {
+	for _, e := range engines {
+		m, img := pausedPoller(t, e.run)
+		if err := m.Proc.Space.Write64(img.DataSyms["g"].Addr, 77); err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.run(m, sim.DefaultBudget)
+		if err != nil || !res.Halted {
+			t.Fatalf("%s: resumed run: %v", e.name, err)
+		}
+		if got := res.Output; len(got) != 1 || got[0] == 0 || got[0] >= pollCount {
+			t.Fatalf("%s: loop exited after %v polls: the store made while paused was not seen", e.name, got)
+		}
 	}
-	res, err := m.Run(sim.DefaultBudget)
-	if err != nil || !res.Halted {
-		t.Fatalf("resumed run: %v", err)
-	}
-	if got := res.Output; len(got) != 1 || got[0] == 0 || got[0] >= polls {
-		t.Fatalf("loop exited after %v polls: the store made while paused was not seen", got)
+}
+
+// TestProtectWhilePausedIsSeenOnResume revokes permissions while the
+// poller is paused: with g's page made unreadable the resumed run must
+// read-fault at the load of g, and with the code page made non-executable
+// it must fetch-fault at the PC it paused on, before retiring anything.
+// Neither the cached TLB entry nor the remembered exec page may outlive
+// the pause.
+func TestProtectWhilePausedIsSeenOnResume(t *testing.T) {
+	page := func(a uint64) uint64 { return a &^ mem.PageMask }
+	for _, e := range engines {
+		m, img := pausedPoller(t, e.run)
+		g := img.DataSyms["g"].Addr
+		if err := m.Proc.Space.Protect(page(g), mem.PageSize, mem.PermNone); err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.run(m, sim.DefaultBudget)
+		if err != nil || res.Halted || res.Fault == nil {
+			t.Fatalf("%s: unreadable g: resumed run did not fault (err %v, result %+v)", e.name, err, res)
+		}
+		if f := res.Fault; f.Addr != g || f.Access != mem.AccessRead {
+			t.Fatalf("%s: unreadable g: fault %+v, want a read of %#x", e.name, f, g)
+		}
+		pf := img.FuncAt(m.CPU.PC)
+		if pf == nil || pf.F.Instrs[pf.InstrIndexAt(m.CPU.PC)].Kind != isa.KLoad {
+			t.Fatalf("%s: unreadable g: stopped at %#x, not at the load of g", e.name, m.CPU.PC)
+		}
+
+		m, _ = pausedPoller(t, e.run)
+		pc := m.CPU.PC
+		if err := m.Proc.Space.Protect(page(pc), mem.PageSize, mem.PermRead); err != nil {
+			t.Fatal(err)
+		}
+		res, err = e.run(m, sim.DefaultBudget)
+		if err != nil || res.Halted || res.Fault == nil {
+			t.Fatalf("%s: read-only code: resumed run did not fault (err %v, result %+v)", e.name, err, res)
+		}
+		if f := res.Fault; f.Addr != pc || f.Access != mem.AccessExec || m.CPU.PC != pc || res.Instructions != pauseAfter {
+			t.Fatalf("%s: read-only code: fault %+v at PC %#x after %d instructions, want a fetch of %#x after %d",
+				e.name, f, m.CPU.PC, res.Instructions, pc, pauseAfter)
+		}
 	}
 }
