@@ -29,10 +29,11 @@ test:
 # Concurrently-updated state lives in the telemetry registry, the exec
 # engine (worker pool + build cache + incident log, which attack scenarios
 # share across pool workers), the fleet's heal goroutines and the process
-# snapshots every fork shares (mem, heap, rt); their tests — and the bench
-# drivers that fan cells through them — run under the race detector.
+# snapshots every fork shares (mem, heap, rt), and every build reads the
+# one booby-trap body codegen shares (codegen, image); their tests — and the
+# bench drivers that fan cells through them — run under the race detector.
 # RACE_PKGS is the list `make check` races too.
-RACE_PKGS = ./internal/exec/ ./internal/attack/ ./internal/telemetry/ ./internal/vm/ ./internal/pcode/ ./internal/incident/ ./internal/fleet/ ./internal/mvee/ ./internal/harness/ ./internal/mem/ ./internal/heap/ ./internal/rt/
+RACE_PKGS = ./internal/exec/ ./internal/attack/ ./internal/telemetry/ ./internal/vm/ ./internal/pcode/ ./internal/incident/ ./internal/fleet/ ./internal/mvee/ ./internal/harness/ ./internal/mem/ ./internal/heap/ ./internal/rt/ ./internal/codegen/ ./internal/image/
 test-race:
 	$(GO) test -race -timeout 300s $(RACE_PKGS) ./internal/sim/ ./internal/bench/
 
@@ -139,7 +140,7 @@ inline:
 check: build vet inline test
 	$(GO) test -race -timeout 300s $(RACE_PKGS)
 	$(GO) test -run=^$$ -bench=BenchmarkVM -benchtime=1x ./internal/vm/
-	$(GO) test -run=^$$ -bench='BenchmarkBuildImage|BenchmarkLoad|BenchmarkFork|BenchmarkServeRequest' -benchtime=1x ./internal/rt/
+	$(GO) test -run=^$$ -bench='BenchmarkBuildImage|BenchmarkPredecode|BenchmarkLoad|BenchmarkFork|BenchmarkServeRequest' -benchtime=1x ./internal/rt/
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 clean:

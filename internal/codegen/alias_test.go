@@ -2,6 +2,7 @@ package codegen_test
 
 import (
 	"sort"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -13,11 +14,12 @@ import (
 )
 
 // TestInstrSlicesAreDisjoint pins the exact-size build path's aliasing
-// contract. Lowering reuses one scratch buffer, and the booby-trap pool and
-// the linker's address index are windows of shared arrays; image.resolve
-// writes instructions in place, so a slice with spare capacity or an
-// overlapping neighbour would let one function's writes (or appends)
-// corrupt another's.
+// contract. Lowering reuses one scratch buffer, and the linker's address
+// index is windows of one shared array; image.resolve writes instructions
+// in place, so a slice with spare capacity or an overlapping neighbour
+// would let one function's writes (or appends) corrupt another's. Booby-trap
+// functions are the one exception: they share one read-only body, which
+// TestTrapBodyStaysShared holds.
 func TestInstrSlicesAreDisjoint(t *testing.T) {
 	m := workload.Perlbench(2)
 	for _, cfg := range []defense.Config{defense.R2CFull(), defense.Off()} {
@@ -27,7 +29,9 @@ func TestInstrSlicesAreDisjoint(t *testing.T) {
 		}
 		instrs := map[string][]isa.Instr{}
 		for _, f := range prog.Funcs {
-			instrs[f.Name] = f.Instrs
+			if !f.BoobyTrap {
+				instrs[f.Name] = f.Instrs
+			}
 		}
 		checkDisjoint(t, cfg.Name+" Instrs", instrs)
 
@@ -40,6 +44,65 @@ func TestInstrSlicesAreDisjoint(t *testing.T) {
 			addrs[name] = pf.InstrAddrs
 		}
 		checkDisjoint(t, cfg.Name+" InstrAddrs", addrs)
+	}
+}
+
+// TestTrapBodyStaysShared holds the contract that lets every booby-trap
+// function of every build share one instruction body: nothing writes it.
+// Several r2c-full images are compiled and linked at once (so the race
+// detector sees any write beside the others' reads) and one of them is
+// rerolled; the body must still be TrapFuncLen traps with no operand.
+func TestTrapBodyStaysShared(t *testing.T) {
+	m := workload.Perlbench(2)
+	imgs := make([]*image.Image, 4)
+	errs := make([]error, len(imgs))
+	var wg sync.WaitGroup
+	for i := range imgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prog, err := codegen.Compile(m, defense.R2CFull(), uint64(i)+1)
+			if err == nil {
+				imgs[i], err = image.Link(prog, uint64(i)+1)
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := imgs[0].Reroll(99); err != nil {
+		t.Fatal(err)
+	}
+
+	var body *isa.Instr
+	n := 0
+	for _, img := range imgs {
+		for _, f := range img.Prog.Funcs {
+			if !f.BoobyTrap {
+				continue
+			}
+			n++
+			if len(f.Instrs) != codegen.TrapFuncLen || cap(f.Instrs) != codegen.TrapFuncLen {
+				t.Fatalf("%s: len %d cap %d, want %d", f.Name, len(f.Instrs), cap(f.Instrs), codegen.TrapFuncLen)
+			}
+			if body == nil {
+				body = &f.Instrs[0]
+			} else if &f.Instrs[0] != body {
+				t.Fatalf("%s does not share the booby-trap body", f.Name)
+			}
+			for i, in := range f.Instrs {
+				if in != (isa.Instr{Kind: isa.KTrap, LocalTarget: -1}) {
+					t.Fatalf("%s instr %d = %+v, want a bare trap", f.Name, i, in)
+				}
+			}
+		}
+	}
+	if want := len(imgs) * defense.R2CFull().BTRAPoolSize; n != want {
+		t.Fatalf("%d booby-trap functions, want %d", n, want)
 	}
 }
 

@@ -8,6 +8,7 @@ package codegen
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"r2c/internal/defense"
@@ -238,12 +239,21 @@ const (
 	SymBTDPDecoyPrefix = "__btdp_decoy"
 )
 
-// BoobyTrapSym returns the symbol name of booby-trap function i.
-func BoobyTrapSym(i int) string { return fmt.Sprintf("__bt%d", i) }
+// BoobyTrapSym returns the symbol name of booby-trap function i. Names in
+// the shared pool come from its table: the BTRA pickers ask for one per
+// booby-trap target.
+func BoobyTrapSym(i int) string {
+	if i >= 0 && i < len(sharedTraps) {
+		return sharedTraps[i].Name
+	}
+	return trapSym(i)
+}
+
+func trapSym(i int) string { return "__bt" + strconv.Itoa(i) }
 
 // TrampolineSym returns the CPH trampoline symbol for a function (Readactor
 // baseline).
 func TrampolineSym(fn string) string { return "__tramp_" + fn }
 
 // ArraySym returns the AVX2 BTRA array symbol for a call site.
-func ArraySym(callSiteID int) string { return fmt.Sprintf("__btra_arr_cs%d", callSiteID) }
+func ArraySym(callSiteID int) string { return "__btra_arr_cs" + strconv.Itoa(callSiteID) }

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"strconv"
 
 	"r2c/internal/defense"
 	"r2c/internal/isa"
@@ -61,6 +62,17 @@ func Compile(mod *tir.Module, cfg defense.Config, seed uint64) (*Program, error)
 		trampolined: map[string]string{},
 		calleeSets:  map[string][]AddrWord{},
 	}
+	// Size the scratch buffer for the longest function at four machine
+	// instructions per TIR instruction, so it seldom grows.
+	longest := 0
+	for _, f := range mod.Funcs {
+		n := 0
+		for _, b := range f.Blocks {
+			n += len(b.Instrs)
+		}
+		longest = max(longest, n)
+	}
+	lw.code = make([]isa.Instr, 0, 4*longest)
 	// Section 7.4.2: protected stack-parameter functions reachable from
 	// unprotected code either get downgraded (the paper's choice) or, with
 	// StackArgTrampolines, keep protection behind an adapter.
@@ -104,18 +116,15 @@ func Compile(mod *tir.Module, cfg defense.Config, seed uint64) (*Program, error)
 		})
 	}
 
-	// Booby-trap functions for BTRAs to point into. Their instructions and
-	// Func structs each come from one backing array.
+	// Booby-trap functions for BTRAs to point into: the shared pool's,
+	// then any beyond it.
 	if cfg.BTRAEnabled() {
-		traps := make([]isa.Instr, cfg.BTRAPoolSize*TrapFuncLen)
-		for i := range traps {
-			traps[i] = isa.Instr{Kind: isa.KTrap, LocalTarget: -1}
-		}
-		bts := make([]Func, cfg.BTRAPoolSize)
-		for i := range bts {
-			end := (i + 1) * TrapFuncLen
-			bts[i] = Func{Name: BoobyTrapSym(i), BoobyTrap: true, Instrs: traps[end-TrapFuncLen : end : end]}
-			p.Funcs = append(p.Funcs, &bts[i])
+		for i := range cfg.BTRAPoolSize {
+			if i < len(sharedTraps) {
+				p.Funcs = append(p.Funcs, &sharedTraps[i])
+			} else {
+				p.Funcs = append(p.Funcs, newTrapFunc(i))
+			}
 		}
 	}
 
@@ -149,9 +158,43 @@ func Compile(mod *tir.Module, cfg defense.Config, seed uint64) (*Program, error)
 	}
 	p.NumCallSites = lw.nextCallSite
 	for _, f := range p.Funcs {
-		f.BlockStarts = BlockBoundaries(f.Instrs)
+		if !f.BoobyTrap {
+			f.BlockStarts = BlockBoundaries(f.Instrs)
+		}
 	}
 	return p, nil
+}
+
+// trapBody is the body every booby-trap function shares: TrapFuncLen traps,
+// and trapStarts its block leaders. Both are read-only. Nothing writes a
+// booby-trap function's Instrs after Compile: image.resolve patches only
+// instructions with a symbol, a return-address operand or a local jump
+// target, which a KTrap never has, and Image.Reroll copies only functions
+// holding BTRA pushes.
+var (
+	trapBody = func() (b [TrapFuncLen]isa.Instr) {
+		for i := range b {
+			b[i] = isa.Instr{Kind: isa.KTrap, LocalTarget: -1}
+		}
+		return b
+	}()
+	trapStarts = BlockBoundaries(trapBody[:])
+)
+
+// sharedTraps are booby-trap functions 0..255, built once and shared by
+// every Compile whose pool holds them (R2CFull's pool is 256): function i
+// is the same in every build. They are read-only like trapBody; Compile
+// skips them when it fills in BlockStarts.
+var sharedTraps = func() (fs [256]Func) {
+	for i := range fs {
+		fs[i] = *newTrapFunc(i)
+	}
+	return fs
+}()
+
+// newTrapFunc returns booby-trap function i over the shared body.
+func newTrapFunc(i int) *Func {
+	return &Func{Name: trapSym(i), BoobyTrap: true, Instrs: trapBody[:], BlockStarts: trapStarts}
 }
 
 // directlyCalledFromUnprotected reports whether any unprotected function
@@ -332,7 +375,7 @@ func (lw *lowerer) layoutFrame() {
 		size uint64
 		idx  int
 	}
-	var slots []protoSlot
+	slots := make([]protoSlot, 0, len(f.Locals)+lw.alloc.numSpills+out.NumBTDPs)
 	for i, l := range f.Locals {
 		size := (l.Size + 7) &^ 7
 		if size == 0 {
@@ -341,10 +384,10 @@ func (lw *lowerer) layoutFrame() {
 		slots = append(slots, protoSlot{SlotLocal, l.Name, size, i})
 	}
 	for i := 0; i < lw.alloc.numSpills; i++ {
-		slots = append(slots, protoSlot{SlotSpill, fmt.Sprintf("spill%d", i), 8, i})
+		slots = append(slots, protoSlot{SlotSpill, "spill" + strconv.Itoa(i), 8, i})
 	}
 	for i := 0; i < out.NumBTDPs; i++ {
-		slots = append(slots, protoSlot{SlotBTDP, fmt.Sprintf("btdp%d", i), 8, i})
+		slots = append(slots, protoSlot{SlotBTDP, "btdp" + strconv.Itoa(i), 8, i})
 	}
 
 	// Stack-slot randomization: permute the slot order. BTDP slots are
@@ -357,6 +400,7 @@ func (lw *lowerer) layoutFrame() {
 	lw.localOff = make([]int64, len(f.Locals))
 	lw.spillOff = make([]int64, lw.alloc.numSpills)
 	lw.btdpOff = make([]int64, out.NumBTDPs)
+	out.Slots = make([]Slot, 0, len(slots)+1) // + alignment padding
 	var off int64
 	for _, s := range slots {
 		switch s.kind {

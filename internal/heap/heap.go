@@ -264,6 +264,80 @@ func (a *Allocator) Free(addr uint64) error {
 	return nil
 }
 
+// FreeAll releases every chunk in addrs in one sweep of the live list. It
+// leaves the allocator and its space as calling Free on each chunk in turn
+// would, in any order: the same live allocations, free spans, counters,
+// mapped pages, permissions and RSS (the space's Gen may differ, since
+// adjacent pages go in one Unmap). It draws no randomness. An unknown or
+// repeated address is an error, reported before anything is freed.
+func (a *Allocator) FreeAll(addrs []uint64) error {
+	dead := make([]bool, len(a.allocs))
+	for _, addr := range addrs {
+		i, ok := a.find(addr)
+		if !ok || dead[i] {
+			return fmt.Errorf("heap: free of unknown chunk %#x", addr)
+		}
+		dead[i] = true
+	}
+	// The free spans are the coalesced union of the old ones and the
+	// freed chunks, merged in address order. Pages go when no kept
+	// allocation touches them: [lo, hi) collects adjacent ones, and
+	// keptLast is the last page of the kept allocation below.
+	free := make([]span, 0, len(a.free)+len(addrs))
+	addFree := func(s span) {
+		if n := len(free); n > 0 && free[n-1].addr+free[n-1].size == s.addr {
+			free[n-1].size += s.size
+			return
+		}
+		free = append(free, s)
+	}
+	unmap := func(lo, hi uint64) {
+		if lo < hi {
+			if err := a.space.Unmap(lo<<mem.PageShift, (hi-lo)<<mem.PageShift); err != nil {
+				panic(fmt.Sprintf("heap: internal unmap failure: %v", err))
+			}
+			a.livePages -= int(hi - lo)
+		}
+	}
+	kept, fi := a.allocs[:0], 0
+	var lo, hi, keptLast uint64
+	haveKept := false
+	for i, s := range a.allocs {
+		first, last := s.addr>>mem.PageShift, s.last()
+		if !dead[i] {
+			unmap(lo, min(hi, first))
+			lo, hi = 0, 0
+			kept = append(kept, s)
+			keptLast, haveKept = last, true
+			continue
+		}
+		for fi < len(a.free) && a.free[fi].addr < s.addr {
+			addFree(a.free[fi])
+			fi++
+		}
+		addFree(s)
+		a.liveBytes -= s.size
+		a.numFrees++
+		if haveKept && first <= keptLast {
+			first = keptLast + 1
+		}
+		if first > last {
+			continue
+		}
+		if first > hi {
+			unmap(lo, hi)
+			lo = first
+		}
+		hi = max(hi, last+1)
+	}
+	unmap(lo, hi)
+	for _, s := range a.free[fi:] {
+		addFree(s)
+	}
+	a.allocs, a.free = kept, free
+	return nil
+}
+
 // Protect changes the permission of every page fully covered by the chunk at
 // addr. The BTDP constructor calls this with PermNone on page-aligned,
 // page-sized chunks to create guard pages.

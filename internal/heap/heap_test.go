@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -316,5 +317,100 @@ func TestAllocFreeLoopReturnsFrames(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, cycle); n >= 1 {
 		t.Fatalf("an alloc/write/free cycle allocates %.1f times: freed frames are not recycled", n)
+	}
+}
+
+// TestFreeAllMatchesSequentialFree holds FreeAll to its contract on random
+// heaps: small chunks that share pages, page-aligned pages (some of them
+// guard pages), multi-page chunks and earlier frees that leave free spans
+// to coalesce with. Freeing a random subset in one call must leave exactly
+// the state that freeing it chunk by chunk leaves, and draw no randomness.
+func TestFreeAllMatchesSequentialFree(t *testing.T) {
+	// build replays one heap history from seed, so two calls give two
+	// identical heaps; it returns the live chunks in allocation order.
+	build := func(seed uint64) (*mem.Space, *Allocator, []uint64) {
+		s, a := newHeap(t, seed)
+		script := rng.New(seed ^ 0x5eed)
+		var live []uint64
+		for range 40 + script.Intn(200) {
+			var addr uint64
+			var err error
+			switch k := script.Intn(10); {
+			case k < 5:
+				addr, err = a.Alloc(uint64(8 + script.Intn(300)))
+			case k < 8:
+				addr, err = a.AllocAligned(mem.PageSize, mem.PageSize)
+				if err == nil && script.Intn(3) == 0 {
+					err = a.Protect(addr, mem.PermNone)
+				}
+			case k < 9:
+				addr, err = a.Alloc(uint64(1+script.Intn(3)) * mem.PageSize)
+			default:
+				if len(live) > 0 {
+					i := script.Intn(len(live))
+					err = a.Free(live[i])
+					live = append(live[:i], live[i+1:]...)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, addr)
+		}
+		return s, a, live
+	}
+	for seed := uint64(1); seed <= 300; seed++ {
+		ws, want, live := build(seed)
+		gs, got, _ := build(seed)
+		pick := rng.New(seed)
+		var addrs []uint64
+		for _, addr := range live {
+			if pick.Intn(4) != 0 {
+				addrs = append(addrs, addr)
+			}
+		}
+		pick.Shuffle(len(addrs), func(i, j int) { addrs[i], addrs[j] = addrs[j], addrs[i] })
+		for _, addr := range addrs {
+			if err := want.Free(addr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := got.FreeAll(addrs); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.allocs, want.allocs) || !slices.Equal(got.free, want.free) {
+			t.Fatalf("seed %d: spans differ\nallocs %v\nwant   %v\nfree %v\nwant %v", seed, got.allocs, want.allocs, got.free, want.free)
+		}
+		if got.Stats() != want.Stats() || got.brk != want.brk {
+			t.Fatalf("seed %d: stats %+v brk %#x, want %+v brk %#x", seed, got.Stats(), got.brk, want.Stats(), want.brk)
+		}
+		if !slices.Equal(gs.Regions(), ws.Regions()) || gs.RSSPages() != ws.RSSPages() || gs.MaxRSSPages() != ws.MaxRSSPages() {
+			t.Fatalf("seed %d: space differs\nregions %v rss %d/%d\nwant    %v rss %d/%d", seed,
+				gs.Regions(), gs.RSSPages(), gs.MaxRSSPages(), ws.Regions(), ws.RSSPages(), ws.MaxRSSPages())
+		}
+		if g, w := got.rnd.Uint64(), want.rnd.Uint64(); g != w {
+			t.Fatalf("seed %d: RNG state differs after the frees", seed)
+		}
+	}
+}
+
+// TestFreeAllRejectsBadSets: an unknown or repeated address fails the
+// call before any chunk is freed.
+func TestFreeAllRejectsBadSets(t *testing.T) {
+	_, a := newHeap(t, 12)
+	x, _ := a.Alloc(64)
+	y, _ := a.Alloc(64)
+	before := a.Stats()
+	for _, addrs := range [][]uint64{{x, y + 16}, {x, y, x}} {
+		if err := a.FreeAll(addrs); err == nil {
+			t.Fatalf("FreeAll(%#x) succeeded", addrs)
+		}
+		if a.Stats() != before || len(a.allocs) != 2 {
+			t.Fatalf("FreeAll(%#x) changed the heap: %+v", addrs, a.Stats())
+		}
 	}
 }

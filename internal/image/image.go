@@ -9,6 +9,7 @@ package image
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"r2c/internal/codegen"
@@ -299,7 +300,7 @@ func (img *Image) placeData(r *rng.RNG) error {
 		if cfg.GlobalPadding {
 			if n := r.Intn(8); n > 0 {
 				padCount++
-				addSym(fmt.Sprintf("__pad%d", padCount), uint64(n)*8, DataPad, nil)
+				addSym("__pad"+strconv.Itoa(padCount), uint64(n)*8, DataPad, nil)
 			}
 		}
 	}
@@ -315,7 +316,7 @@ func (img *Image) placeData(r *rng.RNG) error {
 	var decoys []pendingDecoy
 	if cfg.BTDP && !cfg.BTDPNaiveDataArray {
 		for i := 0; i < cfg.BTDPDataDecoys; i++ {
-			decoys = append(decoys, pendingDecoy{fmt.Sprintf("%s%d", codegen.SymBTDPDecoyPrefix, i)})
+			decoys = append(decoys, pendingDecoy{codegen.SymBTDPDecoyPrefix + strconv.Itoa(i)})
 		}
 	}
 

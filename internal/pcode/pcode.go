@@ -175,44 +175,60 @@ func (p *Program) NumOps() int { return len(p.Ops) }
 // Func names.
 func Build(funcs []FuncIn) *Program {
 	nops := len(funcs)
-	for _, f := range funcs {
-		nops += len(f.Instrs)
+	for i := range funcs {
+		nops += len(funcs[i].Instrs)
 	}
 	p := &Program{
-		Ops:   make([]Op, 0, nops),
-		Funcs: make([]FuncMeta, 0, len(funcs)),
+		Ops:   make([]Op, nops),
+		Funcs: make([]FuncMeta, len(funcs)),
 	}
 
-	// Pass 1: decode each instruction into its dense slot, with a sentinel
+	// Block leaders are function entries, sentinels, lowering-time block
+	// starts, terminator successors (all marked by pass 1) and resolved
+	// branch targets (marked by pass 2). Completeness here is a
+	// performance property, not a correctness one: the interpreter runs a
+	// control transfer that lands mid-block as a partial segment up to the
+	// block end.
+	leader := make([]bool, nops)
+
+	// Pass 1: decode each instruction in its dense slot, with a sentinel
 	// after each function so straight-line execution off the end is caught
 	// by dispatch rather than a bounds check. Sentinels are not
 	// architectural instructions; IndexOf skips them.
-	base := make([]int32, len(funcs))
+	k := 0
 	for fi := range funcs {
 		f := &funcs[fi]
-		base[fi] = int32(len(p.Ops))
-		for i := range f.Instrs {
-			op := decode(&f.Instrs[i], f.Addrs[i])
-			op.FuncIx = int32(fi)
-			p.Ops = append(p.Ops, op)
+		leader[k] = true
+		for _, s := range f.BlockStarts {
+			if s >= 0 && s < len(f.Instrs) {
+				leader[k+s] = true
+			}
 		}
-		p.Ops = append(p.Ops, Op{
-			Addr: f.End, Exec: XFellOff, Kind: isa.KNop,
-			TIdx: -1, FuncIx: int32(fi),
-		})
-		p.Funcs = append(p.Funcs, FuncMeta{Name: f.Name, Start: f.Start, End: f.End})
+		for i := range f.Instrs {
+			in := &f.Instrs[i]
+			decode(&p.Ops[k], in, f.Addrs[i], int32(fi))
+			k++
+			if in.EndsBlock() {
+				leader[k] = true
+			}
+		}
+		p.Ops[k] = Op{Addr: f.End, Exec: XFellOff, Kind: isa.KNop, TIdx: -1, RAIdx: -1, FuncIx: int32(fi)}
+		leader[k] = true
+		k++
+		p.Funcs[fi] = FuncMeta{Name: f.Name, Start: f.Start, End: f.End}
 	}
 
-	// Pass 2: resolve static control-transfer targets to dense indices, and
-	// calls' return-address sites (the fast interpreter's return predictor
-	// pairs the pushed RA value with this index, so a matching return skips
-	// the address lookup).
+	// Pass 2: resolve static control-transfer targets to dense indices,
+	// each a leader, and calls' return-address sites (the fast
+	// interpreter's return predictor pairs the pushed RA value with this
+	// index, so a matching return skips the address lookup).
 	for i := range p.Ops {
 		op := &p.Ops[i]
-		op.RAIdx = -1
 		switch op.Exec {
 		case XCall, XJmp, XJz, XJnz:
-			op.TIdx = p.IndexOf(op.Target)
+			if op.TIdx = p.IndexOf(op.Target); op.TIdx >= 0 {
+				leader[op.TIdx] = true
+			}
 		}
 		switch op.Exec {
 		case XCall, XCallInd:
@@ -220,102 +236,60 @@ func Build(funcs []FuncIn) *Program {
 		}
 	}
 
-	// Pass 3: block leaders — function entries, sentinels, lowering-time
-	// block starts, resolved branch targets, and terminator successors.
-	// Completeness here is a performance property, not a correctness one:
-	// the interpreter runs a control transfer that lands mid-block as a
-	// partial segment up to the block end.
-	leader := make([]bool, len(p.Ops)+1)
-	for fi := range funcs {
-		f := &funcs[fi]
-		b := int(base[fi])
-		leader[b] = true
-		leader[b+len(f.Instrs)] = true // sentinel
-		for _, s := range f.BlockStarts {
-			if s >= 0 && s < len(f.Instrs) {
-				leader[b+s] = true
-			}
-		}
-		for i := range f.Instrs {
-			if f.Instrs[i].EndsBlock() {
-				leader[b+i+1] = true
-			}
-		}
-	}
-	for i := range p.Ops {
-		if t := p.Ops[i].TIdx; t >= 0 {
-			leader[t] = true
-		}
-	}
-
-	// Pass 4: static fetch-elision flags relative to the dense predecessor.
-	// Leaders always check dynamically (anything can jump there); a
-	// non-leader only executes straight-line after its predecessor, whose
-	// line/page the machine's transition trackers then hold.
-	for i := range p.Ops {
-		op := &p.Ops[i]
-		if i == 0 || leader[i] {
-			op.Flags = FNewLine | FNewPage
-			continue
-		}
-		prev := &p.Ops[i-1]
-		if op.Addr>>lineShift != prev.Addr>>lineShift {
-			op.Flags |= FNewLine
-		}
-		if op.Addr>>mem.PageShift != prev.Addr>>mem.PageShift {
-			op.Flags |= FNewPage
-		}
-	}
-
-	// Pass 5: block extents and packed class counts (sentinels excluded —
-	// they retire nothing). A first sweep sizes Blocks and Classes exactly:
-	// a block's class count is the number of distinct kinds in it.
-	nblocks, nclass, kinds := 0, 0, uint64(0)
-	for i := range p.Ops {
-		if leader[i] {
+	// Pass 3: static fetch-elision flags relative to the dense predecessor,
+	// then block extents and packed class counts (sentinels excluded —
+	// they retire nothing). Leaders always check dynamically (anything can
+	// jump there); a non-leader only executes straight-line after its
+	// predecessor, whose line/page the machine's transition trackers then
+	// hold. A block's classes are its distinct kinds in ascending order, so
+	// there are at most as many as it has instructions.
+	nblocks := 0
+	for _, l := range leader {
+		if l {
 			nblocks++
-			nclass += bits.OnesCount64(kinds)
-			kinds = 0
-		}
-		if p.Ops[i].Exec != XFellOff {
-			kinds |= 1 << p.Ops[i].Kind
 		}
 	}
 	p.Blocks = make([]Block, 0, nblocks)
-	p.Classes = make([]uint32, 0, nclass+bits.OnesCount64(kinds))
-	for s := 0; s < len(p.Ops); {
-		e := s + 1
-		for e < len(p.Ops) && !leader[e] {
-			e++
-		}
-		var counts [isa.KindCount]uint32
-		for i := s; i < e; i++ {
-			if p.Ops[i].Exec != XFellOff {
-				counts[p.Ops[i].Kind]++
+	p.Classes = make([]uint32, 0, nops-len(funcs))
+	var counts [isa.KindCount]uint32
+	var kinds uint64 // bit k set: counts[k] > 0
+	for i := range p.Ops {
+		op := &p.Ops[i]
+		if leader[i] {
+			p.Blocks = append(p.Blocks, Block{Start: int32(i), ClassOff: uint32(len(p.Classes))})
+			op.Flags = FNewLine | FNewPage
+		} else {
+			prev := p.Ops[i-1].Addr
+			if op.Addr>>lineShift != prev>>lineShift {
+				op.Flags |= FNewLine
+			}
+			if op.Addr>>mem.PageShift != prev>>mem.PageShift {
+				op.Flags |= FNewPage
 			}
 		}
-		off := uint32(len(p.Classes))
-		var n uint16
-		for k, c := range counts {
-			if c > 0 {
-				p.Classes = append(p.Classes, uint32(k)<<24|c)
-				n++
+		op.Block = int32(len(p.Blocks) - 1)
+		if op.Exec != XFellOff {
+			kinds |= 1 << op.Kind
+			counts[op.Kind]++
+		}
+		if i+1 == len(p.Ops) || leader[i+1] {
+			b := &p.Blocks[len(p.Blocks)-1]
+			b.End, b.ClassN = int32(i+1), uint16(bits.OnesCount64(kinds))
+			for ; kinds != 0; kinds &= kinds - 1 {
+				k := bits.TrailingZeros64(kinds)
+				p.Classes = append(p.Classes, uint32(k)<<24|counts[k])
+				counts[k] = 0
 			}
 		}
-		bi := int32(len(p.Blocks))
-		p.Blocks = append(p.Blocks, Block{Start: int32(s), End: int32(e), ClassOff: off, ClassN: n})
-		for i := s; i < e; i++ {
-			p.Ops[i].Block = bi
-		}
-		s = e
 	}
 	return p
 }
 
-// decode translates one placed instruction into its predecoded form.
-func decode(in *isa.Instr, addr uint64) Op {
-	op := Op{
-		Addr: addr, Imm: in.Imm, Disp: in.Disp, Target: in.Target, TIdx: -1,
+// decode writes the predecoded form of one placed instruction of function
+// fi into op.
+func decode(op *Op, in *isa.Instr, addr uint64, fi int32) {
+	*op = Op{
+		Addr: addr, Imm: in.Imm, Disp: in.Disp, Target: in.Target, TIdx: -1, RAIdx: -1, FuncIx: fi,
 		Kind: in.Kind, Alu: in.Alu, Cmp: in.Cmp, Sys: in.Sys,
 		Dst: in.Dst, Src: in.Src, Base: in.Base, A: in.A, B: in.B,
 		VDst: in.VDst, VSrc: in.VSrc,
@@ -409,5 +383,4 @@ func decode(in *isa.Instr, addr uint64) Op {
 	default:
 		op.Exec = XUnimpl
 	}
-	return op
 }

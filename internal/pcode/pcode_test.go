@@ -100,8 +100,10 @@ func TestIndexOfAndSentinels(t *testing.T) {
 				t.Fatalf("%s instr %d: index %d resolves to wrong op", name, i, ix)
 			}
 			// One op per instruction: Build rewrites no exec code.
-			if got, want := p.Ops[ix].Exec, decode(&f.Instrs[i], a).Exec; got != want {
-				t.Fatalf("%s instr %d: exec %d, want its own decode %d", name, i, got, want)
+			var want Op
+			decode(&want, &f.Instrs[i], a, 0)
+			if got := p.Ops[ix].Exec; got != want.Exec {
+				t.Fatalf("%s instr %d: exec %d, want its own decode %d", name, i, got, want.Exec)
 			}
 		}
 		// The sentinel sits right after the last instruction, carries the

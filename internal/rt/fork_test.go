@@ -221,6 +221,21 @@ func BenchmarkBuildImage(b *testing.B) {
 	}
 }
 
+// BenchmarkPredecode prices the predecoder alone (pcode.Build, which Link
+// and Reroll run once per image) on BenchmarkBuildImage's module: one
+// r2c-full perlbench image, predecoded again each op.
+func BenchmarkPredecode(b *testing.B) {
+	img, err := sim.BuildImage(workload.Perlbench(8), defense.R2CFull(), 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		img.RebuildCode()
+	}
+}
+
 // BenchmarkLoad times the whole loader: segment mapping, heap set-up and
 // the BTDP constructor's allocate-free-protect dance, then the freeze.
 func BenchmarkLoad(b *testing.B) {

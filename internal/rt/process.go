@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync/atomic"
 
 	"r2c/internal/codegen"
@@ -270,19 +271,20 @@ func (p *Process) runBTDPConstructor() error {
 		pages[i] = a
 	}
 	keepIdx := p.rnd.Perm(len(pages))[:cfg.BTDPGuardPages]
-	kept := map[int]bool{}
-	for _, i := range keepIdx {
+	kept := make([]bool, len(pages))
+	p.GuardPages = make([]uint64, len(keepIdx))
+	for j, i := range keepIdx {
 		kept[i] = true
+		p.GuardPages[j] = pages[i]
 	}
+	freed := pages[:0]
 	for i, a := range pages {
 		if !kept[i] {
-			if err := p.Heap.Free(a); err != nil {
-				return err
-			}
+			freed = append(freed, a)
 		}
 	}
-	for _, i := range keepIdx {
-		p.GuardPages = append(p.GuardPages, pages[i])
+	if err := p.Heap.FreeAll(freed); err != nil {
+		return err
 	}
 
 	// Pointer array: random offsets inside the guard pages. Offsets are
@@ -330,7 +332,7 @@ func (p *Process) runBTDPConstructor() error {
 			inArray[v] = true
 		}
 		for i := 0; i < cfg.BTDPDataDecoys; i++ {
-			name := fmt.Sprintf("%s%d", codegen.SymBTDPDecoyPrefix, i)
+			name := codegen.SymBTDPDecoyPrefix + strconv.Itoa(i)
 			ds, ok := p.Img.DataSyms[name]
 			if !ok {
 				return fmt.Errorf("decoy symbol %s missing", name)

@@ -428,6 +428,9 @@ func (m *Machine) sys(s isa.Sys) error {
 		m.Proc.ExitStatus = cpu.R[isa.RDI]
 		m.res.Halted = true
 	case isa.SysProtect:
+		// Forget the exec page, so the next fetch checks its permission
+		// even when it stays on the page just re-protected.
+		m.lastExecPage = ^uint64(0)
 		perm := mem.Perm(cpu.R[isa.RDX])
 		return m.Proc.Space.Protect(cpu.R[isa.RDI], cpu.R[isa.RSI], perm)
 	default:

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"r2c/internal/codegen"
 	"r2c/internal/defense"
 	"r2c/internal/image"
 	"r2c/internal/isa"
@@ -421,6 +422,53 @@ func TestProtectWhilePausedIsSeenOnResume(t *testing.T) {
 		if f := res.Fault; f.Addr != pc || f.Access != mem.AccessExec || m.CPU.PC != pc || res.Instructions != pauseAfter {
 			t.Fatalf("%s: read-only code: fault %+v at PC %#x after %d instructions, want a fetch of %#x after %d",
 				e.name, f, m.CPU.PC, res.Instructions, pc, pauseAfter)
+		}
+	}
+}
+
+// TestProtectSyscallRevokesExecAtOnce runs a kernel whose main revokes exec
+// on its own text page with SysProtect: the very next fetch, from the same
+// page, must fault on both engines. The kernel is lowered from an empty
+// main whose body is then replaced before Link, since no codegen path
+// emits SysProtect.
+func TestProtectSyscallRevokesExecAtOnce(t *testing.T) {
+	mb := tir.NewModule("protect")
+	main := mb.NewFunc("main", 0)
+	main.Const(0) // a function with no register does not lower
+	main.RetVoid()
+	mb.SetEntry("main")
+	prog, err := codegen.Compile(mb.MustBuild(), defense.Off(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := prog.Func("main")
+	fn.Instrs = []isa.Instr{
+		{Kind: isa.KMovImm, Dst: isa.RDI, Sym: "main", LocalTarget: -1},
+		{Kind: isa.KAluImm, Alu: isa.AluAnd, Dst: isa.RDI, Imm: ^uint64(mem.PageMask), LocalTarget: -1},
+		{Kind: isa.KMovImm, Dst: isa.RSI, Imm: mem.PageSize, LocalTarget: -1},
+		{Kind: isa.KMovImm, Dst: isa.RDX, Imm: uint64(mem.PermRead), LocalTarget: -1},
+		{Kind: isa.KSys, Sys: isa.SysProtect, LocalTarget: -1},
+		{Kind: isa.KNop, LocalTarget: -1}, // must fetch-fault
+		{Kind: isa.KHalt, LocalTarget: -1},
+	}
+	fn.BlockStarts = codegen.BlockBoundaries(fn.Instrs)
+	img, err := image.Link(prog, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf := img.Funcs["main"]
+	pc := pf.InstrAddrs[5]
+	if pc>>mem.PageShift != pf.Start>>mem.PageShift {
+		t.Fatalf("main straddles a page (%#x..%#x): the kernel needs one page", pf.Start, pc)
+	}
+	for _, e := range engines {
+		m := newMachine(t, img, 1, vm.EPYCRome(), nil)
+		res, err := e.run(m, sim.DefaultBudget)
+		if err != nil || res.Halted || res.Fault == nil {
+			t.Fatalf("%s: ran on after revoking exec (err %v, halted %v, fault %v)", e.name, err, res.Halted, res.Fault)
+		}
+		if f := res.Fault; f.Addr != pc || f.Access != mem.AccessExec || m.CPU.PC != pc {
+			t.Fatalf("%s: fault %+v at PC %#x, want a fetch of %#x", e.name, f, m.CPU.PC, pc)
 		}
 	}
 }
