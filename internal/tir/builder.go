@@ -113,9 +113,11 @@ func (fb *FuncBuilder) NewLocal(name string, size uint64) int {
 	return len(fb.f.Locals) - 1
 }
 
-// NewBlock appends a new basic block and makes it current.
+// NewBlock appends a new basic block and makes it current. The block
+// starts with room for 16 instructions, so building a typical block (the
+// SPEC modules' are mostly 17–32 long) takes one growth instead of five.
 func (fb *FuncBuilder) NewBlock() int {
-	fb.f.Blocks = append(fb.f.Blocks, &Block{})
+	fb.f.Blocks = append(fb.f.Blocks, &Block{Instrs: make([]Instr, 0, 16)})
 	fb.cur = len(fb.f.Blocks) - 1
 	return fb.cur
 }
