@@ -140,7 +140,7 @@ inline:
 check: build vet inline test
 	$(GO) test -race -timeout 300s $(RACE_PKGS)
 	$(GO) test -run=^$$ -bench=BenchmarkVM -benchtime=1x ./internal/vm/
-	$(GO) test -run=^$$ -bench='BenchmarkBuildImage|BenchmarkPredecode|BenchmarkLoad|BenchmarkFork|BenchmarkServeRequest' -benchtime=1x ./internal/rt/
+	$(GO) test -run=^$$ -bench='BenchmarkBuildImage|BenchmarkRediversify|BenchmarkPredecode|BenchmarkLoad|BenchmarkFork|BenchmarkServeRequest' -benchtime=1x ./internal/rt/
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 clean:

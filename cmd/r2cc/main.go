@@ -61,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if f == nil {
 				return fmt.Errorf("no function %q", *dump)
 			}
-			fmt.Fprint(stdout, f.Disasm())
+			fmt.Fprint(stdout, f.Disasm(img.Prog.Syms))
 			if len(f.CallSites) > 0 {
 				fmt.Fprintln(stdout, "call sites:")
 				for _, cs := range f.CallSites {

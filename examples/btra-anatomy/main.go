@@ -30,7 +30,7 @@ func main() {
 	for i, in := range pf.F.Instrs {
 		if in.Kind == isa.KPushImm || in.Kind == isa.KCall ||
 			(in.Kind == isa.KAluImm && in.Dst == isa.RSP) || in.Kind == isa.KNop {
-			fmt.Printf("  %#x: %s\n", pf.InstrAddrs[i], in.String())
+			fmt.Printf("  %#x: %s\n", pf.InstrAddrs[i], in.Format(s.Proc.Img.Prog.Syms))
 			printed++
 			if in.Kind == isa.KCall {
 				break
@@ -52,7 +52,7 @@ func main() {
 	fmt.Println("\n=== 2. callee-side post-offset protection (helper prologue) ===")
 	hf := s.Proc.Img.Funcs[attack.SymHelper]
 	for i, in := range hf.F.Instrs {
-		fmt.Printf("  %#x: %s\n", hf.InstrAddrs[i], in.String())
+		fmt.Printf("  %#x: %s\n", hf.InstrAddrs[i], in.Format(s.Proc.Img.Prog.Syms))
 		if i > 6 {
 			fmt.Println("  ...")
 			break

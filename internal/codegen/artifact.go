@@ -19,12 +19,13 @@ import (
 // AddrWord is a link-time-resolved 64-bit datum: either the address of a
 // symbol (plus offset) or the return address of a call site. AVX2 BTRA
 // arrays are sequences of AddrWords (Section 5.1.2: "a call-site specific
-// array in the data section, prepared at compile time").
+// array in the data section, prepared at compile time"). Like isa.Instr it
+// holds no pointer: Sym indexes the program's symbol table.
 type AddrWord struct {
-	Sym        string
 	Off        int64
+	Sym        isa.Sym
+	CallSiteID int32
 	RetAddr    bool
-	CallSiteID int
 	// BTRA marks booby-trap entries, for introspection and the runtime's
 	// reroll support; invisible in memory.
 	BTRA bool
@@ -165,8 +166,8 @@ func BlockBoundaries(instrs []isa.Instr) []int {
 		}
 		switch in.Kind {
 		case isa.KJmp, isa.KJz, isa.KJnz:
-			if in.LocalTarget >= 0 && in.LocalTarget < len(instrs) {
-				mark(in.LocalTarget)
+			if t := int(in.LocalTarget); t >= 0 && t < len(instrs) {
+				mark(t)
 			}
 		}
 	}
@@ -179,12 +180,13 @@ func BlockBoundaries(instrs []isa.Instr) []int {
 	return out
 }
 
-// Disasm renders the function's instructions with indices.
-func (f *Func) Disasm() string {
+// Disasm renders the function's instructions with indices, reading symbol
+// names from syms, the table of the program f belongs to.
+func (f *Func) Disasm(syms []string) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s:\n", f.Name)
 	for i := range f.Instrs {
-		fmt.Fprintf(&sb, "  %3d: %s\n", i, f.Instrs[i].String())
+		fmt.Fprintf(&sb, "  %3d: %s\n", i, f.Instrs[i].Format(syms))
 	}
 	return sb.String()
 }
@@ -203,6 +205,26 @@ type Program struct {
 	Blobs []*DataBlob
 	// NumCallSites is the total number of call sites (IDs are dense).
 	NumCallSites int
+
+	// Syms is the program's symbol table: every isa.Instr.Sym and
+	// AddrWord.Sym in the program indexes it, and Syms[0] is "" (isa.NoSym).
+	// Compile interns each name as it lowers a reference to it; the table
+	// belongs to the program, so it is freed with it.
+	Syms   []string
+	symIDs map[string]isa.Sym
+}
+
+// Intern returns name's index in Syms, appending name if it is new. Compile
+// interns every name it refers to; a caller that rewrites a function body
+// after Compile interns its operands' names the same way, before Link.
+func (p *Program) Intern(name string) isa.Sym {
+	if id, ok := p.symIDs[name]; ok {
+		return id
+	}
+	id := isa.Sym(len(p.Syms))
+	p.Syms = append(p.Syms, name)
+	p.symIDs[name] = id
+	return id
 }
 
 // Func returns the compiled function with the given name, or nil.

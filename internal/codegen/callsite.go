@@ -32,7 +32,7 @@ func (lw *lowerer) freshBTRAs(n int) []AddrWord {
 		// Offsets land on (4-byte padded ud2) instruction boundaries inside
 		// the trap function, so a triggered BTRA always detonates cleanly.
 		out[i] = AddrWord{
-			Sym:  BoobyTrapSym(lw.rnd.Intn(lw.cfg.BTRAPoolSize)),
+			Sym:  lw.prog.Intern(BoobyTrapSym(lw.rnd.Intn(lw.cfg.BTRAPoolSize))),
 			Off:  4 * int64(lw.rnd.Intn(TrapFuncLen)),
 			BTRA: true,
 		}
@@ -177,9 +177,9 @@ func (lw *lowerer) emitCall(dst tir.Reg, calleeSym string, calleeReg tir.Reg, ar
 	// The call itself.
 	site.CallInstrIndex = len(lw.code)
 	if calleeSym != "" {
-		lw.emit(isa.Instr{Kind: isa.KCall, Sym: calleeSym, CallSiteID: site.ID, LocalTarget: -1})
+		lw.emit(isa.Instr{Kind: isa.KCall, Sym: lw.prog.Intern(calleeSym), CallSiteID: int32(site.ID), LocalTarget: -1})
 	} else {
-		lw.emit(isa.Instr{Kind: isa.KCallInd, Src: ind, CallSiteID: site.ID, LocalTarget: -1})
+		lw.emit(isa.Instr{Kind: isa.KCallInd, Src: ind, CallSiteID: int32(site.ID), LocalTarget: -1})
 	}
 
 	// Section 7.3 hardening: before discarding the pre-offset, verify a
@@ -198,7 +198,7 @@ func (lw *lowerer) emitCall(dst tir.Reg, calleeSym string, calleeReg tir.Reg, ar
 		// Skip the detonation when the value matches. The jump target is a
 		// final instruction index (not a TIR block), so it bypasses the
 		// block fixup.
-		lw.emit(isa.Instr{Kind: isa.KJnz, Src: isa.R10, LocalTarget: len(lw.code) + 2})
+		lw.emit(isa.Instr{Kind: isa.KJnz, Src: isa.R10, LocalTarget: int32(len(lw.code) + 2)})
 		lw.emit(isa.Instr{Kind: isa.KTrap, BTRA: true, LocalTarget: -1})
 	}
 
@@ -231,7 +231,7 @@ func (lw *lowerer) emitPushSetup(site *CallSite, pre, post int) {
 		b := site.BTRAs[i]
 		lw.emit(isa.Instr{Kind: isa.KPushImm, Sym: b.Sym, SymOff: b.Off, BTRA: true, LocalTarget: -1})
 	}
-	lw.emit(isa.Instr{Kind: isa.KPushImm, RetAddr: true, CallSiteID: site.ID, LocalTarget: -1})
+	lw.emit(isa.Instr{Kind: isa.KPushImm, RetAddr: true, CallSiteID: int32(site.ID), LocalTarget: -1})
 	for i := pre; i < pre+post; i++ {
 		b := site.BTRAs[i]
 		lw.emit(isa.Instr{Kind: isa.KPushImm, Sym: b.Sym, SymOff: b.Off, BTRA: true, LocalTarget: -1})
@@ -266,7 +266,7 @@ func (lw *lowerer) emitAVXSetup(site *CallSite, pre, post int) {
 		words[j] = site.BTRAs[i]
 		j++
 	}
-	words[j] = AddrWord{RetAddr: true, CallSiteID: site.ID}
+	words[j] = AddrWord{RetAddr: true, CallSiteID: int32(site.ID)}
 	j++
 	for i := pre - 1; i >= 0; i-- { // pre BTRAs; BTRAs[0] ends on top
 		words[j] = site.BTRAs[i]
@@ -275,12 +275,13 @@ func (lw *lowerer) emitAVXSetup(site *CallSite, pre, post int) {
 
 	site.ArraySym = ArraySym(site.ID)
 	lw.prog.Blobs = append(lw.prog.Blobs, &DataBlob{Name: site.ArraySym, Words: words})
+	arr := lw.prog.Intern(site.ArraySym)
 
 	chunks := padded / lanes
 	for c := 0; c < chunks; c++ {
 		lw.emit(isa.Instr{
 			Kind: isa.KVLoad, VDst: 13, Base: isa.NoGPR,
-			Sym: site.ArraySym, SymOff: int64(c) * laneBytes,
+			Sym: arr, SymOff: int64(c) * laneBytes,
 			Imm: uint64(laneBytes), LocalTarget: -1,
 		})
 		lw.emit(isa.Instr{

@@ -232,7 +232,7 @@ func TestAVXArrayStructure(t *testing.T) {
 						t.Errorf("array %s has multiple RA entries", blob.Name)
 					}
 					raIdx = i
-					if w.CallSiteID != cs.ID {
+					if int(w.CallSiteID) != cs.ID {
 						t.Errorf("array %s RA belongs to site %d, want %d",
 							blob.Name, w.CallSiteID, cs.ID)
 					}
@@ -310,7 +310,7 @@ func TestPrologTrapsBehindJump(t *testing.T) {
 				t.Errorf("%s: instruction %d should be a trap", f.Name, i)
 			}
 		}
-		if f.Instrs[0].LocalTarget != f.NumPrologTraps+1 {
+		if int(f.Instrs[0].LocalTarget) != f.NumPrologTraps+1 {
 			t.Errorf("%s: entry jump skips to %d, want %d",
 				f.Name, f.Instrs[0].LocalTarget, f.NumPrologTraps+1)
 		}
@@ -321,8 +321,8 @@ func TestTailCallLowersToJump(t *testing.T) {
 	p := compile(t, defense.R2CFull(), 5)
 	f := p.Func("tailer")
 	last := f.Instrs[len(f.Instrs)-1]
-	if last.Kind != isa.KJmp || last.Sym != "leaf_frame" {
-		t.Fatalf("tail call should end in jmp leaf_frame, got %v", last.String())
+	if last.Kind != isa.KJmp || p.Syms[last.Sym] != "leaf_frame" {
+		t.Fatalf("tail call should end in jmp leaf_frame, got %v", last.Format(p.Syms))
 	}
 	for i := range f.Instrs {
 		if f.Instrs[i].Kind == isa.KCall {
@@ -359,15 +359,15 @@ func TestCPHEmitsTrampolines(t *testing.T) {
 	if tr == nil {
 		t.Fatal("no trampoline for leaf_frame")
 	}
-	if len(tr.Instrs) != 1 || tr.Instrs[0].Kind != isa.KJmp || tr.Instrs[0].Sym != "leaf_frame" {
-		t.Fatalf("trampoline wrong: %s", tr.Disasm())
+	if len(tr.Instrs) != 1 || tr.Instrs[0].Kind != isa.KJmp || p.Syms[tr.Instrs[0].Sym] != "leaf_frame" {
+		t.Fatalf("trampoline wrong: %s", tr.Disasm(p.Syms))
 	}
 	// Function pointers must resolve to the trampoline.
 	f := p.Func("main")
 	found := false
 	for i := range f.Instrs {
 		in := &f.Instrs[i]
-		if in.Kind == isa.KMovImm && strings.HasPrefix(in.Sym, "__tramp_") {
+		if in.Kind == isa.KMovImm && strings.HasPrefix(p.Syms[in.Sym], "__tramp_") {
 			found = true
 		}
 	}
@@ -378,7 +378,7 @@ func TestCPHEmitsTrampolines(t *testing.T) {
 
 func TestDisasmMentionsBTRAs(t *testing.T) {
 	p := compile(t, defense.BTRAPushOnly(), 2)
-	d := p.Func("main").Disasm()
+	d := p.Func("main").Disasm(p.Syms)
 	if !strings.Contains(d, "<btra>") || !strings.Contains(d, "<ra:") {
 		t.Errorf("disassembly lacks BTRA annotations:\n%s", d)
 	}

@@ -95,8 +95,9 @@ func affectedStackArgFuncs(mod *tir.Module) map[string]bool {
 // it is entered with the standard convention (register args in place, stack
 // args just above the return address), re-pushes the stack arguments, parks
 // rbp at the first one per offset-invariant addressing, and calls the
-// protected implementation. Register arguments pass through untouched.
-func buildStackArgTrampoline(callee *Func, nParams int) *Func {
+// protected implementation, calleeSym. Register arguments pass through
+// untouched.
+func buildStackArgTrampoline(callee *Func, nParams int, calleeSym isa.Sym) *Func {
 	nStack := nParams - len(isa.ArgRegs)
 	tr := &Func{Name: StackArgTrampolineSym(callee.Name), Protected: true}
 	emit := func(in isa.Instr) {
@@ -124,7 +125,7 @@ func buildStackArgTrampoline(callee *Func, nParams int) *Func {
 		pushed++
 	}
 	emit(isa.Instr{Kind: isa.KLea, Dst: isa.RBP, Base: isa.RSP, Disp: 0})
-	emit(isa.Instr{Kind: isa.KCall, Sym: callee.Name, CallSiteID: -1})
+	emit(isa.Instr{Kind: isa.KCall, Sym: calleeSym, CallSiteID: -1})
 	emit(isa.Instr{Kind: isa.KAluImm, Alu: isa.AluAdd, Dst: isa.RSP, Imm: uint64(nStack * 8)})
 	if pad == 1 {
 		emit(isa.Instr{Kind: isa.KAluImm, Alu: isa.AluAdd, Dst: isa.RSP, Imm: 8})

@@ -170,14 +170,14 @@ func TestTrampolineShape(t *testing.T) {
 			loads++
 		case isa.KCall:
 			calls++
-			if tr.Instrs[i].Sym != "wide8" {
-				t.Errorf("trampoline calls %q", tr.Instrs[i].Sym)
+			if callee := p.Syms[tr.Instrs[i].Sym]; callee != "wide8" {
+				t.Errorf("trampoline calls %q", callee)
 			}
 		}
 	}
 	if loads != 2 || calls != 1 {
 		t.Errorf("trampoline shape: %d loads, %d calls (want 2, 1)\n%s",
-			loads, calls, tr.Disasm())
+			loads, calls, tr.Disasm(p.Syms))
 	}
 	if pushes < 3 { // rbp + two args
 		t.Errorf("trampoline pushes = %d", pushes)

@@ -36,6 +36,10 @@ func Compile(mod *tir.Module, cfg defense.Config, seed uint64) (*Program, error)
 
 	p := &Program{Module: mod, Config: cfg, Seed: seed}
 	p.Funcs = make([]*Func, 0, len(mod.Funcs)+4+max(cfg.BTRAPoolSize, 0)) // + 4 stubs, booby traps
+	nsyms := 1 + len(mod.Funcs) + len(mod.Globals) + 4 + max(cfg.BTRAPoolSize, 0)
+	p.Syms = make([]string, 1, nsyms)
+	p.symIDs = make(map[string]isa.Sym, nsyms)
+	p.Intern(mod.Entry) // the linker's _start calls it
 	rootRnd := rng.New(seed)
 
 	// Pre-compute every protected function's post-offset so direct call
@@ -138,7 +142,7 @@ func Compile(mod *tir.Module, cfg defense.Config, seed uint64) (*Program, error)
 			p.Funcs = append(p.Funcs, &Func{
 				Name: TrampolineSym(f.Name),
 				Instrs: []isa.Instr{
-					{Kind: isa.KJmp, Sym: f.Name, LocalTarget: -1},
+					{Kind: isa.KJmp, Sym: p.Intern(f.Name), LocalTarget: -1},
 				},
 			})
 		}
@@ -150,7 +154,7 @@ func Compile(mod *tir.Module, cfg defense.Config, seed uint64) (*Program, error)
 		if cf == nil || tf == nil {
 			return nil, fmt.Errorf("codegen: trampoline target %q missing", callee)
 		}
-		tr := buildStackArgTrampoline(cf, tf.NParams)
+		tr := buildStackArgTrampoline(cf, tf.NParams, p.Intern(callee))
 		if err := validateTrampoline(tr); err != nil {
 			return nil, fmt.Errorf("codegen: %w", err)
 		}
@@ -356,10 +360,14 @@ func (lw *lowerer) lowerFunc(f *tir.Function) (*Func, error) {
 	// Resolve intra-function jumps from TIR block ids to instruction
 	// indices.
 	for _, idx := range lw.pendingJumps {
-		lw.code[idx].LocalTarget = lw.blockLabel[lw.code[idx].LocalTarget]
+		lw.code[idx].LocalTarget = int32(lw.blockLabel[lw.code[idx].LocalTarget])
 	}
-	out.Instrs = make([]isa.Instr, len(lw.code))
-	copy(out.Instrs, lw.code)
+	// Between two local slices, make then copy compiles to an allocation
+	// that, Instr holding no pointer, is not zeroed before the copy.
+	code := lw.code
+	instrs := make([]isa.Instr, len(code))
+	copy(instrs, code)
+	out.Instrs = instrs
 	return out, nil
 }
 
@@ -436,7 +444,7 @@ func (lw *lowerer) emitPrologue() {
 	// an attacker computing gadget addresses relative to a leaked function
 	// pointer lands in them (Section 4.3).
 	if out.NumPrologTraps > 0 {
-		lw.emit(isa.Instr{Kind: isa.KJmp, LocalTarget: out.NumPrologTraps + 1})
+		lw.emit(isa.Instr{Kind: isa.KJmp, LocalTarget: int32(out.NumPrologTraps + 1)})
 		for i := 0; i < out.NumPrologTraps; i++ {
 			lw.emit(isa.Instr{Kind: isa.KTrap, LocalTarget: -1})
 		}
@@ -472,9 +480,9 @@ func (lw *lowerer) emitPrologue() {
 	// array itself is in the data section (Figure 5).
 	if out.NumBTDPs > 0 {
 		if cfg.BTDPNaiveDataArray {
-			lw.emit(isa.Instr{Kind: isa.KMovImm, Dst: isa.R10, Sym: SymBTDPArray})
+			lw.emit(isa.Instr{Kind: isa.KMovImm, Dst: isa.R10, Sym: lw.prog.Intern(SymBTDPArray)})
 		} else {
-			lw.emit(isa.Instr{Kind: isa.KMovImm, Dst: isa.R10, Sym: SymBTDPArrayPtr})
+			lw.emit(isa.Instr{Kind: isa.KMovImm, Dst: isa.R10, Sym: lw.prog.Intern(SymBTDPArrayPtr)})
 			lw.emit(isa.Instr{Kind: isa.KLoad, Dst: isa.R10, Base: isa.R10})
 		}
 		for i := 0; i < out.NumBTDPs; i++ {
@@ -570,14 +578,14 @@ func (lw *lowerer) lowerInstr(in tir.Instr) error {
 		lw.emit(isa.Instr{Kind: isa.KLea, Dst: isa.RAX, Base: isa.RSP, Disp: lw.slotDisp(lw.localOff[in.Local])})
 		lw.writeBack(in.Dst, isa.RAX)
 	case in.Op == tir.OpAddrGlobal:
-		lw.emit(isa.Instr{Kind: isa.KMovImm, Dst: isa.RAX, Sym: in.Sym})
+		lw.emit(isa.Instr{Kind: isa.KMovImm, Dst: isa.RAX, Sym: lw.prog.Intern(in.Sym)})
 		lw.writeBack(in.Dst, isa.RAX)
 	case in.Op == tir.OpAddrFunc:
 		sym := in.Sym
 		if cfg.CPH {
 			sym = TrampolineSym(in.Sym)
 		}
-		lw.emit(isa.Instr{Kind: isa.KMovImm, Dst: isa.RAX, Sym: sym})
+		lw.emit(isa.Instr{Kind: isa.KMovImm, Dst: isa.RAX, Sym: lw.prog.Intern(sym)})
 		lw.writeBack(in.Dst, isa.RAX)
 	case in.Op == tir.OpAlloc:
 		lw.emitCall(in.Dst, StubMalloc, tir.NoReg, []tir.Reg{in.A}, false)
@@ -595,13 +603,13 @@ func (lw *lowerer) lowerInstr(in tir.Instr) error {
 		}
 		lw.emitCall(in.Dst, in.Sym, in.A, in.Args, false)
 	case in.Op == tir.OpBr:
-		idx := lw.emit(isa.Instr{Kind: isa.KJmp, LocalTarget: in.Target})
+		idx := lw.emit(isa.Instr{Kind: isa.KJmp, LocalTarget: int32(in.Target)})
 		lw.pendingJumps = append(lw.pendingJumps, idx)
 	case in.Op == tir.OpCondBr:
 		cond := lw.regOf(in.A, isa.R10)
-		idx := lw.emit(isa.Instr{Kind: isa.KJnz, Src: cond, LocalTarget: in.Target})
+		idx := lw.emit(isa.Instr{Kind: isa.KJnz, Src: cond, LocalTarget: int32(in.Target)})
 		lw.pendingJumps = append(lw.pendingJumps, idx)
-		idx = lw.emit(isa.Instr{Kind: isa.KJmp, LocalTarget: in.Else})
+		idx = lw.emit(isa.Instr{Kind: isa.KJmp, LocalTarget: int32(in.Else)})
 		lw.pendingJumps = append(lw.pendingJumps, idx)
 	case in.Op == tir.OpRet:
 		if lw.tailEmitted {
@@ -635,6 +643,6 @@ func (lw *lowerer) emitTailCall(callee string, args []tir.Reg) {
 		// means a hand-built module used an unsupported combination.
 		panic("codegen: indirect tail calls are not supported")
 	}
-	lw.emitEpilogue(isa.Instr{Kind: isa.KJmp, Sym: callee, LocalTarget: -1})
+	lw.emitEpilogue(isa.Instr{Kind: isa.KJmp, Sym: lw.prog.Intern(callee), LocalTarget: -1})
 	lw.tailEmitted = true
 }

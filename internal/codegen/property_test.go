@@ -52,7 +52,7 @@ func TestPropertiesOverRandomPrograms(t *testing.T) {
 					}
 					key := ""
 					for _, b := range cs.BTRAs {
-						key += b.Sym + "+"
+						key += p.Syms[b.Sym] + "+"
 					}
 					seen[key]++
 					if seen[key] > 1 && len(cs.BTRAs) >= 4 {
@@ -60,13 +60,13 @@ func TestPropertiesOverRandomPrograms(t *testing.T) {
 					}
 				}
 				// Property A at the instruction level: one RA per site.
-				raPerSite := map[int]int{}
+				raPerSite := map[int32]int{}
 				for i := range f.Instrs {
 					in := &f.Instrs[i]
 					if in.RetAddr {
 						raPerSite[in.CallSiteID]++
 					}
-					if in.BTRA && in.Kind == isa.KPushImm && in.Sym == "" {
+					if in.BTRA && in.Kind == isa.KPushImm && in.Sym == isa.NoSym {
 						t.Fatalf("seed %d: BTRA push without a trap symbol", seed)
 					}
 				}

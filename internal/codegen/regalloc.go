@@ -52,8 +52,10 @@ func liveIntervals(f *tir.Function) []interval {
 	// Linearize: global instruction index over blocks in order.
 	blockStart := make([]int, len(f.Blocks))
 	idx := 0
+	// Operands an instruction does not use hold NoReg or 0; a function
+	// with no registers has no register 0 to extend.
 	touch := func(r tir.Reg, at int) {
-		if r < 0 {
+		if r < 0 || int(r) >= f.NRegs {
 			return
 		}
 		if first[r] == -1 {
@@ -117,7 +119,7 @@ func liveIntervals(f *tir.Function) []interval {
 			}
 		}
 	}
-	var out []interval
+	out := make([]interval, 0, f.NRegs)
 	for r := 0; r < f.NRegs; r++ {
 		if first[r] != -1 {
 			out = append(out, interval{tir.Reg(r), first[r], last[r]})

@@ -219,7 +219,7 @@ func (img *Image) placeText(r *rng.RNG) error {
 	start := &codegen.Func{
 		Name: EntrySym,
 		Instrs: []isa.Instr{
-			{Kind: isa.KCall, Sym: prog.Module.Entry, CallSiteID: -1, LocalTarget: -1},
+			{Kind: isa.KCall, Sym: prog.Intern(prog.Module.Entry), CallSiteID: -1, LocalTarget: -1},
 			{Kind: isa.KHalt, LocalTarget: -1},
 		},
 	}
@@ -254,7 +254,7 @@ func (img *Image) placeText(r *rng.RNG) error {
 			cur += uint64(in.EncodedSize())
 			// Return-address ground truth: the address after the call.
 			if (in.Kind == isa.KCall || in.Kind == isa.KCallInd) && in.CallSiteID >= 0 {
-				img.CallSiteRA[in.CallSiteID] = cur
+				img.CallSiteRA[int(in.CallSiteID)] = cur
 			}
 		}
 		pf.End = cur
@@ -370,6 +370,20 @@ func (img *Image) symAddr(sym string) (uint64, error) {
 // resolve patches every symbolic operand to an absolute address and
 // materializes blob contents into DataInit.
 func (img *Image) resolve() error {
+	// Resolve each symbol once: addrs[id] is the address of the function or
+	// data symbol named syms[id], or 0 when none is placed under that name
+	// (no placement starts at address 0).
+	syms := img.Prog.Syms
+	addrs := make([]uint64, len(syms))
+	for id := 1; id < len(syms); id++ {
+		addrs[id], _ = img.symAddr(syms[id])
+	}
+	addrOf := func(s isa.Sym) (uint64, error) {
+		if int(s) < len(addrs) && addrs[s] != 0 {
+			return addrs[s], nil
+		}
+		return 0, fmt.Errorf("image: unresolved symbol %q", s.Name(syms))
+	}
 	cphInit := img.Prog.Config.CPH
 	for _, name := range img.FuncOrder {
 		pf := img.Funcs[name]
@@ -377,14 +391,14 @@ func (img *Image) resolve() error {
 			in := &pf.F.Instrs[i]
 			switch {
 			case in.RetAddr:
-				ra, ok := img.CallSiteRA[in.CallSiteID]
+				ra, ok := img.CallSiteRA[int(in.CallSiteID)]
 				if !ok {
 					return fmt.Errorf("image: %s: unresolved RA for call site %d", name, in.CallSiteID)
 				}
 				in.Imm = ra
 				in.Target = ra
-			case in.Sym != "":
-				a, err := img.symAddr(in.Sym)
+			case in.Sym != isa.NoSym:
+				a, err := addrOf(in.Sym)
 				if err != nil {
 					return fmt.Errorf("image: %s: %w", name, err)
 				}
@@ -394,7 +408,7 @@ func (img *Image) resolve() error {
 					in.Imm = v
 				}
 			case in.LocalTarget >= 0 && (in.Kind == isa.KJmp || in.Kind == isa.KJz || in.Kind == isa.KJnz):
-				if in.LocalTarget >= len(pf.InstrAddrs) {
+				if int(in.LocalTarget) >= len(pf.InstrAddrs) {
 					return fmt.Errorf("image: %s: jump target %d out of range", name, in.LocalTarget)
 				}
 				in.Target = pf.InstrAddrs[in.LocalTarget]
@@ -435,13 +449,13 @@ func (img *Image) resolve() error {
 		for i, w := range b.Words {
 			var v uint64
 			if w.RetAddr {
-				ra, ok := img.CallSiteRA[w.CallSiteID]
+				ra, ok := img.CallSiteRA[int(w.CallSiteID)]
 				if !ok {
 					return fmt.Errorf("image: blob %q: unresolved RA %d", b.Name, w.CallSiteID)
 				}
 				v = ra
 			} else {
-				a, err := img.symAddr(w.Sym)
+				a, err := addrOf(w.Sym)
 				if err != nil {
 					return err
 				}

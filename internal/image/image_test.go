@@ -2,11 +2,13 @@ package image
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"r2c/internal/codegen"
 	"r2c/internal/defense"
 	"r2c/internal/isa"
+	"r2c/internal/pcode"
 	"r2c/internal/tir"
 )
 
@@ -148,9 +150,9 @@ func TestBTRAResolution(t *testing.T) {
 				}
 			}
 			if in.RetAddr && in.Kind == isa.KPushImm {
-				if in.Imm != img.CallSiteRA[in.CallSiteID] {
+				if ra := img.CallSiteRA[int(in.CallSiteID)]; in.Imm != ra {
 					t.Fatalf("pre-pushed RA %#x != call site %d RA %#x",
-						in.Imm, in.CallSiteID, img.CallSiteRA[in.CallSiteID])
+						in.Imm, in.CallSiteID, ra)
 				}
 			}
 		}
@@ -304,4 +306,70 @@ func TestDataSectionContents(t *testing.T) {
 	if img.DataInit[g2.Addr] != 0x22 || img.DataInit[g2.Addr+8] != 0x33 {
 		t.Error("global initializer words wrong")
 	}
+}
+
+// TestLinkRejectsUnresolvedSymbol: a reference to a name nothing is placed
+// under, or to an ID outside the program's table, fails the link and names
+// the symbol.
+func TestLinkRejectsUnresolvedSymbol(t *testing.T) {
+	for _, c := range []struct {
+		sym  func(p *codegen.Program) isa.Sym
+		want string
+	}{
+		{func(p *codegen.Program) isa.Sym { return p.Intern("nowhere") }, `unresolved symbol "nowhere"`},
+		{func(p *codegen.Program) isa.Sym { return isa.Sym(len(p.Syms) + 5) }, "unresolved symbol \"sym#"},
+	} {
+		p, err := codegen.Compile(testModule(t), defense.Off(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		main := p.Func("main")
+		main.Instrs[0] = isa.Instr{Kind: isa.KMovImm, Dst: isa.RAX, Sym: c.sym(p), LocalTarget: -1}
+		if _, err := Link(p, 1); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Link error %v, want one containing %s", err, c.want)
+		}
+	}
+}
+
+// TestCodeArraysPointerFree holds the element types of an image's big
+// arrays to plain data: the instructions, the predecoded ops and blocks,
+// and the AVX2 array words. A pointer-bearing field (a string, slice, map
+// or pointer) in any of them makes the garbage collector zero and scan
+// every retained image's code on each cycle.
+func TestCodeArraysPointerFree(t *testing.T) {
+	for _, typ := range []reflect.Type{
+		reflect.TypeFor[isa.Instr](),
+		reflect.TypeFor[pcode.Op](),
+		reflect.TypeFor[pcode.Block](),
+		reflect.TypeFor[codegen.AddrWord](),
+	} {
+		if path := pointerField(typ); path != "" {
+			t.Errorf("%v holds a pointer at %s", typ, path)
+		}
+	}
+}
+
+// pointerField returns the path to the first pointer-bearing field in typ
+// and that field's kind, or "" when typ is plain data.
+func pointerField(typ reflect.Type) string {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			if p := pointerField(f.Type); p != "" {
+				return "." + f.Name + p
+			}
+		}
+		return ""
+	case reflect.Array:
+		if p := pointerField(typ.Elem()); p != "" {
+			return "[]" + p
+		}
+		return ""
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	}
+	return " (" + typ.Kind().String() + ")"
 }

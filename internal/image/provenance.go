@@ -7,6 +7,8 @@ package image
 // detonation-PC → planting-site index. The index is forensic only — the
 // runtime never consults it on the simulation's hot path.
 
+import "r2c/internal/isa"
+
 // BTRAOrigin identifies one call-site booby-trap slot: the protected call
 // site that planted a BTRA and where that slot sits relative to the return
 // address. One trap address can have several origins (trap-function offsets
@@ -44,10 +46,11 @@ func (img *Image) buildBTRAOrigins() {
 				setup = "avx2"
 			}
 			for slot, w := range cs.BTRAs {
-				if !w.BTRA || w.Sym == "" {
+				if !w.BTRA || w.Sym == isa.NoSym {
 					continue
 				}
-				pf, ok := img.Funcs[w.Sym]
+				trap := img.Prog.Syms[w.Sym]
+				pf, ok := img.Funcs[trap]
 				if !ok {
 					continue
 				}
@@ -59,7 +62,7 @@ func (img *Image) buildBTRAOrigins() {
 					Slot:       slot,
 					Pre:        slot < cs.Pre,
 					Setup:      setup,
-					TrapFunc:   w.Sym,
+					TrapFunc:   trap,
 					TrapOff:    uint64(w.Off),
 				})
 			}

@@ -68,10 +68,10 @@ func TestBTRAOriginsPreSlotClassification(t *testing.T) {
 		for i := range f.CallSites {
 			cs := &f.CallSites[i]
 			for slot, w := range cs.BTRAs {
-				if !w.BTRA || w.Sym == "" {
+				if !w.BTRA || w.Sym == isa.NoSym {
 					continue
 				}
-				addr := img.Funcs[w.Sym].Start + uint64(w.Off)
+				addr := img.Funcs[img.Prog.Syms[w.Sym]].Start + uint64(w.Off)
 				for _, o := range img.BTRAOrigins(addr) {
 					if o.CallSiteID != cs.ID || o.Slot != slot {
 						continue

@@ -228,11 +228,47 @@ func (s Sys) String() string {
 	return fmt.Sprintf("sys?%d", int8(s))
 }
 
+// Sym is a pre-link symbol reference: an index into the symbol table of the
+// program the instruction belongs to (codegen.Program.Syms). NoSym means
+// the operand names no symbol. Referring to symbols by index keeps Instr
+// free of pointers, so the garbage collector never scans an image's code.
+type Sym uint32
+
+// NoSym is the absent symbol reference; index 0 of every table is "".
+const NoSym Sym = 0
+
+// Name returns s's entry in syms, the table of its program, or "sym#N"
+// when s lies outside it.
+func (s Sym) Name(syms []string) string {
+	if int(s) < len(syms) {
+		return syms[s]
+	}
+	return fmt.Sprintf("sym#%d", uint32(s))
+}
+
 // Instr is one machine instruction. Before linking, control-transfer and
 // address-bearing instructions carry symbolic targets (Sym / LocalTarget);
-// the linker resolves them into Target/Imm absolute addresses. The byte-sized
-// fields (including the two flags) lead, so the struct packs into 80 bytes.
+// the linker resolves them into Target/Imm absolute addresses. Instr holds
+// no pointer, and the byte-sized fields (including the two flags) trail the
+// wider ones, so the struct packs into 64 bytes with seven to spare.
 type Instr struct {
+	Imm  uint64
+	Disp int64
+
+	// Target is an absolute code/data address after linking.
+	Target uint64
+	// SymOff is added to the resolved symbol address.
+	SymOff int64
+	// Sym is a pre-link symbol reference (NoSym when absent). For KCall it
+	// is the callee; for KPushImm/KMovImm it names the address operand; for
+	// KVLoad it may name a data symbol.
+	Sym Sym
+	// LocalTarget is a pre-link intra-function instruction index for jumps
+	// (-1 when absent).
+	LocalTarget int32
+	// CallSiteID links RetAddr immediates and the KCall they belong to.
+	CallSiteID int32
+
 	Kind Kind
 	Alu  AluOp
 	Cmp  CmpOp
@@ -254,23 +290,6 @@ type Instr struct {
 	// address. The flag is toolchain metadata only — it is never visible in
 	// memory, where BTRAs are indistinguishable from real return addresses.
 	BTRA bool
-
-	Imm  uint64
-	Disp int64
-
-	// Target is an absolute code/data address after linking.
-	Target uint64
-	// Sym is a pre-link symbol reference ("" when absent). For KCall it is
-	// the callee; for KPushImm/KMovImm with RA semantics it names the
-	// return-address label; for KVLoad it may name a data symbol.
-	Sym string
-	// SymOff is added to the resolved symbol address.
-	SymOff int64
-	// LocalTarget is a pre-link intra-function instruction index for jumps
-	// (-1 when absent).
-	LocalTarget int
-	// CallSiteID links RetAddr immediates and the KCall they belong to.
-	CallSiteID int
 }
 
 // EncodedSize returns the instruction's size in bytes in the simulated
@@ -327,14 +346,17 @@ func (in *Instr) EncodedSize() int {
 	return 4
 }
 
-// String disassembles the instruction (post-link form when Target is set).
-func (in *Instr) String() string {
+// Format disassembles the instruction (post-link form when Target is set),
+// reading symbol names from syms, the symbol table of the instruction's
+// program.
+func (in *Instr) Format(syms []string) string {
 	t := func() string {
-		if in.Sym != "" {
+		if in.Sym != NoSym {
+			name := in.Sym.Name(syms)
 			if in.SymOff != 0 {
-				return fmt.Sprintf("%s%+d", in.Sym, in.SymOff)
+				return fmt.Sprintf("%s%+d", name, in.SymOff)
 			}
-			return in.Sym
+			return name
 		}
 		if in.LocalTarget >= 0 && in.Target == 0 {
 			return fmt.Sprintf("@%d", in.LocalTarget)

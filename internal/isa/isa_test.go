@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -60,9 +61,10 @@ func TestDisassembly(t *testing.T) {
 		{Instr{Kind: KMovImm, Dst: RAX, Imm: 0x10}, "mov rax, 0x10"},
 		{Instr{Kind: KLoad, Dst: RBX, Base: RSP, Disp: 8}, "mov rbx, [rsp+8]"},
 		{Instr{Kind: KStore, Base: RSP, Disp: -8, Src: RCX}, "mov [rsp-8], rcx"},
-		{Instr{Kind: KPushImm, Sym: "__bt3", SymOff: 2, BTRA: true}, "push __bt3+2 <btra>"},
+		{Instr{Kind: KPushImm, Sym: 1, SymOff: 2, BTRA: true}, "push __bt3+2 <btra>"},
 		{Instr{Kind: KPushImm, RetAddr: true, CallSiteID: 7}, "push <ra:7>"},
-		{Instr{Kind: KCall, Sym: "main"}, "call main"},
+		{Instr{Kind: KCall, Sym: 2}, "call main"},
+		{Instr{Kind: KCall, Sym: 3}, "call sym#3"},
 		{Instr{Kind: KCallInd, Src: R11}, "call *r11"},
 		{Instr{Kind: KRet}, "ret"},
 		{Instr{Kind: KAluImm, Alu: AluSub, Dst: RSP, Imm: 0x10}, "sub rsp, 0x10"},
@@ -70,9 +72,10 @@ func TestDisassembly(t *testing.T) {
 		{Instr{Kind: KTrap}, "int3"},
 		{Instr{Kind: KSys, Sys: SysAlloc}, "sys alloc"},
 	}
+	syms := []string{"", "__bt3", "main"}
 	for _, c := range cases {
-		if got := c.in.String(); got != c.want {
-			t.Errorf("String() = %q, want %q", got, c.want)
+		if got := c.in.Format(syms); got != c.want {
+			t.Errorf("Format() = %q, want %q", got, c.want)
 		}
 	}
 }
@@ -93,9 +96,13 @@ func TestEnumStringsDistinct(t *testing.T) {
 
 // TestInstrSize pins the packed layout: an r2c-full SPEC image at scale 8
 // holds ≈2.4k–13k instructions, so every padding byte is paid thousands of
-// times per build.
+// times per build. The layout keeps at least one byte of padding spare.
 func TestInstrSize(t *testing.T) {
-	if got := unsafe.Sizeof(Instr{}); got != 80 {
-		t.Errorf("unsafe.Sizeof(Instr{}) = %d, want 80", got)
+	if got := unsafe.Sizeof(Instr{}); got != 64 {
+		t.Errorf("unsafe.Sizeof(Instr{}) = %d, want 64", got)
+	}
+	last := reflect.TypeFor[Instr]().Field(reflect.TypeFor[Instr]().NumField() - 1)
+	if end := last.Offset + last.Type.Size(); end >= unsafe.Sizeof(Instr{}) {
+		t.Errorf("Instr's fields end at byte %d of %d: no padding byte left", end, unsafe.Sizeof(Instr{}))
 	}
 }

@@ -1,12 +1,14 @@
 package rt_test
 
 import (
+	"context"
 	"encoding/binary"
 	"reflect"
 	"sync"
 	"testing"
 
 	"r2c/internal/defense"
+	"r2c/internal/exec"
 	"r2c/internal/image"
 	"r2c/internal/mem"
 	"r2c/internal/rt"
@@ -200,6 +202,7 @@ func FuzzForkMatchesLoad(f *testing.F) {
 // Benchmark sinks keep the measured calls' results alive.
 var (
 	imgSink  *image.Image
+	imgsSink []*image.Image
 	snapSink *rt.Snapshot
 	procSink *rt.Process
 )
@@ -219,6 +222,30 @@ func BenchmarkBuildImage(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRediversify is the rediversify workload's shape: each op builds
+// 16 fresh seeds of r2c-full perlbench through exec.Engine.BuildImages at
+// width 2 and keeps every image until the next op's batch is done.
+// BenchmarkBuildImage's one image dies at once, so it barely sees the
+// garbage collector; here every cycle marks up to 32 live images, as a
+// rediversify round's does.
+func BenchmarkRediversify(b *testing.B) {
+	m := workload.Perlbench(8)
+	seeds := make([]uint64, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range seeds {
+			seeds[j] = uint64(i*len(seeds)+j) + 1
+		}
+		imgs, err := exec.New(2, nil).BuildImages(context.Background(), m, defense.R2CFull(), seeds)
+		if err != nil {
+			b.Fatal(err)
+		}
+		imgsSink = imgs
+	}
+	b.ReportMetric(float64(b.N*len(seeds))/b.Elapsed().Seconds(), "builds/s")
 }
 
 // BenchmarkPredecode prices the predecoder alone (pcode.Build, which Link

@@ -552,7 +552,7 @@ func (p *Process) callSiteAt(ra uint64) *codegen.CallSite {
 		return nil
 	}
 	for j := range pf.F.CallSites {
-		if cs := &pf.F.CallSites[j]; cs.ID == in.CallSiteID {
+		if cs := &pf.F.CallSites[j]; cs.ID == int(in.CallSiteID) {
 			return cs
 		}
 	}

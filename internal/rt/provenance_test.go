@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"r2c/internal/defense"
+	"r2c/internal/isa"
 	"r2c/internal/mem"
 )
 
@@ -22,8 +23,8 @@ func TestTrapProvenanceResolution(t *testing.T) {
 		f := img.Funcs[name].F
 		for i := range f.CallSites {
 			for _, w := range f.CallSites[i].BTRAs {
-				if w.BTRA && w.Sym != "" {
-					btraAddr = img.Funcs[w.Sym].Start + uint64(w.Off)
+				if w.BTRA && w.Sym != isa.NoSym {
+					btraAddr = img.Funcs[img.Prog.Syms[w.Sym]].Start + uint64(w.Off)
 				}
 			}
 		}

@@ -8,11 +8,13 @@ import (
 	"testing"
 
 	"r2c/internal/defense"
+	"r2c/internal/isa"
 	"r2c/internal/mem"
 	"r2c/internal/rt"
 	"r2c/internal/telemetry"
 	"r2c/internal/tir"
 	"r2c/internal/vm"
+	"r2c/internal/workload"
 )
 
 // torture builds a module exercising every TIR feature the workloads rely
@@ -172,6 +174,84 @@ func allConfigs() []defense.Config {
 	combo.ShadowStack = true
 	cfgs = append(cfgs, checked, tramp, combo)
 	return cfgs
+}
+
+// TestRegisterFreeMain builds a main that defines no register, the
+// smallest function TIR verifies, and runs it under every configuration:
+// it must compile, link and halt.
+func TestRegisterFreeMain(t *testing.T) {
+	mb := tir.NewModule("empty")
+	mb.NewFunc("main", 0).RetVoid()
+	mb.SetEntry("main")
+	m := mb.MustBuild()
+	for _, cfg := range allConfigs() {
+		res, _, err := Run(m, cfg, 1, vm.EPYCRome())
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
+		if !res.Halted {
+			t.Fatalf("%s: did not halt", cfg.Name)
+		}
+	}
+}
+
+// TestSymbolsResolve checks the per-program symbol table under every
+// configuration, on the torture module and every built-in workload: each
+// symbol reference of an instruction or a data word is in range of its
+// program's table, and Link resolved it to the named symbol's address plus
+// the reference's offset.
+func TestSymbolsResolve(t *testing.T) {
+	mods := []*tir.Module{torture(), workload.Nginx(8), workload.Apache(8)}
+	for _, b := range workload.SPEC() {
+		mods = append(mods, b.Build(8))
+	}
+	for _, m := range mods {
+		for _, cfg := range allConfigs() {
+			img, err := BuildImage(m, cfg, 1, nil)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", m.Name, cfg.Name, err)
+			}
+			syms := img.Prog.Syms
+			if len(syms) == 0 || syms[0] != "" {
+				t.Fatalf("%s/%s: symbol 0 is not the empty name", m.Name, cfg.Name)
+			}
+			addr := func(s isa.Sym) uint64 {
+				if int(s) >= len(syms) {
+					t.Fatalf("%s/%s: symbol %d outside a table of %d", m.Name, cfg.Name, s, len(syms))
+				}
+				if pf, ok := img.Funcs[syms[s]]; ok {
+					return pf.Start
+				}
+				if ds, ok := img.DataSyms[syms[s]]; ok {
+					return ds.Addr
+				}
+				t.Fatalf("%s/%s: symbol %q is not placed", m.Name, cfg.Name, syms[s])
+				return 0
+			}
+			for _, name := range img.FuncOrder {
+				for i, in := range img.Funcs[name].F.Instrs {
+					if in.Sym == isa.NoSym {
+						continue
+					}
+					if want := addr(in.Sym) + uint64(in.SymOff); in.Target != want {
+						t.Fatalf("%s/%s: %s[%d] %s resolved to %#x, want %#x",
+							m.Name, cfg.Name, name, i, in.Format(syms), in.Target, want)
+					}
+				}
+			}
+			for _, b := range img.Prog.Blobs {
+				base := img.DataSyms[b.Name].Addr
+				for i, w := range b.Words {
+					if w.Sym == isa.NoSym {
+						continue
+					}
+					if got, want := img.DataInit[base+uint64(i)*8], addr(w.Sym)+uint64(w.Off); got != want {
+						t.Fatalf("%s/%s: %s word %d holds %#x, want %#x", m.Name, cfg.Name, b.Name, i, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestDifferentialAllConfigs is the toolchain's cornerstone test: the

@@ -433,9 +433,7 @@ func TestProtectWhilePausedIsSeenOnResume(t *testing.T) {
 // emits SysProtect.
 func TestProtectSyscallRevokesExecAtOnce(t *testing.T) {
 	mb := tir.NewModule("protect")
-	main := mb.NewFunc("main", 0)
-	main.Const(0) // a function with no register does not lower
-	main.RetVoid()
+	mb.NewFunc("main", 0).RetVoid()
 	mb.SetEntry("main")
 	prog, err := codegen.Compile(mb.MustBuild(), defense.Off(), 1)
 	if err != nil {
@@ -443,7 +441,7 @@ func TestProtectSyscallRevokesExecAtOnce(t *testing.T) {
 	}
 	fn := prog.Func("main")
 	fn.Instrs = []isa.Instr{
-		{Kind: isa.KMovImm, Dst: isa.RDI, Sym: "main", LocalTarget: -1},
+		{Kind: isa.KMovImm, Dst: isa.RDI, Sym: prog.Intern("main"), LocalTarget: -1},
 		{Kind: isa.KAluImm, Alu: isa.AluAnd, Dst: isa.RDI, Imm: ^uint64(mem.PageMask), LocalTarget: -1},
 		{Kind: isa.KMovImm, Dst: isa.RSI, Imm: mem.PageSize, LocalTarget: -1},
 		{Kind: isa.KMovImm, Dst: isa.RDX, Imm: uint64(mem.PermRead), LocalTarget: -1},
