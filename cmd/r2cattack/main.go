@@ -31,7 +31,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobs := h.Flags.Int("jobs", 0, "parallel trials/simulation cells (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
 	overheads := h.Flags.Bool("overheads", false, "also measure Table 3 overhead column (slow)")
 	forensics := h.Flags.Bool("forensics", false, "with table3: print the per-trial trap provenance table (which trap class caught each probe) and the incident correlation summary; implies -flight 64 unless set")
-	sampleEvery := h.Flags.Int("sample-every", 0, "time-series sampling stride in completed simulation cells (0 = every 16); only cell-executing paths sample (e.g. -overheads) — Monte-Carlo-only scenarios leave the rings empty")
 	h.Params = []string{"trials"}
 
 	var opt bench.Options
@@ -64,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := h.Open(*jobs, false); err != nil {
 			return err
 		}
-		h.SampleCells(*sampleEvery)
+		h.SampleCells()
 		if err := h.Serve(telemetry.OpsSources{}); err != nil {
 			return err
 		}

@@ -28,7 +28,6 @@ const wantFlags = `-alert-rules string
 -metrics-out string
 -overheads
 -retries int
--sample-every int
 -timeseries-out string
 -trace string
 -trace-format string (default "jsonl")

@@ -52,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	profile := h.Flags.Bool("profile", false, "collect per-function simulated-cycle profiles and print the hot-function table")
 	top := h.Flags.Int("top", 15, "rows in the -profile hot-function table")
 	profileFormat := h.Flags.String("profile-format", "table", "-profile output: table (flat hot functions) or folded (flamegraph.pl/speedscope folded stacks)")
-	sampleEvery := h.Flags.Int("sample-every", 0, "time-series sampling stride in completed cells (0 = every 16); samples feed /timeseries, -timeseries-out and windowed alert rules")
 	h.Params = []string{"scale", "runs"}
 
 	var opt bench.Options
@@ -76,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := h.Open(*jobs, *profile); err != nil {
 			return err
 		}
-		h.SampleCells(*sampleEvery)
+		h.SampleCells()
 		if err := h.Serve(telemetry.OpsSources{}); err != nil {
 			return err
 		}

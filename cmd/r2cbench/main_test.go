@@ -25,7 +25,6 @@ const wantFlags = `-alert-rules string
 -profile-format string (default "table")
 -retries int
 -runs int (default 3)
--sample-every int
 -scale int (default 1)
 -timeseries-out string
 -top int (default 15)

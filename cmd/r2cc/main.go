@@ -160,11 +160,11 @@ func dumpStack(w io.Writer, s *attack.Scenario) {
 		}
 		note := ""
 		switch {
-		case isRealRAValue(s, v):
+		case s.IsRealRA(attack.Leaked{Value: v}):
 			note = "<- RETURN ADDRESS"
 		case s.Proc.Img.IsBoobyTrapAddr(v):
 			note = "<- booby-trapped return address (BTRA)"
-		case isBTDP(s, v):
+		case s.IsBTDP(v):
 			note = "<- booby-trapped data pointer (BTDP)"
 		case s.Proc.Heap.Contains(v):
 			note = "<- heap pointer"
@@ -177,22 +177,4 @@ func dumpStack(w io.Writer, s *attack.Scenario) {
 	for _, a := range anns {
 		fmt.Fprintf(w, "  %#x: %s\n", a.addr, a.note)
 	}
-}
-
-func isRealRAValue(s *attack.Scenario, v uint64) bool {
-	for _, ra := range s.Proc.Img.CallSiteRA {
-		if ra == v {
-			return true
-		}
-	}
-	return false
-}
-
-func isBTDP(s *attack.Scenario, v uint64) bool {
-	for _, b := range s.Proc.BTDPValues {
-		if b == v {
-			return true
-		}
-	}
-	return false
 }

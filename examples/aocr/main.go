@@ -54,7 +54,7 @@ func narrate(cfg defense.Config) {
 	if cl.Heap != nil {
 		btdps := 0
 		for _, v := range cl.Heap.Values {
-			if isBTDP(s, v) {
+			if s.IsBTDP(v) {
 				btdps++
 			}
 		}
@@ -82,13 +82,4 @@ func narrate(cfg defense.Config) {
 	case attack.Crashed:
 		fmt.Println("  => the victim crashed without reaching the attacker's goal")
 	}
-}
-
-func isBTDP(s *attack.Scenario, v uint64) bool {
-	for _, b := range s.Proc.BTDPValues {
-		if b == v {
-			return true
-		}
-	}
-	return false
 }

@@ -10,10 +10,12 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -25,6 +27,81 @@ import (
 // RecordSpan, …) counts as referenced, since it is called through the
 // interface.
 func TestNoUnreferencedExports(t *testing.T) {
+	sc, declared := scanExports(t)
+	var unused []string
+	for _, obj := range declared {
+		if !sc.used[objectKey(obj)] && !sc.viaInterface(obj) {
+			unused = append(unused, fmt.Sprintf("%s: %s", sc.fset.Position(obj.Pos()), objectKey(obj)))
+		}
+	}
+	sort.Strings(unused)
+	for _, u := range unused {
+		t.Errorf("exported but referenced nowhere: %s", u)
+	}
+}
+
+// testOnlyExports is the committed list of exports that only tests
+// reference. It may only shrink.
+const testOnlyExports = "testdata/test_only_exports.txt"
+
+// TestTestOnlyExportsListed fails when an exported identifier declared in a
+// non-test file under internal/ is referenced, but only from _test.go files,
+// and testOnlyExports does not list it; or when testOnlyExports lists an
+// identifier that is not such an export. Non-test files of the module and
+// benchmark/*.go are production callers; a method that satisfies an
+// interface counts as called.
+func TestTestOnlyExportsListed(t *testing.T) {
+	sc, declared := scanExports(t)
+	data, err := os.ReadFile(testOnlyExports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]bool{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "#") {
+			listed[line] = true
+		}
+	}
+	testOnly := map[string]bool{}
+	for _, obj := range declared {
+		key := objectKey(obj)
+		if !sc.used[key] || sc.prodUsed[key] || sc.viaInterface(obj) {
+			continue
+		}
+		testOnly[key] = true
+		if !listed[key] {
+			t.Errorf("%s: %s is referenced only from tests: delete it with its tests, or give it a production caller",
+				sc.fset.Position(obj.Pos()), key)
+		}
+	}
+	for key := range listed {
+		if !testOnly[key] {
+			t.Errorf("%s lists %s, which is not a test-only export: delete the line", testOnlyExports, key)
+		}
+	}
+}
+
+var exportScanOnce struct {
+	sync.Once
+	sc       *exportScan
+	declared []types.Object
+	err      error
+}
+
+// scanExports type-checks the whole module once per test binary and returns
+// the scan with the exported objects declared in non-test files under
+// internal/.
+func scanExports(t *testing.T) (*exportScan, []types.Object) {
+	t.Helper()
+	s := &exportScanOnce
+	s.Do(func() { s.sc, s.declared, s.err = runExportScan() })
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+	return s.sc, s.declared
+}
+
+func runExportScan() (*exportScan, []types.Object, error) {
 	sc := newExportScan()
 	var dirs []string
 	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
@@ -42,7 +119,7 @@ func TestNoUnreferencedExports(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	var declared []types.Object
 	for _, dir := range dirs {
@@ -51,7 +128,7 @@ func TestNoUnreferencedExports(t *testing.T) {
 		if errors.As(err, &none) {
 			continue
 		} else if err != nil {
-			t.Fatal(err)
+			return nil, nil, err
 		}
 		path := "r2c"
 		if dir != "." {
@@ -59,11 +136,11 @@ func TestNoUnreferencedExports(t *testing.T) {
 		}
 		files, err := sc.parse(dir, append(bp.GoFiles, bp.TestGoFiles...))
 		if err != nil {
-			t.Fatal(err)
+			return nil, nil, err
 		}
 		pkg, err := sc.check(path, files, nil)
 		if err != nil {
-			t.Fatalf("%s: %v", path, err)
+			return nil, nil, fmt.Errorf("%s: %v", path, err)
 		}
 		if strings.HasPrefix(path, "r2c/internal/") {
 			declared = append(declared, sc.exportedDecls(pkg, files[:len(bp.GoFiles)])...)
@@ -75,36 +152,26 @@ func TestNoUnreferencedExports(t *testing.T) {
 			// every use that did resolve is recorded.
 			files, err := sc.parse(dir, bp.XTestGoFiles)
 			if err != nil {
-				t.Fatal(err)
+				return nil, nil, err
 			}
 			sc.check(path+"_test", files, func(error) {})
 		}
 	}
 	bench, err := filepath.Glob("benchmark/*.go")
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	files, err := sc.parse("", bench)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	if _, err := sc.check("r2c/benchmark", files, nil); err != nil {
-		t.Fatalf("benchmark: %v", err)
+		return nil, nil, fmt.Errorf("benchmark: %v", err)
 	}
 	if err := sc.stdInterfaces(); err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-
-	var unused []string
-	for _, obj := range declared {
-		if !sc.used[objectKey(obj)] && !sc.viaInterface(obj) {
-			unused = append(unused, fmt.Sprintf("%s: %s", sc.fset.Position(obj.Pos()), objectKey(obj)))
-		}
-	}
-	sort.Strings(unused)
-	for _, u := range unused {
-		t.Errorf("exported but referenced nowhere: %s", u)
-	}
+	return sc, declared, nil
 }
 
 // exportScan type-checks the module's packages and records every use and
@@ -112,20 +179,22 @@ func TestNoUnreferencedExports(t *testing.T) {
 // checks: a module package resolves to one check of its non-test files, the
 // standard library to the source importer.
 type exportScan struct {
-	fset  *token.FileSet
-	std   types.ImporterFrom
-	pkgs  map[string]*types.Package // module packages by import path
-	used  map[string]bool           // objectKey of every use
-	ifces []*types.Interface
+	fset     *token.FileSet
+	std      types.ImporterFrom
+	pkgs     map[string]*types.Package // module packages by import path
+	used     map[string]bool           // objectKey of every use
+	prodUsed map[string]bool           // objectKey of every use outside _test.go files
+	ifces    []*types.Interface
 }
 
 func newExportScan() *exportScan {
 	fset := token.NewFileSet()
 	return &exportScan{
-		fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		pkgs: map[string]*types.Package{},
-		used: map[string]bool{},
+		fset:     fset,
+		std:      importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		pkgs:     map[string]*types.Package{},
+		used:     map[string]bool{},
+		prodUsed: map[string]bool{},
 	}
 }
 
@@ -176,8 +245,12 @@ func (sc *exportScan) check(path string, files []*ast.File, onErr func(error)) (
 	if err != nil && onErr == nil {
 		return nil, err
 	}
-	for _, obj := range info.Uses {
-		sc.used[objectKey(obj)] = true
+	for id, obj := range info.Uses {
+		key := objectKey(obj)
+		sc.used[key] = true
+		if !strings.HasSuffix(sc.fset.Position(id.Pos()).Filename, "_test.go") {
+			sc.prodUsed[key] = true
+		}
 	}
 	sc.addInterfaces(info)
 	return pkg, nil

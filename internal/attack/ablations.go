@@ -28,13 +28,13 @@ type pause struct {
 	caller     string
 }
 
-// newScenario builds and pauses a victim through eng (nil: uncached,
-// unrecorded). observe attaches eng.Obs to the process and the scenario.
-// A re-rolled victim loads a Reroll copy of the cached image, which leaves
-// the cached image as it was.
+// newScenario builds and pauses a victim through eng (nil: exec.New(1,
+// nil), which records nothing). observe attaches eng.Obs to the process and
+// the scenario. A re-rolled victim loads a Reroll copy of the cached image,
+// which leaves the cached image as it was.
 func newScenario(eng *exec.Engine, cfg defense.Config, seed uint64, observe bool, p pause) (*Scenario, error) {
 	if eng == nil {
-		eng = &exec.Engine{}
+		eng = exec.New(1, nil)
 	}
 	var obs *telemetry.Observer
 	if observe {
@@ -274,19 +274,9 @@ func NaiveBTDPArrayAttack(eng *exec.Engine, cfg defense.Config, seed uint64) (ke
 			continue // filtered: occurs both in the data section and on the stack
 		}
 		kept++
-		if s.isBTDPValue(v) {
+		if s.IsBTDP(v) {
 			keptBTDPs++
 		}
 	}
 	return kept, keptBTDPs, nil
-}
-
-// isBTDPValue is oracle ground truth: v is one of the published BTDPs.
-func (s *Scenario) isBTDPValue(v uint64) bool {
-	for _, b := range s.Proc.BTDPValues {
-		if b == v {
-			return true
-		}
-	}
-	return false
 }

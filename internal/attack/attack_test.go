@@ -122,7 +122,7 @@ func TestClassifyFindsRegions(t *testing.T) {
 	// Under R2C the heap cluster must contain BTDPs (the poisoning).
 	btdps := 0
 	for _, v := range cl.Heap.Values {
-		if s.isBTDPValue(v) {
+		if s.IsBTDP(v) {
 			btdps++
 		}
 	}

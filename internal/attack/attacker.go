@@ -86,7 +86,8 @@ type Scenario struct {
 // seed many times, and those builds are bit-identical), every detection is
 // recorded in eng.Incidents with the victim's flight-recorder snapshot, and
 // the victim process and the scenario's "attack.*" counters report to
-// eng.Obs. A nil eng builds uncached and records nothing.
+// eng.Obs. A nil eng stands for exec.New(1, nil): a cache of its own, no
+// observer and no incident log.
 func NewScenario(eng *exec.Engine, cfg defense.Config, victimSeed uint64) (*Scenario, error) {
 	return newScenario(eng, cfg, victimSeed, true, pause{})
 }

@@ -32,35 +32,18 @@ func (c *Clusters) textRange(v uint64) bool {
 }
 
 // RACandidates scans the paused frame for return-address candidates: the
-// contiguous run of code-range values nearest the predicted return-address
-// slot. Without BTRAs the run has length one (the return address itself);
+// first of CandidateRuns, the run of code-range values nearest the stack
+// pointer. Without BTRAs the run has length one (the return address itself);
 // with BTRAs it contains pre+1+post indistinguishable values (Section 4.1).
 func (s *Scenario) RACandidates() ([]Leaked, error) {
-	leaks, err := s.LeakStack(2 * 4096)
+	runs, err := s.CandidateRuns()
 	if err != nil {
 		return nil, err
 	}
-	cl := s.Classify(leaks)
-	if cl.Text == nil {
+	if len(runs) == 0 {
 		return nil, fmt.Errorf("attack: no code-range values on stack")
 	}
-	// Find the first code-range value scanning up from RSP, then extend
-	// the contiguous run.
-	first := -1
-	for i, l := range leaks {
-		if cl.textRange(l.Value) {
-			first = i
-			break
-		}
-	}
-	if first == -1 {
-		return nil, fmt.Errorf("attack: no RA candidates found")
-	}
-	run := []Leaked{leaks[first]}
-	for i := first + 1; i < len(leaks) && cl.textRange(leaks[i].Value); i++ {
-		run = append(run, leaks[i])
-	}
-	return run, nil
+	return runs[0], nil
 }
 
 // PickRA implements the attacker's only remaining option against BTRAs:
@@ -89,6 +72,17 @@ func (s *Scenario) IsRealRA(l Leaked) bool {
 // IsBTRA is the oracle judgment for booby-trapped values.
 func (s *Scenario) IsBTRA(l Leaked) bool {
 	return s.Proc.Img.IsBoobyTrapAddr(l.Value)
+}
+
+// IsBTDP is the oracle judgment for booby-trapped data pointers: v is one
+// of the published BTDPs.
+func (s *Scenario) IsBTDP(v uint64) bool {
+	for _, b := range s.Proc.BTDPValues {
+		if b == v {
+			return true
+		}
+	}
+	return false
 }
 
 // refCallSiteRA returns the reference copy's return-address value for the

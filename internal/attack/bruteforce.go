@@ -127,7 +127,7 @@ func FengShui(eng *exec.Engine, cfg defense.Config, seed uint64, maxDelta uint64
 	}
 	for v := range kept {
 		res.PairsFound++
-		if s.isBTDPValue(v) {
+		if s.IsBTDP(v) {
 			res.BTDPPicks++
 		} else {
 			res.SafePicks++

@@ -70,7 +70,6 @@ func (k SlotKind) String() string {
 // Offsets are relative to the post-prologue stack pointer.
 type Slot struct {
 	Kind   SlotKind
-	Name   string
 	Offset int64
 	Size   uint64
 }

@@ -2,7 +2,6 @@ package codegen
 
 import (
 	"fmt"
-	"strconv"
 
 	"r2c/internal/defense"
 	"r2c/internal/isa"
@@ -379,7 +378,6 @@ func (lw *lowerer) layoutFrame() {
 
 	type protoSlot struct {
 		kind SlotKind
-		name string
 		size uint64
 		idx  int
 	}
@@ -389,13 +387,13 @@ func (lw *lowerer) layoutFrame() {
 		if size == 0 {
 			size = 8
 		}
-		slots = append(slots, protoSlot{SlotLocal, l.Name, size, i})
+		slots = append(slots, protoSlot{SlotLocal, size, i})
 	}
 	for i := 0; i < lw.alloc.numSpills; i++ {
-		slots = append(slots, protoSlot{SlotSpill, "spill" + strconv.Itoa(i), 8, i})
+		slots = append(slots, protoSlot{SlotSpill, 8, i})
 	}
 	for i := 0; i < out.NumBTDPs; i++ {
-		slots = append(slots, protoSlot{SlotBTDP, "btdp" + strconv.Itoa(i), 8, i})
+		slots = append(slots, protoSlot{SlotBTDP, 8, i})
 	}
 
 	// Stack-slot randomization: permute the slot order. BTDP slots are
@@ -419,7 +417,7 @@ func (lw *lowerer) layoutFrame() {
 		case SlotBTDP:
 			lw.btdpOff[s.idx] = off
 		}
-		out.Slots = append(out.Slots, Slot{Kind: s.kind, Name: s.name, Offset: off, Size: s.size})
+		out.Slots = append(out.Slots, Slot{Kind: s.kind, Offset: off, Size: s.size})
 		off += int64(s.size)
 	}
 
@@ -431,7 +429,7 @@ func (lw *lowerer) layoutFrame() {
 	target := (8 * int64(1+nPush+out.PostOffset)) % 16
 	pad := (target - off%16 + 16) % 16
 	if pad > 0 {
-		out.Slots = append(out.Slots, Slot{Kind: SlotPad, Name: "pad", Offset: off, Size: uint64(pad)})
+		out.Slots = append(out.Slots, Slot{Kind: SlotPad, Offset: off, Size: uint64(pad)})
 		off += pad
 	}
 	out.FrameSize = off

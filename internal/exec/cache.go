@@ -48,31 +48,19 @@ type Key struct {
 	Schema int // KeySchema at build time
 }
 
-// KeyFor computes the build-cache key for a cell.
-func KeyFor(m *tir.Module, cfg defense.Config, seed uint64) Key {
-	return Key{Module: moduleHash(m), Config: cfg.Fingerprint(), Seed: seed, Schema: KeySchema}
-}
-
-func moduleHash(m *tir.Module) string {
-	sum := m.ContentHash()
-	return hex.EncodeToString(sum[:])
-}
-
-// Key is KeyFor with module content hashes memoized per *Module for the
-// cache's lifetime (workload builders return a fresh, immutable module per
-// call; hashing a browser-scale module once instead of once per cell keeps
-// the key computation off the profile). The memo lives in the cache, not
-// in a package global, so a module is collected with the engine that used
-// it. Modules handed to the engine must not be mutated afterwards — the
-// same immutability the parallel cells themselves rely on (codegen only
-// reads the module). A nil cache memoizes nothing.
+// Key computes the build-cache key for a cell. Module content hashes are
+// memoized per *Module for the cache's lifetime (workload builders return a
+// fresh, immutable module per call; hashing a browser-scale module once
+// instead of once per cell keeps the key computation off the profile). The
+// memo lives in the cache, not in a package global, so a module is
+// collected with the engine that used it. Modules handed to the engine must
+// not be mutated afterwards — the same immutability the parallel cells
+// themselves rely on (codegen only reads the module).
 func (c *Cache) Key(m *tir.Module, cfg defense.Config, seed uint64) Key {
-	if c == nil {
-		return KeyFor(m, cfg, seed)
-	}
 	h, ok := c.hashes.Load(m)
 	if !ok {
-		h, _ = c.hashes.LoadOrStore(m, moduleHash(m))
+		sum := m.ContentHash()
+		h, _ = c.hashes.LoadOrStore(m, hex.EncodeToString(sum[:]))
 	}
 	return Key{Module: h.(string), Config: cfg.Fingerprint(), Seed: seed, Schema: KeySchema}
 }
@@ -124,15 +112,6 @@ func NewCache(obs *telemetry.Observer) *Cache {
 func (c *Cache) Image(m *tir.Module, cfg defense.Config, seed uint64, parent *telemetry.Span, track func(phase string)) (img *image.Image, hit bool, err error) {
 	if track != nil {
 		track("cache-lookup")
-	}
-	if c == nil {
-		if track != nil {
-			track("build")
-		}
-		bs := parent.Child("build", seed)
-		img, err = sim.BuildImage(m, cfg, seed, bs)
-		bs.End()
-		return img, false, err
 	}
 	ls := parent.Child("cache-lookup", seed)
 	lookupStart := time.Now()
@@ -190,17 +169,11 @@ func (c *Cache) Process(m *tir.Module, cfg defense.Config, seed uint64, obs *tel
 // Stats returns the cumulative hit and miss counts. The third result is
 // always 0: every build is cacheable.
 func (c *Cache) Stats() (hits, misses, _ uint64) {
-	if c == nil {
-		return 0, 0, 0
-	}
 	return c.hits.Load(), c.misses.Load(), 0
 }
 
 // Len returns the number of cached images.
 func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)

@@ -46,9 +46,8 @@ func (e *CellError) Unwrap() error { return e.Err }
 
 // Engine bundles the fan-out, the build cache, the observer and the
 // incident log behind one handle — the run context experiment drivers and
-// attack scenarios carry around. A nil Engine is not usable; bench
-// constructs a default one when none is supplied. A zero Engine fans out
-// on GOMAXPROCS workers and builds uncached.
+// attack scenarios carry around. Build one with New; bench constructs a
+// default one when none is supplied.
 type Engine struct {
 	Cache *Cache
 	// Obs is attached to every process the engine loads and receives the
@@ -87,12 +86,10 @@ type Engine struct {
 	Incidents *incident.Log
 
 	// Series, when set, receives deterministic time-series samples from the
-	// ordered merge loop: the trajectory axis is the cumulative completed
-	// cell count (never wall clock), so -timeseries-out artifacts are
-	// byte-identical at any -jobs width. SampleEvery is the cell stride
-	// between samples (0 = 16).
-	Series      *telemetry.SeriesSet
-	SampleEvery int
+	// ordered merge loop every seriesStride completed cells: the trajectory
+	// axis is the cumulative completed cell count (never wall clock), so
+	// -timeseries-out artifacts are byte-identical at any -jobs width.
+	Series *telemetry.SeriesSet
 
 	// jobs is the worker count: 0 means GOMAXPROCS, 1 runs serially on the
 	// caller's goroutine.
@@ -108,6 +105,9 @@ type Engine struct {
 	seriesMu  sync.Mutex
 	cellsDone int
 }
+
+// seriesStride is the number of completed cells between two Series samples.
+const seriesStride = 16
 
 // New returns an engine with a fresh cache that fans out on the given
 // number of workers (0 = GOMAXPROCS, 1 = serial). obs may be nil.
@@ -225,10 +225,6 @@ func (e *Engine) RunCells(ctx context.Context, cells []Cell) ([]*vm.Result, erro
 		cyc = telemetry.NewHistogram(telemetry.CycleBounds)
 	}
 	e.seriesMu.Lock()
-	every := e.SampleEvery
-	if every <= 0 {
-		every = 16
-	}
 	for _, res := range results {
 		if res == nil {
 			continue
@@ -242,7 +238,7 @@ func (e *Engine) RunCells(ctx context.Context, cells []Cell) ([]*vm.Result, erro
 		// -timeseries-out contract.
 		if e.Series != nil {
 			e.cellsDone++
-			if e.cellsDone%every == 0 {
+			if e.cellsDone%seriesStride == 0 {
 				t := float64(e.cellsDone)
 				snap := cyc.Snapshot()
 				e.Series.Sample(t, "exec.cells.done", t)

@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -74,16 +73,6 @@ func (e *BatchError) Summary() string {
 		fmt.Fprintf(&b, "\n  %v", f)
 	}
 	return b.String()
-}
-
-// FailedIndices returns the failing cell indices in ascending order.
-func (e *BatchError) FailedIndices() []int {
-	idx := make([]int, len(e.Failures))
-	for i, f := range e.Failures {
-		idx[i] = f.Index
-	}
-	sort.Ints(idx)
-	return idx
 }
 
 // AsBatchError extracts a *BatchError from a (possibly wrapped) error chain.

@@ -100,7 +100,7 @@ func TestPanicIsolationDeterministicAcrossWidths(t *testing.T) {
 		if !ok {
 			t.Fatalf("jobs=%d: error %v is not a BatchError", jobs, err)
 		}
-		if got := be.FailedIndices(); !reflect.DeepEqual(got, []int{bad}) {
+		if got := failedIndices(be); !reflect.DeepEqual(got, []int{bad}) {
 			t.Fatalf("jobs=%d: failed indices %v, want [%d]", jobs, got, bad)
 		}
 		var pe *exec.PanicError
@@ -240,7 +240,7 @@ func TestJournalSkipsOlderSchema(t *testing.T) {
 	c := cells[0]
 	path := filepath.Join(t.TempDir(), "run.journal")
 
-	stale := exec.KeyFor(c.Module, c.Cfg, c.Seed)
+	stale := exec.NewCache(nil).Key(c.Module, c.Cfg, c.Seed)
 	stale.Schema = exec.KeySchema - 1
 	j1, err := exec.OpenJournal(path)
 	if err != nil {
@@ -434,7 +434,7 @@ func TestBatchErrorAggregatesFailures(t *testing.T) {
 	if !ok {
 		t.Fatalf("error %v is not a BatchError", err)
 	}
-	if got := be.FailedIndices(); !reflect.DeepEqual(got, []int{1, 3}) {
+	if got := failedIndices(be); !reflect.DeepEqual(got, []int{1, 3}) {
 		t.Fatalf("failed indices %v, want [1 3]", got)
 	}
 	var ce *exec.CellError
@@ -447,4 +447,14 @@ func TestBatchErrorAggregatesFailures(t *testing.T) {
 	if !strings.Contains(be.Summary(), "2/4 cells failed") {
 		t.Errorf("summary %q lacks the failure count", be.Summary())
 	}
+}
+
+// failedIndices lists the failed cells' indices in the order the batch
+// error reports them, which is ascending.
+func failedIndices(be *exec.BatchError) []int {
+	idx := make([]int, len(be.Failures))
+	for i, f := range be.Failures {
+		idx[i] = f.Index
+	}
+	return idx
 }

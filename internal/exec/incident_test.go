@@ -126,8 +126,7 @@ func TestEngineSeriesDeterministicAcrossWidths(t *testing.T) {
 	run := func(jobs int) []byte {
 		eng := exec.New(jobs, nil)
 		eng.Series = telemetry.NewSeriesSet(0, nil)
-		eng.SampleEvery = 4
-		if _, err := eng.RunCells(context.Background(), cellsN(m, 12)); err != nil {
+		if _, err := eng.RunCells(context.Background(), cellsN(m, 48)); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -149,7 +148,7 @@ func TestEngineSeriesDeterministicAcrossWidths(t *testing.T) {
 	for _, sd := range snap.Series {
 		byName[sd.Name] = len(sd.Points)
 	}
-	// 12 cells at stride 4 = 3 ticks per series.
+	// 48 cells at the stride of 16 = 3 ticks per series.
 	for _, name := range []string{"exec.cells.done", "exec.run.cycles.p50", "exec.run.cycles.p99", "exec.run.cycles.mean"} {
 		if byName[name] != 3 {
 			t.Errorf("series %s has %d points, want 3 (all: %v)", name, byName[name], byName)
@@ -167,7 +166,6 @@ func TestOpsServerConcurrentScrapes(t *testing.T) {
 	eng := exec.New(4, obs)
 	eng.Incidents = incident.NewLog()
 	eng.Series = telemetry.NewSeriesSet(0, obs)
-	eng.SampleEvery = 1
 	srv, err := telemetry.ServeOpsSources("127.0.0.1:0", telemetry.OpsSources{
 		Registry:  reg,
 		Progress:  func() any { return eng.Progress() },
@@ -211,17 +209,22 @@ func TestOpsServerConcurrentScrapes(t *testing.T) {
 	}
 
 	// Crash cells mutate the registry (trap/fault counters), the flight
-	// recorders and the incident log while the scrapers read.
+	// recorders and the incident log while the scrapers read; the 16 cells
+	// that complete fill one time-series sample.
 	m := crashModule(t)
 	cells := make([]exec.Cell, 16)
 	for i := range cells {
 		cells[i] = exec.Cell{Module: m, Cfg: defense.R2CFull(), Seed: uint64(300 + i), Prof: vm.EPYCRome()}
 	}
+	cells = append(cells, cellsN(testModule(t), 16)...)
 	if _, err := eng.RunCells(context.Background(), cells); err == nil {
 		t.Error("crash cells completed without error")
 	}
 	close(done)
 	wg.Wait()
+	if snap := eng.Series.Snapshot([]string{"exec.cells.done"}, 0); len(snap.Series) != 1 || len(snap.Series[0].Points) != 1 {
+		t.Errorf("time series sampled %+v, want one exec.cells.done point", snap.Series)
+	}
 
 	// One final scrape after the dust settles must see the incidents.
 	resp, err := http.Get(srv.URL() + "/incidents")

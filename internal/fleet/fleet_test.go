@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 	"r2c/internal/image"
 	"r2c/internal/incident"
 	"r2c/internal/isa"
+	"r2c/internal/mem"
 	"r2c/internal/rt"
 	"r2c/internal/sim"
 	"r2c/internal/telemetry"
@@ -489,11 +491,11 @@ func btraWords(t *testing.T, p *rt.Process) map[uint64]uint64 {
 				continue
 			}
 			addr := ds.Addr + uint64(i)*8
-			v, err := p.Space.DebugRead64(addr)
-			if err != nil {
-				t.Fatal(err)
+			data, _, _, ok := p.Space.Slab(addr)
+			if !ok {
+				t.Fatalf("%#x: BTRA word not mapped", addr)
 			}
-			out[addr] = v
+			out[addr] = binary.LittleEndian.Uint64(data[addr&mem.PageMask:])
 		}
 	}
 	return out

@@ -342,12 +342,12 @@ func (h *Harness) openSinks(profile bool) error {
 	return nil
 }
 
-// SampleCells wires time-series rings into the engine, sampled every n
-// completed cells (0 = the engine default), when something will read them.
-func (h *Harness) SampleCells(n int) {
-	if n > 0 || h.f.timeseriesOut != "" || h.f.listen != "" || h.f.alertRules != "" {
+// SampleCells wires time-series rings into the engine when something will
+// read them.
+func (h *Harness) SampleCells() {
+	if h.f.timeseriesOut != "" || h.f.listen != "" || h.f.alertRules != "" {
 		h.Series = telemetry.NewSeriesSet(0, h.Obs)
-		h.Eng.Series, h.Eng.SampleEvery = h.Series, n
+		h.Eng.Series = h.Series
 	}
 }
 

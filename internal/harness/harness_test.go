@@ -13,6 +13,8 @@ import (
 
 	"r2c/internal/exec"
 	"r2c/internal/telemetry"
+	"r2c/internal/tir"
+	"r2c/internal/workload"
 )
 
 // stub runs a CLI built on the harness over a stub experiment table:
@@ -56,7 +58,7 @@ func stub(t *testing.T, args ...string) (code int, stdout, stderr string) {
 		if err := h.Open(1, false); err != nil {
 			return err
 		}
-		h.SampleCells(0)
+		h.SampleCells()
 		if err := h.Serve(telemetry.OpsSources{}); err != nil {
 			return err
 		}
@@ -254,5 +256,34 @@ func TestExperimentSecondsRecorded(t *testing.T) {
 	}
 	if h, ok := snap.Histograms["harness.experiment.seconds{name=ok}"]; !ok || h.Count != 1 {
 		t.Errorf("harness.experiment.seconds{name=ok} missing or miscounted: %+v", h)
+	}
+}
+
+// TestModuleTextFixedPoint holds that every built-in module's text (the 12
+// SPEC workloads, nginx and apache whole and per request, and the attack
+// victim) parses back to a module that prints the same text, so any dumped
+// workload can be edited and compiled again as a .tir file.
+func TestModuleTextFixedPoint(t *testing.T) {
+	mods := []*tir.Module{workload.NginxRequest(), workload.ApacheRequest()}
+	names := []string{"victim", "nginx", "apache"}
+	for _, b := range workload.SPEC() {
+		names = append(names, b.Name)
+	}
+	for _, name := range names {
+		m, err := Module(name, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mods = append(mods, m)
+	}
+	for _, m := range mods {
+		text := m.String()
+		back, err := tir.Parse(text)
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
+		}
+		if got := tir.Marshal(back); got != text {
+			t.Errorf("%s: the parsed text prints differently", m.Name)
+		}
 	}
 }

@@ -111,15 +111,21 @@ func TestFreeUnmapsExclusivePages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.IsMapped(addr) {
+	if !mapped(s, addr) {
 		t.Fatal("allocation page not mapped")
 	}
 	if err := a.Free(addr); err != nil {
 		t.Fatal(err)
 	}
-	if s.IsMapped(addr) {
+	if mapped(s, addr) {
 		t.Fatal("page still mapped after freeing its only chunk")
 	}
+}
+
+// mapped reports whether addr falls on a mapped page of s.
+func mapped(s *mem.Space, addr uint64) bool {
+	_, _, _, ok := s.Slab(addr)
+	return ok
 }
 
 func TestSharedPageSurvivesPartialFree(t *testing.T) {
@@ -132,7 +138,7 @@ func TestSharedPageSurvivesPartialFree(t *testing.T) {
 	if err := a.Free(x); err != nil {
 		t.Fatal(err)
 	}
-	if !s.IsMapped(y) {
+	if !mapped(s, y) {
 		t.Fatal("shared page unmapped while second chunk is live")
 	}
 }
@@ -388,9 +394,9 @@ func TestFreeAllMatchesSequentialFree(t *testing.T) {
 		if got.Stats() != want.Stats() || got.brk != want.brk {
 			t.Fatalf("seed %d: stats %+v brk %#x, want %+v brk %#x", seed, got.Stats(), got.brk, want.Stats(), want.brk)
 		}
-		if !slices.Equal(gs.Regions(), ws.Regions()) || gs.RSSPages() != ws.RSSPages() || gs.MaxRSSPages() != ws.MaxRSSPages() {
+		if !slices.Equal(gs.Regions(), ws.Regions()) || gs.RSSBytes() != ws.RSSBytes() || gs.MaxRSSBytes() != ws.MaxRSSBytes() {
 			t.Fatalf("seed %d: space differs\nregions %v rss %d/%d\nwant    %v rss %d/%d", seed,
-				gs.Regions(), gs.RSSPages(), gs.MaxRSSPages(), ws.Regions(), ws.RSSPages(), ws.MaxRSSPages())
+				gs.Regions(), gs.RSSBytes(), gs.MaxRSSBytes(), ws.Regions(), ws.RSSBytes(), ws.MaxRSSBytes())
 		}
 		if g, w := got.rnd.Uint64(), want.rnd.Uint64(); g != w {
 			t.Fatalf("seed %d: RNG state differs after the frees", seed)

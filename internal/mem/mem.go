@@ -381,20 +381,6 @@ func (s *Space) Protect(addr, size uint64, perm Perm) error {
 	return nil
 }
 
-// IsMapped reports whether addr falls on a mapped page.
-func (s *Space) IsMapped(addr uint64) bool {
-	return s.lookup(addr>>PageShift) != nil
-}
-
-// PermAt returns the permissions of the page containing addr.
-func (s *Space) PermAt(addr uint64) (Perm, bool) {
-	p := s.lookup(addr >> PageShift)
-	if p == nil {
-		return 0, false
-	}
-	return p.perm, true
-}
-
 func (s *Space) check(addr uint64, access AccessKind) (*page, error) {
 	p := s.lookup(addr >> PageShift)
 	if p == nil {
@@ -470,35 +456,6 @@ func (s *Space) CheckExec(addr uint64) error {
 	return err
 }
 
-// DebugRead reads memory ignoring permissions. It exists for test assertions
-// and human-readable dumps only; neither the VM nor the attacker uses it.
-func (s *Space) DebugRead(addr uint64, buf []byte) error {
-	for done := 0; done < len(buf); {
-		p := s.lookup(addr >> PageShift)
-		if p == nil {
-			return &Fault{Addr: addr, Access: AccessRead, Unmapped: true}
-		}
-		off := int(addr & PageMask)
-		n := PageSize - off
-		if rem := len(buf) - done; n > rem {
-			n = rem
-		}
-		copy(buf[done:done+n], p.bytes()[off:off+n])
-		done += n
-		addr += uint64(n)
-	}
-	return nil
-}
-
-// DebugRead64 is DebugRead for a single word.
-func (s *Space) DebugRead64(addr uint64) (uint64, error) {
-	var b [8]byte
-	if err := s.DebugRead(addr, b[:]); err != nil {
-		return 0, err
-	}
-	return le64(b[:]), nil
-}
-
 // Slab exposes the backing bytes and permission of the page containing
 // addr, for fast word access by the VM (which performs its own permission
 // checks and caches the slab in a software TLB). The returned array aliases
@@ -521,17 +478,12 @@ func (s *Space) OwnSlab(addr uint64) *[PageSize]byte {
 	return s.own(addr >> PageShift)
 }
 
-// RSSPages returns the current resident page count.
-func (s *Space) RSSPages() int { return s.rssPages }
-
-// MaxRSSPages returns the peak resident page count — the simulated maxrss
-// rusage metric the paper's SPEC memory methodology reads (Section 6.2.5).
-func (s *Space) MaxRSSPages() int { return s.maxRSSPages }
-
 // RSSBytes returns the current resident set size in bytes.
 func (s *Space) RSSBytes() uint64 { return uint64(s.rssPages) * PageSize }
 
-// MaxRSSBytes returns the peak resident set size in bytes.
+// MaxRSSBytes returns the peak resident set size in bytes — the simulated
+// maxrss rusage metric the paper's SPEC memory methodology reads (Section
+// 6.2.5).
 func (s *Space) MaxRSSBytes() uint64 { return uint64(s.maxRSSPages) * PageSize }
 
 // Region describes one contiguous run of identically-permissioned pages.

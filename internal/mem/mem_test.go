@@ -131,10 +131,10 @@ func TestProtectRevokesAccess(t *testing.T) {
 	if _, err := s.Read64(0x1000); err == nil {
 		t.Fatal("read after protect(None) succeeded")
 	}
-	// DebugRead bypasses permissions and still sees the value.
-	v, err := s.DebugRead64(0x1000)
-	if err != nil || v != 42 {
-		t.Fatalf("DebugRead64 = %d, %v", v, err)
+	// The page's bytes still hold the value.
+	data, perm, _, ok := s.Slab(0x1000)
+	if !ok || perm != PermNone || le64(data[:8]) != 42 {
+		t.Fatalf("Slab = %v, %v, %v", ok, perm, le64(data[:8]))
 	}
 }
 
@@ -173,22 +173,22 @@ func TestUnmapFreesAndFaults(t *testing.T) {
 func TestRSSAccounting(t *testing.T) {
 	s := NewSpace()
 	mustMap(t, s, 0x1000, 4*PageSize, PermRW)
-	if s.RSSPages() != 4 || s.MaxRSSPages() != 4 {
-		t.Fatalf("rss=%d max=%d", s.RSSPages(), s.MaxRSSPages())
+	if s.RSSBytes() != 4*PageSize || s.MaxRSSBytes() != 4*PageSize {
+		t.Fatalf("rss=%d max=%d", s.RSSBytes(), s.MaxRSSBytes())
 	}
 	if err := s.Unmap(0x1000, 2*PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if s.RSSPages() != 2 {
-		t.Fatalf("rss after unmap = %d", s.RSSPages())
+	if s.RSSBytes() != 2*PageSize {
+		t.Fatalf("rss after unmap = %d", s.RSSBytes())
 	}
 	// maxrss is a high-water mark: it must not decrease.
-	if s.MaxRSSPages() != 4 {
-		t.Fatalf("maxrss dropped to %d", s.MaxRSSPages())
+	if s.MaxRSSBytes() != 4*PageSize {
+		t.Fatalf("maxrss dropped to %d", s.MaxRSSBytes())
 	}
 	mustMap(t, s, 0x100000, 8*PageSize, PermRW)
-	if s.MaxRSSPages() != 10 {
-		t.Fatalf("maxrss = %d, want 10", s.MaxRSSPages())
+	if s.MaxRSSBytes() != 10*PageSize {
+		t.Fatalf("maxrss = %d, want 10 pages", s.MaxRSSBytes())
 	}
 }
 
@@ -312,7 +312,7 @@ func TestReleasedPagesComeBackClean(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.Release()
-		if f.IsMapped(0x10000) || f.RSSPages() != 0 {
+		if _, _, _, mapped := f.Slab(0x10000); mapped || f.RSSBytes() != 0 {
 			t.Fatal("a released space still maps pages")
 		}
 	}

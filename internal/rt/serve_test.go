@@ -78,7 +78,7 @@ func TestBuildImageAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const runs, maxAllocs, maxBytes = 10, 3000, 1_700_000
+	const runs, maxAllocs, maxBytes = 10, 2250, 1_700_000
 	if n := testing.AllocsPerRun(runs, build); n > maxAllocs {
 		t.Errorf("a build allocates %.0f times, ceiling %d", n, maxAllocs)
 	}

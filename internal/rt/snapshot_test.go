@@ -43,8 +43,8 @@ type procState struct {
 	Hashes  map[uint64][32]byte
 	Heap    heap.Stats
 	Brk     uint64
-	RSS     int
-	MaxRSS  int
+	RSS     uint64
+	MaxRSS  uint64
 }
 
 func stateOf(t *testing.T, p *Process) procState {
@@ -54,19 +54,18 @@ func stateOf(t *testing.T, p *Process) procState {
 		Perms:   map[uint64]mem.Perm{},
 		Hashes:  map[uint64][32]byte{},
 		Heap:    p.Heap.Stats(),
-		RSS:     p.Space.RSSPages(),
-		MaxRSS:  p.Space.MaxRSSPages(),
+		RSS:     p.Space.RSSBytes(),
+		MaxRSS:  p.Space.MaxRSSBytes(),
 	}
 	_, st.Brk = p.Heap.Bounds()
-	buf := make([]byte, mem.PageSize)
 	for _, r := range st.Regions {
 		for a := r.Addr; a < r.Addr+r.Size; a += mem.PageSize {
-			perm, _ := p.Space.PermAt(a)
-			st.Perms[a] = perm
-			if err := p.Space.DebugRead(a, buf); err != nil {
-				t.Fatal(err)
+			data, perm, _, ok := p.Space.Slab(a)
+			if !ok {
+				t.Fatalf("%#x: region page not mapped", a)
 			}
-			st.Hashes[a] = sha256.Sum256(buf)
+			st.Perms[a] = perm
+			st.Hashes[a] = sha256.Sum256(data[:])
 		}
 	}
 	return st

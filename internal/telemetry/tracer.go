@@ -27,13 +27,6 @@ type Tracer interface {
 	Emit(kind string, attrs map[string]any)
 }
 
-// Emit sends an event to t, tolerating a nil tracer.
-func Emit(t Tracer, kind string, attrs map[string]any) {
-	if t != nil {
-		t.Emit(kind, attrs)
-	}
-}
-
 // JSONLTracer writes one JSON object per event to an io.Writer — the
 // -trace FILE format. Events carry a monotonically increasing sequence
 // number so interleavings are reconstructible.
@@ -137,10 +130,10 @@ func (o *Observer) Histogram(name string, bounds []float64, labels ...string) *H
 
 // Emit sends an event to the tracer, if any.
 func (o *Observer) Emit(kind string, attrs map[string]any) {
-	if o == nil {
+	if o == nil || o.Tracer == nil {
 		return
 	}
-	Emit(o.Tracer, kind, attrs)
+	o.Tracer.Emit(kind, attrs)
 }
 
 // StartSpan begins a root span against the observer's span sink. With no

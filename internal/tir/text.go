@@ -38,6 +38,9 @@ import (
 	"strings"
 )
 
+// String renders the module in the parseable textual format (Marshal).
+func (m *Module) String() string { return Marshal(m) }
+
 // Marshal renders the module in the parseable textual format.
 func Marshal(m *Module) string {
 	var sb strings.Builder
@@ -81,7 +84,7 @@ func Marshal(m *Module) string {
 		for bi, b := range f.Blocks {
 			fmt.Fprintf(&sb, "b%d:\n", bi)
 			for _, in := range b.Instrs {
-				fmt.Fprintf(&sb, "  %s\n", marshalInstr(in))
+				fmt.Fprintf(&sb, "  %s\n", in)
 			}
 		}
 		sb.WriteString("}\n")
@@ -97,7 +100,8 @@ func regList(rs []Reg) string {
 	return strings.Join(parts, ", ")
 }
 
-func marshalInstr(in Instr) string {
+// String renders one instruction in the parseable textual format.
+func (in Instr) String() string {
 	switch {
 	case in.Op == OpConst:
 		return fmt.Sprintf("r%d = const %#x", in.Dst, in.Imm)

@@ -83,13 +83,14 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := Marshal(m1)
-	m2, err := Parse(text)
-	if err != nil {
-		t.Fatalf("re-parse: %v\n%s", err, text)
-	}
-	if !reflect.DeepEqual(m1, m2) {
-		t.Fatalf("round trip changed the module:\n%s\nvs\n%s", Marshal(m1), Marshal(m2))
+	for _, text := range []string{Marshal(m1), m1.String()} {
+		m2, err := Parse(text)
+		if err != nil {
+			t.Fatalf("re-parse: %v\n%s", err, text)
+		}
+		if !reflect.DeepEqual(m1, m2) {
+			t.Fatalf("round trip changed the module:\n%s\nvs\n%s", Marshal(m1), Marshal(m2))
+		}
 	}
 }
 

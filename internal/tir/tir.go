@@ -21,10 +21,7 @@
 // file, exactly like x86_64 general-purpose registers.
 package tir
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Reg is a virtual register index, local to a function. Registers are
 // mutable (the IR is post-SSA, like LLVM after register allocation inputs).
@@ -455,90 +452,6 @@ func (m *Module) Stats() ModuleStats {
 		}
 	}
 	return s
-}
-
-// String renders the module in a readable textual form.
-func (m *Module) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "module %s (entry %s)\n", m.Name, m.Entry)
-	for _, g := range m.Globals {
-		fmt.Fprintf(&sb, "global %s %s size=%d", g.Name, g.Kind, g.Size)
-		if g.InitFunc != "" {
-			fmt.Fprintf(&sb, " init=&%s", g.InitFunc)
-		}
-		sb.WriteByte('\n')
-	}
-	for _, f := range m.Funcs {
-		prot := ""
-		if !f.Protected {
-			prot = " [unprotected]"
-		}
-		fmt.Fprintf(&sb, "func %s(params=%d regs=%d locals=%d)%s\n",
-			f.Name, f.NParams, f.NRegs, len(f.Locals), prot)
-		for bi, b := range f.Blocks {
-			fmt.Fprintf(&sb, "  b%d:\n", bi)
-			for _, in := range b.Instrs {
-				fmt.Fprintf(&sb, "    %s\n", in.String())
-			}
-		}
-	}
-	return sb.String()
-}
-
-// String renders one instruction.
-func (in Instr) String() string {
-	switch {
-	case in.Op == OpConst:
-		return fmt.Sprintf("r%d = const %#x", in.Dst, in.Imm)
-	case in.Op == OpMov:
-		return fmt.Sprintf("r%d = r%d", in.Dst, in.A)
-	case in.Op.IsBinary():
-		return fmt.Sprintf("r%d = %s r%d, r%d", in.Dst, in.Op, in.A, in.B)
-	case in.Op == OpLoad:
-		return fmt.Sprintf("r%d = load [r%d%+d]", in.Dst, in.A, in.Off)
-	case in.Op == OpStore:
-		return fmt.Sprintf("store [r%d%+d], r%d", in.A, in.Off, in.B)
-	case in.Op == OpAddrLocal:
-		return fmt.Sprintf("r%d = &local%d", in.Dst, in.Local)
-	case in.Op == OpAddrGlobal:
-		return fmt.Sprintf("r%d = &%s", in.Dst, in.Sym)
-	case in.Op == OpAddrFunc:
-		return fmt.Sprintf("r%d = &func %s", in.Dst, in.Sym)
-	case in.Op == OpAlloc:
-		return fmt.Sprintf("r%d = alloc r%d", in.Dst, in.A)
-	case in.Op == OpFree:
-		return fmt.Sprintf("free r%d", in.A)
-	case in.Op == OpOutput:
-		return fmt.Sprintf("output r%d", in.A)
-	case in.Op == OpCall:
-		dst := ""
-		if in.Dst != NoReg {
-			dst = fmt.Sprintf("r%d = ", in.Dst)
-		}
-		tail := ""
-		if in.Tail {
-			tail = "tail "
-		}
-		target := in.Sym
-		if target == "" {
-			target = fmt.Sprintf("*r%d", in.A)
-		}
-		args := make([]string, len(in.Args))
-		for i, a := range in.Args {
-			args[i] = fmt.Sprintf("r%d", a)
-		}
-		return fmt.Sprintf("%s%scall %s(%s)", dst, tail, target, strings.Join(args, ", "))
-	case in.Op == OpBr:
-		return fmt.Sprintf("br b%d", in.Target)
-	case in.Op == OpCondBr:
-		return fmt.Sprintf("condbr r%d, b%d, b%d", in.A, in.Target, in.Else)
-	case in.Op == OpRet:
-		if in.HasArg {
-			return fmt.Sprintf("ret r%d", in.A)
-		}
-		return "ret"
-	}
-	return fmt.Sprintf("?%v", in.Op)
 }
 
 func alignWords(bytes uint64) uint64 { return (bytes + 7) / 8 }

@@ -252,8 +252,8 @@ func TestInstrStringForms(t *testing.T) {
 		{Instr{Op: OpConst, Dst: 1, Imm: 255}, "r1 = const 0xff"},
 		{Instr{Op: OpLoad, Dst: 2, A: 3, Off: -8}, "r2 = load [r3-8]"},
 		{Instr{Op: OpStore, A: 1, Off: 16, B: 2}, "store [r1+16], r2"},
-		{Instr{Op: OpCall, Dst: NoReg, A: 4, Args: []Reg{1}}, "call *r4(r1)"},
-		{Instr{Op: OpCall, Dst: NoReg, Sym: "f", Tail: true}, "tail call f()"},
+		{Instr{Op: OpCall, Dst: NoReg, A: 4, Args: []Reg{1}}, "callind r4(r1)"},
+		{Instr{Op: OpCall, Dst: NoReg, Sym: "f", Tail: true}, "tailcall f()"},
 		{Instr{Op: OpCondBr, A: 1, Target: 2, Else: 3}, "condbr r1, b2, b3"},
 	}
 	for _, c := range cases {

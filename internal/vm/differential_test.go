@@ -292,7 +292,7 @@ func TestFastPathResumeAndKnobParity(t *testing.T) {
 // the helper's return address, and resumes it on the given engine.
 func scenarioResume(t *testing.T, run func(*vm.Machine) leg, obs *telemetry.Observer) (leg, *attack.Scenario) {
 	t.Helper()
-	s, err := attack.NewScenario(&exec.Engine{Obs: obs}, defense.CFIShadowStack(), 3)
+	s, err := attack.NewScenario(exec.New(1, obs), defense.CFIShadowStack(), 3)
 	if err != nil {
 		t.Fatalf("scenario: %v", err)
 	}

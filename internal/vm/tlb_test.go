@@ -310,7 +310,7 @@ func TestSyncTLBDropsUnmappedPages(t *testing.T) {
 	m := newMachine(t, img, 1, vm.EPYCRome(), nil)
 	sp := m.Proc.Space
 	const a = 0x7ff0_0000_0000
-	if sp.IsMapped(a) {
+	if _, _, _, mapped := sp.Slab(a); mapped {
 		t.Fatalf("%#x already mapped", a)
 	}
 	if err := sp.Map(a, mem.PageSize, mem.PermRW); err != nil {
