@@ -30,7 +30,7 @@ func TestNoUnreferencedExports(t *testing.T) {
 	sc, declared := scanExports(t)
 	var unused []string
 	for _, obj := range declared {
-		if !sc.used[objectKey(obj)] && !sc.viaInterface(obj) {
+		if obj.Exported() && !sc.used[objectKey(obj)] && !sc.viaInterface(obj) {
 			unused = append(unused, fmt.Sprintf("%s: %s", sc.fset.Position(obj.Pos()), objectKey(obj)))
 		}
 	}
@@ -65,7 +65,7 @@ func TestTestOnlyExportsListed(t *testing.T) {
 	testOnly := map[string]bool{}
 	for _, obj := range declared {
 		key := objectKey(obj)
-		if !sc.used[key] || sc.prodUsed[key] || sc.viaInterface(obj) {
+		if !obj.Exported() || !sc.used[key] || sc.prodUsed[key] || sc.viaInterface(obj) {
 			continue
 		}
 		testOnly[key] = true
@@ -81,6 +81,32 @@ func TestTestOnlyExportsListed(t *testing.T) {
 	}
 }
 
+// TestUnexportedHaveProductionCallers fails when an unexported identifier
+// declared in a non-test file under internal/ — a package-level func, type,
+// var or const, or a method — has no reference outside _test.go files:
+// code only tests call belongs in the tests, and code nothing calls goes.
+// A method that satisfies an interface counts as called. There is no
+// allowlist.
+func TestUnexportedHaveProductionCallers(t *testing.T) {
+	sc, declared := scanExports(t)
+	var bad []string
+	for _, obj := range declared {
+		key := objectKey(obj)
+		if obj.Exported() || sc.prodUsed[key] || sc.viaInterface(obj) {
+			continue
+		}
+		why := "referenced nowhere"
+		if sc.used[key] {
+			why = "referenced only from tests"
+		}
+		bad = append(bad, fmt.Sprintf("%s: %s is %s", sc.fset.Position(obj.Pos()), key, why))
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
+	}
+}
+
 var exportScanOnce struct {
 	sync.Once
 	sc       *exportScan
@@ -89,8 +115,8 @@ var exportScanOnce struct {
 }
 
 // scanExports type-checks the whole module once per test binary and returns
-// the scan with the exported objects declared in non-test files under
-// internal/.
+// the scan with the package-level objects and methods, exported or not,
+// declared in non-test files under internal/.
 func scanExports(t *testing.T) (*exportScan, []types.Object) {
 	t.Helper()
 	s := &exportScanOnce
@@ -143,7 +169,7 @@ func runExportScan() (*exportScan, []types.Object, error) {
 			return nil, nil, fmt.Errorf("%s: %v", path, err)
 		}
 		if strings.HasPrefix(path, "r2c/internal/") {
-			declared = append(declared, sc.exportedDecls(pkg, files[:len(bp.GoFiles)])...)
+			declared = append(declared, sc.decls(pkg, files[:len(bp.GoFiles)])...)
 		}
 		if len(bp.XTestGoFiles) > 0 {
 			// The type errors an external test package can hit (identity
@@ -316,16 +342,16 @@ func (sc *exportScan) viaInterface(obj types.Object) bool {
 	return false
 }
 
-// exportedDecls returns the exported package-level objects and methods pkg
-// declares in the given (non-test) files.
-func (sc *exportScan) exportedDecls(pkg *types.Package, files []*ast.File) []types.Object {
+// decls returns the package-level objects and methods pkg declares in the
+// given (non-test) files.
+func (sc *exportScan) decls(pkg *types.Package, files []*ast.File) []types.Object {
 	inSrc := map[string]bool{}
 	for _, f := range files {
 		inSrc[sc.fset.Position(f.Pos()).Filename] = true
 	}
 	var out []types.Object
 	add := func(obj types.Object) {
-		if obj.Exported() && inSrc[sc.fset.Position(obj.Pos()).Filename] {
+		if inSrc[sc.fset.Position(obj.Pos()).Filename] {
 			out = append(out, obj)
 		}
 	}

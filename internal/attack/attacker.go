@@ -18,11 +18,6 @@ import (
 	"r2c/internal/vm"
 )
 
-// pauseBudget is the instruction count after which the victim thread is
-// "blocked" — the Malicious Thread Blocking analogue (Section 3): the
-// attacker can then inspect a deterministic, quiescent stack.
-const pauseBudget = 400_000
-
 // clusterGap is the value-proximity threshold of the statistical analysis:
 // two pointers within this distance belong to the same memory region
 // cluster. minPointer filters non-pointer words.

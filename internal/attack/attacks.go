@@ -10,21 +10,6 @@ import (
 	"r2c/internal/rt"
 )
 
-// refHelperFrame returns the attacker-copy frame geometry of the paused
-// function: the offset from the body stack pointer to the return-address
-// slot. In a monoculture this is exact; under diversification the victim's
-// actual geometry differs (random post-offset, shuffled slots, different
-// callee-saved sets).
-func (s *Scenario) refHelperFrame() (raOffset uint64, ok bool) {
-	pf, ok2 := s.RefImg.Funcs[SymHelper]
-	if !ok2 {
-		return 0, false
-	}
-	f := pf.F
-	saves := len(f.CalleeSaved)
-	return uint64(f.FrameSize) + uint64(saves)*8 + uint64(f.PostOffset)*8, true
-}
-
 // textRange reports whether v looks like a code address, judged against the
 // clusters the attacker computed from the stack leak.
 func (c *Clusters) textRange(v uint64) bool {
@@ -281,14 +266,12 @@ func (s *Scenario) PIROPAdjust(k int) Outcome {
 	}
 	target := cands[s.Rnd.Intn(len(cands))]
 	// Choose a gadget near the reference return address.
-	refRA, ok := s.refCallSiteRA()
-	if !ok {
+	if _, ok := s.refCallSiteRA(); !ok {
 		return Failed
 	}
 	refPF := s.RefImg.Funcs[SymValidate]
 	i := s.Rnd.Intn(len(refPF.InstrAddrs))
 	kind := refPF.F.Instrs[i].Kind
-	_ = refRA
 	low := uint16(refPF.InstrAddrs[i] + uint64(k)*4096)
 	// Partial overwrite: two low bytes of the chosen stack word. PIROP
 	// needs no leaked absolute addresses, so re-randomization between

@@ -6,6 +6,21 @@ import (
 	"r2c/internal/defense"
 )
 
+// refHelperFrame returns the attacker-copy frame geometry of the paused
+// function: the offset from the body stack pointer to the return-address
+// slot. In a monoculture this is exact; under diversification the victim's
+// actual geometry differs (random post-offset, shuffled slots, different
+// callee-saved sets).
+func (s *Scenario) refHelperFrame() (raOffset uint64, ok bool) {
+	pf, ok2 := s.RefImg.Funcs[SymHelper]
+	if !ok2 {
+		return 0, false
+	}
+	f := pf.F
+	saves := len(f.CalleeSaved)
+	return uint64(f.FrameSize) + uint64(saves)*8 + uint64(f.PostOffset)*8, true
+}
+
 // TestMonocultureFramePrediction verifies the monoculture premise the
 // attacks build on: against an undiversified baseline, the attacker's own
 // copy of the binary predicts the victim's return-address slot exactly

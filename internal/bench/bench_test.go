@@ -2,12 +2,26 @@ package bench
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"strings"
 	"testing"
 )
 
 // quickOpt shrinks workloads so the drivers can be exercised in unit tests.
 func quickOpt() Options { return Options{Scale: 16, Runs: 1} }
+
+// TestScaleHonoursCancel holds that a cancelled run context stops Scale's
+// runs: Ctrl-C must reach every experiment's VM, not only RunCells'.
+func TestScaleHonoursCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opt := quickOpt()
+	opt.Ctx = ctx
+	if _, err := Scale(opt, 200); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Scale under a cancelled context returned %v, want context.Canceled", err)
+	}
+}
 
 func TestTable1Rows(t *testing.T) {
 	if testing.Short() {

@@ -256,10 +256,6 @@ func MeasureOverheads(cfgs []defense.Config, prof *vm.Profile, opt Options) ([]O
 				if r, rerr := stats.OverheadErr(med, base[b.Name]); rerr == nil {
 					ratio = r
 				}
-			} else if !ok && err == nil {
-				// Unreachable without a BatchError; keep the warning in
-				// case a future path produces empty groups silently.
-				opt.printf("warning: %s %s: no surviving runs\n", b.Name, cfg.Name)
 			}
 			ov.ByBench[b.Name] = ratio
 			off += runs

@@ -28,19 +28,31 @@ type WebResult struct {
 // between wrk and the server (the 8-core i9-9900K), context-switch
 // pollution is modeled by flushing the i-cache once per request.
 func webRun(opt Options, m *tir.Module, cfg defense.Config, prof *vm.Profile, seed uint64, requests float64) (float64, error) {
-	proc, err := opt.Eng.Cache.Process(m, cfg, seed, opt.Eng.Obs)
-	if err != nil {
-		return 0, err
-	}
-	mach := vm.New(proc, prof)
-	if prof.Cores <= 8 {
-		mach.FlushICacheEvery = 5400 // ≈ every few requests
-	}
-	res, err := sim.ExecMachine(opt.ctx(), mach, opt.Eng.Obs, nil, 0)
+	res, _, err := runCell(opt, m, cfg, seed, prof, func(mach *vm.Machine) {
+		if prof.Cores <= 8 {
+			mach.FlushICacheEvery = 5400 // ≈ every few requests
+		}
+	})
 	if err != nil {
 		return 0, err
 	}
 	return requests / res.Seconds(prof), nil
+}
+
+// runCell loads a fresh process of the engine's cached (m, cfg, seed) build,
+// lets tune (when non-nil) arm the machine's knobs, and runs it to its end
+// under opt's context and the engine's observer.
+func runCell(opt Options, m *tir.Module, cfg defense.Config, seed uint64, prof *vm.Profile, tune func(*vm.Machine)) (*vm.Result, *rt.Process, error) {
+	proc, err := opt.Eng.Cache.Process(m, cfg, seed, opt.Eng.Obs)
+	if err != nil {
+		return nil, nil, err
+	}
+	mach := vm.New(proc, prof)
+	if tune != nil {
+		tune(mach)
+	}
+	res, err := sim.ExecMachine(opt.ctx(), mach, opt.Eng.Obs, nil, 0)
+	return res, proc, err
 }
 
 // Webserver regenerates the Section 6.2.4 experiment: nginx and Apache
@@ -154,11 +166,11 @@ func Memory(opt Options) (*MemResult, error) {
 	err := opt.Eng.MapTracked(opt.ctx(), len(specs), "memory", func(i int) error {
 		b := specs[i]
 		m := b.Build(opt.scale())
-		base, _, err := opt.Eng.Run(m, defense.Off(), 3, vm.EPYCRome())
+		base, _, err := runCell(opt, m, defense.Off(), 3, vm.EPYCRome(), nil)
 		if err != nil {
 			return fmt.Errorf("%s: %w", b.Name, err)
 		}
-		full, _, err := opt.Eng.Run(m, defense.R2CFull(), 5, vm.EPYCRome())
+		full, _, err := runCell(opt, m, defense.R2CFull(), 5, vm.EPYCRome(), nil)
 		if err != nil {
 			return fmt.Errorf("%s: %w", b.Name, err)
 		}
@@ -218,13 +230,7 @@ func Memory(opt Options) (*MemResult, error) {
 // sampling every 50k instructions and returns the median sample (maxrss when
 // the run ended before the first sample) and the process it ran.
 func sampledMedianRSS(opt Options, m *tir.Module, cfg defense.Config, seed uint64) (float64, *rt.Process, error) {
-	proc, err := opt.Eng.Cache.Process(m, cfg, seed, opt.Eng.Obs)
-	if err != nil {
-		return 0, nil, err
-	}
-	mach := vm.New(proc, vm.I99900K())
-	mach.SampleEvery = 50_000
-	r, err := sim.ExecMachine(opt.ctx(), mach, opt.Eng.Obs, nil, 0)
+	r, proc, err := runCell(opt, m, cfg, seed, vm.I99900K(), func(mach *vm.Machine) { mach.SampleEvery = 50_000 })
 	if err != nil {
 		return 0, nil, err
 	}
@@ -257,11 +263,11 @@ func Scale(opt Options, funcs int) (*ScaleResult, error) {
 	opt = opt.withEngine()
 	m := workload.BrowserScale(funcs)
 	st := m.Stats()
-	base, baseProc, err := opt.Eng.Run(m, defense.Off(), 1, vm.Xeon8358())
+	base, baseProc, err := runCell(opt, m, defense.Off(), 1, vm.Xeon8358(), nil)
 	if err != nil {
 		return nil, err
 	}
-	full, fullProc, err := opt.Eng.Run(m, defense.R2CFull(), 1, vm.Xeon8358())
+	full, fullProc, err := runCell(opt, m, defense.R2CFull(), 1, vm.Xeon8358(), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package codegen
 
 import (
-	"fmt"
 	"slices"
 
 	"r2c/internal/isa"
@@ -134,15 +133,4 @@ func buildStackArgTrampoline(callee *Func, nParams int, calleeSym isa.Sym) *Func
 	emit(isa.Instr{Kind: isa.KRet})
 	tr.Instrs = slices.Clip(tr.Instrs)
 	return tr
-}
-
-// validateTrampoline sanity-checks the adapter's shape (used by tests).
-func validateTrampoline(tr *Func) error {
-	if len(tr.Instrs) < 5 {
-		return fmt.Errorf("trampoline %s too short", tr.Name)
-	}
-	if tr.Instrs[len(tr.Instrs)-1].Kind != isa.KRet {
-		return fmt.Errorf("trampoline %s does not return", tr.Name)
-	}
-	return nil
 }

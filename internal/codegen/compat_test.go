@@ -116,8 +116,8 @@ func TestTrampolineModeKeepsProtection(t *testing.T) {
 	if tr == nil {
 		t.Fatal("no trampoline generated for wide8")
 	}
-	if err := validateTrampoline(tr); err != nil {
-		t.Fatal(err)
+	if n := len(tr.Instrs); n < 5 || tr.Instrs[n-1].Kind != isa.KRet {
+		t.Fatalf("trampoline %s: %d instructions, want at least 5 ending in ret", tr.Name, n)
 	}
 	// wide8 keeps its protection (a nonzero post-offset is possible again).
 	found := false

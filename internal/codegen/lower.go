@@ -153,11 +153,7 @@ func Compile(mod *tir.Module, cfg defense.Config, seed uint64) (*Program, error)
 		if cf == nil || tf == nil {
 			return nil, fmt.Errorf("codegen: trampoline target %q missing", callee)
 		}
-		tr := buildStackArgTrampoline(cf, tf.NParams, p.Intern(callee))
-		if err := validateTrampoline(tr); err != nil {
-			return nil, fmt.Errorf("codegen: %w", err)
-		}
-		p.Funcs = append(p.Funcs, tr)
+		p.Funcs = append(p.Funcs, buildStackArgTrampoline(cf, tf.NParams, p.Intern(callee)))
 	}
 	p.NumCallSites = lw.nextCallSite
 	for _, f := range p.Funcs {

@@ -12,7 +12,6 @@ import (
 
 	"r2c/internal/defense"
 	"r2c/internal/incident"
-	"r2c/internal/rt"
 	"r2c/internal/sim"
 	"r2c/internal/telemetry"
 	"r2c/internal/tir"
@@ -143,19 +142,6 @@ func (e *Engine) Footer(tool string) string {
 		s += fmt.Sprintf("; journal: %d cells replayed", jh)
 	}
 	return s + "]"
-}
-
-// Run executes one cell on the calling goroutine: cached build, fresh
-// process, full run under the engine's observer — sim.Run with telemetry,
-// modulo the build memoization. It bypasses the watchdog/retry/journal
-// machinery — callers that want fault tolerance go through RunCells.
-func (e *Engine) Run(m *tir.Module, cfg defense.Config, seed uint64, prof *vm.Profile) (*vm.Result, *rt.Process, error) {
-	proc, err := e.Cache.Process(m, cfg, seed, e.Obs)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := sim.ExecMachine(context.Background(), vm.New(proc, prof), e.Obs, nil, 0)
-	return res, proc, err
 }
 
 // RetrySeed derives the diversification seed for retry attempt n of the cell
@@ -366,9 +352,9 @@ func (e *Engine) runCellAttempt(ctx context.Context, i, attempt int, c *Cell, ke
 
 // runCell is the traced per-cell pipeline: cached image (cache-lookup and,
 // on a miss, build spans inside Cache.Image), process load, execution under
-// the run's context and the engine's fuel allowance. It is behaviorally
-// identical to Run when the fuel watchdog does not fire — the span and track
-// arguments only observe.
+// the run's context and the engine's fuel allowance. When the fuel watchdog
+// does not fire it retires exactly what sim.Run of the same cell would — the
+// cache, the span and the track arguments only observe.
 func (e *Engine) runCell(ctx context.Context, i int, c *Cell, seed uint64, sp *telemetry.Span, track func(phase string)) (*vm.Result, error) {
 	imgStart := time.Now()
 	img, hit, err := e.Cache.Image(c.Module, c.Cfg, seed, sp, track)

@@ -10,6 +10,7 @@ import (
 
 	"r2c/internal/defense"
 	"r2c/internal/exec"
+	"r2c/internal/rt"
 	"r2c/internal/sim"
 	"r2c/internal/telemetry"
 	"r2c/internal/tir"
@@ -96,15 +97,21 @@ func TestCachedProcessMatchesFreshBuild(t *testing.T) {
 	cfg := defense.R2CFull()
 	eng := exec.New(1, nil)
 
-	// First engine run populates the cache; the second is served from it.
-	first, firstProc, err := eng.Run(m, cfg, 7, vm.EPYCRome())
-	if err != nil {
-		t.Fatal(err)
+	// The first load populates the cache; the second is served from it.
+	run := func() (*vm.Result, *rt.Process) {
+		t.Helper()
+		proc, err := eng.Cache.Process(m, cfg, 7, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.ExecMachine(context.Background(), vm.New(proc, vm.EPYCRome()), nil, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, proc
 	}
-	cached, cachedProc, err := eng.Run(m, cfg, 7, vm.EPYCRome())
-	if err != nil {
-		t.Fatal(err)
-	}
+	first, firstProc := run()
+	cached, cachedProc := run()
 	if hits, _, _ := eng.Cache.Stats(); hits == 0 {
 		t.Fatal("second run did not hit the cache")
 	}

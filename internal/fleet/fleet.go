@@ -144,8 +144,8 @@ type Options struct {
 	// variant with trap/fault/hang detection only.
 	MVEE int
 	// RequestFuel bounds a request's instructions in both modes (0 = a
-	// default sized for single-request handlers). A supervised request
-	// runs in mveeSlice-instruction lockstep slices, so its budget is
+	// default sized for single-request handlers). A supervised request's
+	// budget is counted in mveeSlice-instruction slices, so it is
 	// RequestFuel rounded up to whole slices.
 	RequestFuel uint64
 
@@ -176,7 +176,8 @@ type Options struct {
 	Obs *telemetry.Observer
 }
 
-// mveeSlice is the supervisor's lockstep slice in instructions.
+// mveeSlice is the supervisor's slice in instructions, the unit its
+// per-variant budget (mvee.Engine.Run's sliceInstrs × maxSlices) counts in.
 const mveeSlice = 100_000
 
 // Slot states.
@@ -286,24 +287,23 @@ type Fleet struct {
 	campaign string
 	width    int // slots per request: 1 or o.MVEE
 
-	mu          sync.Mutex
-	slots       []*slot
-	served      int
-	simClock    float64
-	quarantines int
-	recoveries  int
+	mu       sync.Mutex
+	slots    []*slot
+	served   int
+	simClock float64
 
 	// Attacker state: the leaked write list, the slot it is pinned to and
 	// the generation it was leaked from.
 	atkWrites []write
 	atkSlot   int
 	atkGen    int
-	leaks     int
 
 	nextSeed uint64
 	golden   []uint64
 	goldenS  float64
-	rep      *Report
+	// rep is the report Serve returns, counted into as the run goes. Live
+	// reads its Quarantines and Recoveries, so they change under mu.
+	rep *Report
 
 	// series collects the deterministic sim-tick trajectories (/timeseries,
 	// -timeseries-out, windowed alerts). It has its own lock, so the ops
@@ -375,7 +375,14 @@ func New(o Options) (*Fleet, error) {
 		atkSlot:  -1,
 		atkGen:   -1,
 		nextSeed: o.BaseSeed + uint64(o.Variants),
+		rep:      &Report{},
 	}
+	f.rep.Sim.Workload = o.Module.Name
+	f.rep.Sim.Config = o.Cfg.Name
+	f.rep.Sim.Variants = o.Variants
+	f.rep.Sim.MVEEWidth = o.MVEE
+	f.rep.Sim.Requests = o.Requests
+	f.rep.Sim.Detections = map[string]int{}
 	if o.MVEE >= 2 {
 		f.width = o.MVEE
 	}
@@ -519,17 +526,10 @@ func (f *Fleet) Serve(ctx context.Context) (*Report, error) {
 	serviceH := hist("fleet.service.seconds")
 	replaceH := hist("fleet.replace.wall.seconds")
 
-	rep := &Report{}
-	rep.Sim.Workload = o.Module.Name
-	rep.Sim.Config = o.Cfg.Name
-	rep.Sim.Variants = o.Variants
-	rep.Sim.MVEEWidth = o.MVEE
-	rep.Sim.Requests = o.Requests
+	rep := f.rep
 	rep.Sim.RateRPS = rate
 	rep.Sim.RebuildLatency = rebuildLat
 	rep.Sim.GoldenServiceSeconds = f.goldenS
-	rep.Sim.Detections = map[string]int{}
-	f.rep = rep
 
 	arrival := 0.0
 	for i := 0; i < o.Requests; i++ {
@@ -586,9 +586,6 @@ func (f *Fleet) Serve(ctx context.Context) (*Report, error) {
 		slots[i] = SlotReport{ID: s.id, Seed: s.seed, Gen: s.gen, State: s.state, Served: s.served, Quarantines: s.quars}
 	}
 	rep.Sim.Slots = slots
-	rep.Sim.Quarantines = f.quarantines
-	rep.Sim.Recoveries = f.recoveries
-	rep.Sim.Leaks = f.leaks
 	rep.Sim.MakespanSeconds = f.simClock
 	f.mu.Unlock()
 
@@ -627,8 +624,8 @@ func (f *Fleet) sampleTick(t float64, sojournH *telemetry.Histogram) {
 	snap := sojournH.Snapshot()
 	f.series.Sample(t, "fleet.sojourn.p50", snap.Quantile(0.50))
 	f.series.Sample(t, "fleet.sojourn.p99", snap.Quantile(0.99))
-	f.series.Sample(t, "fleet.quarantines", float64(f.quarantines))
-	f.series.Sample(t, "fleet.recoveries", float64(f.recoveries))
+	f.series.Sample(t, "fleet.quarantines", float64(f.rep.Sim.Quarantines))
+	f.series.Sample(t, "fleet.recoveries", float64(f.rep.Sim.Recoveries))
 	f.series.Sample(t, "fleet.attacks", float64(f.rep.Sim.AttackRequests))
 	f.series.Sample(t, "fleet.drift.warnings", float64(f.rep.Sim.DriftWarnings))
 	quar := 0
@@ -902,7 +899,7 @@ func (f *Fleet) serveRequest(ctx context.Context, i int, chosen []*slot, arrival
 }
 
 // maxSlices is a supervised request's slice budget: RequestFuel rounded up
-// to whole lockstep slices.
+// to whole slices.
 func (f *Fleet) maxSlices() int {
 	return int((f.o.RequestFuel + mveeSlice - 1) / mveeSlice)
 }
@@ -1032,7 +1029,7 @@ func (f *Fleet) quarantine(s *slot, t, rebuildLat float64) {
 	s.state = stateQuarantined
 	s.rejoinAt = t + rebuildLat
 	s.quars++
-	f.quarantines++
+	f.rep.Sim.Quarantines++
 	f.mu.Unlock()
 	s.wallQuar = time.Now()
 	s.heal = make(chan healDone, 1)
@@ -1074,6 +1071,8 @@ func (f *Fleet) rejoinDue(t, rebuildLat float64, replaceH *telemetry.Histogram) 
 		}
 		hd := <-s.heal
 		wall := time.Since(s.wallQuar).Seconds()
+		// The slot leaves quarantine whether its heal rejoins or fails.
+		f.o.Obs.Gauge("fleet.slots.quarantined").Add(-1)
 		f.mu.Lock()
 		if hd.err != nil {
 			s.state = stateFailed
@@ -1091,11 +1090,10 @@ func (f *Fleet) rejoinDue(t, rebuildLat float64, replaceH *telemetry.Histogram) 
 		// so the new generation is not judged against the old one's EWMA.
 		s.drift = driftState{}
 		s.lastSvc = 0
-		f.recoveries++
+		f.rep.Sim.Recoveries++
 		f.mu.Unlock()
 		replaceH.Observe(wall)
 		f.o.Obs.Counter("fleet.recoveries").Inc()
-		f.o.Obs.Gauge("fleet.slots.quarantined").Add(-1)
 		f.o.Obs.Emit("fleet-rejoin", map[string]any{"slot": s.id, "gen": s.gen, "wall_seconds": wall})
 	}
 	return nil
@@ -1115,7 +1113,7 @@ func (f *Fleet) attackerWrites(target *slot) ([]write, error) {
 		}
 		f.atkWrites = ws
 		f.atkGen = victim.gen
-		f.leaks++
+		f.rep.Sim.Leaks++
 		f.o.Obs.Counter("fleet.leaks").Inc()
 	}
 	return f.atkWrites, nil
@@ -1171,8 +1169,8 @@ func (f *Fleet) Live() LiveView {
 		Requests:    f.o.Requests,
 		Served:      f.served,
 		SimClock:    f.simClock,
-		Quarantines: f.quarantines,
-		Recoveries:  f.recoveries,
+		Quarantines: f.rep.Sim.Quarantines,
+		Recoveries:  f.rep.Sim.Recoveries,
 	}
 	for _, s := range f.slots {
 		lv.Slots = append(lv.Slots, SlotView{ID: s.id, State: s.state, Gen: s.gen, Seed: s.seed, Served: s.served})

@@ -378,7 +378,6 @@ func TestHealthThroughQuarantine(t *testing.T) {
 
 	// Quarantine one slot the way a detection would; the heal build runs in
 	// the background while /healthz reports degraded.
-	fl.rep = &Report{}
 	fl.quarantine(fl.slots[2], 1.0, 0.5)
 	if code, body := get(); code != 503 || !strings.Contains(body, "degraded: 1 variant(s) quarantined") {
 		t.Fatalf("degraded fleet /healthz = %d %q", code, body)
@@ -391,6 +390,51 @@ func TestHealthThroughQuarantine(t *testing.T) {
 	}
 	if code, body := get(); code != 200 || !strings.Contains(body, "ok") {
 		t.Fatalf("recovered fleet /healthz = %d %q", code, body)
+	}
+}
+
+// TestHealFailureLeavesSlotFailed drives the heal-failure path: the initial
+// images come from the engine's cache, but the module's entry then names no
+// function, so every replacement build fails verification. Each quarantined
+// slot must end failed, counted in HealFailures and Health, and no longer in
+// the quarantined-slots gauge.
+func TestHealFailureLeavesSlotFailed(t *testing.T) {
+	o := webOptions(1)
+	o.Requests = 120
+	reg := telemetry.NewRegistry()
+	o.Obs = &telemetry.Observer{Registry: reg}
+	seeds := make([]uint64, o.Variants)
+	for i := range seeds {
+		seeds[i] = o.BaseSeed + uint64(i)
+	}
+	if _, err := o.Eng.BuildImages(context.Background(), o.Module, o.Cfg, seeds); err != nil {
+		t.Fatal(err)
+	}
+	o.Module.Entry = "no_such_entry"
+	fl, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := fl.Serve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for _, s := range rep.Sim.Slots {
+		if s.State == stateFailed {
+			failed++
+		} else if s.State != stateServing {
+			t.Errorf("slot %d ended %s", s.ID, s.State)
+		}
+	}
+	if failed == 0 || rep.Sim.HealFailures != failed || rep.Sim.Recoveries != 0 {
+		t.Fatalf("%d failed slots, HealFailures %d, Recoveries %d: want every heal to fail", failed, rep.Sim.HealFailures, rep.Sim.Recoveries)
+	}
+	if h := fl.Health(); !strings.Contains(h, "failed permanently") {
+		t.Fatalf("Health() = %q, want the failed variants named", h)
+	}
+	if g := reg.Gauge("fleet.slots.quarantined").Value(); g != 0 {
+		t.Fatalf("fleet.slots.quarantined = %g with no slot quarantined", g)
 	}
 }
 

@@ -103,10 +103,11 @@ type UnwindEntry struct {
 	NumSaves   int // callee-saved pushes (incl. rbp when used)
 }
 
-// Image is a linked, ASLR-slid program image. Its one representation of
-// where code lives is the text-ordered placement (Funcs in FuncOrder, each
-// with its InstrAddrs); every address-to-code lookup — FuncAt, InstrIndexAt,
-// Code.IndexOf — is a binary search over it. Fetch permission is checked
+// Image is a linked, ASLR-slid program image. Where code lives is the
+// text-ordered placement (Funcs in FuncOrder, each with its InstrAddrs):
+// FuncAt and PlacedFunc.InstrIndexAt binary-search it. The predecoded Code
+// keeps its own copy of each instruction's address in its ops' Addr, and
+// Code.IndexOf binary-searches that copy. Fetch permission is checked
 // against the paged memory, so execute-only text fetches work while reads
 // fault.
 type Image struct {

@@ -108,14 +108,3 @@ func (ls *LayoutSummary) GlobalNames() []string {
 	}
 	return out
 }
-
-// DataKindCount returns how many data symbols have the given kind.
-func (ls *LayoutSummary) DataKindCount(kind DataKind) int {
-	n := 0
-	for _, d := range ls.Data {
-		if d.Kind == kind {
-			n++
-		}
-	}
-	return n
-}

@@ -84,7 +84,7 @@ func TestLayoutSummaryDataQueries(t *testing.T) {
 			t.Fatalf("unexpected global %q", g)
 		}
 	}
-	if got := ls.DataKindCount(DataBTDPDecoy); got != img.Prog.Config.BTDPDataDecoys {
+	if got := dataKindCount(ls, DataBTDPDecoy); got != img.Prog.Config.BTDPDataDecoys {
 		t.Errorf("decoy count = %d, want %d", got, img.Prog.Config.BTDPDataDecoys)
 	}
 	for _, d := range ls.Data {

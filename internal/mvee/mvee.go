@@ -5,13 +5,15 @@
 // leakage in one of the variants with high probability."
 //
 // The engine builds N variants of one program — same source, same defense
-// configuration, different diversification seeds — and executes them in
-// lockstep, comparing their observable event streams (output words, halt
-// status, faults, booby traps). Because R2C diversification never changes
-// program semantics (the repository's differential property), benign runs
-// agree bit-for-bit; an attacker's memory corruption is address-dependent,
-// so it perturbs each variant differently and surfaces as divergence even
-// when it would be silent in a single process.
+// configuration, different diversification seeds — runs each under one
+// instruction budget, and compares their observable event streams (output
+// words, halt status, faults, booby traps). Lockstep is the cost model, not
+// the execution order: the slowest variant sets a supervised request's
+// service time. Because R2C diversification never changes program
+// semantics (the repository's differential property), benign runs agree
+// bit-for-bit; an attacker's memory corruption is address-dependent, so it
+// perturbs each variant differently and surfaces as divergence even when it
+// would be silent in a single process.
 package mvee
 
 import (
@@ -84,10 +86,11 @@ type Verdict struct {
 	// Trapped is true when any variant detonated a booby trap (the R2C
 	// reactive signal, which the MVEE also surfaces).
 	Trapped bool
-	// Hung lists the variants that were still running when the slice budget
-	// expired — a liveness divergence (an attacker could hide a hijacked
-	// variant behind an infinite loop, as in crash/hang-tolerant
-	// brute-force probing). Their Results slots stay nil.
+	// Hung lists the variants that were still running when the
+	// sliceInstrs × maxSlices budget expired — a liveness divergence (an
+	// attacker could hide a hijacked variant behind an infinite loop, as in
+	// crash/hang-tolerant brute-force probing). Their Results slots stay
+	// nil.
 	Hung []int
 	// Errs records each variant's simulator-level error text ("" = clean
 	// finish). Recording it on the verdict keeps an errored variant from
@@ -102,9 +105,12 @@ type Verdict struct {
 // Detected reports whether the supervisor would raise an alarm.
 func (v *Verdict) Detected() bool { return v.Diverged || v.Trapped }
 
-// Run executes the variants in bounded slices round-robin (modeled lockstep
-// scheduling) and compares their observable event streams. A variant still
-// running when the maxSlices budget expires is reported as a liveness
+// Run executes each variant for at most sliceInstrs × maxSlices instructions
+// and compares their observable event streams. Lockstep is the cost model
+// (the slowest variant sets the service time), not the execution order:
+// variants share no machine, process or memory, so each runs to its end or
+// its budget in turn, and the order changes nothing any of them retires. A
+// variant still running when the budget expires is reported as a liveness
 // divergence on the Verdict — never as an engine error — so a hung variant
 // cannot stall the comparison forever, and the traps and incidents recorded
 // by the variants that did finish survive alongside the hang signal. A
@@ -117,25 +123,13 @@ func (e *Engine) Run(sliceInstrs, maxSlices int) (*Verdict, error) {
 	if maxSlices <= 0 {
 		maxSlices = 10_000
 	}
+	budget := uint64(sliceInstrs) * uint64(maxSlices)
 	n := len(e.Variants)
 	v := &Verdict{Results: make([]*vm.Result, n), Errs: make([]string, n)}
-	done := make([]bool, n)
-	// partial tracks each machine's live accumulated result, so a hung
-	// variant's retired-instruction count is available for its incident
-	// record even though its Results slot stays nil.
-	partial := make([]*vm.Result, n)
-	for slice := 0; slice < maxSlices; slice++ {
-		allDone := true
-		for i, va := range e.Variants {
-			if done[i] {
-				continue
-			}
-			res, err := va.Mach.Run(uint64(sliceInstrs))
-			if err == vm.ErrFuelExhausted {
-				partial[i] = res
-				allDone = false
-				continue
-			}
+	hung := make([]bool, n)
+	for i, va := range e.Variants {
+		res, err := va.Mach.Run(budget)
+		if err != vm.ErrFuelExhausted {
 			if err != nil {
 				// Simulator-level error (e.g. the variant crashed into a
 				// division by zero only one layout reaches): a divergence.
@@ -145,21 +139,11 @@ func (e *Engine) Run(sliceInstrs, maxSlices int) (*Verdict, error) {
 				v.Errs[i] = err.Error()
 			}
 			v.Results[i] = res
-			done[i] = true
-		}
-		if allDone {
-			break
-		}
-	}
-
-	// Liveness divergence: a variant that exhausted the slice budget is a
-	// detection signal (an attacker could hide behind a hang), not an
-	// engine failure that would discard the whole verdict.
-	hung := make([]bool, n)
-	for i := range e.Variants {
-		if done[i] {
 			continue
 		}
+		// Liveness divergence: a variant that exhausted the budget is a
+		// detection signal (an attacker could hide behind a hang), not an
+		// engine failure that would discard the whole verdict.
 		hung[i] = true
 		v.Hung = append(v.Hung, i)
 		v.Diverged = true
@@ -167,16 +151,9 @@ func (e *Engine) Run(sliceInstrs, maxSlices int) (*Verdict, error) {
 		if v.Reason == "" {
 			v.Reason = reason
 		}
-		if v.Errs[i] == "" {
-			v.Errs[i] = reason
-		}
+		v.Errs[i] = reason
 		if e.Incidents != nil {
-			va := e.Variants[i]
-			var instr uint64
-			if partial[i] != nil {
-				instr = partial[i].Instructions
-			}
-			e.Incidents.Add(incident.FromDivergence(e.campaign(), va.Proc.Cfg.Name, va.Seed, e.Trial, "mvee", reason, instr))
+			e.Incidents.Add(incident.FromDivergence(e.campaign(), va.Proc.Cfg.Name, va.Seed, e.Trial, "mvee", reason, res.Instructions))
 		}
 	}
 

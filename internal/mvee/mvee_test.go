@@ -176,8 +176,40 @@ func TestHungVariantDiverges(t *testing.T) {
 	if len(recs) != 1 || recs[0].Kind != "divergence" || recs[0].Seed != e.Variants[1].Seed {
 		t.Fatalf("want one divergence incident for the hung variant's seed, got %+v", recs)
 	}
-	if recs[0].Instr == 0 {
-		t.Fatal("hung variant's incident lost its retired-instruction count")
+	if recs[0].Instr != 10_000*5 {
+		t.Fatalf("hung variant's incident retired %d instructions, want the whole budget %d", recs[0].Instr, 10_000*5)
+	}
+}
+
+// TestBudgetIsSliceTimesMaxSlices pins the budget's size: a variant that
+// needs between four and five 10,000-instruction slices finishes under
+// maxSlices 5 and hangs under 4.
+func TestBudgetIsSliceTimesMaxSlices(t *testing.T) {
+	run := func(maxSlices int) *Verdict {
+		t.Helper()
+		e, err := New(boundedLoopModule(), defense.R2CFull(), 2, 7, vm.EPYCRome())
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := e.Variants[1].Proc.Img.DataSyms["bound"]
+		if err := e.Variants[1].Proc.Space.Write64(bound.Addr, 3457); err != nil {
+			t.Fatal(err)
+		}
+		v, err := e.Run(10_000, maxSlices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	v := run(5)
+	if len(v.Hung) != 0 || v.Results[1] == nil || !v.Results[1].Halted {
+		t.Fatalf("variant 1 did not finish under 5 slices: hung %v, reason %q", v.Hung, v.Reason)
+	}
+	if n := v.Results[1].Instructions; n <= 40_000 || n > 50_000 {
+		t.Fatalf("variant 1 retired %d instructions, want between 4 and 5 slices", n)
+	}
+	if v := run(4); len(v.Hung) != 1 || v.Hung[0] != 1 {
+		t.Fatalf("Hung = %v under 4 slices, want [1]", v.Hung)
 	}
 }
 

@@ -141,26 +141,3 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		swap(i, j)
 	}
 }
-
-// Choice returns a uniformly chosen element of s. It panics on empty input.
-func Choice[T any](r *RNG, s []T) T {
-	if len(s) == 0 {
-		panic("rng: Choice from empty slice")
-	}
-	return s[r.Intn(len(s))]
-}
-
-// Sample returns k distinct elements drawn uniformly from s (in random
-// order). It panics if k > len(s). The input slice is not modified.
-func Sample[T any](r *RNG, s []T, k int) []T {
-	if k > len(s) {
-		panic("rng: Sample larger than population")
-	}
-	// Partial Fisher–Yates over a copy of the index space.
-	idx := r.Perm(len(s))[:k]
-	out := make([]T, k)
-	for i, j := range idx {
-		out[i] = s[j]
-	}
-	return out
-}

@@ -122,48 +122,6 @@ func TestPermShuffles(t *testing.T) {
 	t.Fatal("Perm produced the identity for every seed")
 }
 
-func TestSampleDistinct(t *testing.T) {
-	err := quick.Check(func(seed uint64) bool {
-		pop := make([]int, 20)
-		for i := range pop {
-			pop[i] = i * 3
-		}
-		s := Sample(New(seed), pop, 8)
-		seen := map[int]bool{}
-		for _, v := range s {
-			if seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return len(s) == 8
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSamplePanicsWhenTooLarge(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Sample(New(1), []int{1, 2}, 3)
-}
-
-func TestChoiceCoversAllElements(t *testing.T) {
-	r := New(5)
-	pop := []string{"a", "b", "c"}
-	seen := map[string]bool{}
-	for i := 0; i < 200; i++ {
-		seen[Choice(r, pop)] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("Choice never produced some elements: %v", seen)
-	}
-}
-
 func TestSplitDecorrelates(t *testing.T) {
 	parent := New(77)
 	child := parent.Split()

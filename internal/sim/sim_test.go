@@ -429,7 +429,12 @@ func TestExecMachineEndings(t *testing.T) {
 			if !tc.check(res, err) {
 				t.Fatalf("unexpected return: err=%v result=%+v", err, res)
 			}
-			sp := spans.ByName("sim.exec")
+			var sp []telemetry.SpanData
+			for _, d := range spans.Spans() {
+				if d.Name == "sim.exec" {
+					sp = append(sp, d)
+				}
+			}
 			if len(sp) != 1 {
 				t.Fatalf("%d sim.exec spans, want 1", len(sp))
 			}

@@ -183,15 +183,3 @@ func (r *FlightRecorder) Cap() int {
 	}
 	return len(r.buf)
 }
-
-// Reset clears the recorded events, keeping the armed guard geometry.
-// Nil-safe.
-func (r *FlightRecorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.head = 0
-	for i := range r.buf {
-		r.buf[i] = FlightEvent{}
-	}
-}

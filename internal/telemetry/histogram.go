@@ -48,22 +48,6 @@ func (h *Histogram) Observe(x float64) {
 	h.sum.Add(x)
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Value()
-}
-
 // Snapshot copies the histogram into its serialized form.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {

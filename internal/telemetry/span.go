@@ -182,14 +182,3 @@ func (c *SpanCollector) Spans() []SpanData {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
-
-// ByName returns the collected spans with the given name, sorted by ID.
-func (c *SpanCollector) ByName(name string) []SpanData {
-	var out []SpanData
-	for _, d := range c.Spans() {
-		if d.Name == name {
-			out = append(out, d)
-		}
-	}
-	return out
-}

@@ -262,15 +262,11 @@ func (r *Registry) Snapshot() *Snapshot {
 	return s
 }
 
-// WriteJSON writes the registry snapshot as indented JSON (the -metrics-out
-// format). encoding/json sorts map keys, so the output is deterministic for
-// a given set of values.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	return r.WriteJSONMeta(w, nil)
-}
-
-// WriteJSONMeta is WriteJSON with a provenance header attached to the
-// snapshot, so a -metrics-out file records the environment that produced it.
+// WriteJSONMeta writes the registry snapshot as indented JSON (the
+// -metrics-out format) with a provenance header attached (nil for none), so
+// a -metrics-out file records the environment that produced it.
+// encoding/json sorts map keys, so the output is deterministic for a given
+// set of values.
 func (r *Registry) WriteJSONMeta(w io.Writer, meta map[string]string) error {
 	s := r.Snapshot()
 	s.Meta = meta

@@ -69,10 +69,10 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := r.Gauge("peak").Value(); got != perWorker-1 {
 		t.Errorf("gauge max = %v, want %d", got, perWorker-1)
 	}
-	if got := r.Histogram("h", nil).Count(); got != workers*perWorker {
+	if got := r.Histogram("h", nil).Snapshot().Count; got != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
 	}
-	if got := r.Histogram("t.seconds", LatencyBounds).Count(); got != workers*perWorker {
+	if got := r.Histogram("t.seconds", LatencyBounds).Snapshot().Count; got != workers*perWorker {
 		t.Errorf("latency histogram count = %d, want %d", got, workers*perWorker)
 	}
 }
@@ -123,8 +123,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r.Histogram("bench.measure.seconds", LatencyBounds, "machine", "epyc").Observe(3)
 
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
+	if err := r.WriteJSONMeta(&buf, nil); err != nil {
+		t.Fatalf("WriteJSONMeta: %v", err)
 	}
 	var back Snapshot
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
@@ -153,8 +153,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	// Two snapshots of the same state serialize identically (map keys are
 	// sorted by encoding/json).
 	var buf2 bytes.Buffer
-	if err := r.WriteJSON(&buf2); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
+	if err := r.WriteJSONMeta(&buf2, nil); err != nil {
+		t.Fatalf("WriteJSONMeta: %v", err)
 	}
 	if buf.String() != buf2.String() {
 		t.Errorf("snapshot JSON is not deterministic")

@@ -106,17 +106,6 @@ func (ss *SeriesSet) Sample(t float64, name string, v float64) {
 	}
 }
 
-// Now returns the largest sample time seen so far — the reference point the
-// windowed alert functions measure their windows back from.
-func (ss *SeriesSet) Now() float64 {
-	if ss == nil {
-		return 0
-	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return ss.now
-}
-
 // SeriesPoint is one (t, v) sample, marshaled as the two-element array
 // [t, v] — half the JSON of an object per point at sparkline densities.
 type SeriesPoint [2]float64

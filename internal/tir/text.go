@@ -33,7 +33,6 @@ package tir
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -591,14 +590,4 @@ func parseRHS(dst Reg, rhs string, f *Function) (Instr, error) {
 		}
 	}
 	return Instr{}, fmt.Errorf("unknown expression %q", rhs)
-}
-
-// sortedOpNames is used by documentation tests.
-func sortedOpNames() []string {
-	var names []string
-	for _, v := range opNames {
-		names = append(names, v)
-	}
-	sort.Strings(names)
-	return names
 }

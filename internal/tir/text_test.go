@@ -151,10 +151,3 @@ func TestParseComments(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSortedOpNamesComplete(t *testing.T) {
-	names := sortedOpNames()
-	if len(names) != len(opNames) {
-		t.Fatal("op name table incomplete")
-	}
-}

@@ -353,7 +353,7 @@ func TestFastPathMetricsJSONParity(t *testing.T) {
 			mach.PublishMetrics(obs.Registry)
 			mach.Profiler().Publish(obs.Registry)
 			var buf bytes.Buffer
-			if err := obs.Registry.WriteJSON(&buf); err != nil {
+			if err := obs.Registry.WriteJSONMeta(&buf, nil); err != nil {
 				t.Fatalf("metrics JSON: %v", err)
 			}
 			return l, buf.Bytes()
