@@ -98,15 +98,15 @@ audit: $(BIN)/r2caudit
 	cmp $(BIN)/AUDIT_victim.json AUDIT_victim.json
 	$(BIN)/r2caudit -config r2c -variants 8 victim
 
-# Serving-fleet smoke: tools/servesmoke drives r2cserve through three bounded
-# MVEE-supervised runs under injected corruption pressure. The clean run keeps
-# -require-recover (exit nonzero unless detect → quarantine → rebuild → resume
-# happened) and is scraped mid-flight: /timeseries must serve well-formed ring
-# snapshots, /dashboard the self-contained observatory page, /healthz a
-# verdict. A -jobs 1 vs -jobs 8 pair must write byte-identical -timeseries-out
-# files, and a run with injected service-time degradation must trip the
-# windowed p99_over alert and exit 1 while the clean run's rules stay quiet.
-# The fleet report still lands in SERVE_metrics.json.
+# Serving-fleet smoke: tools/servesmoke drives r2cserve through bounded
+# MVEE-supervised runs in three legs. The live run, under injected corruption
+# pressure, keeps -require-recover (exit nonzero unless detect → quarantine →
+# rebuild → resume happened) and is scraped mid-flight: /progress until the
+# fleet has served requests, then /metrics, /healthz and /alerts. A -jobs 1 vs
+# -jobs 8 pair must write byte-identical -incidents-out files and -json "sim"
+# objects. The point-in-time rule count(fleet.quarantines) >= 1 must stay
+# quiet (exit 0) on a benign run and fire (exit 1) on an attacked one. The
+# live run's metrics land in SERVE_metrics.json.
 serve-smoke: $(BIN)/r2cserve
 	$(GO) run ./tools/servesmoke $(BIN)/r2cserve
 

@@ -63,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := h.Open(*jobs, false); err != nil {
 			return err
 		}
-		h.SampleCells()
 		if err := h.Serve(telemetry.OpsSources{}); err != nil {
 			return err
 		}

@@ -28,7 +28,6 @@ const wantFlags = `-alert-rules string
 -metrics-out string
 -overheads
 -retries int
--timeseries-out string
 -trace string
 -trace-format string (default "jsonl")
 -trials int (default 10)`

@@ -26,7 +26,6 @@ const wantFlags = `-alert-rules string
 -retries int
 -runs int (default 3)
 -scale int (default 1)
--timeseries-out string
 -top int (default 15)
 -trace string
 -trace-format string (default "jsonl")`

@@ -7,9 +7,11 @@
 // wall-clock time-to-replace a compromised variant.
 //
 // All simulated-domain results (throughput, latency quantiles, detections,
-// incident records) are deterministic: identical flags produce
-// byte-identical -json and -incidents-out output at any -jobs width.
-// `r2cserve -h` lists the flags.
+// incident records) are deterministic: identical flags produce a
+// byte-identical -incidents-out file and "sim" object of the -json report
+// at any -jobs width; its "wall" object holds measured seconds. -listen
+// serves the live fleet on /progress, /incidents, /alerts, /healthz and
+// /metrics. `r2cserve -h` lists the flags.
 package main
 
 import (
@@ -52,11 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("jobs", 0, "build parallelism (0 = GOMAXPROCS); simulated-domain output is identical at any width")
 	asJSON := fs.Bool("json", false, "emit the machine-readable JSON report instead of the text report")
 	requireRecover := fs.Bool("require-recover", false, "exit nonzero unless the run both quarantined and recovered at least one variant (smoke-test gate)")
-	sampleEvery := fs.Float64("sample-every", 0, "time-series sampling period in simulated seconds (0 = auto ≈ 240 points per run, negative disables); samples feed /timeseries, /dashboard, windowed alerts and -timeseries-out")
-	degradeSlot := fs.Int("degrade-slot", 0, "fault injection: variant slot whose service time degrades (with -degrade-growth)")
-	degradeAfter := fs.Int("degrade-after", 0, "fault injection: first request index of the degradation")
-	degradeGrowth := fs.Float64("degrade-growth", 0, "fault injection: per-request service-time growth factor > 1 on the degraded slot (0 = off); output stays correct, only timing drifts")
-
 	return h.Main(args, func() error {
 		cfg, ok := defense.ByName(*cfgName)
 		if !ok {
@@ -95,19 +92,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 				Value:    *atkValue,
 				Adaptive: *adaptive,
 			},
-			Eng:         h.Eng,
-			Obs:         h.Obs,
-			SampleEvery: *sampleEvery,
-			Degrade: fleet.Degrade{
-				Slot:   *degradeSlot,
-				After:  *degradeAfter,
-				Growth: *degradeGrowth,
-			},
+			Eng: h.Eng,
+			Obs: h.Obs,
 		})
 		if err != nil {
 			return err
 		}
-		h.Series = fl.Series()
 		if err := h.Serve(telemetry.OpsSources{Progress: func() any { return fl.Live() }, Health: fl.Health}); err != nil {
 			return err
 		}

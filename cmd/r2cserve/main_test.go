@@ -22,9 +22,6 @@ const wantFlags = `-adaptive
 -attack-target string (default "page64")
 -attack-value uint (default 50159747054)
 -config string (default "r2c")
--degrade-after int
--degrade-growth float
--degrade-slot int
 -flight int
 -fuel uint
 -heal string (default "rebuild")
@@ -38,9 +35,7 @@ const wantFlags = `-adaptive
 -rebuild-latency float
 -requests int (default 2000)
 -require-recover
--sample-every float
 -seed uint (default 1)
--timeseries-out string
 -trace string
 -trace-format string (default "jsonl")
 -variants int (default 4)`
@@ -98,7 +93,6 @@ func TestJSONStdoutIsOneDocument(t *testing.T) {
 	var stdout bytes.Buffer
 	args := []string{"-json", "-requests", "200",
 		"-incidents-out", filepath.Join(dir, "x.json"),
-		"-timeseries-out", filepath.Join(dir, "y.json"),
 		"-alert-rules", filepath.Join("..", "..", "alerts.example.rules"),
 		"nginx"}
 	if code := run(args, &stdout, io.Discard); code != 0 {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -84,12 +83,6 @@ type Engine struct {
 	// recorded the incident.
 	Incidents *incident.Log
 
-	// Series, when set, receives deterministic time-series samples from the
-	// ordered merge loop every seriesStride completed cells: the trajectory
-	// axis is the cumulative completed cell count (never wall clock), so
-	// -timeseries-out artifacts are byte-identical at any -jobs width.
-	Series *telemetry.SeriesSet
-
 	// jobs is the worker count: 0 means GOMAXPROCS, 1 runs serially on the
 	// caller's goroutine.
 	jobs int
@@ -98,15 +91,7 @@ type Engine struct {
 	// BuildImages call. Both are observational only.
 	prog     progressState
 	batchSeq atomic.Uint64
-
-	// seriesMu orders Series sampling (and the cumulative cell counter)
-	// across concurrent RunCells calls.
-	seriesMu  sync.Mutex
-	cellsDone int
 }
-
-// seriesStride is the number of completed cells between two Series samples.
-const seriesStride = 16
 
 // New returns an engine with a fresh cache that fans out on the given
 // number of workers (0 = GOMAXPROCS, 1 = serial). obs may be nil.
@@ -205,38 +190,11 @@ func (e *Engine) RunCells(ctx context.Context, cells []Cell) ([]*vm.Result, erro
 	// in submission order is what keeps the histogram — and every baseline
 	// derived from it — byte-identical between -jobs 1 and -jobs 8.
 	cyc := e.Obs.Histogram("exec.run.cycles", telemetry.CycleBounds)
-	if cyc == nil && e.Series != nil {
-		// No observer, but a series sampler: the sampled quantiles still need
-		// a histogram to fold into, so own a private one for this batch.
-		cyc = telemetry.NewHistogram(telemetry.CycleBounds)
-	}
-	e.seriesMu.Lock()
 	for _, res := range results {
-		if res == nil {
-			continue
-		}
-		cyc.Observe(res.Cycles)
-		// Time-series sampling shares the merge loop's determinism argument:
-		// the axis is the submission-ordered completed-cell count and the
-		// sampled quantiles come from the merge-ordered histogram, so the
-		// rings never see scheduling. Wall-clock series (exec.cell.seconds)
-		// are deliberately not sampled — they would break the byte-identical
-		// -timeseries-out contract.
-		if e.Series != nil {
-			e.cellsDone++
-			if e.cellsDone%seriesStride == 0 {
-				t := float64(e.cellsDone)
-				snap := cyc.Snapshot()
-				e.Series.Sample(t, "exec.cells.done", t)
-				e.Series.Sample(t, "exec.run.cycles.p50", snap.Quantile(0.50))
-				e.Series.Sample(t, "exec.run.cycles.p99", snap.Quantile(0.99))
-				if snap.Count > 0 {
-					e.Series.Sample(t, "exec.run.cycles.mean", snap.Sum/float64(snap.Count))
-				}
-			}
+		if res != nil {
+			cyc.Observe(res.Cycles)
 		}
 	}
-	e.seriesMu.Unlock()
 	merge := batch.Child("merge", 0)
 	merge.SetAttr("cells", len(cells))
 	var err error

@@ -107,7 +107,7 @@ func TestAlertRuleFiresOnFaultedRun(t *testing.T) {
 		if !inject && err != nil {
 			t.Fatal(err)
 		}
-		return telemetry.EvalAlertsSeries(rules, reg.Snapshot(), nil, time.Second)
+		return telemetry.EvalAlerts(rules, reg.Snapshot(), time.Second)
 	}
 	if n := telemetry.FiringCount(run(true)); n != 1 {
 		t.Errorf("faulted run: %d rules firing, want 1", n)
@@ -115,44 +115,6 @@ func TestAlertRuleFiresOnFaultedRun(t *testing.T) {
 	states := run(false)
 	if n := telemetry.FiringCount(states); n != 0 {
 		t.Errorf("clean run: %d rules firing, want 0: %+v", n, states)
-	}
-}
-
-// The engine's time-series rings live on the submission-ordered merge loop,
-// so their contents — like the incident timeline — are byte-identical at any
-// worker-pool width.
-func TestEngineSeriesDeterministicAcrossWidths(t *testing.T) {
-	m := testModule(t)
-	run := func(jobs int) []byte {
-		eng := exec.New(jobs, nil)
-		eng.Series = telemetry.NewSeriesSet(0, nil)
-		if _, err := eng.RunCells(context.Background(), cellsN(m, 48)); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := eng.Series.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	serial := run(1)
-	wide := run(8)
-	if !bytes.Equal(serial, wide) {
-		t.Fatalf("engine time series differ between -jobs 1 and -jobs 8:\n%s\nvs\n%s", serial, wide)
-	}
-	var snap telemetry.SeriesSnapshot
-	if err := json.Unmarshal(serial, &snap); err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]int{}
-	for _, sd := range snap.Series {
-		byName[sd.Name] = len(sd.Points)
-	}
-	// 48 cells at the stride of 16 = 3 ticks per series.
-	for _, name := range []string{"exec.cells.done", "exec.run.cycles.p50", "exec.run.cycles.p99", "exec.run.cycles.mean"} {
-		if byName[name] != 3 {
-			t.Errorf("series %s has %d points, want 3 (all: %v)", name, byName[name], byName)
-		}
 	}
 }
 
@@ -165,15 +127,13 @@ func TestOpsServerConcurrentScrapes(t *testing.T) {
 	obs := &telemetry.Observer{Registry: reg, FlightCap: 16}
 	eng := exec.New(4, obs)
 	eng.Incidents = incident.NewLog()
-	eng.Series = telemetry.NewSeriesSet(0, obs)
 	srv, err := telemetry.ServeOpsSources("127.0.0.1:0", telemetry.OpsSources{
 		Registry:  reg,
 		Progress:  func() any { return eng.Progress() },
 		Incidents: func() any { return eng.Incidents.Timeline() },
-		Series:    eng.Series,
 		Health:    func() string { return "" },
 		Alerts: func() any {
-			return telemetry.EvalAlertsSeries(nil, reg.Snapshot(), nil, time.Second)
+			return telemetry.EvalAlerts(nil, reg.Snapshot(), time.Second)
 		},
 	})
 	if err != nil {
@@ -183,7 +143,7 @@ func TestOpsServerConcurrentScrapes(t *testing.T) {
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	for _, path := range []string{"/metrics", "/progress", "/incidents", "/alerts", "/timeseries", "/timeseries?series=exec.run&last=4", "/dashboard", "/healthz"} {
+	for _, path := range []string{"/metrics", "/progress", "/incidents", "/alerts", "/healthz"} {
 		wg.Add(1)
 		go func(path string) {
 			defer wg.Done()
@@ -209,8 +169,7 @@ func TestOpsServerConcurrentScrapes(t *testing.T) {
 	}
 
 	// Crash cells mutate the registry (trap/fault counters), the flight
-	// recorders and the incident log while the scrapers read; the 16 cells
-	// that complete fill one time-series sample.
+	// recorders and the incident log while the scrapers read.
 	m := crashModule(t)
 	cells := make([]exec.Cell, 16)
 	for i := range cells {
@@ -222,9 +181,6 @@ func TestOpsServerConcurrentScrapes(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if snap := eng.Series.Snapshot([]string{"exec.cells.done"}, 0); len(snap.Series) != 1 || len(snap.Series[0].Points) != 1 {
-		t.Errorf("time series sampled %+v, want one exec.cells.done point", snap.Series)
-	}
 
 	// One final scrape after the dust settles must see the incidents.
 	resp, err := http.Get(srv.URL() + "/incidents")

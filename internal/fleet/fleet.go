@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -95,33 +94,6 @@ func (s Schedule) active(req int) bool {
 	return s.Mode != "" && s.Every > 0 && req >= s.Start && (req-s.Start)%s.Every == 0
 }
 
-// Degrade scripts a deterministic synthetic degradation of one variant: from
-// request After on, slot Slot's modeled service seconds are multiplied by
-// Growth^(req-After) — a compounding slowdown modeling a resource leak or a
-// data-only corruption that costs time instead of correctness. It is the
-// fault-injection counterpart of Schedule for the *temporal* detectors: the
-// EWMA drift early warning and the windowed alert rules see it long before
-// any output diverges. Growth <= 1 disables it.
-type Degrade struct {
-	Slot   int
-	After  int
-	Growth float64
-}
-
-// factorFor returns the service-time multiplier for slot id at request req.
-// The exponent is capped so a long schedule cannot overflow the multiplier
-// into Inf (which would poison every downstream histogram).
-func (d Degrade) factorFor(id, req int) float64 {
-	if d.Growth <= 1 || id != d.Slot || req < d.After {
-		return 1
-	}
-	f := math.Pow(d.Growth, float64(req-d.After))
-	if f > 1e4 {
-		return 1e4
-	}
-	return f
-}
-
 // Options configures a fleet run.
 type Options struct {
 	Module *tir.Module
@@ -156,17 +128,6 @@ type Options struct {
 	RebuildLatency float64
 
 	Attack Schedule
-
-	// Degrade scripts a synthetic per-variant slowdown (see Degrade) — the
-	// injected degradation the drift detector and windowed alerts exist to
-	// catch. Zero value disables it.
-	Degrade Degrade
-
-	// SampleEvery is the simulated seconds between time-series ticks. 0
-	// auto-derives ~240 ticks across the expected schedule; < 0 disables
-	// sampling. Ticks live on the simulated clock, so the sampled series
-	// are byte-identical at any -jobs width.
-	SampleEvery float64
 
 	// Eng runs replacement builds (and the initial fan-out) through the
 	// worker pool and build cache, and its Incidents log (when set)
@@ -208,37 +169,9 @@ type slot struct {
 	served   int
 	quars    int
 
-	// lastSvc is the variant's most recent per-request modeled seconds;
-	// drift is its EWMA anomaly tracker. Both reset when a heal rejoins —
-	// a fresh image has a fresh timing baseline.
-	lastSvc float64
-	drift   driftState
-	// sojournKey names the slot's fleet.variant.sojourn time series.
-	sojournKey string
-
 	heal     chan healDone
 	wallQuar time.Time
 }
-
-// driftState is one variant's EWMA sojourn model: exponentially-weighted
-// mean and variance of its per-request service seconds, plus the one-shot
-// fired latch (one early warning per slot generation, not a storm).
-type driftState struct {
-	mean, varz float64
-	n          int
-	fired      bool
-}
-
-// EWMA drift detector tuning: the smoothing constant, the samples a fresh
-// baseline needs before z-scores mean anything, and the z threshold. The
-// variance floor (relative to the mean) keeps z finite on deterministic
-// workloads whose benign service time never varies at all.
-const (
-	driftAlpha   = 0.3
-	driftWarmup  = 4
-	driftZ       = 6.0
-	driftSdFloor = 1e-3
-)
 
 type healDone struct {
 	img  *image.Image
@@ -305,21 +238,15 @@ type Fleet struct {
 	// reads its Quarantines and Recoveries, so they change under mu.
 	rep *Report
 
-	// series collects the deterministic sim-tick trajectories (/timeseries,
-	// -timeseries-out, windowed alerts). It has its own lock, so the ops
-	// endpoint snapshots it without touching the fleet mutex.
-	series *telemetry.SeriesSet
-
 	// Per-request metric series, set up once in New.
 	cRequests, cAttacks, cStalls, cSilent, cWins counter
 	cAccepted, cRejected                         counter
 	cDetections                                  map[string]*counter
 
 	// Serve-loop scratch, reused by every request: the serving candidates
-	// dispatch sorts, and serveRequest's forks and per-member seconds.
+	// dispatch sorts, and serveRequest's forks.
 	serving []*slot
 	procs   []*rt.Process
-	perVar  []float64
 }
 
 // New validates the options and prepares a fleet (no builds yet — Serve
@@ -359,12 +286,6 @@ func New(o Options) (*Fleet, error) {
 	if o.Attack.Mode == ModeOverwrite && o.Attack.Every > 0 && o.Attack.Target == "" {
 		return nil, errors.New("fleet: overwrite attack needs a target symbol")
 	}
-	if o.Degrade.Growth != 0 && o.Degrade.Growth <= 1 {
-		return nil, fmt.Errorf("fleet: degrade growth must exceed 1 to degrade, got %g", o.Degrade.Growth)
-	}
-	if o.Degrade.Growth > 1 && (o.Degrade.Slot < 0 || o.Degrade.Slot >= o.Variants) {
-		return nil, fmt.Errorf("fleet: degrade slot %d out of range [0,%d)", o.Degrade.Slot, o.Variants)
-	}
 	if o.RequestFuel == 0 {
 		o.RequestFuel = 5_000_000
 	}
@@ -386,7 +307,6 @@ func New(o Options) (*Fleet, error) {
 	if o.MVEE >= 2 {
 		f.width = o.MVEE
 	}
-	f.series = telemetry.NewSeriesSet(0, o.Obs)
 	c := func(name string, labels ...string) counter { return counter{obs: o.Obs, name: name, labels: labels} }
 	f.cRequests, f.cAttacks, f.cStalls = c("fleet.requests"), c("fleet.attacks"), c("fleet.stalls")
 	f.cSilent, f.cWins = c("fleet.silent_corruptions"), c("fleet.attacker_wins")
@@ -398,10 +318,6 @@ func New(o Options) (*Fleet, error) {
 	}
 	return f, nil
 }
-
-// Series exposes the fleet's time-series rings for the ops endpoint and
-// -timeseries-out. Safe to snapshot concurrently with Serve.
-func (f *Fleet) Series() *telemetry.SeriesSet { return f.series }
 
 // Health returns "" while every variant is serving, and a degradation
 // reason while any is quarantined (heal in flight) or failed — the /healthz
@@ -447,8 +363,7 @@ func (f *Fleet) buildInitial(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("fleet: variant %d: load: %w", i, err)
 		}
-		slots[i] = &slot{id: i, seed: seed, img: img, snap: snap, state: stateServing,
-			sojournKey: telemetry.Key("fleet.variant.sojourn", "slot", strconv.Itoa(i))}
+		slots[i] = &slot{id: i, seed: seed, img: img, snap: snap, state: stateServing}
 	}
 	f.mu.Lock()
 	f.slots = slots
@@ -502,16 +417,6 @@ func (f *Fleet) Serve(ctx context.Context) (*Report, error) {
 		// enough that degraded capacity is visible in the tail latency.
 		rebuildLat = 20 * f.goldenS
 	}
-	// Time-series tick cadence: ticks live on the simulated clock, emitted
-	// from the serve loop right after it advances, so every sampled value is
-	// a deterministic function of the schedule — never of -jobs width.
-	tickEvery := o.SampleEvery
-	if tickEvery == 0 {
-		// Auto: ~240 ticks across the expected makespan (sparkline density).
-		tickEvery = float64(o.Requests) / rate / 240
-	}
-	nextTick := tickEvery
-
 	arrivals := rng.New(o.BaseSeed ^ 0xf1ee7a27c0ffee42)
 	// With an observer the histograms live in its registry (exported via
 	// /metrics and -metrics-out); without one the fleet still needs them
@@ -561,15 +466,6 @@ func (f *Fleet) Serve(ctx context.Context) (*Report, error) {
 		if err := f.serveRequest(ctx, i, chosen, arrival, start, rebuildLat, sojournH, serviceH); err != nil {
 			return nil, err
 		}
-		for tickEvery > 0 && nextTick <= f.simClock {
-			f.sampleTick(nextTick, sojournH)
-			nextTick += tickEvery
-		}
-	}
-	if tickEvery > 0 {
-		// One final tick at the makespan, so exit-time windowed alerts and
-		// -timeseries-out see the run's end state.
-		f.sampleTick(f.simClock, sojournH)
 	}
 
 	// Join stragglers: replacement builds still in flight at shutdown are
@@ -608,79 +504,6 @@ func (f *Fleet) Serve(ctx context.Context) (*Report, error) {
 	rep.Wall.ElapsedSeconds = time.Since(wallStart).Seconds()
 	rep.Publish(o.Obs)
 	return rep, nil
-}
-
-// sampleTick records one deterministic time-series tick at simulated time t.
-// It runs on the serve goroutine and reads only serve-loop-owned state (the
-// sojourn histogram is fed exclusively by this loop), so the resulting rings
-// are byte-identical at any -jobs width. Wall-clock values (replace
-// latency, cache economy) are deliberately absent: they belong to the live
-// /metrics view, not to a deterministic artifact.
-func (f *Fleet) sampleTick(t float64, sojournH *telemetry.Histogram) {
-	f.series.Sample(t, "fleet.served", float64(f.served))
-	if t > 0 {
-		f.series.Sample(t, "fleet.throughput.rps", float64(f.served)/t)
-	}
-	snap := sojournH.Snapshot()
-	f.series.Sample(t, "fleet.sojourn.p50", snap.Quantile(0.50))
-	f.series.Sample(t, "fleet.sojourn.p99", snap.Quantile(0.99))
-	f.series.Sample(t, "fleet.quarantines", float64(f.rep.Sim.Quarantines))
-	f.series.Sample(t, "fleet.recoveries", float64(f.rep.Sim.Recoveries))
-	f.series.Sample(t, "fleet.attacks", float64(f.rep.Sim.AttackRequests))
-	f.series.Sample(t, "fleet.drift.warnings", float64(f.rep.Sim.DriftWarnings))
-	quar := 0
-	for _, s := range f.slots {
-		if s.state == stateQuarantined {
-			quar++
-		}
-	}
-	f.series.Sample(t, "fleet.slots.quarantined", float64(quar))
-	for _, s := range f.slots {
-		if s.lastSvc > 0 {
-			f.series.Sample(t, s.sojournKey, s.lastSvc)
-		}
-	}
-}
-
-// observeDrift feeds one per-variant service-time sample into the slot's
-// EWMA model and emits the early-warning incident when the z-score clears
-// the threshold — the temporal detector that sees a degrading variant long
-// before its output diverges. One warning per slot generation: the latch
-// (and the whole baseline) resets when a heal rejoins.
-func (f *Fleet) observeDrift(s *slot, trial int, v float64) {
-	d := &s.drift
-	d.n++
-	if d.n == 1 {
-		d.mean, d.varz = v, 0
-		return
-	}
-	sd := math.Sqrt(d.varz)
-	if fl := driftSdFloor * math.Abs(d.mean); sd < fl {
-		sd = fl
-	}
-	if sd < 1e-12 {
-		sd = 1e-12
-	}
-	z := (v - d.mean) / sd
-	if d.n > driftWarmup && !d.fired && math.Abs(z) >= driftZ {
-		d.fired = true
-		f.rep.Sim.DriftWarnings++
-		f.o.Obs.Counter("fleet.drift.warnings").Inc()
-		f.o.Obs.Emit("fleet-drift", map[string]any{"slot": s.id, "gen": s.gen, "z": z, "trial": trial})
-		if l := f.o.Eng.Incidents; l != nil {
-			rec := incident.Record{
-				Campaign: f.campaign, Config: f.o.Cfg.Name, Seed: s.seed, Trial: trial,
-				Kind: "drift", Via: "fleet-ewma",
-				Origin: fmt.Sprintf("slot %d gen %d sojourn drift: service %.6gs vs ewma %.6gs (z=%.1f)",
-					s.id, s.gen, v, d.mean, z),
-			}
-			rec.Seal()
-			l.Add(rec)
-		}
-	}
-	delta := v - d.mean
-	d.mean += driftAlpha * delta
-	d.varz = (1 - driftAlpha) * (d.varz + driftAlpha*delta*delta)
 }
 
 // expInterarrival draws one exponential interarrival gap.
@@ -793,13 +616,10 @@ func (f *Fleet) serveRequest(ctx context.Context, i int, chosen []*slot, arrival
 
 	var (
 		service  float64
-		perVar   []float64 // per-chosen-slot modeled seconds (drift input)
-		detected []int     // indices into chosen to quarantine
+		detected []int // indices into chosen to quarantine
 		kinds    []string
 		output   []uint64
 	)
-	perVar = append(f.perVar[:0], make([]float64, len(chosen))...)
-	f.perVar = perVar
 	if f.width >= 2 {
 		me := &mvee.Engine{Incidents: o.Eng.Incidents, Campaign: f.campaign, Trial: i}
 		for j, s := range chosen {
@@ -817,11 +637,6 @@ func (f *Fleet) serveRequest(ctx context.Context, i int, chosen []*slot, arrival
 		if err != nil {
 			return fmt.Errorf("fleet: request %d: supervisor: %w", i, err)
 		}
-		for j, r := range verdict.Results {
-			if r != nil {
-				perVar[j] = r.Seconds(o.Prof)
-			}
-		}
 		service, detected, kinds, output = f.judgeVerdict(verdict)
 	} else {
 		for _, w := range writes {
@@ -829,22 +644,9 @@ func (f *Fleet) serveRequest(ctx context.Context, i int, chosen []*slot, arrival
 		}
 		var kind string
 		service, kind, output = f.runSingle(ctx, i, chosen[0], procs[0])
-		perVar[0] = service
 		if kind != "" {
 			detected = []int{0}
 			kinds = []string{kind}
-		}
-	}
-
-	// Synthetic degradation: scale the degraded slot's modeled seconds (and
-	// the request's service time with it — lockstep waits for the slowest
-	// member). Output is untouched, so nothing here can trip the MVEE.
-	for j, s := range chosen {
-		if fac := o.Degrade.factorFor(s.id, i); fac > 1 {
-			perVar[j] *= fac
-			if perVar[j] > service {
-				service = perVar[j]
-			}
 		}
 	}
 
@@ -877,18 +679,6 @@ func (f *Fleet) serveRequest(ctx context.Context, i int, chosen []*slot, arrival
 	}
 	f.mu.Unlock()
 	f.cRequests.Inc()
-
-	// Drift early warning: feed each clean member's modeled seconds into its
-	// slot's EWMA baseline. Detected members are skipped — they are about to
-	// quarantine anyway, and a corrupted run's timing must not poison the
-	// baseline the *next* requests are judged against.
-	for j, s := range chosen {
-		if slices.Contains(detected, j) || perVar[j] <= 0 {
-			continue
-		}
-		s.lastSvc = perVar[j]
-		f.observeDrift(s, i, perVar[j])
-	}
 
 	for k, j := range detected {
 		f.rep.Sim.Detections[kinds[k]]++
@@ -1086,10 +876,6 @@ func (f *Fleet) rejoinDue(t, rebuildLat float64, replaceH *telemetry.Histogram) 
 		s.gen++
 		s.state = stateServing
 		s.freeAt = s.rejoinAt
-		// A fresh image has a fresh timing baseline: reset the drift model
-		// so the new generation is not judged against the old one's EWMA.
-		s.drift = driftState{}
-		s.lastSvc = 0
 		f.rep.Sim.Recoveries++
 		f.mu.Unlock()
 		replaceH.Observe(wall)

@@ -27,9 +27,8 @@ import (
 )
 
 // runFleet executes one fleet run and returns the report, the deterministic
-// half as JSON, the incident timeline as JSON, and the sampled time-series
-// rings as JSON (the -timeseries-out artifact).
-func runFleet(t *testing.T, o Options) (*Report, string, string, string) {
+// half as JSON and the incident timeline as JSON.
+func runFleet(t *testing.T, o Options) (*Report, string, string) {
 	t.Helper()
 	ilog := incident.NewLog()
 	o.Eng.Incidents = ilog
@@ -49,11 +48,7 @@ func runFleet(t *testing.T, o Options) (*Report, string, string, string) {
 	if err := ilog.WriteJSON(&inc); err != nil {
 		t.Fatal(err)
 	}
-	var series bytes.Buffer
-	if err := fl.Series().WriteJSON(&series); err != nil {
-		t.Fatal(err)
-	}
-	return rep, string(sim), inc.String(), series.String()
+	return rep, string(sim), inc.String()
 }
 
 func webOptions(jobs int) Options {
@@ -79,7 +74,7 @@ func webOptions(jobs int) Options {
 // corruptions), detection must quarantine, and every quarantined variant
 // must re-enter rotation re-diversified.
 func TestSupervisedFleetDetectsAndHeals(t *testing.T) {
-	rep, _, inc, series := runFleet(t, webOptions(0))
+	rep, _, inc := runFleet(t, webOptions(0))
 	s := rep.Sim
 	if s.AttackRequests == 0 || s.InjectionsAccepted == 0 {
 		t.Fatalf("attack schedule never landed: %+v", s)
@@ -110,37 +105,19 @@ func TestSupervisedFleetDetectsAndHeals(t *testing.T) {
 	if !bytes.Contains([]byte(inc), []byte(`"kind": "divergence"`)) {
 		t.Fatal("incident timeline carries no divergence records")
 	}
-	// The run samples its trajectory: the core fleet series must be present
-	// with real points.
-	var snap telemetry.SeriesSnapshot
-	if err := json.Unmarshal([]byte(series), &snap); err != nil {
-		t.Fatalf("series JSON: %v", err)
-	}
-	byName := map[string]int{}
-	for _, sd := range snap.Series {
-		byName[sd.Name] = len(sd.Points)
-	}
-	for _, name := range []string{"fleet.served", "fleet.throughput.rps", "fleet.sojourn.p99", "fleet.quarantines"} {
-		if byName[name] < 2 {
-			t.Errorf("series %s has %d points, want >= 2 (all series: %v)", name, byName[name], byName)
-		}
-	}
 }
 
 // TestFleetDeterministicAcrossJobs pins the width-determinism contract: the
 // simulated-domain report and the incident timeline are byte-identical
 // whether replacement builds run serially or on a wide pool.
 func TestFleetDeterministicAcrossJobs(t *testing.T) {
-	_, sim1, inc1, ts1 := runFleet(t, webOptions(1))
-	_, sim8, inc8, ts8 := runFleet(t, webOptions(8))
+	_, sim1, inc1 := runFleet(t, webOptions(1))
+	_, sim8, inc8 := runFleet(t, webOptions(8))
 	if sim1 != sim8 {
 		t.Errorf("sim report differs between -jobs 1 and -jobs 8:\n%s\nvs\n%s", sim1, sim8)
 	}
 	if inc1 != inc8 {
 		t.Error("incident timeline differs between -jobs 1 and -jobs 8")
-	}
-	if ts1 != ts8 {
-		t.Error("time-series rings differ between -jobs 1 and -jobs 8")
 	}
 }
 
@@ -152,7 +129,7 @@ func TestSingleVariantAttackIsSilent(t *testing.T) {
 	o.MVEE = 0
 	o.Requests = 120
 	o.Attack.Adaptive = false
-	rep, _, _, _ := runFleet(t, o)
+	rep, _, _ := runFleet(t, o)
 	s := rep.Sim
 	if len(s.Detections) != 0 || s.Quarantines != 0 {
 		t.Fatalf("data-only corruption should be invisible to a single variant: %+v", s)
@@ -204,7 +181,7 @@ func TestHangDetectionQuarantines(t *testing.T) {
 		},
 		Eng: exec.New(0, nil),
 	}
-	rep, _, inc, _ := runFleet(t, o)
+	rep, _, inc := runFleet(t, o)
 	s := rep.Sim
 	if s.Detections["hang"] == 0 {
 		t.Fatalf("hung request not detected: %+v", s.Detections)
@@ -247,7 +224,7 @@ func TestRequestFuelBoundsSupervisedRequests(t *testing.T) {
 	if res.Instructions <= 200_000 {
 		t.Fatalf("a clean request retires %d instructions; the test needs more than the 200,000-instruction budget", res.Instructions)
 	}
-	rep, _, inc, _ := runFleet(t, o)
+	rep, _, inc := runFleet(t, o)
 	s := rep.Sim
 	if len(s.Detections) != 1 || s.Detections["divergence"] != 2*requests {
 		t.Fatalf("detections = %v, want %d divergences and nothing else", s.Detections, 2*requests)
@@ -270,72 +247,6 @@ func TestRequestFuelBoundsSupervisedRequests(t *testing.T) {
 		if hung[i] != 2 {
 			t.Errorf("request %d: %d slice-budget incidents, want 2", i, hung[i])
 		}
-	}
-}
-
-// TestDriftEarlyWarningPrecedesDivergence pins the tentpole ordering: a
-// variant whose service time compounds upward (injected Degrade) trips the
-// EWMA drift early warning strictly before the attack schedule produces the
-// first output-level divergence — the temporal detector leads the
-// correctness detector.
-func TestDriftEarlyWarningPrecedesDivergence(t *testing.T) {
-	o := webOptions(0)
-	o.Degrade = Degrade{Slot: 0, After: 5, Growth: 1.3}
-	// Push the attack late so the timing anomaly has the stage to itself
-	// first; the divergence records then bound the drift warning from above.
-	o.Attack.Start = 80
-	rep, _, inc, _ := runFleet(t, o)
-	if rep.Sim.DriftWarnings == 0 {
-		t.Fatalf("degraded slot raised no drift warnings: %+v", rep.Sim)
-	}
-	if rep.Sim.Detections["divergence"] == 0 {
-		t.Fatalf("attack produced no divergence to compare against: %+v", rep.Sim.Detections)
-	}
-
-	var tl incident.Timeline
-	if err := json.Unmarshal([]byte(inc), &tl); err != nil {
-		t.Fatalf("incidents JSON: %v", err)
-	}
-	firstDrift, firstDiv := -1, -1
-	for _, r := range tl.Incidents {
-		switch r.Kind {
-		case "drift":
-			if firstDrift < 0 || r.Trial < firstDrift {
-				firstDrift = r.Trial
-			}
-		case "divergence":
-			if firstDiv < 0 || r.Trial < firstDiv {
-				firstDiv = r.Trial
-			}
-		}
-	}
-	if firstDrift < 0 {
-		t.Fatal("no drift incident records in the timeline")
-	}
-	if firstDiv < 0 {
-		t.Fatal("no divergence incident records in the timeline")
-	}
-	if firstDrift >= firstDiv {
-		t.Fatalf("drift warning at trial %d did not precede first divergence at trial %d", firstDrift, firstDiv)
-	}
-}
-
-// TestDegradeRunStaysCorrect: the synthetic slowdown perturbs timing only —
-// the supervised outputs still agree, so it must not add detections beyond
-// what the attack schedule causes on its own.
-func TestDegradeRunStaysCorrect(t *testing.T) {
-	o := webOptions(0)
-	o.Attack = Schedule{} // benign traffic, pure degradation
-	o.Degrade = Degrade{Slot: 1, After: 10, Growth: 1.2}
-	rep, _, _, _ := runFleet(t, o)
-	if n := len(rep.Sim.Detections); n != 0 {
-		t.Fatalf("degradation alone must not trip output detectors: %+v", rep.Sim.Detections)
-	}
-	if rep.Sim.Quarantines != 0 {
-		t.Fatalf("degradation alone must not quarantine: %+v", rep.Sim)
-	}
-	if rep.Sim.DriftWarnings == 0 {
-		t.Fatal("degradation did not raise a drift warning")
 	}
 }
 
@@ -453,8 +364,8 @@ func TestRerollHealKeepsLeakedAddressesValid(t *testing.T) {
 	}
 	ro := base()
 	ro.Heal = HealReroll
-	reroll, _, _, _ := runFleet(t, ro)
-	rebuild, _, _, _ := runFleet(t, base())
+	reroll, _, _ := runFleet(t, ro)
+	rebuild, _, _ := runFleet(t, base())
 	if reroll.Sim.Detections["divergence"] <= rebuild.Sim.Detections["divergence"] {
 		t.Fatalf("reroll healing should keep the leak alive: reroll %v vs rebuild %v",
 			reroll.Sim.Detections, rebuild.Sim.Detections)

@@ -51,8 +51,7 @@ type Group uint
 const (
 	// Ops adds -listen, the live ops endpoint.
 	Ops Group = 1 << iota
-	// Artifacts adds -flight, -alert-rules, -incidents-out and
-	// -timeseries-out.
+	// Artifacts adds -flight, -alert-rules and -incidents-out.
 	Artifacts
 	// Engine adds the exec engine's robustness knobs: -cell-fuel,
 	// -retries, -journal and -faults.
@@ -90,12 +89,10 @@ type Harness struct {
 	Params []string
 
 	// Obs, Eng, Ctx and (when something reads it) Incidents are set by
-	// Open. A CLI may set Incidents before Open to force a log, and Series
-	// before Serve to hand in rings it owns.
+	// Open. A CLI may set Incidents before Open to force a log.
 	Obs       *telemetry.Observer
 	Eng       *exec.Engine
 	Incidents *incident.Log
-	Series    *telemetry.SeriesSet
 	Ctx       context.Context
 
 	args     string
@@ -116,14 +113,14 @@ type Harness struct {
 }
 
 type flagValues struct {
-	metricsOut, trace, traceFormat          string
-	listen                                  string
-	flight                                  int
-	alertRules, incidentsOut, timeseriesOut string
-	cellFuel                                uint64
-	retries                                 int
-	journal, faults                         string
-	baseline, compare                       string
+	metricsOut, trace, traceFormat string
+	listen                         string
+	flight                         int
+	alertRules, incidentsOut       string
+	cellFuel                       uint64
+	retries                        int
+	journal, faults                string
+	baseline, compare              string
 }
 
 // New returns a harness for the CLI name whose positional argument is
@@ -139,13 +136,12 @@ func New(name, args string, stdout, stderr io.Writer, groups Group) *Harness {
 	fs.StringVar(&f.trace, "trace", "", "write structured events and pipeline spans to FILE")
 	fs.StringVar(&f.traceFormat, "trace-format", traceJSONL, "trace file format: jsonl or chrome (chrome://tracing / Perfetto)")
 	if groups&Ops != 0 {
-		fs.StringVar(&f.listen, "listen", "", "serve the live ops endpoint (/metrics, /healthz, /progress, /incidents, /alerts, /timeseries, /dashboard, /debug/pprof) on ADDR, e.g. :8642")
+		fs.StringVar(&f.listen, "listen", "", "serve the live ops endpoint (/metrics, /healthz, /progress, /incidents, /alerts, /debug/pprof) on ADDR, e.g. :8642")
 	}
 	if groups&Artifacts != 0 {
 		fs.IntVar(&f.flight, "flight", 0, "per-process flight-recorder depth in events (0 = off); recent control flow is attached to every incident record")
-		fs.StringVar(&f.alertRules, "alert-rules", "", "evaluate the declarative alert rules in FILE at exit (and live on /alerts); windowed functions read the sampled time series; any firing rule fails the run")
+		fs.StringVar(&f.alertRules, "alert-rules", "", "evaluate the declarative alert rules in FILE at exit (and live on /alerts); any firing rule fails the run")
 		fs.StringVar(&f.incidentsOut, "incidents-out", "", "write the incident timeline (trap/fault/hang/divergence records with flight snapshots) as JSON to FILE on exit")
-		fs.StringVar(&f.timeseriesOut, "timeseries-out", "", "write the sampled time-series rings as JSON to FILE on exit (byte-identical at any -jobs width)")
 	}
 	if groups&Engine != 0 {
 		fs.Uint64Var(&f.cellFuel, "cell-fuel", 0, "per-cell VM instruction allowance (0 = the default budget); runaway cells fail instead of hanging")
@@ -342,23 +338,14 @@ func (h *Harness) openSinks(profile bool) error {
 	return nil
 }
 
-// SampleCells wires time-series rings into the engine when something will
-// read them.
-func (h *Harness) SampleCells() {
-	if h.f.timeseriesOut != "" || h.f.listen != "" || h.f.alertRules != "" {
-		h.Series = telemetry.NewSeriesSet(0, h.Obs)
-		h.Eng.Series = h.Series
-	}
-}
-
-// Serve starts the -listen ops endpoint, if requested. The registry,
-// alerts and series sources are the harness's own; Progress and Incidents
+// Serve starts the -listen ops endpoint, if requested. The registry and
+// alerts sources are the harness's own; Progress and Incidents
 // default to the engine's progress and the incident timeline.
 func (h *Harness) Serve(src telemetry.OpsSources) error {
 	if h.f.listen == "" {
 		return nil
 	}
-	src.Registry, src.Series = h.Obs.Reg(), h.Series
+	src.Registry = h.Obs.Reg()
 	src.Alerts = func() any { return h.alerts() }
 	if src.Progress == nil {
 		src.Progress = func() any { return h.Eng.Progress() }
@@ -397,7 +384,7 @@ func (h *Harness) RunExperiments() error {
 }
 
 func (h *Harness) alerts() []telemetry.AlertState {
-	return telemetry.EvalAlertsSeries(h.rules, h.Obs.Reg().Snapshot(), h.Series.Snapshot(nil, 0), time.Since(h.start))
+	return telemetry.EvalAlerts(h.rules, h.Obs.Reg().Snapshot(), time.Since(h.start))
 }
 
 // report writes the end-of-run artifacts of a run that was not aborted.
@@ -422,9 +409,6 @@ func (h *Harness) report() {
 	}
 	if f.incidentsOut != "" {
 		h.artifact(fmt.Sprintf("%d incident records", h.Incidents.Len()), f.incidentsOut, writeFile(h.Incidents.WriteJSON))
-	}
-	if f.timeseriesOut != "" {
-		h.artifact("time-series rings", f.timeseriesOut, writeFile(h.Series.WriteJSON))
 	}
 	if len(h.rules) > 0 {
 		states := h.alerts()

@@ -58,7 +58,6 @@ func stub(t *testing.T, args ...string) (code int, stdout, stderr string) {
 		if err := h.Open(1, false); err != nil {
 			return err
 		}
-		h.SampleCells()
 		if err := h.Serve(telemetry.OpsSources{}); err != nil {
 			return err
 		}
@@ -142,7 +141,6 @@ func TestStatusLinesOnStderr(t *testing.T) {
 	args := []string{
 		"-baseline", filepath.Join(dir, "b.json"),
 		"-incidents-out", filepath.Join(dir, "i.json"),
-		"-timeseries-out", filepath.Join(dir, "ts.json"),
 		"-listen", "127.0.0.1:0",
 		"ok",
 	}
@@ -150,7 +148,7 @@ func TestStatusLinesOnStderr(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d\n%s", code, errs)
 	}
-	for _, want := range []string{"[baseline \"ok\" written to", "[0 incident records written to", "[time-series rings written to", "[ops endpoint listening on"} {
+	for _, want := range []string{"[baseline \"ok\" written to", "[0 incident records written to", "[ops endpoint listening on"} {
 		if !strings.Contains(errs, want) {
 			t.Errorf("stderr lacks %q:\n%s", want, errs)
 		}

@@ -7,8 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -16,9 +14,12 @@ import (
 // experiment run is in flight it serves
 //
 //	/metrics   — the telemetry registry in Prometheus text exposition format
-//	/healthz   — liveness ("ok")
+//	/healthz   — liveness ("ok", or 503 "degraded: <reason>" when Health
+//	             reports one)
 //	/progress  — a JSON progress snapshot from the harness (cells done/total,
 //	             in-flight cells with their current span, cache hit rate, ETA)
+//	/incidents — the incident timeline and campaign summaries, as JSON
+//	/alerts    — the alert rules evaluated against the live registry, as JSON
 //	/debug/pprof/* — the standard Go profiler endpoints
 //
 // The server is read-only and write-beside like the rest of the package:
@@ -40,9 +41,6 @@ type OpsSources struct {
 	Progress  func() any // /progress — exec engine progress snapshot
 	Incidents func() any // /incidents — incident timeline + campaign summaries
 	Alerts    func() any // /alerts — live alert-rule evaluation
-	// Series backs /timeseries (nil serves an empty snapshot) and feeds the
-	// /dashboard sparklines.
-	Series *SeriesSet
 	// Health backs /healthz: a non-empty return is the degradation reason
 	// and turns the endpoint into 503 "degraded: <reason>". Nil (or an
 	// empty return) keeps the plain 200 "ok" liveness probe.
@@ -76,10 +74,7 @@ func jsonSource(src func() any) http.HandlerFunc {
 // ServeOpsSources starts the ops endpoint with the full source set:
 // /metrics, /healthz (degradation-aware when Health is wired), /progress,
 // /incidents (the security observatory's incident timeline), /alerts (live
-// alert-rule evaluation), /timeseries (windowed ring snapshots; ?series=
-// filters by name or prefix, ?last=N trims each series to its newest N
-// points), /dashboard (the self-contained live observatory page) and pprof. The
-// listener is opened eagerly so a bad address fails before the run starts.
+// alert-rule evaluation) and pprof. The listener is opened eagerly so a bad address fails before the run starts.
 // The caller must Close the server; Close is graceful and waits for the
 // serve goroutine, so no goroutine outlives it.
 func ServeOpsSources(addr string, src OpsSources) (*OpsServer, error) {
@@ -107,24 +102,6 @@ func ServeOpsSources(addr string, src OpsSources) (*OpsServer, error) {
 	mux.HandleFunc("/progress", jsonSource(src.Progress))
 	mux.HandleFunc("/incidents", jsonSource(src.Incidents))
 	mux.HandleFunc("/alerts", jsonSource(src.Alerts))
-	mux.HandleFunc("/timeseries", func(w http.ResponseWriter, r *http.Request) {
-		var filter []string
-		if q := r.URL.Query().Get("series"); q != "" {
-			filter = strings.Split(q, ",")
-		}
-		last := 0
-		if q := r.URL.Query().Get("last"); q != "" {
-			if n, err := strconv.Atoi(q); err == nil && n > 0 {
-				last = n
-			}
-		}
-		// Snapshot is nil-safe: an unwired source serves the empty set.
-		jsonSource(func() any { return src.Series.Snapshot(filter, last) })(w, r)
-	})
-	mux.HandleFunc("/dashboard", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		w.Write([]byte(DashboardHTML))
-	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

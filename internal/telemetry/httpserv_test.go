@@ -189,7 +189,7 @@ func TestOpsServerSourcesEndpoints(t *testing.T) {
 			if perr != nil {
 				t.Error(perr)
 			}
-			return EvalAlertsSeries(rules, reg.Snapshot(), nil, time.Second)
+			return EvalAlerts(rules, reg.Snapshot(), time.Second)
 		},
 	})
 	if err != nil {
@@ -251,107 +251,6 @@ func TestOpsServerHealthzDegraded(t *testing.T) {
 	reason = ""
 	if code, body := opsGet(t, client, s.URL()+"/healthz"); code != 200 || !strings.Contains(body, "ok") {
 		t.Errorf("/healthz after recovery = %d %q", code, body)
-	}
-}
-
-func TestOpsServerTimeseriesEndpoint(t *testing.T) {
-	ss := NewSeriesSet(8, nil)
-	for i := 0; i < 5; i++ {
-		ss.Sample(float64(i), "fleet.throughput.rps", float64(100+i))
-		ss.Sample(float64(i), "fleet.sojourn.p99", 0.001*float64(i))
-	}
-	s, err := ServeOpsSources("127.0.0.1:0", OpsSources{Series: ss})
-	if err != nil {
-		t.Fatalf("ServeOpsSources: %v", err)
-	}
-	defer s.Close()
-	client := &http.Client{Timeout: 5 * time.Second}
-	defer client.CloseIdleConnections()
-
-	decode := func(body string) SeriesSnapshot {
-		t.Helper()
-		var snap SeriesSnapshot
-		if err := json.Unmarshal([]byte(body), &snap); err != nil {
-			t.Fatalf("/timeseries not JSON: %v\n%s", err, body)
-		}
-		return snap
-	}
-
-	code, body := opsGet(t, client, s.URL()+"/timeseries")
-	if code != 200 {
-		t.Fatalf("/timeseries = %d", code)
-	}
-	if snap := decode(body); len(snap.Series) != 2 || snap.Now != 4 {
-		t.Errorf("/timeseries = %+v", snap)
-	}
-
-	_, body = opsGet(t, client, s.URL()+"/timeseries?series=fleet.sojourn.p99&last=2")
-	snap := decode(body)
-	if len(snap.Series) != 1 || snap.Series[0].Name != "fleet.sojourn.p99" {
-		t.Fatalf("filtered /timeseries = %+v", snap)
-	}
-	if pts := snap.Series[0].Points; len(pts) != 2 || pts[0][0] != 3 || pts[1][0] != 4 {
-		t.Errorf("last=2 points = %v", pts)
-	}
-
-	// Bad ?last= values are ignored, not an error.
-	if code, _ := opsGet(t, client, s.URL()+"/timeseries?last=banana"); code != 200 {
-		t.Errorf("/timeseries?last=banana = %d", code)
-	}
-}
-
-// An unwired Series source serves the empty snapshot, not a panic or a 500 —
-// the same degrade-to-empty contract as /progress.
-func TestOpsServerTimeseriesNilSource(t *testing.T) {
-	s, err := ServeOpsSources("127.0.0.1:0", OpsSources{})
-	if err != nil {
-		t.Fatalf("ServeOpsSources: %v", err)
-	}
-	defer s.Close()
-	client := &http.Client{Timeout: 5 * time.Second}
-	defer client.CloseIdleConnections()
-	code, body := opsGet(t, client, s.URL()+"/timeseries")
-	if code != 200 {
-		t.Fatalf("/timeseries with nil source = %d", code)
-	}
-	var snap SeriesSnapshot
-	if err := json.Unmarshal([]byte(body), &snap); err != nil || len(snap.Series) != 0 {
-		t.Errorf("/timeseries with nil source = %q (err %v)", body, err)
-	}
-}
-
-func TestOpsServerDashboard(t *testing.T) {
-	s, err := ServeOpsSources("127.0.0.1:0", OpsSources{})
-	if err != nil {
-		t.Fatalf("ServeOpsSources: %v", err)
-	}
-	defer s.Close()
-	client := &http.Client{Timeout: 5 * time.Second}
-	defer client.CloseIdleConnections()
-
-	resp, err := client.Get(s.URL() + "/dashboard")
-	if err != nil {
-		t.Fatalf("GET /dashboard: %v", err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != 200 {
-		t.Fatalf("/dashboard = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/html") {
-		t.Errorf("/dashboard content type = %q", ct)
-	}
-	page := string(body)
-	// Self-contained: no external scripts, stylesheets or images.
-	for _, banned := range []string{"src=\"http", "href=\"http", "<script src", "<link rel"} {
-		if strings.Contains(page, banned) {
-			t.Errorf("/dashboard references an external asset (%q)", banned)
-		}
-	}
-	for _, want := range []string{"/timeseries", "/progress", "/alerts", "/healthz"} {
-		if !strings.Contains(page, want) {
-			t.Errorf("/dashboard does not poll %s", want)
-		}
 	}
 }
 

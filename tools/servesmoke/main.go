@@ -1,12 +1,14 @@
 // Command servesmoke drives the serving-fleet smoke test end to end: it is
-// what `make serve-smoke` runs. Beyond the original detect→quarantine→
-// rebuild→resume gate (-require-recover), it scrapes the live observatory
-// mid-run — /timeseries must serve well-formed non-empty ring snapshots,
-// /dashboard the self-contained page, /healthz a liveness verdict — then
-// pins the -timeseries-out artifact byte-identical between -jobs 1 and
-// -jobs 8, and finally proves the windowed-alert contract both ways: a clean
-// run exits 0 with the rules quiet, and a run with injected service-time
-// degradation exits 1 with the windowed rule FIRING.
+// what `make serve-smoke` runs. Three legs, each a bounded MVEE-supervised
+// r2cserve run (or pair of runs):
+//
+//   - live: the detect→quarantine→rebuild→resume gate (-require-recover)
+//     with the ops endpoint scraped mid-run — /progress until the fleet has
+//     served requests, then /metrics, /healthz and /alerts;
+//   - determinism: the same schedule at -jobs 1 and -jobs 8 writes
+//     byte-identical -incidents-out files and the same -json "sim" object;
+//   - exit code: a point-in-time alert rule is quiet (exit 0) on a benign run
+//     and FIRING (exit 1) on the attacked run.
 //
 // Usage: servesmoke <path-to-r2cserve>
 package main
@@ -15,6 +17,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -25,16 +28,20 @@ import (
 	"time"
 )
 
-// rules is the windowed alert the smoke runs under. The threshold sits two
-// orders of magnitude above the workload's deterministic modeled service
-// time (~7e-7s for the nginx request) and two below the degraded tail
-// (growth capped at 1e4×), so it cannot fire clean and cannot miss degraded.
-const rules = `# written by tools/servesmoke
-degraded-tail: p99_over(fleet.variant.sojourn, 1000000) > 0.0001
+// liveRules must stay quiet on the live run: a healed fleet neither fails a
+// heal nor lets a corruption through unseen.
+const liveRules = `# written by tools/servesmoke
+heal-failures: count(fleet.heal.failures) >= 1
+silent:        count(fleet.silent_corruptions) >= 1
+`
+
+// quarantineRules is the exit-code leg's rule: any quarantine fires it.
+const quarantineRules = `# written by tools/servesmoke
+quarantined: count(fleet.quarantines) >= 1
 `
 
 // fleetArgs is the shared schedule: MVEE-supervised fleet under scripted
-// corruption pressure, same shape as the original serve-smoke target.
+// corruption pressure.
 func fleetArgs(requests string) []string {
 	return []string{
 		"-variants", "4", "-mvee", "2", "-requests", requests,
@@ -54,14 +61,17 @@ func main() {
 		fatal(err)
 	}
 	defer os.RemoveAll(tmp)
-	rulesPath := filepath.Join(tmp, "smoke.rules")
-	if err := os.WriteFile(rulesPath, []byte(rules), 0o644); err != nil {
-		fatal(err)
+	write := func(name, body string) string {
+		p := filepath.Join(tmp, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			fatal(err)
+		}
+		return p
 	}
 
-	observatoryRun(serve, rulesPath)
-	timeseriesDeterminismRun(serve, rulesPath, tmp)
-	degradedRun(serve, rulesPath)
+	liveRun(serve, write("live.rules", liveRules))
+	determinismRun(serve, tmp)
+	exitCodeRun(serve, write("quarantine.rules", quarantineRules))
 	fmt.Println("servesmoke: all gates passed")
 }
 
@@ -70,40 +80,27 @@ func fatal(v any) {
 	os.Exit(1)
 }
 
-// seriesSnapshot mirrors telemetry.SeriesSnapshot's JSON shape (the tool
-// stays decoupled from the internal package on purpose: it validates the
-// wire format a real consumer would parse).
-type seriesSnapshot struct {
-	Now    float64 `json:"now"`
-	Series []struct {
-		Name    string       `json:"name"`
-		Dropped uint64       `json:"dropped"`
-		Points  [][2]float64 `json:"points"`
-	} `json:"series"`
+// liveView mirrors the fleet's /progress payload (the tool stays decoupled
+// from the internal packages on purpose: it validates the wire format a
+// real consumer would parse).
+type liveView struct {
+	Requests int `json:"requests"`
+	Served   int `json:"served"`
+	Slots    []struct {
+		State string `json:"state"`
+	} `json:"slots"`
 }
 
-func decodeSeries(body []byte) (*seriesSnapshot, error) {
-	var snap seriesSnapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		return nil, fmt.Errorf("timeseries body is not valid JSON: %w\n%s", err, body)
-	}
-	for _, sd := range snap.Series {
-		if sd.Name == "" {
-			return nil, fmt.Errorf("timeseries snapshot carries an unnamed series:\n%s", body)
-		}
-		for i := 1; i < len(sd.Points); i++ {
-			if sd.Points[i][0] < sd.Points[i-1][0] {
-				return nil, fmt.Errorf("series %s time axis goes backwards at point %d", sd.Name, i)
-			}
-		}
-	}
-	return &snap, nil
+// alertState mirrors one entry of /alerts.
+type alertState struct {
+	Rule   string `json:"rule"`
+	Firing bool   `json:"firing"`
 }
 
-// observatoryRun is the live half: a long-enough clean run with -listen,
-// scraped mid-flight, that must still pass -require-recover and exit 0 with
-// the windowed rule quiet.
-func observatoryRun(serve, rulesPath string) {
+// liveRun is the live leg: a clean-exiting attacked run with -listen,
+// scraped mid-flight, that must pass -require-recover and exit 0 with its
+// rules quiet.
+func liveRun(serve, rulesPath string) {
 	args := append(fleetArgs("2000"),
 		"-require-recover", "-listen", "127.0.0.1:0",
 		"-alert-rules", rulesPath,
@@ -119,15 +116,21 @@ func observatoryRun(serve, rulesPath string) {
 	if err := cmd.Start(); err != nil {
 		fatal(err)
 	}
+	fail := func(v any) {
+		cmd.Process.Kill()
+		cmd.Wait()
+		fatal(v)
+	}
 
 	// The ops URL arrives on stderr as "[ops endpoint listening on URL]".
 	urlCh := make(chan string, 1)
 	var stderr bytes.Buffer
+	stderrDone := make(chan struct{})
 	go func() {
+		defer close(stderrDone)
 		sc := bufio.NewScanner(io.TeeReader(stderrPipe, &stderr))
 		for sc.Scan() {
-			line := sc.Text()
-			if rest, ok := strings.CutPrefix(line, "[ops endpoint listening on "); ok {
+			if rest, ok := strings.CutPrefix(sc.Text(), "[ops endpoint listening on "); ok {
 				urlCh <- strings.TrimSuffix(rest, "]")
 			}
 		}
@@ -137,8 +140,7 @@ func observatoryRun(serve, rulesPath string) {
 	select {
 	case base = <-urlCh:
 	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
-		fatal("ops endpoint never announced itself on stderr")
+		fail("ops endpoint never announced itself on stderr")
 	}
 
 	client := &http.Client{Timeout: 5 * time.Second}
@@ -152,145 +154,142 @@ func observatoryRun(serve, rulesPath string) {
 		return resp.StatusCode, body, err
 	}
 
-	// Poll /timeseries until the rings carry data — the serve loop samples on
-	// simulated ticks, so any request progress fills them fast. Every
-	// response along the way must be well-formed.
+	// Poll /progress until the fleet has served requests. Every response
+	// along the way must be a well-formed live view of the whole fleet.
 	deadline := time.Now().Add(30 * time.Second)
-	sampled := false
-	for time.Now().Before(deadline) {
-		code, body, err := get("/timeseries")
+	var lv liveView
+	for lv.Served == 0 {
+		if time.Now().After(deadline) {
+			fail("/progress never showed a served request")
+		}
+		code, body, err := get("/progress")
 		if err != nil {
-			break // the run finished and closed the listener
+			fail(fmt.Errorf("the run closed its ops endpoint before /progress showed a served request: %w", err))
 		}
 		if code != 200 {
-			cmd.Process.Kill()
-			fatal(fmt.Sprintf("/timeseries = %d: %s", code, body))
+			fail(fmt.Sprintf("/progress = %d: %s", code, body))
 		}
-		snap, derr := decodeSeries(body)
-		if derr != nil {
-			cmd.Process.Kill()
-			fatal(derr)
+		if err := json.Unmarshal(body, &lv); err != nil {
+			fail(fmt.Errorf("/progress is not JSON: %w\n%s", err, body))
 		}
-		if len(snap.Series) > 0 && len(snap.Series[0].Points) > 0 {
-			sampled = true
-			fmt.Printf("servesmoke: mid-run /timeseries: %d series at sim t=%.3gs\n", len(snap.Series), snap.Now)
-			break
+		if lv.Requests != 2000 {
+			fail(fmt.Sprintf("/progress reports %d requests, want 2000:\n%s", lv.Requests, body))
 		}
 	}
-	if !sampled {
-		cmd.Process.Kill()
-		fatal("never saw a non-empty /timeseries snapshot mid-run")
+	if len(lv.Slots) != 4 {
+		fail(fmt.Sprintf("/progress lists %d slots, want 4", len(lv.Slots)))
 	}
+	fmt.Printf("servesmoke: mid-run /progress: %d/%d requests served\n", lv.Served, lv.Requests)
 
-	// Filtered view: ?series= + ?last= must narrow, not error.
-	if code, body, err := get("/timeseries?series=fleet.sojourn&last=8"); err == nil {
-		if code != 200 {
-			cmd.Process.Kill()
-			fatal(fmt.Sprintf("/timeseries?series= = %d", code))
+	// The scrapes below must answer while the run is live; a run that has
+	// already finished closes the listener, which is not a failure.
+	if code, body, err := get("/metrics"); err == nil {
+		if code != 200 || !strings.Contains(string(body), "fleet_requests") {
+			fail(fmt.Sprintf("/metrics = %d without fleet_requests:\n%s", code, body))
 		}
-		snap, derr := decodeSeries(body)
-		if derr != nil {
-			cmd.Process.Kill()
-			fatal(derr)
-		}
-		for _, sd := range snap.Series {
-			if !strings.HasPrefix(sd.Name, "fleet.sojourn") {
-				cmd.Process.Kill()
-				fatal(fmt.Sprintf("?series=fleet.sojourn returned %q", sd.Name))
-			}
-			if len(sd.Points) > 8 {
-				cmd.Process.Kill()
-				fatal(fmt.Sprintf("?last=8 returned %d points", len(sd.Points)))
-			}
-		}
+		fmt.Printf("servesmoke: mid-run /metrics: %d bytes\n", len(body))
 	}
-
-	// The dashboard must be served, self-contained HTML.
-	if code, body, err := get("/dashboard"); err == nil {
-		page := string(body)
-		switch {
-		case code != 200:
-			cmd.Process.Kill()
-			fatal(fmt.Sprintf("/dashboard = %d", code))
-		case !strings.Contains(page, "<!DOCTYPE html>"), !strings.Contains(page, "id=\"health\""):
-			cmd.Process.Kill()
-			fatal("/dashboard is not the observatory page")
-		case strings.Contains(page, "src=\"http"), strings.Contains(page, "href=\"http"):
-			cmd.Process.Kill()
-			fatal("/dashboard references an external asset")
-		}
-		fmt.Printf("servesmoke: mid-run /dashboard: %d bytes, self-contained\n", len(body))
-	}
-
 	// /healthz answers 200 "ok" or 503 "degraded: ..." depending on whether a
 	// heal is in flight at scrape time; anything else is a failure.
 	if code, body, err := get("/healthz"); err == nil {
 		ok := code == 200 && strings.Contains(string(body), "ok")
 		degraded := code == 503 && strings.Contains(string(body), "degraded:")
 		if !ok && !degraded {
-			cmd.Process.Kill()
-			fatal(fmt.Sprintf("/healthz = %d %q", code, body))
+			fail(fmt.Sprintf("/healthz = %d %q", code, body))
 		}
 		fmt.Printf("servesmoke: mid-run /healthz: %d %s", code, body)
 	}
+	if code, body, err := get("/alerts"); err == nil {
+		var states []alertState
+		if code != 200 {
+			fail(fmt.Sprintf("/alerts = %d: %s", code, body))
+		}
+		if err := json.Unmarshal(body, &states); err != nil {
+			fail(fmt.Errorf("/alerts is not JSON: %w\n%s", err, body))
+		}
+		if len(states) != 2 || states[0].Rule != "heal-failures" || states[1].Rule != "silent" {
+			fail(fmt.Sprintf("/alerts does not list the rules file:\n%s", body))
+		}
+		fmt.Printf("servesmoke: mid-run /alerts: %d rules evaluated\n", len(states))
+	}
 
-	err = cmd.Wait()
-	if err != nil {
-		fatal(fmt.Sprintf("clean observatory run failed (%v)\nstdout:\n%s\nstderr:\n%s", err, stdout.String(), stderr.String()))
+	<-stderrDone
+	if err := cmd.Wait(); err != nil {
+		fatal(fmt.Sprintf("live run failed (%v)\nstdout:\n%s\nstderr:\n%s", err, stdout.String(), stderr.String()))
 	}
 	if out := stdout.String(); strings.Contains(out, "FIRING") {
-		fatal("clean run fired the windowed alert:\n" + out)
+		fatal("live run fired an alert:\n" + out)
 	}
-	fmt.Println("servesmoke: clean observatory run exited 0, rules quiet")
+	fmt.Println("servesmoke: live run recovered and exited 0, rules quiet")
 }
 
-// timeseriesDeterminismRun pins the CLI artifact contract: the same schedule
-// at -jobs 1 and -jobs 8 writes byte-identical -timeseries-out files.
-func timeseriesDeterminismRun(serve, rulesPath, tmp string) {
-	outs := map[string]string{"1": filepath.Join(tmp, "ts-jobs1.json"), "8": filepath.Join(tmp, "ts-jobs8.json")}
-	for jobs, out := range outs {
-		args := append(fleetArgs("400"),
-			"-jobs", jobs, "-alert-rules", rulesPath, "-timeseries-out", out, "nginx")
+// determinismRun pins r2cserve's artifact contract: the same schedule at
+// -jobs 1 and -jobs 8 writes byte-identical -incidents-out files and the
+// same simulated-domain ("sim") half of the -json report. The "wall" half
+// holds measured seconds and differs between any two runs.
+func determinismRun(serve, tmp string) {
+	type out struct{ sim, incidents []byte }
+	runs := map[string]out{}
+	for _, jobs := range []string{"1", "8"} {
+		inc := filepath.Join(tmp, "incidents-jobs"+jobs+".json")
+		args := append(fleetArgs("400"), "-jobs", jobs, "-flight", "16", "-json", "-incidents-out", inc, "nginx")
 		cmd := exec.Command(serve, args...)
-		if b, err := cmd.CombinedOutput(); err != nil {
-			fatal(fmt.Sprintf("-jobs %s run failed (%v):\n%s", jobs, err, b))
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			fatal(fmt.Sprintf("-jobs %s run failed (%v):\n%s", jobs, err, stderr.String()))
 		}
+		var rep struct {
+			Sim  json.RawMessage `json:"sim"`
+			Wall json.RawMessage `json:"wall"`
+		}
+		if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil || rep.Sim == nil || rep.Wall == nil {
+			fatal(fmt.Sprintf("-jobs %s: -json stdout is not one report document (err %v):\n%s", jobs, err, stdout.String()))
+		}
+		b, err := os.ReadFile(inc)
+		if err != nil {
+			fatal(err)
+		}
+		runs[jobs] = out{rep.Sim, b}
 	}
-	a, err := os.ReadFile(outs["1"])
-	if err != nil {
-		fatal(err)
+	a, b := runs["1"], runs["8"]
+	if !bytes.Equal(a.sim, b.sim) {
+		fatal(fmt.Sprintf("-json sim report differs between -jobs 1 and -jobs 8:\n%s\nvs\n%s", a.sim, b.sim))
 	}
-	b, err := os.ReadFile(outs["8"])
-	if err != nil {
-		fatal(err)
+	if !bytes.Equal(a.incidents, b.incidents) {
+		fatal("-incidents-out differs between -jobs 1 and -jobs 8")
 	}
-	if !bytes.Equal(a, b) {
-		fatal("-timeseries-out differs between -jobs 1 and -jobs 8")
+	if !bytes.Contains(a.incidents, []byte(`"kind": "divergence"`)) {
+		fatal("the attacked schedule recorded no divergence incident")
 	}
-	if _, err := decodeSeries(a); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("servesmoke: -timeseries-out byte-identical at -jobs 1 and -jobs 8 (%d bytes)\n", len(a))
+	fmt.Printf("servesmoke: -json sim report and -incidents-out (%d bytes) byte-identical at -jobs 1 and -jobs 8\n", len(a.incidents))
 }
 
-// degradedRun injects the compounding slowdown; the windowed rule must fire
-// and turn into exit code 1.
-func degradedRun(serve, rulesPath string) {
-	args := append(fleetArgs("400"),
-		"-alert-rules", rulesPath,
-		"-degrade-slot", "0", "-degrade-after", "5", "-degrade-growth", "1.3",
-		"nginx")
-	cmd := exec.Command(serve, args...)
-	out, err := cmd.CombinedOutput()
-	ee, isExit := err.(*exec.ExitError)
-	if err == nil || !isExit {
-		fatal(fmt.Sprintf("degraded run did not fail with an exit code (err %v):\n%s", err, out))
+// exitCodeRun proves the alert exit-code contract both ways with one
+// point-in-time rule: quiet and exit 0 on benign traffic, FIRING and exit 1
+// once the attack gets variants quarantined.
+func exitCodeRun(serve, rulesPath string) {
+	benign := exec.Command(serve, "-variants", "4", "-mvee", "2", "-requests", "400", "-alert-rules", rulesPath, "nginx")
+	out, err := benign.CombinedOutput()
+	if err != nil {
+		fatal(fmt.Sprintf("benign run failed (%v):\n%s", err, out))
+	}
+	if strings.Contains(string(out), "FIRING") {
+		fatal("benign run fired the quarantine rule:\n" + string(out))
+	}
+	fmt.Println("servesmoke: benign run exited 0, quarantine rule quiet")
+
+	attacked := exec.Command(serve, append(fleetArgs("400"), "-alert-rules", rulesPath, "nginx")...)
+	out, err = attacked.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) {
+		fatal(fmt.Sprintf("attacked run did not fail with an exit code (err %v):\n%s", err, out))
 	}
 	if code := ee.ExitCode(); code != 1 {
-		fatal(fmt.Sprintf("degraded run exited %d, want 1:\n%s", code, out))
+		fatal(fmt.Sprintf("attacked run exited %d, want 1:\n%s", code, out))
 	}
 	if !strings.Contains(string(out), "FIRING") {
-		fatal(fmt.Sprintf("degraded run's alert table shows no FIRING rule:\n%s", out))
+		fatal(fmt.Sprintf("attacked run's alert table shows no FIRING rule:\n%s", out))
 	}
-	fmt.Println("servesmoke: degraded run fired the windowed alert and exited 1")
+	fmt.Println("servesmoke: attacked run fired the quarantine rule and exited 1")
 }
