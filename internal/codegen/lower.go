@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"sync"
 
 	"r2c/internal/defense"
 	"r2c/internal/isa"
@@ -16,6 +17,14 @@ const TrapFuncLen = 8
 
 // maxPostOffset bounds the callee-chosen post-offset in BTRA words.
 const maxPostOffset = 6
+
+// scratch keeps lowering buffers between compiles. A compile lowers each
+// function into one buffer and copies it out at exact length, so the
+// buffer is free again when Compile returns and the next compile reuses
+// it, grown to the longest function lowered so far, instead of allocating
+// its own. isa.Instr holds no pointer, so a pooled buffer keeps nothing
+// alive.
+var scratch = sync.Pool{New: func() any { return new([]isa.Instr) }}
 
 // Compile lowers a verified TIR module under the given defense
 // configuration. All randomization derives from seed, so recompiling with
@@ -65,17 +74,25 @@ func Compile(mod *tir.Module, cfg defense.Config, seed uint64) (*Program, error)
 		trampolined: map[string]string{},
 		calleeSets:  map[string][]AddrWord{},
 	}
-	// Size the scratch buffer for the longest function at four machine
-	// instructions per TIR instruction, so it seldom grows.
-	longest := 0
-	for _, f := range mod.Funcs {
-		n := 0
-		for _, b := range f.Blocks {
-			n += len(b.Instrs)
+	buf := scratch.Get().(*[]isa.Instr)
+	lw.code = *buf
+	if lw.code == nil {
+		// A fresh buffer: size it for the longest function at four machine
+		// instructions per TIR instruction, so it seldom grows.
+		longest := 0
+		for _, f := range mod.Funcs {
+			n := 0
+			for _, b := range f.Blocks {
+				n += len(b.Instrs)
+			}
+			longest = max(longest, n)
 		}
-		longest = max(longest, n)
+		lw.code = make([]isa.Instr, 0, 4*longest)
 	}
-	lw.code = make([]isa.Instr, 0, 4*longest)
+	defer func() {
+		*buf = lw.code[:0]
+		scratch.Put(buf)
+	}()
 	// Section 7.4.2: protected stack-parameter functions reachable from
 	// unprotected code either get downgraded (the paper's choice) or, with
 	// StackArgTrampolines, keep protection behind an adapter.

@@ -35,7 +35,8 @@ import (
 //	2: pcode v1 — dense ops, XPushImm2/XPushImmCall/XAluAddImmCall/XVLoadStore
 //	   superinstructions, packed per-block class counts, return-site indices
 //	3: pcode v2 — one op per instruction; the four superinstructions removed
-const KeySchema = 3
+//	4: pcode v3 — 32-byte op, one wide operand word
+const KeySchema = 4
 
 // Key identifies one build: module content, configuration fingerprint, and
 // diversification seed, plus the derived-artifact schema version. Builds with

@@ -11,8 +11,9 @@
 //
 //   - a one-byte exec opcode per op (operand addressing modes and ALU
 //     suboperations folded in) driving a dense dispatch switch,
-//   - control-transfer targets pre-resolved to array indices,
-//   - call return addresses and absolute load addresses precomputed,
+//   - one wide operand word per op: the immediate, the absolute (v)load or
+//     vstore address, the base displacement, or the control-transfer
+//     target, with the target also pre-resolved to an array index,
 //   - basic-block extents with packed per-block instruction-class counts,
 //     so the interpreter can charge a whole block's worth of architectural
 //     counters on entry,
@@ -22,9 +23,12 @@
 // Each op is one instruction and one dispatch: no adjacent pairs are fused
 // (DESIGN.md §7 gives the measured pair shares that made fusion not pay).
 //
-// A synthetic sentinel op (XFellOff) sits between functions so the
-// interpreter detects straight-line execution running off a function end
-// without per-op bounds checks.
+// A synthetic sentinel op (XFellOff) sits after each function's last
+// instruction, at the function's end address, so the interpreter detects
+// straight-line execution running off a function end without per-op bounds
+// checks. Because instructions are placed back to back, the op after a call
+// is its return site, sentinel included: a call's return address is the
+// next op's Addr, and ops carry no return-address field.
 package pcode
 
 import (
@@ -41,7 +45,7 @@ const (
 	XMovImm uint8 = iota
 	XMovReg
 	XLoadAbs  // Dst = mem64[Imm] (absolute address precomputed)
-	XLoadBase // Dst = mem64[R[Base] + Disp]
+	XLoadBase // Dst = mem64[R[Base] + Imm]
 	XStore
 	XLea
 	XAluAddRR // the two hottest ALU ops get dedicated codes
@@ -54,7 +58,7 @@ const (
 	XPush
 	XPushImm
 	XPop
-	XCall // Imm = return address, TIdx = callee's dense index
+	XCall // Imm = callee address, TIdx = its dense index
 	XCallInd
 	XRet
 	XJmp
@@ -64,7 +68,7 @@ const (
 	XTrap
 	XVLoadAbs // Imm = absolute effective address
 	XVLoadBase
-	XVStore // absolute or base-relative, decided by Base
+	XVStore // mem[Imm], plus R[Base] unless Base is NoGPR
 	XVStoreA
 	XVZeroUpper
 	XSys
@@ -87,31 +91,38 @@ const (
 // lines, the same constant the interpreter's fetch checks hardcode).
 const lineShift = 6
 
-// Op is one predecoded instruction. Fields are laid out for density; the
-// architectural Kind is retained for class accounting and cost lookup.
+// Op is one predecoded instruction, 32 bytes and pointer-free (TestOpSize
+// and image.TestCodeArraysPointerFree pin both). The architectural Kind is
+// retained for class accounting and cost lookup.
+//
+// Imm is the op's one wide operand, by exec code:
+//
+//   - XMovImm, XAluAddRI, XAluSubRI, XAluRI, XPushImm: the immediate;
+//   - XLoadAbs, XVLoadAbs: the absolute address (Target + Disp);
+//   - XLoadBase, XStore, XLea, XVLoadBase: the displacement from R[Base],
+//     two's complement;
+//   - XVStore, XVStoreA: Target + Disp with no base register, else the
+//     displacement;
+//   - XCall, XJmp, XJz, XJnz: the absolute target, which TIdx resolves;
+//   - XBadVec: the invalid width, for the error message.
+//
+// The register bytes double up: Dst is also the vector destination, Src the
+// vector source and a set's A, Base a set's B. Sub is the ALU, comparison or
+// runtime-service suboperation of XAlu*, XSet and XSys.
 type Op struct {
-	Addr   uint64
-	Imm    uint64 // immediates; calls: return address; abs (v)loads: address
-	Disp   int64
-	Target uint64 // absolute control-transfer / vstore target
-	TIdx   int32  // dense index of Target (-1: dynamic or wild)
-	RAIdx  int32  // calls: dense index of the return-address site (-1: none)
-	Block  int32  // index into Program.Blocks
-	FuncIx int32  // index into Program.Funcs
+	Addr  uint64
+	Imm   uint64
+	TIdx  int32 // dense index of Imm for static transfers (-1: dynamic or wild)
+	Block int32 // index into Program.Blocks
 
 	Exec  uint8
 	Kind  isa.Kind
-	Alu   isa.AluOp
-	Cmp   isa.CmpOp
-	Sys   isa.Sys
-	Dst   isa.Reg
-	Src   isa.Reg
-	Base  isa.Reg
-	A, B  isa.Reg
-	VDst  isa.VReg
-	VSrc  isa.VReg
-	Lanes uint8
 	Flags uint8
+	Sub   int8    // isa.AluOp, isa.CmpOp or isa.Sys
+	Dst   isa.Reg // also isa.VReg
+	Src   isa.Reg // also isa.VReg, and a set's A
+	Base  isa.Reg // also a set's B
+	Lanes uint8
 }
 
 // Block is a basic block's extent in the dense op array, plus its packed
@@ -129,7 +140,9 @@ type FuncMeta struct {
 	Start, End uint64
 }
 
-// FuncIn is one function's input to Build, in text-placement order.
+// FuncIn is one function's input to Build, in text-placement order. Its
+// instructions are placed back to back: Addrs[i+1] is Addrs[i] plus
+// Instrs[i]'s encoded size, and End follows the last one the same way.
 type FuncIn struct {
 	Name        string
 	Instrs      []isa.Instr
@@ -163,6 +176,14 @@ func (p *Program) IndexOf(addr uint64) int32 {
 		return int32(i)
 	}
 	return -1
+}
+
+// FuncOf returns the index in Funcs of the function whose text holds the
+// instruction at addr: the last one starting at or below it. A sentinel's
+// address is its function's end, so callers look a sentinel up through the
+// instruction before it.
+func (p *Program) FuncOf(addr uint64) int {
+	return sort.Search(len(p.Funcs), func(i int) bool { return p.Funcs[i].Start > addr }) - 1
 }
 
 // NumOps returns the op count including sentinels (a capacity indicator for
@@ -206,33 +227,27 @@ func Build(funcs []FuncIn) *Program {
 		}
 		for i := range f.Instrs {
 			in := &f.Instrs[i]
-			decode(&p.Ops[k], in, f.Addrs[i], int32(fi))
+			decode(&p.Ops[k], in, f.Addrs[i])
 			k++
 			if in.EndsBlock() {
 				leader[k] = true
 			}
 		}
-		p.Ops[k] = Op{Addr: f.End, Exec: XFellOff, Kind: isa.KNop, TIdx: -1, RAIdx: -1, FuncIx: int32(fi)}
+		p.Ops[k] = Op{Addr: f.End, Exec: XFellOff, Kind: isa.KNop, TIdx: -1}
 		leader[k] = true
 		k++
 		p.Funcs[fi] = FuncMeta{Name: f.Name, Start: f.Start, End: f.End}
 	}
 
 	// Pass 2: resolve static control-transfer targets to dense indices,
-	// each a leader, and calls' return-address sites (the fast
-	// interpreter's return predictor pairs the pushed RA value with this
-	// index, so a matching return skips the address lookup).
+	// each a leader.
 	for i := range p.Ops {
 		op := &p.Ops[i]
 		switch op.Exec {
 		case XCall, XJmp, XJz, XJnz:
-			if op.TIdx = p.IndexOf(op.Target); op.TIdx >= 0 {
+			if op.TIdx = p.IndexOf(op.Imm); op.TIdx >= 0 {
 				leader[op.TIdx] = true
 			}
-		}
-		switch op.Exec {
-		case XCall, XCallInd:
-			op.RAIdx = p.IndexOf(op.Imm)
 		}
 	}
 
@@ -285,14 +300,12 @@ func Build(funcs []FuncIn) *Program {
 	return p
 }
 
-// decode writes the predecoded form of one placed instruction of function
-// fi into op.
-func decode(op *Op, in *isa.Instr, addr uint64, fi int32) {
+// decode writes the predecoded form of the instruction placed at addr into
+// op.
+func decode(op *Op, in *isa.Instr, addr uint64) {
 	*op = Op{
-		Addr: addr, Imm: in.Imm, Disp: in.Disp, Target: in.Target, TIdx: -1, RAIdx: -1, FuncIx: fi,
-		Kind: in.Kind, Alu: in.Alu, Cmp: in.Cmp, Sys: in.Sys,
-		Dst: in.Dst, Src: in.Src, Base: in.Base, A: in.A, B: in.B,
-		VDst: in.VDst, VSrc: in.VSrc,
+		Addr: addr, Imm: in.Imm, TIdx: -1, Kind: in.Kind,
+		Dst: in.Dst, Src: in.Src, Base: in.Base,
 	}
 	switch in.Kind {
 	case isa.KMovImm:
@@ -305,12 +318,16 @@ func decode(op *Op, in *isa.Instr, addr uint64, fi int32) {
 			op.Imm = in.Target + uint64(in.Disp)
 		} else {
 			op.Exec = XLoadBase
+			op.Imm = uint64(in.Disp)
 		}
 	case isa.KStore:
 		op.Exec = XStore
+		op.Imm = uint64(in.Disp)
 	case isa.KLea:
 		op.Exec = XLea
+		op.Imm = uint64(in.Disp)
 	case isa.KAlu:
+		op.Sub = int8(in.Alu)
 		switch in.Alu {
 		case isa.AluAdd:
 			op.Exec = XAluAddRR
@@ -320,6 +337,7 @@ func decode(op *Op, in *isa.Instr, addr uint64, fi int32) {
 			op.Exec = XAluRR
 		}
 	case isa.KAluImm:
+		op.Sub = int8(in.Alu)
 		switch in.Alu {
 		case isa.AluAdd:
 			op.Exec = XAluAddRI
@@ -330,6 +348,7 @@ func decode(op *Op, in *isa.Instr, addr uint64, fi int32) {
 		}
 	case isa.KSet:
 		op.Exec = XSet
+		op.Sub, op.Src, op.Base = int8(in.Cmp), in.A, in.B
 	case isa.KPush:
 		op.Exec = XPush
 	case isa.KPushImm:
@@ -338,18 +357,20 @@ func decode(op *Op, in *isa.Instr, addr uint64, fi int32) {
 		op.Exec = XPop
 	case isa.KCall:
 		op.Exec = XCall
-		op.Imm = addr + uint64(in.EncodedSize()) // return address
+		op.Imm = in.Target
 	case isa.KCallInd:
 		op.Exec = XCallInd
-		op.Imm = addr + uint64(in.EncodedSize())
 	case isa.KRet:
 		op.Exec = XRet
 	case isa.KJmp:
 		op.Exec = XJmp
+		op.Imm = in.Target
 	case isa.KJz:
 		op.Exec = XJz
+		op.Imm = in.Target
 	case isa.KJnz:
 		op.Exec = XJnz
+		op.Imm = in.Target
 	case isa.KNop:
 		op.Exec = XNop
 	case isa.KTrap:
@@ -361,23 +382,26 @@ func decode(op *Op, in *isa.Instr, addr uint64, fi int32) {
 			break
 		}
 		op.Lanes = uint8(lanes)
+		op.Imm = uint64(in.Disp)
+		if in.Base == isa.NoGPR {
+			op.Imm += in.Target
+		}
 		switch in.Kind {
 		case isa.KVLoad:
+			op.Exec, op.Dst = XVLoadBase, isa.Reg(in.VDst)
 			if in.Base == isa.NoGPR {
 				op.Exec = XVLoadAbs
-				op.Imm = in.Target + uint64(in.Disp)
-			} else {
-				op.Exec = XVLoadBase
 			}
 		case isa.KVStore:
-			op.Exec = XVStore
+			op.Exec, op.Src = XVStore, isa.Reg(in.VSrc)
 		default:
-			op.Exec = XVStoreA
+			op.Exec, op.Src = XVStoreA, isa.Reg(in.VSrc)
 		}
 	case isa.KVZeroUpper:
 		op.Exec = XVZeroUpper
 	case isa.KSys:
 		op.Exec = XSys
+		op.Sub = int8(in.Sys)
 	case isa.KHalt:
 		op.Exec = XHalt
 	default:

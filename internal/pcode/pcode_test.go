@@ -2,6 +2,7 @@ package pcode
 
 import (
 	"testing"
+	"unsafe"
 
 	"r2c/internal/isa"
 	"r2c/internal/mem"
@@ -101,9 +102,12 @@ func TestIndexOfAndSentinels(t *testing.T) {
 			}
 			// One op per instruction: Build rewrites no exec code.
 			var want Op
-			decode(&want, &f.Instrs[i], a, 0)
+			decode(&want, &f.Instrs[i], a)
 			if got := p.Ops[ix].Exec; got != want.Exec {
 				t.Fatalf("%s instr %d: exec %d, want its own decode %d", name, i, got, want.Exec)
+			}
+			if got := p.Funcs[p.FuncOf(a)].Name; got != name {
+				t.Fatalf("%s instr %d: FuncOf(%#x) names %s", name, i, a, got)
 			}
 		}
 		// The sentinel sits right after the last instruction, carries the
@@ -127,7 +131,8 @@ func TestIndexOfAndSentinels(t *testing.T) {
 
 // TestIndexOfSentinelTie places g directly after f, with no alignment
 // padding, so f's sentinel and g's entry share an address: the entry must
-// win, both for IndexOf and for the indices Build resolves through it.
+// win, both for IndexOf and for the indices Build resolves through it, and
+// FuncOf names g there.
 func TestIndexOfSentinelTie(t *testing.T) {
 	f := fn("f", 0x1000, nil,
 		isa.Instr{Kind: isa.KNop},
@@ -147,9 +152,17 @@ func TestIndexOfSentinelTie(t *testing.T) {
 	if got := p.IndexOf(g.Start); got != entry {
 		t.Fatalf("IndexOf(g.Start) = %d, want g's entry %d, not the sentinel", got, entry)
 	}
-	call := p.Ops[p.IndexOf(f.Addrs[1])]
-	if call.TIdx != entry || call.RAIdx != entry {
-		t.Errorf("call TIdx=%d RAIdx=%d, want both %d (g's entry)", call.TIdx, call.RAIdx, entry)
+	ci := p.IndexOf(f.Addrs[1])
+	if call := p.Ops[ci]; call.TIdx != entry {
+		t.Errorf("call TIdx=%d, want %d (g's entry)", call.TIdx, entry)
+	}
+	// f's last instruction is the call: its return site is f's sentinel,
+	// whose address is g's entry.
+	if ret := p.Ops[ci+1]; ret.Exec != XFellOff || ret.Addr != g.Start {
+		t.Errorf("op after the call: exec=%d addr=%#x, want f's sentinel at %#x", ret.Exec, ret.Addr, g.Start)
+	}
+	if got := p.Funcs[p.FuncOf(g.Start)].Name; got != "g" {
+		t.Errorf("FuncOf(g.Start) names %s, want g", got)
 	}
 	if jmp := p.Ops[entry]; jmp.TIdx != entry {
 		t.Errorf("jmp TIdx = %d, want %d", jmp.TIdx, entry)
@@ -163,31 +176,27 @@ func TestTargetAndReturnResolution(t *testing.T) {
 	p, fns := buildFixture()
 	f, g := fns["f"], fns["g"]
 
-	call := p.Ops[p.IndexOf(f.Addrs[3])]
-	if want := p.IndexOf(g.Start); call.TIdx != want {
-		t.Errorf("call TIdx = %d, want %d (g entry)", call.TIdx, want)
+	ci := p.IndexOf(f.Addrs[3])
+	call := p.Ops[ci]
+	if want := p.IndexOf(g.Start); call.TIdx != want || call.Imm != g.Start {
+		t.Errorf("call TIdx = %d, Imm = %#x, want %d at %#x (g entry)", call.TIdx, call.Imm, want, g.Start)
 	}
+	// The return address is the next op's: instructions sit back to back.
 	ra := f.Addrs[3] + uint64(f.Instrs[3].EncodedSize())
-	if call.Imm != ra {
-		t.Errorf("call precomputed RA = %#x, want %#x", call.Imm, ra)
-	}
-	if want := p.IndexOf(ra); call.RAIdx != want {
-		t.Errorf("call RAIdx = %d, want %d", call.RAIdx, want)
+	if got := p.Ops[ci+1].Addr; got != ra {
+		t.Errorf("op after the call at %#x, want the return address %#x", got, ra)
 	}
 
 	jz := p.Ops[p.IndexOf(f.Addrs[4])]
-	if want := p.IndexOf(f.Start); jz.TIdx != want {
-		t.Errorf("jz TIdx = %d, want %d (f entry)", jz.TIdx, want)
+	if want := p.IndexOf(f.Start); jz.TIdx != want || jz.Imm != f.Start {
+		t.Errorf("jz TIdx = %d, Imm = %#x, want %d at %#x (f entry)", jz.TIdx, jz.Imm, want, f.Start)
 	}
 
-	// A call to an unmapped address stays unresolved, but its return site —
-	// which is mapped — still gets a predictor index.
+	// A call to an unmapped address stays unresolved and keeps the address
+	// for the fault.
 	wild := p.Ops[p.IndexOf(g.Addrs[3])]
-	if wild.TIdx != -1 {
-		t.Errorf("wild call TIdx = %d, want -1", wild.TIdx)
-	}
-	if want := p.IndexOf(g.Addrs[4]); wild.RAIdx != want {
-		t.Errorf("wild call RAIdx = %d, want %d", wild.RAIdx, want)
+	if wild.TIdx != -1 || wild.Imm != 0x9999 {
+		t.Errorf("wild call TIdx = %d, Imm = %#x, want -1 and 0x9999", wild.TIdx, wild.Imm)
 	}
 }
 
@@ -203,6 +212,57 @@ func TestDecodeSpecialCases(t *testing.T) {
 	bad := p.Ops[p.IndexOf(g.Addrs[2])]
 	if bad.Exec != XBadVec || bad.Imm != 5 {
 		t.Errorf("bad vector width: exec=%d imm=%d, want XBadVec keeping the width", bad.Exec, bad.Imm)
+	}
+}
+
+// TestDecodeOperands checks the shared operand fields: Imm holds the
+// displacement, the absolute address or the target by exec code, a wide
+// displacement survives, and the register bytes carry set's A/B and the
+// vector registers.
+func TestDecodeOperands(t *testing.T) {
+	const wide = -1 << 40 // does not fit 32 bits
+	cases := []struct {
+		in   isa.Instr
+		want Op
+	}{
+		{isa.Instr{Kind: isa.KLoad, Dst: 1, Base: 2, Disp: wide},
+			Op{Exec: XLoadBase, Kind: isa.KLoad, Dst: 1, Base: 2, Imm: 1<<64 - 1<<40}},
+		{isa.Instr{Kind: isa.KStore, Src: 3, Base: 4, Disp: -8},
+			Op{Exec: XStore, Kind: isa.KStore, Src: 3, Base: 4, Imm: 1<<64 - 8}},
+		{isa.Instr{Kind: isa.KLea, Dst: 5, Base: isa.RSP, Disp: 24},
+			Op{Exec: XLea, Kind: isa.KLea, Dst: 5, Base: isa.RSP, Imm: 24}},
+		{isa.Instr{Kind: isa.KSet, Cmp: isa.CmpGeq, Dst: 6, A: 7, B: 8},
+			Op{Exec: XSet, Kind: isa.KSet, Sub: int8(isa.CmpGeq), Dst: 6, Src: 7, Base: 8}},
+		{isa.Instr{Kind: isa.KAluImm, Alu: isa.AluShl, Dst: 9, Imm: 3},
+			Op{Exec: XAluRI, Kind: isa.KAluImm, Sub: int8(isa.AluShl), Dst: 9, Imm: 3}},
+		{isa.Instr{Kind: isa.KSys, Sys: isa.SysOutput},
+			Op{Exec: XSys, Kind: isa.KSys, Sub: int8(isa.SysOutput)}},
+		{isa.Instr{Kind: isa.KVLoad, VDst: 3, Base: isa.NoGPR, Target: 0x8000, Disp: 16, Imm: 32},
+			Op{Exec: XVLoadAbs, Kind: isa.KVLoad, Dst: 3, Base: isa.NoGPR, Lanes: 4, Imm: 0x8010}},
+		{isa.Instr{Kind: isa.KVLoad, VDst: 2, Base: 1, Disp: wide, Imm: 64},
+			Op{Exec: XVLoadBase, Kind: isa.KVLoad, Dst: 2, Base: 1, Lanes: 8, Imm: 1<<64 - 1<<40}},
+		{isa.Instr{Kind: isa.KVStore, VSrc: 4, Base: isa.NoGPR, Target: 0x9000, Disp: 8, Imm: 16},
+			Op{Exec: XVStore, Kind: isa.KVStore, Src: 4, Base: isa.NoGPR, Lanes: 2, Imm: 0x9008}},
+		{isa.Instr{Kind: isa.KVStoreA, VSrc: 5, Base: isa.RSP, Disp: wide, Imm: 32},
+			Op{Exec: XVStoreA, Kind: isa.KVStoreA, Src: 5, Base: isa.RSP, Lanes: 4, Imm: 1<<64 - 1<<40}},
+		{isa.Instr{Kind: isa.KJnz, Src: 2, Target: 0x4000},
+			Op{Exec: XJnz, Kind: isa.KJnz, Src: 2, Imm: 0x4000}},
+	}
+	for _, c := range cases {
+		var got Op
+		decode(&got, &c.in, 0x1000)
+		c.want.Addr, c.want.TIdx = 0x1000, -1
+		if got != c.want {
+			t.Errorf("%v:\n got %+v\nwant %+v", c.in.Kind, got, c.want)
+		}
+	}
+}
+
+// TestOpSize pins the predecoded op at 32 bytes, half an x86 cache line:
+// every build zeroes, fills and keeps one per instruction.
+func TestOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(Op{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(pcode.Op{}) = %d, want 32", got)
 	}
 }
 

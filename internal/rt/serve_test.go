@@ -65,7 +65,9 @@ func TestServeRequestAllocs(t *testing.T) {
 // TestBuildImageAllocs is the build path's ceiling, on BenchmarkBuildImage's
 // build (r2c-full perlbench, fresh seed each time): lowering, linking and
 // predecoding allocate each slice once at its final size, so append growth
-// creeping back shows here as allocations and bytes per build.
+// creeping back shows here as allocations and bytes per build. A build
+// measured 1.26-1.30 MB; the byte ceiling adds 4%, which also holds a build
+// whose lowering buffer missed the pool and was allocated afresh (~84 KB).
 func TestBuildImageAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -78,7 +80,7 @@ func TestBuildImageAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const runs, maxAllocs, maxBytes = 10, 2250, 1_700_000
+	const runs, maxAllocs, maxBytes = 10, 2250, 1_350_000
 	if n := testing.AllocsPerRun(runs, build); n > maxAllocs {
 		t.Errorf("a build allocates %.0f times, ceiling %d", n, maxAllocs)
 	}

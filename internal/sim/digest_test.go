@@ -69,8 +69,14 @@ func digestImages(t *testing.T, visit func(wl, cfg string, img *image.Image)) {
 // hashImage folds everything a link produces into h: the layout summary,
 // every instruction address, the return-address and data-initializer
 // tables in key order, the unwind table, and every field of the predecoded
-// program — so a wrong TIdx or RAIdx moves the digest, not just a size.
+// program — so a wrong TIdx or operand moves the digest, not just a size.
 func hashImage(h hash.Hash, img *image.Image) error {
+	return hashImageOps(h, img, img.Code.Ops)
+}
+
+// hashImageOps is hashImage with ops standing in for img.Code.Ops: any
+// fixed-size element type binary.Write encodes.
+func hashImageOps(h hash.Hash, img *image.Image, ops any) error {
 	body, err := json.Marshal(img.LayoutSummary())
 	if err != nil {
 		return err
@@ -89,7 +95,7 @@ func hashImage(h hash.Hash, img *image.Image) error {
 		fmt.Fprintf(h, "\nu %+v", ue)
 	}
 	code := img.Code
-	for _, v := range []any{code.Ops, code.Blocks, code.Classes} {
+	for _, v := range []any{ops, code.Blocks, code.Classes} {
 		if err := binary.Write(h, binary.LittleEndian, v); err != nil {
 			return err
 		}
@@ -110,24 +116,34 @@ func sortedKeys[K int | uint64, V any](m map[K]V) []K {
 	return ks
 }
 
-const (
-	digestGolden = "testdata/image_digests.golden"
-	rerollGolden = "testdata/reroll_digests.golden"
+// golden is one digest file and the hash that folds an image into it.
+type golden struct {
+	path string
+	hash func(hash.Hash, *image.Image) error
+}
+
+var (
+	digestGolden   = golden{"testdata/image_digests.golden", hashImage}
+	rerollGolden   = golden{"testdata/reroll_digests.golden", hashImage}
+	digestGoldenV2 = golden{"testdata/image_digests_v2.golden", hashImageV2}
+	rerollGoldenV2 = golden{"testdata/reroll_digests_v2.golden", hashImageV2}
 )
 
 // TestImageDigestGolden pins the linker and predecoder output bit for bit:
 // one sha256 per (workload, config) over seeds 1-4, compared against the
 // committed digests. A change that is meant to leave every image identical
-// must leave this file unchanged.
+// must leave this file unchanged. The same images projected back to the
+// 64-byte op of pcode v2 must still hash to that layout's digests
+// (digest_v2_test.go).
 func TestImageDigestGolden(t *testing.T) {
-	checkDigests(t, digestGolden, func(img *image.Image) *image.Image { return img })
+	checkDigests(t, func(img *image.Image) *image.Image { return img }, digestGolden, digestGoldenV2)
 }
 
 // TestRerollDigestGolden pins image.Reroll bit for bit: the same digests
 // over Reroll(0xd15ea5e) copies of every golden image with BTRAs. The
 // digests were checked against the process-level reroll they replace.
 func TestRerollDigestGolden(t *testing.T) {
-	checkDigests(t, rerollGolden, func(img *image.Image) *image.Image {
+	checkDigests(t, func(img *image.Image) *image.Image {
 		if !img.Prog.Config.BTRAEnabled() {
 			return nil
 		}
@@ -136,61 +152,67 @@ func TestRerollDigestGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		return cp
-	})
+	}, rerollGolden, rerollGoldenV2)
 }
 
 // checkDigests folds pick(img) for every golden image into one sha256 per
-// (workload, config), skipping images pick maps to nil, and compares them
-// against the golden file at path, printing the replacement table on a
-// mismatch.
-func checkDigests(t *testing.T, path string, pick func(img *image.Image) *image.Image) {
+// (workload, config) and golden, skipping images pick maps to nil, and
+// compares them against each golden file, printing the replacement table on
+// a mismatch. The images are built once for all goldens.
+func checkDigests(t *testing.T, pick func(img *image.Image) *image.Image, goldens ...golden) {
 	t.Helper()
-	want := map[string]string{}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if k, v, ok := strings.Cut(sc.Text(), " = "); ok {
-			want[k] = v
-		}
-	}
-	f.Close()
-
 	var keys []string
-	hashes := map[string]hash.Hash{}
+	hashes := map[string][]hash.Hash{}
 	digestImages(t, func(wl, cfg string, img *image.Image) {
 		if img = pick(img); img == nil {
 			return
 		}
 		k := wl + "/" + cfg
-		h, ok := hashes[k]
+		hs, ok := hashes[k]
 		if !ok {
-			h = sha256.New()
-			hashes[k] = h
+			for range goldens {
+				hs = append(hs, sha256.New())
+			}
+			hashes[k] = hs
 			keys = append(keys, k)
 		}
-		if err := hashImage(h, img); err != nil {
-			t.Fatal(err)
+		for i, g := range goldens {
+			if err := g.hash(hs[i], img); err != nil {
+				t.Fatalf("%s: %s: %v", g.path, k, err)
+			}
 		}
 	})
 
-	var table strings.Builder
-	bad := 0
-	for _, k := range keys {
-		got := hex.EncodeToString(hashes[k].Sum(nil))
-		fmt.Fprintf(&table, "%s = %s\n", k, got)
-		if want[k] != got {
-			bad++
-			t.Errorf("%s: digest %s, golden %s", k, got, want[k])
+	for i, g := range goldens {
+		want := map[string]string{}
+		f, err := os.Open(g.path)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(want) != len(keys) {
-		t.Errorf("golden has %d entries, built %d", len(want), len(keys))
-	}
-	if bad > 0 || len(want) != len(keys) {
-		t.Logf("digests at this tree (%s format):\n%s", path, table.String())
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			if k, v, ok := strings.Cut(sc.Text(), " = "); ok {
+				want[k] = v
+			}
+		}
+		f.Close()
+
+		var table strings.Builder
+		bad := 0
+		for _, k := range keys {
+			got := hex.EncodeToString(hashes[k][i].Sum(nil))
+			fmt.Fprintf(&table, "%s = %s\n", k, got)
+			if want[k] != got {
+				bad++
+				t.Errorf("%s: %s: digest %s, golden %s", g.path, k, got, want[k])
+			}
+		}
+		if len(want) != len(keys) {
+			t.Errorf("%s: golden has %d entries, built %d", g.path, len(want), len(keys))
+		}
+		if bad > 0 || len(want) != len(keys) {
+			t.Logf("digests at this tree (%s format):\n%s", g.path, table.String())
+		}
 	}
 }
 

@@ -243,6 +243,119 @@ func TestFastPathALUParity(t *testing.T) {
 	}
 }
 
+// operandKernel links main, f, h and g, in that text order, with their
+// compiled bodies replaced by hand-written code: main runs base-relative
+// loads, stores, a vector load and store and a lea whose displacements do
+// not fit 32 bits, two sets, calls f, outputs 11 and jumps to an unmapped
+// address. f is pad nops and then a call to g, its last instruction; g
+// outputs 7 and returns to f's end address. With 11 nops f is 16 bytes,
+// so its end is h's entry and h outputs 9 and returns to main; with 0 the
+// return lands in alignment padding.
+func operandKernel(t *testing.T, pad int) *image.Image {
+	t.Helper()
+	mb := tir.NewModule("operands")
+	for _, name := range []string{"main", "f", "h", "g"} {
+		mb.NewFunc(name, 0).RetVoid()
+	}
+	mb.SetEntry("main")
+	prog, err := codegen.Compile(mb.MustBuild(), defense.Off(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := func(name string) isa.Instr {
+		return isa.Instr{Kind: isa.KCall, Sym: prog.Intern(name), CallSiteID: -1}
+	}
+	output := func(in ...isa.Instr) []isa.Instr { return append(in, call(codegen.StubOutput)) }
+	const wide = 1 << 40
+	var main []isa.Instr
+	for _, seq := range [][]isa.Instr{
+		{
+			{Kind: isa.KLea, Dst: isa.RBX, Base: isa.RSP, Disp: -256},
+			{Kind: isa.KMovImm, Dst: isa.RCX, Imm: wide},
+			{Kind: isa.KAlu, Alu: isa.AluSub, Dst: isa.RBX, Src: isa.RCX},
+			{Kind: isa.KMovImm, Dst: isa.RAX, Imm: 0x1122334455667788},
+			{Kind: isa.KStore, Base: isa.RBX, Disp: wide, Src: isa.RAX},
+		},
+		output(isa.Instr{Kind: isa.KLoad, Dst: isa.RDI, Base: isa.RBX, Disp: wide}),
+		{
+			{Kind: isa.KVLoad, VDst: 1, Base: isa.RBX, Disp: wide, Imm: 32},
+			{Kind: isa.KVStore, VSrc: 1, Base: isa.RBX, Disp: wide + 64, Imm: 32},
+		},
+		output(isa.Instr{Kind: isa.KLoad, Dst: isa.RDI, Base: isa.RBX, Disp: wide + 64}),
+		output(
+			isa.Instr{Kind: isa.KLea, Dst: isa.RDI, Base: isa.RBX, Disp: wide},
+			isa.Instr{Kind: isa.KAlu, Alu: isa.AluSub, Dst: isa.RDI, Src: isa.RSP},
+		),
+		{
+			{Kind: isa.KMovImm, Dst: isa.RDX, Imm: 2 * wide},
+			{Kind: isa.KAlu, Alu: isa.AluAdd, Dst: isa.RDX, Src: isa.RSP},
+		},
+		output(isa.Instr{Kind: isa.KLoad, Dst: isa.RDI, Base: isa.RDX, Disp: -2*wide - 256}),
+		output(isa.Instr{Kind: isa.KSet, Cmp: isa.CmpLt, Dst: isa.RDI, A: isa.RCX, B: isa.RAX}),
+		output(isa.Instr{Kind: isa.KSet, Cmp: isa.CmpGeq, Dst: isa.RDI, A: isa.RCX, B: isa.RAX}),
+		{call("f")},
+		output(isa.Instr{Kind: isa.KMovImm, Dst: isa.RDI, Imm: 11}),
+		{{Kind: isa.KJmp, Target: 0x10}, {Kind: isa.KRet}},
+	} {
+		main = append(main, seq...)
+	}
+	f := make([]isa.Instr, pad, pad+1)
+	for i := range f {
+		f[i].Kind = isa.KNop
+	}
+	for name, instrs := range map[string][]isa.Instr{
+		"main": main,
+		"f":    append(f, call("g")),
+		"h":    append(output(isa.Instr{Kind: isa.KMovImm, Dst: isa.RDI, Imm: 9}), isa.Instr{Kind: isa.KRet}),
+		"g":    append(output(isa.Instr{Kind: isa.KMovImm, Dst: isa.RDI, Imm: 7}), isa.Instr{Kind: isa.KRet}),
+	} {
+		for i := range instrs {
+			instrs[i].LocalTarget = -1
+		}
+		fn := prog.Func(name)
+		fn.Instrs, fn.BlockStarts = instrs, nil
+	}
+	img, err := image.Link(prog, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestFastPathOperandEdges runs operandKernel on both engines: the edges
+// the 32-byte op folds into one wide operand word and shared register
+// bytes, a call whose return site is its function's end sentinel (shared
+// with the next entry or not), and a jump to an unmapped target.
+func TestFastPathOperandEdges(t *testing.T) {
+	const v = 0x1122334455667788
+	for _, c := range []struct {
+		pad  int
+		tail []uint64 // outputs after main's call to f
+	}{
+		{pad: 11, tail: []uint64{7, 9, 11}},
+		{pad: 0, tail: []uint64{7}},
+	} {
+		img := operandKernel(t, c.pad)
+		fast := runFast(newMachine(t, img, 1, vm.EPYCRome(), nil))
+		ref := runRef(newMachine(t, img, 1, vm.EPYCRome(), nil))
+		what := fmt.Sprintf("pad %d", c.pad)
+		requireSame(t, what, fast, ref)
+		want := append([]uint64{v, v, 1<<64 - 256, v, 1, 0}, c.tail...)
+		if !reflect.DeepEqual(fast.res.Output, want) {
+			t.Fatalf("%s: output %#x, want %#x", what, fast.res.Output, want)
+		}
+		fault := uint64(0x10)
+		if c.pad == 0 {
+			fault = img.Funcs["f"].End
+		} else if img.Funcs["h"].Start != img.Funcs["f"].End {
+			t.Fatalf("%s: h at %#x, not at f's end %#x", what, img.Funcs["h"].Start, img.Funcs["f"].End)
+		}
+		if f := fast.res.Fault; f == nil || f.Addr != fault || !f.Unmapped {
+			t.Fatalf("%s: fault %+v, want an unmapped fetch at %#x", what, f, fault)
+		}
+	}
+}
+
 // TestFastPathResumeAndKnobParity drives two identically-built machines in
 // small chunks with the RSS-sampling and i-cache-flush knobs enabled. Every
 // pause must land on the same PC with the same Result: the fast path cuts

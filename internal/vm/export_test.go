@@ -20,6 +20,9 @@ func SyncTLB(m *Machine) { m.syncTLB() }
 // TLBEntry reports whether m's data TLB holds a valid entry for addr's page,
 // and the hit tags of the entry that would.
 func TLBEntry(m *Machine, addr uint64) (cached bool, rtag, wtag uint64) {
-	e := &m.tlb[(addr>>mem.PageShift)&7]
+	e := &m.tlb[(addr>>mem.PageShift)&(tlbSize-1)]
 	return e.valid && e.page == addr>>mem.PageShift, e.rtag, e.wtag
 }
+
+// TLBMisses reports the data-TLB misses m has counted so far.
+func TLBMisses(m *Machine) uint64 { return m.res.TLBMisses }

@@ -64,7 +64,7 @@ blocks:
 			// right after retiring the last instruction, before any budget
 			// pause, with the PC still at it.
 			cpu.PC = ops[idx-1].Addr
-			return m.stop(cyc), fmt.Errorf("vm: fell off the end of %s", code.Funcs[op.FuncIx].Name)
+			return m.stop(cyc), fmt.Errorf("vm: fell off the end of %s", code.Funcs[code.FuncOf(cpu.PC)].Name)
 		}
 		rem := limit - m.res.Instructions
 		if rem == 0 {
@@ -138,7 +138,7 @@ blocks:
 				cpu.R[op.Dst] = v
 				cyc = m.tally(cyc, isa.KLoad, prof.Cost[isa.KLoad])
 			case pcode.XLoadBase:
-				a := cpu.R[op.Base] + uint64(op.Disp)
+				a := cpu.R[op.Base] + op.Imm
 				if m.rec != nil && m.rec.NearGuard(a) {
 					m.rec.Record(telemetry.FlightLoad, op.Addr, a, m.res.Instructions-uint64(end-idx-1))
 				}
@@ -155,7 +155,7 @@ blocks:
 				cpu.R[op.Dst] = v
 				cyc = m.tally(cyc, isa.KLoad, prof.Cost[isa.KLoad])
 			case pcode.XStore:
-				a := cpu.R[op.Base] + uint64(op.Disp)
+				a := cpu.R[op.Base] + op.Imm
 				if !m.storeHit(a, cpu.R[op.Src]) {
 					if f := m.write64(a, cpu.R[op.Src]); f != nil {
 						cpu.PC = op.Addr
@@ -166,7 +166,7 @@ blocks:
 				}
 				cyc = m.tally(cyc, isa.KStore, prof.Cost[isa.KStore])
 			case pcode.XLea:
-				cpu.R[op.Dst] = cpu.R[op.Base] + uint64(op.Disp)
+				cpu.R[op.Dst] = cpu.R[op.Base] + op.Imm
 				cyc = m.tally(cyc, isa.KLea, prof.Cost[isa.KLea])
 			case pcode.XAluAddRR:
 				cpu.R[op.Dst] += cpu.R[op.Src]
@@ -186,7 +186,7 @@ blocks:
 					k, b = isa.KAlu, cpu.R[op.Src]
 				}
 				cost := prof.Cost[k]
-				switch op.Alu {
+				switch isa.AluOp(op.Sub) {
 				case isa.AluMul:
 					a, cost = a*b, prof.MulCost
 				case isa.AluXor:
@@ -201,7 +201,7 @@ blocks:
 					a |= b
 				default:
 					var err error
-					if a, cost, err = aluExec(op.Alu, a, b, prof, cost); err != nil {
+					if a, cost, err = aluExec(isa.AluOp(op.Sub), a, b, prof, cost); err != nil {
 						cpu.PC = op.Addr
 						m.rollback(code, idx+1, end)
 						return m.stop(cyc), fmt.Errorf("vm: at %#x: %w", op.Addr, err)
@@ -210,7 +210,7 @@ blocks:
 				cpu.R[op.Dst] = a
 				cyc = m.tally(cyc, k, cost)
 			case pcode.XSet:
-				cpu.R[op.Dst] = cmpExec(op.Cmp, cpu.R[op.A], cpu.R[op.B])
+				cpu.R[op.Dst] = cmpExec(isa.CmpOp(op.Sub), cpu.R[op.Src], cpu.R[op.Base])
 				cyc = m.tally(cyc, isa.KSet, prof.Cost[isa.KSet])
 			case pcode.XPush:
 				cpu.R[isa.RSP] -= 8
@@ -288,7 +288,7 @@ blocks:
 			case pcode.XVLoadAbs, pcode.XVLoadBase:
 				a := op.Imm
 				if op.Exec == pcode.XVLoadBase {
-					a = cpu.R[op.Base] + uint64(op.Disp)
+					a += cpu.R[op.Base]
 				}
 				lanes := int(op.Lanes)
 				for l := 0; l < lanes; l++ {
@@ -303,7 +303,7 @@ blocks:
 							return m.stop(cyc), nil
 						}
 					}
-					cpu.V[op.VDst][l] = v
+					cpu.V[op.Dst][l] = v
 				}
 				cost := prof.Cost[op.Kind]
 				if lanes*8 > 16 {
@@ -314,9 +314,9 @@ blocks:
 				}
 				cyc = m.tally(cyc, op.Kind, cost)
 			case pcode.XVStore, pcode.XVStoreA:
-				a := op.Target + uint64(op.Disp)
+				a := op.Imm
 				if op.Base != isa.NoGPR {
-					a = cpu.R[op.Base] + uint64(op.Disp)
+					a += cpu.R[op.Base]
 				}
 				if op.Exec == pcode.XVStoreA && a%16 != 0 {
 					cpu.PC = op.Addr
@@ -326,8 +326,8 @@ blocks:
 				lanes := int(op.Lanes)
 				for l := 0; l < lanes; l++ {
 					la := a + uint64(l)*8
-					if !m.storeHit(la, cpu.V[op.VSrc][l]) {
-						if f := m.write64(la, cpu.V[op.VSrc][l]); f != nil {
+					if !m.storeHit(la, cpu.V[op.Src][l]) {
+						if f := m.write64(la, cpu.V[op.Src][l]); f != nil {
 							cpu.PC = op.Addr
 							m.stopFault(op.Addr, f)
 							m.rollback(code, idx+1, end)
@@ -350,7 +350,7 @@ blocks:
 				}
 				cyc = m.tally(cyc, isa.KVZeroUpper, prof.Cost[isa.KVZeroUpper])
 			case pcode.XSys:
-				if err := m.sys(op.Sys); err != nil {
+				if err := m.sys(isa.Sys(op.Sub)); err != nil {
 					cpu.PC = op.Addr
 					m.rollback(code, idx+1, end)
 					return m.stop(cyc), fmt.Errorf("vm: at %#x: %w", op.Addr, err)
@@ -470,24 +470,25 @@ func (m *Machine) enterPage(op *pcode.Op) bool {
 	return true
 }
 
-// fastCall executes a call op at idx: push the return address,
-// maintain the shadow stack and call counter, charge the (possibly
-// AVX-transition-penalized) cost onto the cycle total cyc, and transfer.
+// fastCall executes a call op at idx: push the return address (the Addr
+// of the op after it, sentinel included), maintain the shadow stack and
+// call counter, charge the (possibly AVX-transition-penalized) cost onto
+// the cycle total cyc, and transfer.
 // Returns the callee's dense index and the new cycle total, or stop=true
 // when the run ended (push fault, wild target) — rollback for the block
 // suffix has then been applied.
 func (m *Machine) fastCall(code *pcode.Program, idx, end int, cyc float64) (next int, total float64, stop bool) {
-	op := &code.Ops[idx]
+	op, ret := &code.Ops[idx], &code.Ops[idx+1]
 	cpu := &m.CPU
 	tIdx := op.TIdx
-	target := op.Target
+	target := op.Imm
 	if op.Kind == isa.KCallInd {
 		target = cpu.R[op.Src]
 		tIdx = code.IndexOf(target)
 	}
 	cpu.R[isa.RSP] -= 8
-	if !m.storeHit(cpu.R[isa.RSP], op.Imm) {
-		if f := m.write64(cpu.R[isa.RSP], op.Imm); f != nil {
+	if !m.storeHit(cpu.R[isa.RSP], ret.Addr) {
+		if f := m.write64(cpu.R[isa.RSP], ret.Addr); f != nil {
 			cpu.PC = op.Addr
 			m.stopFault(op.Addr, f)
 			m.rollback(code, idx+1, end)
@@ -495,14 +496,14 @@ func (m *Machine) fastCall(code *pcode.Program, idx, end int, cyc float64) (next
 		}
 	}
 	if m.Proc.Cfg.ShadowStack {
-		m.shadow = append(m.shadow, op.Imm)
+		m.shadow = append(m.shadow, ret.Addr)
 	}
 	m.res.Calls++
-	if op.RAIdx >= 0 {
+	if ret.Exec != pcode.XFellOff {
 		if len(m.rstack) >= 4096 {
 			m.rstack = m.rstack[:0] // deep unbalance: predict nothing
 		}
-		m.rstack = append(m.rstack, retPred{addr: op.Imm, idx: op.RAIdx})
+		m.rstack = append(m.rstack, retPred{addr: ret.Addr, idx: int32(idx + 1)})
 	}
 	cost := m.Prof.Cost[op.Kind]
 	if cpu.DirtyUpper {
@@ -526,7 +527,7 @@ func (m *Machine) fastCall(code *pcode.Program, idx, end int, cyc float64) (next
 		return 0, cyc, true
 	}
 	if m.profiler != nil {
-		m.profiler.onCall(code.Funcs[code.Ops[tIdx].FuncIx].Name, cyc)
+		m.profiler.onCall(code.Funcs[code.FuncOf(target)].Name, cyc)
 	}
 	return int(tIdx), cyc, false
 }
@@ -584,7 +585,7 @@ func (m *Machine) fastRet(code *pcode.Program, idx, end int, cyc float64) (next 
 		return 0, cyc, true
 	}
 	if m.profiler != nil {
-		m.profiler.onRet(code.Funcs[code.Ops[t].FuncIx].Name, cyc)
+		m.profiler.onRet(code.Funcs[code.FuncOf(ra)].Name, cyc)
 	}
 	return int(t), cyc, false
 }
@@ -595,17 +596,19 @@ func (m *Machine) fastJump(code *pcode.Program, idx, end int, cyc float64) (next
 	cost := m.Prof.Cost[op.Kind]
 	cyc = m.tally(cyc, op.Kind, cost)
 	if m.rec != nil {
-		m.rec.Record(telemetry.FlightJump, op.Addr, op.Target, m.res.Instructions)
+		m.rec.Record(telemetry.FlightJump, op.Addr, op.Imm, m.res.Instructions)
 	}
 	t := op.TIdx
 	if t < 0 {
 		m.CPU.PC = op.Addr
-		m.stopFault(op.Addr, &mem.Fault{Addr: op.Target, Access: mem.AccessExec, Unmapped: true})
+		m.stopFault(op.Addr, &mem.Fault{Addr: op.Imm, Access: mem.AccessExec, Unmapped: true})
 		m.rollback(code, idx+1, end)
 		return 0, cyc, true
 	}
-	if m.profiler != nil && code.Ops[t].FuncIx != op.FuncIx {
-		m.profiler.onJump(code.Funcs[code.Ops[t].FuncIx].Name, cyc)
+	if m.profiler != nil {
+		if f := code.FuncOf(op.Imm); f != code.FuncOf(op.Addr) {
+			m.profiler.onJump(code.Funcs[f].Name, cyc)
+		}
 	}
 	return int(t), cyc, false
 }

@@ -333,3 +333,27 @@ func TestSyncTLBDropsUnmappedPages(t *testing.T) {
 		t.Fatalf("load from the unmapped page returned %d, fault %v", v, f)
 	}
 }
+
+// TestTLBHoldsSixteenPageStride sweeps 16 pages at a 4 KiB stride four
+// times: only the first touch of each page may miss. A direct-mapped TLB
+// with fewer entries than that maps pages i and i+8 to one slot, and the
+// sweep then misses on every access (nab under r2c-full walks such a
+// stride).
+func TestTLBHoldsSixteenPageStride(t *testing.T) {
+	img := buildImage(t, edgeModule("stride", nil, func(f *tir.FuncBuilder) { f.Output(f.Const(1)) }), defense.Off(), 1)
+	m := newMachine(t, img, 1, vm.EPYCRome(), nil)
+	const a, pages = 0x7ff0_0000_0000, 16
+	if err := m.Proc.Space.Map(a, pages*mem.PageSize, mem.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 4; round++ {
+		for p := uint64(0); p < pages; p++ {
+			if _, f := vm.Read64(m, a+p*mem.PageSize+8); f != nil {
+				t.Fatal(f)
+			}
+		}
+	}
+	if got := vm.TLBMisses(m); got > pages {
+		t.Fatalf("%d TLB misses over 4 sweeps of %d pages, want at most %d", got, pages, pages)
+	}
+}

@@ -71,6 +71,14 @@ type Result struct {
 // Seconds converts modeled cycles to wall-clock time on profile p.
 func (r *Result) Seconds(p *Profile) float64 { return r.Cycles / (p.GHz * 1e9) }
 
+// tlbSize is the number of entries of the data TLB, direct-mapped by the low
+// bits of the page number. The TLB is a host-side cache: it charges no
+// modeled cycle, so its size moves wall-clock time and the TLBHits/TLBMisses
+// counters only. It needs more entries than the pages a hot loop strides
+// over, or pages that share a slot evict each other on every access: nab
+// under r2c-full strides over 16.
+const tlbSize = 64
+
 // tlbEntry caches one page's slab. owned says whether data is the page's
 // writable storage; a shared slab (the zero page, or bytes a fork still
 // shares with its snapshot) is replaced by OwnSlab before the first store.
@@ -122,7 +130,7 @@ type Machine struct {
 	ic           *icache
 	lastLine     uint64
 	lastExecPage uint64
-	tlb          [8]tlbEntry
+	tlb          [tlbSize]tlbEntry
 	// tlbGen is the Space.Gen the cached slabs are current with: a page
 	// copied or materialized behind the TLB's back (an attacker's write
 	// between Run calls, a page-crossing store) bumps the space's count.
@@ -134,12 +142,13 @@ type Machine struct {
 	shadow []uint64
 
 	// rstack is the fast path's return predictor: each executed call pushes
-	// (RA value, RA dense index); a return whose popped RA matches the
+	// (RA value, RA dense index), the op after the call, unless that op is
+	// its function's end sentinel; a return whose popped RA matches the
 	// predicted value reuses the index without searching the program for
-	// the address. Purely an optimization — a mismatched or stale entry
-	// just falls back to that search (pcode.Program.IndexOf), and a matched
-	// entry is always correct because the index was derived from the same
-	// address at predecode time. Not architectural state.
+	// the address. Purely an optimization — a mismatched, stale or missing
+	// entry just falls back to that search (pcode.Program.IndexOf), and a
+	// matched entry is always correct because the op at the index sits at
+	// that address. Not architectural state.
 	rstack []retPred
 
 	// profiler, when enabled, attributes cycles to functions. It observes
@@ -233,7 +242,7 @@ func (m *Machine) EnableProfiler() *FuncProfiler {
 func (m *Machine) Profiler() *FuncProfiler { return m.profiler }
 
 func (m *Machine) flushTLB() {
-	m.tlb = [8]tlbEntry{}
+	m.tlb = [tlbSize]tlbEntry{}
 	m.tlbGen = m.Proc.Space.Gen()
 }
 
@@ -274,7 +283,7 @@ func (m *Machine) syncTLB() {
 
 func (m *Machine) slab(addr uint64) *tlbEntry {
 	page := addr >> mem.PageShift
-	e := &m.tlb[page&7]
+	e := &m.tlb[page&(tlbSize-1)]
 	if e.valid && e.page == page {
 		m.res.TLBHits++
 		return e
@@ -296,7 +305,7 @@ func (m *Machine) slab(addr uint64) *tlbEntry {
 // Kept call-free so it inlines into the dispatch loop (make check verifies).
 func (m *Machine) loadHit(addr uint64) (v uint64, ok bool) {
 	off := addr & mem.PageMask
-	e := &m.tlb[(addr>>mem.PageShift)&7]
+	e := &m.tlb[(addr>>mem.PageShift)&(tlbSize-1)]
 	if e.rtag != addr>>mem.PageShift+1 || off > mem.PageSize-8 {
 		return 0, false
 	}
@@ -308,7 +317,7 @@ func (m *Machine) loadHit(addr uint64) (v uint64, ok bool) {
 // owned, so the first store to shared or zero-page bytes takes write64.
 func (m *Machine) storeHit(addr, v uint64) bool {
 	off := addr & mem.PageMask
-	e := &m.tlb[(addr>>mem.PageShift)&7]
+	e := &m.tlb[(addr>>mem.PageShift)&(tlbSize-1)]
 	if e.wtag != addr>>mem.PageShift+1 || off > mem.PageSize-8 {
 		return false
 	}
