@@ -18,7 +18,6 @@ const wantFlags = `-alert-rules string
 -baseline string
 -cell-fuel uint
 -compare string
--faults string
 -flight int
 -forensics
 -incidents-out string
@@ -29,7 +28,6 @@ const wantFlags = `-alert-rules string
 -overheads
 -retries int
 -trace string
--trace-format string (default "jsonl")
 -trials int (default 10)`
 
 // flagSignatures reduces -h output to "-name type (default X)" lines.

@@ -17,7 +17,6 @@ const wantFlags = `-config string (default "r2c")
 -scale int (default 8)
 -seed uint (default 1)
 -trace string
--trace-format string (default "jsonl")
 -variants int (default 16)`
 
 // flagSignatures reduces -h output to "-name type (default X)" lines.

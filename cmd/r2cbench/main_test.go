@@ -14,7 +14,6 @@ const wantFlags = `-alert-rules string
 -baseline string
 -cell-fuel uint
 -compare string
--faults string
 -flight int
 -incidents-out string
 -jobs int
@@ -27,8 +26,7 @@ const wantFlags = `-alert-rules string
 -runs int (default 3)
 -scale int (default 1)
 -top int (default 15)
--trace string
--trace-format string (default "jsonl")`
+-trace string`
 
 // flagSignatures reduces -h output to "-name type (default X)" lines.
 func flagSignatures(help string) string {

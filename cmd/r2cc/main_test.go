@@ -24,8 +24,7 @@ const wantFlags = `-config string (default "r2c")
 -seed uint (default 1)
 -stack
 -top int (default 15)
--trace string
--trace-format string (default "jsonl")`
+-trace string`
 
 // flagSignatures reduces -h output to "-name type (default X)" lines.
 func flagSignatures(help string) string {

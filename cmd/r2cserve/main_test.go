@@ -37,7 +37,6 @@ const wantFlags = `-adaptive
 -require-recover
 -seed uint (default 1)
 -trace string
--trace-format string (default "jsonl")
 -variants int (default 4)`
 
 // flagSignatures reduces -h output to "-name type (default X)" lines.
@@ -71,7 +70,7 @@ func TestFlagSet(t *testing.T) {
 func TestFailedRunFlushesSinks(t *testing.T) {
 	dir := t.TempDir()
 	m, tr := filepath.Join(dir, "m.json"), filepath.Join(dir, "t.json")
-	if code := run([]string{"-variants", "1", "-metrics-out", m, "-trace", tr, "-trace-format", "chrome", "nginx"}, io.Discard, io.Discard); code != 1 {
+	if code := run([]string{"-variants", "1", "-metrics-out", m, "-trace", tr, "nginx"}, io.Discard, io.Discard); code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
 	for _, p := range []string{m, tr} {

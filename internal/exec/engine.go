@@ -66,9 +66,9 @@ type Engine struct {
 	// scheduling.
 	Retries int
 
-	// Faults is the fault-injection hook: tests and the -faults flag
-	// script build/exec failures and panics at exact (cell, attempt)
-	// points. Nil injects nothing.
+	// Faults is the fault-injection hook: tests script build/exec
+	// failures and panics at exact (cell, attempt) points. Nil injects
+	// nothing.
 	Faults *FaultPlan
 
 	// Journal, when set, persists completed cell results keyed by the

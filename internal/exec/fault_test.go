@@ -369,60 +369,6 @@ func TestPoolHonorsCancelledContext(t *testing.T) {
 	}
 }
 
-func TestParseFaultPlan(t *testing.T) {
-	p, err := exec.ParseFaultPlan("3:panic, 7@0:exec-fail,1@2:panic,*@4:build-fail")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		cell, attempt int
-		want          exec.FaultKind
-	}{
-		{3, 0, exec.FaultPanic},
-		{3, 5, exec.FaultPanic}, // no @ATTEMPT → every attempt
-		{7, 0, exec.FaultExecFail},
-		{7, 1, exec.FaultNone},
-		{1, 2, exec.FaultPanic},
-		{1, 0, exec.FaultNone},
-		{0, 0, exec.FaultNone},
-		{9, 4, exec.FaultBuildFail}, // * covers every cell
-		{3, 4, exec.FaultPanic},     // (cell, any) beats (any, attempt)
-		{9, 3, exec.FaultNone},
-	} {
-		if got := p.At(tc.cell, tc.attempt); got != tc.want {
-			t.Errorf("At(%d, %d) = %v, want %v", tc.cell, tc.attempt, got, tc.want)
-		}
-	}
-	if p.Len() != 4 {
-		t.Errorf("Len = %d, want 4", p.Len())
-	}
-	// (any, any) is the last resort behind an exact entry.
-	wild, err := exec.ParseFaultPlan("*:exec-fail, 2@1:panic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := wild.At(2, 1); got != exec.FaultPanic {
-		t.Errorf("wildcard plan At(2, 1) = %v, want panic", got)
-	}
-	if got := wild.At(5, 0); got != exec.FaultExecFail {
-		t.Errorf("wildcard plan At(5, 0) = %v, want exec-fail", got)
-	}
-
-	var nilPlan *exec.FaultPlan
-	if nilPlan.At(0, 0) != exec.FaultNone {
-		t.Error("nil plan injected a fault")
-	}
-	if p, err := exec.ParseFaultPlan(""); p != nil || err != nil {
-		t.Errorf("empty spec = (%v, %v), want (nil, nil)", p, err)
-	}
-	// There is no slow kind: the engine injects failures, not slowdowns.
-	for _, bad := range []string{"x:panic", "3:bogus", "3", "-1:panic", "3@x:panic", "3@-2:panic", "*:", "*@x:panic", "3:slow", "*:slow=50ms", "3:build-fail=50ms"} {
-		if _, err := exec.ParseFaultPlan(bad); err == nil {
-			t.Errorf("spec %q parsed successfully", bad)
-		}
-	}
-}
-
 // A batch with several failures must report all of them, index-ordered, and
 // keep the legacy contract: errors.As finds the lowest-index CellError.
 func TestBatchErrorAggregatesFailures(t *testing.T) {

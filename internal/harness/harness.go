@@ -1,16 +1,15 @@
 // Package harness is the plumbing under the cmd/ binaries: the flag groups
 // each CLI opts into and one run lifecycle.
 //
-// Every CLI carries the sink flags -metrics-out, -trace and -trace-format;
-// the Group constants add the rest. A CLI builds a Harness with New,
-// registers its own flags on Flags, and hands its work to Main, which owns
-// the exit code:
+// Every CLI carries the sink flags -metrics-out and -trace; the Group
+// constants add the rest. A CLI builds a Harness with New, registers its own
+// flags on Flags, and hands its work to Main, which owns the exit code:
 //
 //	0  clean run
 //	1  failed run: hard error, partial batch, firing alert rule, drift from
 //	   the -compare baseline, or an artifact that could not be written
 //	2  usage error: bad flags or arguments, unknown experiment, malformed
-//	   -trace-format, -faults plan or -alert-rules file
+//	   -alert-rules file
 //
 // Inside Main the CLI calls Open (telemetry sinks and observer, exec
 // engine, incident log, journal, SIGINT/SIGTERM context), Serve (the
@@ -54,17 +53,10 @@ const (
 	// Artifacts adds -flight, -alert-rules and -incidents-out.
 	Artifacts
 	// Engine adds the exec engine's robustness knobs: -cell-fuel,
-	// -retries, -journal and -faults.
+	// -retries and -journal.
 	Engine
 	// PerfGate adds -baseline and -compare.
 	PerfGate
-)
-
-// The -trace-format values: the line-delimited event/span stream (the
-// default) and the Chrome trace_event document (chrome://tracing, Perfetto).
-const (
-	traceJSONL  = "jsonl"
-	traceChrome = "chrome"
 )
 
 // Experiment is one entry of a CLI's experiment table.
@@ -113,14 +105,14 @@ type Harness struct {
 }
 
 type flagValues struct {
-	metricsOut, trace, traceFormat string
-	listen                         string
-	flight                         int
-	alertRules, incidentsOut       string
-	cellFuel                       uint64
-	retries                        int
-	journal, faults                string
-	baseline, compare              string
+	metricsOut, trace        string
+	listen                   string
+	flight                   int
+	alertRules, incidentsOut string
+	cellFuel                 uint64
+	retries                  int
+	journal                  string
+	baseline, compare        string
 }
 
 // New returns a harness for the CLI name whose positional argument is
@@ -133,8 +125,7 @@ func New(name, args string, stdout, stderr io.Writer, groups Group) *Harness {
 	fs.SetOutput(stderr)
 	fs.Usage = h.usage
 	fs.StringVar(&f.metricsOut, "metrics-out", "", "write a JSON metrics snapshot to FILE on exit")
-	fs.StringVar(&f.trace, "trace", "", "write structured events and pipeline spans to FILE")
-	fs.StringVar(&f.traceFormat, "trace-format", traceJSONL, "trace file format: jsonl or chrome (chrome://tracing / Perfetto)")
+	fs.StringVar(&f.trace, "trace", "", "write structured events and pipeline spans to FILE as a Chrome trace_event document (chrome://tracing / Perfetto)")
 	if groups&Ops != 0 {
 		fs.StringVar(&f.listen, "listen", "", "serve the live ops endpoint (/metrics, /healthz, /progress, /incidents, /alerts, /debug/pprof) on ADDR, e.g. :8642")
 	}
@@ -147,7 +138,6 @@ func New(name, args string, stdout, stderr io.Writer, groups Group) *Harness {
 		fs.Uint64Var(&f.cellFuel, "cell-fuel", 0, "per-cell VM instruction allowance (0 = the default budget); runaway cells fail instead of hanging")
 		fs.IntVar(&f.retries, "retries", 0, "re-attempts per failed cell, each with a seed derived from the cell's content key")
 		fs.StringVar(&f.journal, "journal", "", "persist completed cell results to FILE (JSONL, keyed by build key + machine); cells FILE already holds replay instead of re-executing")
-		fs.StringVar(&f.faults, "faults", "", "fault-injection plan CELL[@ATTEMPT]:KIND,... with KIND one of build-fail, exec-fail, panic; CELL may be * (testing aid)")
 	}
 	if groups&PerfGate != 0 {
 		fs.StringVar(&f.baseline, "baseline", "", "write the run's performance numbers as a baseline to FILE (BENCH_<experiment>.json)")
@@ -211,16 +201,11 @@ func (h *Harness) Main(args []string, body func() error) int {
 	return h.close(err)
 }
 
-// prepare checks -trace-format, adopts the -compare baseline's parameters
-// and selects the experiments before any work runs, so a typo fails fast.
+// prepare adopts the -compare baseline's parameters and selects the
+// experiments before any work runs, so a typo fails fast.
 func (h *Harness) prepare() error {
 	h.set = map[string]bool{}
 	h.Flags.Visit(func(f *flag.Flag) { h.set[f.Name] = true })
-	switch h.f.traceFormat {
-	case "", traceJSONL, traceChrome:
-	default:
-		return Usage(fmt.Errorf("unknown -trace-format %q (want %s or %s)", h.f.traceFormat, traceJSONL, traceChrome))
-	}
 	if h.f.compare != "" {
 		old, err := perf.Load(h.f.compare)
 		if err != nil {
@@ -257,18 +242,15 @@ func (h *Harness) prepare() error {
 	return nil
 }
 
-// Open validates the -faults plan and -alert-rules file, then opens what
-// the run writes to: the telemetry sinks, a jobs-wide exec engine under the
-// robustness flags, the incident log when something reads it, the journal,
-// and the SIGINT/SIGTERM context. profile is the CLI's -profile value: it
-// turns on the per-function cycle profiler.
+// Open validates the -alert-rules file, then opens what the run writes to:
+// the telemetry sinks, a jobs-wide exec engine under the robustness flags,
+// the incident log when something reads it, the journal, and the
+// SIGINT/SIGTERM context. profile is the CLI's -profile value: it turns on
+// the per-function cycle profiler.
 func (h *Harness) Open(jobs int, profile bool) error {
 	f := &h.f
-	plan, err := exec.ParseFaultPlan(f.faults)
-	if err != nil {
-		return Usage(err)
-	}
 	if f.alertRules != "" {
+		var err error
 		if h.rules, err = telemetry.LoadAlertRules(f.alertRules); err != nil {
 			return Usage(err)
 		}
@@ -282,7 +264,7 @@ func (h *Harness) Open(jobs int, profile bool) error {
 		h.Incidents = incident.NewLog()
 	}
 	h.Eng.Incidents = h.Incidents
-	h.Eng.CellFuel, h.Eng.Retries, h.Eng.Faults = f.cellFuel, f.retries, plan
+	h.Eng.CellFuel, h.Eng.Retries = f.cellFuel, f.retries
 	if f.journal != "" {
 		j, err := exec.OpenJournal(f.journal)
 		if err != nil {
@@ -327,13 +309,8 @@ func (h *Harness) openSinks(profile bool) error {
 		if h.trace, err = os.Create(f.trace); err != nil {
 			return fmt.Errorf("telemetry: open trace sink: %w", err)
 		}
-		if f.traceFormat == traceChrome {
-			h.chrome = telemetry.NewChromeTracer(h.trace)
-			obs.Tracer, obs.Spans = h.chrome, h.chrome
-		} else {
-			jl := telemetry.NewJSONLTracer(h.trace)
-			obs.Tracer, obs.Spans = jl, jl
-		}
+		h.chrome = telemetry.NewChromeTracer(h.trace)
+		obs.Tracer, obs.Spans = h.chrome, h.chrome
 	}
 	return nil
 }

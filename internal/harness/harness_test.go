@@ -94,12 +94,14 @@ func TestExitCodes(t *testing.T) {
 		{"two experiments", []string{"ok", "ok"}, 2},
 		{"unknown flag", []string{"-bogus", "ok"}, 2},
 		{"unknown experiment", []string{"nope"}, 2},
+		// -faults and -trace-format are not flags: naming either is a
+		// usage error.
 		{"bad -faults", []string{"-faults", "zz", "ok"}, 2},
 		{"removed slow fault kind", []string{"-faults", "3:slow", "ok"}, 2},
-		{"bad -alert-rules", []string{"-alert-rules", badRules, "ok"}, 2},
-		{"unknown -profile-format", []string{"-profile-format", "x", "ok"}, 2},
 		{"bad -trace-format without -trace", []string{"-trace-format", "bogus", "ok"}, 2},
 		{"bad -trace-format with -trace", []string{"-trace-format", "bogus", "-trace", trace, "ok"}, 2},
+		{"bad -alert-rules", []string{"-alert-rules", badRules, "ok"}, 2},
+		{"unknown -profile-format", []string{"-profile-format", "x", "ok"}, 2},
 		{"quiet rule", []string{"-alert-rules", quiet, "ok"}, 0},
 		{"firing rule", []string{"-alert-rules", firing, "ok"}, 1},
 		// bench.stub is lower-is-better: drift either way fails -compare.
@@ -121,9 +123,9 @@ func TestExitCodes(t *testing.T) {
 			}
 		})
 	}
-	// A malformed -trace-format fails before the sinks open.
+	// A usage error in the flags fails before the sinks open.
 	if _, err := os.Stat(trace); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("bad -trace-format left %s behind (stat: %v)", trace, err)
+		t.Errorf("the undefined -trace-format left %s behind (stat: %v)", trace, err)
 	}
 }
 
@@ -159,7 +161,7 @@ func TestStatusLinesOnStderr(t *testing.T) {
 }
 
 // Every exit after a sink is open flushes it: a hard error, a partial batch
-// and SIGINT all leave decodable -metrics-out and chrome -trace files, and a
+// and SIGINT all leave decodable -metrics-out and -trace files, and a
 // -trace that fails to open still leaves a decodable -metrics-out.
 func TestSinksFlushedOnFailure(t *testing.T) {
 	for _, exp := range []string{"hard", "partial", "interrupt", "trace-open"} {
@@ -171,7 +173,7 @@ func TestSinksFlushedOnFailure(t *testing.T) {
 				tr = filepath.Join(dir, "missing", "t.json")
 				files, arg = []string{m}, "ok"
 			}
-			code, _, errs := stub(t, "-metrics-out", m, "-trace", tr, "-trace-format", "chrome", arg)
+			code, _, errs := stub(t, "-metrics-out", m, "-trace", tr, arg)
 			if code != 1 {
 				t.Fatalf("exit %d, want 1\n%s", code, errs)
 			}
@@ -189,12 +191,12 @@ func TestSinksFlushedOnFailure(t *testing.T) {
 	}
 }
 
-// The happy path writes both sinks: a metrics snapshot and a chrome trace
-// document, neither empty.
+// The happy path writes both sinks: a metrics snapshot and a trace, neither
+// empty, and the trace decodes as a Chrome {"traceEvents":[...]} document.
 func TestSinksWritten(t *testing.T) {
 	dir := t.TempDir()
-	m, tr := filepath.Join(dir, "m.json"), filepath.Join(dir, "t.chrome.json")
-	if code, _, errs := stub(t, "-metrics-out", m, "-trace", tr, "-trace-format", "chrome", "ok"); code != 0 {
+	m, tr := filepath.Join(dir, "m.json"), filepath.Join(dir, "t.json")
+	if code, _, errs := stub(t, "-metrics-out", m, "-trace", tr, "ok"); code != 0 {
 		t.Fatalf("exit %d\n%s", code, errs)
 	}
 	for _, p := range []string{m, tr} {
@@ -206,16 +208,41 @@ func TestSinksWritten(t *testing.T) {
 			t.Errorf("%s is empty after the run", filepath.Base(p))
 		}
 	}
+	b, err := os.ReadFile(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil || doc.TraceEvents == nil {
+		t.Errorf("-trace file is not a {\"traceEvents\":[...]} document (err %v):\n%s", err, b)
+	}
+}
+
+// A trace that cannot be written fails the run: with -trace on a full
+// device the flush at exit fails, the run exits 1 and stderr names it.
+func TestTraceWriteFailureExits1(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	code, _, errs := stub(t, "-trace", "/dev/full", "ok")
+	if code != 1 {
+		t.Fatalf("exit %d with -trace /dev/full, want 1\n%s", code, errs)
+	}
+	if !strings.Contains(errs, "flush chrome trace") {
+		t.Errorf("stderr does not name the trace flush:\n%s", errs)
+	}
 }
 
 // Closing the sinks reports every failure, not just the first: with both
-// files closed under the harness, the metrics-snapshot write and the chrome
+// files closed under the harness, the metrics-snapshot write and the trace
 // flush both fail, the run exits 1 and stderr names each.
 func TestSinkCloseReportsEveryFailure(t *testing.T) {
 	dir := t.TempDir()
 	var out, errb bytes.Buffer
 	h := New("stub", "<arg>", &out, &errb, 0)
-	args := []string{"-metrics-out", filepath.Join(dir, "m.json"), "-trace", filepath.Join(dir, "t.json"), "-trace-format", "chrome", "x"}
+	args := []string{"-metrics-out", filepath.Join(dir, "m.json"), "-trace", filepath.Join(dir, "t.json"), "x"}
 	code := h.Main(args, func() error {
 		if err := h.Open(1, false); err != nil {
 			return err

@@ -29,7 +29,7 @@ func TestTelemetryDoesNotPerturbRuns(t *testing.T) {
 		spans := &telemetry.SpanCollector{}
 		obs := &telemetry.Observer{
 			Registry:     telemetry.NewRegistry(),
-			Tracer:       telemetry.NewJSONLTracer(io.Discard),
+			Tracer:       telemetry.NewChromeTracer(io.Discard),
 			Spans:        spans,
 			ProfileFuncs: true,
 		}

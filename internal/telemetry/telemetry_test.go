@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -184,27 +183,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	if r.Counter("c").Value() != 0 || r.Gauge("g").Value() != 0 {
 		t.Errorf("nil metrics returned nonzero values")
-	}
-}
-
-func TestJSONLTracer(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewJSONLTracer(&buf)
-	tr.Emit("trap", map[string]any{"trap": "btra", "pc": uint64(0x5555)})
-	tr.Emit("fault", map[string]any{"addr": uint64(16)})
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
-	}
-	var ev Event
-	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
-		t.Fatalf("line 0 not JSON: %v", err)
-	}
-	if ev.Seq != 1 || ev.Kind != "trap" || ev.Attrs["trap"] != "btra" {
-		t.Errorf("unexpected event: %+v", ev)
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &ev); err != nil || ev.Seq != 2 {
-		t.Errorf("line 1 bad: %v %+v", err, ev)
 	}
 }
 

@@ -1,75 +1,13 @@
 package telemetry
 
-import (
-	"encoding/json"
-	"io"
-	"sync"
-)
-
-// Event is one structured occurrence on the event stream: a booby-trap
-// detonation, a memory fault, a BTDP-constructor completion, an attacker
-// probe, an experiment milestone. Attrs hold the event's payload; values
-// should be JSON-friendly scalars (strings, integers rendered as uint64,
-// booleans) so the JSONL form stays machine-readable.
-type Event struct {
-	// Seq is a per-tracer sequence number assigned at emission time.
-	Seq uint64 `json:"seq"`
-	// Kind names the event class, e.g. "trap", "fault", "btdp-init",
-	// "attack.probe", "attack.outcome".
-	Kind string `json:"kind"`
-	// Attrs is the structured payload.
-	Attrs map[string]any `json:"attrs,omitempty"`
-}
-
-// Tracer receives structured events. Implementations must be safe for
-// concurrent use; emission must never influence the simulation.
+// Tracer receives structured events: a booby-trap detonation, a memory
+// fault, a BTDP-constructor completion, an attacker probe, an experiment
+// milestone. kind names the event class ("trap", "fault", "btdp-init",
+// "attack.outcome"); attrs should hold JSON-friendly scalars.
+// Implementations must be safe for concurrent use; emission must never
+// influence the simulation.
 type Tracer interface {
 	Emit(kind string, attrs map[string]any)
-}
-
-// JSONLTracer writes one JSON object per event to an io.Writer — the
-// -trace FILE format. Events carry a monotonically increasing sequence
-// number so interleavings are reconstructible.
-type JSONLTracer struct {
-	mu  sync.Mutex
-	w   io.Writer
-	seq uint64
-}
-
-// NewJSONLTracer wraps w.
-func NewJSONLTracer(w io.Writer) *JSONLTracer { return &JSONLTracer{w: w} }
-
-// Emit writes the event as one JSON line. Write errors are swallowed: a
-// broken trace sink must not abort a simulation mid-experiment.
-func (t *JSONLTracer) Emit(kind string, attrs map[string]any) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.seq++
-	b, err := json.Marshal(Event{Seq: t.seq, Kind: kind, Attrs: attrs})
-	if err != nil {
-		return
-	}
-	b = append(b, '\n')
-	t.w.Write(b)
-}
-
-// RecordSpan writes a finished span as one {"kind":"span",...} JSON line on
-// the same stream, so the JSONL trace interleaves spans with events and a
-// single file reconstructs the whole run.
-func (t *JSONLTracer) RecordSpan(d SpanData) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.seq++
-	b, err := json.Marshal(struct {
-		Seq  uint64   `json:"seq"`
-		Kind string   `json:"kind"`
-		Span SpanData `json:"span"`
-	}{t.seq, "span", d})
-	if err != nil {
-		return
-	}
-	b = append(b, '\n')
-	t.w.Write(b)
 }
 
 // Observer bundles the two sinks a component may report into — a metrics
