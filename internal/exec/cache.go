@@ -70,7 +70,10 @@ func (c *Cache) Key(m *tir.Module, cfg defense.Config, seed uint64) Key {
 // value is the immutable linked image; every run instantiates a fresh
 // rt.Process from it, so mutable process state (memory, heap, BTDP placement
 // RNG) never leaks between cells. Concurrent requests for the same key build
-// once (single-flight) and share the result.
+// once (single-flight) and share the result. An entry lives until its holder
+// calls Drop: sweeps never drop, so every repeated key in a sweep hits,
+// while the serving fleet drops each image it retires, so a long run holds
+// only the images its slots serve.
 type Cache struct {
 	// Obs receives hit/miss counters and an entry-count gauge under the
 	// "exec.cache.*" namespace. Nil disables telemetry.
@@ -173,7 +176,22 @@ func (c *Cache) Stats() (hits, misses, _ uint64) {
 	return c.hits.Load(), c.misses.Load(), 0
 }
 
-// Len returns the number of cached images.
+// Drop forgets the entry for (m, cfg, seed); an unknown key is a no-op.
+// Requesters already inside the entry's single-flight still receive its
+// image. A later Image call for the key rebuilds the identical image and
+// counts a miss.
+func (c *Cache) Drop(m *tir.Module, cfg defense.Config, seed uint64) {
+	key := c.Key(m, cfg, seed)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.entries[key]; ok {
+		delete(c.entries, key)
+		c.Obs.Gauge("exec.cache.entries").Set(float64(len(c.entries)))
+	}
+}
+
+// Len returns the number of cached entries: every key looked up and not
+// dropped since, including one whose build failed or is still in flight.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"r2c/internal/defense"
 	"r2c/internal/exec"
+	"r2c/internal/image"
 	"r2c/internal/rt"
 	"r2c/internal/sim"
 	"r2c/internal/telemetry"
@@ -88,6 +90,155 @@ func TestCacheKeysDoNotCollide(t *testing.T) {
 	if c.Len() != 4 {
 		t.Errorf("Len = %d, want 4", c.Len())
 	}
+}
+
+// cacheWithGauge returns an empty cache reporting into a fresh registry and
+// a check that Len and the exec.cache.entries gauge both read want.
+func cacheWithGauge(t *testing.T) (*exec.Cache, *telemetry.Registry, func(want int)) {
+	reg := telemetry.NewRegistry()
+	c := exec.NewCache(&telemetry.Observer{Registry: reg})
+	return c, reg, func(want int) {
+		t.Helper()
+		if n, g := c.Len(), reg.Gauge("exec.cache.entries").Value(); n != want || g != float64(want) {
+			t.Fatalf("Len = %d, exec.cache.entries = %g, want %d", n, g, want)
+		}
+	}
+}
+
+// Dropping a key the cache does not hold changes nothing: the held entry
+// still hits and the counters do not move.
+func TestCacheDropUnknownKeyIsNoop(t *testing.T) {
+	c, _, entries := cacheWithGauge(t)
+	m := testModule(t)
+	cfg := defense.R2CFull()
+	img, _, err := c.Image(m, cfg, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Drop(m, cfg, 2)
+	c.Drop(m, defense.Off(), 1)
+	entries(1)
+	again, hit, err := c.Image(m, cfg, 1, nil, nil)
+	if err != nil || !hit || again != img {
+		t.Fatalf("held entry after unrelated drops: hit=%v same=%v err=%v", hit, again == img, err)
+	}
+	if hits, misses, _ := c.Stats(); hits != 1 || misses != 1 {
+		t.Errorf("stats = %d/%d, want 1/1", hits, misses)
+	}
+}
+
+// After Drop the key misses again and rebuilds a fresh image object that
+// equals the dropped one in layout and predecoded code.
+func TestCacheDropRebuildsIdenticalImage(t *testing.T) {
+	c, _, entries := cacheWithGauge(t)
+	m := testModule(t)
+	cfg := defense.R2CFull()
+	old, _, err := c.Image(m, cfg, 9, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Drop(m, cfg, 9)
+	entries(0)
+	img, hit, err := c.Image(m, cfg, 9, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit || img == old {
+		t.Fatalf("lookup after Drop: hit=%v, same object=%v; want a fresh build", hit, img == old)
+	}
+	if hits, misses, _ := c.Stats(); hits != 0 || misses != 2 {
+		t.Errorf("stats = %d/%d, want 0/2", hits, misses)
+	}
+	entries(1)
+	if !reflect.DeepEqual(img.LayoutSummary(), old.LayoutSummary()) {
+		t.Error("rebuilt image's layout summary differs from the dropped one")
+	}
+	if !reflect.DeepEqual(img.Code.Ops, old.Code.Ops) || !reflect.DeepEqual(img.Code.Blocks, old.Code.Blocks) || !reflect.DeepEqual(img.Code.Classes, old.Code.Classes) {
+		t.Error("rebuilt image's predecoded code differs from the dropped one")
+	}
+}
+
+// A Drop that lands while a build is in flight takes the entry out of the
+// map but not out of the single-flight: the builder and a requester already
+// waiting on it both receive the build's image, and only a later lookup
+// rebuilds.
+func TestCacheDropDuringInFlightBuild(t *testing.T) {
+	c, reg, entries := cacheWithGauge(t)
+	m := testModule(t)
+	cfg := defense.R2CFull()
+	type result struct {
+		img *image.Image
+		hit bool
+		err error
+	}
+	building, release := make(chan struct{}), make(chan struct{})
+	hold := func(phase string) {
+		if phase == "build" {
+			close(building)
+			<-release
+		}
+	}
+	builder, waiter := make(chan result, 1), make(chan result, 1)
+	go func() {
+		img, hit, err := c.Image(m, cfg, 5, nil, hold)
+		builder <- result{img, hit, err}
+	}()
+	<-building
+	go func() {
+		img, hit, err := c.Image(m, cfg, 5, nil, nil)
+		waiter <- result{img, hit, err}
+	}()
+	// Each requester observes its lookup latency after it has taken the
+	// entry, so two observations mean the waiter holds the in-flight entry.
+	lookups := reg.Histogram("exec.cache.lookup.seconds", telemetry.LatencyBounds)
+	for lookups.Snapshot().Count < 2 {
+		runtime.Gosched()
+	}
+	c.Drop(m, cfg, 5)
+	entries(0)
+	close(release)
+
+	b, w := <-builder, <-waiter
+	if b.err != nil || w.err != nil {
+		t.Fatal(b.err, w.err)
+	}
+	if b.hit || !w.hit || b.img != w.img {
+		t.Fatalf("builder hit=%v, waiter hit=%v, same image=%v; want one miss and one hit sharing the build", b.hit, w.hit, b.img == w.img)
+	}
+	later, hit, err := c.Image(m, cfg, 5, nil, nil)
+	if err != nil || hit || later == b.img {
+		t.Fatalf("lookup after the drop: hit=%v, same image=%v, err=%v; want a rebuild", hit, later == b.img, err)
+	}
+	entries(1)
+}
+
+// Len and the exec.cache.entries gauge follow every insert and every drop.
+func TestCacheLenFollowsInsertsAndDrops(t *testing.T) {
+	c, _, entries := cacheWithGauge(t)
+	m := testModule(t)
+	cfg := defense.Off()
+	build := func(seed uint64) {
+		t.Helper()
+		if _, _, err := c.Image(m, cfg, seed, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		build(seed)
+		entries(int(seed))
+	}
+	build(2) // a hit inserts nothing
+	entries(3)
+	c.Drop(m, cfg, 2)
+	entries(2)
+	c.Drop(m, cfg, 2)
+	entries(2)
+	build(4)
+	entries(3)
+	for _, seed := range []uint64{1, 3, 4} {
+		c.Drop(m, cfg, seed)
+	}
+	entries(0)
 }
 
 // A process loaded from a cached image must run bit-identically to one from

@@ -469,14 +469,18 @@ func (f *Fleet) Serve(ctx context.Context) (*Report, error) {
 	}
 
 	// Join stragglers: replacement builds still in flight at shutdown are
-	// waited for (their goroutines hold the engine), but slots past the end
-	// of the schedule keep their final state in the report.
-	f.mu.Lock()
+	// waited for (their goroutines hold the engine) and discarded, and slots
+	// past the end of the schedule keep their final state in the report. A
+	// straggler serves neither its heal nor the image it retired, so both
+	// leave the cache. The joins come before f.mu, so Live and Health
+	// answer while they wait.
 	for _, s := range f.slots {
 		if s.state == stateQuarantined {
-			<-s.heal
+			hd := <-s.heal
+			f.drop(hd.seed, s.seed)
 		}
 	}
+	f.mu.Lock()
 	slots := make([]SlotReport, len(f.slots))
 	for i, s := range f.slots {
 		slots[i] = SlotReport{ID: s.id, Seed: s.seed, Gen: s.gen, State: s.state, Served: s.served, Quarantines: s.quars}
@@ -868,21 +872,35 @@ func (f *Fleet) rejoinDue(t, rebuildLat float64, replaceH *telemetry.Histogram) 
 			s.state = stateFailed
 			f.rep.Sim.HealFailures++
 			f.mu.Unlock()
+			f.drop(hd.seed, s.seed)
 			f.o.Obs.Counter("fleet.heal.failures").Inc()
 			f.o.Obs.Emit("fleet-heal-failed", map[string]any{"slot": s.id, "error": hd.err.Error()})
 			continue
 		}
+		retired := s.seed
 		s.img, s.snap, s.seed = hd.img, hd.snap, hd.seed
 		s.gen++
 		s.state = stateServing
 		s.freeAt = s.rejoinAt
 		f.rep.Sim.Recoveries++
 		f.mu.Unlock()
+		f.drop(retired)
 		replaceH.Observe(wall)
 		f.o.Obs.Counter("fleet.recoveries").Inc()
 		f.o.Obs.Emit("fleet-rejoin", map[string]any{"slot": s.id, "gen": s.gen, "wall_seconds": wall})
 	}
 	return nil
+}
+
+// drop takes the images of seeds out of the engine's build cache once no
+// slot will serve them again, so the cache holds what the fleet serves and
+// not one image per heal. A reroll keeps its slot's seed and is never cached:
+// its first rejoin drops the slot's original build and later drops are
+// no-ops.
+func (f *Fleet) drop(seeds ...uint64) {
+	for _, seed := range seeds {
+		f.o.Eng.Cache.Drop(f.o.Module, f.o.Cfg, seed)
+	}
 }
 
 // attackerWrites returns the corrupting writes for the current request,

@@ -349,6 +349,84 @@ func TestHealFailureLeavesSlotFailed(t *testing.T) {
 	}
 }
 
+// TestFleetCacheHoldsServedImages pins the fleet's memory bound: every image
+// a slot retires leaves the engine's build cache, so a run ends holding the
+// images its serving slots run, not one more per heal.
+func TestFleetCacheHoldsServedImages(t *testing.T) {
+	// count returns how many slots end serving, and how many of those still
+	// serve their initial build.
+	count := func(rep *Report) (serving, original int) {
+		for _, s := range rep.Sim.Slots {
+			if s.State == stateServing {
+				serving++
+				if s.Gen == 0 {
+					original++
+				}
+			}
+		}
+		return serving, original
+	}
+
+	t.Run("rebuild", func(t *testing.T) {
+		o := webOptions(0)
+		o.Requests = 600
+		rep, _, _ := runFleet(t, o)
+		if rep.Sim.Recoveries < 20 {
+			t.Fatalf("%d rebuild heals, want at least 20", rep.Sim.Recoveries)
+		}
+		// A slot still quarantined at shutdown serves neither its retired
+		// image nor its discarded heal, so it holds no entry.
+		want, _ := count(rep)
+		if n := o.Eng.Cache.Len(); n != want {
+			t.Fatalf("cache holds %d images after %d heals, want the %d the serving slots run", n, rep.Sim.Recoveries, want)
+		}
+	})
+
+	t.Run("reroll", func(t *testing.T) {
+		o := webOptions(0)
+		o.Requests, o.Attack.Start, o.Attack.Adaptive = 200, 20, false
+		o.Heal = HealReroll
+		rep, _, _ := runFleet(t, o)
+		if rep.Sim.Recoveries == 0 {
+			t.Fatal("no reroll heal ran")
+		}
+		// Reroll copies are never cached: only the slots still serving their
+		// initial build hold an entry.
+		_, original := count(rep)
+		if n := o.Eng.Cache.Len(); n != original {
+			t.Fatalf("cache holds %d images, want the %d initial builds still serving", n, original)
+		}
+	})
+
+	t.Run("heal-failure", func(t *testing.T) {
+		o := webOptions(1)
+		o.Requests = 120
+		seeds := make([]uint64, o.Variants)
+		for i := range seeds {
+			seeds[i] = o.BaseSeed + uint64(i)
+		}
+		if _, err := o.Eng.BuildImages(context.Background(), o.Module, o.Cfg, seeds); err != nil {
+			t.Fatal(err)
+		}
+		o.Module.Entry = "no_such_entry"
+		rep, _, _ := runFleet(t, o)
+		if rep.Sim.HealFailures == 0 {
+			t.Fatal("no heal failed")
+		}
+		want, _ := count(rep)
+		if n := o.Eng.Cache.Len(); n != want {
+			t.Fatalf("cache holds %d entries after %d failed heals, want the %d serving slots' images", n, rep.Sim.HealFailures, want)
+		}
+		// Heal seeds follow the initial ones; none may still hit.
+		for k := range rep.Sim.Quarantines {
+			seed := o.BaseSeed + uint64(o.Variants+k)
+			if _, hit, _ := o.Eng.Cache.Image(o.Module, o.Cfg, seed, nil, nil); hit {
+				t.Errorf("failed heal seed %d still has a cache entry", seed)
+			}
+		}
+	})
+}
+
 // TestRerollHealKeepsLeakedAddressesValid is the fleet-level "more dynamism
 // is less effective" ablation: against a non-adaptive attacker, fresh-seed
 // rebuilds obsolete the leak after the first heal, while BTRA-only rerolls

@@ -29,10 +29,13 @@ import (
 )
 
 // liveRules must stay quiet on the live run: a healed fleet neither fails a
-// heal nor lets a corruption through unseen.
+// heal nor lets a corruption through unseen, and its build cache ends
+// holding no more images than its four slots serve (one more per heal
+// means retired images stay cached).
 const liveRules = `# written by tools/servesmoke
 heal-failures: count(fleet.heal.failures) >= 1
 silent:        count(fleet.silent_corruptions) >= 1
+cache-bounded: value(exec.cache.entries) > 4
 `
 
 // quarantineRules is the exit-code leg's rule: any quarantine fires it.
@@ -207,7 +210,7 @@ func liveRun(serve, rulesPath string) {
 		if err := json.Unmarshal(body, &states); err != nil {
 			fail(fmt.Errorf("/alerts is not JSON: %w\n%s", err, body))
 		}
-		if len(states) != 2 || states[0].Rule != "heal-failures" || states[1].Rule != "silent" {
+		if len(states) != 3 || states[0].Rule != "heal-failures" || states[1].Rule != "silent" || states[2].Rule != "cache-bounded" {
 			fail(fmt.Sprintf("/alerts does not list the rules file:\n%s", body))
 		}
 		fmt.Printf("servesmoke: mid-run /alerts: %d rules evaluated\n", len(states))
